@@ -360,8 +360,7 @@ def cmd_build_mrd(args: argparse.Namespace) -> int:
     spec = _graph_spec(args)
     pair_budget = args.budget if args.budget is not None else DEFAULT_PAIR_BUDGET
     code = mrd_code(spec, pair_budget)
-    verified = verify_distance(code, pair_budget)
-    obj = rio.code_to_obj(code, verified)
+    obj = rio.code_to_obj(code, code.verified_distance)
     obj["r"] = spec.r
     obj["bound"] = spec.independence_bound
     _write_or_emit(args, obj)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -111,12 +111,40 @@ def build_canonical_clique(cspec: CanonicalCliqueSpec) -> frozenset[Mat]:
     return frozenset(members)
 
 
-def is_clique(spec: GraphSpec, family: Iterable[Mat], pair_budget: int = DEFAULT_PAIR_BUDGET) -> bool:
-    """Pairwise check that all distinct members differ by inner rank <= r.
+def coset_difference_group(entries: Iterable[tuple[int, ...]], h: int) -> set[tuple[int, ...]] | None:
+    """G = F - b0 when the family F is a coset b0 + G of an additive subgroup, else None.
 
-    Works per prime component on flat entry tuples so the exponent kernel's
-    cache carries the load; a pair fails as soon as one component's rank
-    exceeds r.
+    Grows H := H + <g> over the differences g, by the translates of H up to
+    the first multiple of g already in H, and aborts once |H| > |F - b0|:
+    O(|F|) entry-tuple additions in all.
+    """
+    fam = set(entries)
+    if not fam:
+        return None
+    b0 = min(fam)
+    diffs = {tuple((x - y) % h for x, y in zip(f, b0)) for f in fam}
+    group = {(0,) * len(b0)}
+    for g in diffs:
+        if g in group:
+            continue
+        old = list(group)
+        mult = g
+        while mult not in group:  # stops at the same multiple as a test against H would
+            group.update(tuple((x + y) % h for x, y in zip(mult, a)) for a in old)
+            if len(group) > len(diffs):
+                return None
+            mult = tuple((x + y) % h for x, y in zip(mult, g))
+    return group
+
+
+def is_clique(spec: GraphSpec, family: Iterable[Mat], pair_budget: int = DEFAULT_PAIR_BUDGET) -> bool:
+    """Check that all distinct members differ by inner rank <= r.
+
+    A coset b0 + G of an additive subgroup is checked through G, whose
+    nonzero members are exactly its pairwise differences; any other family
+    pairwise.  Works per prime component on flat entry tuples so the
+    exponent kernel's cache carries the load, and charges the pair budget
+    for all pairs either way.
     """
     members = list(family)
     npairs = len(members) * (len(members) - 1) // 2
@@ -124,22 +152,20 @@ def is_clique(spec: GraphSpec, family: Iterable[Mat], pair_budget: int = DEFAULT
         raise BudgetExceededError(f"{npairs} pairs exceed the budget {pair_budget}")
     ring = spec.ring
     rows, cols, r = spec.m, spec.n, spec.r
-    comps = [
-        [tuple(e % q for e in mat.entries) for mat in members]
-        for q in ring.prime_powers
-    ]
-    for k, ((p, s), q) in enumerate(zip(ring.primes, ring.prime_powers)):
-        proj = comps[k]
-        for i in range(len(members)):
-            a = proj[i]
-            for j in range(i + 1, len(members)):
-                b = proj[j]
-                if a == b:
-                    continue
-                diff = tuple((x - y) % q for x, y in zip(a, b))
-                alpha = _pp_exponents(p, s, q, rows, cols, diff)
-                if sum(1 for x in alpha if x < s) > r:
-                    return False
+    group = coset_difference_group([mat.entries for mat in members], ring.h)
+    for (p, s), q in zip(ring.primes, ring.prime_powers):
+        if group is not None:
+            diffs: Iterable[tuple[int, ...]] = {tuple(e % q for e in g) for g in group}
+        else:
+            proj = [tuple(e % q for e in mat.entries) for mat in members]
+            diffs = (
+                tuple((x - y) % q for x, y in zip(a, b))
+                for a, b in combinations(proj, 2) if a != b
+            )
+        for diff in diffs:
+            alpha = _pp_exponents(p, s, q, rows, cols, diff)
+            if sum(1 for x in alpha if x < s) > r:
+                return False
     return True
 
 

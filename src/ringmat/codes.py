@@ -13,7 +13,9 @@ Z_{p**s}-linear combinations of its basis, which multiplies the size by the
 right power of p while preserving the minimum distance; a Chinese remainder
 product then assembles the code over Z_h.  Every construction step re-runs
 an exhaustive distance verification before the code is returned, so emitted
-codes never rely on the argument above.
+codes never rely on the argument above; the returned code carries that
+distance.  A plain set of words that is a coset of an additive subgroup is
+checked through its difference group, and any other set pairwise.
 
 The same codes drive the two coloring-style certificates: the cosets of the
 code properly color the graph with h**(n*r) colors, and the translates of
@@ -25,11 +27,13 @@ the clique, independence and chromatic numbers exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+import random
+from dataclasses import dataclass, replace
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
-from .cliques import CanonicalCliqueSpec, build_canonical_clique
+from .cliques import CanonicalCliqueSpec, build_canonical_clique, coset_difference_group, is_clique
 from .errors import (
     DEFAULT_PAIR_BUDGET,
     DEFAULT_VERTEX_BUDGET,
@@ -37,7 +41,7 @@ from .errors import (
     UsageError,
     VerificationError,
 )
-from .graph import GraphSpec
+from .graph import GraphSpec, adjacent, build_graph
 from .matrix import Mat
 from .ring import RingSpec, ring_spec
 from .smith import inner_rank
@@ -120,15 +124,6 @@ class FieldSpec:
         return product(range(self.p), repeat=self.n)
 
 
-def _poly_mul_mod_p(p: int, a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
 def _poly_irreducible(p: int, poly: Sequence[int]) -> bool:
     """Trial division by all monic polynomials of degree up to deg(poly) // 2."""
     n = len(poly) - 1
@@ -167,6 +162,7 @@ class RankCode:
     For linear codes (closed under addition and scalar multiples) `basis`
     holds a generating set and the distance equals the minimum rank of a
     nonzero member; verify_distance re-establishes the claim exhaustively.
+    verified_distance is what that check returned, on codes built here.
     """
 
     ring: RingSpec
@@ -176,6 +172,7 @@ class RankCode:
     claimed_min_distance: int
     linear: bool
     basis: tuple[Mat, ...] | None
+    verified_distance: float | None = None
 
     @property
     def size(self) -> int:
@@ -186,7 +183,9 @@ def verify_distance(code: RankCode, pair_budget: int = DEFAULT_PAIR_BUDGET) -> f
     """Exact minimum rank distance; +inf for a singleton code.
 
     Linear codes need only the nonzero members (distance = minimum nonzero
-    rank); general codes take all pairs.  The work is capped by pair_budget.
+    rank).  Other cosets b0 + G of an additive subgroup take the minimum rank
+    of a nonzero g in G, and any other code all pairs; the pair budget is
+    charged for all pairs either way.
     """
     members = sorted(code.members, key=lambda mat: mat.entries)
     if len(members) < 2:
@@ -208,10 +207,14 @@ def verify_distance(code: RankCode, pair_budget: int = DEFAULT_PAIR_BUDGET) -> f
         npairs = len(members) * (len(members) - 1) // 2
         if npairs > pair_budget:
             raise BudgetExceededError("too many pairs for the distance budget")
-        for a, b in combinations(members, 2):
-            rk = inner_rank(a - b)
-            if rk < best:
-                best = rk
+        group = coset_difference_group([mat.entries for mat in members], code.ring.h)
+        if group is not None:
+            diffs: Iterable[Mat] = (
+                Mat(code.ring, code.rows, code.cols, g) for g in group if any(g)
+            )
+        else:
+            diffs = (a - b for a, b in combinations(members, 2))
+        best = min(map(inner_rank, diffs))
     return best
 
 
@@ -221,7 +224,7 @@ def _checked(code: RankCode, pair_budget: int = DEFAULT_PAIR_BUDGET) -> RankCode
         raise VerificationError(
             f"verified distance {d} != claimed {code.claimed_min_distance}"
         )
-    return code
+    return replace(code, verified_distance=d)
 
 
 def gabidulin_code(field: FieldSpec, m: int, n: int, d: int) -> RankCode:
@@ -355,8 +358,12 @@ def mrd_code(spec: GraphSpec, pair_budget: int = DEFAULT_PAIR_BUDGET) -> RankCod
     """A verified code over Z_h of size h**(n*(m-r)) with minimum distance r + 1.
 
     Per prime: evaluation code over F_p, lifted to Z_{p**s}; the components
-    are then CRT-combined.  For r = m the code degenerates to {0}.
+    are then CRT-combined.  For r = m the code degenerates to {0}.  The
+    budget is checked before any work, and the returned code carries the
+    distance verified for it.
     """
+    if spec.independence_bound - 1 > pair_budget:
+        raise BudgetExceededError("too many members for the distance budget")
     ring = spec.ring
     m, n, r = spec.m, spec.n, spec.r
     comps = []
@@ -397,23 +404,43 @@ class Coloring:
         return self.colors[u] != self.colors[v]
 
 
+def _translate_ids(spec: GraphSpec, c: Sequence[int]) -> list[int]:
+    """[id(u + c) for every vertex id u], built digit by digit from rotation lists."""
+    h = spec.ring.h
+    ids = [0]
+    for digit in c:
+        rot = [(x + digit) % h for x in range(h)]
+        ids = [a * h + b for a in ids for b in rot]
+    return ids
+
+
+def _check_edges(spec: GraphSpec, colors: Sequence[int], connection_ids: Iterable[int]) -> None:
+    """Raise unless every edge (u, u + c), c in the connection set, has two colors."""
+    for cid in connection_ids:
+        ids = _translate_ids(spec, spec.vertex_entries(cid))
+        if any(map(operator.eq, colors, map(colors.__getitem__, ids))):
+            u = next(u for u, w in enumerate(ids) if colors[u] == colors[w])
+            raise VerificationError(f"edge ({u}, {ids[u]}) is monochromatic")
+
+
 def color_graph(
     spec: GraphSpec,
     vertex_budget: int = DEFAULT_VERTEX_BUDGET,
     sample_seed: int = 0,
     samples: int = 1000,
+    code: RankCode | None = None,
 ) -> Coloring:
     """Color the graph with h**(n*r) colors: the cosets of a verified code.
 
     Two vertices share a color exactly when their difference lies in the
     code, and every nonzero code member has rank > r, so no edge is
-    monochromatic.  Within the vertex budget this is verified on every edge;
-    above it the verified code distance stands as the certificate and a
-    seeded sample of vertex pairs is checked explicitly.
+    monochromatic.  Within the vertex budget this is verified on every edge,
+    one connection element at a time; above it the verified code distance
+    stands as the certificate and a seeded sample of vertex pairs is checked
+    explicitly.  code defaults to mrd_code(spec).
     """
-    import random
-
-    code = mrd_code(spec)
+    if code is None:
+        code = mrd_code(spec)
     nv = spec.n_vertices
     member_ids = sorted(spec.vertex_id(mem) for mem in code.members)
     member_ents = [spec.vertex_entries(i) for i in member_ids]
@@ -434,24 +461,10 @@ def color_graph(
         raise VerificationError(f"coset count {n_colors} != h^(n r) = {spec.clique_bound}")
 
     if nv <= vertex_budget:
-        from .graph import build_graph
-
-        g = build_graph(spec, vertex_budget)
-        conn = g.connection_ids
-        ents_all = [spec.vertex_entries(i) for i in range(nv)]
-        for u in range(nv):
-            eu = ents_all[u]
-            cu = colors[u]
-            for cid in conn:
-                ec = ents_all[cid]
-                w = spec.vertex_id(tuple((a + b) % h for a, b in zip(eu, ec)))
-                if colors[w] == cu:
-                    raise VerificationError(f"edge ({u}, {w}) is monochromatic")
+        _check_edges(spec, colors, build_graph(spec, vertex_budget).connection_ids)
         verification = "edges"
     else:
         rng = random.Random(sample_seed)
-        from .graph import adjacent
-
         for _ in range(samples):
             u = rng.randrange(nv)
             v = rng.randrange(nv)
@@ -501,11 +514,9 @@ def clique_cover_complement(
     if len(seen) != nv:
         raise VerificationError("translates do not cover every vertex")
     if check_parts_are_cliques:
-        from .cliques import is_clique
-
         for part in parts:
             if not is_clique(spec, part):
-                raise VerificationError("a translate failed the pairwise rank check")
+                raise VerificationError("a translate is not a clique")
     return CliqueCover(spec, tuple(parts))
 
 
@@ -517,7 +528,8 @@ class GraphCertificate:
     colors gives chi <= that; a code of size h**(n*(m-r)) gives alpha >=
     that.  Vertex-transitivity gives chi >= |V| / alpha >= omega, and
     |V| = alpha_bound * omega_bound closes the chain, so all three are
-    pinned exactly.
+    pinned exactly.  omega, alpha and chi are the witness sizes; a witness
+    that misses its bound raises VerificationError.
     """
 
     spec: GraphSpec
@@ -527,33 +539,35 @@ class GraphCertificate:
     coloring_colors: int
     coloring_verification: str
 
+    def __post_init__(self) -> None:
+        witnesses = (self.omega, self.alpha, self.chi)
+        bounds = (self.spec.clique_bound, self.spec.independence_bound, self.spec.clique_bound)
+        if witnesses != bounds:
+            raise VerificationError(f"witnesses (omega, alpha, chi) = {witnesses} != bounds {bounds}")
+
     @property
     def omega(self) -> int:
-        return self.spec.clique_bound
+        return self.clique_size
 
     @property
     def alpha(self) -> int:
-        return self.spec.independence_bound
+        return self.code_size
 
     @property
     def chi(self) -> int:
-        return self.spec.clique_bound
+        return self.coloring_colors
 
 
 def certify_graph_parameters(spec: GraphSpec, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> GraphCertificate:
-    """Build and verify the three certificates; raise if any bound fails."""
-    from .cliques import is_clique
-
+    """Build and verify the three certificates once each; raise if any bound fails."""
     clique = build_canonical_clique(CanonicalCliqueSpec(spec, (0,) * spec.ring.t))
-    if len(clique) != spec.clique_bound:
-        raise VerificationError("canonical clique has the wrong size")
     if not is_clique(spec, clique):
         raise VerificationError("canonical clique is not a clique")
     code = mrd_code(spec)
-    dist = verify_distance(code)
+    dist = code.verified_distance
     if dist <= spec.r:
         raise VerificationError("code distance does not clear the adjacency radius")
-    coloring = color_graph(spec, vertex_budget)
+    coloring = color_graph(spec, vertex_budget, code=code)
     return GraphCertificate(
         spec, len(clique), code.size, dist, coloring.n_colors, coloring.verification
     )

@@ -277,6 +277,16 @@ def test_build_mrd_and_verify_code(tmp_path, capsys):
     assert obj["meets"] is False
 
 
+def test_build_mrd_budget_boundary(capsys):
+    # a code of size N needs N - 1 distance checks: the budget N - 2 refuses it
+    for h, size in ((5, 25), (6, 36)):
+        args = ("build-mrd", "--h", str(h), "--m", "2", "--n", "2", "--r", "1")
+        code, out, err = run(capsys, *args, "--budget", str(size - 2))
+        assert code == 3 and out == "" and "budget exceeded" in err
+        code, obj, _ = run_json(capsys, *args, "--budget", str(size - 1))
+        assert code == 0 and obj["verified_min_distance"] == 2
+
+
 def test_color_and_cover(tmp_path, capsys):
     code, obj, err = run_json(capsys, "color", "--h", "6", "--m", "2",
                               "--n", "2", "--r", "1")

@@ -1,13 +1,17 @@
 """Canonical cliques, classification, rebuild gates, extremal verification."""
 
+import random
+
 import pytest
 
+from ringmat import cliques
 from ringmat.cliques import (
     build_canonical_clique,
     CanonicalCliqueSpec,
     classify_max_clique,
     CliqueForm,
     COL_FORM,
+    coset_difference_group,
     enumerate_max_cliques,
     is_clique,
     MIXED_FORM,
@@ -23,7 +27,7 @@ from ringmat.errors import (
     VerificationError,
 )
 from ringmat.graph import GraphSpec
-from ringmat.matrix import Mat
+from ringmat.matrix import Mat, random_matrix
 from ringmat.ring import ring_spec
 
 
@@ -156,3 +160,79 @@ def test_random_clique_form_deterministic():
     f2 = random_clique_form(spec, (0, 1), 5)
     assert f1 == f2
     assert rebuild_clique(f1) == rebuild_clique(f2)
+
+
+# --- coset route against the pairwise route --------------------------------------
+
+
+def _pairwise_is_clique(monkeypatch, spec, family):
+    """is_clique with the coset route switched off: the pairwise oracle."""
+    with monkeypatch.context() as mp:
+        mp.setattr(cliques, "coset_difference_group", lambda entries, h: None)
+        return is_clique(spec, family, pair_budget=10**6)
+
+
+def _shifted(family, h):
+    b0 = min(mat.entries for mat in family)
+    return {tuple((x - y) % h for x, y in zip(mat.entries, b0)) for mat in family}
+
+
+# (h, n, alpha of the rebuilt clique); 2x3 needs alpha = 0, and h=12 2x3
+# (1728 members, about 1.5 million pairs) is left out of the pairwise oracle
+COSET_CASES = [
+    (4, 2, (2,)), (6, 2, (0, 1)), (9, 2, (2,)), (12, 2, (2, 1)),
+    (4, 3, (0,)), (6, 3, (0, 0)), (9, 3, (0,)),
+]
+
+
+@pytest.mark.parametrize("h, n, alpha", COSET_CASES)
+def test_coset_route_matches_pairwise_on_cliques(monkeypatch, h, n, alpha):
+    spec = _spec(h, 2, n, 1)
+    canonical = build_canonical_clique(CanonicalCliqueSpec(spec, (0,) * spec.ring.t))
+    rebuilt = rebuild_clique(random_clique_form(spec, alpha, h))
+    for fam in (canonical, rebuilt):
+        group = coset_difference_group([mat.entries for mat in fam], h)
+        assert group == _shifted(fam, h)
+        assert is_clique(spec, fam, pair_budget=10**6)
+        assert _pairwise_is_clique(monkeypatch, spec, fam)
+
+
+def test_subgroup_coset_of_rank_two_matrix_is_not_a_clique(monkeypatch):
+    spec = _spec(6)
+    ring = spec.ring
+    b0 = random_matrix(ring, 2, 2, 3)
+    ident = Mat.identity(ring, 2)
+    fam = [Mat.diagonal(ring, [k, k]) + b0 for k in range(6)]
+    assert fam[1] - fam[0] == ident
+    group = coset_difference_group([mat.entries for mat in fam], 6)
+    assert group is not None and len(group) == 6
+    assert not is_clique(spec, fam)
+    assert not _pairwise_is_clique(monkeypatch, spec, fam)
+
+
+def test_non_coset_families_fall_back_to_pairwise(monkeypatch):
+    spec = _spec(6)
+    ring = spec.ring
+    fam = sorted(rebuild_clique(random_clique_form(spec, (1, 0), 4)), key=lambda m: m.entries)
+    outside = next(x for x in (random_matrix(ring, 2, 2, k) for k in range(100)) if x not in fam)
+    rng = random.Random(20)
+    random_set = {random_matrix(ring, 2, 2, rng) for _ in range(40)}
+    random_set = sorted(random_set, key=lambda m: m.entries)[:20]
+    assert len(random_set) == 20
+    for family, want in ((fam[:-1], True), (fam + [outside], False), (random_set, None)):
+        assert coset_difference_group([mat.entries for mat in family], 6) is None
+        got = is_clique(spec, family)
+        assert got == _pairwise_is_clique(monkeypatch, spec, family)
+        if want is not None:
+            assert got == want
+
+
+def test_pair_budget_is_checked_before_any_work(monkeypatch):
+    def refuse(entries, h):
+        raise AssertionError("work started before the budget check")
+
+    spec = _spec(6)
+    fam = build_canonical_clique(CanonicalCliqueSpec(spec, (0, 0)))
+    monkeypatch.setattr(cliques, "coset_difference_group", refuse)
+    with pytest.raises(BudgetExceededError):
+        is_clique(spec, fam, pair_budget=629)

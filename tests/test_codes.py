@@ -1,17 +1,23 @@
 """Rank-distance codes, coset colorings, complement covers, certificates."""
 
 import math
+import random
+import re
 from itertools import product
 
 import pytest
 
+from ringmat import codes
 from ringmat.codes import (
+    _check_edges,
+    _translate_ids,
     certify_graph_parameters,
     clique_cover_complement,
     color_graph,
     crt_combine,
     FieldSpec,
     gabidulin_code,
+    GraphCertificate,
     independent_set_from_code,
     lift_code,
     mrd_code,
@@ -20,7 +26,7 @@ from ringmat.codes import (
 )
 from ringmat.errors import BudgetExceededError, UsageError, VerificationError
 from ringmat.graph import build_graph, GraphSpec
-from ringmat.matrix import Mat
+from ringmat.matrix import Mat, random_matrix
 from ringmat.ring import ring_spec
 from ringmat.smith import inner_rank
 
@@ -189,3 +195,130 @@ def test_certificate_pins_parameters():
     assert cert.alpha == 36
     assert cert.code_distance == 2
     assert cert.clique_size == 36 and cert.code_size == 36
+
+
+# --- fast paths against their oracles --------------------------------------------
+
+
+def test_verify_distance_coset_route_matches_pairwise(monkeypatch):
+    for h, m, n, r in ((6, 2, 2, 1), (12, 2, 2, 1), (5, 2, 3, 1), (4, 2, 3, 1)):
+        code = mrd_code(_spec(h, m, n, r))
+        plain = RankCode(code.ring, m, n, code.members, r + 1, False, None)
+        assert verify_distance(plain) == r + 1
+        with monkeypatch.context() as mp:
+            mp.setattr(codes, "coset_difference_group", lambda entries, h: None)
+            assert verify_distance(plain) == r + 1
+    # a non-coset code: three words, checked pairwise
+    ring = ring_spec(4)
+    odd = RankCode(ring, 2, 2, frozenset([
+        Mat.zeros(ring, 2, 2), Mat.identity(ring, 2), Mat.diagonal(ring, [3, 1]),
+    ]), 1, False, None)
+    assert codes.coset_difference_group([m.entries for m in odd.members], 4) is None
+    assert verify_distance(odd) == 1
+
+
+def _subgroup(gens, h):
+    """Closure of the generators under addition mod h."""
+    group = {tuple(0 for _ in gens[0])}
+    frontier = list(group)
+    while frontier:
+        frontier = {tuple((x + y) % h for x, y in zip(a, g)) for a in frontier for g in gens} - group
+        group |= frontier
+    return group
+
+
+def test_verify_distance_on_random_cosets_matches_pairwise(monkeypatch):
+    rng = random.Random(11)
+    for h in (4, 6, 8, 9):
+        ring = ring_spec(h)
+        for _ in range(4):
+            gens = [random_matrix(ring, 2, 2, rng).entries for _ in range(2)]
+            gens.append(tuple(x * rng.choice(ring.prime_powers) % h for x in gens[0]))
+            group = _subgroup(gens, h)
+            b0 = random_matrix(ring, 2, 2, rng).entries
+            members = frozenset(
+                Mat(ring, 2, 2, tuple((x + y) % h for x, y in zip(g, b0))) for g in group
+            )
+            assert codes.coset_difference_group([m.entries for m in members], h) == group
+            plain = RankCode(ring, 2, 2, members, 1, False, None)
+            fast = verify_distance(plain)
+            with monkeypatch.context() as mp:
+                mp.setattr(codes, "coset_difference_group", lambda entries, h: None)
+                assert fast == verify_distance(plain)
+
+
+def test_verify_distance_budget_before_any_work(monkeypatch):
+    def refuse(entries, h):
+        raise AssertionError("work started before the budget check")
+
+    code = mrd_code(_spec(6))
+    plain = RankCode(code.ring, 2, 2, code.members, 2, False, None)
+    monkeypatch.setattr(codes, "coset_difference_group", refuse)
+    with pytest.raises(BudgetExceededError):
+        verify_distance(plain, pair_budget=629)
+
+
+def test_translate_ids_match_vertex_ids():
+    spec = _spec(4)
+    h = spec.ring.h
+    for cid in range(spec.n_vertices):
+        c = spec.vertex_entries(cid)
+        ids = _translate_ids(spec, c)
+        assert ids == [
+            spec.vertex_id(tuple((a + b) % h for a, b in zip(spec.vertex_entries(u), c)))
+            for u in range(spec.n_vertices)
+        ]
+
+
+def test_edge_check_catches_one_corrupted_color():
+    spec = _spec(4)
+    col = color_graph(spec, vertex_budget=500)
+    conn = build_graph(spec, vertex_budget=500).connection_ids
+    colors = list(col.colors)
+    _check_edges(spec, colors, conn)
+    u = 37
+    w = _translate_ids(spec, spec.vertex_entries(conn[5]))[u]
+    colors[u] = colors[w]
+    with pytest.raises(VerificationError) as err:
+        _check_edges(spec, colors, conn)
+    found = re.fullmatch(r"edge \((\d+), (\d+)\) is monochromatic", str(err.value))
+    a, b = int(found[1]), int(found[2])
+    assert u in (a, b) and colors[a] == colors[b]
+    diff = tuple((x - y) % 4 for x, y in zip(spec.vertex_entries(b), spec.vertex_entries(a)))
+    assert spec.vertex_id(diff) in conn
+
+
+def test_code_distance_verified_once(monkeypatch):
+    calls = []
+    real = codes.verify_distance
+
+    def counting(code, pair_budget=10**5):
+        calls.append(code.size)
+        return real(code, pair_budget)
+
+    monkeypatch.setattr(codes, "verify_distance", counting)
+    spec = _spec(6)
+    code = mrd_code(spec)
+    assert code.verified_distance == 2
+    assert calls == [4, 9, 36]  # the two prime codes and their CRT product
+    calls.clear()
+    certify_graph_parameters(spec, vertex_budget=2000)
+    assert calls == [4, 9, 36]
+
+
+def test_mrd_code_budget_before_any_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the budget check")
+
+    monkeypatch.setattr(codes, "gabidulin_code", refuse)
+    with pytest.raises(BudgetExceededError):
+        mrd_code(_spec(6), pair_budget=34)
+
+
+def test_certificate_reports_witnesses():
+    spec = _spec(6)
+    cert = GraphCertificate(spec, 36, 36, 2, 36, "edges")
+    assert (cert.omega, cert.alpha, cert.chi) == (36, 36, 36)
+    for sizes in ((35, 36, 36), (36, 37, 36), (36, 36, 72)):
+        with pytest.raises(VerificationError):
+            GraphCertificate(spec, sizes[0], sizes[1], 2, sizes[2], "edges")
