@@ -36,9 +36,7 @@ from .ring import (
 from .matrix import (
     InvertiblePair,
     Mat,
-    coproject_mat,
     crt_lift_mat,
-    project_mat,
     random_invertible,
     random_matrix,
 )
@@ -51,7 +49,6 @@ from .smith import (
     invariant_factors,
     rank_via_projections,
     snf,
-    snf_prime_power,
     verify_smith_form,
 )
 from .orbits import (

@@ -5,6 +5,11 @@ ints, so matrices are hashable and exact.  Determinants are computed per
 prime-power component by fraction-free elimination on integer lifts and
 glued with the Chinese remainder map; a matrix is invertible exactly when
 its determinant is a unit.
+
+Public construction (Mat(...), from_rows, zeros) validates shape and
+entries.  Results that are canonical by construction (arithmetic, transpose,
+component transport, CRT gluing, the Smith transforms) go through the
+unchecked Mat._new.
 """
 
 from __future__ import annotations
@@ -27,8 +32,9 @@ class Mat:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ShapeError(f"dimensions must be positive, got {self.rows}x{self.cols}")
+        if type(self.entries) is not tuple:
+            object.__setattr__(self, "entries", tuple(self.entries))
+        _check_dims(self.rows, self.cols)
         if len(self.entries) != self.rows * self.cols:
             raise ShapeError("entry count does not match dimensions")
         h = self.ring.h
@@ -36,6 +42,13 @@ class Mat:
             raise UsageError(f"entries must be canonical residues in [0, {h})")
 
     # --- construction -------------------------------------------------------
+
+    @classmethod
+    def _new(cls, ring: RingSpec, rows: int, cols: int, entries: tuple[int, ...]) -> "Mat":
+        """A matrix whose shape and entries are canonical by construction; not validated."""
+        a = object.__new__(cls)
+        a.__dict__.update(ring=ring, rows=rows, cols=cols, entries=entries)  # bypasses the frozen __setattr__
+        return a
 
     @classmethod
     def from_rows(cls, ring: RingSpec, rows: Rows) -> "Mat":
@@ -52,22 +65,24 @@ class Mat:
 
     @classmethod
     def identity(cls, ring: RingSpec, n: int) -> "Mat":
+        _check_dims(n, n)
         e = [0] * (n * n)
         for i in range(n):
-            e[i * n + i] = 1 % ring.h
-        return cls(ring, n, n, tuple(e))
+            e[i * n + i] = 1
+        return cls._new(ring, n, n, tuple(e))
 
     @classmethod
     def diagonal(cls, ring: RingSpec, values: Sequence[int], rows: int | None = None, cols: int | None = None) -> "Mat":
         k = len(values)
         m = rows if rows is not None else k
         n = cols if cols is not None else k
+        _check_dims(m, n)
         if k > min(m, n):
             raise ShapeError("too many diagonal values")
         e = [0] * (m * n)
         for i, v in enumerate(values):
             e[i * n + i] = v % ring.h
-        return cls(ring, m, n, tuple(e))
+        return cls._new(ring, m, n, tuple(e))
 
     # --- access --------------------------------------------------------------
 
@@ -97,20 +112,20 @@ class Mat:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("dimension mismatch in addition")
         h = self.ring.h
-        return Mat(self.ring, self.rows, self.cols,
-                   tuple((a + b) % h for a, b in zip(self.entries, other.entries)))
+        return Mat._new(self.ring, self.rows, self.cols,
+                        tuple((a + b) % h for a, b in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "Mat") -> "Mat":
         self._same_ring(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("dimension mismatch in subtraction")
         h = self.ring.h
-        return Mat(self.ring, self.rows, self.cols,
-                   tuple((a - b) % h for a, b in zip(self.entries, other.entries)))
+        return Mat._new(self.ring, self.rows, self.cols,
+                        tuple((a - b) % h for a, b in zip(self.entries, other.entries)))
 
     def __neg__(self) -> "Mat":
         h = self.ring.h
-        return Mat(self.ring, self.rows, self.cols, tuple(-a % h for a in self.entries))
+        return Mat._new(self.ring, self.rows, self.cols, tuple(-a % h for a in self.entries))
 
     def __matmul__(self, other: "Mat") -> "Mat":
         self._same_ring(other)
@@ -128,16 +143,16 @@ class Mat:
                 for x in range(k):
                     acc += arow[x] * b[x * n + j]
                 out[base + j] = acc % h
-        return Mat(self.ring, m, n, tuple(out))
+        return Mat._new(self.ring, m, n, tuple(out))
 
     def scale(self, c: int) -> "Mat":
         h = self.ring.h
-        return Mat(self.ring, self.rows, self.cols, tuple(c * a % h for a in self.entries))
+        return Mat._new(self.ring, self.rows, self.cols, tuple(c * a % h for a in self.entries))
 
     def transpose(self) -> "Mat":
         m, n = self.rows, self.cols
         e = self.entries
-        return Mat(self.ring, n, m, tuple(e[i * n + j] for j in range(n) for i in range(m)))
+        return Mat._new(self.ring, n, m, tuple(e[i * n + j] for j in range(n) for i in range(m)))
 
     # --- determinant and inverses -----------------------------------------------
 
@@ -170,30 +185,24 @@ class Mat:
             p, _ = ring.primes[i]
             q = ring.prime_powers[i]
             comps.append(_invert_mod_prime_power(p, q, self.rows, [v % q for v in self.entries]))
-        h = ring.h
-        n = self.rows
-        ents = tuple(ring.crt([c[k] for c in comps]) for k in range(n * n))
-        return Mat(ring, n, n, ents)
+        return Mat._new(ring, self.rows, self.rows, ring.crt_vectors(comps))
 
     # --- component transport -------------------------------------------------------
 
     def project(self, i: int) -> "Mat":
         """Entrywise image in the i-th prime-power component ring (0-based)."""
         q = self.ring.prime_powers[i]
-        return Mat(self.ring.component(i), self.rows, self.cols, tuple(v % q for v in self.entries))
+        return Mat._new(self.ring.component(i), self.rows, self.cols, tuple(v % q for v in self.entries))
 
     def coproject(self, i: int) -> "Mat":
         """Entrywise image in the complementary quotient ring (0-based)."""
         hq = self.ring.cofactors[i]
-        return Mat(self.ring.cofactor_ring(i), self.rows, self.cols, tuple(v % hq for v in self.entries))
+        return Mat._new(self.ring.cofactor_ring(i), self.rows, self.cols, tuple(v % hq for v in self.entries))
 
 
-def project_mat(a: Mat, i: int) -> Mat:
-    return a.project(i)
-
-
-def coproject_mat(a: Mat, i: int) -> Mat:
-    return a.coproject(i)
+def _check_dims(rows: int, cols: int) -> None:
+    if rows < 1 or cols < 1:
+        raise ShapeError(f"dimensions must be positive, got {rows}x{cols}")
 
 
 def crt_lift_mat(ring: RingSpec, components: Sequence[Mat]) -> Mat:
@@ -207,8 +216,7 @@ def crt_lift_mat(ring: RingSpec, components: Sequence[Mat]) -> Mat:
         if c.ring.h != ring.prime_powers[i]:
             raise UsageError(f"component {i} lives over {c.ring}, expected Z_{ring.prime_powers[i]}")
     (m, n), = dims
-    ents = tuple(ring.crt([c.entries[k] for c in components]) for k in range(m * n))
-    return Mat(ring, m, n, ents)
+    return Mat._new(ring, m, n, ring.crt_vectors([c.entries for c in components]))
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,11 @@ isomorphism.  This module owns that plumbing: canonical residues, units,
 capped p-adic valuations, the unit-times-prime-power factorization of ring
 elements, the ideal lattice, and the projection / coprojection / lift maps.
 
-Working-level code keeps elements as plain ints in [0, h); the Elem wrapper
-pairs a value with its ring for the object-level API.
+The modulus is split into its prime powers by trial division up to 1000,
+then deterministic Miller-Rabin and Pollard-Brent rho, so any h < 2^64
+factors in milliseconds.  The matrix and Smith layers keep elements as
+plain ints in [0, h); the Elem wrapper serves only the element-level API
+below (factor_element, ideals, associates).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import count, product
 from typing import Iterator, Sequence
 
 from .errors import NotInvertibleError, UsageError
@@ -24,26 +27,102 @@ from .errors import NotInvertibleError, UsageError
 MAX_MODULUS = 2**64 - 1
 
 
+# Trial division bound.  Once the factors below it are divided out, any
+# cofactor smaller than its square is prime.
+_TRIAL_BOUND = 1000
+
+# Miller-Rabin with the first 12 prime bases is exact below
+# 318665857834031151167461 > 2^64 (Sorenson & Webster, Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic primality for 0 <= n < 2^64."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(n: int) -> int:
+    """A proper divisor of the odd composite n, by Pollard-Brent rho.
+
+    Walks x -> x^2 + c from the fixed start 2 for c = 1, 2, ..., so the
+    result is the same on every run.  Products of differences are batched
+    128 at a time into one gcd; a batch that overshoots to gcd n is replayed
+    one step at a time.
+    """
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
+
+
 def factor_modulus(h: int) -> tuple[tuple[int, int], ...]:
-    """Factor h >= 2 by trial division, returned as ((p1, s1), ...) with p1 < p2 < ...."""
+    """Factor 2 <= h < 2^64 as ((p1, s1), ...) with p1 < p2 < ....
+
+    Trial division below 1000 splits off the small factors; what is left is
+    split by Pollard-Brent rho until every part passes the deterministic
+    Miller-Rabin test.
+    """
     if h < 2:
         raise UsageError(f"modulus must be >= 2, got {h}")
     if h > MAX_MODULUS:
         raise UsageError(f"modulus {h} exceeds the 64-bit support bound")
-    out: list[tuple[int, int]] = []
+    counts: dict[int, int] = {}
     rest = h
     d = 2
-    while d * d <= rest:
+    while d * d <= rest and d < _TRIAL_BOUND:
         if rest % d == 0:
             e = 0
             while rest % d == 0:
                 rest //= d
                 e += 1
-            out.append((d, e))
+            counts[d] = e
         d += 1 if d == 2 else 2
-    if rest > 1:
-        out.append((rest, 1))
-    return tuple(out)
+    parts = [rest] if rest > 1 else []
+    while parts:
+        n = parts.pop()
+        if n < _TRIAL_BOUND**2 or _is_prime(n):
+            counts[n] = counts.get(n, 0) + 1
+        else:
+            d = _rho_factor(n)
+            parts += (d, n // d)
+    return tuple(sorted(counts.items()))
 
 
 @lru_cache(maxsize=None)
@@ -64,12 +143,15 @@ class RingSpec:
     primes: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.primes != factor_modulus(self.h):
+        ps = [p for p, _ in self.primes]
+        if not (
+            2 <= self.h <= MAX_MODULUS
+            and all(a < b for a, b in zip(ps, ps[1:]))
+            and all(s >= 1 for _, s in self.primes)
+            and math.prod(p**s for p, s in self.primes) == self.h
+            and all(_is_prime(p) for p in ps)
+        ):
             raise UsageError(f"inconsistent factorization for modulus {self.h}")
-
-    @classmethod
-    def from_modulus(cls, h: int) -> "RingSpec":
-        return ring_spec(h)
 
     def __str__(self) -> str:
         return f"Z_{self.h}"
@@ -168,6 +250,21 @@ class RingSpec:
         for r, e in zip(residues, self._crt_idempotents):
             v += r * e
         return v % self.h
+
+    def crt_vectors(self, vecs: Sequence[Sequence[int]]) -> tuple[int, ...]:
+        """Entrywise CRT of one canonical residue vector per component: sum of e_i * vec_i, mod h.
+
+        With a single component the residues mod q_1 = h are returned unchanged.
+        """
+        if len(vecs) != self.t:
+            raise UsageError(f"expected {self.t} residue vectors, got {len(vecs)}")
+        if self.t == 1:
+            return tuple(vecs[0])
+        acc = [0] * len(vecs[0])
+        for e, vec in zip(self._crt_idempotents, vecs):
+            acc = [a + e * v for a, v in zip(acc, vec)]
+        h = self.h
+        return tuple(a % h for a in acc)
 
     def elem(self, v: int) -> "Elem":
         return Elem(self, v % self.h)

@@ -222,7 +222,7 @@ def _component_exponents(a: Mat) -> tuple[tuple[int, ...], ...]:
     ring = a.ring
     out = []
     for (p, s), q in zip(ring.primes, ring.prime_powers):
-        proj = tuple(v % q for v in a.entries)
+        proj = a.entries if q == ring.h else tuple(v % q for v in a.entries)
         out.append(_pp_exponents(p, s, q, a.rows, a.cols, proj))
     return tuple(out)
 
@@ -230,14 +230,6 @@ def _component_exponents(a: Mat) -> tuple[tuple[int, ...], ...]:
 def invariant_factors(a: Mat) -> InvariantFactorArray:
     """The exponent table omega of a, without computing transforms."""
     return InvariantFactorArray(a.ring, _component_exponents(a))
-
-
-def snf_prime_power(a: Mat) -> SmithForm:
-    """Smith normal form over a prime-power ring (t = 1)."""
-    ring = a.ring
-    if ring.t != 1:
-        raise UsageError(f"{ring} is not a prime-power ring")
-    return snf(a)
 
 
 def snf(a: Mat) -> SmithForm:
@@ -260,12 +252,12 @@ def snf(a: Mat) -> SmithForm:
     uinvs: list[Mat] = []
     vinvs: list[Mat] = []
     for i, ((p, s), q) in enumerate(zip(ring.primes, ring.prime_powers)):
-        proj = tuple(v % q for v in a.entries)
+        proj = a.entries if q == ring.h else tuple(v % q for v in a.entries)
         alpha, _U, Ui, _V, Vi = _pp_smith_cached(p, s, q, m, n, proj, True)
         comp = ring.component(i)
         alphas.append(alpha)
-        uinvs.append(Mat(comp, m, m, Ui))
-        vinvs.append(Mat(comp, n, n, Vi))
+        uinvs.append(Mat._new(comp, m, m, Ui))
+        vinvs.append(Mat._new(comp, n, n, Vi))
 
     omega = InvariantFactorArray(ring, tuple(alphas))
     S = crt_lift_mat(ring, uinvs)
@@ -274,8 +266,12 @@ def snf(a: Mat) -> SmithForm:
     # The glued transforms satisfy A = S @ diag(d_c) @ T where d_c is the CRT
     # lift of the p_i ** alpha_ic.  Rescale the columns of S to trade d_c for
     # the canonical generator g_c = prod_i(p_i ** alpha_ic): g_c = w_c * d_c
-    # for the unit w_c built componentwise below.
+    # for the unit w_c built componentwise below.  With one component d_c is
+    # already g_c.
     diag = omega.diagonal_values()
+    D = Mat.diagonal(ring, diag, m, n)
+    if ring.t == 1:
+        return SmithForm(S, D, T, omega)
     scol = list(S.entries)
     h = ring.h
     for c in range(k):
@@ -288,8 +284,7 @@ def snf(a: Mat) -> SmithForm:
         if winv != 1:
             for r0 in range(m):
                 scol[r0 * m + c] = scol[r0 * m + c] * winv % h
-    S = Mat(ring, m, m, tuple(scol))
-    D = Mat.diagonal(ring, diag, m, n)
+    S = Mat._new(ring, m, m, tuple(scol))
     return SmithForm(S, D, T, omega)
 
 

@@ -54,6 +54,19 @@ def test_snf_csv_input(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
+def test_snf_over_64_bit_prime(tmp_path, capsys):
+    h = 2**64 - 59
+    path = write_matrix(tmp_path, "a.json", h, [[h - 1, 2, 3], [5, 7, 11], [13, 17, h - 19]])
+    code, obj, _ = run_json(capsys, "snf", "--matrix", path)
+    assert code == 0
+    assert obj["h"] == h and len(obj["omega"]) == 1
+
+
+def test_orbits_over_64_bit_prime_is_a_budget_error(capsys):
+    code, _, err = run(capsys, "orbits", "--h", "18446744073709551557", "--m", "2", "--n", "2")
+    assert code == 3 and "budget exceeded" in err
+
+
 def test_rank_command(tmp_path, capsys):
     path = write_matrix(tmp_path, "a.json", 6, [[2, 0], [0, 3]])
     code, obj, _ = run_json(capsys, "rank", "--matrix", path)

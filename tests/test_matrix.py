@@ -10,12 +10,14 @@ from conftest import matrices, matrix_pairs
 from ringmat.errors import NotInvertibleError, ShapeError, UsageError
 from ringmat.matrix import (
     Mat,
+    _invert_mod_prime_power,
     crt_lift_mat,
     InvertiblePair,
     random_invertible,
     random_matrix,
 )
 from ringmat.ring import ring_spec
+from ringmat.smith import snf
 
 
 def test_constructors_and_accessors():
@@ -144,6 +146,79 @@ def test_crt_matrix_round_trip(rng):
         assert crt_lift_mat(ring, comps) == a
         for i in range(ring.t):
             assert a.coproject(i).ring.h == ring.cofactors[i]
+
+
+def _crt_per_entry(ring, vecs):
+    """The slow reference gluing: one ring.crt call per entry."""
+    return tuple(ring.crt([v[k] for v in vecs]) for k in range(len(vecs[0])))
+
+
+def test_crt_vectors_match_per_entry_crt():
+    for h in (8, 12, 60):  # t = 1, 2, 3
+        ring = ring_spec(h)
+        rng = random.Random(h)
+        for _ in range(100):
+            comps = [random_matrix(ring.component(i), 3, 2, rng) for i in range(ring.t)]
+            lifted = crt_lift_mat(ring, comps)
+            assert lifted.entries == _crt_per_entry(ring, [c.entries for c in comps])
+            assert [lifted.project(i) for i in range(ring.t)] == comps
+
+
+def test_inverse_matches_per_entry_crt():
+    for h in (8, 12, 60):
+        ring = ring_spec(h)
+        rng = random.Random(h)
+        ident = Mat.identity(ring, 3)
+        for _ in range(50):
+            a = random_invertible(ring, 3, rng)
+            comps = [_invert_mod_prime_power(p, q, 3, [v % q for v in a.entries])
+                     for (p, _), q in zip(ring.primes, ring.prime_powers)]
+            inv = a.inverse()
+            assert inv.entries == _crt_per_entry(ring, comps)
+            assert a @ inv == ident
+
+
+def _revalidated(r):
+    return Mat(r.ring, r.rows, r.cols, r.entries)
+
+
+def test_internal_results_pass_public_validation():
+    """Every result built without validation is one the public constructor accepts."""
+    for h in (4, 12, 2**63, 30030):
+        ring = ring_spec(h)
+        rng = random.Random(h % 1000)
+        for m, n in ((1, 1), (2, 3), (3, 2), (3, 3)):
+            for _ in range(10):
+                a = random_matrix(ring, m, n, rng)
+                b = random_matrix(ring, m, n, rng)
+                c = random_matrix(ring, n, m, rng)
+                f = snf(a)
+                results = [a + b, a - b, -a, a.scale(rng.randrange(-h, h)), a @ c, a.transpose(),
+                           f.S, f.D, f.T, Mat.identity(ring, m), Mat.diagonal(ring, [h - 1], m, n),
+                           crt_lift_mat(ring, [a.project(i) for i in range(ring.t)])]
+                results += [a.project(i) for i in range(ring.t)]
+                if ring.t > 1:
+                    results += [a.coproject(i) for i in range(ring.t)]
+                if m == n and a.is_invertible():
+                    results.append(a.inverse())
+                for r in results:
+                    assert _revalidated(r) == r
+                    assert type(r.entries) is tuple
+
+
+def test_public_constructor_still_validates():
+    ring = ring_spec(12)
+    for entries in ((0, 1, 2, 12), (0, 1, 2, -1), (0, 1, 2)):
+        with pytest.raises(UsageError):
+            Mat(ring, 2, 2, entries)
+    for rows, cols in ((0, 1), (1, 0), (-1, -1)):
+        with pytest.raises(ShapeError):
+            Mat(ring, rows, cols, ())
+    with pytest.raises(ShapeError):
+        Mat.identity(ring, 0)
+    with pytest.raises(ShapeError):
+        Mat.diagonal(ring, [], 0, 2)
+    assert Mat(ring, 1, 2, [3, 4]) == Mat(ring, 1, 2, (3, 4))  # entries become a tuple
 
 
 def test_crt_lift_validates_component_moduli():

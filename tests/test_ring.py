@@ -1,6 +1,8 @@
 """Ring layer: modulus factorization, element factorization, CRT, ideals."""
 
 import math
+import random
+import time
 from itertools import product
 
 import pytest
@@ -10,6 +12,8 @@ from conftest import SMALL_MODULI, elements
 from ringmat.errors import NotInvertibleError, UsageError
 from ringmat.ring import (
     MAX_MODULUS,
+    RingSpec,
+    _is_prime,
     all_exponent_vectors,
     are_associates,
     crt_lift,
@@ -38,6 +42,88 @@ def test_factor_modulus_rejects_bad_input():
             factor_modulus(h)
     with pytest.raises(UsageError):
         factor_modulus(MAX_MODULUS + 1)
+
+
+def _trial_division(h):
+    """The slow reference factorization."""
+    out = []
+    d = 2
+    while d * d <= h:
+        e = 0
+        while h % d == 0:
+            h //= d
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1 if d == 2 else 2
+    if h > 1:
+        out.append((h, 1))
+    return tuple(out)
+
+
+def test_factor_modulus_matches_trial_division():
+    rng = random.Random(2017)
+    cases = [rng.randrange(2, 10**9) for _ in range(2000)]
+    # Carmichael numbers and strong pseudoprimes; 3825123056546413051 is a
+    # strong pseudoprime to every prime base up to 23
+    cases += [561, 41041, 3215031751, 3825123056546413051, 997 * 991, 999983**2]
+    for h in cases:
+        assert factor_modulus(h) == _trial_division(h), h
+
+
+KNOWN_FACTORIZATIONS = {
+    (2**31 - 1) ** 2: ((2**31 - 1, 2),),
+    4294967279 * 4294967291: ((4294967279, 1), (4294967291, 1)),
+    2**61 - 1: ((2**61 - 1, 1),),
+    2**64 - 59: ((2**64 - 59, 1),),
+    2**64 - 1: ((3, 1), (5, 1), (17, 1), (257, 1), (641, 1), (65537, 1), (6700417, 1)),
+    2**63: ((2, 63),),
+    3**40: ((3, 40),),
+}
+
+
+def test_factor_modulus_64_bit_cases_are_fast():
+    for h, expected in KNOWN_FACTORIZATIONS.items():
+        start = time.process_time()
+        assert factor_modulus(h) == expected
+        assert time.process_time() - start < 1.0, h
+    start = time.process_time()
+    assert ring_spec(2**64 - 59).primes == ((2**64 - 59, 1),)
+    assert time.process_time() - start < 1.0
+
+
+def test_is_prime_matches_sieve_and_rejects_pseudoprimes():
+    limit = 20000
+    sieve = [True] * limit
+    sieve[0] = sieve[1] = False
+    for i in range(2, math.isqrt(limit) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = [False] * len(sieve[i * i :: i])
+    assert [n for n in range(limit) if _is_prime(n)] == [n for n in range(limit) if sieve[n]]
+    # the least strong pseudoprimes to the first 1, 2, ..., 9 prime bases
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051):
+        assert not _is_prime(n)
+        primes = factor_modulus(n)
+        assert len(primes) > 1 and math.prod(p**s for p, s in primes) == n
+    for p in (2**31 - 1, 4294967291, 2**61 - 1, 2**64 - 59):
+        assert _is_prime(p)
+
+
+def test_ring_spec_checks_given_factorization():
+    assert RingSpec(12, ((2, 2), (3, 1))).prime_powers == (4, 3)
+    for primes in (((2, 1), (6, 1)),       # 6 is not prime
+                   ((3, 1), (2, 2)),       # primes out of order
+                   ((2, 2), (3, 1), (5, 0)),  # zero exponent
+                   ((2, 2),),              # product is not h
+                   ((2, 2), (2, 0), (3, 1)),  # repeated prime
+                   ()):
+        with pytest.raises(UsageError):
+            RingSpec(12, primes)
+    with pytest.raises(UsageError):
+        RingSpec(1, ())
+    with pytest.raises(UsageError):
+        RingSpec(2**64, ((2, 64),))
 
 
 def test_ring_spec_is_cached():

@@ -18,7 +18,6 @@ from ringmat.smith import (
     invariant_factors,
     rank_via_projections,
     snf,
-    snf_prime_power,
     verify_smith_form,
 )
 
@@ -108,13 +107,6 @@ def test_rank_via_projections_agrees(rng):
             a = random_matrix(ring, 2, 2, rng)
             rp = rank_via_projections(a)
             assert rp.via_pi == rp.via_theta == inner_rank(a)
-
-
-def test_snf_prime_power_gate():
-    with pytest.raises(UsageError):
-        snf_prime_power(Mat.zeros(ring_spec(6), 2, 2))
-    f = snf_prime_power(Mat.from_rows(ring_spec(4), [[2, 1], [2, 2]]))
-    assert f.omega.omega == ((0, 1),)
 
 
 def test_invariant_factor_array_validation():
