@@ -16,30 +16,8 @@ from .errors import (
     UsageError,
     VerificationError,
 )
-from .ring import (
-    Elem,
-    ElemFactorization,
-    IdealLabel,
-    RingSpec,
-    absorb_saturated_exponents,
-    all_exponent_vectors,
-    are_associates,
-    coproject,
-    crt_lift,
-    factor_element,
-    factor_modulus,
-    ideal_of,
-    is_unit,
-    project,
-    ring_spec,
-)
-from .matrix import (
-    InvertiblePair,
-    Mat,
-    crt_lift_mat,
-    random_invertible,
-    random_matrix,
-)
+from .ring import RingSpec, factor_modulus, ring_spec
+from .matrix import Mat, crt_lift_mat, random_invertible, random_matrix
 from .smith import (
     InvariantFactorArray,
     RankProjections,
@@ -97,7 +75,6 @@ from .codes import (
     color_graph,
     crt_combine,
     gabidulin_code,
-    independent_set_from_code,
     lift_code,
     mrd_code,
     verify_distance,

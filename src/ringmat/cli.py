@@ -9,7 +9,6 @@ computation would exceed its budget.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Any, Sequence
 
@@ -72,19 +71,6 @@ def _mat_rows(mat: Mat | None) -> list[list[int]] | None:
     return [list(mat.row(i)) for i in range(mat.rows)]
 
 
-def _resolve_threads(args: argparse.Namespace) -> int:
-    raw = getattr(args, "threads", None)
-    if raw is None:
-        raw = os.environ.get("RINGMAT_THREADS", "1")
-    try:
-        value = int(raw)
-    except (TypeError, ValueError):
-        raise UsageError(f"--threads must be an integer, got {raw!r}")
-    if value < 1:
-        raise UsageError("--threads must be at least 1")
-    return value
-
-
 def _resolve_seed(args: argparse.Namespace, randomized: bool) -> int:
     seed = getattr(args, "seed", None)
     if seed is None:
@@ -142,9 +128,6 @@ def _add_graph_args(p: argparse.ArgumentParser) -> None:
 def _add_common(p: argparse.ArgumentParser, budget_default: int | None = None) -> None:
     p.add_argument("--budget", type=int, default=budget_default,
                    help="work cap for this command (see --help of the command)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="upper bound on worker threads (default: RINGMAT_THREADS or 1);"
-                        " computations are deterministic regardless")
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +135,6 @@ def _add_common(p: argparse.ArgumentParser, budget_default: int | None = None) -
 # ---------------------------------------------------------------------------
 
 def cmd_snf(args: argparse.Namespace) -> int:
-    _resolve_threads(args)
     a = _read_matrix(args)
     f = snf(a)
     verify_smith_form(a, f)
@@ -171,7 +153,6 @@ def cmd_snf(args: argparse.Namespace) -> int:
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
-    _resolve_threads(args)
     a = _read_matrix(args)
     rp = rank_via_projections(a)
     _emit({
@@ -187,7 +168,6 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_orbits(args: argparse.Namespace) -> int:
-    _resolve_threads(args)
     ring = ring_spec(args.h)
     budget = args.budget if args.budget is not None else DEFAULT_ENUMERATION_BUDGET
     rep = census_by_enumeration(ring, args.m, args.n, budget)
@@ -227,7 +207,6 @@ def cmd_orbits(args: argparse.Namespace) -> int:
 
 
 def cmd_graph_stats(args: argparse.Namespace) -> int:
-    _resolve_threads(args)
     spec = _graph_spec(args)
     budget = args.budget if args.budget is not None else DEFAULT_VERTEX_BUDGET
     obj: dict[str, Any] = {
@@ -266,7 +245,6 @@ def cmd_graph_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_build_clique(args: argparse.Namespace) -> int:
-    _resolve_threads(args)
     spec = _graph_spec(args)
     ring = spec.ring
     alpha = _parse_alpha(ring, args.alpha)
@@ -300,7 +278,6 @@ def cmd_build_clique(args: argparse.Namespace) -> int:
 
 
 def cmd_classify_clique(args: argparse.Namespace) -> int:
-    _resolve_threads(args)
     ring, rows, cols, members, _ = rio.load_family(args.family, expect_h=args.h)
     spec = GraphSpec(ring, rows, cols, args.r)
     form = classify_max_clique(spec, members)
@@ -320,7 +297,6 @@ def cmd_classify_clique(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_ekr(args: argparse.Namespace) -> int:
-    _resolve_threads(args)
     ring, rows, cols, members, _ = rio.load_family(args.family, expect_h=args.h)
     spec = GraphSpec(ring, rows, cols, args.r)
     pair_budget = args.budget if args.budget is not None else DEFAULT_PAIR_BUDGET
@@ -356,7 +332,6 @@ def cmd_verify_ekr(args: argparse.Namespace) -> int:
 
 
 def cmd_build_mrd(args: argparse.Namespace) -> int:
-    _resolve_threads(args)
     spec = _graph_spec(args)
     pair_budget = args.budget if args.budget is not None else DEFAULT_PAIR_BUDGET
     code = mrd_code(spec, pair_budget)
@@ -368,7 +343,6 @@ def cmd_build_mrd(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_code(args: argparse.Namespace) -> int:
-    _resolve_threads(args)
     ring, rows, cols, members, _ = rio.load_family(args.family, expect_h=args.h)
     pair_budget = args.budget if args.budget is not None else DEFAULT_PAIR_BUDGET
     # metadata is not trusted: the family is checked as a plain set of words
@@ -389,7 +363,6 @@ def cmd_verify_code(args: argparse.Namespace) -> int:
 
 
 def cmd_color(args: argparse.Namespace) -> int:
-    _resolve_threads(args)
     spec = _graph_spec(args)
     budget = args.budget if args.budget is not None else DEFAULT_VERTEX_BUDGET
     if getattr(args, "complement", False):
@@ -445,14 +418,12 @@ def _run_cover(args: argparse.Namespace, spec: GraphSpec, budget: int) -> int:
 
 
 def cmd_cover_complement(args: argparse.Namespace) -> int:
-    _resolve_threads(args)
     spec = _graph_spec(args)
     budget = args.budget if args.budget is not None else DEFAULT_VERTEX_BUDGET
     return _run_cover(args, spec, budget)
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    _resolve_threads(args)
     which = args.oracle_cmd
     if which == "omega":
         a = _read_matrix(args)
@@ -472,12 +443,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     # exact clique / independent-set search on the full graph
     spec = _graph_spec(args)
     budget = args.budget if args.budget is not None else DEFAULT_EXACT_SEARCH_BUDGET
-    if spec.n_vertices > budget:
-        raise BudgetExceededError(
-            f"{spec.n_vertices} vertices exceed the search budget {budget}"
-        )
-    g = build_graph(spec, vertex_budget=spec.n_vertices)
-    masks = g.adjacency_masks(budget)
+    masks = build_graph(spec, vertex_budget=budget).adjacency_masks(budget)
     ids = exact_clique(masks) if which == "clique" else exact_mis(masks)
     _emit({
         "h": args.h,
@@ -492,7 +458,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
-    _resolve_threads(args)
     from .selftest import run_all
 
     only = set(args.only) if args.only else None

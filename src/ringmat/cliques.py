@@ -39,7 +39,7 @@ from .errors import (
     UsageError,
     VerificationError,
 )
-from .graph import GraphSpec, RankGraph, build_graph
+from .graph import GraphSpec, build_graph
 from .matrix import Mat, crt_lift_mat, random_invertible, random_matrix
 from .ring import RingSpec
 from .smith import _pp_exponents, _pp_smith_cached
@@ -107,7 +107,7 @@ def build_canonical_clique(cspec: CanonicalCliqueSpec) -> frozenset[Mat]:
                     row = (r + i) * n
                     for j in range(r):
                         ents[row + j] = x3[i * r + j]
-                members.append(Mat(ring, m, n, tuple(ents)))
+                members.append(Mat._new(ring, m, n, tuple(ents)))
     return frozenset(members)
 
 
@@ -268,7 +268,7 @@ def classify_max_clique(spec: GraphSpec, family: Iterable[Mat]) -> CliqueForm:
         hstack = _stack_horizontal(proj, m, n)
         h_alpha, _, h_uinv, _, _ = _pp_smith_cached(p, s, q, m, len(proj) * n, hstack, True)
         if h_alpha == (0,) * r + (s,) * (m - r):
-            s_comps.append(Mat(comp, m, m, h_uinv))
+            s_comps.append(Mat._new(comp, m, m, h_uinv))
             t_comps.append(None)
             alpha.append(0)
             continue
@@ -282,7 +282,7 @@ def classify_max_clique(spec: GraphSpec, family: Iterable[Mat]) -> CliqueForm:
                     "this contradicts the classification of maximum cliques"
                 )
             s_comps.append(None)
-            t_comps.append(Mat(comp, n, n, v_vinv))
+            t_comps.append(Mat._new(comp, n, n, v_vinv))
             alpha.append(s)
             continue
 
@@ -362,12 +362,7 @@ def enumerate_max_cliques(
     spec: GraphSpec, budget: int = DEFAULT_EXACT_SEARCH_BUDGET
 ) -> list[frozenset[Mat]]:
     """All maximum cliques, by exhaustive search; needs h**(m*n) <= budget vertices."""
-    if spec.n_vertices > budget:
-        raise BudgetExceededError(
-            f"{spec.n_vertices} vertices exceed the exact-search budget {budget}"
-        )
-    g = build_graph(spec, vertex_budget=spec.n_vertices)
-    masks = g.adjacency_masks(budget)
+    masks = build_graph(spec, vertex_budget=budget).adjacency_masks(budget)
     target = spec.clique_bound
     found = oracle.enumerate_cliques_of_size(masks, target)
     # no clique can be larger, but confirm none extends (maximum = target)

@@ -41,7 +41,7 @@ from .errors import (
     UsageError,
     VerificationError,
 )
-from .graph import GraphSpec, adjacent, build_graph
+from .graph import GraphSpec, _translate_ids, adjacent, build_graph
 from .matrix import Mat
 from .ring import RingSpec, ring_spec
 from .smith import inner_rank
@@ -210,7 +210,7 @@ def verify_distance(code: RankCode, pair_budget: int = DEFAULT_PAIR_BUDGET) -> f
         group = coset_difference_group([mat.entries for mat in members], code.ring.h)
         if group is not None:
             diffs: Iterable[Mat] = (
-                Mat(code.ring, code.rows, code.cols, g) for g in group if any(g)
+                Mat._new(code.ring, code.rows, code.cols, g) for g in group if any(g)
             )
         else:
             diffs = (a - b for a, b in combinations(members, 2))
@@ -256,7 +256,7 @@ def gabidulin_code(field: FieldSpec, m: int, n: int, d: int) -> RankCode:
                 acc = field.add(acc, field.mul(c, frob[j][l]))
             cols.append(acc)
         ents = tuple(cols[l][i] for i in range(m) for l in range(n))
-        return Mat(ring, m, n, ents)
+        return Mat._new(ring, m, n, ents)
 
     members = []
     for message in product(field.elements(), repeat=k):
@@ -289,7 +289,7 @@ def lift_code(code: RankCode, s: int, pair_budget: int = DEFAULT_PAIR_BUDGET) ->
     p = code.ring.primes[0][0]
     ring = ring_spec(p**s)
     h = ring.h
-    basis = [Mat(ring, b.rows, b.cols, b.entries) for b in code.basis]
+    basis = [Mat._new(ring, b.rows, b.cols, b.entries) for b in code.basis]
     members: set[Mat] = set()
     for coeffs in product(range(h), repeat=len(basis)):
         acc = [0] * (code.rows * code.cols)
@@ -297,7 +297,7 @@ def lift_code(code: RankCode, s: int, pair_budget: int = DEFAULT_PAIR_BUDGET) ->
             if c:
                 for i, v in enumerate(b.entries):
                     acc[i] += c * v
-        members.add(Mat(ring, code.rows, code.cols, tuple(v % h for v in acc)))
+        members.add(Mat._new(ring, code.rows, code.cols, tuple(v % h for v in acc)))
     lifted = RankCode(
         ring, code.rows, code.cols, frozenset(members),
         code.claimed_min_distance, True, tuple(basis),
@@ -326,22 +326,17 @@ def crt_combine(codes: Sequence[RankCode], pair_budget: int = DEFAULT_PAIR_BUDGE
     (rows, cols), = dims
     members = []
     for combo in product(*(sorted(c.members, key=lambda mat: mat.entries) for c in codes)):
-        ents = tuple(
-            ring.crt([mat.entries[i] for mat in combo]) for i in range(rows * cols)
-        )
-        members.append(Mat(ring, rows, cols, ents))
+        members.append(Mat._new(ring, rows, cols, ring.crt_vectors([mat.entries for mat in combo])))
     linear = all(c.linear for c in codes)
     basis: tuple[Mat, ...] | None = None
     if linear:
+        zero = (0,) * (rows * cols)
         out = []
         for i, c in enumerate(codes):
             assert c.basis is not None
             for b in c.basis:
-                comps = [
-                    b.entries if j == i else (0,) * (rows * cols) for j in range(len(codes))
-                ]
-                ents = tuple(ring.crt([comp[e] for comp in comps]) for e in range(rows * cols))
-                out.append(Mat(ring, rows, cols, ents))
+                comps = [b.entries if j == i else zero for j in range(len(codes))]
+                out.append(Mat._new(ring, rows, cols, ring.crt_vectors(comps)))
         basis = tuple(out)
     combined = RankCode(
         ring, rows, cols, frozenset(members), dists.pop(), linear, basis
@@ -379,15 +374,6 @@ def mrd_code(spec: GraphSpec, pair_budget: int = DEFAULT_PAIR_BUDGET) -> RankCod
     return code
 
 
-def independent_set_from_code(spec: GraphSpec, pair_budget: int = DEFAULT_PAIR_BUDGET) -> frozenset[Mat]:
-    """A maximum independent set of the graph: the members of a verified code.
-
-    Members pairwise differ by rank >= r + 1, so no two are adjacent, and the
-    cardinality h**(n*(m-r)) meets the independence number exactly.
-    """
-    return mrd_code(spec, pair_budget).members
-
-
 # --- colorings and covers ---------------------------------------------------------
 
 
@@ -399,19 +385,6 @@ class Coloring:
     colors: tuple[int, ...]
     n_colors: int
     verification: str  # "edges" (every edge checked) or "structural"
-
-    def is_proper_on(self, u: int, v: int) -> bool:
-        return self.colors[u] != self.colors[v]
-
-
-def _translate_ids(spec: GraphSpec, c: Sequence[int]) -> list[int]:
-    """[id(u + c) for every vertex id u], built digit by digit from rotation lists."""
-    h = spec.ring.h
-    ids = [0]
-    for digit in c:
-        rot = [(x + digit) % h for x in range(h)]
-        ids = [a * h + b for a in ids for b in rot]
-    return ids
 
 
 def _check_edges(spec: GraphSpec, colors: Sequence[int], connection_ids: Iterable[int]) -> None:
@@ -491,11 +464,7 @@ class CliqueCover:
     parts: tuple[frozenset[Mat], ...]
 
 
-def clique_cover_complement(
-    spec: GraphSpec,
-    vertex_budget: int = DEFAULT_VERTEX_BUDGET,
-    check_parts_are_cliques: bool = True,
-) -> CliqueCover:
+def clique_cover_complement(spec: GraphSpec, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> CliqueCover:
     """Partition all vertices into translates of the canonical clique by code members."""
     nv = spec.n_vertices
     if nv > vertex_budget:
@@ -513,10 +482,9 @@ def clique_cover_complement(
         parts.append(part)
     if len(seen) != nv:
         raise VerificationError("translates do not cover every vertex")
-    if check_parts_are_cliques:
-        for part in parts:
-            if not is_clique(spec, part):
-                raise VerificationError("a translate is not a clique")
+    for part in parts:
+        if not is_clique(spec, part):
+            raise VerificationError("a translate is not a clique")
     return CliqueCover(spec, tuple(parts))
 
 

@@ -4,7 +4,8 @@ Vertices are all m x n matrices over Z_h (m <= n), and two vertices are
 adjacent when their difference has inner rank between 1 and r.  The graph
 is a normal Cayley graph of the additive group, hence vertex-transitive and
 regular, and the maps X -> S^{-1} @ X @ T + A with S, T invertible are
-automorphisms.  Exact clique/independence numbers are only searched on tiny
+automorphisms.  Graphs within the vertex budget are materialized as a rank
+table, and exact clique/independence numbers are only searched on tiny
 instances; beyond that the package certifies them constructively (canonical
 cliques, rank-distance codes, coset colorings).
 """
@@ -16,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import oracle
 from .errors import (
@@ -79,7 +80,7 @@ class GraphSpec:
         return tuple(ents)
 
     def vertex(self, vid: int) -> Mat:
-        return Mat(self.ring, self.m, self.n, self.vertex_entries(vid))
+        return Mat._new(self.ring, self.m, self.n, self.vertex_entries(vid))
 
 
 def adjacent(spec: GraphSpec, a: Mat, b: Mat) -> bool:
@@ -89,44 +90,30 @@ def adjacent(spec: GraphSpec, a: Mat, b: Mat) -> bool:
     return inner_rank(a - b) <= spec.r
 
 
-class RankGraph:
-    """A built graph: either with a materialized rank table or as an adjacency oracle.
+def _translate_ids(spec: GraphSpec, c: Sequence[int]) -> list[int]:
+    """[id(u + c) for every vertex id u], built digit by digit from rotation lists."""
+    h = spec.ring.h
+    ids = [0]
+    for digit in c:
+        rot = [(x + digit) % h for x in range(h)]
+        ids = [a * h + b for a in ids for b in rot]
+    return ids
 
-    In "dense" mode `rho` maps each vertex id to the inner rank of the
-    corresponding matrix, so adjacency of u, v is rho[id(u - v)] in [1, r];
-    in "oracle" mode adjacency is answered by rank computations on demand
-    (the underlying prime-power kernel is cached, which bounds the cost).
+
+class RankGraph:
+    """A materialized graph: `rho` maps each vertex id to the inner rank of its matrix.
+
+    Vertices u and v are adjacent exactly when rho[id(u - v)] lies in [1, r],
+    so the neighbors of u are the u + c for c in the connection set.
     """
 
-    def __init__(self, spec: GraphSpec, rho: list[int] | None):
+    def __init__(self, spec: GraphSpec, rho: list[int]):
         self.spec = spec
         self.rho = rho
 
-    @property
-    def mode(self) -> str:
-        return "dense" if self.rho is not None else "oracle"
-
-    def rank_of_difference(self, u: int, v: int) -> int:
-        spec = self.spec
-        h = spec.ring.h
-        eu = spec.vertex_entries(u)
-        ev = spec.vertex_entries(v)
-        diff = tuple((a - b) % h for a, b in zip(eu, ev))
-        if self.rho is not None:
-            return self.rho[spec.vertex_id(diff)]
-        return inner_rank(Mat(spec.ring, spec.m, spec.n, diff))
-
-    def adjacent_ids(self, u: int, v: int) -> bool:
-        return u != v and self.rank_of_difference(u, v) <= self.spec.r
-
-    def adjacent(self, a: Mat, b: Mat) -> bool:
-        return adjacent(self.spec, a, b)
-
     @cached_property
     def connection_ids(self) -> tuple[int, ...]:
-        """Ids of the nonzero matrices with inner rank <= r (dense mode only)."""
-        if self.rho is None:
-            raise BudgetExceededError("connection set needs a materialized graph")
+        """Ids of the nonzero matrices with inner rank <= r."""
         r = self.spec.r
         return tuple(i for i, rk in enumerate(self.rho) if 1 <= rk <= r)
 
@@ -151,38 +138,22 @@ class RankGraph:
         return out
 
     def adjacency_masks(self, budget: int = DEFAULT_EXACT_SEARCH_BUDGET) -> list[int]:
-        """Bitset adjacency rows for the exact solvers; capped by the budget."""
+        """Bitset adjacency rows for the exact solvers, one connection element at a time."""
         nv = self.spec.n_vertices
         if nv > budget:
             raise BudgetExceededError(f"{nv} vertices exceed the exact-search budget {budget}")
-        if self.rho is None:
-            raise BudgetExceededError("adjacency masks need a materialized graph")
         masks = [0] * nv
-        r = self.spec.r
-        spec = self.spec
-        h = spec.ring.h
-        ents = [spec.vertex_entries(i) for i in range(nv)]
-        for u in range(nv):
-            eu = ents[u]
-            row = 0
-            for v in range(nv):
-                if v != u:
-                    diff = tuple((a - b) % h for a, b in zip(eu, ents[v]))
-                    if 1 <= self.rho[spec.vertex_id(diff)] <= r:
-                        row |= 1 << v
-            masks[u] = row
+        for ec in self._connection_entries:
+            for u, w in enumerate(_translate_ids(self.spec, ec)):
+                masks[u] |= 1 << w
         return masks
 
 
 def build_graph(spec: GraphSpec, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> RankGraph:
-    """Materialize the rank table when the vertex count fits the budget.
-
-    Above the budget an adjacency-oracle graph is returned instead, which
-    answers membership queries but cannot enumerate neighborhoods.
-    """
+    """Materialize the rank table; above the vertex budget raise before any work."""
     nv = spec.n_vertices
     if nv > vertex_budget:
-        return RankGraph(spec, None)
+        raise BudgetExceededError(f"{nv} vertices exceed the vertex budget {vertex_budget}")
     ring = spec.ring
     from .smith import _pp_exponents  # cached kernel
 
@@ -202,7 +173,7 @@ def build_graph(spec: GraphSpec, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> 
 
 def exact_clique_number(spec: GraphSpec, budget: int = DEFAULT_EXACT_SEARCH_BUDGET) -> int:
     """Maximum clique size by exhaustive branch-and-bound; must equal h**(n*r)."""
-    g = build_graph(spec, vertex_budget=max(budget, DEFAULT_VERTEX_BUDGET))
+    g = build_graph(spec, vertex_budget=budget)
     clique = oracle.exact_clique(g.adjacency_masks(budget))
     value = len(clique)
     if value != spec.clique_bound:
@@ -214,7 +185,7 @@ def exact_clique_number(spec: GraphSpec, budget: int = DEFAULT_EXACT_SEARCH_BUDG
 
 def exact_independence_number(spec: GraphSpec, budget: int = DEFAULT_EXACT_SEARCH_BUDGET) -> int:
     """Maximum independent set size by exhaustive search; must equal h**(n*(m-r))."""
-    g = build_graph(spec, vertex_budget=max(budget, DEFAULT_VERTEX_BUDGET))
+    g = build_graph(spec, vertex_budget=budget)
     mis = oracle.exact_mis(g.adjacency_masks(budget))
     value = len(mis)
     if value != spec.independence_bound:
@@ -227,8 +198,6 @@ def exact_independence_number(spec: GraphSpec, budget: int = DEFAULT_EXACT_SEARC
 def check_connectivity(spec: GraphSpec, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> bool:
     """Breadth-first search from the zero matrix; True iff every vertex is reached."""
     g = build_graph(spec, vertex_budget)
-    if g.mode != "dense":
-        raise BudgetExceededError("connectivity check needs a materialized graph")
     nv = spec.n_vertices
     seen = bytearray(nv)
     seen[0] = 1

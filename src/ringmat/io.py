@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from .errors import UsageError
 from .matrix import Mat

@@ -3,8 +3,9 @@
 Entries are canonical residues stored as a flat row-major tuple of plain
 ints, so matrices are hashable and exact.  Determinants are computed per
 prime-power component by fraction-free elimination on integer lifts and
-glued with the Chinese remainder map; a matrix is invertible exactly when
-its determinant is a unit.
+glued with the Chinese remainder map.  A matrix is invertible exactly when
+its determinant is a unit, that is nonzero mod every prime p_i, which is
+decided on the entries reduced mod each p_i.
 
 Public construction (Mat(...), from_rows, zeros) validates shape and
 entries.  Results that are canonical by construction (arithmetic, transpose,
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import NotInvertibleError, ShapeError, UsageError
 from .ring import RingSpec
@@ -168,7 +169,11 @@ class Mat:
         return ring.crt(residues)
 
     def is_invertible(self) -> bool:
-        return self.rows == self.cols and self.ring.is_unit(self.det())
+        """True iff square with determinant nonzero mod every prime of the modulus."""
+        return self.rows == self.cols and all(
+            _det_bareiss([[v % p for v in self.row(i)] for i in range(self.rows)]) % p
+            for p, _ in self.ring.primes
+        )
 
     def inverse(self) -> "Mat":
         """Two-sided inverse, found by Gauss-Jordan per prime-power component.
@@ -217,20 +222,6 @@ def crt_lift_mat(ring: RingSpec, components: Sequence[Mat]) -> Mat:
             raise UsageError(f"component {i} lives over {c.ring}, expected Z_{ring.prime_powers[i]}")
     (m, n), = dims
     return Mat._new(ring, m, n, ring.crt_vectors([c.entries for c in components]))
-
-
-@dataclass(frozen=True)
-class InvertiblePair:
-    """A pair (S, T) of invertible matrices, checked at construction."""
-
-    S: Mat
-    T: Mat
-
-    def __post_init__(self) -> None:
-        if not self.S.is_invertible():
-            raise NotInvertibleError("S is not invertible")
-        if not self.T.is_invertible():
-            raise NotInvertibleError("T is not invertible")
 
 
 def random_matrix(ring: RingSpec, rows: int, cols: int, rng: random.Random | int) -> Mat:

@@ -13,8 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
-from math import comb
-from typing import Sequence
+from math import comb, log2
 
 from .errors import BudgetExceededError, UsageError, VerificationError
 from .ring import RingSpec
@@ -98,9 +97,10 @@ def census_by_enumeration(
     from .errors import DEFAULT_ENUMERATION_BUDGET
 
     cap = DEFAULT_ENUMERATION_BUDGET if budget is None else budget
-    total = ring.h ** (rows * cols)
-    if total > cap:
-        raise BudgetExceededError(f"census needs {total} matrices, budget is {cap}")
+    k = rows * cols
+    # compared in log space first, so h^k is formed only when it is near the cap
+    if k * log2(ring.h) > cap.bit_length() + 1 or ring.h**k > cap:
+        raise BudgetExceededError(f"census needs {ring.h}^{k} matrices, budget is {cap}")
 
     primes = ring.primes
     qs = ring.prime_powers

@@ -3,15 +3,12 @@
 For h = prod(p_i ** s_i) the ring Z_h splits entrywise into its prime-power
 components Z_{p_i ** s_i}, and almost everything in this package is computed
 componentwise and glued back together through the Chinese remainder
-isomorphism.  This module owns that plumbing: canonical residues, units,
-capped p-adic valuations, the unit-times-prime-power factorization of ring
-elements, the ideal lattice, and the projection / coprojection / lift maps.
+isomorphism.  This module owns that plumbing: the factorization of the
+modulus, the component and cofactor rings, and the CRT gluing of residues.
 
 The modulus is split into its prime powers by trial division up to 1000,
 then deterministic Miller-Rabin and Pollard-Brent rho, so any h < 2^64
-factors in milliseconds.  The matrix and Smith layers keep elements as
-plain ints in [0, h); the Elem wrapper serves only the element-level API
-below (factor_element, ideals, associates).
+factors in milliseconds.  Ring elements are plain ints in [0, h).
 """
 
 from __future__ import annotations
@@ -19,10 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import count, product
-from typing import Iterator, Sequence
+from itertools import count
+from typing import Sequence
 
-from .errors import NotInvertibleError, UsageError
+from .errors import UsageError
 
 MAX_MODULUS = 2**64 - 1
 
@@ -183,47 +180,6 @@ class RingSpec:
             out.append(hq * pow(hq, -1, q) % self.h)
         return tuple(out)
 
-    # --- scalar arithmetic -------------------------------------------------
-
-    def reduce(self, v: int) -> int:
-        return v % self.h
-
-    def is_unit(self, v: int) -> bool:
-        return math.gcd(v, self.h) == 1
-
-    def unit_inverse(self, v: int) -> int:
-        try:
-            return pow(v, -1, self.h)
-        except ValueError:
-            raise NotInvertibleError(f"{v} is not a unit in {self}") from None
-
-    def unit_count(self) -> int:
-        """Order of the unit group: h * prod(1 - 1/p_i)."""
-        n = self.h
-        for p, _ in self.primes:
-            n -= n // p
-        return n
-
-    def units(self) -> Iterator[int]:
-        """All units in ascending order. Intended for small h."""
-        return (v for v in range(self.h) if math.gcd(v, self.h) == 1)
-
-    def valuations(self, v: int) -> tuple[int, ...]:
-        """Capped valuation vector: min(v_{p_i}(v), s_i) per component; zero maps to (s_1, ..., s_t)."""
-        v %= self.h
-        out = []
-        for p, s in self.primes:
-            if v == 0:
-                out.append(s)
-                continue
-            a = 0
-            x = v
-            while a < s and x % p == 0:
-                x //= p
-                a += 1
-            out.append(a)
-        return tuple(out)
-
     # --- component transport -----------------------------------------------
 
     def component(self, i: int) -> "RingSpec":
@@ -235,12 +191,6 @@ class RingSpec:
         if self.t < 2:
             raise UsageError("coprojection target is the zero ring when t = 1")
         return ring_spec(self.cofactors[i])
-
-    def project(self, v: int, i: int) -> int:
-        return v % self.prime_powers[i]
-
-    def coproject(self, v: int, i: int) -> int:
-        return v % self.cofactors[i]
 
     def crt(self, residues: Sequence[int]) -> int:
         """The unique v in [0, h) with v == residues[i] mod q_i for every i."""
@@ -265,224 +215,3 @@ class RingSpec:
             acc = [a + e * v for a, v in zip(acc, vec)]
         h = self.h
         return tuple(a % h for a in acc)
-
-    def elem(self, v: int) -> "Elem":
-        return Elem(self, v % self.h)
-
-
-@dataclass(frozen=True)
-class Elem:
-    """A canonical residue paired with its ring."""
-
-    ring: RingSpec
-    value: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.value < self.ring.h:
-            raise UsageError(f"{self.value} is not a canonical residue mod {self.ring.h}")
-
-    def _same_ring(self, other: "Elem") -> None:
-        if self.ring != other.ring:
-            raise UsageError(f"mixed rings: {self.ring} and {other.ring}")
-
-    def __add__(self, other: "Elem") -> "Elem":
-        self._same_ring(other)
-        return Elem(self.ring, (self.value + other.value) % self.ring.h)
-
-    def __sub__(self, other: "Elem") -> "Elem":
-        self._same_ring(other)
-        return Elem(self.ring, (self.value - other.value) % self.ring.h)
-
-    def __mul__(self, other: "Elem") -> "Elem":
-        self._same_ring(other)
-        return Elem(self.ring, self.value * other.value % self.ring.h)
-
-    def __neg__(self) -> "Elem":
-        return Elem(self.ring, -self.value % self.ring.h)
-
-    def __str__(self) -> str:
-        return f"{self.value} (mod {self.ring.h})"
-
-
-@dataclass(frozen=True)
-class ElemFactorization:
-    """x = unit * prod(p_i ** exponents[i]) with the minimal valid unit.
-
-    For x = 0 every exponent is saturated at s_i and the unit is fixed to 1.
-    The unit is only determined modulo the ideal with label s - exponents;
-    the canonical choice here is the smallest nonnegative valid one.
-    """
-
-    unit: Elem
-    exponents: tuple[int, ...]
-    is_zero: bool
-
-    @property
-    def ring(self) -> RingSpec:
-        return self.unit.ring
-
-    def value(self) -> Elem:
-        ring = self.ring
-        if self.is_zero:
-            return ring.elem(0)
-        g = 1
-        for (p, _), a in zip(ring.primes, self.exponents):
-            g *= p**a
-        return ring.elem(self.unit.value * g)
-
-
-@dataclass(frozen=True)
-class IdealLabel:
-    """The ideal of Z_h generated by prod(p_i ** exponents[i]).
-
-    Exponent vectors with 0 <= exponents[i] <= s_i classify all ideals of
-    Z_h; the zero ideal is the fully saturated label (s_1, ..., s_t).
-    """
-
-    ring: RingSpec
-    exponents: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.exponents) != self.ring.t:
-            raise UsageError("exponent vector length must equal the number of components")
-        for a, (_, s) in zip(self.exponents, self.ring.primes):
-            if not 0 <= a <= s:
-                raise UsageError(f"exponent {a} out of range for {self.ring}")
-
-    def generator(self) -> Elem:
-        g = 1
-        for (p, _), a in zip(self.ring.primes, self.exponents):
-            g *= p**a
-        return self.ring.elem(g)
-
-    def size(self) -> int:
-        """Number of elements: h / prod(p_i ** exponents[i])."""
-        d = 1
-        for (p, _), a in zip(self.ring.primes, self.exponents):
-            d *= p**a
-        return self.ring.h // d
-
-    def contains(self, x: "Elem | int") -> bool:
-        v = x.value if isinstance(x, Elem) else x % self.ring.h
-        return all(a >= b for a, b in zip(self.ring.valuations(v), self.exponents))
-
-    def members(self) -> Iterator[int]:
-        """All member values in ascending order. Intended for small h."""
-        g = self.generator().value
-        if g == 0:
-            return iter((0,))
-        return iter(range(0, self.ring.h, g))
-
-
-def is_unit(x: Elem) -> bool:
-    return x.ring.is_unit(x.value)
-
-
-def _minimal_unit_solving(ring: RingSpec, a: int, b: int) -> int:
-    """Smallest nonnegative unit u with u * a == b in Z_h.
-
-    Requires a and b to be associates (equal capped valuation vectors).  The
-    valid units form a single residue class modulo prod(p_i ** (s_i - a_i));
-    the construction solves componentwise, lifts, then walks that class
-    upward to the first representative coprime to h.
-    """
-    vals = ring.valuations(a)
-    if vals != ring.valuations(b):
-        raise UsageError("elements are not associates")
-    residues = []
-    stabilizer = 1
-    for (p, s), q, al in zip(ring.primes, ring.prime_powers, vals):
-        stabilizer *= p ** (s - al)
-        if al >= s:
-            residues.append(1 % q)
-            continue
-        pa = p**al
-        mod = q // pa
-        aa = (a % q) // pa
-        bb = (b % q) // pa
-        residues.append(bb * pow(aa, -1, mod) % mod)
-    u = ring.crt(residues) % stabilizer
-    while math.gcd(u, ring.h) != 1:
-        u += stabilizer
-    return u
-
-
-def factor_element(x: Elem) -> ElemFactorization:
-    """Factor x as unit * prod(p_i ** a_i), exponents capped at s_i.
-
-    The exponent vector is unique; among the valid units the minimal
-    nonnegative one is returned.  factor_element(0) reports is_zero with the
-    saturated exponent vector and unit 1.
-    """
-    ring = x.ring
-    if x.value == 0:
-        return ElemFactorization(ring.elem(1), ring.saturated, True)
-    exps = ring.valuations(x.value)
-    g = 1
-    for (p, _), a in zip(ring.primes, exps):
-        g *= p**a
-    u = _minimal_unit_solving(ring, g % ring.h, x.value)
-    return ElemFactorization(ring.elem(u), exps, False)
-
-
-def absorb_saturated_exponents(ring: RingSpec, beta: Sequence[int]) -> ElemFactorization:
-    """Rewrite prod(p_i ** beta_i) with every exponent clamped into [0, s_i].
-
-    Overshooting exponents are absorbed: the result is the factorization of
-    the same ring element with exponents min(beta_i, s_i) and a minimal
-    compensating unit.  All-saturated input (the zero element) is rejected.
-    """
-    if len(beta) != ring.t:
-        raise UsageError("exponent vector length must equal the number of components")
-    if any(b < 0 for b in beta):
-        raise UsageError("exponents must be nonnegative")
-    alpha = tuple(min(b, s) for b, (_, s) in zip(beta, ring.primes))
-    if alpha == ring.saturated:
-        raise UsageError("all exponents saturated: the element is zero")
-    x = 1
-    g = 1
-    for (p, _), b, a in zip(ring.primes, beta, alpha):
-        x = x * pow(p, b, ring.h) % ring.h
-        g *= p**a
-    u = _minimal_unit_solving(ring, g % ring.h, x)
-    return ElemFactorization(ring.elem(u), alpha, False)
-
-
-def are_associates(a: Elem, b: Elem) -> bool:
-    """True iff a = u * b for some unit u, i.e. equal capped valuation vectors."""
-    if a.ring != b.ring:
-        raise UsageError("mixed rings")
-    return a.ring.valuations(a.value) == b.ring.valuations(b.value)
-
-
-def ideal_of(x: Elem) -> IdealLabel:
-    """The ideal generated by x."""
-    return IdealLabel(x.ring, x.ring.valuations(x.value))
-
-
-def project(x: Elem, i: int) -> Elem:
-    """Image of x in the i-th prime-power component (0-based)."""
-    return x.ring.component(i).elem(x.ring.project(x.value, i))
-
-
-def coproject(x: Elem, i: int) -> Elem:
-    """Image of x in the complementary quotient Z_{h const / q_i} (0-based)."""
-    return x.ring.cofactor_ring(i).elem(x.ring.coproject(x.value, i))
-
-
-def crt_lift(ring: RingSpec, residues: Sequence[Elem | int]) -> Elem:
-    """The unique element of Z_h projecting to the given component residues."""
-    vals = []
-    for i, r in enumerate(residues):
-        if isinstance(r, Elem):
-            if r.ring.h != ring.prime_powers[i]:
-                raise UsageError(f"residue {i} lives over {r.ring}, expected Z_{ring.prime_powers[i]}")
-            vals.append(r.value)
-        else:
-            vals.append(r % ring.prime_powers[i])
-    return ring.elem(ring.crt(vals))
-
-
-def all_exponent_vectors(ring: RingSpec) -> Iterator[tuple[int, ...]]:
-    """Every ideal label (a_1, ..., a_t) with 0 <= a_i <= s_i, in lexicographic order."""
-    return product(*(range(s + 1) for _, s in ring.primes))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import ShapeError, UsageError, VerificationError
+from .errors import UsageError, VerificationError
 from .matrix import Mat, crt_lift_mat
 from .ring import RingSpec
 

@@ -1,6 +1,7 @@
 """End-to-end command line tests (in-process via main())."""
 
 import json
+import time
 
 import pytest
 
@@ -65,6 +66,13 @@ def test_snf_over_64_bit_prime(tmp_path, capsys):
 def test_orbits_over_64_bit_prime_is_a_budget_error(capsys):
     code, _, err = run(capsys, "orbits", "--h", "18446744073709551557", "--m", "2", "--n", "2")
     assert code == 3 and "budget exceeded" in err
+
+
+def test_orbits_huge_shape_is_a_fast_budget_error(capsys):
+    start = time.process_time()
+    code, out, err = run(capsys, "orbits", "--h", "2", "--m", "100000", "--n", "100000")
+    assert time.process_time() - start < 1.0
+    assert code == 3 and out == "" and "budget exceeded" in err
 
 
 def test_rank_command(tmp_path, capsys):
@@ -339,18 +347,11 @@ def test_color_structural_when_large(capsys):
 # ---------------------------------------------------------------------------
 
 def test_threads_validation(capsys):
-    code, _, err = run(capsys, "orbits", "--h", "4", "--m", "1", "--n", "1",
-                       "--threads", "0")
-    assert code == 2 and "--threads" in err
-
-
-def test_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("RINGMAT_THREADS", "junk")
-    code, _, err = run(capsys, "orbits", "--h", "4", "--m", "1", "--n", "1")
-    assert code == 2
-    monkeypatch.setenv("RINGMAT_THREADS", "2")
-    code, _, _ = run(capsys, "orbits", "--h", "4", "--m", "1", "--n", "1")
-    assert code == 0
+    """There is no worker-count option: passing one is an argparse usage exit."""
+    with pytest.raises(SystemExit) as exc:
+        main(["orbits", "--h", "4", "--m", "1", "--n", "1", "--threads", "0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_argparse_usage_exit(capsys):

@@ -10,7 +10,6 @@ import pytest
 from ringmat import codes
 from ringmat.codes import (
     _check_edges,
-    _translate_ids,
     certify_graph_parameters,
     clique_cover_complement,
     color_graph,
@@ -18,14 +17,13 @@ from ringmat.codes import (
     FieldSpec,
     gabidulin_code,
     GraphCertificate,
-    independent_set_from_code,
     lift_code,
     mrd_code,
     RankCode,
     verify_distance,
 )
 from ringmat.errors import BudgetExceededError, UsageError, VerificationError
-from ringmat.graph import build_graph, GraphSpec
+from ringmat.graph import _translate_ids, build_graph, GraphSpec
 from ringmat.matrix import Mat, random_matrix
 from ringmat.ring import ring_spec
 from ringmat.smith import inner_rank
@@ -123,7 +121,7 @@ def test_mrd_sizes_all_rings():
 def test_code_is_independent_set():
     for h in (2, 3):
         spec = _spec(h)
-        members = sorted(independent_set_from_code(spec), key=lambda m: m.entries)
+        members = sorted(mrd_code(spec).members, key=lambda m: m.entries)
         assert len(members) == spec.independence_bound
         for i, a in enumerate(members):
             for b in members[i + 1:]:

@@ -75,7 +75,6 @@ def test_frozen_degrees_and_regularity():
     for h, deg in FROZEN_DEGREES.items():
         spec = _spec(h)
         g = build_graph(spec, vertex_budget=spec.n_vertices)
-        assert g.mode == "dense"
         assert g.degree == deg
         # vertex-transitive graphs are regular; spot-check a few vertices
         for u in range(0, spec.n_vertices, max(1, spec.n_vertices // 7)):
@@ -85,21 +84,39 @@ def test_frozen_degrees_and_regularity():
 
 def test_adjacency_symmetric_exhaustive_z2():
     spec = _spec(2)
-    g = build_graph(spec)
+    masks = build_graph(spec).adjacency_masks()
     for u in range(spec.n_vertices):
+        assert not masks[u] >> u & 1
         for v in range(spec.n_vertices):
-            assert g.adjacent_ids(u, v) == g.adjacent_ids(v, u)
-            if u == v:
-                assert not g.adjacent_ids(u, v)
+            assert masks[u] >> v & 1 == masks[v] >> u & 1
 
 
-def test_oracle_mode_fallback():
+@pytest.mark.parametrize("h, m, n, r", [(2, 2, 2, 1), (3, 2, 2, 1), (4, 2, 2, 1),
+                                        (2, 2, 2, 2), (3, 2, 2, 2), (4, 2, 2, 2),
+                                        (2, 2, 3, 1), (2, 2, 3, 2)])
+def test_adjacency_masks_match_pairwise_adjacent(h, m, n, r):
+    spec = _spec(h, m, n, r)
+    masks = build_graph(spec).adjacency_masks(budget=spec.n_vertices)
+    verts = [spec.vertex(v) for v in range(spec.n_vertices)]
+    for u, a in enumerate(verts):
+        assert masks[u] == sum(1 << v for v, b in enumerate(verts) if adjacent(spec, a, b))
+
+
+def test_build_graph_budget_before_any_work(monkeypatch):
+    from ringmat import smith
+
+    def refuse(*args):
+        raise AssertionError("work started before the budget check")
+
+    small = build_graph(_spec(2))
+    monkeypatch.setattr(smith, "_pp_exponents", refuse)
     spec = _spec(6)
-    g = build_graph(spec, vertex_budget=10)
-    assert g.mode == "oracle"
-    assert g.rank_of_difference(0, 1) == inner_rank(spec.vertex(0) - spec.vertex(1))
     with pytest.raises(BudgetExceededError):
-        g.adjacency_masks(10)
+        build_graph(spec, vertex_budget=10)
+    with pytest.raises(BudgetExceededError):
+        check_connectivity(spec, vertex_budget=10)
+    with pytest.raises(BudgetExceededError):
+        small.adjacency_masks(10)
 
 
 def test_exact_parameters_field_cases():

@@ -1,5 +1,6 @@
 """Matrix layer: arithmetic, determinants, inverses, CRT transport."""
 
+import math
 import random
 from itertools import product
 
@@ -12,7 +13,6 @@ from ringmat.matrix import (
     Mat,
     _invert_mod_prime_power,
     crt_lift_mat,
-    InvertiblePair,
     random_invertible,
     random_matrix,
 )
@@ -116,7 +116,7 @@ def test_invertibility_exhaustive_small():
         for entries in product(range(h), repeat=4):
             a = Mat(ring, 2, 2, entries)
             inv_flag = a.is_invertible()
-            assert inv_flag == ring.is_unit(a.det())
+            assert inv_flag == (math.gcd(a.det(), h) == 1)
             if inv_flag:
                 count += 1
                 b = a.inverse()
@@ -206,6 +206,65 @@ def test_internal_results_pass_public_validation():
                     assert type(r.entries) is tuple
 
 
+def test_clique_code_and_graph_results_pass_public_validation(monkeypatch):
+    """Members, transforms and codewords built without validation are canonical."""
+    from ringmat import cliques, codes
+    from ringmat.cliques import (CanonicalCliqueSpec, build_canonical_clique, classify_max_clique,
+                                 random_clique_form, rebuild_clique)
+    from ringmat.codes import FieldSpec, RankCode, crt_combine, gabidulin_code, lift_code, verify_distance
+    from ringmat.graph import GraphSpec
+
+    seen = []
+
+    def recording(fn):
+        def wrapper(*args):
+            seen.extend(a for a in args if isinstance(a, Mat))
+            seen.extend(a for arg in args if isinstance(arg, list) for a in arg if isinstance(a, Mat))
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(cliques, "crt_lift_mat", recording(crt_lift_mat))
+    monkeypatch.setattr(codes, "inner_rank", recording(codes.inner_rank))
+    for h in (4, 12):
+        spec = GraphSpec(ring_spec(h), 2, 2, 1)
+        seen += [spec.vertex(v) for v in range(0, spec.n_vertices, 7)]
+        for alpha in product(*((0, s) for _, s in spec.ring.primes)):
+            clique = build_canonical_clique(CanonicalCliqueSpec(spec, alpha))
+            seen += clique
+            form = classify_max_clique(spec, rebuild_clique(random_clique_form(spec, alpha, h)))
+            seen += [x for x in (form.S, form.T) if x is not None]
+        shift = Mat(spec.ring, 2, 2, (1, 2, 3, 0))
+        verify_distance(RankCode(spec.ring, 2, 2, frozenset(x + shift for x in clique), 1, False, None))
+    g2 = gabidulin_code(FieldSpec.default(2, 2), 2, 2, 2)
+    g3 = gabidulin_code(FieldSpec.default(3, 2), 2, 2, 2)
+    lifted = lift_code(g2, 2)
+    for code in (g2, g3, lifted, crt_combine([lifted, g3])):
+        seen += list(code.members) + list(code.basis)
+    assert len(seen) > 1000
+    for r in seen:
+        assert _revalidated(r) == r
+        assert type(r.entries) is tuple
+
+
+def test_is_invertible_matches_det_unit_route():
+    """Deciding mod each prime p_i agrees with gcd(det, h) == 1 on the CRT-lifted determinant."""
+    for h in (4, 12, 2**63, 30030):
+        ring = ring_spec(h)
+        rng = random.Random(h % 1000)
+        outcomes = set()
+        for n in (1, 2, 3, 4):
+            for _ in range(40):
+                a = random_matrix(ring, n, n, rng)
+                if n > 1 and rng.random() < 0.5:  # rank-deficient mod some p_i
+                    p = rng.choice(ring.primes)[0]
+                    a = a @ Mat.diagonal(ring, [1] * (n - 1) + [p * rng.randrange(h)])
+                flag = a.is_invertible()
+                assert flag == (math.gcd(a.det(), h) == 1)
+                outcomes.add(flag)
+        assert outcomes == {True, False}
+        assert not random_matrix(ring, 2, 3, rng).is_invertible()
+
+
 def test_public_constructor_still_validates():
     ring = ring_spec(12)
     for entries in ((0, 1, 2, 12), (0, 1, 2, -1), (0, 1, 2)):
@@ -245,15 +304,6 @@ def test_random_matrix_deterministic_by_seed():
     a = random_invertible(ring, 2, 7)
     assert a == random_invertible(ring, 2, 7)
     assert a.is_invertible()
-
-
-def test_invertible_pair_validation():
-    ring = ring_spec(6)
-    s = Mat.identity(ring, 2)
-    with pytest.raises(NotInvertibleError):
-        InvertiblePair(s, Mat.zeros(ring, 2, 2))
-    pair = InvertiblePair(s, s)
-    assert pair.S == pair.T == s
 
 
 @given(matrix_pairs())

@@ -1,28 +1,25 @@
-"""Ring layer: modulus factorization, element factorization, CRT, ideals."""
+"""Ring layer: modulus factorization and CRT; units and capped valuations of
+Z_h, read off 1 x 1 matrices."""
 
 import math
 import random
 import time
-from itertools import product
 
 import pytest
 from hypothesis import given
 
-from conftest import SMALL_MODULI, elements
+from conftest import elements
 from ringmat.errors import NotInvertibleError, UsageError
+from ringmat.matrix import Mat
+from ringmat.orbits import census_by_enumeration, enumerate_orbit_labels
 from ringmat.ring import (
     MAX_MODULUS,
     RingSpec,
     _is_prime,
-    all_exponent_vectors,
-    are_associates,
-    crt_lift,
-    factor_element,
     factor_modulus,
-    ideal_of,
-    IdealLabel,
     ring_spec,
 )
+from ringmat.smith import invariant_factors
 
 FACTOR_RINGS = (4, 6, 12, 18, 60)
 
@@ -140,147 +137,97 @@ def test_component_structure():
     assert ring.cofactor_ring(1).h == 4
 
 
+def _scalar(ring, x):
+    return Mat.from_rows(ring, [[x]])
+
+
+def _capped_valuations(ring, x):
+    """min(v_p(x), s) per prime power p**s of h; zero maps to (s_1, ..., s_t)."""
+    out = []
+    for p, s in ring.primes:
+        a = 0
+        while a < s and x % p**(a + 1) == 0:
+            a += 1
+        out.append(a)
+    return tuple(out)
+
+
 def test_unit_count_is_euler_phi():
+    """The invertible 1 x 1 matrices number h * prod(1 - 1/p_i)."""
     for h in FACTOR_RINGS:
         ring = ring_spec(h)
-        phi = sum(1 for x in range(h) if math.gcd(x, h) == 1)
-        assert ring.unit_count() == phi
-        units = list(ring.units())
-        assert len(units) == phi
-        assert all(ring.is_unit(u) for u in units)
+        phi = h
+        for p, _ in ring.primes:
+            phi -= phi // p
+        assert sum(_scalar(ring, x).is_invertible() for x in range(h)) == phi
 
 
 def test_unit_inverse():
     for h in FACTOR_RINGS:
         ring = ring_spec(h)
-        for u in ring.units():
-            assert (u * ring.unit_inverse(u)) % h == 1
+        for u in range(h):
+            if math.gcd(u, h) == 1:
+                assert (u * _scalar(ring, u).inverse().entries[0]) % h == 1
         with pytest.raises(NotInvertibleError):
-            ring.unit_inverse(ring.primes[0][0])
+            _scalar(ring, ring.primes[0][0]).inverse()
 
 
 def test_valuations_capped():
+    """The exponent table of a 1 x 1 matrix is the capped valuation vector of its entry."""
     ring = ring_spec(12)
-    assert ring.valuations(0) == (2, 1)
-    assert ring.valuations(1) == (0, 0)
-    assert ring.valuations(4) == (2, 0)
-    assert ring.valuations(6) == (1, 1)
-
-
-def test_factorization_round_trip_exhaustive():
-    for h in FACTOR_RINGS:
-        ring = ring_spec(h)
-        for x in range(h):
-            fac = factor_element(ring.elem(x))
-            assert fac.value().value == x
-            assert fac.is_zero == (x == 0)
-            if x == 0:
-                assert fac.exponents == ring.saturated
-                assert fac.unit.value == 1
-            else:
-                assert fac.exponents == ring.valuations(x)
-                assert ring.is_unit(fac.unit.value)
-
-
-def test_factorization_unit_is_minimal():
-    """The chosen unit is the smallest nonnegative unit that works."""
-    for h in FACTOR_RINGS:
-        ring = ring_spec(h)
-        for x in range(1, h):
-            fac = factor_element(ring.elem(x))
-            g = math.prod(p**a for (p, _), a in zip(ring.primes, fac.exponents))
-            candidates = [u for u in ring.units() if (u * g) % h == x]
-            assert candidates, f"no unit solves {x} = u * {g} mod {h}"
-            assert fac.unit.value == min(candidates)
+    for x, vals in ((0, (2, 1)), (1, (0, 0)), (4, (2, 0)), (6, (1, 1))):
+        assert invariant_factors(_scalar(ring, x)).omega == tuple((a,) for a in vals)
+        assert _capped_valuations(ring, x) == vals
 
 
 def test_crt_round_trip_exhaustive():
     for h in (6, 12, 60):
         ring = ring_spec(h)
         for x in range(h):
-            residues = [ring.project(x, i) for i in range(ring.t)]
-            assert ring.crt(residues) == x
-            lifted = crt_lift(ring, residues)
-            assert lifted.value == x
+            assert ring.crt([x % q for q in ring.prime_powers]) == x
 
 
 def test_coprojection_consistency():
     ring = ring_spec(12)
     for x in range(12):
         for i in range(ring.t):
-            assert ring.coproject(x, i) == x % ring.cofactors[i]
+            image = _scalar(ring, x).coproject(i)
+            assert image.ring is ring.cofactor_ring(i)
+            assert image.entries == (x % ring.cofactors[i],)
 
 
 def test_associate_class_count():
-    """Elements split into prod(s_i + 1) associate classes, one per exponent vector."""
+    """Elements split into prod(s_i + 1) associate classes, one per capped valuation vector.
+
+    Associates are the orbits of 1 x 1 matrices under multiplication by units.
+    """
     for h in FACTOR_RINGS:
         ring = ring_spec(h)
-        classes: list[list[int]] = []
+        rep = census_by_enumeration(ring, 1, 1)
+        assert rep.label_count == math.prod(s + 1 for _, s in ring.primes)
+        sizes: dict[tuple[int, ...], int] = {}
         for x in range(h):
-            for cls in classes:
-                if are_associates(ring.elem(x), ring.elem(cls[0])):
-                    cls.append(x)
-                    break
-            else:
-                classes.append([x])
-        expected = math.prod(s + 1 for _, s in ring.primes)
-        assert len(classes) == expected
-        assert sorted(len(c) for c in classes) == sorted(
-            sum(1 for x in range(h) if ring.valuations(x) == vec)
-            for vec in all_exponent_vectors(ring)
-        )
-
-
-def test_ideal_membership_matches_divisibility():
-    for h in (4, 6, 12):
-        ring = ring_spec(h)
-        for exps in all_exponent_vectors(ring):
-            label = IdealLabel(ring, exps)
-            g = label.generator().value
-            members = set(label.members())
-            assert len(members) == label.size()
-            for x in range(h):
-                in_ideal = (x == 0) if g == 0 else (x % g == 0)
-                assert label.contains(x) == in_ideal == (x in members)
-
-
-def test_ideal_of_is_tightest_label():
-    ring = ring_spec(12)
-    for x in range(12):
-        label = ideal_of(ring.elem(x))
-        assert label.exponents == ring.valuations(x)
-        assert label.contains(x)
+            vals = _capped_valuations(ring, x)
+            sizes[vals] = sizes.get(vals, 0) + 1
+        assert {tuple(row[0] for row in label): n for label, n in rep.entries} == sizes
 
 
 def test_all_exponent_vectors_count():
     for h in FACTOR_RINGS:
         ring = ring_spec(h)
-        vecs = list(all_exponent_vectors(ring))
+        vecs = enumerate_orbit_labels(ring, 1, 1)
         assert len(vecs) == math.prod(s + 1 for _, s in ring.primes)
         assert len(set(vecs)) == len(vecs)
 
 
-def test_elem_arithmetic_mixed_ring_guard():
-    a = ring_spec(4).elem(1)
-    b = ring_spec(6).elem(1)
-    with pytest.raises(UsageError):
-        a + b
-
-
 @given(elements())
 def test_is_unit_matches_gcd(ring_and_x):
+    """A 1 x 1 matrix is invertible exactly when its entry is a unit."""
     ring, x = ring_and_x
-    assert ring.is_unit(x) == (math.gcd(x, ring.h) == 1)
-
-
-@given(elements())
-def test_factorization_round_trip_property(ring_and_x):
-    ring, x = ring_and_x
-    fac = factor_element(ring.elem(x))
-    assert fac.value().value == x
+    assert _scalar(ring, x).is_invertible() == (math.gcd(x, ring.h) == 1)
 
 
 @given(elements())
 def test_crt_round_trip_property(ring_and_x):
     ring, x = ring_and_x
-    assert ring.crt([ring.project(x, i) for i in range(ring.t)]) == x
+    assert ring.crt([x % q for q in ring.prime_powers]) == x
