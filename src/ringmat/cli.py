@@ -16,6 +16,7 @@ from . import io as rio
 from .cliques import (
     CanonicalCliqueSpec,
     build_canonical_clique,
+    charge_clique_pairs,
     classify_max_clique,
     is_clique,
     verify_ekr,
@@ -37,6 +38,7 @@ from .errors import (
     NotIntersectingError,
     UsageError,
     VerificationError,
+    power_exceeds,
 )
 from .graph import (
     GraphSpec,
@@ -49,7 +51,13 @@ from .graph import (
 )
 from .matrix import Mat
 from .orbits import census_by_enumeration, expected_label_count, verify_orbit_product
-from .oracle import exact_clique, exact_mis, inner_rank_by_factorization, omega_via_minors
+from .oracle import (
+    DEFAULT_FACTOR_SEARCH_BUDGET,
+    exact_clique,
+    exact_mis,
+    inner_rank_by_factorization,
+    omega_via_minors,
+)
 from .ring import RingSpec, ring_spec
 from .smith import inner_rank, rank_via_projections, snf, verify_smith_form
 
@@ -66,9 +74,7 @@ def _emit(obj: Any) -> None:
 
 
 def _mat_rows(mat: Mat | None) -> list[list[int]] | None:
-    if mat is None:
-        return None
-    return [list(mat.row(i)) for i in range(mat.rows)]
+    return None if mat is None else mat.to_rows()
 
 
 def _resolve_seed(args: argparse.Namespace, randomized: bool) -> int:
@@ -125,8 +131,8 @@ def _add_graph_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--r", type=int, required=True, help="adjacency radius (1 <= r <= m <= n)")
 
 
-def _add_common(p: argparse.ArgumentParser, budget_default: int | None = None) -> None:
-    p.add_argument("--budget", type=int, default=budget_default,
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--budget", type=int, default=None,
                    help="work cap for this command (see --help of the command)")
 
 
@@ -209,14 +215,7 @@ def cmd_orbits(args: argparse.Namespace) -> int:
 def cmd_graph_stats(args: argparse.Namespace) -> int:
     spec = _graph_spec(args)
     budget = args.budget if args.budget is not None else DEFAULT_VERTEX_BUDGET
-    obj: dict[str, Any] = {
-        "h": args.h,
-        "m": args.m,
-        "n": args.n,
-        "r": args.r,
-        "vertices": spec.n_vertices,
-        "sandwich_tight": sandwich_inequality(spec).tight,
-    }
+    obj: dict[str, Any] = {"h": args.h, "m": args.m, "n": args.n, "r": args.r}
     if args.exact:
         search_budget = args.budget if args.budget is not None else DEFAULT_EXACT_SEARCH_BUDGET
         obj["omega"] = exact_clique_number(spec, search_budget)
@@ -231,6 +230,9 @@ def cmd_graph_stats(args: argparse.Namespace) -> int:
         obj["method"] = "certificate"
         obj["code_distance"] = rio.distance_value(cert.code_distance)
         obj["coloring_verification"] = cert.coloring_verification
+    # both routes above passed their budgets, so h**(m*n) is small enough to form
+    obj["vertices"] = spec.n_vertices
+    obj["sandwich_tight"] = sandwich_inequality(spec).tight
     if spec.n_vertices <= budget:
         obj["degree"] = build_graph(spec, vertex_budget=budget).degree
     if args.connectivity:
@@ -248,23 +250,28 @@ def cmd_build_clique(args: argparse.Namespace) -> int:
     spec = _graph_spec(args)
     ring = spec.ring
     alpha = _parse_alpha(ring, args.alpha)
-    family = build_canonical_clique(CanonicalCliqueSpec(spec, alpha))
+    cspec = CanonicalCliqueSpec(spec, alpha)
     s_mat = rio.load_matrix(args.S, expect_h=args.h) if args.S else None
     t_mat = rio.load_matrix(args.T, expect_h=args.h) if args.T else None
     b0 = rio.load_matrix(args.B0, expect_h=args.h) if args.B0 else None
     if s_mat is not None:
         if s_mat.rows != spec.m or s_mat.cols != spec.m or not s_mat.is_invertible():
             raise UsageError("--S must be an invertible m x m matrix")
-        family = frozenset(s_mat @ x for x in family)
     if t_mat is not None:
         if t_mat.rows != spec.n or t_mat.cols != spec.n or not t_mat.is_invertible():
             raise UsageError("--T must be an invertible n x n matrix")
-        family = frozenset(x @ t_mat for x in family)
     if b0 is not None:
         if b0.rows != spec.m or b0.cols != spec.n:
             raise UsageError("--B0 must be an m x n matrix")
-        family = frozenset(x + b0 for x in family)
     pair_budget = args.budget if args.budget is not None else DEFAULT_PAIR_BUDGET
+    charge_clique_pairs(spec, pair_budget)
+    family = build_canonical_clique(cspec)
+    if s_mat is not None:
+        family = frozenset(s_mat @ x for x in family)
+    if t_mat is not None:
+        family = frozenset(x @ t_mat for x in family)
+    if b0 is not None:
+        family = frozenset(x + b0 for x in family)
     if not is_clique(spec, family, pair_budget):
         raise VerificationError("built family is not a clique")
     obj = rio.family_to_obj(ring, spec.m, spec.n, family, {
@@ -365,9 +372,7 @@ def cmd_verify_code(args: argparse.Namespace) -> int:
 def cmd_color(args: argparse.Namespace) -> int:
     spec = _graph_spec(args)
     budget = args.budget if args.budget is not None else DEFAULT_VERTEX_BUDGET
-    if getattr(args, "complement", False):
-        return _run_cover(args, spec, budget)
-    sampled = spec.n_vertices > budget
+    sampled = power_exceeds(spec.ring.h, spec.m * spec.n, budget)
     seed = _resolve_seed(args, randomized=sampled)
     col = color_graph(spec, vertex_budget=budget, sample_seed=seed, samples=args.samples)
     obj = {
@@ -389,7 +394,9 @@ def cmd_color(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_cover(args: argparse.Namespace, spec: GraphSpec, budget: int) -> int:
+def cmd_cover_complement(args: argparse.Namespace) -> int:
+    spec = _graph_spec(args)
+    budget = args.budget if args.budget is not None else DEFAULT_VERTEX_BUDGET
     cov = clique_cover_complement(spec, vertex_budget=budget)
     sizes = sorted({len(p) for p in cov.parts})
     obj: dict[str, Any] = {
@@ -402,25 +409,17 @@ def _run_cover(args: argparse.Namespace, spec: GraphSpec, budget: int) -> int:
         "part_sizes": sizes,
         "partition": True,
     }
-    out = getattr(args, "out", None)
-    if out:
+    if args.out:
         full = dict(obj)
         full["families"] = [
-            [[list(mat.row(i)) for i in range(mat.rows)]
-             for mat in sorted(part, key=lambda mm: mm.entries)]
+            [mat.to_rows() for mat in sorted(part, key=lambda mm: mm.entries)]
             for part in cov.parts
         ]
-        with open(out, "w", encoding="utf-8") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(_dumps(full) + "\n")
-        obj["written"] = out
+        obj["written"] = args.out
     _emit(obj)
     return 0
-
-
-def cmd_cover_complement(args: argparse.Namespace) -> int:
-    spec = _graph_spec(args)
-    budget = args.budget if args.budget is not None else DEFAULT_VERTEX_BUDGET
-    return _run_cover(args, spec, budget)
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
@@ -434,7 +433,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         return 0
     if which == "rank":
         a = _read_matrix(args)
-        budget = args.budget if args.budget is not None else 4 * 10**6
+        budget = args.budget if args.budget is not None else DEFAULT_FACTOR_SEARCH_BUDGET
         _emit({
             "h": a.ring.h,
             "inner_rank": inner_rank_by_factorization(a, budget),
@@ -485,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=int, default=None, help="ring modulus (required for CSV input)")
     p.add_argument("--rows", type=int, default=None)
     p.add_argument("--cols", type=int, default=None)
-    _add_common(p)
     p.set_defaults(func=cmd_snf)
 
     p = sub.add_parser("rank", help="inner rank by three routes")
@@ -493,7 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=int, default=None)
     p.add_argument("--rows", type=int, default=None)
     p.add_argument("--cols", type=int, default=None)
-    _add_common(p)
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("orbits", help="orbit census over all m x n matrices")
@@ -503,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify-product", action="store_true",
                    help="also check lengths against the per-component product")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_common(p, budget_default=None)
+    _add_common(p)
     p.set_defaults(func=cmd_orbits)
 
     p = sub.add_parser("graph-stats", help="graph parameters (certified or exact)")
@@ -532,7 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, help="family file (JSON)")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--h", type=int, default=None, help="consistency check against the file")
-    _add_common(p)
     p.set_defaults(func=cmd_classify_clique)
 
     p = sub.add_parser("verify-ekr", help="check a family against the extremal bound")
@@ -557,8 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("color", help="proper coloring by code cosets")
     _add_graph_args(p)
-    p.add_argument("--complement", action="store_true",
-                   help="cover the complement by cliques instead")
     p.add_argument("--samples", type=int, default=1000,
                    help="sampled pair checks when the graph exceeds the budget")
     p.add_argument("--seed", type=int, default=None)
@@ -584,14 +578,14 @@ def build_parser() -> argparse.ArgumentParser:
             q.add_argument("--cols", type=int, default=None)
         else:
             _add_graph_args(q)
-        _add_common(q)
+        if name != "omega":
+            _add_common(q)
         q.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("selftest", help="run the built-in verification suite")
     p.add_argument("--level", choices=("desk", "quick"), default="desk")
     p.add_argument("--only", type=int, nargs="*", default=None,
                    help="run only these check numbers")
-    _add_common(p)
     p.set_defaults(func=cmd_selftest)
 
     return ap

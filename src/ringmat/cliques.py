@@ -38,8 +38,9 @@ from .errors import (
     ShapeError,
     UsageError,
     VerificationError,
+    power_exceeds,
 )
-from .graph import GraphSpec, build_graph
+from .graph import GraphSpec, build_graph, subgroup_closure
 from .matrix import Mat, crt_lift_mat, random_invertible, random_matrix
 from .ring import RingSpec
 from .smith import _pp_exponents, _pp_smith_cached
@@ -114,27 +115,26 @@ def build_canonical_clique(cspec: CanonicalCliqueSpec) -> frozenset[Mat]:
 def coset_difference_group(entries: Iterable[tuple[int, ...]], h: int) -> set[tuple[int, ...]] | None:
     """G = F - b0 when the family F is a coset b0 + G of an additive subgroup, else None.
 
-    Grows H := H + <g> over the differences g, by the translates of H up to
-    the first multiple of g already in H, and aborts once |H| > |F - b0|:
-    O(|F|) entry-tuple additions in all.
+    G is the closure of the differences F - b0, aborted once it outgrows
+    them: O(|F|) entry-tuple additions in all.
     """
     fam = set(entries)
     if not fam:
         return None
     b0 = min(fam)
     diffs = {tuple((x - y) % h for x, y in zip(f, b0)) for f in fam}
-    group = {(0,) * len(b0)}
-    for g in diffs:
-        if g in group:
-            continue
-        old = list(group)
-        mult = g
-        while mult not in group:  # stops at the same multiple as a test against H would
-            group.update(tuple((x + y) % h for x, y in zip(mult, a)) for a in old)
-            if len(group) > len(diffs):
-                return None
-            mult = tuple((x + y) % h for x, y in zip(mult, g))
-    return group
+    return subgroup_closure(diffs, h, len(diffs))
+
+
+def charge_clique_pairs(spec: GraphSpec, pair_budget: int = DEFAULT_PAIR_BUDGET) -> None:
+    """Raise before a maximum clique is built unless is_clique could check its pairs.
+
+    A maximum clique has h**(n*r) members, so is_clique charges C(h**(n*r), 2)
+    pairs; this refuses the same cases without forming the clique.
+    """
+    h, k = spec.ring.h, spec.n * spec.r
+    if power_exceeds(h, k, pair_budget + 1) or h**k * (h**k - 1) // 2 > pair_budget:
+        raise BudgetExceededError(f"C({h}^{k}, 2) pairs exceed the budget {pair_budget}")
 
 
 def is_clique(spec: GraphSpec, family: Iterable[Mat], pair_budget: int = DEFAULT_PAIR_BUDGET) -> bool:

@@ -14,8 +14,10 @@ right power of p while preserving the minimum distance; a Chinese remainder
 product then assembles the code over Z_h.  Every construction step re-runs
 an exhaustive distance verification before the code is returned, so emitted
 codes never rely on the argument above; the returned code carries that
-distance.  A plain set of words that is a coset of an additive subgroup is
-checked through its difference group, and any other set pairwise.
+distance.  A set of words that is a coset of an additive subgroup is checked
+through its difference group, and any other set pairwise; a code flagged
+linear must be its own difference group (contain zero and be closed under
+addition), which the same subgroup closure verifies.
 
 The same codes drive the two coloring-style certificates: the cosets of the
 code properly color the graph with h**(n*r) colors, and the translates of
@@ -33,13 +35,20 @@ from dataclasses import dataclass, replace
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
-from .cliques import CanonicalCliqueSpec, build_canonical_clique, coset_difference_group, is_clique
+from .cliques import (
+    CanonicalCliqueSpec,
+    build_canonical_clique,
+    charge_clique_pairs,
+    coset_difference_group,
+    is_clique,
+)
 from .errors import (
     DEFAULT_PAIR_BUDGET,
     DEFAULT_VERTEX_BUDGET,
     BudgetExceededError,
     UsageError,
     VerificationError,
+    power_exceeds,
 )
 from .graph import GraphSpec, _translate_ids, adjacent, build_graph
 from .matrix import Mat
@@ -161,8 +170,9 @@ class RankCode:
 
     For linear codes (closed under addition and scalar multiples) `basis`
     holds a generating set and the distance equals the minimum rank of a
-    nonzero member; verify_distance re-establishes the claim exhaustively.
-    verified_distance is what that check returned, on codes built here.
+    nonzero member; verify_distance checks the closure under addition and
+    re-establishes the distance exhaustively.  verified_distance is what that
+    check returned, on codes built here.
     """
 
     ring: RingSpec
@@ -182,40 +192,29 @@ class RankCode:
 def verify_distance(code: RankCode, pair_budget: int = DEFAULT_PAIR_BUDGET) -> float:
     """Exact minimum rank distance; +inf for a singleton code.
 
-    Linear codes need only the nonzero members (distance = minimum nonzero
-    rank).  Other cosets b0 + G of an additive subgroup take the minimum rank
-    of a nonzero g in G, and any other code all pairs; the pair budget is
-    charged for all pairs either way.
+    A coset b0 + G of an additive subgroup takes the minimum rank of a
+    nonzero g in G, and any other code all pairs.  A code flagged linear
+    must come back as its own difference group G (it contains zero and is
+    closed under addition), else VerificationError; the pair budget is
+    charged |C| - 1 for it, and all pairs for any other code.
     """
     members = sorted(code.members, key=lambda mat: mat.entries)
     if len(members) < 2:
         return math.inf
-    best: float = math.inf
-    if code.linear:
-        if len(members) - 1 > pair_budget:
-            raise BudgetExceededError("too many members for the distance budget")
-        zero = Mat.zeros(code.ring, code.rows, code.cols)
-        if zero not in code.members:
-            raise VerificationError("a linear code must contain the zero matrix")
-        for mem in members:
-            if mem.is_zero():
-                continue
-            rk = inner_rank(mem)
-            if rk < best:
-                best = rk
+    charged = len(members) - 1 if code.linear else len(members) * (len(members) - 1) // 2
+    if charged > pair_budget:
+        raise BudgetExceededError(f"{charged} distance checks exceed the budget {pair_budget}")
+    entries = [mat.entries for mat in members]
+    group = coset_difference_group(entries, code.ring.h)
+    if code.linear and group != set(entries):
+        raise VerificationError("a linear code must contain zero and be closed under addition")
+    if group is not None:
+        diffs: Iterable[Mat] = (
+            Mat._new(code.ring, code.rows, code.cols, g) for g in group if any(g)
+        )
     else:
-        npairs = len(members) * (len(members) - 1) // 2
-        if npairs > pair_budget:
-            raise BudgetExceededError("too many pairs for the distance budget")
-        group = coset_difference_group([mat.entries for mat in members], code.ring.h)
-        if group is not None:
-            diffs: Iterable[Mat] = (
-                Mat._new(code.ring, code.rows, code.cols, g) for g in group if any(g)
-            )
-        else:
-            diffs = (a - b for a, b in combinations(members, 2))
-        best = min(map(inner_rank, diffs))
-    return best
+        diffs = (a - b for a, b in combinations(members, 2))
+    return min(map(inner_rank, diffs))
 
 
 def _checked(code: RankCode, pair_budget: int = DEFAULT_PAIR_BUDGET) -> RankCode:
@@ -357,10 +356,12 @@ def mrd_code(spec: GraphSpec, pair_budget: int = DEFAULT_PAIR_BUDGET) -> RankCod
     budget is checked before any work, and the returned code carries the
     distance verified for it.
     """
-    if spec.independence_bound - 1 > pair_budget:
-        raise BudgetExceededError("too many members for the distance budget")
     ring = spec.ring
     m, n, r = spec.m, spec.n, spec.r
+    if power_exceeds(ring.h, n * (m - r), pair_budget + 1):
+        raise BudgetExceededError(
+            f"{ring.h}^{n * (m - r)} - 1 distance checks exceed the budget {pair_budget}"
+        )
     comps = []
     for (p, s), q in zip(ring.primes, ring.prime_powers):
         field = FieldSpec.default(p, n)
@@ -466,9 +467,9 @@ class CliqueCover:
 
 def clique_cover_complement(spec: GraphSpec, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> CliqueCover:
     """Partition all vertices into translates of the canonical clique by code members."""
-    nv = spec.n_vertices
-    if nv > vertex_budget:
-        raise BudgetExceededError(f"{nv} vertices exceed the budget {vertex_budget}")
+    k = spec.m * spec.n
+    if power_exceeds(spec.ring.h, k, vertex_budget):
+        raise BudgetExceededError(f"{spec.ring.h}^{k} vertices exceed the budget {vertex_budget}")
     code = mrd_code(spec)
     base = build_canonical_clique(CanonicalCliqueSpec(spec, (0,) * spec.ring.t))
     parts = []
@@ -480,7 +481,7 @@ def clique_cover_complement(spec: GraphSpec, vertex_budget: int = DEFAULT_VERTEX
             raise VerificationError("translates are not pairwise disjoint")
         seen |= ids
         parts.append(part)
-    if len(seen) != nv:
+    if len(seen) != spec.n_vertices:
         raise VerificationError("translates do not cover every vertex")
     for part in parts:
         if not is_clique(spec, part):
@@ -501,10 +502,10 @@ class GraphCertificate:
     """
 
     spec: GraphSpec
-    clique_size: int
-    code_size: int
+    omega: int
+    alpha: int
     code_distance: float
-    coloring_colors: int
+    chi: int
     coloring_verification: str
 
     def __post_init__(self) -> None:
@@ -513,21 +514,10 @@ class GraphCertificate:
         if witnesses != bounds:
             raise VerificationError(f"witnesses (omega, alpha, chi) = {witnesses} != bounds {bounds}")
 
-    @property
-    def omega(self) -> int:
-        return self.clique_size
-
-    @property
-    def alpha(self) -> int:
-        return self.code_size
-
-    @property
-    def chi(self) -> int:
-        return self.coloring_colors
-
 
 def certify_graph_parameters(spec: GraphSpec, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> GraphCertificate:
     """Build and verify the three certificates once each; raise if any bound fails."""
+    charge_clique_pairs(spec)
     clique = build_canonical_clique(CanonicalCliqueSpec(spec, (0,) * spec.ring.t))
     if not is_clique(spec, clique):
         raise VerificationError("canonical clique is not a clique")

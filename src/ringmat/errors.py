@@ -5,9 +5,13 @@ kinds: the caller asked for something malformed (UsageError), the requested
 computation would enumerate more objects than the configured budget allows
 (BudgetExceededError), and an identity that must hold exactly turned out not
 to (VerificationError).  The CLI maps these to exit codes 2, 3 and 1.
+Object counts of the form h**k are compared with a budget by power_exceeds,
+before the work they govern.
 """
 
 from __future__ import annotations
+
+from math import log2
 
 # Full-enumeration cap: censuses and exhaustive sweeps iterate at most this
 # many matrices.
@@ -21,6 +25,11 @@ DEFAULT_EXACT_SEARCH_BUDGET = 256
 
 # Cap on pairwise distance computations when verifying a code.
 DEFAULT_PAIR_BUDGET = 10**5
+
+
+def power_exceeds(base: int, exp: int, cap: int) -> bool:
+    """True iff base**exp > cap, decided in log space first so a huge power is never formed."""
+    return exp * log2(base) > cap.bit_length() + 1 or base**exp > cap
 
 
 class RingmatError(Exception):

@@ -4,20 +4,22 @@ Vertices are all m x n matrices over Z_h (m <= n), and two vertices are
 adjacent when their difference has inner rank between 1 and r.  The graph
 is a normal Cayley graph of the additive group, hence vertex-transitive and
 regular, and the maps X -> S^{-1} @ X @ T + A with S, T invertible are
-automorphisms.  Graphs within the vertex budget are materialized as a rank
-table, and exact clique/independence numbers are only searched on tiny
-instances; beyond that the package certifies them constructively (canonical
-cliques, rank-distance codes, coset colorings).
+automorphisms.  It is connected iff the connection set generates the group,
+which subgroup_closure decides; the same closure finds the difference group
+of a coset family for the clique and code checks.  Graphs within the vertex
+budget are materialized as a rank table, and exact clique/independence
+numbers are only searched on tiny instances; beyond that the package
+certifies them constructively (canonical cliques, rank-distance codes, coset
+colorings).
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Sequence
+from typing import Collection, Sequence
 
 from . import oracle
 from .errors import (
@@ -26,6 +28,7 @@ from .errors import (
     DEFAULT_VERTEX_BUDGET,
     UsageError,
     VerificationError,
+    power_exceeds,
 )
 from .matrix import Mat, random_invertible, random_matrix
 from .ring import RingSpec
@@ -90,6 +93,28 @@ def adjacent(spec: GraphSpec, a: Mat, b: Mat) -> bool:
     return inner_rank(a - b) <= spec.r
 
 
+def subgroup_closure(
+    gens: Collection[tuple[int, ...]], h: int, limit: int
+) -> set[tuple[int, ...]] | None:
+    """The additive subgroup of Z_h^k generated by gens (nonempty), or None once it passes limit.
+
+    Grows H := H + <g> one generator at a time, by the translates of H up to
+    the first multiple of g already in H: O(|H|) entry-tuple additions in all.
+    """
+    group = {(0,) * len(next(iter(gens)))}
+    for g in gens:
+        if g in group:
+            continue
+        old = list(group)
+        mult = g
+        while mult not in group:  # stops at the same multiple as a test against H would
+            group.update(tuple((x + y) % h for x, y in zip(mult, a)) for a in old)
+            if len(group) > limit:
+                return None
+            mult = tuple((x + y) % h for x, y in zip(mult, g))
+    return group
+
+
 def _translate_ids(spec: GraphSpec, c: Sequence[int]) -> list[int]:
     """[id(u + c) for every vertex id u], built digit by digit from rotation lists."""
     h = spec.ring.h
@@ -125,21 +150,9 @@ class RankGraph:
     def _connection_entries(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self.spec.vertex_entries(cid) for cid in self.connection_ids)
 
-    def neighbor_ids(self, u: int) -> list[int]:
-        spec = self.spec
-        h = spec.ring.h
-        eu = spec.vertex_entries(u)
-        out = []
-        for ec in self._connection_entries:
-            vid = 0
-            for a, b in zip(eu, ec):
-                vid = vid * h + (a + b) % h
-            out.append(vid)
-        return out
-
     def adjacency_masks(self, budget: int = DEFAULT_EXACT_SEARCH_BUDGET) -> list[int]:
         """Bitset adjacency rows for the exact solvers, one connection element at a time."""
-        nv = self.spec.n_vertices
+        nv = len(self.rho)
         if nv > budget:
             raise BudgetExceededError(f"{nv} vertices exceed the exact-search budget {budget}")
         masks = [0] * nv
@@ -151,16 +164,16 @@ class RankGraph:
 
 def build_graph(spec: GraphSpec, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> RankGraph:
     """Materialize the rank table; above the vertex budget raise before any work."""
-    nv = spec.n_vertices
-    if nv > vertex_budget:
-        raise BudgetExceededError(f"{nv} vertices exceed the vertex budget {vertex_budget}")
     ring = spec.ring
+    k = spec.m * spec.n
+    if power_exceeds(ring.h, k, vertex_budget):
+        raise BudgetExceededError(f"{ring.h}^{k} vertices exceed the vertex budget {vertex_budget}")
     from .smith import _pp_exponents  # cached kernel
 
     primes = ring.primes
     qs = ring.prime_powers
     rho = []
-    for ents in product(range(ring.h), repeat=spec.m * spec.n):
+    for ents in product(range(ring.h), repeat=k):
         rk = 0
         for (p, s), q in zip(primes, qs):
             alpha = _pp_exponents(p, s, q, spec.m, spec.n, tuple(v % q for v in ents))
@@ -196,21 +209,16 @@ def exact_independence_number(spec: GraphSpec, budget: int = DEFAULT_EXACT_SEARC
 
 
 def check_connectivity(spec: GraphSpec, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> bool:
-    """Breadth-first search from the zero matrix; True iff every vertex is reached."""
+    """True iff the graph is connected, i.e. its connection set generates the group.
+
+    A Cayley graph is connected iff the connection set generates the group,
+    so the subgroup closure of the connection set must have |V| members.
+    The rank table that yields the connection set is built within the
+    vertex budget.
+    """
     g = build_graph(spec, vertex_budget)
-    nv = spec.n_vertices
-    seen = bytearray(nv)
-    seen[0] = 1
-    queue = deque([0])
-    reached = 1
-    while queue:
-        u = queue.popleft()
-        for v in g.neighbor_ids(u):
-            if not seen[v]:
-                seen[v] = 1
-                reached += 1
-                queue.append(v)
-    return reached == nv
+    nv = len(g.rho)
+    return len(subgroup_closure(g._connection_entries, spec.ring.h, nv)) == nv
 
 
 def check_vertex_transitivity(spec: GraphSpec, samples: int, seed: int) -> bool:

@@ -91,7 +91,7 @@ def matrix_to_obj(mat: Mat) -> dict[str, Any]:
         "h": mat.ring.h,
         "rows": mat.rows,
         "cols": mat.cols,
-        "entries": [list(mat.row(i)) for i in range(mat.rows)],
+        "entries": mat.to_rows(),
     }
 
 
@@ -184,7 +184,7 @@ def family_to_obj(ring: RingSpec, rows: int, cols: int,
         "h": ring.h,
         "rows": rows,
         "cols": cols,
-        "members": [[list(m.row(i)) for i in range(rows)] for m in ordered],
+        "members": [m.to_rows() for m in ordered],
     }
     if extra:
         for key, value in extra.items():
@@ -250,6 +250,5 @@ def code_to_obj(code, verified: float | int | None = None) -> dict[str, Any]:
         "linear": code.linear,
     }
     if code.basis is not None:
-        extra["basis"] = [[list(b.row(i)) for i in range(b.rows)]
-                          for b in code.basis]
+        extra["basis"] = [b.to_rows() for b in code.basis]
     return family_to_obj(code.ring, code.rows, code.cols, code.members, extra)

@@ -13,14 +13,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
-from math import comb, log2
+from math import comb
 
-from .errors import BudgetExceededError, UsageError, VerificationError
+from .errors import BudgetExceededError, UsageError, VerificationError, power_exceeds
 from .ring import RingSpec
-from .smith import InvariantFactorArray, _pp_exponents
-
-# An orbit label is exactly an exponent table.
-OrbitLabel = InvariantFactorArray
+from .smith import _pp_exponents
 
 Label = tuple[tuple[int, ...], ...]
 
@@ -98,8 +95,7 @@ def census_by_enumeration(
 
     cap = DEFAULT_ENUMERATION_BUDGET if budget is None else budget
     k = rows * cols
-    # compared in log space first, so h^k is formed only when it is near the cap
-    if k * log2(ring.h) > cap.bit_length() + 1 or ring.h**k > cap:
+    if power_exceeds(ring.h, k, cap):
         raise BudgetExceededError(f"census needs {ring.h}^{k} matrices, budget is {cap}")
 
     primes = ring.primes

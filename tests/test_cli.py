@@ -75,6 +75,18 @@ def test_orbits_huge_shape_is_a_fast_budget_error(capsys):
     assert code == 3 and out == "" and "budget exceeded" in err
 
 
+@pytest.mark.parametrize("size", ["40000", "300"])
+@pytest.mark.parametrize("argv", [
+    ["graph-stats"], ["graph-stats", "--exact"], ["build-mrd"], ["color"],
+    ["cover-complement"], ["oracle", "clique"], ["build-clique", "--alpha", "0,0"],
+])
+def test_graph_commands_on_huge_shapes_are_fast_budget_errors(capsys, argv, size):
+    start = time.process_time()
+    code, out, err = run(capsys, *argv, "--h", "6", "--m", size, "--n", size, "--r", "1")
+    assert time.process_time() - start < 2.0
+    assert code == 3 and out == "" and "budget exceeded" in err
+
+
 def test_rank_command(tmp_path, capsys):
     path = write_matrix(tmp_path, "a.json", 6, [[2, 0], [0, 3]])
     code, obj, _ = run_json(capsys, "rank", "--matrix", path)
@@ -323,8 +335,8 @@ def test_color_and_cover(tmp_path, capsys):
     assert obj["partition"] is True
 
     out = tmp_path / "cover.json"
-    code, obj, _ = run_json(capsys, "color", "--h", "6", "--m", "2", "--n", "2",
-                            "--r", "1", "--complement", "--out", str(out))
+    code, obj, _ = run_json(capsys, "cover-complement", "--h", "6", "--m", "2", "--n", "2",
+                            "--r", "1", "--out", str(out))
     assert code == 0 and obj["written"] == str(out)
     saved = json.loads(out.read_text())
     assert len(saved["families"]) == 36
@@ -350,6 +362,21 @@ def test_threads_validation(capsys):
     """There is no worker-count option: passing one is an argparse usage exit."""
     with pytest.raises(SystemExit) as exc:
         main(["orbits", "--h", "4", "--m", "1", "--n", "1", "--threads", "0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["snf", "--matrix", "a.json", "--budget", "5"],
+    ["rank", "--matrix", "a.json", "--budget", "5"],
+    ["classify-clique", "--family", "f.json", "--r", "1", "--budget", "5"],
+    ["selftest", "--budget", "5"],
+    ["oracle", "omega", "--matrix", "a.json", "--budget", "5"],
+    ["color", "--h", "6", "--m", "2", "--n", "2", "--r", "1", "--complement"],
+])
+def test_removed_options_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 

@@ -23,7 +23,7 @@ from ringmat.codes import (
     verify_distance,
 )
 from ringmat.errors import BudgetExceededError, UsageError, VerificationError
-from ringmat.graph import _translate_ids, build_graph, GraphSpec
+from ringmat.graph import _translate_ids, build_graph, GraphSpec, subgroup_closure
 from ringmat.matrix import Mat, random_matrix
 from ringmat.ring import ring_spec
 from ringmat.smith import inner_rank
@@ -154,8 +154,8 @@ def test_coloring_small_graph_fully_checked():
     assert col.verification == "edges"
     # independent re-check against the materialized graph
     g = build_graph(spec, vertex_budget=spec.n_vertices)
-    for u in range(spec.n_vertices):
-        for v in g.neighbor_ids(u):
+    for cid in g.connection_ids:
+        for u, v in enumerate(_translate_ids(spec, spec.vertex_entries(cid))):
             assert col.colors[u] != col.colors[v]
     # cosets partition the vertices evenly
     from collections import Counter
@@ -192,7 +192,6 @@ def test_certificate_pins_parameters():
     assert cert.omega == cert.chi == 36
     assert cert.alpha == 36
     assert cert.code_distance == 2
-    assert cert.clique_size == 36 and cert.code_size == 36
 
 
 # --- fast paths against their oracles --------------------------------------------
@@ -223,6 +222,43 @@ def _subgroup(gens, h):
         frontier = {tuple((x + y) % h for x, y in zip(a, g)) for a in frontier for g in gens} - group
         group |= frontier
     return group
+
+
+@pytest.mark.parametrize("h", [4, 6, 8, 9, 12])
+def test_subgroup_closure_matches_frontier_oracle(h):
+    rng = random.Random(h)
+    ring = ring_spec(h)
+    for trial in range(6):
+        gens = [random_matrix(ring, 1, 3, rng).entries for _ in range(rng.randrange(1, 4))]
+        if trial % 2:  # scaled by a proper divisor of h: a proper subgroup
+            d = rng.choice([q for q in range(2, h) if h % q == 0])
+            gens = [tuple(x * d % h for x in g) for g in gens]
+        group = _subgroup(gens, h)
+        assert subgroup_closure(gens, h, h**3) == group
+        assert subgroup_closure(gens, h, len(group)) == group
+        if len(group) > 1:
+            assert subgroup_closure(gens, h, len(group) - 1) is None
+        if trial % 2:
+            assert len(group) < h**3
+
+
+def test_verify_distance_checks_linear_codes_as_groups():
+    ring = ring_spec(4)
+    z, one, two, three = (Mat.diagonal(ring, [v, v]) for v in range(4))
+
+    def linear(*members):
+        return RankCode(ring, 2, 2, frozenset(members), 2, True, None)
+
+    assert verify_distance(linear(z, two)) == 2
+    assert verify_distance(linear(z, one, two, three)) == 2
+    # the coset I + {0, 2I} of a subgroup: it misses zero
+    with pytest.raises(VerificationError):
+        verify_distance(linear(one, three))
+    # contains zero, not closed: I + I = 2I is missing
+    with pytest.raises(VerificationError):
+        verify_distance(linear(z, one))
+    with pytest.raises(VerificationError):
+        verify_distance(linear(z, one, three))
 
 
 def test_verify_distance_on_random_cosets_matches_pairwise(monkeypatch):

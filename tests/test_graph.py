@@ -1,11 +1,13 @@
 """Low-rank-difference graphs: adjacency, ids, degrees, exact parameters."""
 
+from collections import deque
 from itertools import product
 
 import pytest
 
 from ringmat.errors import BudgetExceededError, UsageError
 from ringmat.graph import (
+    _translate_ids,
     adjacent,
     build_graph,
     check_connectivity,
@@ -14,6 +16,7 @@ from ringmat.graph import (
     exact_independence_number,
     GraphSpec,
     sandwich_inequality,
+    subgroup_closure,
 )
 from ringmat.matrix import Mat
 from ringmat.ring import ring_spec
@@ -76,10 +79,11 @@ def test_frozen_degrees_and_regularity():
         spec = _spec(h)
         g = build_graph(spec, vertex_budget=spec.n_vertices)
         assert g.degree == deg
-        # vertex-transitive graphs are regular; spot-check a few vertices
-        for u in range(0, spec.n_vertices, max(1, spec.n_vertices // 7)):
-            assert len(g.neighbor_ids(u)) == deg
-            assert u not in g.neighbor_ids(u)
+        # vertex-transitive graphs are regular: every adjacency row has deg bits
+        masks = g.adjacency_masks(budget=spec.n_vertices)
+        for u, row in enumerate(masks):
+            assert bin(row).count("1") == deg
+            assert not row >> u & 1
 
 
 def test_adjacency_symmetric_exhaustive_z2():
@@ -151,6 +155,38 @@ def test_complete_graph_edge_case():
 def test_connectivity():
     for h in (2, 3, 6):
         assert check_connectivity(_spec(h))
+
+
+def _bfs_reached(spec, connection_ids):
+    """Breadth-first search from the zero matrix: the ids of its component."""
+    moves = [_translate_ids(spec, spec.vertex_entries(cid)) for cid in connection_ids]
+    seen = {0}
+    queue = deque([0])
+    while queue:
+        u = queue.popleft()
+        for ids in moves:
+            if ids[u] not in seen:
+                seen.add(ids[u])
+                queue.append(ids[u])
+    return seen
+
+
+# the graph specs (h, m, n, r) of the census-sweep benchmark's connectivity jobs
+CENSUS_SWEEP_GRAPHS = [(6, 2, 2, 1), (2, 3, 3, 2), (3, 2, 3, 1), (5, 2, 2, 1),
+                       (4, 2, 2, 1), (2, 2, 4, 1), (2, 3, 3, 1)]
+
+
+@pytest.mark.parametrize("h, m, n, r", CENSUS_SWEEP_GRAPHS)
+def test_connectivity_matches_bfs_oracle(h, m, n, r):
+    spec = _spec(h, m, n, r)
+    g = build_graph(spec)
+    assert check_connectivity(spec) == (len(_bfs_reached(spec, g.connection_ids)) == spec.n_vertices)
+    # a connection subset spanning a proper subgroup: the component of 0 is that subgroup
+    part = [cid for cid in g.connection_ids if not spec.vertex_entries(cid)[0]]
+    reached = _bfs_reached(spec, part)
+    closure = subgroup_closure([spec.vertex_entries(cid) for cid in part], h, spec.n_vertices)
+    assert {spec.vertex_id(c) for c in closure} == reached
+    assert len(reached) < spec.n_vertices
 
 
 def test_vertex_transitivity_sampled():
