@@ -220,7 +220,7 @@ def cmd_graph_stats(args: argparse.Namespace) -> int:
         search_budget = args.budget if args.budget is not None else DEFAULT_EXACT_SEARCH_BUDGET
         obj["omega"] = exact_clique_number(spec, search_budget)
         obj["alpha"] = exact_independence_number(spec, search_budget)
-        obj["chi"] = spec.clique_bound
+        obj["chi"] = color_graph(spec, search_budget).n_colors
         obj["method"] = "exact-search"
     else:
         cert = certify_graph_parameters(spec, vertex_budget=budget)
@@ -373,6 +373,10 @@ def cmd_color(args: argparse.Namespace) -> int:
     spec = _graph_spec(args)
     budget = args.budget if args.budget is not None else DEFAULT_VERTEX_BUDGET
     sampled = power_exceeds(spec.ring.h, spec.m * spec.n, budget)
+    if sampled and args.out:
+        raise BudgetExceededError(
+            f"{spec.ring.h}^{spec.m * spec.n} vertices exceed the budget {budget} for --out"
+        )
     seed = _resolve_seed(args, randomized=sampled)
     col = color_graph(spec, vertex_budget=budget, sample_seed=seed, samples=args.samples)
     obj = {
@@ -386,7 +390,7 @@ def cmd_color(args: argparse.Namespace) -> int:
     }
     if args.out:
         full = dict(obj)
-        full["colors"] = list(col.colors)
+        full["colors"] = [col.color_of(v) for v in range(spec.n_vertices)]
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(_dumps(full) + "\n")
         obj["written"] = args.out

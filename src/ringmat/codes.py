@@ -19,11 +19,13 @@ through its difference group, and any other set pairwise; a code flagged
 linear must be its own difference group (contain zero and be closed under
 addition), which the same subgroup closure verifies.
 
-The same codes drive the two coloring-style certificates: the cosets of the
-code properly color the graph with h**(n*r) colors, and the translates of
-the canonical clique by the code members partition the vertices into
-h**(n*(m-r)) cliques (a clique cover of the complement), which pins down
-the clique, independence and chromatic numbers exactly.
+The same codes drive the two coloring-style certificates.  A code of
+distance > r with h**(n*(m-r)) words is a complement of the row clique K
+(last m - r rows zero): V = K (+) C, read off each word's last m - r rows.
+The translates k + C properly color the graph with |K| = h**(n*r) colors,
+and the translates c + K partition the vertices into h**(n*(m-r)) cliques
+(a clique cover of the complement), which pins down the clique,
+independence and chromatic numbers exactly.
 """
 
 from __future__ import annotations
@@ -352,9 +354,11 @@ def mrd_code(spec: GraphSpec, pair_budget: int = DEFAULT_PAIR_BUDGET) -> RankCod
     """A verified code over Z_h of size h**(n*(m-r)) with minimum distance r + 1.
 
     Per prime: evaluation code over F_p, lifted to Z_{p**s}; the components
-    are then CRT-combined.  For r = m the code degenerates to {0}.  The
-    budget is checked before any work, and the returned code carries the
-    distance verified for it.
+    are then CRT-combined.  For r = m the graph is complete and the code
+    degenerates to {0}, of distance inf; as nothing else bounds the shape
+    then, the budget also caps its h**(m*n) vertices.  The budget is checked
+    before any work, and the returned code carries the distance verified
+    for it.
     """
     ring = spec.ring
     m, n, r = spec.m, spec.n, spec.r
@@ -362,6 +366,10 @@ def mrd_code(spec: GraphSpec, pair_budget: int = DEFAULT_PAIR_BUDGET) -> RankCod
         raise BudgetExceededError(
             f"{ring.h}^{n * (m - r)} - 1 distance checks exceed the budget {pair_budget}"
         )
+    if r == m:
+        if power_exceeds(ring.h, m * n, pair_budget):
+            raise BudgetExceededError(f"{ring.h}^{m * n} vertices exceed the budget {pair_budget}")
+        return _checked(RankCode(ring, m, n, frozenset([Mat.zeros(ring, m, n)]), r + 1, True, ()))
     comps = []
     for (p, s), q in zip(ring.primes, ring.prime_powers):
         field = FieldSpec.default(p, n)
@@ -378,14 +386,36 @@ def mrd_code(spec: GraphSpec, pair_budget: int = DEFAULT_PAIR_BUDGET) -> RankCod
 # --- colorings and covers ---------------------------------------------------------
 
 
+def _complement_lookup(spec: GraphSpec, code: RankCode) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Each code word keyed by its last m - r rows; raise unless every pattern occurs once.
+
+    Then V = K (+) C for the row clique K (last m - r rows zero).  Any code
+    of distance > r passes: two words with the same last rows differ by a
+    member of K, of rank <= r.
+    """
+    cut = spec.r * spec.n
+    lookup = {mat.entries[cut:]: mat.entries for mat in code.members}
+    if not len(lookup) == code.size == spec.independence_bound:
+        raise VerificationError("code words do not meet each pattern of the last m - r rows once")
+    return lookup
+
+
 @dataclass(frozen=True)
 class Coloring:
-    """A proper coloring by cosets of a code; colors[v] is the color of vertex id v."""
+    """A proper coloring by the translates k + C of a code, k in the row clique K.
+
+    color_of(v) is the id of k's top r rows for v = k + c, the code word c
+    found by lookup; so n_colors = |K| = h**(n*r).
+    """
 
     spec: GraphSpec
-    colors: tuple[int, ...]
     n_colors: int
     verification: str  # "edges" (every edge checked) or "structural"
+    lookup: dict[tuple[int, ...], tuple[int, ...]]
+
+    def color_of(self, vid: int) -> int:
+        ents, cut, h = self.spec.vertex_entries(vid), self.spec.r * self.spec.n, self.spec.ring.h
+        return self.spec.vertex_id([(a - b) % h for a, b in zip(ents[:cut], self.lookup[ents[cut:]])])
 
 
 def _check_edges(spec: GraphSpec, colors: Sequence[int], connection_ids: Iterable[int]) -> None:
@@ -404,61 +434,43 @@ def color_graph(
     samples: int = 1000,
     code: RankCode | None = None,
 ) -> Coloring:
-    """Color the graph with h**(n*r) colors: the cosets of a verified code.
+    """Color the graph with h**(n*r) colors: the translates k + C of a verified code.
 
-    Two vertices share a color exactly when their difference lies in the
-    code, and every nonzero code member has rank > r, so no edge is
-    monochromatic.  Within the vertex budget this is verified on every edge,
-    one connection element at a time; above it the verified code distance
-    stands as the certificate and a seeded sample of vertex pairs is checked
-    explicitly.  code defaults to mrd_code(spec).
+    Two vertices share a color exactly when they differ by c - c' for words
+    c != c', of rank > r as the code's verified distance exceeds r, so no edge
+    is monochromatic.  Within the vertex budget this is verified on every
+    edge, one connection element at a time; above it the verified code
+    distance stands as the certificate and a seeded sample of vertex pairs
+    is checked explicitly.  code defaults to mrd_code(spec).
     """
     if code is None:
         code = mrd_code(spec)
+    if code.verified_distance is None or code.verified_distance <= spec.r:
+        raise VerificationError("code distance does not clear the adjacency radius")
     nv = spec.n_vertices
-    member_ids = sorted(spec.vertex_id(mem) for mem in code.members)
-    member_ents = [spec.vertex_entries(i) for i in member_ids]
-    h = spec.ring.h
-
-    colors = [-1] * nv
-    n_colors = 0
-    for v in range(nv):
-        if colors[v] >= 0:
-            continue
-        ev = spec.vertex_entries(v)
-        for ents in member_ents:
-            w = spec.vertex_id(tuple((a + b) % h for a, b in zip(ev, ents)))
-            colors[w] = n_colors
-        n_colors += 1
-
-    if n_colors != spec.clique_bound:
-        raise VerificationError(f"coset count {n_colors} != h^(n r) = {spec.clique_bound}")
-
+    col = Coloring(spec, spec.clique_bound, "edges", _complement_lookup(spec, code))
     if nv <= vertex_budget:
+        colors = [col.color_of(v) for v in range(nv)]
         _check_edges(spec, colors, build_graph(spec, vertex_budget).connection_ids)
-        verification = "edges"
-    else:
-        rng = random.Random(sample_seed)
-        for _ in range(samples):
-            u = rng.randrange(nv)
-            v = rng.randrange(nv)
-            if u == v:
-                continue
-            if adjacent(spec, spec.vertex(u), spec.vertex(v)) and colors[u] == colors[v]:
-                raise VerificationError(f"sampled edge ({u}, {v}) is monochromatic")
-        verification = "structural"
-    return Coloring(spec, tuple(colors), n_colors, verification)
+        return col
+    rng = random.Random(sample_seed)
+    for _ in range(samples):
+        u = rng.randrange(nv)
+        v = rng.randrange(nv)
+        if u != v and col.color_of(u) == col.color_of(v) and adjacent(spec, spec.vertex(u), spec.vertex(v)):
+            raise VerificationError(f"sampled edge ({u}, {v}) is monochromatic")
+    return replace(col, verification="structural")
 
 
 @dataclass(frozen=True)
 class CliqueCover:
     """A partition of the vertices into h**(n*(m-r)) cliques of size h**(n*r).
 
-    Each part is a translate of the canonical clique by a code member; the
-    verified code distance keeps distinct translates disjoint.  This is a
-    clique cover of the graph, i.e. a proper coloring of its complement
-    with as many colors as the complement's clique number, pinning the
-    complement's chromatic number.
+    The parts are the translates c + K of the row clique K by the code
+    words, which partition V as V = K (+) C.  This is a clique cover of the
+    graph, i.e. a proper coloring of its complement with as many colors as
+    the complement's clique number, pinning the complement's chromatic
+    number.
     """
 
     spec: GraphSpec
@@ -466,27 +478,23 @@ class CliqueCover:
 
 
 def clique_cover_complement(spec: GraphSpec, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> CliqueCover:
-    """Partition all vertices into translates of the canonical clique by code members."""
+    """Partition all vertices into the translates c + K of the row clique by the code words.
+
+    K is checked once: every part has exactly K's differences.  The parts
+    partition V by _complement_lookup, as c + K holds the vertices whose
+    last m - r rows are c's.
+    """
     k = spec.m * spec.n
     if power_exceeds(spec.ring.h, k, vertex_budget):
         raise BudgetExceededError(f"{spec.ring.h}^{k} vertices exceed the budget {vertex_budget}")
     code = mrd_code(spec)
+    _complement_lookup(spec, code)
     base = build_canonical_clique(CanonicalCliqueSpec(spec, (0,) * spec.ring.t))
-    parts = []
-    seen: set[int] = set()
-    for mem in sorted(code.members, key=lambda mat: mat.entries):
-        part = frozenset(mem + x for x in base)
-        ids = {spec.vertex_id(mat) for mat in part}
-        if len(part) != len(base) or seen & ids:
-            raise VerificationError("translates are not pairwise disjoint")
-        seen |= ids
-        parts.append(part)
-    if len(seen) != spec.n_vertices:
-        raise VerificationError("translates do not cover every vertex")
-    for part in parts:
-        if not is_clique(spec, part):
-            raise VerificationError("a translate is not a clique")
-    return CliqueCover(spec, tuple(parts))
+    cut = spec.r * spec.n
+    if len(base) != spec.clique_bound or any(any(x.entries[cut:]) for x in base) or not is_clique(spec, base):
+        raise VerificationError("the canonical clique is not the row clique K, or K is not a clique")
+    members = sorted(code.members, key=lambda mat: mat.entries)
+    return CliqueCover(spec, tuple(frozenset(mem + x for x in base) for mem in members))
 
 
 @dataclass(frozen=True)
@@ -522,10 +530,7 @@ def certify_graph_parameters(spec: GraphSpec, vertex_budget: int = DEFAULT_VERTE
     if not is_clique(spec, clique):
         raise VerificationError("canonical clique is not a clique")
     code = mrd_code(spec)
-    dist = code.verified_distance
-    if dist <= spec.r:
-        raise VerificationError("code distance does not clear the adjacency radius")
     coloring = color_graph(spec, vertex_budget, code=code)
     return GraphCertificate(
-        spec, len(clique), code.size, dist, coloring.n_colors, coloring.verification
+        spec, len(clique), code.size, code.verified_distance, coloring.n_colors, coloring.verification
     )

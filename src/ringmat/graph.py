@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Collection, Sequence
 
@@ -163,19 +163,22 @@ class RankGraph:
 
 
 def build_graph(spec: GraphSpec, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> RankGraph:
-    """Materialize the rank table; above the vertex budget raise before any work."""
-    ring = spec.ring
+    """Materialize the rank table, kept for the last spec; above the vertex budget raise first."""
     k = spec.m * spec.n
-    if power_exceeds(ring.h, k, vertex_budget):
-        raise BudgetExceededError(f"{ring.h}^{k} vertices exceed the vertex budget {vertex_budget}")
+    if power_exceeds(spec.ring.h, k, vertex_budget):
+        raise BudgetExceededError(f"{spec.ring.h}^{k} vertices exceed the vertex budget {vertex_budget}")
+    return _rank_graph(spec)
+
+
+@lru_cache(maxsize=1)
+def _rank_graph(spec: GraphSpec) -> RankGraph:
     from .smith import _pp_exponents  # cached kernel
 
-    primes = ring.primes
-    qs = ring.prime_powers
+    ring = spec.ring
     rho = []
-    for ents in product(range(ring.h), repeat=k):
+    for ents in product(range(ring.h), repeat=spec.m * spec.n):
         rk = 0
-        for (p, s), q in zip(primes, qs):
+        for (p, s), q in zip(ring.primes, ring.prime_powers):
             alpha = _pp_exponents(p, s, q, spec.m, spec.n, tuple(v % q for v in ents))
             c = sum(1 for x in alpha if x < s)
             if c > rk:

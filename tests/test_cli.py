@@ -344,6 +344,77 @@ def test_color_and_cover(tmp_path, capsys):
     assert len(seen) == 1296
 
 
+def test_color_out_writes_the_coset_classes(tmp_path, capsys):
+    out = tmp_path / "colors.json"
+    code, obj, _ = run_json(capsys, "color", "--h", "6", "--m", "2", "--n", "2",
+                            "--r", "1", "--out", str(out))
+    assert code == 0 and obj["written"] == str(out)
+    colors = json.loads(out.read_text())["colors"]
+    assert len(colors) == 1296 and sorted(set(colors)) == list(range(36))
+    assert all(colors.count(c) == 36 for c in range(36))
+
+
+def test_color_out_above_budget_exits_before_work(tmp_path, capsys):
+    out = tmp_path / "colors.json"
+    start = time.process_time()
+    code, stdout, err = run(capsys, "color", "--h", "2", "--m", "2", "--n", "11", "--r", "1",
+                            "--seed", "0", "--out", str(out))
+    assert time.process_time() - start < 0.5
+    assert code == 3 and stdout == "" and not out.exists()
+    assert "2^22 vertices exceed the budget 10000" in err
+
+
+def test_color_large_graph_without_a_color_list(capsys):
+    start = time.process_time()
+    code, obj, _ = run_json(capsys, "color", "--h", "2", "--m", "2", "--n", "11", "--r", "1",
+                            "--seed", "0")
+    assert time.process_time() - start < 5.0
+    assert code == 0 and obj["verification"] == "structural" and obj["n_colors"] == 2048
+
+
+@pytest.mark.parametrize("argv", [
+    ["graph-stats", "--h", "4", "--m", "1", "--n", "1", "--r", "1"],
+    ["color", "--h", "4", "--m", "2", "--n", "2", "--r", "2"],
+    ["cover-complement", "--h", "4", "--m", "2", "--n", "2", "--r", "2"],
+    ["build-mrd", "--h", "4", "--m", "2", "--n", "2", "--r", "2"],
+])
+def test_r_equals_m_commands(argv, capsys):
+    """r = m: the complete graph, its zero code and its single clique."""
+    code, obj, _ = run_json(capsys, *argv)
+    assert code == 0
+    vertices = 4 ** (int(argv[4]) * int(argv[6]))
+    expect = {
+        "graph-stats": {"omega": vertices, "chi": vertices, "alpha": 1, "code_distance": None},
+        "color": {"n_colors": vertices, "verification": "edges"},
+        "cover-complement": {"parts": 1, "part_sizes": [vertices]},
+        "build-mrd": {"size": 1, "verified_min_distance": None},
+    }[argv[0]]
+    assert {k: obj[k] for k in expect} == expect
+
+
+def test_r_equals_m_above_budget_exits_3(capsys):
+    for cmd in ("color", "build-mrd"):
+        start = time.process_time()
+        code, out, err = run(capsys, cmd, "--h", "2", "--m", "300", "--n", "300", "--r", "300")
+        assert time.process_time() - start < 1.0
+        assert code == 3 and out == "" and "2^90000 vertices exceed" in err
+
+
+def test_graph_stats_builds_one_rank_table(monkeypatch, capsys):
+    from ringmat import cli, graph
+
+    colorings = []
+    real = cli.color_graph
+    monkeypatch.setattr(cli, "color_graph", lambda *a, **kw: colorings.append(a) or real(*a, **kw))
+    for extra in ("--connectivity", "--exact"):
+        graph._rank_graph.cache_clear()
+        code, obj, _ = run_json(capsys, "graph-stats", "--h", "4", "--m", "2", "--n", "2",
+                                "--r", "1", extra)
+        assert code == 0 and obj["degree"] == 81
+        assert graph._rank_graph.cache_info().misses == 1
+    assert len(colorings) == 1  # --exact takes chi from a checked coloring
+
+
 def test_color_structural_when_large(capsys):
     code, obj, err = run_json(capsys, "color", "--h", "12", "--m", "2",
                               "--n", "2", "--r", "1", "--seed", "3",

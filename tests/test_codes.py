@@ -3,6 +3,7 @@
 import math
 import random
 import re
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -153,14 +154,15 @@ def test_coloring_small_graph_fully_checked():
     assert col.n_colors == 16
     assert col.verification == "edges"
     # independent re-check against the materialized graph
+    colors = [col.color_of(v) for v in range(spec.n_vertices)]
     g = build_graph(spec, vertex_budget=spec.n_vertices)
     for cid in g.connection_ids:
         for u, v in enumerate(_translate_ids(spec, spec.vertex_entries(cid))):
-            assert col.colors[u] != col.colors[v]
+            assert colors[u] != colors[v]
     # cosets partition the vertices evenly
     from collections import Counter
 
-    sizes = Counter(col.colors)
+    sizes = Counter(colors)
     assert len(sizes) == 16 and set(sizes.values()) == {16}
 
 
@@ -169,6 +171,73 @@ def test_coloring_structural_above_budget():
     col = color_graph(spec, vertex_budget=100)
     assert col.n_colors == 144
     assert col.verification == "structural"
+
+
+def _coset_colors(spec, code):
+    """Colors by first appearance of the cosets v + C over all vertex ids: the oracle."""
+    member_ents = sorted(mem.entries for mem in code.members)
+    h = spec.ring.h
+    colors = [-1] * spec.n_vertices
+    n_colors = 0
+    for v in range(spec.n_vertices):
+        if colors[v] >= 0:
+            continue
+        ev = spec.vertex_entries(v)
+        for ents in member_ents:
+            colors[spec.vertex_id(tuple((a + b) % h for a, b in zip(ev, ents)))] = n_colors
+        n_colors += 1
+    return colors
+
+
+@pytest.mark.parametrize("h,m,n,r", [(4, 2, 2, 1), (5, 2, 2, 1), (6, 2, 2, 1), (9, 2, 2, 1), (12, 2, 2, 1),
+                                     (4, 2, 3, 1), (6, 2, 3, 1), (3, 2, 2, 2)])
+def test_color_of_matches_coset_oracle(h, m, n, r):
+    spec = _spec(h, m, n, r)
+    code = mrd_code(spec)
+    col = color_graph(spec, code=code, samples=50)
+    first: dict[int, int] = {}
+    fast = [first.setdefault(col.color_of(v), len(first)) for v in range(spec.n_vertices)]
+    assert fast == _coset_colors(spec, code)
+    assert len(first) == col.n_colors == spec.clique_bound
+
+
+def _bad_codes(spec):
+    """A distance-(r+1) code with one word swapped into K, and one with a word dropped."""
+    code = mrd_code(spec)
+    word = max(code.members, key=lambda mat: mat.entries)
+    in_k = Mat(spec.ring, spec.m, spec.n, (1,) + (0,) * (spec.m * spec.n - 1))
+    return [
+        replace(code, members=(code.members - {word}) | {in_k}),
+        replace(code, members=code.members - {word}),
+    ]
+
+
+def test_color_and_cover_refuse_codes_that_miss_a_complement(monkeypatch):
+    spec = _spec(4)
+    for bad in _bad_codes(spec):
+        with pytest.raises(VerificationError):
+            color_graph(spec, code=bad)
+        with monkeypatch.context() as mp:
+            mp.setattr(codes, "mrd_code", lambda spec: bad)
+            with pytest.raises(VerificationError):
+                clique_cover_complement(spec)
+    code = mrd_code(spec)
+    for dist in (None, 1):
+        with pytest.raises(VerificationError):
+            color_graph(spec, code=replace(code, verified_distance=dist))
+
+
+def test_r_equals_m_uses_the_zero_code():
+    spec = _spec(4, 2, 2, 2)
+    code = mrd_code(spec)
+    assert code.size == 1 and code.verified_distance == math.inf
+    col = color_graph(spec)
+    assert col.n_colors == 256 and col.verification == "edges"
+    assert [col.color_of(v) for v in range(256)] == list(range(256))
+    cover = clique_cover_complement(spec)
+    assert len(cover.parts) == 1 and len(cover.parts[0]) == 256
+    with pytest.raises(BudgetExceededError):
+        mrd_code(_spec(2, 300, 300, 300))
 
 
 def test_clique_cover_partitions():
@@ -308,7 +377,7 @@ def test_edge_check_catches_one_corrupted_color():
     spec = _spec(4)
     col = color_graph(spec, vertex_budget=500)
     conn = build_graph(spec, vertex_budget=500).connection_ids
-    colors = list(col.colors)
+    colors = [col.color_of(v) for v in range(spec.n_vertices)]
     _check_edges(spec, colors, conn)
     u = 37
     w = _translate_ids(spec, spec.vertex_entries(conn[5]))[u]
