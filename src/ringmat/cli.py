@@ -176,7 +176,9 @@ def cmd_rank(args: argparse.Namespace) -> int:
 def cmd_orbits(args: argparse.Namespace) -> int:
     ring = ring_spec(args.h)
     budget = args.budget if args.budget is not None else DEFAULT_ENUMERATION_BUDGET
-    rep = census_by_enumeration(ring, args.m, args.n, budget)
+    check = args.verify_product and args.format == "json"  # CSV prints the census alone
+    prod = verify_orbit_product(ring, args.m, args.n, budget) if check else None
+    rep = prod.census if prod else census_by_enumeration(ring, args.m, args.n, budget)
     if args.format == "csv":
         sys.stdout.write("label,length\n")
         for label, length in rep.entries:
@@ -195,8 +197,7 @@ def cmd_orbits(args: argparse.Namespace) -> int:
             for label, length in rep.entries
         ],
     }
-    if args.verify_product:
-        prod = verify_orbit_product(ring, args.m, args.n, budget)
+    if prod is not None:
         obj["product_ok"] = prod.ok
         if not prod.ok:
             label, length, comps, expect = prod.first_violation()
@@ -207,15 +208,15 @@ def cmd_orbits(args: argparse.Namespace) -> int:
                 "product": expect,
             }
     _emit(obj)
-    if args.verify_product and not obj["product_ok"]:
-        return 1
-    return 0
+    return 0 if prod is None or prod.ok else 1
 
 
 def cmd_graph_stats(args: argparse.Namespace) -> int:
     spec = _graph_spec(args)
     budget = args.budget if args.budget is not None else DEFAULT_VERTEX_BUDGET
     obj: dict[str, Any] = {"h": args.h, "m": args.m, "n": args.n, "r": args.r}
+    if args.connectivity:  # first: above the vertex budget it stops before any other work
+        obj["connected"] = check_connectivity(spec, vertex_budget=budget)
     if args.exact:
         search_budget = args.budget if args.budget is not None else DEFAULT_EXACT_SEARCH_BUDGET
         obj["omega"] = exact_clique_number(spec, search_budget)
@@ -235,8 +236,6 @@ def cmd_graph_stats(args: argparse.Namespace) -> int:
     obj["sandwich_tight"] = sandwich_inequality(spec).tight
     if spec.n_vertices <= budget:
         obj["degree"] = build_graph(spec, vertex_budget=budget).degree
-    if args.connectivity:
-        obj["connected"] = check_connectivity(spec, vertex_budget=budget)
     if args.transitivity_samples:
         seed = _resolve_seed(args, randomized=True)
         obj["transitivity_ok"] = check_vertex_transitivity(

@@ -18,7 +18,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
 from typing import Collection, Sequence
 
 from . import oracle
@@ -32,7 +31,7 @@ from .errors import (
 )
 from .matrix import Mat, random_invertible, random_matrix
 from .ring import RingSpec
-from .smith import inner_rank
+from .smith import _digit_ids, component_walk, exponent_rows, inner_rank
 
 
 @dataclass(frozen=True)
@@ -118,11 +117,7 @@ def subgroup_closure(
 def _translate_ids(spec: GraphSpec, c: Sequence[int]) -> list[int]:
     """[id(u + c) for every vertex id u], built digit by digit from rotation lists."""
     h = spec.ring.h
-    ids = [0]
-    for digit in c:
-        rot = [(x + digit) % h for x in range(h)]
-        ids = [a * h + b for a in ids for b in rot]
-    return ids
+    return _digit_ids(h, [[(x + d) % h for x in range(h)] for d in c])
 
 
 class RankGraph:
@@ -172,18 +167,17 @@ def build_graph(spec: GraphSpec, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> 
 
 @lru_cache(maxsize=1)
 def _rank_graph(spec: GraphSpec) -> RankGraph:
-    from .smith import _pp_exponents  # cached kernel
-
-    ring = spec.ring
-    rho = []
-    for ents in product(range(ring.h), repeat=spec.m * spec.n):
-        rk = 0
-        for (p, s), q in zip(ring.primes, ring.prime_powers):
-            alpha = _pp_exponents(p, s, q, spec.m, spec.n, tuple(v % q for v in ents))
-            c = sum(1 for x in alpha if x < s)
-            if c > rk:
-                rk = c
-        rho.append(rk)
+    """rho read off one rank table per component: a rank is the largest rank of the projections."""
+    ring, m, n = spec.ring, spec.m, spec.n
+    tables = [
+        [sum(1 for x in alpha if x < s) for alpha in exponent_rows(p, s, q, m, n)]
+        for (p, s), q in zip(ring.primes, ring.prime_powers)
+    ]
+    if ring.t == 1:
+        return RankGraph(spec, tables[0])
+    rho: list[int] = []
+    for block in component_walk(ring, m, n, tables):
+        rho.extend(map(max, *block))
     return RankGraph(spec, rho)
 
 

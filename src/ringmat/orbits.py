@@ -3,9 +3,10 @@
 Matrices A, B over Z_h are equivalent when B = P @ A @ Q for invertible P
 and Q, and the exponent table omega is a complete invariant, so orbits are
 in bijection with omega labels.  For m x n matrices with m <= n the label
-count is prod_i binom(s_i + m, m); orbit lengths carry no closed formula
-here and are produced by exhaustive enumeration, with the per-prime product
-law checked against independent component censuses.
+count is prod_i binom(s_i + m, m).  Orbit lengths are enumerated per
+component table (smith.exponent_rows) and checked by the per-prime product
+law against independent component censuses; their closed form is not
+implemented yet.
 """
 
 from __future__ import annotations
@@ -13,11 +14,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
-from math import comb
+from math import comb, prod
 
-from .errors import BudgetExceededError, UsageError, VerificationError, power_exceeds
+from .errors import (
+    DEFAULT_ENUMERATION_BUDGET, BudgetExceededError, UsageError, VerificationError, power_exceeds,
+)
 from .ring import RingSpec
-from .smith import _pp_exponents
+from .smith import component_walk, exponent_rows
 
 Label = tuple[tuple[int, ...], ...]
 
@@ -32,8 +35,7 @@ class CensusReport:
     entries: tuple[tuple[Label, int], ...]  # sorted by label
 
     def __post_init__(self) -> None:
-        total = self.ring.h ** (self.rows * self.cols)
-        if sum(c for _, c in self.entries) != total:
+        if sum(c for _, c in self.entries) != self.total:
             raise VerificationError("census lengths do not sum to the matrix count")
         labels = [lab for lab, _ in self.entries]
         if sorted(set(labels)) != labels:
@@ -85,28 +87,29 @@ def enumerate_orbit_labels(ring: RingSpec, rows: int, cols: int) -> list[Label]:
 def census_by_enumeration(
     ring: RingSpec, rows: int, cols: int, budget: int | None = None
 ) -> CensusReport:
-    """Exhaustive orbit census: iterate all h^(m*n) matrices and bucket by label.
+    """Exhaustive orbit census: label all h^(m*n) matrices and bucket by label.
 
-    Matrices are enumerated in row-major base-h order.  Every label from
-    enumerate_orbit_labels must show up with positive length, and lengths
-    must sum to h^(m*n); both are enforced.
+    Each matrix is labelled by the kernel on its projections: over a prime
+    power the labels stream into the count, otherwise each component table
+    is built once and read by component_walk.  Every label from
+    enumerate_orbit_labels must show up, and lengths must sum to h^(m*n).
     """
-    from .errors import DEFAULT_ENUMERATION_BUDGET
-
     cap = DEFAULT_ENUMERATION_BUDGET if budget is None else budget
     k = rows * cols
     if power_exceeds(ring.h, k, cap):
         raise BudgetExceededError(f"census needs {ring.h}^{k} matrices, budget is {cap}")
 
-    primes = ring.primes
-    qs = ring.prime_powers
-    counts: Counter[Label] = Counter()
-    for ents in product(range(ring.h), repeat=rows * cols):
-        label = tuple(
-            _pp_exponents(p, s, q, rows, cols, tuple(v % q for v in ents))
-            for (p, s), q in zip(primes, qs)
-        )
-        counts[label] += 1
+    if ring.t == 1:
+        (p, s), = ring.primes
+        counts = Counter(zip(exponent_rows(p, s, ring.h, rows, cols)))
+    else:
+        tables = [
+            list(exponent_rows(p, s, q, rows, cols))
+            for (p, s), q in zip(ring.primes, ring.prime_powers)
+        ]
+        counts = Counter()
+        for block in component_walk(ring, rows, cols, tables):
+            counts.update(zip(*block))
 
     expected = set(enumerate_orbit_labels(ring, rows, cols))
     seen = set(counts)
@@ -121,15 +124,13 @@ def census_by_enumeration(
 class OrbitProductReport:
     """Cross-check of the product law: orbit length over Z_h = product of component lengths."""
 
-    ring: RingSpec
-    rows: int
-    cols: int
+    census: CensusReport  # the census over Z_h that was checked
     table: tuple[tuple[Label, int, tuple[int, ...], int], ...]
     # rows of (label, length over Z_h, per-prime lengths, their product)
 
     @property
     def ok(self) -> bool:
-        return all(length == prod for _, length, _, prod in self.table)
+        return all(length == expect for _, length, _, expect in self.table)
 
     def first_violation(self) -> tuple[Label, int, tuple[int, ...], int] | None:
         for row in self.table:
@@ -143,21 +144,20 @@ def verify_orbit_product(
 ) -> OrbitProductReport:
     """Census Z_h and each prime-power component, then compare lengths labelwise.
 
-    The component censuses are independent enumerations over Z_{p_i ** s_i},
-    so the comparison is a genuine cross-check rather than a tautology.
+    For t > 1 the component censuses are independent enumerations over
+    Z_{p_i ** s_i}, so the comparison is a genuine cross-check rather than a
+    tautology.  For t = 1 the one component is Z_h itself and its census is
+    the full one, not enumerated again.
     """
     if ring.t < 1:
         raise UsageError("ring must have at least one component")
     full = census_by_enumeration(ring, rows, cols, budget)
-    comp_reports = [
+    comp_reports = [full] if ring.t == 1 else [
         census_by_enumeration(ring.component(i), rows, cols, budget) for i in range(ring.t)
     ]
     comp_maps = [dict(rep.entries) for rep in comp_reports]
     table = []
     for label, length in full.entries:
-        per = tuple(comp_maps[i][(label[i],)] for i in range(ring.t))
-        prod_len = 1
-        for x in per:
-            prod_len *= x
-        table.append((label, length, per, prod_len))
-    return OrbitProductReport(ring, rows, cols, tuple(table))
+        per = tuple(cm[(row,)] for cm, row in zip(comp_maps, label))
+        table.append((label, length, per, prod(per)))
+    return OrbitProductReport(full, tuple(table))

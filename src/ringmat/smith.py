@@ -13,13 +13,17 @@ The exponent table omega (one row per prime) classifies matrices up to
 equivalence, and the inner rank of A - the least r such that A factors
 through r columns - is the number of omega columns that are not fully
 saturated.
+
+Single matrices use the bounded kernel caches; exhaustive sweeps label each
+component once (exponent_rows) and read Z_h off those tables (component_walk).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from itertools import product
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import UsageError, VerificationError
 from .matrix import Mat, crt_lift_mat
@@ -202,14 +206,56 @@ def _pp_smith(
     return tuple(alpha), to_t(U), to_t(Ui), to_t(V), to_t(Vi)
 
 
-@lru_cache(maxsize=None)
+KERNEL_CACHE_SIZE = 2**16  # entries per kernel cache, so memory stays bounded
+
+
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def _pp_smith_cached(p, s, q, m, n, entries, transforms):
     return _pp_smith(p, s, q, m, n, entries, transforms)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def _pp_exponents(p, s, q, m, n, entries):
     return _pp_smith(p, s, q, m, n, entries, False)[0]
+
+
+def exponent_rows(p: int, s: int, q: int, m: int, n: int) -> Iterator[tuple[int, ...]]:
+    """The exponent row of every m x n matrix over Z_q, q = p**s, in base-q id order.
+
+    One uncached kernel call per matrix; equal rows are one shared tuple.
+    """
+    seen: dict = {}
+    for entries in product(range(q), repeat=m * n):
+        alpha = _pp_smith(p, s, q, m, n, entries, False)[0]
+        yield seen.setdefault(alpha, alpha)
+
+
+def _digit_ids(base: int, digit_maps: Sequence[Sequence[int]]) -> list[int]:
+    """For every v in Z_h^k in base-h order, the base-`base` id whose digit j is digit_maps[j][v_j]."""
+    ids = [0]
+    for digit in digit_maps:
+        ids = [a * base + b for a in ids for b in digit]
+    return ids
+
+
+def component_walk(ring: RingSpec, m: int, n: int, tables: Sequence[Sequence]) -> Iterator[list[Iterator]]:
+    """Walk Z_h^{m x n} in base-h id order, reading each matrix off per-component tables.
+
+    tables[i] is indexed by base-q_i id.  Per block of matrices sharing their
+    leading m*n // 2 entries, yields one iterator per component over
+    tables[i][id of the projection]; only O(h**ceil(m*n / 2)) ids are held.
+    """
+    h, k = ring.h, m * n
+    lead_k = k // 2
+    qs = ring.prime_powers
+    trails = [_digit_ids(q, [[v % q for v in range(h)]] * (k - lead_k)) for q in qs]
+    leads = [_digit_ids(q, [[v % q for v in range(h)]] * lead_k) for q in qs]
+    widths = [q ** (k - lead_k) for q in qs]
+    for offsets in zip(*leads):
+        yield [
+            map(tab[o * w:(o + 1) * w].__getitem__, trail)
+            for tab, trail, o, w in zip(tables, trails, offsets, widths)
+        ]
 
 
 def clear_kernel_caches() -> None:

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from ringmat.matrix import Mat
 from ringmat.ring import ring_spec
+from ringmat.smith import _pp_smith
 
 settings.register_profile(
     "suite",
@@ -61,3 +63,17 @@ def matrix_pairs(draw, max_dim: int = 3):
 @pytest.fixture
 def rng():
     return random.Random(0)
+
+
+def per_matrix_labels(ring, rows, cols):
+    """Oracle for the exhaustive sweeps: the omega label of every matrix, in base-h order.
+
+    One matrix at a time, one projection tuple per component: the slow route
+    that census_by_enumeration and the rank table are compared with.  The
+    kernel is called uncached so the oracle leaves the kernel caches alone.
+    """
+    for ents in product(range(ring.h), repeat=rows * cols):
+        yield tuple(
+            _pp_smith(p, s, q, rows, cols, tuple(v % q for v in ents), False)[0]
+            for (p, s), q in zip(ring.primes, ring.prime_powers)
+        )

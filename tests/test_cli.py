@@ -1,5 +1,6 @@
 """End-to-end command line tests (in-process via main())."""
 
+import hashlib
 import json
 import time
 
@@ -129,6 +130,23 @@ def test_orbits_csv(capsys):
     assert lines[0] == "label,length"
     assert len(lines) == 10
     assert "0 1|0 1,288" in lines
+
+
+# sha256 prefixes of the stdout of `orbits --h H --m 2 --n 2 --format F [--verify-product]`
+ORBITS_STDOUT = {
+    (4, "json", False): "40a08a178fb11566", (4, "json", True): "45e10601e413b0d7",
+    (4, "csv", False): "8d4b126cdc525906", (4, "csv", True): "8d4b126cdc525906",
+    (12, "json", False): "9a74d626e084803a", (12, "json", True): "7041c3fc8c6f38db",
+    (12, "csv", False): "c326cc8da302e11a", (12, "csv", True): "c326cc8da302e11a",
+}
+
+
+@pytest.mark.parametrize("h, fmt, verify", sorted(ORBITS_STDOUT))
+def test_orbits_stdout_is_frozen(capsys, h, fmt, verify):
+    argv = ["orbits", "--h", str(h), "--m", "2", "--n", "2", "--format", fmt]
+    code, out, _ = run(capsys, *argv, *(["--verify-product"] if verify else []))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == ORBITS_STDOUT[h, fmt, verify]
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +416,21 @@ def test_r_equals_m_above_budget_exits_3(capsys):
         code, out, err = run(capsys, cmd, "--h", "2", "--m", "300", "--n", "300", "--r", "300")
         assert time.process_time() - start < 1.0
         assert code == 3 and out == "" and "2^90000 vertices exceed" in err
+
+
+def test_connectivity_above_budget_fails_before_any_work(monkeypatch, capsys):
+    from ringmat import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the budget check")
+
+    monkeypatch.setattr(cli, "certify_graph_parameters", refuse)
+    start = time.process_time()
+    code, out, err = run(capsys, "graph-stats", "--h", "6", "--m", "3", "--n", "3",
+                         "--r", "1", "--connectivity")
+    assert time.process_time() - start < 0.3
+    assert code == 3 and out == ""
+    assert "6^9 vertices exceed the vertex budget 10000" in err
 
 
 def test_graph_stats_builds_one_rank_table(monkeypatch, capsys):

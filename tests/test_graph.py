@@ -5,8 +5,10 @@ from itertools import product
 
 import pytest
 
+from conftest import per_matrix_labels
 from ringmat.errors import BudgetExceededError, UsageError
 from ringmat.graph import (
+    _rank_graph,
     _translate_ids,
     adjacent,
     build_graph,
@@ -107,13 +109,13 @@ def test_adjacency_masks_match_pairwise_adjacent(h, m, n, r):
 
 
 def test_build_graph_budget_before_any_work(monkeypatch):
-    from ringmat import smith
+    from ringmat import graph
 
     def refuse(*args):
         raise AssertionError("work started before the budget check")
 
     small = build_graph(_spec(2))
-    monkeypatch.setattr(smith, "_pp_exponents", refuse)
+    monkeypatch.setattr(graph, "exponent_rows", refuse)
     spec = _spec(6)
     with pytest.raises(BudgetExceededError):
         build_graph(spec, vertex_budget=10)
@@ -121,6 +123,8 @@ def test_build_graph_budget_before_any_work(monkeypatch):
         check_connectivity(spec, vertex_budget=10)
     with pytest.raises(BudgetExceededError):
         small.adjacency_masks(10)
+    with pytest.raises(AssertionError):  # the guard is live within the budget
+        build_graph(spec)
 
 
 def test_exact_parameters_field_cases():
@@ -187,6 +191,15 @@ def test_connectivity_matches_bfs_oracle(h, m, n, r):
     closure = subgroup_closure([spec.vertex_entries(cid) for cid in part], h, spec.n_vertices)
     assert {spec.vertex_id(c) for c in closure} == reached
     assert len(reached) < spec.n_vertices
+
+
+@pytest.mark.parametrize("h, m, n, r", CENSUS_SWEEP_GRAPHS + [(12, 2, 2, 1)])
+def test_rank_table_matches_per_matrix_oracle(h, m, n, r):
+    spec = _spec(h, m, n, r)
+    sat = spec.ring.saturated
+    expected = [max(sum(1 for x in alpha if x < s) for alpha, s in zip(label, sat))
+                for label in per_matrix_labels(spec.ring, m, n)]
+    assert _rank_graph(spec).rho == expected
 
 
 def test_vertex_transitivity_sampled():

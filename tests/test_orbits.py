@@ -1,8 +1,12 @@
 """Orbit census: label counts, frozen lengths, product law, GL cross-check."""
 
+from collections import Counter
 from itertools import product
 
 import pytest
+
+from conftest import per_matrix_labels
+from ringmat import orbits
 
 from ringmat.errors import BudgetExceededError, VerificationError
 from ringmat.matrix import Mat
@@ -14,7 +18,7 @@ from ringmat.orbits import (
     verify_orbit_product,
 )
 from ringmat.ring import ring_spec
-from ringmat.smith import invariant_factors
+from ringmat.smith import _pp_exponents, _pp_smith_cached, invariant_factors
 
 # lengths frozen from exhaustive enumeration, cross-checked by the
 # per-component product law and by the total h**(m*n)
@@ -96,6 +100,48 @@ def test_product_law():
 def test_census_budget_guard():
     with pytest.raises(BudgetExceededError):
         census_by_enumeration(ring_spec(12), 3, 3, budget=1000)
+
+
+def test_census_budget_before_any_work(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("work started before the budget check")
+
+    monkeypatch.setattr(orbits, "exponent_rows", refuse)
+    for h in (4, 12):
+        with pytest.raises(BudgetExceededError):
+            census_by_enumeration(ring_spec(h), 3, 3, budget=1000)
+        with pytest.raises(AssertionError):  # the guard is live within the budget
+            census_by_enumeration(ring_spec(h), 1, 1)
+
+
+@pytest.mark.parametrize("h, m, n", [
+    (h, m, n) for h in (4, 6, 12, 30) for m, n in ((1, 1), (2, 2), (2, 3), (3, 2))
+    if h ** (m * n) <= 5 * 10**4
+])
+def test_census_matches_per_matrix_oracle(h, m, n):
+    ring = ring_spec(h)
+    rep = census_by_enumeration(ring, m, n)
+    assert dict(rep.entries) == Counter(per_matrix_labels(ring, m, n))
+
+
+def test_census_leaves_kernel_caches_alone():
+    sizes = [c.cache_info().currsize for c in (_pp_exponents, _pp_smith_cached)]
+    for h in (9, 12):
+        census_by_enumeration(ring_spec(h), 2, 2)
+        verify_orbit_product(ring_spec(h), 2, 2)
+    assert [c.cache_info().currsize for c in (_pp_exponents, _pp_smith_cached)] == sizes
+
+
+def test_product_report_carries_its_census(monkeypatch):
+    calls = []
+    real = orbits.census_by_enumeration
+    monkeypatch.setattr(orbits, "census_by_enumeration", lambda *a: calls.append(a[0].h) or real(*a))
+    for h, enumerated in ((4, [4]), (12, [12, 4, 3])):
+        calls.clear()
+        rep = verify_orbit_product(ring_spec(h), 2, 2)
+        assert calls == enumerated  # one census per ring; for t = 1 Z_h is its own component
+        assert rep.census == real(ring_spec(h), 2, 2)
+        assert rep.ok
 
 
 def test_census_report_validation():

@@ -12,6 +12,9 @@ from ringmat.errors import UsageError, VerificationError
 from ringmat.matrix import Mat, random_invertible, random_matrix
 from ringmat.ring import ring_spec
 from ringmat.smith import (
+    KERNEL_CACHE_SIZE,
+    _pp_exponents,
+    _pp_smith_cached,
     clear_kernel_caches,
     InvariantFactorArray,
     inner_rank,
@@ -140,6 +143,22 @@ def test_clear_kernel_caches_runs():
     clear_kernel_caches()
     f = snf(Mat.from_rows(ring_spec(6), [[1, 2], [3, 4]]))
     verify_smith_form(Mat.from_rows(ring_spec(6), [[1, 2], [3, 4]]), f)
+
+
+def test_kernel_caches_are_bounded():
+    p = 1_000_003  # a prime above the bound, so every 1x1 entry below is a distinct key
+    clear_kernel_caches()
+    try:
+        for v in range(KERNEL_CACHE_SIZE + 100):
+            _pp_exponents(p, 1, p, 1, 1, (v,))
+            _pp_smith_cached(p, 1, p, 1, 1, (v,), False)
+        for cache in (_pp_exponents, _pp_smith_cached):
+            info = cache.cache_info()
+            assert info.maxsize == KERNEL_CACHE_SIZE
+            assert info.misses == KERNEL_CACHE_SIZE + 100
+            assert info.currsize <= KERNEL_CACHE_SIZE
+    finally:
+        clear_kernel_caches()
 
 
 @given(matrices())
