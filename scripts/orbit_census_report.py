@@ -54,7 +54,12 @@ def report(config: CensusConfig) -> int:
         ring = ring_spec(h)
         for m, n in config.shapes:
             t0 = time.perf_counter()
-            rep = census_by_enumeration(ring, m, n, config.budget)
+            product_check = config.check_product and ring.t > 1
+            if product_check:  # the product report carries the census of Z_h
+                prod = verify_orbit_product(ring, m, n, config.budget)
+                rep = prod.census
+            else:
+                rep = census_by_enumeration(ring, m, n, config.budget)
             dt = time.perf_counter() - t0
             expected = expected_label_count(ring, m, n)
             print(f"\n== Z_{h}, {m}x{n} matrices "
@@ -69,8 +74,7 @@ def report(config: CensusConfig) -> int:
             if sum(length for _, length in rep.entries) != rep.total:
                 print("  !! orbit lengths do not sum to the total")
                 failures += 1
-            if config.check_product and ring.t > 1:
-                prod = verify_orbit_product(ring, m, n, config.budget)
+            if product_check:
                 if prod.ok:
                     print("  product law: every orbit length equals the product"
                           " of its component orbit lengths")

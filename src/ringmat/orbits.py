@@ -3,10 +3,13 @@
 Matrices A, B over Z_h are equivalent when B = P @ A @ Q for invertible P
 and Q, and the exponent table omega is a complete invariant, so orbits are
 in bijection with omega labels.  For m x n matrices with m <= n the label
-count is prod_i binom(s_i + m, m).  Orbit lengths are enumerated per
-component table (smith.exponent_rows) and checked by the per-prime product
-law against independent component censuses; their closed form is not
-implemented yet.
+count is prod_i binom(s_i + m, m).  Over Z_{p^s} the census uses the
+column action: some Q in GL_n sends a first row p^a * u (u unimodular) to
+p^a * e_1, and A -> A @ Q keeps the label while permuting the other rows,
+so the kernel runs on [p^a * e_1; B] only, weighted by the count of first
+rows of valuation a.  Over a composite Z_h every matrix is read off
+component tables, checked by the product law against the component
+censuses.  The closed form of the orbit lengths is not implemented yet.
 """
 
 from __future__ import annotations
@@ -20,14 +23,14 @@ from .errors import (
     DEFAULT_ENUMERATION_BUDGET, BudgetExceededError, UsageError, VerificationError, power_exceeds,
 )
 from .ring import RingSpec
-from .smith import component_walk, exponent_rows
+from .smith import _pp_smith, component_walk, exponent_rows
 
 Label = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
 class CensusReport:
-    """Orbit lengths for every label of Z_h^{m x n}, from full enumeration."""
+    """Orbit lengths for every label of Z_h^{m x n}, counted exhaustively (weighted over Z_{p^s})."""
 
     ring: RingSpec
     rows: int
@@ -87,12 +90,14 @@ def enumerate_orbit_labels(ring: RingSpec, rows: int, cols: int) -> list[Label]:
 def census_by_enumeration(
     ring: RingSpec, rows: int, cols: int, budget: int | None = None
 ) -> CensusReport:
-    """Exhaustive orbit census: label all h^(m*n) matrices and bucket by label.
+    """Exhaustive orbit census: bucket all h^(m*n) matrices by label.
 
-    Each matrix is labelled by the kernel on its projections: over a prime
-    power the labels stream into the count, otherwise each component table
-    is built once and read by component_walk.  Every label from
-    enumerate_orbit_labels must show up, and lengths must sum to h^(m*n).
+    Over Z_{p^s}, with m <= n (transposing keeps labels), the kernel runs on
+    [p^a * e_1; B] for a = 0..s and every B, weighted by the N_a = p^((s-a)n)
+    - p^((s-a-1)n) first rows of valuation a (N_s = 1): (s+1) * q^((m-1)n)
+    calls.  Otherwise each component table is built once and read by
+    component_walk.  Every label from enumerate_orbit_labels must show up,
+    and lengths must sum to h^(m*n).
     """
     cap = DEFAULT_ENUMERATION_BUDGET if budget is None else budget
     k = rows * cols
@@ -101,7 +106,13 @@ def census_by_enumeration(
 
     if ring.t == 1:
         (p, s), = ring.primes
-        counts = Counter(zip(exponent_rows(p, s, ring.h, rows, cols)))
+        q, (m, n) = ring.h, sorted((rows, cols))
+        counts = Counter()
+        for a in range(s + 1):
+            first = (p**a % q,) + (0,) * (n - 1)
+            weight = p ** ((s - a) * n) - (p ** ((s - a - 1) * n) if a < s else 0)
+            for rest in product(range(q), repeat=(m - 1) * n):
+                counts[(_pp_smith(p, s, q, m, n, first + rest, False)[0],)] += weight
     else:
         tables = [
             list(exponent_rows(p, s, q, rows, cols))

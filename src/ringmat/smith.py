@@ -15,7 +15,9 @@ through r columns - is the number of omega columns that are not fully
 saturated.
 
 Single matrices use the bounded kernel caches; exhaustive sweeps label each
-component once (exponent_rows) and read Z_h off those tables (component_walk).
+component once (exponent_rows) and read Z_h off those tables (component_walk),
+except a prime-power orbit census, which runs the uncached kernel on one
+first row per valuation and weights each label by its multiplicity (orbits).
 """
 
 from __future__ import annotations

@@ -106,7 +106,8 @@ def test_census_budget_before_any_work(monkeypatch):
     def refuse(*args):
         raise AssertionError("work started before the budget check")
 
-    monkeypatch.setattr(orbits, "exponent_rows", refuse)
+    monkeypatch.setattr(orbits, "exponent_rows", refuse)  # tables of the t > 1 walk
+    monkeypatch.setattr(orbits, "_pp_smith", refuse)  # the weighted prime-power census
     for h in (4, 12):
         with pytest.raises(BudgetExceededError):
             census_by_enumeration(ring_spec(h), 3, 3, budget=1000)
@@ -117,11 +118,32 @@ def test_census_budget_before_any_work(monkeypatch):
 @pytest.mark.parametrize("h, m, n", [
     (h, m, n) for h in (4, 6, 12, 30) for m, n in ((1, 1), (2, 2), (2, 3), (3, 2))
     if h ** (m * n) <= 5 * 10**4
+] + [  # prime powers: the weighted route, transposed (m > n), m = 1 and s >= 3
+    (h, m, n) for h in (2, 3, 8, 9, 16, 27) for m, n in ((1, 3), (2, 2), (2, 3), (3, 2), (3, 3))
+    if h ** (m * n) <= 5 * 10**4
 ])
 def test_census_matches_per_matrix_oracle(h, m, n):
     ring = ring_spec(h)
     rep = census_by_enumeration(ring, m, n)
     assert dict(rep.entries) == Counter(per_matrix_labels(ring, m, n))
+
+
+def test_prime_power_census_work(monkeypatch):
+    """(s + 1) * q^((m-1)n) kernel calls on first-row representatives, never q^(mn)."""
+    shapes = []
+    real = orbits._pp_smith
+
+    def counting(p, s, q, m, n, entries, transforms):
+        shapes.append((m, n))
+        return real(p, s, q, m, n, entries, transforms)
+
+    monkeypatch.setattr(orbits, "_pp_smith", counting)
+    census_by_enumeration(ring_spec(16), 2, 2)
+    assert len(shapes) == 5 * 16**2 == 1280
+    shapes.clear()
+    tall = census_by_enumeration(ring_spec(4), 3, 2)
+    assert len(shapes) == 3 * 4**3 and set(shapes) == {(2, 3)}  # the 2 x 3 orientation
+    assert tall.entries == census_by_enumeration(ring_spec(4), 2, 3).entries
 
 
 def test_census_leaves_kernel_caches_alone():
