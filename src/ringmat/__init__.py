@@ -73,9 +73,7 @@ from .codes import (
     certify_graph_parameters,
     clique_cover_complement,
     color_graph,
-    crt_combine,
     gabidulin_code,
-    lift_code,
     mrd_code,
     verify_distance,
 )

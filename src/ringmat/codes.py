@@ -8,15 +8,18 @@ p^(k-1) roots, so each nonzero codeword has rank at least m - k + 1 = r + 1,
 and the code meets the size bound p^(n*(m-r)) with equality: a maximum
 independent set of the low-rank-difference graph.
 
-For prime powers the prime-field code is lifted entrywise and closed under
-Z_{p**s}-linear combinations of its basis, which multiplies the size by the
-right power of p while preserving the minimum distance; a Chinese remainder
-product then assembles the code over Z_h.  Every construction step re-runs
-an exhaustive distance verification before the code is returned, so emitted
-codes never rely on the argument above; the returned code carries that
-distance.  A set of words that is a coset of an additive subgroup is checked
-through its difference group, and any other set pairwise; a code flagged
-linear must be its own difference group (contain zero and be closed under
+Over Z_h the code is the Z_h-span of the n*(m-r) codewords of the unit
+messages over every F_p, each placed in the CRT component of its prime.  In
+the component Z_{p**s} that span is the entrywise lift of the prime-field
+code closed under Z_{p**s}-combinations, of size p**(s*n*(m-r)) and the same
+distance: a word with unit content reduces mod p to a nonzero member of the
+prime-field code, and any p-divisible word is a p-multiple of a lifted one.
+A code is the span of its basis, built by one subgroup closure and verified
+once by an exhaustive distance check before it is returned, so emitted codes
+never rely on the argument above; the returned code carries that distance.
+A set of words that is a coset of an additive subgroup is checked through
+its difference group, and any other set pairwise; a code flagged linear
+must be its own difference group (contain zero and be closed under
 addition), which the same subgroup closure verifies.
 
 The same codes drive the two coloring-style certificates.  A code of
@@ -52,7 +55,7 @@ from .errors import (
     VerificationError,
     power_exceeds,
 )
-from .graph import GraphSpec, _translate_ids, adjacent, build_graph
+from .graph import GraphSpec, _translate_ids, adjacent, build_graph, subgroup_closure
 from .matrix import Mat
 from .ring import RingSpec, ring_spec
 from .smith import inner_rank
@@ -171,10 +174,11 @@ class RankCode:
     """A set of m x n matrices with a verified minimum rank distance.
 
     For linear codes (closed under addition and scalar multiples) `basis`
-    holds a generating set and the distance equals the minimum rank of a
-    nonzero member; verify_distance checks the closure under addition and
-    re-establishes the distance exhaustively.  verified_distance is what that
-    check returned, on codes built here.
+    holds a generating set, and the codes built here are its span; the
+    distance equals the minimum rank of a nonzero member.  verify_distance
+    checks the closure under addition and re-establishes the distance
+    exhaustively; verified_distance is what that one check returned, on
+    codes built here.
     """
 
     ring: RingSpec
@@ -228,137 +232,65 @@ def _checked(code: RankCode, pair_budget: int = DEFAULT_PAIR_BUDGET) -> RankCode
     return replace(code, verified_distance=d)
 
 
+def _gabidulin_basis(field: FieldSpec, m: int, k: int) -> list[tuple[int, ...]]:
+    """Entry tuples of the codewords of the messages x^e in slot j, j-major, e < n, j < k.
+
+    The codeword of a message (c_0, ..., c_{k-1}) is the matrix of
+    x -> sum c_j x^(p**j) restricted to the first m coordinates; these n*k
+    words span the evaluation code over F_p.
+    """
+    n = field.n
+    units = [tuple(int(i == e) for i in range(n)) for e in range(n)]
+    basis = []
+    for j in range(k):
+        frob = [field.frobenius_power(u, j) for u in units]
+        for x in units:
+            cols = [field.mul(x, f) for f in frob]
+            basis.append(tuple(cols[l][i] for i in range(m) for l in range(n)))
+    return basis
+
+
+def _span_code(
+    ring: RingSpec, m: int, n: int, d: int, basis: Sequence[tuple[int, ...]], size: int, pair_budget: int
+) -> RankCode:
+    """The Z_h-span of basis, which must hold exactly size words, verified once to have distance d."""
+    group = subgroup_closure(basis, ring.h, size)
+    if group is None or len(group) != size:
+        raise VerificationError(f"the basis does not span exactly {size} words")
+    members = frozenset(Mat._new(ring, m, n, g) for g in group)
+    code = RankCode(ring, m, n, members, d, True, tuple(Mat._new(ring, m, n, b) for b in basis))
+    return _checked(code, pair_budget)
+
+
 def gabidulin_code(field: FieldSpec, m: int, n: int, d: int) -> RankCode:
     """The evaluation code over F_p with m x n matrices and distance exactly d.
 
     Needs 1 <= d <= m <= n = field.n.  Messages are coefficient vectors
     (c_0, ..., c_{k-1}) over the extension field with k = m - d + 1; the
     codeword is the matrix of x -> sum c_j x^(p**j) restricted to the first
-    m coordinates.  The result carries p**(n*k) members and is linear over
-    the prime field.
+    m coordinates.  The code is the F_p-span of the n*k codewords of the
+    messages x^e in slot j (its basis, j-major), must hold p**(n*k) words,
+    and is verified once.
     """
     if n != field.n:
         raise UsageError("n must equal the extension degree of the field")
     if not 1 <= d <= m <= n:
         raise UsageError(f"need 1 <= d <= m <= n, got d={d}, m={m}, n={n}")
-    p = field.p
     k = m - d + 1
-    ring = ring_spec(p)
-
-    # images of the polynomial basis under each q-power: frob[j][l] = (x^l)^(p^j)
-    basis_elems = [tuple(1 if i == l else 0 for i in range(n)) for l in range(n)]
-    frob = [[field.frobenius_power(b, j) for b in basis_elems] for j in range(k)]
-
-    def codeword(message: Sequence[tuple[int, ...]]) -> Mat:
-        cols = []
-        for l in range(n):
-            acc = field.zero()
-            for j, c in enumerate(message):
-                acc = field.add(acc, field.mul(c, frob[j][l]))
-            cols.append(acc)
-        ents = tuple(cols[l][i] for i in range(m) for l in range(n))
-        return Mat._new(ring, m, n, ents)
-
-    members = []
-    for message in product(field.elements(), repeat=k):
-        members.append(codeword(message))
-    basis = []
-    for j in range(k):
-        for e in range(n):
-            msg = [field.zero()] * k
-            msg[j] = tuple(1 if i == e else 0 for i in range(n))
-            basis.append(codeword(msg))
-    code = RankCode(ring, m, n, frozenset(members), d, True, tuple(basis))
-    if code.size != p ** (n * k):
-        raise VerificationError("evaluation map is not injective")
-    return _checked(code)
-
-
-def lift_code(code: RankCode, s: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> RankCode:
-    """Close the integer lift of a prime-field linear code under Z_{p**s} combinations.
-
-    The lifted code has size p**(s * len(basis)) and the same minimum
-    distance: ranks never drop under the lift because a codeword with unit
-    content reduces mod p to a nonzero member of the original code, and any
-    p-divisible member is a p-multiple of a lifted one.  The claim is still
-    re-verified exhaustively before the code is returned.
-    """
-    if not code.linear or code.basis is None:
-        raise UsageError("only linear codes with a basis can be lifted")
-    if code.ring.t != 1 or code.ring.primes[0][1] != 1:
-        raise UsageError("lift starts from a code over a prime field")
-    p = code.ring.primes[0][0]
-    ring = ring_spec(p**s)
-    h = ring.h
-    basis = [Mat._new(ring, b.rows, b.cols, b.entries) for b in code.basis]
-    members: set[Mat] = set()
-    for coeffs in product(range(h), repeat=len(basis)):
-        acc = [0] * (code.rows * code.cols)
-        for c, b in zip(coeffs, basis):
-            if c:
-                for i, v in enumerate(b.entries):
-                    acc[i] += c * v
-        members.add(Mat._new(ring, code.rows, code.cols, tuple(v % h for v in acc)))
-    lifted = RankCode(
-        ring, code.rows, code.cols, frozenset(members),
-        code.claimed_min_distance, True, tuple(basis),
-    )
-    if lifted.size != p ** (s * len(basis)):
-        raise VerificationError("lift collapsed some combinations")
-    return _checked(lifted, pair_budget)
-
-
-def crt_combine(codes: Sequence[RankCode], pair_budget: int = DEFAULT_PAIR_BUDGET) -> RankCode:
-    """Entrywise Chinese remainder product of codes over coprime prime powers."""
-    if not codes:
-        raise UsageError("no codes to combine")
-    dims = {(c.rows, c.cols) for c in codes}
-    dists = {c.claimed_min_distance for c in codes}
-    if len(dims) != 1 or len(dists) != 1:
-        raise UsageError("codes must share dimensions and claimed distance")
-    h = 1
-    for c in codes:
-        if c.ring.t != 1:
-            raise UsageError("components must be prime-power codes")
-        h *= c.ring.h
-    ring = ring_spec(h)
-    if ring.prime_powers != tuple(c.ring.h for c in codes):
-        raise UsageError("component moduli must be the ordered prime powers of their product")
-    (rows, cols), = dims
-    members = []
-    for combo in product(*(sorted(c.members, key=lambda mat: mat.entries) for c in codes)):
-        members.append(Mat._new(ring, rows, cols, ring.crt_vectors([mat.entries for mat in combo])))
-    linear = all(c.linear for c in codes)
-    basis: tuple[Mat, ...] | None = None
-    if linear:
-        zero = (0,) * (rows * cols)
-        out = []
-        for i, c in enumerate(codes):
-            assert c.basis is not None
-            for b in c.basis:
-                comps = [b.entries if j == i else zero for j in range(len(codes))]
-                out.append(Mat._new(ring, rows, cols, ring.crt_vectors(comps)))
-        basis = tuple(out)
-    combined = RankCode(
-        ring, rows, cols, frozenset(members), dists.pop(), linear, basis
-    )
-    expected = 1
-    for c in codes:
-        expected *= c.size
-    if combined.size != expected:
-        raise VerificationError("CRT product lost members")
-    return _checked(combined, pair_budget)
+    basis = _gabidulin_basis(field, m, k)
+    return _span_code(ring_spec(field.p), m, n, d, basis, field.p ** (n * k), DEFAULT_PAIR_BUDGET)
 
 
 def mrd_code(spec: GraphSpec, pair_budget: int = DEFAULT_PAIR_BUDGET) -> RankCode:
     """A verified code over Z_h of size h**(n*(m-r)) with minimum distance r + 1.
 
-    Per prime: evaluation code over F_p, lifted to Z_{p**s}; the components
-    are then CRT-combined.  For r = m the graph is complete and the code
-    degenerates to {0}, of distance inf; as nothing else bounds the shape
-    then, the budget also caps its h**(m*n) vertices.  The budget is checked
-    before any work, and the returned code carries the distance verified
-    for it.
+    The code is the Z_h-span of the Gabidulin basis over each F_p, placed in
+    the CRT component of p (primes in order), and gets one exhaustive
+    distance verification with pair_budget.  For r = m the graph is complete
+    and the code degenerates to {0}, of distance inf; as nothing else bounds
+    the shape then, the budget also caps its h**(m*n) vertices.  The budget
+    is checked before any work, and the returned code carries the distance
+    verified for it.
     """
     ring = spec.ring
     m, n, r = spec.m, spec.n, spec.r
@@ -370,17 +302,13 @@ def mrd_code(spec: GraphSpec, pair_budget: int = DEFAULT_PAIR_BUDGET) -> RankCod
         if power_exceeds(ring.h, m * n, pair_budget):
             raise BudgetExceededError(f"{ring.h}^{m * n} vertices exceed the budget {pair_budget}")
         return _checked(RankCode(ring, m, n, frozenset([Mat.zeros(ring, m, n)]), r + 1, True, ()))
-    comps = []
-    for (p, s), q in zip(ring.primes, ring.prime_powers):
-        field = FieldSpec.default(p, n)
-        base = gabidulin_code(field, m, n, r + 1)
-        comps.append(lift_code(base, s, pair_budget) if s > 1 else base)
-    code = comps[0] if len(comps) == 1 else crt_combine(comps, pair_budget)
-    if code.size != spec.independence_bound:
-        raise VerificationError(
-            f"code size {code.size} != h^(n(m-r)) = {spec.independence_bound}"
-        )
-    return code
+    zero = (0,) * (m * n)
+    basis = [
+        ring.crt_vectors([b if j == i else zero for j in range(ring.t)])
+        for i, (p, _) in enumerate(ring.primes)
+        for b in _gabidulin_basis(FieldSpec.default(p, n), m, m - r)
+    ]
+    return _span_code(ring, m, n, r + 1, basis, spec.independence_bound, pair_budget)
 
 
 # --- colorings and covers ---------------------------------------------------------

@@ -14,16 +14,14 @@ from ringmat.codes import (
     certify_graph_parameters,
     clique_cover_complement,
     color_graph,
-    crt_combine,
     FieldSpec,
     gabidulin_code,
     GraphCertificate,
-    lift_code,
     mrd_code,
     RankCode,
     verify_distance,
 )
-from ringmat.errors import BudgetExceededError, UsageError, VerificationError
+from ringmat.errors import BudgetExceededError, VerificationError
 from ringmat.graph import _translate_ids, build_graph, GraphSpec, subgroup_closure
 from ringmat.matrix import Mat, random_matrix
 from ringmat.ring import ring_spec
@@ -85,30 +83,53 @@ def test_gabidulin_distance_one_is_whole_space():
     assert verify_distance(code) == 1
 
 
-def test_lift_preserves_size_and_distance():
-    field = FieldSpec.default(2, 2)
-    base = gabidulin_code(field, 2, 2, 2)
-    lifted = lift_code(base, 2)
-    assert lifted.ring.h == 4
-    assert lifted.size == 16
-    assert verify_distance(lifted) == 2
-    assert lifted.linear
-    # linearity spot check: closed under addition
-    members = sorted(lifted.members, key=lambda m: m.entries)[:6]
-    for a in members:
-        for b in members:
-            assert (a + b) in lifted.members
+# --- the span construction against the message, lift and CRT-product routes ------
 
 
-def test_crt_combine_matches_component_codes():
-    c2 = gabidulin_code(FieldSpec.default(2, 2), 2, 2, 2)
-    c3 = gabidulin_code(FieldSpec.default(3, 2), 2, 2, 2)
-    code = crt_combine([c2, c3])
-    assert code.ring.h == 6
-    assert code.size == 36
-    assert verify_distance(code) == 2
-    with pytest.raises(UsageError):
-        crt_combine([c3, c2])  # component order must match the prime order
+def _message_code(field, m, n, d):
+    """Words of every message over the extension field, and of the unit messages in order."""
+    k, units = m - d + 1, [tuple(int(i == e) for i in range(n)) for e in range(n)]
+    frob = [[field.frobenius_power(u, j) for u in units] for j in range(k)]
+
+    def codeword(message):
+        cols = [field.zero()] * n
+        for j, c in enumerate(message):
+            cols = [field.add(col, field.mul(c, frob[j][l])) for l, col in enumerate(cols)]
+        return tuple(cols[l][i] for i in range(m) for l in range(n))
+
+    words = {codeword(message) for message in product(field.elements(), repeat=k)}
+    zero = field.zero()
+    return words, [codeword([x if i == j else zero for i in range(k)]) for j in range(k) for x in units]
+
+
+@pytest.mark.parametrize("p, m, n, d", [(p, m, n, d) for p in (2, 3, 5) for m, n in ((2, 2), (2, 3)) for d in (1, 2)])
+def test_gabidulin_span_matches_message_oracle(p, m, n, d):
+    field = FieldSpec.default(p, n)
+    words, basis = _message_code(field, m, n, d)
+    code = gabidulin_code(field, m, n, d)
+    assert {w.entries for w in code.members} == words
+    assert [b.entries for b in code.basis] == basis
+    assert code.verified_distance == d and code.size == p ** (n * (m - d + 1))
+
+
+@pytest.mark.parametrize("h, m, n, r", [
+    (h, 2, n, 1) for h in (2, 3, 4, 5, 6, 8, 9, 12, 30) for n in (2, 3)
+] + [(6, 3, 3, 2)])
+def test_mrd_span_matches_lift_and_crt_product_oracle(h, m, n, r):
+    """Each prime code lifted over all coefficient vectors, then the CRT product of the member sets."""
+    ring, zero = ring_spec(h), (0,) * (m * n)
+    comps, basis = [], []
+    for i, ((p, _), q) in enumerate(zip(ring.primes, ring.prime_powers)):
+        base = _message_code(FieldSpec.default(p, n), m, n, r + 1)[1]
+        comps.append({
+            tuple(sum(c * b[x] for c, b in zip(coeffs, base)) % q for x in range(m * n))
+            for coeffs in product(range(q), repeat=len(base))
+        })
+        basis += [ring.crt_vectors([b if j == i else zero for j in range(ring.t)]) for b in base]
+    code = mrd_code(_spec(h, m, n, r))
+    assert {w.entries for w in code.members} == {ring.crt_vectors(words) for words in product(*comps)}
+    assert [b.entries for b in code.basis] == basis
+    assert code.verified_distance == r + 1
 
 
 def test_mrd_sizes_all_rings():
@@ -403,19 +424,38 @@ def test_code_distance_verified_once(monkeypatch):
     spec = _spec(6)
     code = mrd_code(spec)
     assert code.verified_distance == 2
-    assert calls == [4, 9, 36]  # the two prime codes and their CRT product
+    assert calls == [36]
     calls.clear()
     certify_graph_parameters(spec, vertex_budget=2000)
-    assert calls == [4, 9, 36]
+    assert calls == [36]
+
+
+@pytest.mark.parametrize("h", [5, 6, 8, 12])
+def test_mrd_code_verified_once_with_the_callers_budget(monkeypatch, h):
+    calls = []
+    real = codes.verify_distance
+
+    def recording(code, pair_budget=codes.DEFAULT_PAIR_BUDGET):
+        calls.append((code.size, pair_budget))
+        return real(code, pair_budget)
+
+    monkeypatch.setattr(codes, "verify_distance", recording)
+    spec = _spec(h)
+    size = spec.independence_bound
+    assert mrd_code(spec, pair_budget=size - 1).size == size
+    assert calls == [(size, size - 1)]
 
 
 def test_mrd_code_budget_before_any_work(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("work started before the budget check")
 
-    monkeypatch.setattr(codes, "gabidulin_code", refuse)
-    with pytest.raises(BudgetExceededError):
-        mrd_code(_spec(6), pair_budget=34)
+    monkeypatch.setattr(codes.FieldSpec, "default", refuse)  # the first step of the basis
+    for h in (6, 8):
+        with pytest.raises(BudgetExceededError):
+            mrd_code(_spec(h), pair_budget=h**2 - 2)
+        with pytest.raises(AssertionError):  # the guard is live within the budget
+            mrd_code(_spec(h), pair_budget=h**2 - 1)
 
 
 def test_certificate_reports_witnesses():

@@ -211,7 +211,7 @@ def test_clique_code_and_graph_results_pass_public_validation(monkeypatch):
     from ringmat import cliques, codes
     from ringmat.cliques import (CanonicalCliqueSpec, build_canonical_clique, classify_max_clique,
                                  random_clique_form, rebuild_clique)
-    from ringmat.codes import FieldSpec, RankCode, crt_combine, gabidulin_code, lift_code, verify_distance
+    from ringmat.codes import RankCode, mrd_code, verify_distance
     from ringmat.graph import GraphSpec
 
     seen = []
@@ -235,10 +235,8 @@ def test_clique_code_and_graph_results_pass_public_validation(monkeypatch):
             seen += [x for x in (form.S, form.T) if x is not None]
         shift = Mat(spec.ring, 2, 2, (1, 2, 3, 0))
         verify_distance(RankCode(spec.ring, 2, 2, frozenset(x + shift for x in clique), 1, False, None))
-    g2 = gabidulin_code(FieldSpec.default(2, 2), 2, 2, 2)
-    g3 = gabidulin_code(FieldSpec.default(3, 2), 2, 2, 2)
-    lifted = lift_code(g2, 2)
-    for code in (g2, g3, lifted, crt_combine([lifted, g3])):
+    for h in (4, 6, 12):
+        code = mrd_code(GraphSpec(ring_spec(h), 2, 2, 1))
         seen += list(code.members) + list(code.basis)
     assert len(seen) > 1000
     for r in seen:
