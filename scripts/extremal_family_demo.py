@@ -32,7 +32,6 @@ from ringmat import (
     random_clique_form,
     rebuild_clique,
     ring_spec,
-    verify_distance,
     verify_ekr,
 )
 
@@ -88,7 +87,7 @@ def run(config: DemoConfig) -> int:
     print(f"  ({time.perf_counter() - t0:.2f}s)")
 
     code = mrd_code(spec)
-    dist = verify_distance(code)
+    dist = code.verified_distance
     print(f"\nrank-distance code: {code.size} words "
           f"(bound {spec.independence_bound}), verified minimum distance {dist}")
     if code.size != spec.independence_bound or dist != spec.r + 1:

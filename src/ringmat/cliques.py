@@ -266,7 +266,7 @@ def classify_max_clique(spec: GraphSpec, family: Iterable[Mat]) -> CliqueForm:
         comp = ring.component(idx)
 
         hstack = _stack_horizontal(proj, m, n)
-        h_alpha, _, h_uinv, _, _ = _pp_smith_cached(p, s, q, m, len(proj) * n, hstack, True)
+        h_alpha, h_uinv, _ = _pp_smith_cached(p, s, q, m, len(proj) * n, hstack, True)
         if h_alpha == (0,) * r + (s,) * (m - r):
             s_comps.append(Mat._new(comp, m, m, h_uinv))
             t_comps.append(None)
@@ -274,7 +274,7 @@ def classify_max_clique(spec: GraphSpec, family: Iterable[Mat]) -> CliqueForm:
             continue
 
         vstack = _stack_vertical(proj, m, n)
-        v_alpha, _, _, _, v_vinv = _pp_smith_cached(p, s, q, len(proj) * m, n, vstack, True)
+        v_alpha, _, v_vinv = _pp_smith_cached(p, s, q, len(proj) * m, n, vstack, True)
         if v_alpha == (0,) * r + (s,) * (n - r):
             if m != n:
                 raise VerificationError(

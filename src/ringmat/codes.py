@@ -250,6 +250,12 @@ def _gabidulin_basis(field: FieldSpec, m: int, k: int) -> list[tuple[int, ...]]:
     return basis
 
 
+def _check_pair_budget(base: int, exp: int, pair_budget: int) -> None:
+    """Raise before any work if a linear code of base**exp words needs more distance checks than the budget."""
+    if power_exceeds(base, exp, pair_budget + 1):
+        raise BudgetExceededError(f"{base}^{exp} - 1 distance checks exceed the budget {pair_budget}")
+
+
 def _span_code(
     ring: RingSpec, m: int, n: int, d: int, basis: Sequence[tuple[int, ...]], size: int, pair_budget: int
 ) -> RankCode:
@@ -270,13 +276,14 @@ def gabidulin_code(field: FieldSpec, m: int, n: int, d: int) -> RankCode:
     codeword is the matrix of x -> sum c_j x^(p**j) restricted to the first
     m coordinates.  The code is the F_p-span of the n*k codewords of the
     messages x^e in slot j (its basis, j-major), must hold p**(n*k) words,
-    and is verified once.
+    and is verified once, under a pair budget checked before the basis is built.
     """
     if n != field.n:
         raise UsageError("n must equal the extension degree of the field")
     if not 1 <= d <= m <= n:
         raise UsageError(f"need 1 <= d <= m <= n, got d={d}, m={m}, n={n}")
     k = m - d + 1
+    _check_pair_budget(field.p, n * k, DEFAULT_PAIR_BUDGET)
     basis = _gabidulin_basis(field, m, k)
     return _span_code(ring_spec(field.p), m, n, d, basis, field.p ** (n * k), DEFAULT_PAIR_BUDGET)
 
@@ -294,10 +301,7 @@ def mrd_code(spec: GraphSpec, pair_budget: int = DEFAULT_PAIR_BUDGET) -> RankCod
     """
     ring = spec.ring
     m, n, r = spec.m, spec.n, spec.r
-    if power_exceeds(ring.h, n * (m - r), pair_budget + 1):
-        raise BudgetExceededError(
-            f"{ring.h}^{n * (m - r)} - 1 distance checks exceed the budget {pair_budget}"
-        )
+    _check_pair_budget(ring.h, n * (m - r), pair_budget)
     if r == m:
         if power_exceeds(ring.h, m * n, pair_budget):
             raise BudgetExceededError(f"{ring.h}^{m * n} vertices exceed the budget {pair_budget}")

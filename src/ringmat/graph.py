@@ -158,27 +158,26 @@ class RankGraph:
 
 
 def build_graph(spec: GraphSpec, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> RankGraph:
-    """Materialize the rank table, kept for the last spec; above the vertex budget raise first."""
+    """The graph on the rank table kept for the last shape; above the vertex budget raise first."""
     k = spec.m * spec.n
     if power_exceeds(spec.ring.h, k, vertex_budget):
         raise BudgetExceededError(f"{spec.ring.h}^{k} vertices exceed the vertex budget {vertex_budget}")
-    return _rank_graph(spec)
+    return RankGraph(spec, _rank_table(spec.ring, spec.m, spec.n))
 
 
 @lru_cache(maxsize=1)
-def _rank_graph(spec: GraphSpec) -> RankGraph:
-    """rho read off one rank table per component: a rank is the largest rank of the projections."""
-    ring, m, n = spec.ring, spec.m, spec.n
+def _rank_table(ring: RingSpec, m: int, n: int) -> list[int]:
+    """rho, for every radius, read off one rank table per component: the largest projected rank."""
     tables = [
         [sum(1 for x in alpha if x < s) for alpha in exponent_rows(p, s, q, m, n)]
         for (p, s), q in zip(ring.primes, ring.prime_powers)
     ]
     if ring.t == 1:
-        return RankGraph(spec, tables[0])
+        return tables[0]
     rho: list[int] = []
     for block in component_walk(ring, m, n, tables):
         rho.extend(map(max, *block))
-    return RankGraph(spec, rho)
+    return rho
 
 
 def exact_clique_number(spec: GraphSpec, budget: int = DEFAULT_EXACT_SEARCH_BUDGET) -> int:

@@ -36,7 +36,6 @@ from .codes import (
     clique_cover_complement,
     color_graph,
     mrd_code,
-    verify_distance,
 )
 from .errors import NotIntersectingError
 from .graph import (
@@ -236,7 +235,7 @@ def check_codes(quick: bool = False) -> tuple[bool, str]:
         code = mrd_code(spec)
         if code.size != spec.independence_bound:
             _fail(msgs, f"h={h} {m}x{n}: size {code.size} != {spec.independence_bound}")
-        d = verify_distance(code)
+        d = code.verified_distance
         if d != r + 1:
             _fail(msgs, f"h={h} {m}x{n}: distance {d} != {r + 1}")
         notes.append(f"h={h} {m}x{n}: {code.size} words, distance {d}")

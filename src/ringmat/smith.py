@@ -106,27 +106,31 @@ class RankProjections(NamedTuple):
 # entry of the trailing block, ties broken by lowest (row, col).  The pivot
 # row is scaled by the inverse of the pivot's unit part so the pivot becomes
 # exactly p**a, after which every remaining entry in its row and column is an
-# exact multiple and is cleared without division by zero divisors.
+# exact multiple and is cleared without division by zero divisors.  Only the
+# trailing block is read again, so only it is updated.  Only the inverse
+# transforms are kept: until step d, columns d.. of Uinv and rows d.. of Vinv
+# are the unit vectors e_rp[j] and e_cp[j], as only swaps touched them, so
+# row_i -= c * row_d writes c to Uinv[rp[i], d] and col_j -= c * col_d writes
+# c to Vinv[d, cp[j]]: one entry per elimination.
 
 
 def _pp_smith(
     p: int, s: int, q: int, m: int, n: int, entries: tuple[int, ...], transforms: bool
-) -> tuple[tuple[int, ...], tuple[int, ...] | None, tuple[int, ...] | None, tuple[int, ...] | None, tuple[int, ...] | None]:
-    """Diagonalize over Z_{p**s}: returns (alpha, U, Uinv, V, Vinv), flat row-major.
+) -> tuple[tuple[int, ...], tuple[int, ...] | None, tuple[int, ...] | None]:
+    """Diagonalize over Z_{p**s}: returns (alpha, Uinv, Vinv), flat row-major.
 
-    U @ A @ V = diag(p**alpha) and A = Uinv @ diag(p**alpha) @ Vinv.  The
-    transform slots are None unless transforms is True.
+    A = Uinv @ diag(p**alpha) @ Vinv; columns (rows) of Uinv (Vinv) from the
+    current pivot on stay unit vectors, so each elimination writes one entry.
+    The transform slots are None unless transforms is True.
     """
     a = list(entries)
     k = min(m, n)
     alpha = [s] * k
     if transforms:
-        U = [1 if i == j else 0 for i in range(m) for j in range(m)]
-        Ui = list(U)
-        V = [1 if i == j else 0 for i in range(n) for j in range(n)]
-        Vi = list(V)
-    else:
-        U = Ui = V = Vi = None
+        rp = list(range(m))  # column j >= d of Uinv is e_rp[j]
+        cp = list(range(n))  # row j >= d of Vinv is e_cp[j]
+        Ui = [0] * (m * m)
+        Vi = [0] * (n * n)
 
     for d in range(k):
         best_v, bi, bj = s, -1, -1
@@ -149,63 +153,50 @@ def _pp_smith(
             break  # trailing block is zero; remaining exponents stay at s
         alpha[d] = best_v
 
+        dn = d * n
         if bi != d:
-            for j in range(n):
-                a[d * n + j], a[bi * n + j] = a[bi * n + j], a[d * n + j]
+            bn = bi * n
+            a[dn + d:dn + n], a[bn + d:bn + n] = a[bn + d:bn + n], a[dn + d:dn + n]
             if transforms:
-                for j in range(m):
-                    U[d * m + j], U[bi * m + j] = U[bi * m + j], U[d * m + j]
-                for i in range(m):
-                    Ui[i * m + d], Ui[i * m + bi] = Ui[i * m + bi], Ui[i * m + d]
+                rp[d], rp[bi] = rp[bi], rp[d]
         if bj != d:
-            for i in range(m):
-                a[i * n + d], a[i * n + bj] = a[i * n + bj], a[i * n + d]
+            for i in range(dn + d, m * n, n):
+                a[i], a[i + bj - d] = a[i + bj - d], a[i]
             if transforms:
-                for i in range(n):
-                    V[i * n + d], V[i * n + bj] = V[i * n + bj], V[i * n + d]
-                for j in range(n):
-                    Vi[d * n + j], Vi[bj * n + j] = Vi[bj * n + j], Vi[d * n + j]
+                cp[d], cp[bj] = cp[bj], cp[d]
 
         pa = p**best_v
-        u = a[d * n + d] // pa
+        u = a[dn + d] // pa
+        row = range(dn + d + 1, dn + n)  # the pivot row right of the pivot
         if u != 1:
             uinv = pow(u, -1, q)
-            for j in range(d, n):
-                a[d * n + j] = a[d * n + j] * uinv % q
-            if transforms:
-                for j in range(m):
-                    U[d * m + j] = U[d * m + j] * uinv % q
-                for i in range(m):
-                    Ui[i * m + d] = Ui[i * m + d] * u % q
+            for j in row:
+                a[j] = a[j] * uinv % q
+        if transforms:
+            Ui[rp[d] * m + d] = u
+            Vi[dn + cp[d]] = 1
+            for j in range(d + 1, n):
+                Vi[dn + cp[j]] = a[dn + j] // pa
 
-        # clear the column below the pivot: row_i -= c * row_d
+        # row_i -= c * row_d below the pivot; col_j -= c * col_d changes only row d
         for i in range(d + 1, m):
             x = a[i * n + d]
             if x:
                 c = x // pa
-                for j in range(d, n):
-                    a[i * n + j] = (a[i * n + j] - c * a[d * n + j]) % q
+                off = (i - d) * n
+                for j in row:
+                    a[j + off] = (a[j + off] - c * a[j]) % q
                 if transforms:
-                    for j in range(m):
-                        U[i * m + j] = (U[i * m + j] - c * U[d * m + j]) % q
-                    for r0 in range(m):
-                        Ui[r0 * m + d] = (Ui[r0 * m + d] + c * Ui[r0 * m + i]) % q
+                    Ui[rp[i] * m + d] = c
 
-        # clear the row right of the pivot: col_j -= c * col_d.  Column d is
-        # zero off the pivot by now, so only the (d, j) entries change.
-        for j in range(d + 1, n):
-            x = a[d * n + j]
-            if x:
-                c = x // pa
-                a[d * n + j] = 0
-                if transforms:
-                    for i in range(n):
-                        V[i * n + j] = (V[i * n + j] - c * V[i * n + d]) % q
-                    for j0 in range(n):
-                        Vi[d * n + j0] = (Vi[d * n + j0] + c * Vi[j * n + j0]) % q
-
-    to_t = tuple if transforms else (lambda _x: None)
-    return tuple(alpha), to_t(U), to_t(Ui), to_t(V), to_t(Vi)
+    if not transforms:
+        return tuple(alpha), None, None
+    done = sum(x < s for x in alpha)  # pivots found; a pivot has valuation below s
+    for j in range(done, m):
+        Ui[rp[j] * m + j] = 1
+    for j in range(done, n):
+        Vi[j * n + cp[j]] = 1
+    return tuple(alpha), tuple(Ui), tuple(Vi)
 
 
 KERNEL_CACHE_SIZE = 2**16  # entries per kernel cache, so memory stays bounded
@@ -301,7 +292,7 @@ def snf(a: Mat) -> SmithForm:
     vinvs: list[Mat] = []
     for i, ((p, s), q) in enumerate(zip(ring.primes, ring.prime_powers)):
         proj = a.entries if q == ring.h else tuple(v % q for v in a.entries)
-        alpha, _U, Ui, _V, Vi = _pp_smith_cached(p, s, q, m, n, proj, True)
+        alpha, Ui, Vi = _pp_smith_cached(p, s, q, m, n, proj, True)
         comp = ring.component(i)
         alphas.append(alpha)
         uinvs.append(Mat._new(comp, m, m, Ui))
@@ -363,11 +354,18 @@ def rank_via_projections(a: Mat) -> RankProjections:
 
 def verify_smith_form(a: Mat, f: SmithForm) -> None:
     """Raise VerificationError unless f is a valid Smith form of a."""
-    if f.S @ f.D @ f.T != a:
+    ring, m, n = a.ring, a.rows, a.cols
+    diag = f.omega.diagonal_values()
+    if f.D != Mat.diagonal(ring, diag, m, n):
+        raise VerificationError("D does not match the omega table")
+    S, h, k = f.S, ring.h, len(diag)
+    if (S.ring, S.rows, S.cols) != (ring, m, m):
+        raise VerificationError(f"S is not {m} x {m} over the ring of the input")
+    # D is canonical, so S @ D is S with its first k columns scaled by the diagonal
+    sd = tuple(S.entries[i * m + c] * diag[c] % h if c < k else 0 for i in range(m) for c in range(n))
+    if Mat._new(ring, m, n, sd) @ f.T != a:
         raise VerificationError("S @ D @ T does not reproduce the input")
-    if not f.S.is_invertible():
+    if not S.is_invertible():
         raise VerificationError("S is not invertible")
     if not f.T.is_invertible():
         raise VerificationError("T is not invertible")
-    if f.D != Mat.diagonal(a.ring, f.omega.diagonal_values(), a.rows, a.cols):
-        raise VerificationError("D does not match the omega table")

@@ -77,3 +77,104 @@ def per_matrix_labels(ring, rows, cols):
             _pp_smith(p, s, q, rows, cols, tuple(v % q for v in ents), False)[0]
             for (p, s), q in zip(ring.primes, ring.prime_powers)
         )
+
+
+# The four-transform kernel as it stood before ringmat.smith._pp_smith kept
+# only the inverse transforms: the oracle the kernel is compared with.
+def reference_pp_smith(
+    p: int, s: int, q: int, m: int, n: int, entries: tuple[int, ...], transforms: bool
+) -> tuple[tuple[int, ...], tuple[int, ...] | None, tuple[int, ...] | None, tuple[int, ...] | None, tuple[int, ...] | None]:
+    """Diagonalize over Z_{p**s}: returns (alpha, U, Uinv, V, Vinv), flat row-major.
+
+    U @ A @ V = diag(p**alpha) and A = Uinv @ diag(p**alpha) @ Vinv.  The
+    transform slots are None unless transforms is True.
+    """
+    a = list(entries)
+    k = min(m, n)
+    alpha = [s] * k
+    if transforms:
+        U = [1 if i == j else 0 for i in range(m) for j in range(m)]
+        Ui = list(U)
+        V = [1 if i == j else 0 for i in range(n) for j in range(n)]
+        Vi = list(V)
+    else:
+        U = Ui = V = Vi = None
+
+    for d in range(k):
+        best_v, bi, bj = s, -1, -1
+        for i in range(d, m):
+            base = i * n
+            for j in range(d, n):
+                x = a[base + j]
+                if x:
+                    v = 0
+                    while x % p == 0:
+                        x //= p
+                        v += 1
+                    if v < best_v:
+                        best_v, bi, bj = v, i, j
+                        if v == 0:
+                            break
+            if best_v == 0:
+                break
+        if bi < 0:
+            break  # trailing block is zero; remaining exponents stay at s
+        alpha[d] = best_v
+
+        if bi != d:
+            for j in range(n):
+                a[d * n + j], a[bi * n + j] = a[bi * n + j], a[d * n + j]
+            if transforms:
+                for j in range(m):
+                    U[d * m + j], U[bi * m + j] = U[bi * m + j], U[d * m + j]
+                for i in range(m):
+                    Ui[i * m + d], Ui[i * m + bi] = Ui[i * m + bi], Ui[i * m + d]
+        if bj != d:
+            for i in range(m):
+                a[i * n + d], a[i * n + bj] = a[i * n + bj], a[i * n + d]
+            if transforms:
+                for i in range(n):
+                    V[i * n + d], V[i * n + bj] = V[i * n + bj], V[i * n + d]
+                for j in range(n):
+                    Vi[d * n + j], Vi[bj * n + j] = Vi[bj * n + j], Vi[d * n + j]
+
+        pa = p**best_v
+        u = a[d * n + d] // pa
+        if u != 1:
+            uinv = pow(u, -1, q)
+            for j in range(d, n):
+                a[d * n + j] = a[d * n + j] * uinv % q
+            if transforms:
+                for j in range(m):
+                    U[d * m + j] = U[d * m + j] * uinv % q
+                for i in range(m):
+                    Ui[i * m + d] = Ui[i * m + d] * u % q
+
+        # clear the column below the pivot: row_i -= c * row_d
+        for i in range(d + 1, m):
+            x = a[i * n + d]
+            if x:
+                c = x // pa
+                for j in range(d, n):
+                    a[i * n + j] = (a[i * n + j] - c * a[d * n + j]) % q
+                if transforms:
+                    for j in range(m):
+                        U[i * m + j] = (U[i * m + j] - c * U[d * m + j]) % q
+                    for r0 in range(m):
+                        Ui[r0 * m + d] = (Ui[r0 * m + d] + c * Ui[r0 * m + i]) % q
+
+        # clear the row right of the pivot: col_j -= c * col_d.  Column d is
+        # zero off the pivot by now, so only the (d, j) entries change.
+        for j in range(d + 1, n):
+            x = a[d * n + j]
+            if x:
+                c = x // pa
+                a[d * n + j] = 0
+                if transforms:
+                    for i in range(n):
+                        V[i * n + j] = (V[i * n + j] - c * V[i * n + d]) % q
+                    for j0 in range(n):
+                        Vi[d * n + j0] = (Vi[d * n + j0] + c * Vi[j * n + j0]) % q
+
+    to_t = tuple if transforms else (lambda _x: None)
+    return tuple(alpha), to_t(U), to_t(Ui), to_t(V), to_t(Vi)

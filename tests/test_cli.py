@@ -440,12 +440,16 @@ def test_graph_stats_builds_one_rank_table(monkeypatch, capsys):
     real = cli.color_graph
     monkeypatch.setattr(cli, "color_graph", lambda *a, **kw: colorings.append(a) or real(*a, **kw))
     for extra in ("--connectivity", "--exact"):
-        graph._rank_graph.cache_clear()
+        graph._rank_table.cache_clear()
         code, obj, _ = run_json(capsys, "graph-stats", "--h", "4", "--m", "2", "--n", "2",
                                 "--r", "1", extra)
         assert code == 0 and obj["degree"] == 81
-        assert graph._rank_graph.cache_info().misses == 1
+        assert graph._rank_table.cache_info().misses == 1
     assert len(colorings) == 1  # --exact takes chi from a checked coloring
+    # the table does not depend on r: the next radius on the same shape reuses it
+    code, obj, _ = run_json(capsys, "graph-stats", "--h", "4", "--m", "2", "--n", "2", "--r", "2")
+    assert code == 0 and obj["degree"] == 255
+    assert graph._rank_table.cache_info().misses == 1
 
 
 def test_color_structural_when_large(capsys):

@@ -458,6 +458,27 @@ def test_mrd_code_budget_before_any_work(monkeypatch):
             mrd_code(_spec(h), pair_budget=h**2 - 1)
 
 
+def test_gabidulin_budget_before_the_basis(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the budget check")
+
+    monkeypatch.setattr(codes, "_gabidulin_basis", refuse)
+    with pytest.raises(BudgetExceededError, match=re.escape("2^18 - 1 distance checks exceed the budget 100000")):
+        gabidulin_code(FieldSpec.default(2, 9), 2, 9, 1)
+    with pytest.raises(AssertionError):  # 2^16 - 1 checks fit, so the basis is reached
+        gabidulin_code(FieldSpec.default(2, 8), 2, 8, 1)
+
+
+def test_selftest_code_check_reads_the_verified_distance(monkeypatch):
+    from ringmat import selftest
+
+    assert selftest.check_codes(quick=True)[0]
+    real = selftest.mrd_code
+    monkeypatch.setattr(selftest, "mrd_code", lambda spec: replace(real(spec), verified_distance=None))
+    ok, message = selftest.check_codes(quick=True)
+    assert not ok and "distance None != 2" in message
+
+
 def test_certificate_reports_witnesses():
     spec = _spec(6)
     cert = GraphCertificate(spec, 36, 36, 2, 36, "edges")

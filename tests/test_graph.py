@@ -8,7 +8,7 @@ import pytest
 from conftest import per_matrix_labels
 from ringmat.errors import BudgetExceededError, UsageError
 from ringmat.graph import (
-    _rank_graph,
+    _rank_table,
     _translate_ids,
     adjacent,
     build_graph,
@@ -199,7 +199,7 @@ def test_rank_table_matches_per_matrix_oracle(h, m, n, r):
     sat = spec.ring.saturated
     expected = [max(sum(1 for x in alpha if x < s) for alpha, s in zip(label, sat))
                 for label in per_matrix_labels(spec.ring, m, n)]
-    assert _rank_graph(spec).rho == expected
+    assert _rank_table(spec.ring, m, n) == expected
 
 
 def test_vertex_transitivity_sampled():

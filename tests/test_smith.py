@@ -6,14 +6,17 @@ from itertools import product
 import pytest
 from hypothesis import given
 
-from conftest import matrices
-from ringmat import oracle
+from conftest import matrices, reference_pp_smith
+from ringmat import cliques, oracle
+from ringmat.cliques import classify_max_clique, random_clique_form, rebuild_clique
+from ringmat.graph import GraphSpec
 from ringmat.errors import UsageError, VerificationError
 from ringmat.matrix import Mat, random_invertible, random_matrix
 from ringmat.ring import ring_spec
 from ringmat.smith import (
     KERNEL_CACHE_SIZE,
     _pp_exponents,
+    _pp_smith,
     _pp_smith_cached,
     clear_kernel_caches,
     InvariantFactorArray,
@@ -136,6 +139,76 @@ def test_verify_smith_form_detects_tampering():
     if f.omega.omega != bad.omega.omega:
         with pytest.raises(VerificationError):
             verify_smith_form(a, bad)
+
+
+def test_verify_smith_form_detects_any_corrupted_entry():
+    # every diagonal entry is nonzero and the shapes are square, so each
+    # entry of S, D and T reaches the product
+    for h, rows in ((12, [[2, 1], [0, 3]]), (8, [[1, 2, 0], [0, 2, 4], [0, 0, 4]])):
+        ring = ring_spec(h)
+        a = Mat.from_rows(ring, rows)
+        f = snf(a)
+        verify_smith_form(a, f)
+        assert all(f.omega.diagonal_values())
+        for slot in ("S", "D", "T"):
+            mat = getattr(f, slot)
+            for idx in range(len(mat.entries)):
+                ents = list(mat.entries)
+                ents[idx] = (ents[idx] + 1) % h
+                bad = type(f)(**{**vars(f), slot: Mat(ring, mat.rows, mat.cols, ents)})
+                with pytest.raises(VerificationError):
+                    verify_smith_form(a, bad)
+        with pytest.raises(VerificationError):
+            verify_smith_form(a, type(f)(Mat.identity(ring, a.rows + 1), f.D, f.T, f.omega))
+        zero = Mat.zeros(ring, a.rows, a.rows)
+        f0 = snf(zero)
+        for slot in ("S", "T"):  # the product still reproduces zero; only invertibility fails
+            with pytest.raises(VerificationError, match=f"{slot} is not invertible"):
+                verify_smith_form(zero, type(f0)(**{**vars(f0), slot: zero}))
+
+
+def _flat_matmul(x, y, rows, inner, cols, q):
+    return tuple(sum(x[i * inner + t] * y[t * cols + j] for t in range(inner)) % q
+                 for i in range(rows) for j in range(cols))
+
+
+def _assert_kernel_matches_reference(p, s, q, m, n, entries):
+    alpha, ui, vi = _pp_smith(p, s, q, m, n, entries, True)
+    ref_alpha, _, ref_ui, _, ref_vi = reference_pp_smith(p, s, q, m, n, entries, True)
+    assert (alpha, ui, vi) == (ref_alpha, ref_ui, ref_vi)
+    assert _pp_smith(p, s, q, m, n, entries, False) == (alpha, None, None)
+    d = [0] * (m * n)
+    for c, x in enumerate(alpha):
+        d[c * n + c] = p**x % q
+    assert _flat_matmul(_flat_matmul(ui, d, m, m, n, q), vi, m, n, n, q) == tuple(entries)
+
+
+def test_kernel_matches_four_transform_reference():
+    rng = random.Random(20)
+    for p, s in product((2, 3, 5, 7), range(1, 9)):
+        q = p**s
+        for m, n in product(range(1, 7), repeat=2):
+            _assert_kernel_matches_reference(p, s, q, m, n, (0,) * (m * n))
+            for _ in range(2):
+                # unit times p**v, so most pivots are not units and some entries vanish
+                ents = tuple(rng.randrange(1, q) * p ** rng.randrange(s + 1) % q for _ in range(m * n))
+                _assert_kernel_matches_reference(p, s, q, m, n, ents)
+
+
+@pytest.mark.parametrize("h, m, n", [(6, 2, 2), (12, 2, 2), (6, 3, 3)])
+def test_kernel_matches_reference_on_clique_stacks(monkeypatch, h, m, n):
+    calls = []
+    real = cliques._pp_smith_cached
+    monkeypatch.setattr(cliques, "_pp_smith_cached", lambda *args: calls.append(args) or real(*args))
+    ring = ring_spec(h)
+    spec = GraphSpec(ring, m, n, 1)
+    alphas = [(0, 1)] if m == 3 else list(product(*[(0, s) for _, s in ring.primes]))
+    for alpha in alphas:
+        form = random_clique_form(spec, alpha, 7)
+        assert classify_max_clique(spec, rebuild_clique(form)).alpha == alpha
+    assert calls and all(args[3] * args[4] > m * n for args in calls)  # stacks, not single members
+    for args in calls:
+        _assert_kernel_matches_reference(*args[:6])
 
 
 def test_clear_kernel_caches_runs():
