@@ -9,6 +9,7 @@ computation would exceed its budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Any, Sequence
 
@@ -59,7 +60,7 @@ from .oracle import (
     omega_via_minors,
 )
 from .ring import RingSpec, ring_spec
-from .smith import inner_rank, rank_via_projections, snf, verify_smith_form
+from .smith import inner_rank, invariant_factors, rank_via_projections, snf, verify_smith_form
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +132,13 @@ def _add_graph_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--r", type=int, required=True, help="adjacency radius (1 <= r <= m <= n)")
 
 
+def _add_matrix_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--matrix", required=True, help="matrix file (JSON, or CSV with --rows/--cols)")
+    p.add_argument("--h", type=int, default=None, help="ring modulus (required for CSV input)")
+    p.add_argument("--rows", type=int, default=None)
+    p.add_argument("--cols", type=int, default=None)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", type=int, default=None,
                    help="work cap for this command (see --help of the command)")
@@ -168,7 +176,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
         "inner_rank": inner_rank(a),
         "via_components": rp.via_pi,
         "via_quotients": rp.via_theta,
-        "omega": [list(row) for row in snf(a).omega.omega],
+        "omega": [list(row) for row in invariant_factors(a).omega],
     })
     return 0
 
@@ -473,6 +481,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built on the first main() call, then shared by every later call
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="ringmat",
@@ -483,17 +492,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("snf", help="diagonalize a matrix (A = S D T)")
-    p.add_argument("--matrix", required=True, help="matrix file (JSON, or CSV with --rows/--cols)")
-    p.add_argument("--h", type=int, default=None, help="ring modulus (required for CSV input)")
-    p.add_argument("--rows", type=int, default=None)
-    p.add_argument("--cols", type=int, default=None)
+    _add_matrix_args(p)
     p.set_defaults(func=cmd_snf)
 
     p = sub.add_parser("rank", help="inner rank by three routes")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--h", type=int, default=None)
-    p.add_argument("--rows", type=int, default=None)
-    p.add_argument("--cols", type=int, default=None)
+    _add_matrix_args(p)
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("orbits", help="orbit census over all m x n matrices")
@@ -574,13 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, needs_matrix in (("omega", True), ("rank", True),
                                ("clique", False), ("mis", False)):
         q = osub.add_parser(name)
-        if needs_matrix:
-            q.add_argument("--matrix", required=True)
-            q.add_argument("--h", type=int, default=None)
-            q.add_argument("--rows", type=int, default=None)
-            q.add_argument("--cols", type=int, default=None)
-        else:
-            _add_graph_args(q)
+        (_add_matrix_args if needs_matrix else _add_graph_args)(q)
         if name != "omega":
             _add_common(q)
         q.set_defaults(func=cmd_oracle)
@@ -595,8 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

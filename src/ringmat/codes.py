@@ -28,13 +28,14 @@ distance > r with h**(n*(m-r)) words is a complement of the row clique K
 The translates k + C properly color the graph with |K| = h**(n*r) colors,
 and the translates c + K partition the vertices into h**(n*(m-r)) cliques
 (a clique cover of the complement), which pins down the clique,
-independence and chromatic numbers exactly.
+independence and chromatic numbers exactly.  The color map is the
+projection V -> K with kernel C, so every edge (u, u + g) is decided by its
+connection element: it is monochromatic iff g is a code word.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import random
 from dataclasses import dataclass, replace
 from itertools import combinations, product
@@ -55,7 +56,7 @@ from .errors import (
     VerificationError,
     power_exceeds,
 )
-from .graph import GraphSpec, _translate_ids, adjacent, build_graph, subgroup_closure
+from .graph import GraphSpec, adjacent, build_graph, subgroup_closure
 from .matrix import Mat
 from .ring import RingSpec, ring_spec
 from .smith import inner_rank
@@ -337,26 +338,19 @@ class Coloring:
     """A proper coloring by the translates k + C of a code, k in the row clique K.
 
     color_of(v) is the id of k's top r rows for v = k + c, the code word c
-    found by lookup; so n_colors = |K| = h**(n*r).
+    found by lookup; so n_colors = |K| = h**(n*r).  For a linear code it is
+    the projection V -> K with kernel C: u and u + g share a color iff g is
+    a code word, which decides every edge by its connection element.
     """
 
     spec: GraphSpec
     n_colors: int
-    verification: str  # "edges" (every edge checked) or "structural"
+    verification: str  # "edges" (every edge decided by its connection element) or "structural"
     lookup: dict[tuple[int, ...], tuple[int, ...]]
 
     def color_of(self, vid: int) -> int:
         ents, cut, h = self.spec.vertex_entries(vid), self.spec.r * self.spec.n, self.spec.ring.h
         return self.spec.vertex_id([(a - b) % h for a, b in zip(ents[:cut], self.lookup[ents[cut:]])])
-
-
-def _check_edges(spec: GraphSpec, colors: Sequence[int], connection_ids: Iterable[int]) -> None:
-    """Raise unless every edge (u, u + c), c in the connection set, has two colors."""
-    for cid in connection_ids:
-        ids = _translate_ids(spec, spec.vertex_entries(cid))
-        if any(map(operator.eq, colors, map(colors.__getitem__, ids))):
-            u = next(u for u, w in enumerate(ids) if colors[u] == colors[w])
-            raise VerificationError(f"edge ({u}, {ids[u]}) is monochromatic")
 
 
 def color_graph(
@@ -370,10 +364,13 @@ def color_graph(
 
     Two vertices share a color exactly when they differ by c - c' for words
     c != c', of rank > r as the code's verified distance exceeds r, so no edge
-    is monochromatic.  Within the vertex budget this is verified on every
-    edge, one connection element at a time; above it the verified code
-    distance stands as the certificate and a seeded sample of vertex pairs
-    is checked explicitly.  code defaults to mrd_code(spec).
+    is monochromatic.  Within the vertex budget the code must be flagged
+    linear (a group, by verify_distance), so color_of is the projection
+    V -> K with kernel C: every edge (u, u + g) is decided by looking up its
+    connection element g, read off the rank table, among the code words.
+    Above the budget the verified code distance stands as the certificate
+    and a seeded sample of vertex pairs is checked explicitly.  code
+    defaults to mrd_code(spec).
     """
     if code is None:
         code = mrd_code(spec)
@@ -382,8 +379,12 @@ def color_graph(
     nv = spec.n_vertices
     col = Coloring(spec, spec.clique_bound, "edges", _complement_lookup(spec, code))
     if nv <= vertex_budget:
-        colors = [col.color_of(v) for v in range(nv)]
-        _check_edges(spec, colors, build_graph(spec, vertex_budget).connection_ids)
+        if not code.linear:
+            raise VerificationError("the edge check needs a linear code: a group, as the kernel of the coloring")
+        words = set(col.lookup.values())
+        for cid in build_graph(spec, vertex_budget).connection_ids:
+            if spec.vertex_entries(cid) in words:
+                raise VerificationError(f"edge (0, {cid}) is monochromatic: its connection element is a code word")
         return col
     rng = random.Random(sample_seed)
     for _ in range(samples):

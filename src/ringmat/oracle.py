@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import combinations, product
 from typing import Sequence
 
-from .errors import BudgetExceededError, UsageError
+from .errors import BudgetExceededError, UsageError, power_exceeds
 from .matrix import Mat
 
 _INF = float("inf")
@@ -104,10 +104,9 @@ def inner_rank_by_factorization(a: Mat, budget: int = DEFAULT_FACTOR_SEARCH_BUDG
     h = a.ring.h
     ring = a.ring
     for r in range(1, min(m, n)):
-        pairs = h ** ((m + n) * r)
-        if pairs > budget:
+        if power_exceeds(h, (m + n) * r, budget):
             raise BudgetExceededError(
-                f"factorization search for rank {r} needs {pairs} candidate pairs (budget {budget})"
+                f"factorization search for rank {r} needs {h}^{(m + n) * r} candidate pairs (budget {budget})"
             )
         for b_entries in product(range(h), repeat=m * r):
             b = Mat(ring, m, r, b_entries)

@@ -255,7 +255,7 @@ def check_coloring_and_cover(quick: bool = False) -> tuple[bool, str]:
     cov = clique_cover_complement(spec6, vertex_budget=2000)
     if len(cov.parts) != 36 or any(len(p) != 36 for p in cov.parts):
         _fail(msgs, f"h=6 cover: {len(cov.parts)} parts")
-    notes = ["h=6: 36 colors (every edge checked) and a 36-part clique cover"]
+    notes = ["h=6: 36 colors (every edge decided by its connection element) and a 36-part clique cover"]
     if not quick:
         spec12 = GraphSpec(ring_spec(12), 2, 2, 1)
         col12 = color_graph(spec12)

@@ -27,7 +27,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import UsageError, VerificationError
+from .errors import DEFAULT_ENUMERATION_BUDGET, BudgetExceededError, UsageError, VerificationError
 from .matrix import Mat, crt_lift_mat
 from .ring import RingSpec
 
@@ -277,8 +277,11 @@ def snf(a: Mat) -> SmithForm:
     D is diagonal with entry c equal to prod_i(p_i ** omega[i][c]) reduced
     mod h, the canonical generator of its ideal; S and T are invertible but
     not unique.  For rows > cols the form is computed on the transpose and
-    transposed back.
+    transposed back.  The m**2 + n**2 transform entries are budgeted first.
     """
+    entries = a.rows**2 + a.cols**2
+    if entries > DEFAULT_ENUMERATION_BUDGET:
+        raise BudgetExceededError(f"{entries} transform entries exceed the budget {DEFAULT_ENUMERATION_BUDGET}")
     if a.rows > a.cols:
         f = snf(a.transpose())
         omega = f.omega

@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from ringmat import cli
 from ringmat.cli import main
 from ringmat.io import dumps_compact, family_from_obj, load_family
 from ringmat.matrix import Mat
@@ -98,6 +103,30 @@ def test_rank_command(tmp_path, capsys):
     assert obj["omega"] == [[0, 1], [0, 1]]
 
 
+def test_snf_on_a_wide_matrix_is_a_fast_budget_error(tmp_path, capsys):
+    path = write_matrix(tmp_path, "wide.json", 6, [[1] * 40000])
+    start = time.process_time()
+    code, out, err = run(capsys, "snf", "--matrix", path)
+    assert time.process_time() - start < 2.0
+    assert code == 3 and out == "" and "1600000001 transform entries exceed the budget 10000000" in err
+
+
+def test_rank_on_a_wide_matrix_keeps_no_transforms(tmp_path, capsys):
+    path = write_matrix(tmp_path, "wide.json", 6, [[1] * 40000])
+    code, obj, err = run_json(capsys, "rank", "--matrix", path)
+    assert code == 0 and err == ""
+    assert (obj["inner_rank"], obj["via_components"], obj["via_quotients"]) == (1, 1, 1)
+    assert obj["omega"] == [[0], [0]]
+
+
+def test_oracle_rank_on_a_large_matrix_states_the_estimate_as_a_power(tmp_path, capsys):
+    h = 2**64 - 59
+    path = write_matrix(tmp_path, "big.json", h, [[(i * 120 + j) % h for j in range(120)] for i in range(120)])
+    code, out, err = run(capsys, "oracle", "rank", "--matrix", path)
+    assert code == 3 and out == ""
+    assert f"needs {h}^240 candidate pairs" in err and "Traceback" not in err
+
+
 def test_oracle_commands(tmp_path, capsys):
     path = write_matrix(tmp_path, "a.json", 4, [[2, 1], [2, 2]])
     code, obj, _ = run_json(capsys, "oracle", "omega", "--matrix", path)
@@ -186,6 +215,31 @@ def test_seed_notice_on_stderr(capsys):
     code, obj, err = run_json(capsys, *args, "--seed", "7")
     assert code == 0 and obj["transitivity_ok"] is True
     assert err == ""
+
+
+GRAPH_STATS_2_3_4_2 = """{
+  "alpha": 16,
+  "chi": 256,
+  "code_distance": 3,
+  "coloring_verification": "edges",
+  "degree": 1575,
+  "h": 2,
+  "m": 3,
+  "method": "certificate",
+  "n": 4,
+  "omega": 256,
+  "r": 2,
+  "sandwich_tight": true,
+  "vertices": 4096
+}
+"""
+
+
+def test_graph_stats_checks_edges_by_connection_lookup(capsys):
+    start = time.process_time()
+    code, out, _ = run(capsys, "graph-stats", "--h", "2", "--m", "3", "--n", "4", "--r", "2")
+    assert time.process_time() - start < 0.5
+    assert code == 0 and out == GRAPH_STATS_2_3_4_2
 
 
 def test_byte_stability(capsys):
@@ -494,6 +548,33 @@ def test_argparse_usage_exit(capsys):
         main(["graph-stats", "--h", "2"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_parser_is_built_once_per_process(capsys):
+    for argv in (["graph-stats", "--h", "2", "--m", "2", "--n", "2", "--r", "1"],
+                 ["orbits", "--h", "4", "--m", "2", "--n", "2"],
+                 ["color", "--h", "3", "--m", "2", "--n", "2", "--r", "1", "--seed", "0"]):
+        assert main(argv) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["color", "--h", "3"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_import_builds_no_parser():
+    probe = (
+        "import argparse\n"
+        "made = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **kw: made.append(1) or init(self, *a, **kw)\n"
+        "import ringmat.cli\n"
+        "assert not made and ringmat.cli.build_parser.cache_info().currsize == 0, made\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_missing_file_exit(capsys):

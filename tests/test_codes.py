@@ -1,6 +1,7 @@
 """Rank-distance codes, coset colorings, complement covers, certificates."""
 
 import math
+import operator
 import random
 import re
 from dataclasses import replace
@@ -10,10 +11,11 @@ import pytest
 
 from ringmat import codes
 from ringmat.codes import (
-    _check_edges,
+    _complement_lookup,
     certify_graph_parameters,
     clique_cover_complement,
     color_graph,
+    Coloring,
     FieldSpec,
     gabidulin_code,
     GraphCertificate,
@@ -392,6 +394,75 @@ def test_translate_ids_match_vertex_ids():
             spec.vertex_id(tuple((a + b) % h for a, b in zip(spec.vertex_entries(u), c)))
             for u in range(spec.n_vertices)
         ]
+
+
+def _check_edges(spec, colors, connection_ids):
+    """Raise unless every edge (u, u + c), c in the connection set, has two colors: the edge-by-edge oracle."""
+    for cid in connection_ids:
+        ids = _translate_ids(spec, spec.vertex_entries(cid))
+        if any(map(operator.eq, colors, map(colors.__getitem__, ids))):
+            u = next(u for u, w in enumerate(ids) if colors[u] == colors[w])
+            raise VerificationError(f"edge ({u}, {ids[u]}) is monochromatic")
+
+
+def _copy_code(spec):
+    """The group of words whose first row copies the first of the last m - r rows, other top rows zero.
+
+    Every pattern of the last m - r rows occurs once, but each word has rank
+    <= m - r, so for m - r <= r the code holds rank-<= r words: with a forged
+    distance it passes every check but the edge check.
+    """
+    ring, m, n, r = spec.ring, spec.m, spec.n, spec.r
+    members = frozenset(
+        Mat(ring, m, n, tail[:n] + (0,) * (n * (r - 1)) + tail)
+        for tail in product(range(ring.h), repeat=n * (m - r))
+    )
+    return RankCode(ring, m, n, members, r + 1, True, None, verified_distance=r + 1)
+
+
+def _edge_verdicts(spec, code):
+    """(color_graph accepts code, the edge-by-edge oracle accepts its coloring)."""
+    try:
+        color_graph(spec, code=code)
+        fast = True
+    except VerificationError:
+        fast = False
+    col = Coloring(spec, spec.clique_bound, "edges", _complement_lookup(spec, code))
+    try:
+        _check_edges(spec, [col.color_of(v) for v in range(spec.n_vertices)], build_graph(spec).connection_ids)
+        slow = True
+    except VerificationError:
+        slow = False
+    return fast, slow
+
+
+@pytest.mark.parametrize("h,m,n,r", [(2, 2, 2, 1), (3, 2, 2, 1), (4, 2, 2, 1), (5, 2, 2, 1), (6, 2, 2, 1),
+                                     (2, 3, 3, 2), (2, 3, 4, 2)])
+def test_connection_lookup_matches_the_edge_oracle(h, m, n, r):
+    spec = _spec(h, m, n, r)
+    assert _edge_verdicts(spec, mrd_code(spec)) == (True, True)
+    assert _edge_verdicts(spec, _copy_code(spec)) == (False, False)
+
+
+@pytest.mark.parametrize("h", [2, 5, 6])
+def test_group_code_with_a_low_rank_word_is_refused(h):
+    # {[[x, 0], [x, y]]}: a group meeting every last row once, holding [[1, 0], [1, 0]] of rank 1
+    spec = _spec(h, 2, 2, 1)
+    members = frozenset(Mat(spec.ring, 2, 2, (x, 0, x, y)) for x in range(h) for y in range(h))
+    code = RankCode(spec.ring, 2, 2, members, 2, True, None, verified_distance=2)
+    assert len(_complement_lookup(spec, code)) == h * h
+    assert subgroup_closure([w.entries for w in members], h, h * h) == {w.entries for w in members}
+    with pytest.raises(VerificationError, match="monochromatic"):
+        color_graph(spec, code=code)
+
+
+def test_code_not_flagged_linear_is_refused_within_the_budget():
+    spec = _spec(4)
+    with pytest.raises(VerificationError, match="linear"):
+        color_graph(spec, code=replace(mrd_code(spec), linear=False))
+    spec12 = _spec(12)
+    col = color_graph(spec12, vertex_budget=100, code=replace(mrd_code(spec12), linear=False))
+    assert col.verification == "structural"
 
 
 def test_edge_check_catches_one_corrupted_color():
