@@ -95,20 +95,25 @@ def matrix_to_obj(mat: Mat) -> dict[str, Any]:
     }
 
 
-def matrix_from_obj(obj: Any, expect_h: int | None = None) -> Mat:
-    _require(isinstance(obj, dict), "matrix object must be a JSON object")
-    for key in ("h", "rows", "cols", "entries"):
-        _require(key in obj, f"matrix object missing key {key!r}")
+def _shape_from_obj(obj: Any, kind: str, body: str, expect_h: int | None) -> tuple[RingSpec, int, int]:
+    """Ring and shape of a matrix or family object, checked."""
+    _require(isinstance(obj, dict), f"{kind} object must be a JSON object")
+    for key in ("h", "rows", "cols", body):
+        _require(key in obj, f"{kind} object missing key {key!r}")
     h = _as_int(obj["h"], "h")
     if expect_h is not None:
         _require(h == expect_h,
-                 f"matrix modulus {h} does not match requested modulus {expect_h}")
+                 f"{kind} modulus {h} does not match requested modulus {expect_h}")
     ring = ring_spec(h)
     rows = _as_int(obj["rows"], "rows")
     cols = _as_int(obj["cols"], "cols")
     _require(rows >= 1 and cols >= 1, "rows and cols must be positive")
-    entries = _entries_from_rows(ring, rows, cols, obj["entries"], "entries")
-    return Mat(ring, rows, cols, entries)
+    return ring, rows, cols
+
+
+def matrix_from_obj(obj: Any, expect_h: int | None = None) -> Mat:
+    ring, rows, cols = _shape_from_obj(obj, "matrix", "entries", expect_h)
+    return Mat._new(ring, rows, cols, _entries_from_rows(ring, rows, cols, obj["entries"], "entries"))
 
 
 def save_matrix(path: str, mat: Mat) -> None:
@@ -194,21 +199,10 @@ def family_to_obj(ring: RingSpec, rows: int, cols: int,
 
 def family_from_obj(obj: Any, expect_h: int | None = None
                     ) -> tuple[RingSpec, int, int, list[Mat], dict[str, Any]]:
-    _require(isinstance(obj, dict), "family object must be a JSON object")
-    for key in ("h", "rows", "cols", "members"):
-        _require(key in obj, f"family object missing key {key!r}")
-    h = _as_int(obj["h"], "h")
-    if expect_h is not None:
-        _require(h == expect_h,
-                 f"family modulus {h} does not match requested modulus {expect_h}")
-    ring = ring_spec(h)
-    rows = _as_int(obj["rows"], "rows")
-    cols = _as_int(obj["cols"], "cols")
-    _require(rows >= 1 and cols >= 1, "rows and cols must be positive")
+    ring, rows, cols = _shape_from_obj(obj, "family", "members", expect_h)
     raw = obj["members"]
     _require(isinstance(raw, list) and raw, "members must be a non-empty list")
-    members = [Mat(ring, rows, cols,
-                   _entries_from_rows(ring, rows, cols, item, "member"))
+    members = [Mat._new(ring, rows, cols, _entries_from_rows(ring, rows, cols, item, "member"))
                for item in raw]
     meta = {k: v for k, v in obj.items()
             if k not in ("h", "rows", "cols", "members")}

@@ -4,8 +4,8 @@ Entries are canonical residues stored as a flat row-major tuple of plain
 ints, so matrices are hashable and exact.  Determinants are computed per
 prime-power component by fraction-free elimination on integer lifts and
 glued with the Chinese remainder map.  A matrix is invertible exactly when
-its determinant is a unit, that is nonzero mod every prime p_i, which is
-decided on the entries reduced mod each p_i.
+its determinant is a unit, that is nonzero mod every prime p_i, which one
+elimination of the entries reduced mod rad(h) = prod(p_i) decides.
 
 Public construction (Mat(...), from_rows, zeros) validates shape and
 entries.  Results that are canonical by construction (arithmetic, transpose,
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import gcd, prod
 from typing import Sequence
 
 from .errors import NotInvertibleError, ShapeError, UsageError
@@ -68,8 +69,7 @@ class Mat:
     def identity(cls, ring: RingSpec, n: int) -> "Mat":
         _check_dims(n, n)
         e = [0] * (n * n)
-        for i in range(n):
-            e[i * n + i] = 1
+        e[:: n + 1] = [1] * n
         return cls._new(ring, n, n, tuple(e))
 
     @classmethod
@@ -81,8 +81,7 @@ class Mat:
         if k > min(m, n):
             raise ShapeError("too many diagonal values")
         e = [0] * (m * n)
-        for i, v in enumerate(values):
-            e[i * n + i] = v % ring.h
+        e[: k * (n + 1) : n + 1] = [v % ring.h for v in values]
         return cls._new(ring, m, n, tuple(e))
 
     # --- access --------------------------------------------------------------
@@ -161,19 +160,13 @@ class Mat:
         """Determinant, via exact integer elimination per component and CRT."""
         if self.rows != self.cols:
             raise ShapeError("determinant needs a square matrix")
-        ring = self.ring
-        residues = []
-        for q in ring.prime_powers:
-            lift = [[v % q for v in self.row(i)] for i in range(self.rows)]
-            residues.append(_det_bareiss(lift) % q)
-        return ring.crt(residues)
+        rows = [self.row(i) for i in range(self.rows)]
+        return self.ring.crt([_det_bareiss([[v % q for v in row] for row in rows]) % q for q in self.ring.prime_powers])
 
     def is_invertible(self) -> bool:
-        """True iff square with determinant nonzero mod every prime of the modulus."""
-        return self.rows == self.cols and all(
-            _det_bareiss([[v % p for v in self.row(i)] for i in range(self.rows)]) % p
-            for p, _ in self.ring.primes
-        )
+        """True iff square and invertible over Z_rad, rad = prod(p_i): det is then nonzero mod every p_i."""
+        n, e, r = self.rows, self.entries, prod(p for p, _ in self.ring.primes)
+        return n == self.cols and _is_unimodular([list(map(r.__rmod__, e[i * n : (i + 1) * n])) for i in range(n)], r)
 
     def inverse(self) -> "Mat":
         """Two-sided inverse, found by Gauss-Jordan per prime-power component.
@@ -184,25 +177,22 @@ class Mat:
         """
         if self.rows != self.cols:
             raise ShapeError("inverse needs a square matrix")
-        ring = self.ring
-        comps = []
-        for i in range(ring.t):
-            p, _ = ring.primes[i]
-            q = ring.prime_powers[i]
-            comps.append(_invert_mod_prime_power(p, q, self.rows, [v % q for v in self.entries]))
-        return Mat._new(ring, self.rows, self.rows, ring.crt_vectors(comps))
+        ring, n = self.ring, self.rows
+        comps = [_invert_mod_prime_power(p, q, n, [v % q for v in self.entries])
+                 for (p, _), q in zip(ring.primes, ring.prime_powers)]
+        return Mat._new(ring, n, n, ring.crt_vectors(comps))
 
     # --- component transport -------------------------------------------------------
 
     def project(self, i: int) -> "Mat":
         """Entrywise image in the i-th prime-power component ring (0-based)."""
         q = self.ring.prime_powers[i]
-        return Mat._new(self.ring.component(i), self.rows, self.cols, tuple(v % q for v in self.entries))
+        return Mat._new(self.ring.component(i), self.rows, self.cols, tuple(map(q.__rmod__, self.entries)))
 
     def coproject(self, i: int) -> "Mat":
         """Entrywise image in the complementary quotient ring (0-based)."""
         hq = self.ring.cofactors[i]
-        return Mat._new(self.ring.cofactor_ring(i), self.rows, self.cols, tuple(v % hq for v in self.entries))
+        return Mat._new(self.ring.cofactor_ring(i), self.rows, self.cols, tuple(map(hq.__rmod__, self.entries)))
 
 
 def _check_dims(rows: int, cols: int) -> None:
@@ -272,6 +262,30 @@ def _det_bareiss(a: list[list[int]]) -> int:
             arow[k] = 0
         prev = akk
     return sign * a[n - 1][n - 1]
+
+
+def _is_unimodular(a: list[list[int]], r: int) -> bool:
+    """Whether the square a over Z_r, r squarefree, is invertible (a is overwritten).
+
+    Adding (r / g) * row_i to row k, g = gcd(a_kk, r), drops from g the primes not
+    dividing a_ik; g > 1 left means column k is zero mod them, else a_kk is a unit
+    pivot and row_i <- a_kk * row_i - a_ik * row_k clears column k."""
+    n = len(a)
+    for k in range(n):
+        piv = a[k]
+        g = gcd(piv[k], r)
+        for row in a[k + 1:]:
+            if row[k] % g:
+                piv[k:] = [(y + r // g * z) % r for y, z in zip(piv[k:], row[k:])]
+                g = gcd(piv[k], r)
+        if g != 1:
+            return False
+        for row in a[k + 1:]:
+            x = row[k]
+            if x:
+                for j in range(k + 1, n):
+                    row[j] = (piv[k] * row[j] - x * piv[j]) % r
+    return True
 
 
 def _invert_mod_prime_power(p: int, q: int, n: int, entries: list[int]) -> list[int]:

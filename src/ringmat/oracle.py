@@ -12,6 +12,7 @@ used to check, so it imports only the ring and matrix layers.
 from __future__ import annotations
 
 from itertools import combinations, product
+from math import comb
 from typing import Sequence
 
 from .errors import BudgetExceededError, UsageError, power_exceeds
@@ -21,6 +22,7 @@ _INF = float("inf")
 
 DEFAULT_FACTOR_SEARCH_BUDGET = 4 * 10**6
 MAX_MINOR_SIZE = 4
+MAX_MINORS = 10**5  # minors evaluated, counted over all primes: about 2 s
 
 
 def _det_cofactor(rows: list[list[int]]) -> int:
@@ -66,6 +68,9 @@ def omega_via_minors(a: Mat) -> tuple[tuple[int, ...], ...]:
     if k_max > MAX_MINOR_SIZE:
         raise UsageError(f"minor oracle supports min(m, n) <= {MAX_MINOR_SIZE}")
     ring = a.ring
+    minors = ring.t * sum(comb(m, k) * comb(n, k) for k in range(1, k_max + 1))
+    if minors > MAX_MINORS:
+        raise BudgetExceededError(f"{minors} minors exceed the budget {MAX_MINORS}")
     out = []
     for (p, s), q in zip(ring.primes, ring.prime_powers):
         lift = [[v % q for v in a.row(i)] for i in range(m)]
@@ -74,8 +79,7 @@ def omega_via_minors(a: Mat) -> tuple[tuple[int, ...], ...]:
             best = _INF
             for rows_idx in combinations(range(m), k):
                 for cols_idx in combinations(range(n), k):
-                    sub = [[lift[i][j] for j in cols_idx] for i in rows_idx]
-                    v = _valuation(p, _det_cofactor(sub))
+                    v = _valuation(p, _det_cofactor([[lift[i][j] for j in cols_idx] for i in rows_idx]))
                     if v < best:
                         best = v
                         if best == 0:
@@ -83,10 +87,7 @@ def omega_via_minors(a: Mat) -> tuple[tuple[int, ...], ...]:
                 if best == 0:
                     break
             raw.append(best)
-        cumulative = [0]
-        for k in range(1, k_max + 1):
-            d = min(j * s + raw[k - j] for j in range(k + 1))
-            cumulative.append(int(d))
+        cumulative = [0] + [int(min(j * s + raw[k - j] for j in range(k + 1))) for k in range(1, k_max + 1)]
         out.append(tuple(cumulative[k] - cumulative[k - 1] for k in range(1, k_max + 1)))
     return tuple(out)
 

@@ -14,21 +14,22 @@ equivalence, and the inner rank of A - the least r such that A factors
 through r columns - is the number of omega columns that are not fully
 saturated.
 
-Single matrices use the bounded kernel caches; exhaustive sweeps label each
-component once (exponent_rows) and read Z_h off those tables (component_walk),
-except a prime-power orbit census, which runs the uncached kernel on one
-first row per valuation and weights each label by its multiplicity (orbits).
+Single matrices use the bounded kernel caches, which snf fills with the
+exponent rows it finds; sweeps label each component once (exponent_rows) and
+read Z_h off those tables (component_walk), except a prime-power orbit census,
+which runs the uncached kernel on one first row per valuation (orbits).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import _CacheInfo, lru_cache  # _CacheInfo: the type lru_cache reports
 from itertools import product
+from math import prod
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DEFAULT_ENUMERATION_BUDGET, BudgetExceededError, UsageError, VerificationError
-from .matrix import Mat, crt_lift_mat
+from .matrix import Mat
 from .ring import RingSpec
 
 
@@ -46,8 +47,7 @@ class InvariantFactorArray:
     def __post_init__(self) -> None:
         if len(self.omega) != self.ring.t:
             raise UsageError("omega must have one row per prime component")
-        widths = {len(row) for row in self.omega}
-        if len(widths) != 1:
+        if len({len(row) for row in self.omega}) != 1:
             raise UsageError("omega rows must have equal length")
         for row, (_, s) in zip(self.omega, self.ring.primes):
             if any(not 0 <= a <= s for a in row):
@@ -63,22 +63,16 @@ class InvariantFactorArray:
     def inner_rank(self) -> int:
         """Number of diagonal positions whose ideal is not the zero ideal."""
         sat = self.ring.saturated
-        return sum(
-            1
-            for c in range(self.width)
-            if any(row[c] < s for row, s in zip(self.omega, sat))
-        )
+        return sum(1 for col in zip(*self.omega) if any(e < s for e, s in zip(col, sat)))
+
+    def generators(self) -> list[int]:
+        """The canonical generator prod_i(p_i ** omega[i][c]) of each diagonal ideal, unreduced."""
+        ps = [p for p, _ in self.ring.primes]
+        return [prod(map(pow, ps, col)) for col in zip(*self.omega)]
 
     def diagonal_values(self) -> tuple[int, ...]:
         """Canonical diagonal entries prod_i(p_i ** omega[i][c]) mod h."""
-        h = self.ring.h
-        out = []
-        for c in range(self.width):
-            g = 1
-            for (p, _), row in zip(self.ring.primes, self.omega):
-                g *= p ** row[c]
-            out.append(g % h)
-        return tuple(out)
+        return tuple(map(self.ring.h.__rmod__, self.generators()))
 
 
 @dataclass(frozen=True)
@@ -207,9 +201,33 @@ def _pp_smith_cached(p, s, q, m, n, entries, transforms):
     return _pp_smith(p, s, q, m, n, entries, transforms)
 
 
-@lru_cache(maxsize=KERNEL_CACHE_SIZE)
+# Exponent rows by kernel arguments: a bounded dict, oldest entries evicted
+# first, so that snf can record the rows its transform runs found.
+_exponent_rows: dict[tuple, tuple[int, ...]] = {}
+_exponent_stats = [0, 0]  # hits, misses
+
+
+def _record(key: tuple, alpha: tuple[int, ...]) -> tuple[int, ...]:
+    if len(_exponent_rows) >= KERNEL_CACHE_SIZE:
+        del _exponent_rows[next(iter(_exponent_rows))]
+    _exponent_rows[key] = alpha
+    return alpha
+
+
 def _pp_exponents(p, s, q, m, n, entries):
-    return _pp_smith(p, s, q, m, n, entries, False)[0]
+    """The kernel's exponent row, cached; cache_info() and cache_clear() as for lru_cache."""
+    alpha = _exponent_rows.get((p, s, q, m, n, entries))
+    _exponent_stats[alpha is None] += 1
+    return alpha or _record((p, s, q, m, n, entries), _pp_smith(p, s, q, m, n, entries, False)[0])
+
+
+def _clear_exponents() -> None:
+    _exponent_rows.clear()
+    _exponent_stats[:] = 0, 0
+
+
+_pp_exponents.cache_info = lambda: _CacheInfo(*_exponent_stats, KERNEL_CACHE_SIZE, len(_exponent_rows))
+_pp_exponents.cache_clear = _clear_exponents
 
 
 def exponent_rows(p: int, s: int, q: int, m: int, n: int) -> Iterator[tuple[int, ...]]:
@@ -257,13 +275,12 @@ def clear_kernel_caches() -> None:
 
 
 def _component_exponents(a: Mat) -> tuple[tuple[int, ...], ...]:
-    """Per-prime exponent rows of a, via the cached kernel on each projection."""
-    ring = a.ring
-    out = []
-    for (p, s), q in zip(ring.primes, ring.prime_powers):
-        proj = a.entries if q == ring.h else tuple(v % q for v in a.entries)
-        out.append(_pp_exponents(p, s, q, a.rows, a.cols, proj))
-    return tuple(out)
+    """Per-prime exponent rows of a, via the cached kernel on each projection; its steps are budgeted."""
+    ring, e, m, n = a.ring, a.entries, a.rows, a.cols
+    if (work := ring.t * m * n * min(m, n)) > DEFAULT_ENUMERATION_BUDGET:
+        raise BudgetExceededError(f"{work} kernel steps exceed the budget {DEFAULT_ENUMERATION_BUDGET}")
+    return tuple([_pp_exponents(p, s, q, m, n, e if q == ring.h else tuple(map(q.__rmod__, e)))
+                  for (p, s), q in zip(ring.primes, ring.prime_powers)])
 
 
 def invariant_factors(a: Mat) -> InvariantFactorArray:
@@ -277,64 +294,47 @@ def snf(a: Mat) -> SmithForm:
     D is diagonal with entry c equal to prod_i(p_i ** omega[i][c]) reduced
     mod h, the canonical generator of its ideal; S and T are invertible but
     not unique.  For rows > cols the form is computed on the transpose and
-    transposed back.  The m**2 + n**2 transform entries are budgeted first.
+    transposed back.  The m**2 + n**2 transform entries and their cost are
+    budgeted first; the exponent rows found are recorded for a, both ways round.
     """
-    entries = a.rows**2 + a.cols**2
-    if entries > DEFAULT_ENUMERATION_BUDGET:
-        raise BudgetExceededError(f"{entries} transform entries exceed the budget {DEFAULT_ENUMERATION_BUDGET}")
+    lo, hi = sorted((a.rows, a.cols))
+    for work, what in ((lo * lo + hi * hi, "transform entries"), ((a.ring.t + 1) * hi * hi * lo, "transform steps")):
+        if work > DEFAULT_ENUMERATION_BUDGET:
+            raise BudgetExceededError(f"{work} {what} exceed the budget {DEFAULT_ENUMERATION_BUDGET}")
     if a.rows > a.cols:
         f = snf(a.transpose())
-        omega = f.omega
-        return SmithForm(f.T.transpose(), f.D.transpose(), f.S.transpose(), omega)
+        for (p, s), q, alpha in zip(a.ring.primes, a.ring.prime_powers, f.omega.omega):
+            _record((p, s, q, a.rows, a.cols, tuple(map(q.__rmod__, a.entries))), alpha)
+        return SmithForm(f.T.transpose(), f.D.transpose(), f.S.transpose(), f.omega)
 
-    ring = a.ring
-    m, n = a.rows, a.cols
-    k = m  # min(m, n)
-    alphas: list[tuple[int, ...]] = []
-    uinvs: list[Mat] = []
-    vinvs: list[Mat] = []
-    for i, ((p, s), q) in enumerate(zip(ring.primes, ring.prime_powers)):
-        proj = a.entries if q == ring.h else tuple(v % q for v in a.entries)
-        alpha, Ui, Vi = _pp_smith_cached(p, s, q, m, n, proj, True)
-        comp = ring.component(i)
-        alphas.append(alpha)
-        uinvs.append(Mat._new(comp, m, m, Ui))
-        vinvs.append(Mat._new(comp, n, n, Vi))
-
-    omega = InvariantFactorArray(ring, tuple(alphas))
-    S = crt_lift_mat(ring, uinvs)
-    T = crt_lift_mat(ring, vinvs)
-
-    # The glued transforms satisfy A = S @ diag(d_c) @ T where d_c is the CRT
-    # lift of the p_i ** alpha_ic.  Rescale the columns of S to trade d_c for
-    # the canonical generator g_c = prod_i(p_i ** alpha_ic): g_c = w_c * d_c
-    # for the unit w_c built componentwise below.  With one component d_c is
-    # already g_c.
-    diag = omega.diagonal_values()
-    D = Mat.diagonal(ring, diag, m, n)
-    if ring.t == 1:
-        return SmithForm(S, D, T, omega)
-    scol = list(S.entries)
-    h = ring.h
-    for c in range(k):
-        g_int = 1
-        for (p, _), row in zip(ring.primes, omega.omega):
-            g_int *= p ** row[c]
-        w = ring.crt([(g_int // (p ** row[c])) % q
-                      for (p, _), q, row in zip(ring.primes, ring.prime_powers, omega.omega)])
-        winv = pow(w, -1, h)
-        if winv != 1:
-            for r0 in range(m):
-                scol[r0 * m + c] = scol[r0 * m + c] * winv % h
-    S = Mat._new(ring, m, m, tuple(scol))
+    ring, m, n = a.ring, a.rows, a.cols
+    comps = []
+    for (p, s), q in zip(ring.primes, ring.prime_powers):
+        proj = tuple(map(q.__rmod__, a.entries))
+        comps.append(_pp_smith_cached(p, s, q, m, n, proj, True))
+        _record((p, s, q, m, n, proj), comps[-1][0])
+    omega = InvariantFactorArray(ring, tuple(alpha for alpha, _, _ in comps))
+    g = omega.generators()
+    # Over Z_{q_i}, A = Uinv_i @ diag(p_i ** alpha_ic) @ Vinv_i; scaling column c
+    # of Uinv_i by the inverse of the unit g_c / p_i ** alpha_ic (1 if t = 1)
+    # turns the glued diagonal into g_c.
+    uinvs = []
+    for (p, _), q, (alpha, Ui, _) in zip(ring.primes, ring.prime_powers, comps):
+        u = list(Ui)
+        for c, (gc, e) in enumerate(zip(g, alpha)):
+            winv = pow(gc // p**e % q, -1, q)
+            if winv != 1:
+                u[c::m] = [x * winv % q for x in u[c::m]]
+        uinvs.append(u)
+    S = Mat._new(ring, m, m, ring.crt_vectors(uinvs))
+    T = Mat._new(ring, n, n, ring.crt_vectors([Vi for _, _, Vi in comps]))
+    D = Mat.diagonal(ring, g, m, n)
     return SmithForm(S, D, T, omega)
 
 
 def inner_rank(a: Mat) -> int:
     """Least r such that a = B @ C with B of width r; read off the omega table."""
-    sat = a.ring.saturated
-    rows = _component_exponents(a)
-    return max(sum(1 for x in row if x < s) for row, s in zip(rows, sat)) if rows else 0
+    return max(sum(1 for x in row if x < s) for row, s in zip(_component_exponents(a), a.ring.saturated))
 
 
 def rank_via_projections(a: Mat) -> RankProjections:
@@ -345,10 +345,7 @@ def rank_via_projections(a: Mat) -> RankProjections:
     quotient route degenerates and via_theta is defined as via_pi.
     """
     ring = a.ring
-    via_pi = max(
-        sum(1 for x in row if x < s)
-        for row, (_, s) in zip(_component_exponents(a), ring.primes)
-    )
+    via_pi = max(sum(1 for x in row if x < s) for row, s in zip(_component_exponents(a), ring.saturated))
     if ring.t == 1:
         return RankProjections(via_pi, via_pi)
     via_theta = max(inner_rank(a.coproject(i)) for i in range(ring.t))

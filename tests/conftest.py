@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from ringmat.matrix import Mat
+from ringmat.matrix import Mat, _det_bareiss
 from ringmat.ring import ring_spec
 from ringmat.smith import _pp_smith
 
@@ -77,6 +77,15 @@ def per_matrix_labels(ring, rows, cols):
             _pp_smith(p, s, q, rows, cols, tuple(v % q for v in ents), False)[0]
             for (p, s), q in zip(ring.primes, ring.prime_powers)
         )
+
+
+def per_prime_is_invertible(self: Mat) -> bool:
+    """Mat.is_invertible as it stood before it decided over Z_rad(h) in one elimination:
+    one Bareiss determinant per prime, of the entries reduced mod that prime."""
+    return self.rows == self.cols and all(
+        _det_bareiss([[v % p for v in self.row(i)] for i in range(self.rows)]) % p
+        for p, _ in self.ring.primes
+    )
 
 
 # The four-transform kernel as it stood before ringmat.smith._pp_smith kept

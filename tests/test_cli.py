@@ -355,6 +355,49 @@ def test_family_modulus_mismatch(tmp_path, capsys):
     assert code == 2 and "does not match" in err
 
 
+# Malformed matrix and family files, with the stderr each gave before the
+# loaders built their matrices unchecked after validating every entry once.
+MALFORMED_MATRICES = (
+    ({"h": 6, "rows": 2, "cols": 2, "entries": [[1, 2], [3, 6]]}, "entry 6 of entries out of range for modulus 6"),
+    ({"h": 6, "rows": 2, "cols": 2, "entries": [[1, 2], [-1, 0]]}, "entry -1 of entries out of range for modulus 6"),
+    ({"h": 6, "rows": 1, "cols": 2, "entries": [[True, 0]]}, "entry of entries must be an integer, got True"),
+    ({"h": 6, "rows": 1, "cols": 2, "entries": [[1.0, 0]]}, "entry of entries must be an integer, got 1.0"),
+    ({"h": 6, "rows": 2, "cols": 2, "entries": [[1, 2], [3]]}, "each row of entries must have 2 entries"),
+    ({"h": 6, "rows": 2, "cols": 2, "entries": [[1, 2]]}, "entries must be a list of 2 rows"),
+    ({"h": 6, "rows": 0, "cols": 2, "entries": []}, "rows and cols must be positive"),
+    ({"h": 6, "rows": 1, "cols": 1}, "matrix object missing key 'entries'"),
+    ({"h": 1, "rows": 1, "cols": 1, "entries": [[0]]}, "modulus must be >= 2, got 1"),
+    ([[1, 2], [3, 4]], "matrix object must be a JSON object"),
+)
+MALFORMED_FAMILIES = (
+    ({"h": 4, "rows": 2, "cols": 2, "members": [[[0, 0], [0, 0]], [[1, 0], [0, 4]]]},
+     "entry 4 of member out of range for modulus 4"),
+    ({"h": 4, "rows": 2, "cols": 2, "members": [[[0, 0], [0, -3]]]}, "entry -3 of member out of range for modulus 4"),
+    ({"h": 4, "rows": 1, "cols": 2, "members": [[[0, False]]]}, "entry of member must be an integer, got False"),
+    ({"h": 4, "rows": 2, "cols": 2, "members": [[[0, 0], [0]]]}, "each row of member must have 2 entries"),
+    ({"h": 4, "rows": 2, "cols": 2, "members": [[[0, 0], [0, 0], [0, 0]]]}, "member must be a list of 2 rows"),
+    ({"h": 4, "rows": 2, "cols": 2, "members": []}, "members must be a non-empty list"),
+    ({"h": 4, "rows": 2, "cols": -2, "members": [[[0, 0], [0, 0]]]}, "rows and cols must be positive"),
+    ([[[0, 0], [0, 0]]], "family object must be a JSON object"),
+)
+
+
+@pytest.mark.parametrize("obj, message", MALFORMED_MATRICES)
+def test_malformed_matrix_files_exit_2(tmp_path, capsys, obj, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    for argv in (["snf"], ["rank"], ["oracle", "omega"]):
+        assert run(capsys, *argv, "--matrix", str(path)) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("obj, message", MALFORMED_FAMILIES)
+def test_malformed_family_files_exit_2(tmp_path, capsys, obj, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    for argv in (["classify-clique", "--r", "1"], ["verify-code", "--d", "2"], ["verify-ekr", "--r", "1"]):
+        assert run(capsys, *argv, "--family", str(path)) == (2, "", f"error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # code commands
 # ---------------------------------------------------------------------------

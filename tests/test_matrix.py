@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import given
 
-from conftest import matrices, matrix_pairs
+from conftest import matrices, matrix_pairs, per_prime_is_invertible
 from ringmat.errors import NotInvertibleError, ShapeError, UsageError
 from ringmat.matrix import (
     Mat,
@@ -261,6 +261,44 @@ def test_is_invertible_matches_det_unit_route():
                 outcomes.add(flag)
         assert outcomes == {True, False}
         assert not random_matrix(ring, 2, 3, rng).is_invertible()
+
+
+INVERTIBILITY_MODULI = (4, 12, 360, 30030, 510510, 2**63, 2**64 - 59, 2**8 * 3**5 * 7**3)
+
+
+def _singular_mod_one_prime(ring, n, rng):
+    """A random n x n matrix whose last row is, mod one prime p_i only, a combination of the others."""
+    p = rng.choice(ring.primes)[0]
+    rows = [[rng.randrange(ring.h) for _ in range(n)] for _ in range(n - 1)]
+    coeffs = [rng.randrange(ring.h) for _ in rows]
+    last = [(sum(c * row[j] for c, row in zip(coeffs, rows)) + p * rng.randrange(ring.h)) % ring.h for j in range(n)]
+    return Mat.from_rows(ring, rows + [last])
+
+
+@pytest.mark.parametrize("h", INVERTIBILITY_MODULI)
+def test_is_invertible_matches_per_prime_oracle(h):
+    """One elimination mod rad(h) decides as one determinant per prime did."""
+    ring = ring_spec(h)
+    rng = random.Random(h % 10007)
+    outcomes = set()
+    for n in range(1, 9):
+        for _ in range(8):
+            for a in (random_matrix(ring, n, n, rng), _singular_mod_one_prime(ring, n, rng)):
+                flag = a.is_invertible()
+                assert flag == per_prime_is_invertible(a)
+                outcomes.add(flag)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("h", INVERTIBILITY_MODULI)
+def test_is_invertible_matches_per_prime_oracle_on_smith_transforms(h):
+    ring = ring_spec(h)
+    rng = random.Random(h % 10009)
+    for m, n in ((1, 1), (2, 3), (3, 2), (4, 4), (3, 6), (6, 3), (8, 8)):
+        for _ in range(3):
+            f = snf(random_matrix(ring, m, n, rng))
+            for t in (f.S, f.T):
+                assert t.is_invertible() and per_prime_is_invertible(t)
 
 
 def test_public_constructor_still_validates():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 
 from conftest import matrices, reference_pp_smith
-from ringmat import cliques, oracle
+from ringmat import cliques, oracle, smith
 from ringmat.cliques import classify_max_clique, random_clique_form, rebuild_clique
 from ringmat.graph import GraphSpec
 from ringmat.errors import UsageError, VerificationError
@@ -230,6 +230,34 @@ def test_kernel_caches_are_bounded():
             assert info.maxsize == KERNEL_CACHE_SIZE
             assert info.misses == KERNEL_CACHE_SIZE + 100
             assert info.currsize <= KERNEL_CACHE_SIZE
+    finally:
+        clear_kernel_caches()
+
+
+@pytest.mark.parametrize("h", (360, 30030))
+@pytest.mark.parametrize("shape", ((2, 5), (4, 4), (5, 2)))
+def test_snf_records_the_exponent_rows_it_found(monkeypatch, h, shape):
+    """After snf(a), the exponent routes on a run no kernel, and the recorded rows are the kernel's."""
+    ring = ring_spec(h)
+    a = random_matrix(ring, *shape, random.Random(h + shape[0]))
+    calls = []
+    real = smith._pp_smith
+    monkeypatch.setattr(smith, "_pp_smith", lambda *args: calls.append(args) or real(*args))
+    clear_kernel_caches()
+    try:
+        f = snf(a)
+        assert len(calls) == ring.t and all(args[-1] for args in calls)  # one transform run per prime
+        calls.clear()
+        routes = rank_via_projections(a)
+        assert (inner_rank(a), invariant_factors(a).omega) == (f.inner_rank, f.omega.omega)
+        assert routes == (f.inner_rank, f.inner_rank)
+        assert calls == []
+        recorded = dict(smith._exponent_rows)
+        assert len(recorded) == (2 if shape[0] > shape[1] else 1) * ring.t  # both orientations of a tall a
+        clear_kernel_caches()
+        for key, alpha in recorded.items():
+            assert _pp_exponents(*key) == alpha  # a cold, transform-free run
+        assert _pp_exponents.cache_info().misses == len(recorded)
     finally:
         clear_kernel_caches()
 
