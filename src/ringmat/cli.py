@@ -258,6 +258,8 @@ def cmd_build_clique(args: argparse.Namespace) -> int:
     ring = spec.ring
     alpha = _parse_alpha(ring, args.alpha)
     cspec = CanonicalCliqueSpec(spec, alpha)
+    pair_budget = args.budget if args.budget is not None else DEFAULT_PAIR_BUDGET
+    charge_clique_pairs(spec, pair_budget)
     s_mat = rio.load_matrix(args.S, expect_h=args.h) if args.S else None
     t_mat = rio.load_matrix(args.T, expect_h=args.h) if args.T else None
     b0 = rio.load_matrix(args.B0, expect_h=args.h) if args.B0 else None
@@ -270,15 +272,7 @@ def cmd_build_clique(args: argparse.Namespace) -> int:
     if b0 is not None:
         if b0.rows != spec.m or b0.cols != spec.n:
             raise UsageError("--B0 must be an m x n matrix")
-    pair_budget = args.budget if args.budget is not None else DEFAULT_PAIR_BUDGET
-    charge_clique_pairs(spec, pair_budget)
-    family = build_canonical_clique(cspec)
-    if s_mat is not None:
-        family = frozenset(s_mat @ x for x in family)
-    if t_mat is not None:
-        family = frozenset(x @ t_mat for x in family)
-    if b0 is not None:
-        family = frozenset(x + b0 for x in family)
+    family = build_canonical_clique(cspec, s_mat, t_mat, b0)
     if not is_clique(spec, family, pair_budget):
         raise VerificationError("built family is not a clique")
     obj = rio.family_to_obj(ring, spec.m, spec.n, family, {

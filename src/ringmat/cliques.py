@@ -15,6 +15,11 @@ alpha splits the classification into three forms:
   ColForm    alpha = s:        C_r(s) @ T + B0        (m = n)
   MixedForm  otherwise:        S @ C_r(alpha) @ T + B0 (m = n)
 
+C_r(alpha) is an additive subgroup spanned by at most m*n scaled unit
+matrices, so build_canonical_clique maps those generators, not the members,
+through S and T and materializes every clique, canonical or rebuilt, as one
+subgroup closure translated by B0.
+
 classify_max_clique recovers a parameterization by translating the clique
 to contain 0, projecting to each prime component, and reading off whether
 the member columns span a free rank-r column module (row type) or the
@@ -27,7 +32,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -77,39 +82,46 @@ def _ideal_generator(ring: RingSpec, exponents: Sequence[int]) -> int:
     g = 1
     for (p, _), a in zip(ring.primes, exponents):
         g *= p**a
-    return g % ring.h if g % ring.h else ring.h  # h encodes the zero ideal's step
+    return g % ring.h  # 0 generates the zero ideal
 
 
-def build_canonical_clique(cspec: CanonicalCliqueSpec) -> frozenset[Mat]:
-    """Materialize the canonical clique; its size is h**(n*r) by construction."""
+def build_canonical_clique(
+    cspec: CanonicalCliqueSpec, S: Mat | None = None, T: Mat | None = None, B0: Mat | None = None
+) -> frozenset[Mat]:
+    """Materialize S @ C_r(alpha) @ T + B0 as one closure of the mapped generators.
+
+    C_r(alpha) is spanned by E_ij in the free r x r block, step_alpha * E_ij
+    in the top-right block and step_{s-alpha} * E_ij in the bottom-left one,
+    at most m*n generators.  Each is mapped through S and T, the images are
+    closed under addition and the closure is translated by B0.  Raises
+    VerificationError unless the result has the extremal size h**(n*r),
+    i.e. unless the transforms are injective on C_r(alpha).
+    """
     g = cspec.graph
     ring = g.ring
-    h = ring.h
     m, n, r = g.m, g.n, g.r
     step_a = _ideal_generator(ring, cspec.alpha)
     step_b = _ideal_generator(ring, tuple(s - a for a, (_, s) in zip(cspec.alpha, ring.primes)))
-    free = range(h)
-    upper = range(0, h, step_a)   # ideal with exponents alpha
-    lower = range(0, h, step_b)   # complementary ideal with exponents s - alpha
-    members = []
-    n_upper = r * (n - r)
-    n_lower = (m - r) * r
-    for x1 in product(free, repeat=r * r):
-        for x2 in product(upper, repeat=n_upper):
-            for x3 in product(lower, repeat=n_lower):
-                ents = [0] * (m * n)
-                for i in range(r):
-                    row = i * n
-                    for j in range(r):
-                        ents[row + j] = x1[i * r + j]
-                    for j in range(n - r):
-                        ents[row + r + j] = x2[i * (n - r) + j]
-                for i in range(m - r):
-                    row = (r + i) * n
-                    for j in range(r):
-                        ents[row + j] = x3[i * r + j]
-                members.append(Mat._new(ring, m, n, tuple(ents)))
-    return frozenset(members)
+    units = [(i, j, 1) for i in range(r) for j in range(r)]
+    units += [(i, j, step_a) for i in range(r) for j in range(r, n)]
+    units += [(i, j, step_b) for i in range(r, m) for j in range(r)]
+    gens = []
+    for i, j, step in units:
+        ents = [0] * (m * n)
+        ents[i * n + j] = step
+        x = Mat._new(ring, m, n, tuple(ents))
+        if S is not None:
+            x = S @ x
+        if T is not None:
+            x = x @ T
+        gens.append(x.entries)
+    group = subgroup_closure(gens, ring.h, g.clique_bound)
+    if group is None or len(group) != g.clique_bound:
+        raise VerificationError("transforms collapsed the canonical clique")
+    if B0 is None:
+        return frozenset(Mat._new(ring, m, n, x) for x in group)
+    h, b0 = ring.h, B0.entries
+    return frozenset(Mat._new(ring, m, n, tuple((x + y) % h for x, y in zip(ents, b0))) for ents in group)
 
 
 def coset_difference_group(entries: Iterable[tuple[int, ...]], h: int) -> set[tuple[int, ...]] | None:
@@ -191,40 +203,8 @@ class CliqueForm:
 
 
 def rebuild_clique(form: CliqueForm) -> frozenset[Mat]:
-    """Materialize { S @ M @ T + B0 : M in the canonical clique of alpha }."""
-    g = form.graph
-    base = build_canonical_clique(CanonicalCliqueSpec(g, form.alpha))
-    out = []
-    for mtx in base:
-        x = mtx
-        if form.S is not None:
-            x = form.S @ x
-        if form.T is not None:
-            x = x @ form.T
-        out.append(x + form.B0)
-    fam = frozenset(out)
-    if len(fam) != len(base):
-        raise VerificationError("transforms collapsed the canonical clique")
-    return fam
-
-
-def _stack_horizontal(members: list[tuple[int, ...]], m: int, n: int) -> tuple[int, ...]:
-    width = len(members) * n
-    out = [0] * (m * width)
-    for k, ents in enumerate(members):
-        for i in range(m):
-            base = i * width + k * n
-            src = i * n
-            for j in range(n):
-                out[base + j] = ents[src + j]
-    return tuple(out)
-
-
-def _stack_vertical(members: list[tuple[int, ...]], m: int, n: int) -> tuple[int, ...]:
-    out = []
-    for ents in members:
-        out.extend(ents)
-    return tuple(out)
+    """Materialize S @ C_r(alpha) @ T + B0 through build_canonical_clique's one closure."""
+    return build_canonical_clique(CanonicalCliqueSpec(form.graph, form.alpha), form.S, form.T, form.B0)
 
 
 def classify_max_clique(spec: GraphSpec, family: Iterable[Mat]) -> CliqueForm:
@@ -249,23 +229,22 @@ def classify_max_clique(spec: GraphSpec, family: Iterable[Mat]) -> CliqueForm:
     for mem in members:
         if mem.ring != ring or (mem.rows, mem.cols) != (m, n):
             raise ShapeError("family members do not match the graph parameters")
-    size = len(set(members))
-    if size != spec.clique_bound:
+    fam = {mem.entries for mem in members}
+    if len(fam) != spec.clique_bound:
         raise VerificationError(
-            f"family has size {size}, a maximum clique has {spec.clique_bound}"
+            f"family has size {len(fam)}, a maximum clique has {spec.clique_bound}"
         )
 
-    b0 = min(members, key=lambda mat: mat.entries)
-    shifted = sorted({(mem - b0).entries for mem in members})
+    b0 = min(fam)
 
     s_comps: list[Mat | None] = []
     t_comps: list[Mat | None] = []
     alpha: list[int] = []
     for idx, ((p, s), q) in enumerate(zip(ring.primes, ring.prime_powers)):
-        proj = sorted({tuple(v % q for v in ents) for ents in shifted})
+        proj = sorted({tuple((x - y) % q for x, y in zip(ents, b0)) for ents in fam})
         comp = ring.component(idx)
 
-        hstack = _stack_horizontal(proj, m, n)
+        hstack = tuple(x for i in range(m) for ents in proj for x in ents[i * n:(i + 1) * n])
         h_alpha, h_uinv, _ = _pp_smith_cached(p, s, q, m, len(proj) * n, hstack, True)
         if h_alpha == (0,) * r + (s,) * (m - r):
             s_comps.append(Mat._new(comp, m, m, h_uinv))
@@ -273,7 +252,7 @@ def classify_max_clique(spec: GraphSpec, family: Iterable[Mat]) -> CliqueForm:
             alpha.append(0)
             continue
 
-        vstack = _stack_vertical(proj, m, n)
+        vstack = tuple(x for ents in proj for x in ents)
         v_alpha, _, v_vinv = _pp_smith_cached(p, s, q, len(proj) * m, n, vstack, True)
         if v_alpha == (0,) * r + (s,) * (n - r):
             if m != n:
@@ -312,9 +291,8 @@ def classify_max_clique(spec: GraphSpec, family: Iterable[Mat]) -> CliqueForm:
             [c if c is not None else Mat.identity(ring.component(i), n) for i, c in enumerate(t_comps)],
         )
 
-    form = CliqueForm(spec, tag, s_mat, t_mat, tuple(alpha), b0)
-    rebuilt = rebuild_clique(form)
-    if rebuilt != frozenset(members):
+    form = CliqueForm(spec, tag, s_mat, t_mat, tuple(alpha), Mat._new(ring, m, n, b0))
+    if {mat.entries for mat in rebuild_clique(form)} != fam:
         raise VerificationError(
             "recovered parameterization does not rebuild the family; "
             "this contradicts the classification of maximum cliques"

@@ -6,7 +6,9 @@ is a normal Cayley graph of the additive group, hence vertex-transitive and
 regular, and the maps X -> S^{-1} @ X @ T + A with S, T invertible are
 automorphisms.  It is connected iff the connection set generates the group,
 which subgroup_closure decides; the same closure finds the difference group
-of a coset family for the clique and code checks.  Graphs within the vertex
+of a coset family for the clique and code checks, and builds every clique
+S @ C_r(alpha) @ T + B0 from the generators of C_r(alpha) mapped through S
+and T, so no member is mapped one by one.  Graphs within the vertex
 budget are materialized as a rank table, and exact clique/independence
 numbers are only searched on tiny instances; beyond that the package
 certifies them constructively (canonical cliques, rank-distance codes, coset

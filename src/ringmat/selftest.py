@@ -309,6 +309,8 @@ def _generated_families(quick: bool = False):
 
 
 def check_classification(quick: bool = False) -> tuple[bool, str]:
+    # classify_max_clique rebuilds every form it returns and raises unless the
+    # rebuild equals the family, so a classified family has round-tripped
     msgs: list[str] = []
     enumerated = 0
     for spec, count, cliques in _enumerated_families():
@@ -320,9 +322,6 @@ def check_classification(quick: bool = False) -> tuple[bool, str]:
             if form.tag not in (ROW_FORM, COL_FORM):
                 _fail(msgs, f"h={h}: unexpected tag {form.tag} for a field case")
                 break
-            if rebuild_clique(form) != fam:
-                _fail(msgs, f"h={h}: classified form does not rebuild the clique")
-                break
         enumerated += len(cliques)
         if msgs:
             return _outcome(msgs, "")
@@ -332,9 +331,6 @@ def check_classification(quick: bool = False) -> tuple[bool, str]:
         back = classify_max_clique(spec, fam)
         if back.tag != tag:
             _fail(msgs, f"h={spec.ring.h} alpha={alpha}: tag {back.tag}, expected {tag}")
-            return _outcome(msgs, "")
-        if rebuild_clique(back) != fam:
-            _fail(msgs, f"h={spec.ring.h} alpha={alpha}: round trip changed the family")
             return _outcome(msgs, "")
         round_trips += 1
     return _outcome(

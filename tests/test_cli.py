@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -313,6 +314,18 @@ def test_build_clique_bad_alpha(capsys):
     code, _, err = run(capsys, "build-clique", "--h", "6", "--m", "2",
                        "--n", "2", "--r", "1", "--alpha", "0")
     assert code == 2 and "one exponent per prime component" in err
+
+
+def test_build_clique_over_budget_exits_before_reading_transforms(tmp_path, capsys):
+    h = 2**61 - 1
+    rng = random.Random(0)
+    rows = [[rng.randrange(h) for _ in range(300)] for _ in range(300)]  # invertible whp
+    s_path = write_matrix(tmp_path, "s.json", h, rows)
+    start = time.process_time()
+    code, out, err = run(capsys, "build-clique", "--h", str(h), "--m", "300", "--n", "300",
+                         "--r", "1", "--alpha", "0", "--S", s_path)
+    assert time.process_time() - start < 2.0
+    assert code == 3 and out == "" and "budget exceeded" in err
 
 
 def test_verify_ekr_subfamily_and_rejection(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Canonical cliques, classification, rebuild gates, extremal verification."""
 
 import random
+from itertools import product
+from operator import mul
 
 import pytest
 
@@ -102,10 +104,15 @@ def test_classify_rejects_right_size_non_clique():
 
 def test_rebuild_rejects_collapsing_parameters():
     spec = _spec(6)
-    bad = CliqueForm(spec, ROW_FORM, Mat.zeros(spec.ring, 2, 2), None,
-                     (0, 0), Mat.zeros(spec.ring, 2, 2))
-    with pytest.raises(VerificationError):
-        rebuild_clique(bad)
+    ring = spec.ring
+    zero = Mat.zeros(ring, 2, 2)
+    singular_2 = Mat.from_rows(ring, [[2, 0], [0, 1]])  # kills the first row mod 2
+    for tag, s_mat, t_mat, alpha in ((ROW_FORM, zero, None, (0, 0)),
+                                     (ROW_FORM, singular_2, None, (0, 0)),
+                                     (COL_FORM, None, Mat.from_rows(ring, [[3, 0], [0, 1]]), (1, 1)),
+                                     (MIXED_FORM, singular_2, Mat.identity(ring, 2), (0, 1))):
+        with pytest.raises(VerificationError, match="collapsed"):
+            rebuild_clique(CliqueForm(spec, tag, s_mat, t_mat, alpha, zero))
 
 
 def test_clique_form_tag_validation():
@@ -236,3 +243,71 @@ def test_pair_budget_is_checked_before_any_work(monkeypatch):
     monkeypatch.setattr(cliques, "coset_difference_group", refuse)
     with pytest.raises(BudgetExceededError):
         is_clique(spec, fam, pair_budget=629)
+
+
+# --- the member-by-member route as the oracle ---------------------------------
+
+
+def _product_loop_clique(cspec):
+    """The entries of C_r(alpha) member by member: X1 free, X2 over the ideal alpha, X3 over s - alpha."""
+    spec = cspec.graph
+    ring = spec.ring
+    h, m, n, r = ring.h, spec.m, spec.n, spec.r
+
+    def ideal(exponents):
+        g = 1
+        for (p, _), a in zip(ring.primes, exponents):
+            g *= p**a
+        return sorted({x * g % h for x in range(h)})
+
+    upper = ideal(cspec.alpha)
+    lower = ideal([s - a for a, (_, s) in zip(cspec.alpha, ring.primes)])
+    members = set()
+    for x1 in product(range(h), repeat=r * r):
+        for x2 in product(upper, repeat=r * (n - r)):
+            for x3 in product(lower, repeat=(m - r) * r):
+                ents = [0] * (m * n)
+                for i in range(r):
+                    ents[i * n:i * n + r] = x1[i * r:(i + 1) * r]
+                    ents[i * n + r:(i + 1) * n] = x2[i * (n - r):(i + 1) * (n - r)]
+                for i in range(m - r):
+                    ents[(r + i) * n:(r + i) * n + r] = x3[i * r:(i + 1) * r]
+                members.add(tuple(ents))
+    return members
+
+
+def _mapped_members(form, members):
+    """The entries of S @ M @ T + B0 for every M in members, each mapped on its own.
+
+    Entry (i, j) of S @ M @ T is the dot product of vec(M) with the row
+    (S[i, k] * T[l, j] for k, l) of S (x) T^t.
+    """
+    spec = form.graph
+    ring = spec.ring
+    h, m, n = ring.h, spec.m, spec.n
+    s_ents = (form.S or Mat.identity(ring, m)).entries
+    t_ents = (form.T or Mat.identity(ring, n)).entries
+    rows = [[s_ents[i * m + k] * t_ents[l * n + j] for k in range(m) for l in range(n)]
+            for i in range(m) for j in range(n)]
+    shift = form.B0.entries
+    return {tuple((sum(map(mul, row, x)) + b) % h for row, b in zip(rows, shift)) for x in members}
+
+
+def _valid_alphas(spec):
+    choices = product(*[(0, s) for _, s in spec.ring.primes])
+    return [a for a in choices if spec.m == spec.n or not any(a)]
+
+
+ORACLE_CASES = [(h, 2, 2, 1) for h in (4, 6, 9, 12)] + [(6, 2, 3, 1), (6, 3, 3, 1), (6, 3, 3, 2)]
+
+
+@pytest.mark.parametrize("h, m, n, r", ORACLE_CASES)
+def test_generator_closure_matches_the_member_loops(h, m, n, r):
+    spec = _spec(h, m, n, r)
+    for alpha in _valid_alphas(spec):
+        cspec = CanonicalCliqueSpec(spec, alpha)
+        members = _product_loop_clique(cspec)
+        assert len(members) == spec.clique_bound
+        assert {x.entries for x in build_canonical_clique(cspec)} == members
+        form = random_clique_form(spec, alpha, h + m + n + r)
+        assert {x.entries for x in rebuild_clique(form)} == _mapped_members(form, members)

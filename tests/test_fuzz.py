@@ -1,11 +1,14 @@
-"""Seeded fuzzing of the matrix-file subcommands against the CLI contract.
+"""Seeded fuzzing of the file-reading subcommands against the CLI contract.
 
-Each case writes one matrix file (JSON, or CSV with its shape on the command
-line) and runs `snf`, `rank`, `oracle omega` or `oracle rank` through
-`cli.main`.  The contract: exit 0, 2 or 3 and never a traceback; on exit 3 an
-empty stdout and under 2 s of CPU time; on exit 0 one JSON document on
-stdout.  Each case runs under a deadline of process CPU time (SIGPROF), so a
-hang fails its case instead of stalling the suite.
+A matrix case writes one matrix file (JSON, or CSV with its shape on the
+command line) and runs `snf`, `rank`, `oracle omega` or `oracle rank`.  A
+clique case runs `build-clique` on drawn parameters and optional S/T/B0
+files, then `classify-clique` and `verify-ekr` on the written family, on it
+with one member dropped and with one member added.  All run through
+`cli.main`.  The contract: exit 0, 2 or 3, or 1 for a failed verification,
+and never a traceback; on exit 3 an empty stdout and under 2 s of CPU time;
+on exit 0 one JSON document on stdout.  Each run has a deadline of process
+CPU time (SIGPROF), so a hang fails its case instead of stalling the suite.
 """
 
 import contextlib
@@ -16,15 +19,19 @@ import signal
 import time
 from itertools import combinations
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from ringmat.cli import main
-from ringmat.ring import factor_modulus
+from ringmat.errors import UsageError
+from ringmat.io import load_family
+from ringmat.matrix import random_invertible
+from ringmat.ring import factor_modulus, ring_spec
 
 MAX_ENTRIES = 10**5
 DEADLINE_S = 20.0  # CPU seconds per case
 BUDGET_EXIT_S = 2.0
 EXAMPLES = 40
+CLIQUE_EXAMPLES = 150  # under 3 s of Tier-1
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 251, 65521)
 LARGE_PRIMES = (999983, 1000003, 2**31 - 1, 3037000493, 2**32 - 17, 2**32 - 5, 2**32 + 15, 2**61 - 1, 2**64 - 59)
@@ -128,3 +135,114 @@ def test_matrix_commands_keep_the_cli_contract(tmp_path_factory, command, h, sha
         assert isinstance(json.loads(out), dict)
     if mode == "out-of-range":
         assert code == 2 and "out of range" in err
+
+
+FAULTS = (None, None, None, "alpha", "shape", "--S", "--T", "--B0")  # at most one per case
+GOOD_FILES = {"--S": ("invertible",), "--T": ("invertible",), "--B0": ("random", "singular")}
+BAD_FILES = {"--S": ("random", "singular", "wrong shape", "wrong h"),
+             "--T": ("random", "singular", "wrong shape", "wrong h"),
+             "--B0": ("wrong shape", "wrong h")}
+
+
+def _matrix_file(directory, name: str, h: int, rows: int, cols: int, kind: str, seed: int) -> str:
+    """A rows x cols matrix file of the given kind over Z_h."""
+    rng = random.Random(seed)
+    if kind == "wrong shape":
+        rows += 1
+    if kind == "invertible" and rows == cols:
+        grid = random_invertible(ring_spec(h), rows, rng).to_rows()
+    else:
+        grid = [[rng.randrange(h) for _ in range(cols)] for _ in range(rows)]
+        if kind == "singular":
+            grid[-1] = [0] * cols
+    path = directory / name
+    path.write_text(json.dumps({"h": h + 1 if kind == "wrong h" else h, "rows": rows, "cols": cols,
+                                "entries": grid}))
+    return str(path)
+
+
+def _alpha(h: int, valid: bool, square: bool, rng: random.Random) -> str:
+    """--alpha text: exponents 0 or s per prime (0 unless square), or any exponents, a wrong count or junk."""
+    try:
+        exps = [s for _, s in factor_modulus(h)]
+    except UsageError:
+        exps = [1]
+    if valid:
+        return ",".join(str(rng.choice((0, s)) if square else 0) for s in exps)
+    kind = rng.choice(("any exponent", "wrong count", "junk"))
+    if kind == "junk":
+        return rng.choice(("", "x", "0,", "1.5", "-1"))
+    values = [rng.randint(-1, s + 1) for s in exps]
+    if kind == "wrong count":
+        values = values[1:] if len(values) > 1 and rng.random() < 0.5 else values + [0]
+    return ",".join(map(str, values))
+
+
+def _contract(code: int, out: str, err: str, cpu: float) -> None:
+    assert code in (0, 1, 2, 3), (code, err)
+    assert "Traceback" not in err
+    if code == 1:  # a failed verification: a verdict on stdout or its message on stderr
+        assert err.startswith("verification failed:") or json.loads(out)["intersecting"] is False, (out, err)
+    if code == 3:
+        assert out == "" and cpu < BUDGET_EXIT_S, (cpu, err)
+    if code == 0:
+        assert isinstance(json.loads(out), dict)
+
+
+@st.composite
+def graph_params(draw, valid: bool) -> tuple[int, int, int, int]:
+    """(h, m, n, r): small h mostly, sometimes h out of range or beyond every budget."""
+    h = draw(st.one_of(*[st.integers(2, 7)] * 4, st.integers(0, 40), moduli()))
+    m, n = sorted((draw(st.integers(1, 4)), draw(st.integers(1, 4))))
+    if valid:
+        return h, m, n, draw(st.sampled_from((1, 1, 1, m)))
+    if draw(st.booleans()):
+        return h, n + 1, n, draw(st.integers(0, 5))  # m > n
+    return h, m, n, draw(st.sampled_from((0, m + 1)))
+
+
+@settings(max_examples=CLIQUE_EXAMPLES, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), seed=st.integers(0, 2**32))
+def test_clique_commands_keep_the_cli_contract(tmp_path_factory, data, seed):
+    rng = random.Random(seed)
+    fault = rng.choice(FAULTS)
+    h, m, n, r = data.draw(graph_params(fault != "shape"))
+    directory = tmp_path_factory.mktemp("fuzz")
+    alpha = _alpha(h, fault != "alpha", m == n, rng)
+    argv = ["build-clique", "--h", str(h), "--m", str(m), "--n", str(n), "--r", str(r), f"--alpha={alpha}"]
+    if h >= 2:
+        for flag, rows, cols in (("--S", m, m), ("--T", n, n), ("--B0", m, n)):
+            kind = rng.choice(BAD_FILES[flag] if fault == flag else (None,) + GOOD_FILES[flag])
+            if kind is not None:
+                argv += [flag, _matrix_file(directory, flag[2:] + ".json", h, rows, cols, kind, seed)]
+    family = directory / "fam.json"
+    code, out, err, cpu = _run([*argv, "--out", str(family)])
+    event(f"build-clique exit {code}")
+    _contract(code, out, err, cpu)
+    assert code != 1, err  # valid parameters always give a clique
+    if code != 0:
+        return
+
+    ring, rows, cols, members, _ = load_family(str(family))
+    grids = [mat.to_rows() for mat in members]
+    obj = {"h": ring.h, "rows": rows, "cols": cols}
+    variants = {"intact": grids, "dropped": grids[:-1]}
+    if len(grids) < ring.h ** (rows * cols):  # otherwise every matrix is a member
+        grid = grids[0]
+        while grid in grids:
+            grid = [[rng.randrange(ring.h) for _ in range(cols)] for _ in range(rows)]
+        variants["added"] = grids + [grid]
+    for name, fam in variants.items():
+        path = directory / f"{name}.json"
+        path.write_text(json.dumps({**obj, "members": fam}))
+        classified = _run(["classify-clique", "--family", str(path), "--r", str(r)])
+        verified = _run(["verify-ekr", "--family", str(path), "--r", str(r)])
+        _contract(*classified)
+        _contract(*verified)
+        # a maximum clique classifies; no other family of these sizes does
+        assert classified[0] == (0 if name == "intact" else 1), (name, classified[2])
+        report = json.loads(verified[1])
+        assert report["intersecting"] is (name != "added"), (name, report)
+        if name != "added":
+            assert verified[0] == 0 and report["extremal"] is (name == "intact")
