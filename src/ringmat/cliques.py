@@ -20,12 +20,11 @@ matrices, so build_canonical_clique maps those generators, not the members,
 through S and T and materializes every clique, canonical or rebuilt, as one
 subgroup closure translated by B0.
 
-classify_max_clique recovers a parameterization by translating the clique
-to contain 0, projecting to each prime component, and reading off whether
-the member columns span a free rank-r column module (row type) or the
-member rows span a free rank-r row module (column type) from the Smith
-exponents of stacked members; the recovered form is always verified by
-exact rebuild before it is returned.
+classify_max_clique translates the clique to contain 0 and keeps at most
+log2 |C| generators of the group; in each prime component, whether their
+columns span a free rank-r module (row type) or their rows do (column type)
+is read off the Smith exponents of the stacked generators.  The recovered
+form, one valid S and T among many, is verified by exact rebuild.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DEFAULT_EXACT_SEARCH_BUDGET,
@@ -134,7 +133,7 @@ def coset_difference_group(entries: Iterable[tuple[int, ...]], h: int) -> set[tu
     if not fam:
         return None
     b0 = min(fam)
-    diffs = {tuple((x - y) % h for x, y in zip(f, b0)) for f in fam}
+    diffs = {tuple([(x - y) % h for x, y in zip(f, b0)]) for f in fam}
     return subgroup_closure(diffs, h, len(diffs))
 
 
@@ -149,36 +148,42 @@ def charge_clique_pairs(spec: GraphSpec, pair_budget: int = DEFAULT_PAIR_BUDGET)
         raise BudgetExceededError(f"C({h}^{k}, 2) pairs exceed the budget {pair_budget}")
 
 
-def is_clique(spec: GraphSpec, family: Iterable[Mat], pair_budget: int = DEFAULT_PAIR_BUDGET) -> bool:
-    """Check that all distinct members differ by inner rank <= r.
+def difference_ranks(ring: RingSpec, rows: int, cols: int, family: Iterable[tuple[int, ...]],
+                     group: set[tuple[int, ...]] | None) -> Iterator[int]:
+    """The inner rank of every nonzero difference of a family of entry tuples.
 
-    A coset b0 + G of an additive subgroup is checked through G, whose
-    nonzero members are exactly its pairwise differences; any other family
-    pairwise.  Works per prime component on flat entry tuples so the
-    exponent kernel's cache carries the load, and charges the pair budget
-    for all pairs either way.
+    For a coset b0 + G, group is G (coset_difference_group, or the closure
+    the caller built), whose nonzero members are the pairwise differences;
+    each distinct projection of them is ranked once.  With group None every
+    pair of distinct members is ranked, and nothing is kept.  Ranks come
+    from the cached per-prime exponent rows, with no Mat built.
     """
-    members = list(family)
-    npairs = len(members) * (len(members) - 1) // 2
+    h = ring.h
+    if group is not None:
+        diffs: Iterable[tuple[int, ...]] = (g for g in group if any(g))
+    else:
+        diffs = (tuple([(x - y) % h for x, y in zip(a, b)]) for a, b in combinations(family, 2) if a != b)
+    comps = [(p, s, q, {}) for (p, s), q in zip(ring.primes, ring.prime_powers)]
+    for d in diffs:
+        rank = 0
+        for p, s, q, seen in comps:
+            x = d if q == h else tuple([e % q for e in d])
+            if (k := seen.get(x)) is None:
+                k = sum([a < s for a in _pp_exponents(p, s, q, rows, cols, x)])
+                if group is not None:
+                    seen[x] = k
+            rank = k if k > rank else rank
+        yield rank
+
+
+def is_clique(spec: GraphSpec, family: Iterable[Mat], pair_budget: int = DEFAULT_PAIR_BUDGET) -> bool:
+    """All distinct members differ by inner rank <= r, by difference_ranks; all pairs are charged either way."""
+    entries = [mat.entries for mat in family]
+    npairs = len(entries) * (len(entries) - 1) // 2
     if npairs > pair_budget:
         raise BudgetExceededError(f"{npairs} pairs exceed the budget {pair_budget}")
-    ring = spec.ring
-    rows, cols, r = spec.m, spec.n, spec.r
-    group = coset_difference_group([mat.entries for mat in members], ring.h)
-    for (p, s), q in zip(ring.primes, ring.prime_powers):
-        if group is not None:
-            diffs: Iterable[tuple[int, ...]] = {tuple(e % q for e in g) for g in group}
-        else:
-            proj = [tuple(e % q for e in mat.entries) for mat in members]
-            diffs = (
-                tuple((x - y) % q for x, y in zip(a, b))
-                for a, b in combinations(proj, 2) if a != b
-            )
-        for diff in diffs:
-            alpha = _pp_exponents(p, s, q, rows, cols, diff)
-            if sum(1 for x in alpha if x < s) > r:
-                return False
-    return True
+    group = coset_difference_group(entries, spec.ring.h)
+    return all(k <= spec.r for k in difference_ranks(spec.ring, spec.m, spec.n, entries, group))
 
 
 @dataclass(frozen=True)
@@ -211,15 +216,18 @@ def classify_max_clique(spec: GraphSpec, family: Iterable[Mat]) -> CliqueForm:
     """Recover a (tag, S, T, alpha, B0) parameterization of a maximum clique.
 
     The input must be a maximum clique: size h**(n*r) and pairwise inner
-    rank of differences <= r.  The translated set G = family - B0 projects,
-    in each prime component, onto the transformed canonical set; whether the
-    component is row type (alpha_i = 0) or column type (alpha_i = s_i) is
-    read off the Smith exponents of the horizontally / vertically stacked
-    members, and the transforms are the outer Smith factors of those stacks.
-    Ties (possible only when r = m = n) resolve to the row type.  The
-    recovered form is rebuilt and compared for exact set equality; any
-    mismatch raises VerificationError, since it would witness a maximum
-    clique outside the classified shapes.
+    rank of differences <= r.  The sorted differences G = family - B0 that
+    each grow the closure of those kept before them are kept: each at least
+    doubles it, so at most log2 |family| are, and a closure larger than the
+    family (no coset) raises VerificationError.  Whether a prime component
+    is row type (alpha_i = 0) or column type (alpha_i = s_i) is read off the
+    Smith exponents of the horizontally / vertically stacked projections of
+    the kept generators, which span the column / row modules of all of G,
+    and the transforms are the outer Smith factors of those stacks.  Ties
+    (possible only when r = m = n) resolve to the row type.  The recovered
+    form is rebuilt and compared for exact set equality; any mismatch raises
+    VerificationError, since it would witness a maximum clique outside the
+    classified shapes.
     """
     ring = spec.ring
     m, n, r = spec.m, spec.n, spec.r
@@ -236,12 +244,16 @@ def classify_max_clique(spec: GraphSpec, family: Iterable[Mat]) -> CliqueForm:
         )
 
     b0 = min(fam)
+    diffs = sorted(tuple([(x - y) % ring.h for x, y in zip(f, b0)]) for f in fam)
+    gens: list[tuple[int, ...]] = []  # the differences that grow the closure
+    if subgroup_closure(diffs, ring.h, len(fam), gens) is None:
+        raise VerificationError("family is not a coset of an additive subgroup, so not a maximum clique")
 
     s_comps: list[Mat | None] = []
     t_comps: list[Mat | None] = []
     alpha: list[int] = []
     for idx, ((p, s), q) in enumerate(zip(ring.primes, ring.prime_powers)):
-        proj = sorted({tuple((x - y) % q for x, y in zip(ents, b0)) for ents in fam})
+        proj = [tuple(x % q for x in g) for g in gens]
         comp = ring.component(idx)
 
         hstack = tuple(x for i in range(m) for ents in proj for x in ents[i * n:(i + 1) * n])

@@ -14,12 +14,12 @@ the component Z_{p**s} that span is the entrywise lift of the prime-field
 code closed under Z_{p**s}-combinations, of size p**(s*n*(m-r)) and the same
 distance: a word with unit content reduces mod p to a nonzero member of the
 prime-field code, and any p-divisible word is a p-multiple of a lifted one.
-A code is the span of its basis, built by one subgroup closure and verified
-once by an exhaustive distance check before it is returned, so emitted codes
-never rely on the argument above; the returned code carries that distance.
-A set of words that is a coset of an additive subgroup is checked through
-its difference group, and any other set pairwise; a code flagged linear
-must be its own difference group (contain zero and be closed under
+A code is the span of its basis, built by one subgroup closure on which
+every nonzero word is ranked once before it is returned, so emitted codes
+never rely on the argument above; the code carries that distance.
+verify_distance checks any set of words by cliques.difference_ranks (a
+coset through its difference group, any other set pairwise); a code flagged
+linear must be its own difference group (contain zero and be closed under
 addition), which the same subgroup closure verifies.
 
 The same codes drive the two coloring-style certificates.  A code of
@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from itertools import combinations, product
+from itertools import product
 from typing import Iterable, Sequence
 
 from .cliques import (
@@ -46,9 +46,11 @@ from .cliques import (
     build_canonical_clique,
     charge_clique_pairs,
     coset_difference_group,
+    difference_ranks,
     is_clique,
 )
 from .errors import (
+    DEFAULT_ENUMERATION_BUDGET,
     DEFAULT_PAIR_BUDGET,
     DEFAULT_VERTEX_BUDGET,
     BudgetExceededError,
@@ -59,7 +61,6 @@ from .errors import (
 from .graph import GraphSpec, adjacent, build_graph, subgroup_closure
 from .matrix import Mat
 from .ring import RingSpec, ring_spec
-from .smith import inner_rank
 
 
 # --- small finite fields -------------------------------------------------------
@@ -178,8 +179,8 @@ class RankCode:
     holds a generating set, and the codes built here are its span; the
     distance equals the minimum rank of a nonzero member.  verify_distance
     checks the closure under addition and re-establishes the distance
-    exhaustively; verified_distance is what that one check returned, on
-    codes built here.
+    exhaustively; on codes built here verified_distance is the least rank
+    found when the span's closure was formed.
     """
 
     ring: RingSpec
@@ -197,40 +198,25 @@ class RankCode:
 
 
 def verify_distance(code: RankCode, pair_budget: int = DEFAULT_PAIR_BUDGET) -> float:
-    """Exact minimum rank distance; +inf for a singleton code.
+    """Exact minimum rank distance, the least of difference_ranks; +inf for a singleton code.
 
-    A coset b0 + G of an additive subgroup takes the minimum rank of a
-    nonzero g in G, and any other code all pairs.  A code flagged linear
-    must come back as its own difference group G (it contains zero and is
-    closed under addition), else VerificationError; the pair budget is
-    charged |C| - 1 for it, and all pairs for any other code.
+    A code flagged linear must be its own difference group G (contain zero
+    and be closed under addition), else VerificationError; the pair budget
+    is charged |C| - 1 for it, and all pairs for any other code, and the
+    kernel steps per word are budgeted as for inner_rank.
     """
-    members = sorted(code.members, key=lambda mat: mat.entries)
-    if len(members) < 2:
+    entries = sorted(mat.entries for mat in code.members)
+    if len(entries) < 2:
         return math.inf
-    charged = len(members) - 1 if code.linear else len(members) * (len(members) - 1) // 2
+    charged = len(entries) - 1 if code.linear else len(entries) * (len(entries) - 1) // 2
     if charged > pair_budget:
         raise BudgetExceededError(f"{charged} distance checks exceed the budget {pair_budget}")
-    entries = [mat.entries for mat in members]
     group = coset_difference_group(entries, code.ring.h)
     if code.linear and group != set(entries):
         raise VerificationError("a linear code must contain zero and be closed under addition")
-    if group is not None:
-        diffs: Iterable[Mat] = (
-            Mat._new(code.ring, code.rows, code.cols, g) for g in group if any(g)
-        )
-    else:
-        diffs = (a - b for a, b in combinations(members, 2))
-    return min(map(inner_rank, diffs))
-
-
-def _checked(code: RankCode, pair_budget: int = DEFAULT_PAIR_BUDGET) -> RankCode:
-    d = verify_distance(code, pair_budget)
-    if len(code.members) >= 2 and d != code.claimed_min_distance:
-        raise VerificationError(
-            f"verified distance {d} != claimed {code.claimed_min_distance}"
-        )
-    return replace(code, verified_distance=d)
+    if (work := code.ring.t * code.rows * code.cols * min(code.rows, code.cols)) > DEFAULT_ENUMERATION_BUDGET:
+        raise BudgetExceededError(f"{work} kernel steps exceed the budget {DEFAULT_ENUMERATION_BUDGET}")
+    return min(difference_ranks(code.ring, code.rows, code.cols, entries, group))
 
 
 def _gabidulin_basis(field: FieldSpec, m: int, k: int) -> list[tuple[int, ...]]:
@@ -257,16 +243,16 @@ def _check_pair_budget(base: int, exp: int, pair_budget: int) -> None:
         raise BudgetExceededError(f"{base}^{exp} - 1 distance checks exceed the budget {pair_budget}")
 
 
-def _span_code(
-    ring: RingSpec, m: int, n: int, d: int, basis: Sequence[tuple[int, ...]], size: int, pair_budget: int
-) -> RankCode:
-    """The Z_h-span of basis, which must hold exactly size words, verified once to have distance d."""
+def _span_code(ring: RingSpec, m: int, n: int, d: int, basis: Sequence[tuple[int, ...]], size: int) -> RankCode:
+    """The span of basis, exactly size words, certified on that one closure to have distance d (callers budget it)."""
     group = subgroup_closure(basis, ring.h, size)
     if group is None or len(group) != size:
         raise VerificationError(f"the basis does not span exactly {size} words")
+    found = min(difference_ranks(ring, m, n, group, group))
+    if found != d:
+        raise VerificationError(f"verified distance {found} != claimed {d}")
     members = frozenset(Mat._new(ring, m, n, g) for g in group)
-    code = RankCode(ring, m, n, members, d, True, tuple(Mat._new(ring, m, n, b) for b in basis))
-    return _checked(code, pair_budget)
+    return RankCode(ring, m, n, members, d, True, tuple(Mat._new(ring, m, n, b) for b in basis), found)
 
 
 def gabidulin_code(field: FieldSpec, m: int, n: int, d: int) -> RankCode:
@@ -277,7 +263,7 @@ def gabidulin_code(field: FieldSpec, m: int, n: int, d: int) -> RankCode:
     codeword is the matrix of x -> sum c_j x^(p**j) restricted to the first
     m coordinates.  The code is the F_p-span of the n*k codewords of the
     messages x^e in slot j (its basis, j-major), must hold p**(n*k) words,
-    and is verified once, under a pair budget checked before the basis is built.
+    and is certified on its closure, under a pair budget checked before the basis is built.
     """
     if n != field.n:
         raise UsageError("n must equal the extension degree of the field")
@@ -286,19 +272,18 @@ def gabidulin_code(field: FieldSpec, m: int, n: int, d: int) -> RankCode:
     k = m - d + 1
     _check_pair_budget(field.p, n * k, DEFAULT_PAIR_BUDGET)
     basis = _gabidulin_basis(field, m, k)
-    return _span_code(ring_spec(field.p), m, n, d, basis, field.p ** (n * k), DEFAULT_PAIR_BUDGET)
+    return _span_code(ring_spec(field.p), m, n, d, basis, field.p ** (n * k))
 
 
 def mrd_code(spec: GraphSpec, pair_budget: int = DEFAULT_PAIR_BUDGET) -> RankCode:
     """A verified code over Z_h of size h**(n*(m-r)) with minimum distance r + 1.
 
     The code is the Z_h-span of the Gabidulin basis over each F_p, placed in
-    the CRT component of p (primes in order), and gets one exhaustive
-    distance verification with pair_budget.  For r = m the graph is complete
-    and the code degenerates to {0}, of distance inf; as nothing else bounds
-    the shape then, the budget also caps its h**(m*n) vertices.  The budget
-    is checked before any work, and the returned code carries the distance
-    verified for it.
+    the CRT component of p (primes in order): one closure, on which every
+    nonzero word is ranked once within pair_budget.  For r = m the graph is
+    complete and the code is {0}, of distance inf; as nothing else bounds the
+    shape then, the budget also caps its h**(m*n) vertices.  The budget is
+    checked before any work; the code carries the distance verified for it.
     """
     ring = spec.ring
     m, n, r = spec.m, spec.n, spec.r
@@ -306,14 +291,14 @@ def mrd_code(spec: GraphSpec, pair_budget: int = DEFAULT_PAIR_BUDGET) -> RankCod
     if r == m:
         if power_exceeds(ring.h, m * n, pair_budget):
             raise BudgetExceededError(f"{ring.h}^{m * n} vertices exceed the budget {pair_budget}")
-        return _checked(RankCode(ring, m, n, frozenset([Mat.zeros(ring, m, n)]), r + 1, True, ()))
+        return RankCode(ring, m, n, frozenset([Mat.zeros(ring, m, n)]), r + 1, True, (), math.inf)
     zero = (0,) * (m * n)
     basis = [
         ring.crt_vectors([b if j == i else zero for j in range(ring.t)])
         for i, (p, _) in enumerate(ring.primes)
         for b in _gabidulin_basis(FieldSpec.default(p, n), m, m - r)
     ]
-    return _span_code(ring, m, n, r + 1, basis, spec.independence_bound, pair_budget)
+    return _span_code(ring, m, n, r + 1, basis, spec.independence_bound)
 
 
 # --- colorings and covers ---------------------------------------------------------
@@ -365,7 +350,7 @@ def color_graph(
     Two vertices share a color exactly when they differ by c - c' for words
     c != c', of rank > r as the code's verified distance exceeds r, so no edge
     is monochromatic.  Within the vertex budget the code must be flagged
-    linear (a group, by verify_distance), so color_of is the projection
+    linear (a group, the closure of its basis), so color_of is the projection
     V -> K with kernel C: every edge (u, u + g) is decided by looking up its
     connection element g, read off the rank table, among the code words.
     Above the budget the verified code distance stands as the certificate

@@ -5,14 +5,14 @@ adjacent when their difference has inner rank between 1 and r.  The graph
 is a normal Cayley graph of the additive group, hence vertex-transitive and
 regular, and the maps X -> S^{-1} @ X @ T + A with S, T invertible are
 automorphisms.  It is connected iff the connection set generates the group,
-which subgroup_closure decides; the same closure finds the difference group
-of a coset family for the clique and code checks, and builds every clique
-S @ C_r(alpha) @ T + B0 from the generators of C_r(alpha) mapped through S
-and T, so no member is mapped one by one.  Graphs within the vertex
-budget are materialized as a rank table, and exact clique/independence
-numbers are only searched on tiny instances; beyond that the package
-certifies them constructively (canonical cliques, rank-distance codes, coset
-colorings).
+which subgroup_closure decides.  The same closure finds the difference group
+of a coset family for the clique and code checks, builds every clique
+S @ C_r(alpha) @ T + B0 from its mapped generators (no member is mapped one
+by one), spans each code from its basis, certified on that one closure, and
+picks out the at most log2 |C| generators that classification stacks.
+Graphs within the vertex budget are materialized as a rank table, and exact
+clique/independence numbers are searched on tiny instances only; beyond that
+the package certifies them constructively (cliques, codes, colorings).
 """
 
 from __future__ import annotations
@@ -95,24 +95,27 @@ def adjacent(spec: GraphSpec, a: Mat, b: Mat) -> bool:
 
 
 def subgroup_closure(
-    gens: Collection[tuple[int, ...]], h: int, limit: int
+    gens: Collection[tuple[int, ...]], h: int, limit: int, kept: list | None = None
 ) -> set[tuple[int, ...]] | None:
     """The additive subgroup of Z_h^k generated by gens (nonempty), or None once it passes limit.
 
     Grows H := H + <g> one generator at a time, by the translates of H up to
     the first multiple of g already in H: O(|H|) entry-tuple additions in all.
+    Each g that grows H, so at least doubles it, is appended to kept if given.
     """
     group = {(0,) * len(next(iter(gens)))}
     for g in gens:
         if g in group:
             continue
+        if kept is not None:
+            kept.append(g)
         old = list(group)
         mult = g
         while mult not in group:  # stops at the same multiple as a test against H would
-            group.update(tuple((x + y) % h for x, y in zip(mult, a)) for a in old)
+            group.update(tuple([(x + y) % h for x, y in zip(mult, a)]) for a in old)
             if len(group) > limit:
                 return None
-            mult = tuple((x + y) % h for x, y in zip(mult, g))
+            mult = tuple([(x + y) % h for x, y in zip(mult, g)])
     return group
 
 

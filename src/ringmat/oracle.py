@@ -20,7 +20,7 @@ from .matrix import Mat
 
 _INF = float("inf")
 
-DEFAULT_FACTOR_SEARCH_BUDGET = 4 * 10**6
+DEFAULT_FACTOR_SEARCH_BUDGET = 2 * 10**5  # candidate (B, C) pairs: about 2 s
 MAX_MINOR_SIZE = 4
 MAX_MINORS = 10**5  # minors evaluated, counted over all primes: about 2 s
 

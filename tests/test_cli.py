@@ -128,6 +128,15 @@ def test_oracle_rank_on_a_large_matrix_states_the_estimate_as_a_power(tmp_path, 
     assert f"needs {h}^240 candidate pairs" in err and "Traceback" not in err
 
 
+def test_oracle_rank_default_budget_exits_fast(tmp_path, capsys):
+    # rank 2, so the search for rank 1 would try all 2^21 candidate pairs
+    path = write_matrix(tmp_path, "wide.json", 2, [[1] + [0] * 18, [0, 1] + [0] * 17])
+    start = time.process_time()
+    code, out, err = run(capsys, "oracle", "rank", "--matrix", path)
+    assert time.process_time() - start < 2.0
+    assert code == 3 and out == "" and "needs 2^21 candidate pairs (budget 200000)" in err
+
+
 def test_oracle_commands(tmp_path, capsys):
     path = write_matrix(tmp_path, "a.json", 4, [[2, 1], [2, 2]])
     code, obj, _ = run_json(capsys, "oracle", "omega", "--matrix", path)

@@ -1,12 +1,13 @@
 """Canonical cliques, classification, rebuild gates, extremal verification."""
 
+import json
 import random
-from itertools import product
+from itertools import combinations, product
 from operator import mul
 
 import pytest
 
-from ringmat import cliques
+from ringmat import cli, cliques
 from ringmat.cliques import (
     build_canonical_clique,
     CanonicalCliqueSpec,
@@ -14,6 +15,7 @@ from ringmat.cliques import (
     CliqueForm,
     COL_FORM,
     coset_difference_group,
+    difference_ranks,
     enumerate_max_cliques,
     is_clique,
     MIXED_FORM,
@@ -31,6 +33,7 @@ from ringmat.errors import (
 from ringmat.graph import GraphSpec
 from ringmat.matrix import Mat, random_matrix
 from ringmat.ring import ring_spec
+from ringmat.smith import inner_rank
 
 
 def _spec(h, m=2, n=2, r=1):
@@ -234,6 +237,22 @@ def test_non_coset_families_fall_back_to_pairwise(monkeypatch):
             assert got == want
 
 
+@pytest.mark.parametrize("h, n", [(6, 2), (12, 2), (9, 2), (10, 3)])
+def test_difference_ranks_match_inner_rank(h, n):
+    spec = _spec(h, 2, n, 1)
+    ring = spec.ring
+    coset = sorted(rebuild_clique(random_clique_form(spec, (0,) * ring.t, h)), key=lambda x: x.entries)
+    group = coset_difference_group([x.entries for x in coset], h)
+    assert list(difference_ranks(ring, 2, n, (), group)) == [
+        inner_rank(Mat(ring, 2, n, g)) for g in group if any(g)
+    ]
+    rng = random.Random(h)
+    family = coset[:30] + [random_matrix(ring, 2, n, rng) for _ in range(30)]  # with repeated differences
+    assert list(difference_ranks(ring, 2, n, [x.entries for x in family], None)) == [
+        inner_rank(a - b) for a, b in combinations(family, 2) if a != b
+    ]
+
+
 def test_pair_budget_is_checked_before_any_work(monkeypatch):
     def refuse(entries, h):
         raise AssertionError("work started before the budget check")
@@ -311,3 +330,47 @@ def test_generator_closure_matches_the_member_loops(h, m, n, r):
         assert {x.entries for x in build_canonical_clique(cspec)} == members
         form = random_clique_form(spec, alpha, h + m + n + r)
         assert {x.entries for x in rebuild_clique(form)} == _mapped_members(form, members)
+
+
+# --- classification from the group's generators ----------------------------------
+
+
+def _stack_shapes(monkeypatch):
+    """The (rows, cols) of every stack classify_max_clique hands to the Smith kernel."""
+    shapes = []
+    real = cliques._pp_smith_cached
+    monkeypatch.setattr(cliques, "_pp_smith_cached", lambda *args: shapes.append(args[3:5]) or real(*args))
+    return shapes
+
+
+def _stacks_generators(shapes, m, n, size):
+    """Each stack holds at most floor(log2 size) members: m x (n*k) or (m*k) x n."""
+    k = size.bit_length() - 1
+    return shapes and all((rows == m and cols <= n * k) or (cols == n and rows <= m * k) for rows, cols in shapes)
+
+
+@pytest.mark.parametrize("h, m, alpha, tag", [
+    (4, 2, (2,), COL_FORM), (9, 3, (2,), COL_FORM), (6, 2, (1, 0), MIXED_FORM), (6, 3, (0, 1), MIXED_FORM),
+])
+def test_classification_stacks_the_generators(monkeypatch, h, m, alpha, tag):
+    spec = _spec(h, m, m)
+    fam = sorted(rebuild_clique(random_clique_form(spec, alpha, h + m)), key=lambda x: x.entries)
+    shapes = _stack_shapes(monkeypatch)
+    form = classify_max_clique(spec, fam)
+    assert (form.tag, form.alpha) == (tag, alpha)
+    assert _stacks_generators(shapes, m, m, len(fam))
+    outside = next(x for x in (random_matrix(spec.ring, m, m, k) for k in range(100)) if x not in fam)
+    with pytest.raises(VerificationError, match="not a coset"):  # one member swapped: no coset
+        classify_max_clique(spec, fam[1:] + [outside])
+
+
+def test_classify_clique_command_on_1331_members(monkeypatch, tmp_path, capsys):
+    path = str(tmp_path / "fam.json")
+    argv = ["build-clique", "--h", "11", "--m", "3", "--n", "3", "--r", "1", "--alpha", "0", "--budget", "1000000"]
+    assert cli.main(argv + ["--out", path]) == 0
+    shapes = _stack_shapes(monkeypatch)
+    capsys.readouterr()
+    assert cli.main(["classify-clique", "--family", path, "--r", "1"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert (obj["tag"], obj["size"]) == (ROW_FORM, 1331)
+    assert _stacks_generators(shapes, 3, 3, 1331)

@@ -483,38 +483,53 @@ def test_edge_check_catches_one_corrupted_color():
     assert spec.vertex_id(diff) in conn
 
 
-def test_code_distance_verified_once(monkeypatch):
+def _record_ranked(monkeypatch) -> list:
+    """[group handed in, ranks yielded] for each call of difference_ranks from codes."""
     calls = []
-    real = codes.verify_distance
+    real = codes.difference_ranks
 
-    def counting(code, pair_budget=10**5):
-        calls.append(code.size)
-        return real(code, pair_budget)
+    def recording(ring, rows, cols, family, group):
+        calls.append([group, 0])
+        for k in real(ring, rows, cols, family, group):
+            calls[-1][1] += 1
+            yield k
 
-    monkeypatch.setattr(codes, "verify_distance", counting)
+    monkeypatch.setattr(codes, "difference_ranks", recording)
+    return calls
+
+
+def test_code_distance_verified_once(monkeypatch):
+    ranked = _record_ranked(monkeypatch)
+    closures = []
+    real_closure = codes.subgroup_closure
+
+    def refuse(*args):
+        raise AssertionError("the code's group was formed a second time")
+
+    monkeypatch.setattr(codes, "coset_difference_group", refuse)
+    monkeypatch.setattr(codes, "subgroup_closure", lambda *args: closures.append(args) or real_closure(*args))
     spec = _spec(6)
     code = mrd_code(spec)
-    assert code.verified_distance == 2
-    assert calls == [36]
-    calls.clear()
+    words = {w.entries for w in code.members}
+    assert code.verified_distance == 2 and len(words) == 36
+    assert ranked == [[words, 35]] and len(closures) == 1  # each nonzero word ranked once, on the one closure
+    ranked.clear()
     certify_graph_parameters(spec, vertex_budget=2000)
-    assert calls == [36]
+    assert ranked == [[words, 35]]
 
 
 @pytest.mark.parametrize("h", [5, 6, 8, 12])
 def test_mrd_code_verified_once_with_the_callers_budget(monkeypatch, h):
-    calls = []
-    real = codes.verify_distance
-
-    def recording(code, pair_budget=codes.DEFAULT_PAIR_BUDGET):
-        calls.append((code.size, pair_budget))
-        return real(code, pair_budget)
-
-    monkeypatch.setattr(codes, "verify_distance", recording)
+    ranked = _record_ranked(monkeypatch)
     spec = _spec(h)
     size = spec.independence_bound
-    assert mrd_code(spec, pair_budget=size - 1).size == size
-    assert calls == [(size, size - 1)]
+    code = mrd_code(spec, pair_budget=size - 1)
+    assert code.size == size and code.verified_distance == 2
+    assert ranked == [[{w.entries for w in code.members}, size - 1]]
+    ranked.clear()
+    with pytest.raises(BudgetExceededError, match=f"{h}\\^2 - 1 distance checks exceed the budget {size - 2}"):
+        mrd_code(spec, pair_budget=size - 2)
+    assert ranked == []
 
 
 def test_mrd_code_budget_before_any_work(monkeypatch):

@@ -1,10 +1,13 @@
-"""Seeded fuzzing of the file-reading subcommands against the CLI contract.
+"""Seeded fuzzing of the subcommands against the CLI contract.
 
 A matrix case writes one matrix file (JSON, or CSV with its shape on the
 command line) and runs `snf`, `rank`, `oracle omega` or `oracle rank`.  A
 clique case runs `build-clique` on drawn parameters and optional S/T/B0
 files, then `classify-clique` and `verify-ekr` on the written family, on it
-with one member dropped and with one member added.  All run through
+with one member dropped and with one member added.  A code case runs
+`build-mrd --out` on drawn parameters and budget, then `verify-code` on the
+written code, on it with one word dropped and with one word added, and
+`color` and `cover-complement` on drawn small parameters.  All run through
 `cli.main`.  The contract: exit 0, 2 or 3, or 1 for a failed verification,
 and never a traceback; on exit 3 an empty stdout and under 2 s of CPU time;
 on exit 0 one JSON document on stdout.  Each run has a deadline of process
@@ -32,6 +35,7 @@ DEADLINE_S = 20.0  # CPU seconds per case
 BUDGET_EXIT_S = 2.0
 EXAMPLES = 40
 CLIQUE_EXAMPLES = 150  # under 3 s of Tier-1
+CODE_EXAMPLES = 150  # about 1 s of Tier-1
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 251, 65521)
 LARGE_PRIMES = (999983, 1000003, 2**31 - 1, 3037000493, 2**32 - 17, 2**32 - 5, 2**32 + 15, 2**61 - 1, 2**64 - 59)
@@ -246,3 +250,64 @@ def test_clique_commands_keep_the_cli_contract(tmp_path_factory, data, seed):
         assert report["intersecting"] is (name != "added"), (name, report)
         if name != "added":
             assert verified[0] == 0 and report["extremal"] is (name == "intact")
+
+
+def _verdict_contract(code: int, out: str, err: str, cpu: float) -> bool | None:
+    """verify-code's contract: exit 1 is its verdict on stdout; returns the verdict's meets on exit 0 or 1."""
+    if code != 1:
+        _contract(code, out, err, cpu)
+    assert "Traceback" not in err
+    return json.loads(out)["meets"] if code in (0, 1) else None
+
+
+@st.composite
+def small_graph_params(draw) -> tuple[int, int, int, int]:
+    """(h, m, n, r) with h <= 5 and m <= n <= 3: codes of at most 5^6 words."""
+    m, n = sorted((draw(st.integers(1, 3)), draw(st.integers(1, 3))))
+    return draw(st.integers(2, 5)), m, n, draw(st.integers(1, m))
+
+
+@settings(max_examples=CODE_EXAMPLES, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), seed=st.integers(0, 2**32))
+def test_code_commands_keep_the_cli_contract(tmp_path_factory, data, seed):
+    rng = random.Random(seed)
+    kind = rng.random()  # small parameters, any valid ones, or invalid ones
+    h, m, n, r = data.draw(small_graph_params() if kind < 0.4 else graph_params(kind < 0.8))
+    graph = ["--h", str(h), "--m", str(m), "--n", str(n), "--r", str(r)]
+    budget = ["--budget", str(data.draw(st.integers(0, 5000)))]
+    directory = tmp_path_factory.mktemp("fuzz")
+    code_file = directory / "code.json"
+    code, out, err, cpu = _run(["build-mrd", *graph, *budget, "--out", str(code_file)])
+    event(f"build-mrd exit {code}")
+    _contract(code, out, err, cpu)
+    assert code != 1, err  # a built code always verifies
+
+    small = [f"--{k}={v}" for k, v in zip("hmnr", data.draw(small_graph_params()))]
+    if data.draw(st.booleans()):  # the vertex budget, else its default
+        small += ["--budget", str(data.draw(st.integers(0, 5000)))]
+    for argv in (["color", *small, "--seed", str(seed)], ["cover-complement", *small]):
+        result = _run(argv)
+        event(f"{argv[0]} exit {result[0]}")
+        _contract(*result)
+        assert result[0] != 1, result[2]  # the certificates hold on every graph
+    if code != 0:
+        return
+
+    ring, rows, cols, members, _ = load_family(str(code_file))
+    grids = [mat.to_rows() for mat in members]
+    variants = {"intact": grids}
+    if len(grids) > 1:
+        variants["dropped"] = grids[:-1]
+    grid = grids[0]
+    while grid in grids:
+        grid = [[rng.randrange(ring.h) for _ in range(cols)] for _ in range(rows)]
+    variants["added"] = grids + [grid]
+    for name, fam in variants.items():
+        path = directory / f"{name}.json"
+        path.write_text(json.dumps({"h": ring.h, "rows": rows, "cols": cols, "members": fam}))
+        meets = _verdict_contract(*_run(["verify-code", "--family", str(path), "--d", str(r + 1)]))
+        event(f"verify-code {name} meets {meets}")
+        if meets is not None:  # else exit 3: the pairs of a large code pass the budget
+            # a maximum code loses nothing by dropping a word; any added word comes within rank r of one
+            assert meets is (name != "added"), (name, meets)

@@ -208,7 +208,7 @@ def test_internal_results_pass_public_validation():
 
 def test_clique_code_and_graph_results_pass_public_validation(monkeypatch):
     """Members, transforms and codewords built without validation are canonical."""
-    from ringmat import cliques, codes
+    from ringmat import cliques
     from ringmat.cliques import (CanonicalCliqueSpec, build_canonical_clique, classify_max_clique,
                                  random_clique_form, rebuild_clique)
     from ringmat.codes import RankCode, mrd_code, verify_distance
@@ -224,7 +224,6 @@ def test_clique_code_and_graph_results_pass_public_validation(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(cliques, "crt_lift_mat", recording(crt_lift_mat))
-    monkeypatch.setattr(codes, "inner_rank", recording(codes.inner_rank))
     for h in (4, 12):
         spec = GraphSpec(ring_spec(h), 2, 2, 1)
         seen += [spec.vertex(v) for v in range(0, spec.n_vertices, 7)]
