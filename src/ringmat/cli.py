@@ -16,6 +16,7 @@ from typing import Any, Sequence
 from . import io as rio
 from .cliques import (
     CanonicalCliqueSpec,
+    CliqueForm,
     build_canonical_clique,
     charge_clique_pairs,
     classify_max_clique,
@@ -76,6 +77,11 @@ def _emit(obj: Any) -> None:
 
 def _mat_rows(mat: Mat | None) -> list[list[int]] | None:
     return None if mat is None else mat.to_rows()
+
+
+def _form_obj(form: CliqueForm) -> dict[str, Any]:
+    return {"tag": form.tag, "alpha": list(form.alpha), "S": _mat_rows(form.S), "T": _mat_rows(form.T),
+            "B0": _mat_rows(form.B0)}
 
 
 def _resolve_seed(args: argparse.Namespace, randomized: bool) -> int:
@@ -289,18 +295,7 @@ def cmd_classify_clique(args: argparse.Namespace) -> int:
     ring, rows, cols, members, _ = rio.load_family(args.family, expect_h=args.h)
     spec = GraphSpec(ring, rows, cols, args.r)
     form = classify_max_clique(spec, members)
-    _emit({
-        "h": ring.h,
-        "m": rows,
-        "n": cols,
-        "r": args.r,
-        "size": len(members),
-        "tag": form.tag,
-        "alpha": list(form.alpha),
-        "S": _mat_rows(form.S),
-        "T": _mat_rows(form.T),
-        "B0": _mat_rows(form.B0),
-    })
+    _emit({"h": ring.h, "m": rows, "n": cols, "r": args.r, "size": len(members), **_form_obj(form)})
     return 0
 
 
@@ -318,24 +313,14 @@ def cmd_verify_ekr(args: argparse.Namespace) -> int:
             "reason": str(exc),
         })
         return 1
-    obj: dict[str, Any] = {
+    _emit({
         "intersecting": True,
         "size": rep.size,
         "bound": rep.bound,
         "within_bound": rep.within_bound,
         "extremal": rep.extremal,
-    }
-    if rep.form is not None:
-        obj["form"] = {
-            "tag": rep.form.tag,
-            "alpha": list(rep.form.alpha),
-            "S": _mat_rows(rep.form.S),
-            "T": _mat_rows(rep.form.T),
-            "B0": _mat_rows(rep.form.B0),
-        }
-    else:
-        obj["form"] = None
-    _emit(obj)
+        "form": None if rep.form is None else _form_obj(rep.form),
+    })
     return 0
 
 

@@ -20,11 +20,15 @@ matrices, so build_canonical_clique maps those generators, not the members,
 through S and T and materializes every clique, canonical or rebuilt, as one
 subgroup closure translated by B0.
 
-classify_max_clique translates the clique to contain 0 and keeps at most
-log2 |C| generators of the group; in each prime component, whether their
-columns span a free rank-r module (row type) or their rows do (column type)
-is read off the Smith exponents of the stacked generators.  The recovered
-form, one valid S and T among many, is verified by exact rebuild.
+Each family is walked once, by coset_difference_group, which closes its
+differences from the least member and keeps each that grows the closure.
+is_clique, verify_ekr and codes.verify_distance rank the walk's group,
+charged |F| - 1 rank checks for a coset and C(|F|, 2) for any other family;
+classify_max_clique reads the kept generators: in each prime component,
+whether their columns span a free rank-r module (row type) or their rows do
+(column type) is read off the Smith exponents of the stacked generators.
+The recovered form, one valid S and T among many, is verified by exact
+rebuild.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
+    DEFAULT_ENUMERATION_BUDGET,
     DEFAULT_EXACT_SEARCH_BUDGET,
     DEFAULT_PAIR_BUDGET,
     BudgetExceededError,
@@ -53,6 +58,7 @@ from . import oracle
 ROW_FORM = "RowForm"
 COL_FORM = "ColForm"
 MIXED_FORM = "MixedForm"
+Walk = tuple[set[tuple[int, ...]], list[tuple[int, ...]]]  # (G, its kept generators): one walk of a coset
 
 
 @dataclass(frozen=True)
@@ -123,25 +129,28 @@ def build_canonical_clique(
     return frozenset(Mat._new(ring, m, n, tuple((x + y) % h for x, y in zip(ents, b0))) for ents in group)
 
 
-def coset_difference_group(entries: Iterable[tuple[int, ...]], h: int) -> set[tuple[int, ...]] | None:
-    """G = F - b0 when the family F is a coset b0 + G of an additive subgroup, else None.
+def coset_difference_group(entries: Iterable[tuple[int, ...]], h: int) -> Walk | None:
+    """(G, gens) when the family F is a coset b0 + G of an additive subgroup, else None: the one walk of F.
 
-    G is the closure of the differences F - b0, aborted once it outgrows
-    them: O(|F|) entry-tuple additions in all.
+    b0 = min(F).  The differences F - b0 are walked in sorted order and
+    closed under addition, aborted once the closure outgrows them: O(|F|)
+    entry-tuple additions in all.  gens keeps each difference that grows
+    the closure; each at least doubles it, so at most log2 |F| are kept.
     """
     fam = set(entries)
     if not fam:
         return None
     b0 = min(fam)
-    diffs = {tuple([(x - y) % h for x, y in zip(f, b0)]) for f in fam}
-    return subgroup_closure(diffs, h, len(diffs))
+    gens: list[tuple[int, ...]] = []
+    group = subgroup_closure(sorted(tuple([(x - y) % h for x, y in zip(f, b0)]) for f in fam), h, len(fam), gens)
+    return None if group is None else (group, gens)
 
 
 def charge_clique_pairs(spec: GraphSpec, pair_budget: int = DEFAULT_PAIR_BUDGET) -> None:
-    """Raise before a maximum clique is built unless is_clique could check its pairs.
+    """Raise before a maximum clique is built if it has more than pair_budget pairs: the build cap.
 
-    A maximum clique has h**(n*r) members, so is_clique charges C(h**(n*r), 2)
-    pairs; this refuses the same cases without forming the clique.
+    A maximum clique has h**(n*r) members; a build is refused when their
+    C(h**(n*r), 2) pairs exceed the budget, without forming the clique.
     """
     h, k = spec.ring.h, spec.n * spec.r
     if power_exceeds(h, k, pair_budget + 1) or h**k * (h**k - 1) // 2 > pair_budget:
@@ -176,14 +185,30 @@ def difference_ranks(ring: RingSpec, rows: int, cols: int, family: Iterable[tupl
         yield rank
 
 
+def _walk_and_rank(ring: RingSpec, rows: int, cols: int, entries: list[tuple[int, ...]],
+                   pair_budget: int) -> tuple[Walk | None, Iterator[int]]:
+    """(coset_difference_group of entries; the ranks of its differences), charged for the ranks taken.
+
+    Before the walk, the kernel steps per difference are budgeted as for
+    inner_rank and the |F| - 1 rank checks of a coset are charged; a family
+    that is no coset is then charged all C(|F|, 2) pairs, before any kernel
+    call.  The ranks are difference_ranks on the walk's group.
+    """
+    if (work := ring.t * rows * cols * min(rows, cols)) > DEFAULT_ENUMERATION_BUDGET:
+        raise BudgetExceededError(f"{work} kernel steps exceed the budget {DEFAULT_ENUMERATION_BUDGET}")
+    n = len(entries)
+    if n - 1 > pair_budget:
+        raise BudgetExceededError(f"{n - 1} rank checks exceed the budget {pair_budget}")
+    walk = coset_difference_group(entries, ring.h)
+    if walk is None and n * (n - 1) // 2 > pair_budget:
+        raise BudgetExceededError(f"{n * (n - 1) // 2} rank checks exceed the budget {pair_budget}")
+    return walk, difference_ranks(ring, rows, cols, entries, walk and walk[0])
+
+
 def is_clique(spec: GraphSpec, family: Iterable[Mat], pair_budget: int = DEFAULT_PAIR_BUDGET) -> bool:
-    """All distinct members differ by inner rank <= r, by difference_ranks; all pairs are charged either way."""
-    entries = [mat.entries for mat in family]
-    npairs = len(entries) * (len(entries) - 1) // 2
-    if npairs > pair_budget:
-        raise BudgetExceededError(f"{npairs} pairs exceed the budget {pair_budget}")
-    group = coset_difference_group(entries, spec.ring.h)
-    return all(k <= spec.r for k in difference_ranks(spec.ring, spec.m, spec.n, entries, group))
+    """All distinct members differ by inner rank <= r, by the ranks _walk_and_rank takes and charges."""
+    _, ranks = _walk_and_rank(spec.ring, spec.m, spec.n, [mat.entries for mat in family], pair_budget)
+    return all(k <= spec.r for k in ranks)
 
 
 @dataclass(frozen=True)
@@ -212,14 +237,14 @@ def rebuild_clique(form: CliqueForm) -> frozenset[Mat]:
     return build_canonical_clique(CanonicalCliqueSpec(form.graph, form.alpha), form.S, form.T, form.B0)
 
 
-def classify_max_clique(spec: GraphSpec, family: Iterable[Mat]) -> CliqueForm:
+def classify_max_clique(spec: GraphSpec, family: Iterable[Mat], walk: Walk | None = None) -> CliqueForm:
     """Recover a (tag, S, T, alpha, B0) parameterization of a maximum clique.
 
     The input must be a maximum clique: size h**(n*r) and pairwise inner
-    rank of differences <= r.  The sorted differences G = family - B0 that
-    each grow the closure of those kept before them are kept: each at least
-    doubles it, so at most log2 |family| are, and a closure larger than the
-    family (no coset) raises VerificationError.  Whether a prime component
+    rank of differences <= r.  walk is coset_difference_group of the family,
+    taken here unless the caller already has it; its kept generators span
+    G = family - B0, and a family that is no coset raises
+    VerificationError.  Whether a prime component
     is row type (alpha_i = 0) or column type (alpha_i = s_i) is read off the
     Smith exponents of the horizontally / vertically stacked projections of
     the kept generators, which span the column / row modules of all of G,
@@ -239,28 +264,24 @@ def classify_max_clique(spec: GraphSpec, family: Iterable[Mat]) -> CliqueForm:
             raise ShapeError("family members do not match the graph parameters")
     fam = {mem.entries for mem in members}
     if len(fam) != spec.clique_bound:
-        raise VerificationError(
-            f"family has size {len(fam)}, a maximum clique has {spec.clique_bound}"
-        )
+        raise VerificationError(f"family has size {len(fam)}, a maximum clique has {spec.clique_bound}")
 
-    b0 = min(fam)
-    diffs = sorted(tuple([(x - y) % ring.h for x, y in zip(f, b0)]) for f in fam)
-    gens: list[tuple[int, ...]] = []  # the differences that grow the closure
-    if subgroup_closure(diffs, ring.h, len(fam), gens) is None:
+    walk = walk or coset_difference_group(fam, ring.h)
+    if walk is None:
         raise VerificationError("family is not a coset of an additive subgroup, so not a maximum clique")
 
-    s_comps: list[Mat | None] = []
-    t_comps: list[Mat | None] = []
+    s_comps: list[Mat] = []  # identity in a column-type component
+    t_comps: list[Mat] = []  # identity in a row-type component
     alpha: list[int] = []
     for idx, ((p, s), q) in enumerate(zip(ring.primes, ring.prime_powers)):
-        proj = [tuple(x % q for x in g) for g in gens]
+        proj = [tuple(x % q for x in g) for g in walk[1]]
         comp = ring.component(idx)
 
         hstack = tuple(x for i in range(m) for ents in proj for x in ents[i * n:(i + 1) * n])
         h_alpha, h_uinv, _ = _pp_smith_cached(p, s, q, m, len(proj) * n, hstack, True)
         if h_alpha == (0,) * r + (s,) * (m - r):
             s_comps.append(Mat._new(comp, m, m, h_uinv))
-            t_comps.append(None)
+            t_comps.append(Mat.identity(comp, n))
             alpha.append(0)
             continue
 
@@ -272,7 +293,7 @@ def classify_max_clique(spec: GraphSpec, family: Iterable[Mat]) -> CliqueForm:
                     f"component {idx} is column type but the matrices are not square; "
                     "this contradicts the classification of maximum cliques"
                 )
-            s_comps.append(None)
+            s_comps.append(Mat.identity(comp, m))
             t_comps.append(Mat._new(comp, n, n, v_vinv))
             alpha.append(s)
             continue
@@ -283,27 +304,11 @@ def classify_max_clique(spec: GraphSpec, family: Iterable[Mat]) -> CliqueForm:
             "this contradicts the classification of maximum cliques"
         )
 
-    row_like = [a == 0 for a in alpha]
-    if all(row_like):
-        tag = ROW_FORM
-        s_mat: Mat | None = crt_lift_mat(ring, [c for c in s_comps if c is not None])
-        t_mat: Mat | None = None
-    elif not any(row_like):
-        tag = COL_FORM
-        s_mat = None
-        t_mat = crt_lift_mat(ring, [c for c in t_comps if c is not None])
-    else:
-        tag = MIXED_FORM
-        s_mat = crt_lift_mat(
-            ring,
-            [c if c is not None else Mat.identity(ring.component(i), m) for i, c in enumerate(s_comps)],
-        )
-        t_mat = crt_lift_mat(
-            ring,
-            [c if c is not None else Mat.identity(ring.component(i), n) for i, c in enumerate(t_comps)],
-        )
+    tag = ROW_FORM if not any(alpha) else COL_FORM if all(alpha) else MIXED_FORM
+    s_mat = None if tag == COL_FORM else crt_lift_mat(ring, s_comps)
+    t_mat = None if tag == ROW_FORM else crt_lift_mat(ring, t_comps)
 
-    form = CliqueForm(spec, tag, s_mat, t_mat, tuple(alpha), Mat._new(ring, m, n, b0))
+    form = CliqueForm(spec, tag, s_mat, t_mat, tuple(alpha), Mat._new(ring, m, n, min(fam)))
     if {mat.entries for mat in rebuild_clique(form)} != fam:
         raise VerificationError(
             "recovered parameterization does not rebuild the family; "
@@ -329,22 +334,23 @@ class EkrReport:
 def verify_ekr(spec: GraphSpec, family: Iterable[Mat], pair_budget: int = DEFAULT_PAIR_BUDGET) -> EkrReport:
     """Check the extremal bound for a family whose members pairwise differ by rank <= r.
 
-    Families that are not pairwise intersecting in this sense are rejected
+    The family is walked once, and checked as is_clique does on that walk;
+    families that are not pairwise intersecting in this sense are rejected
     with NotIntersectingError.  Extremal families (size exactly h**(n*r))
-    are classified; smaller ones are reported as within the bound.
+    are classified from the same walk and certified by exact rebuild;
+    smaller ones are reported as within the bound.
     """
     members = list(family)
     if not members:
         raise UsageError("empty family")
-    if not is_clique(spec, members, pair_budget):
-        raise NotIntersectingError(
-            f"family is not pairwise rank-{spec.r} intersecting"
-        )
+    walk, ranks = _walk_and_rank(spec.ring, spec.m, spec.n, [mat.entries for mat in members], pair_budget)
+    if not all(k <= spec.r for k in ranks):
+        raise NotIntersectingError(f"family is not pairwise rank-{spec.r} intersecting")
     size = len(set(members))
     bound = spec.clique_bound
     if size > bound:
         raise VerificationError(f"family of size {size} exceeds the extremal bound {bound}")
-    form = classify_max_clique(spec, members) if size == bound else None
+    form = classify_max_clique(spec, members, walk) if size == bound else None
     return EkrReport(size, bound, size == bound, form)
 
 

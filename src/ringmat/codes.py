@@ -17,10 +17,10 @@ prime-field code, and any p-divisible word is a p-multiple of a lifted one.
 A code is the span of its basis, built by one subgroup closure on which
 every nonzero word is ranked once before it is returned, so emitted codes
 never rely on the argument above; the code carries that distance.
-verify_distance checks any set of words by cliques.difference_ranks (a
-coset through its difference group, any other set pairwise); a code flagged
-linear must be its own difference group (contain zero and be closed under
-addition), which the same subgroup closure verifies.
+verify_distance checks any set of words by the one walk of cliques: a
+coset is ranked through its difference group and charged |C| - 1 rank
+checks, any other set pairwise and charged C(|C|, 2); a code flagged linear
+must also be its own difference group (contain zero, closed under addition).
 
 The same codes drive the two coloring-style certificates.  A code of
 distance > r with h**(n*(m-r)) words is a complement of the row clique K
@@ -43,14 +43,13 @@ from typing import Iterable, Sequence
 
 from .cliques import (
     CanonicalCliqueSpec,
+    _walk_and_rank,
     build_canonical_clique,
     charge_clique_pairs,
-    coset_difference_group,
     difference_ranks,
     is_clique,
 )
 from .errors import (
-    DEFAULT_ENUMERATION_BUDGET,
     DEFAULT_PAIR_BUDGET,
     DEFAULT_VERTEX_BUDGET,
     BudgetExceededError,
@@ -177,10 +176,10 @@ class RankCode:
 
     For linear codes (closed under addition and scalar multiples) `basis`
     holds a generating set, and the codes built here are its span; the
-    distance equals the minimum rank of a nonzero member.  verify_distance
-    checks the closure under addition and re-establishes the distance
-    exhaustively; on codes built here verified_distance is the least rank
-    found when the span's closure was formed.
+    distance equals the minimum rank of a nonzero member.  linear only asks
+    verify_distance to check that the code is its own difference group; the
+    charge follows the walk.  On codes built here verified_distance is the
+    least rank found when the span's closure was formed.
     """
 
     ring: RingSpec
@@ -198,25 +197,20 @@ class RankCode:
 
 
 def verify_distance(code: RankCode, pair_budget: int = DEFAULT_PAIR_BUDGET) -> float:
-    """Exact minimum rank distance, the least of difference_ranks; +inf for a singleton code.
+    """Exact minimum rank distance, the least rank cliques._walk_and_rank takes; +inf for a singleton code.
 
-    A code flagged linear must be its own difference group G (contain zero
-    and be closed under addition), else VerificationError; the pair budget
-    is charged |C| - 1 for it, and all pairs for any other code, and the
-    kernel steps per word are budgeted as for inner_rank.
+    The code is walked once and charged for the ranks taken: |C| - 1 for a
+    coset, all C(|C|, 2) pairs otherwise.  A code flagged linear must also
+    be its own difference group G (contain zero and be closed under
+    addition), else VerificationError.
     """
-    entries = sorted(mat.entries for mat in code.members)
+    entries = [mat.entries for mat in code.members]
     if len(entries) < 2:
         return math.inf
-    charged = len(entries) - 1 if code.linear else len(entries) * (len(entries) - 1) // 2
-    if charged > pair_budget:
-        raise BudgetExceededError(f"{charged} distance checks exceed the budget {pair_budget}")
-    group = coset_difference_group(entries, code.ring.h)
-    if code.linear and group != set(entries):
+    walk, ranks = _walk_and_rank(code.ring, code.rows, code.cols, entries, pair_budget)
+    if code.linear and (walk is None or walk[0] != set(entries)):
         raise VerificationError("a linear code must contain zero and be closed under addition")
-    if (work := code.ring.t * code.rows * code.cols * min(code.rows, code.cols)) > DEFAULT_ENUMERATION_BUDGET:
-        raise BudgetExceededError(f"{work} kernel steps exceed the budget {DEFAULT_ENUMERATION_BUDGET}")
-    return min(difference_ranks(code.ring, code.rows, code.cols, entries, group))
+    return min(ranks)
 
 
 def _gabidulin_basis(field: FieldSpec, m: int, k: int) -> list[tuple[int, ...]]:

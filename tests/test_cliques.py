@@ -201,7 +201,7 @@ def test_coset_route_matches_pairwise_on_cliques(monkeypatch, h, n, alpha):
     canonical = build_canonical_clique(CanonicalCliqueSpec(spec, (0,) * spec.ring.t))
     rebuilt = rebuild_clique(random_clique_form(spec, alpha, h))
     for fam in (canonical, rebuilt):
-        group = coset_difference_group([mat.entries for mat in fam], h)
+        group, _ = coset_difference_group([mat.entries for mat in fam], h)
         assert group == _shifted(fam, h)
         assert is_clique(spec, fam, pair_budget=10**6)
         assert _pairwise_is_clique(monkeypatch, spec, fam)
@@ -214,8 +214,8 @@ def test_subgroup_coset_of_rank_two_matrix_is_not_a_clique(monkeypatch):
     ident = Mat.identity(ring, 2)
     fam = [Mat.diagonal(ring, [k, k]) + b0 for k in range(6)]
     assert fam[1] - fam[0] == ident
-    group = coset_difference_group([mat.entries for mat in fam], 6)
-    assert group is not None and len(group) == 6
+    walk = coset_difference_group([mat.entries for mat in fam], 6)
+    assert walk is not None and len(walk[0]) == 6
     assert not is_clique(spec, fam)
     assert not _pairwise_is_clique(monkeypatch, spec, fam)
 
@@ -242,7 +242,7 @@ def test_difference_ranks_match_inner_rank(h, n):
     spec = _spec(h, 2, n, 1)
     ring = spec.ring
     coset = sorted(rebuild_clique(random_clique_form(spec, (0,) * ring.t, h)), key=lambda x: x.entries)
-    group = coset_difference_group([x.entries for x in coset], h)
+    group, _ = coset_difference_group([x.entries for x in coset], h)
     assert list(difference_ranks(ring, 2, n, (), group)) == [
         inner_rank(Mat(ring, 2, n, g)) for g in group if any(g)
     ]
@@ -254,14 +254,28 @@ def test_difference_ranks_match_inner_rank(h, n):
 
 
 def test_pair_budget_is_checked_before_any_work(monkeypatch):
-    def refuse(entries, h):
+    def refuse(*args):
         raise AssertionError("work started before the budget check")
 
     spec = _spec(6)
-    fam = build_canonical_clique(CanonicalCliqueSpec(spec, (0, 0)))
-    monkeypatch.setattr(cliques, "coset_difference_group", refuse)
-    with pytest.raises(BudgetExceededError):
-        is_clique(spec, fam, pair_budget=629)
+    fam = sorted(build_canonical_clique(CanonicalCliqueSpec(spec, (0, 0))), key=lambda x: x.entries)
+    with monkeypatch.context() as mp:  # a coset of 36: |F| - 1 = 35 rank checks, charged before the walk
+        mp.setattr(cliques, "coset_difference_group", refuse)
+        with pytest.raises(BudgetExceededError, match="35 rank checks exceed the budget 34"):
+            is_clique(spec, fam, pair_budget=34)
+        with pytest.raises(AssertionError):  # the walk is reached at |F| - 1
+            is_clique(spec, fam, pair_budget=35)
+    assert is_clique(spec, fam, pair_budget=35)
+    # 35 members, no coset: the walk runs, then C(35, 2) = 595 pairs are charged before any kernel call
+    walks = []
+    real_walk = cliques.coset_difference_group
+    monkeypatch.setattr(cliques, "coset_difference_group", lambda *args: walks.append(real_walk(*args)) or walks[-1])
+    monkeypatch.setattr(cliques, "_pp_exponents", refuse)
+    with pytest.raises(BudgetExceededError, match="595 rank checks exceed the budget 594"):
+        is_clique(spec, fam[:-1], pair_budget=594)
+    assert walks == [None]
+    with pytest.raises(AssertionError):  # the kernel is reached at C(|F|, 2)
+        is_clique(spec, fam[:-1], pair_budget=595)
 
 
 # --- the member-by-member route as the oracle ---------------------------------
@@ -362,6 +376,17 @@ def test_classification_stacks_the_generators(monkeypatch, h, m, alpha, tag):
     outside = next(x for x in (random_matrix(spec.ring, m, m, k) for k in range(100)) if x not in fam)
     with pytest.raises(VerificationError, match="not a coset"):  # one member swapped: no coset
         classify_max_clique(spec, fam[1:] + [outside])
+
+
+def test_verify_ekr_walks_each_family_once(monkeypatch):
+    spec = _spec(12)
+    fam = rebuild_clique(random_clique_form(spec, (2, 1), 12))
+    closures = []
+    real_closure = cliques.subgroup_closure
+    monkeypatch.setattr(cliques, "subgroup_closure", lambda *args: closures.append(args[2]) or real_closure(*args))
+    rep = verify_ekr(spec, fam)
+    assert rep.extremal and len(fam) == 144
+    assert closures == [144, 144]  # the walk, then the exact rebuild
 
 
 def test_classify_clique_command_on_1331_members(monkeypatch, tmp_path, capsys):

@@ -9,7 +9,7 @@ from itertools import product
 
 import pytest
 
-from ringmat import codes
+from ringmat import cliques, codes
 from ringmat.codes import (
     _complement_lookup,
     certify_graph_parameters,
@@ -295,14 +295,14 @@ def test_verify_distance_coset_route_matches_pairwise(monkeypatch):
         plain = RankCode(code.ring, m, n, code.members, r + 1, False, None)
         assert verify_distance(plain) == r + 1
         with monkeypatch.context() as mp:
-            mp.setattr(codes, "coset_difference_group", lambda entries, h: None)
+            mp.setattr(cliques, "coset_difference_group", lambda entries, h: None)
             assert verify_distance(plain) == r + 1
     # a non-coset code: three words, checked pairwise
     ring = ring_spec(4)
     odd = RankCode(ring, 2, 2, frozenset([
         Mat.zeros(ring, 2, 2), Mat.identity(ring, 2), Mat.diagonal(ring, [3, 1]),
     ]), 1, False, None)
-    assert codes.coset_difference_group([m.entries for m in odd.members], 4) is None
+    assert cliques.coset_difference_group([m.entries for m in odd.members], 4) is None
     assert verify_distance(odd) == 1
 
 
@@ -365,23 +365,38 @@ def test_verify_distance_on_random_cosets_matches_pairwise(monkeypatch):
             members = frozenset(
                 Mat(ring, 2, 2, tuple((x + y) % h for x, y in zip(g, b0))) for g in group
             )
-            assert codes.coset_difference_group([m.entries for m in members], h) == group
+            assert cliques.coset_difference_group([m.entries for m in members], h)[0] == group
             plain = RankCode(ring, 2, 2, members, 1, False, None)
             fast = verify_distance(plain)
             with monkeypatch.context() as mp:
-                mp.setattr(codes, "coset_difference_group", lambda entries, h: None)
+                mp.setattr(cliques, "coset_difference_group", lambda entries, h: None)
                 assert fast == verify_distance(plain)
 
 
 def test_verify_distance_budget_before_any_work(monkeypatch):
-    def refuse(entries, h):
+    def refuse(*args):
         raise AssertionError("work started before the budget check")
 
     code = mrd_code(_spec(6))
     plain = RankCode(code.ring, 2, 2, code.members, 2, False, None)
-    monkeypatch.setattr(codes, "coset_difference_group", refuse)
-    with pytest.raises(BudgetExceededError):
-        verify_distance(plain, pair_budget=629)
+    with monkeypatch.context() as mp:  # a coset of 36: |C| - 1 = 35 rank checks, charged before the walk
+        mp.setattr(cliques, "coset_difference_group", refuse)
+        with pytest.raises(BudgetExceededError, match="35 rank checks exceed the budget 34"):
+            verify_distance(plain, pair_budget=34)
+        with pytest.raises(AssertionError):  # the walk is reached at |C| - 1
+            verify_distance(plain, pair_budget=35)
+    assert verify_distance(plain, pair_budget=35) == 2
+    # 35 words, no coset: the walk runs, then C(35, 2) = 595 pairs are charged before any kernel call
+    short = replace(plain, members=frozenset(sorted(code.members, key=lambda w: w.entries)[1:]))
+    walks = []
+    real_walk = cliques.coset_difference_group
+    monkeypatch.setattr(cliques, "coset_difference_group", lambda *args: walks.append(real_walk(*args)) or walks[-1])
+    monkeypatch.setattr(cliques, "_pp_exponents", refuse)
+    with pytest.raises(BudgetExceededError, match="595 rank checks exceed the budget 594"):
+        verify_distance(short, pair_budget=594)
+    assert walks == [None]
+    with pytest.raises(AssertionError):  # the kernel is reached at C(|C|, 2)
+        verify_distance(short, pair_budget=595)
 
 
 def test_translate_ids_match_vertex_ids():
@@ -506,10 +521,11 @@ def test_code_distance_verified_once(monkeypatch):
     def refuse(*args):
         raise AssertionError("the code's group was formed a second time")
 
-    monkeypatch.setattr(codes, "coset_difference_group", refuse)
     monkeypatch.setattr(codes, "subgroup_closure", lambda *args: closures.append(args) or real_closure(*args))
     spec = _spec(6)
-    code = mrd_code(spec)
+    with monkeypatch.context() as mp:
+        mp.setattr(cliques, "coset_difference_group", refuse)
+        code = mrd_code(spec)
     words = {w.entries for w in code.members}
     assert code.verified_distance == 2 and len(words) == 36
     assert ranked == [[words, 35]] and len(closures) == 1  # each nonzero word ranked once, on the one closure

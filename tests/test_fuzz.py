@@ -7,8 +7,10 @@ files, then `classify-clique` and `verify-ekr` on the written family, on it
 with one member dropped and with one member added.  A code case runs
 `build-mrd --out` on drawn parameters and budget, then `verify-code` on the
 written code, on it with one word dropped and with one word added, and
-`color` and `cover-complement` on drawn small parameters.  All run through
-`cli.main`.  The contract: exit 0, 2 or 3, or 1 for a failed verification,
+`color` and `cover-complement` on drawn small parameters.  A census case
+runs `orbits` (JSON or CSV, with or without `--verify-product`) and
+`graph-stats` (with `--exact`, `--connectivity` and sampled symmetries) on
+drawn parameters and budgets.  All run through `cli.main`.  The contract: exit 0, 2 or 3, or 1 for a failed verification,
 and never a traceback; on exit 3 an empty stdout and under 2 s of CPU time;
 on exit 0 one JSON document on stdout.  Each run has a deadline of process
 CPU time (SIGPROF), so a hang fails its case instead of stalling the suite.
@@ -36,6 +38,7 @@ BUDGET_EXIT_S = 2.0
 EXAMPLES = 40
 CLIQUE_EXAMPLES = 150  # under 3 s of Tier-1
 CODE_EXAMPLES = 150  # about 1 s of Tier-1
+CENSUS_EXAMPLES = 100  # about 1 s of Tier-1
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 251, 65521)
 LARGE_PRIMES = (999983, 1000003, 2**31 - 1, 3037000493, 2**32 - 17, 2**32 - 5, 2**32 + 15, 2**61 - 1, 2**64 - 59)
@@ -311,3 +314,42 @@ def test_code_commands_keep_the_cli_contract(tmp_path_factory, data, seed):
         if meets is not None:  # else exit 3: the pairs of a large code pass the budget
             # a maximum code loses nothing by dropping a word; any added word comes within rank r of one
             assert meets is (name != "added"), (name, meets)
+
+
+def _budget(data) -> list[str]:
+    """A drawn --budget, or none for the default."""
+    return ["--budget", str(data.draw(st.integers(0, 5000)))] if data.draw(st.booleans()) else []
+
+
+@settings(max_examples=CENSUS_EXAMPLES, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), seed=st.integers(0, 2**32))
+def test_census_commands_keep_the_cli_contract(data, seed):
+    rng = random.Random(seed)
+    h, m, n, r = data.draw(graph_params(rng.random() < 0.875))
+    fmt = data.draw(st.sampled_from(("json", "csv")))
+    argv = ["orbits", "--h", str(h), "--m", str(m), "--n", str(n), "--format", fmt, *_budget(data)]
+    if data.draw(st.booleans()):
+        argv.append("--verify-product")
+    code, out, err, cpu = _run(argv)
+    event(f"orbits {fmt} exit {code}")
+    assert code != 1, (out, err)  # the product law holds on every census
+    if code == 0 and fmt == "csv":  # one CSV document: the header, then one label and length per line
+        lines = out.splitlines()
+        assert lines[0] == "label,length" and all(len(line.split(",")) == 2 for line in lines[1:]), out
+    else:
+        _contract(code, out, err, cpu)
+
+    argv = ["graph-stats", "--h", str(h), "--m", str(m), "--n", str(n), "--r", str(r), *_budget(data)]
+    argv += [flag for flag in ("--exact", "--connectivity") if data.draw(st.booleans())]
+    if data.draw(st.booleans()):
+        argv += ["--transitivity-samples", str(data.draw(st.integers(0, 20)))]
+        if data.draw(st.booleans()):
+            argv += ["--seed", str(seed)]
+    code, out, err, cpu = _run(argv)
+    event(f"graph-stats exit {code}")
+    _contract(code, out, err, cpu)
+    assert code != 1, err  # the certificates and the exact search agree on every graph
+    if code == 0:  # the graph is vertex-transitive, and connected as rank-1 matrices span every matrix
+        report = json.loads(out)
+        assert report.get("transitivity_ok", True) and report.get("connected", True), report
