@@ -23,10 +23,6 @@ DEFAULT_VERTEX_BUDGET = 10**4
 # Cap on vertex count for exact clique / independent-set search.
 DEFAULT_EXACT_SEARCH_BUDGET = 256
 
-# Cap on the adjacencies of a searched graph, and on the candidates one exact
-# clique search colors: about 1 s each.
-DEFAULT_SEARCH_BUDGET = 5 * 10**5
-
 # Cap on pairwise distance computations when verifying a code.
 DEFAULT_PAIR_BUDGET = 10**5
 

@@ -26,7 +26,6 @@ from . import oracle
 from .errors import (
     BudgetExceededError,
     DEFAULT_EXACT_SEARCH_BUDGET,
-    DEFAULT_SEARCH_BUDGET,
     DEFAULT_VERTEX_BUDGET,
     UsageError,
     VerificationError,
@@ -152,15 +151,10 @@ class RankGraph:
         return tuple(self.spec.vertex_entries(cid) for cid in self.connection_ids)
 
     def adjacency_masks(self, budget: int = DEFAULT_EXACT_SEARCH_BUDGET) -> list[int]:
-        """Bitset adjacency rows for the exact solvers, one connection element at a time.
-
-        Raises first above budget vertices or DEFAULT_SEARCH_BUDGET adjacencies.
-        """
+        """Bitset adjacency rows for the exact solvers, one connection element at a time."""
         nv = len(self.rho)
         if nv > budget:
             raise BudgetExceededError(f"{nv} vertices exceed the exact-search budget {budget}")
-        if (edges := nv * self.degree) > DEFAULT_SEARCH_BUDGET:
-            raise BudgetExceededError(f"{edges} adjacencies exceed the search budget {DEFAULT_SEARCH_BUDGET}")
         masks = [0] * nv
         for ec in self._connection_entries:
             for u, w in enumerate(_translate_ids(self.spec, ec)):

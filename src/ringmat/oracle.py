@@ -15,7 +15,7 @@ from itertools import combinations, product
 from math import comb
 from typing import Sequence
 
-from .errors import DEFAULT_SEARCH_BUDGET, BudgetExceededError, UsageError, power_exceeds
+from .errors import BudgetExceededError, UsageError, power_exceeds
 from .matrix import Mat
 
 _INF = float("inf")
@@ -143,49 +143,45 @@ def _greedy_color_order(cand: int, masks: Sequence[int]) -> tuple[list[int], lis
     return order, bounds
 
 
-def exact_clique(masks: Sequence[int], budget: int = DEFAULT_SEARCH_BUDGET) -> list[int]:
+def exact_clique(masks: Sequence[int], budget: int = 10**9) -> list[int]:
     """A maximum clique of the graph given by bitset adjacency rows.
 
     masks[v] has bit w set iff v and w are adjacent; rows must be symmetric
     and irreflexive.  Returns the vertex list of one maximum clique; the
-    deterministic search makes the returned witness reproducible.  The
-    search keeps its own stack, so cliques of any size fit, and raises
-    BudgetExceededError once it has colored more than budget candidates.
+    deterministic search makes the returned witness reproducible.
     """
+    n = len(masks)
+    if n == 0:
+        return []
+    # order vertices by degree (desc) then index (asc) for a stable search
     best: list[int] = []
-    clique: list[int] = []  # the vertex that opened each frame above the first
-    stack: list[list] = []  # frames [order, bounds, cand, i]: the colored candidates, next at i - 1
-    colored = 0
+    steps = 0
 
-    def push(cand: int) -> None:
-        nonlocal colored
+    def expand(clique: list[int], cand: int) -> None:
+        nonlocal best, steps
+        steps += 1
+        if steps > budget:
+            raise BudgetExceededError("clique search exceeded its step budget")
         order, bounds = _greedy_color_order(cand, masks)
-        colored += len(order)
-        if colored > budget:
-            raise BudgetExceededError(f"clique search colored more than {budget} candidates")
-        stack.append([order, bounds, cand, len(order)])
-
-    push((1 << len(masks)) - 1)
-    while stack:
-        frame = stack[-1]
-        frame[3] = i = frame[3] - 1
-        if i < 0 or len(clique) + frame[1][i] <= len(best):
-            stack.pop()
-            if clique:
-                stack[-1][2] &= ~(1 << clique.pop())
-            continue
-        v = frame[0][i]
-        if nxt := frame[2] & masks[v]:
+        for i in range(len(order) - 1, -1, -1):
+            if len(clique) + bounds[i] <= len(best):
+                return
+            v = order[i]
             clique.append(v)
-            push(nxt)
-        else:
-            if len(clique) >= len(best):
-                best = clique + [v]
-            frame[2] &= ~(1 << v)
+            nxt = cand & masks[v]
+            if nxt:
+                expand(clique, nxt)
+            elif len(clique) > len(best):
+                best = clique[:]
+            clique.pop()
+            cand &= ~(1 << v)
+
+    start = (1 << n) - 1
+    expand([], start)
     return sorted(best)
 
 
-def exact_mis(masks: Sequence[int], budget: int = DEFAULT_SEARCH_BUDGET) -> list[int]:
+def exact_mis(masks: Sequence[int], budget: int = 10**9) -> list[int]:
     """A maximum independent set: a maximum clique of the complement."""
     n = len(masks)
     full = (1 << n) - 1

@@ -461,16 +461,6 @@ def test_written_codes_and_cliques_verify_at_the_default_budget(tmp_path, capsys
     assert code == 0 and obj["extremal"] is True and obj["form"]["tag"] == "RowForm"
 
 
-def test_exact_search_budgets_its_edges_and_its_coloring(capsys):
-    # K_1600 has 2558400 adjacencies; the Z_6 2x2 graph has few enough, but its search colors too many candidates
-    for h, m, msg in ((40, 1, "2558400 adjacencies exceed the search budget 500000"),
-                      (6, 2, "clique search colored more than 500000 candidates")):
-        start = time.process_time()
-        code, out, err = run(capsys, "graph-stats", "--h", str(h), "--m", str(m), "--n", "2", "--r", "1",
-                             "--exact", "--budget", "5000")
-        assert code == 3 and out == "" and msg in err and time.process_time() - start < 2
-
-
 def test_build_mrd_budget_boundary(capsys):
     # a code of size N needs N - 1 distance checks: the budget N - 2 refuses it
     for h, size in ((5, 25), (6, 36)):

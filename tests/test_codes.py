@@ -522,8 +522,9 @@ def test_code_distance_verified_once(monkeypatch):
         raise AssertionError("the code's group was formed a second time")
 
     monkeypatch.setattr(codes, "subgroup_closure", lambda *args: closures.append(args) or real_closure(*args))
+    monkeypatch.setattr(codes, "_walk_and_rank", refuse)  # verify_distance's walk, never taken on a built code
     spec = _spec(6)
-    with monkeypatch.context() as mp:
+    with monkeypatch.context() as mp:  # certify's clique check walks its clique, so refuse every walk only here
         mp.setattr(cliques, "coset_difference_group", refuse)
         code = mrd_code(spec)
     words = {w.entries for w in code.members}

@@ -38,7 +38,7 @@ BUDGET_EXIT_S = 2.0
 EXAMPLES = 40
 CLIQUE_EXAMPLES = 150  # under 3 s of Tier-1
 CODE_EXAMPLES = 150  # about 1 s of Tier-1
-CENSUS_EXAMPLES = 100  # about 1 s of Tier-1
+CENSUS_EXAMPLES = 100  # about 1.5 s of Tier-1
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 251, 65521)
 LARGE_PRIMES = (999983, 1000003, 2**31 - 1, 3037000493, 2**32 - 17, 2**32 - 5, 2**32 + 15, 2**61 - 1, 2**64 - 59)

@@ -114,8 +114,3 @@ def test_enumerate_cliques_of_size():
 def test_exact_clique_budget():
     with pytest.raises(BudgetExceededError):
         exact_clique(_complete_masks(30), budget=5)
-
-
-def test_exact_clique_fits_cliques_deeper_than_the_recursion_limit():
-    assert exact_clique(_complete_masks(1100), budget=10**6) == list(range(1100))
-    assert exact_mis(_complete_masks(1100)) == [1099]
