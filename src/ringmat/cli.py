@@ -34,12 +34,14 @@ from .codes import (
 from .errors import (
     DEFAULT_ENUMERATION_BUDGET,
     DEFAULT_EXACT_SEARCH_BUDGET,
+    DEFAULT_FACTOR_SEARCH_BUDGET,
     DEFAULT_PAIR_BUDGET,
     DEFAULT_VERTEX_BUDGET,
     BudgetExceededError,
     NotIntersectingError,
     UsageError,
     VerificationError,
+    charge,
     power_exceeds,
 )
 from .graph import (
@@ -53,13 +55,7 @@ from .graph import (
 )
 from .matrix import Mat
 from .orbits import census_by_enumeration, expected_label_count, verify_orbit_product
-from .oracle import (
-    DEFAULT_FACTOR_SEARCH_BUDGET,
-    exact_clique,
-    exact_mis,
-    inner_rank_by_factorization,
-    omega_via_minors,
-)
+from .oracle import exact_clique, exact_mis, inner_rank_by_factorization, omega_via_minors
 from .ring import RingSpec, ring_spec
 from .smith import inner_rank, invariant_factors, rank_via_projections, snf, verify_smith_form
 
@@ -228,6 +224,9 @@ def cmd_orbits(args: argparse.Namespace) -> int:
 def cmd_graph_stats(args: argparse.Namespace) -> int:
     spec = _graph_spec(args)
     budget = args.budget if args.budget is not None else DEFAULT_VERTEX_BUDGET
+    if args.transitivity_samples < 0:
+        raise UsageError("--transitivity-samples must be >= 0")
+    charge("transitivity samples", args.transitivity_samples, budget)
     obj: dict[str, Any] = {"h": args.h, "m": args.m, "n": args.n, "r": args.r}
     if args.connectivity:  # first: above the vertex budget it stops before any other work
         obj["connected"] = check_connectivity(spec, vertex_budget=budget)
@@ -358,11 +357,9 @@ def cmd_verify_code(args: argparse.Namespace) -> int:
 def cmd_color(args: argparse.Namespace) -> int:
     spec = _graph_spec(args)
     budget = args.budget if args.budget is not None else DEFAULT_VERTEX_BUDGET
+    if args.out:
+        charge("vertices", (spec.ring.h, spec.m * spec.n), budget)
     sampled = power_exceeds(spec.ring.h, spec.m * spec.n, budget)
-    if sampled and args.out:
-        raise BudgetExceededError(
-            f"{spec.ring.h}^{spec.m * spec.n} vertices exceed the budget {budget} for --out"
-        )
     seed = _resolve_seed(args, randomized=sampled)
     col = color_graph(spec, vertex_budget=budget, sample_seed=seed, samples=args.samples)
     obj = {
@@ -494,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use exhaustive search instead of certificates (small graphs)")
     p.add_argument("--connectivity", action="store_true")
     p.add_argument("--transitivity-samples", type=int, default=0, metavar="K",
-                   help="check K sampled symmetries preserve adjacency")
+                   help="check K >= 0 sampled symmetries preserve adjacency; K is charged against --budget")
     p.add_argument("--seed", type=int, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_graph_stats)

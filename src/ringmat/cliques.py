@@ -39,20 +39,19 @@ from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
-    DEFAULT_ENUMERATION_BUDGET,
     DEFAULT_EXACT_SEARCH_BUDGET,
     DEFAULT_PAIR_BUDGET,
-    BudgetExceededError,
     NotIntersectingError,
     ShapeError,
     UsageError,
     VerificationError,
+    charge,
     power_exceeds,
 )
 from .graph import GraphSpec, build_graph, subgroup_closure
 from .matrix import Mat, crt_lift_mat, random_invertible, random_matrix
 from .ring import RingSpec
-from .smith import _pp_exponents, _pp_smith_cached
+from .smith import _charge_kernel_steps, _pp_exponents, _pp_smith_cached
 from . import oracle
 
 ROW_FORM = "RowForm"
@@ -153,8 +152,9 @@ def charge_clique_pairs(spec: GraphSpec, pair_budget: int = DEFAULT_PAIR_BUDGET)
     C(h**(n*r), 2) pairs exceed the budget, without forming the clique.
     """
     h, k = spec.ring.h, spec.n * spec.r
-    if power_exceeds(h, k, pair_budget + 1) or h**k * (h**k - 1) // 2 > pair_budget:
-        raise BudgetExceededError(f"C({h}^{k}, 2) pairs exceed the budget {pair_budget}")
+    if power_exceeds(h, k, pair_budget + 1):  # then C(h**k, 2) > pair_budget, without forming it
+        charge("members' pairs", (h, k), pair_budget)
+    charge("pairs", h**k * (h**k - 1) // 2, pair_budget)
 
 
 def difference_ranks(ring: RingSpec, rows: int, cols: int, family: Iterable[tuple[int, ...]],
@@ -194,14 +194,12 @@ def _walk_and_rank(ring: RingSpec, rows: int, cols: int, entries: list[tuple[int
     that is no coset is then charged all C(|F|, 2) pairs, before any kernel
     call.  The ranks are difference_ranks on the walk's group.
     """
-    if (work := ring.t * rows * cols * min(rows, cols)) > DEFAULT_ENUMERATION_BUDGET:
-        raise BudgetExceededError(f"{work} kernel steps exceed the budget {DEFAULT_ENUMERATION_BUDGET}")
+    _charge_kernel_steps(ring, rows, cols)
     n = len(entries)
-    if n - 1 > pair_budget:
-        raise BudgetExceededError(f"{n - 1} rank checks exceed the budget {pair_budget}")
+    charge("rank checks", n - 1, pair_budget)
     walk = coset_difference_group(entries, ring.h)
-    if walk is None and n * (n - 1) // 2 > pair_budget:
-        raise BudgetExceededError(f"{n * (n - 1) // 2} rank checks exceed the budget {pair_budget}")
+    if walk is None:
+        charge("rank checks", n * (n - 1) // 2, pair_budget)
     return walk, difference_ranks(ring, rows, cols, entries, walk and walk[0])
 
 

@@ -52,9 +52,9 @@ from .cliques import (
 from .errors import (
     DEFAULT_PAIR_BUDGET,
     DEFAULT_VERTEX_BUDGET,
-    BudgetExceededError,
     UsageError,
     VerificationError,
+    charge,
     power_exceeds,
 )
 from .graph import GraphSpec, adjacent, build_graph, subgroup_closure
@@ -231,12 +231,6 @@ def _gabidulin_basis(field: FieldSpec, m: int, k: int) -> list[tuple[int, ...]]:
     return basis
 
 
-def _check_pair_budget(base: int, exp: int, pair_budget: int) -> None:
-    """Raise before any work if a linear code of base**exp words needs more distance checks than the budget."""
-    if power_exceeds(base, exp, pair_budget + 1):
-        raise BudgetExceededError(f"{base}^{exp} - 1 distance checks exceed the budget {pair_budget}")
-
-
 def _span_code(ring: RingSpec, m: int, n: int, d: int, basis: Sequence[tuple[int, ...]], size: int) -> RankCode:
     """The span of basis, exactly size words, certified on that one closure to have distance d (callers budget it)."""
     group = subgroup_closure(basis, ring.h, size)
@@ -264,7 +258,8 @@ def gabidulin_code(field: FieldSpec, m: int, n: int, d: int) -> RankCode:
     if not 1 <= d <= m <= n:
         raise UsageError(f"need 1 <= d <= m <= n, got d={d}, m={m}, n={n}")
     k = m - d + 1
-    _check_pair_budget(field.p, n * k, DEFAULT_PAIR_BUDGET)
+    if power_exceeds(field.p, n * k, DEFAULT_PAIR_BUDGET + 1):  # its words, less one, are checked
+        charge("- 1 distance checks", (field.p, n * k), DEFAULT_PAIR_BUDGET)
     basis = _gabidulin_basis(field, m, k)
     return _span_code(ring_spec(field.p), m, n, d, basis, field.p ** (n * k))
 
@@ -281,10 +276,10 @@ def mrd_code(spec: GraphSpec, pair_budget: int = DEFAULT_PAIR_BUDGET) -> RankCod
     """
     ring = spec.ring
     m, n, r = spec.m, spec.n, spec.r
-    _check_pair_budget(ring.h, n * (m - r), pair_budget)
+    if power_exceeds(ring.h, n * (m - r), pair_budget + 1):  # its words, less one, are checked
+        charge("- 1 distance checks", (ring.h, n * (m - r)), pair_budget)
     if r == m:
-        if power_exceeds(ring.h, m * n, pair_budget):
-            raise BudgetExceededError(f"{ring.h}^{m * n} vertices exceed the budget {pair_budget}")
+        charge("vertices", (ring.h, m * n), pair_budget)
         return RankCode(ring, m, n, frozenset([Mat.zeros(ring, m, n)]), r + 1, True, (), math.inf)
     zero = (0,) * (m * n)
     basis = [
@@ -396,9 +391,7 @@ def clique_cover_complement(spec: GraphSpec, vertex_budget: int = DEFAULT_VERTEX
     partition V by _complement_lookup, as c + K holds the vertices whose
     last m - r rows are c's.
     """
-    k = spec.m * spec.n
-    if power_exceeds(spec.ring.h, k, vertex_budget):
-        raise BudgetExceededError(f"{spec.ring.h}^{k} vertices exceed the budget {vertex_budget}")
+    charge("vertices", (spec.ring.h, spec.m * spec.n), vertex_budget)
     code = mrd_code(spec)
     _complement_lookup(spec, code)
     base = build_canonical_clique(CanonicalCliqueSpec(spec, (0,) * spec.ring.t))

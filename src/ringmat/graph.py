@@ -23,14 +23,7 @@ from functools import cached_property, lru_cache
 from typing import Collection, Sequence
 
 from . import oracle
-from .errors import (
-    BudgetExceededError,
-    DEFAULT_EXACT_SEARCH_BUDGET,
-    DEFAULT_VERTEX_BUDGET,
-    UsageError,
-    VerificationError,
-    power_exceeds,
-)
+from .errors import DEFAULT_EXACT_SEARCH_BUDGET, DEFAULT_VERTEX_BUDGET, UsageError, VerificationError, charge
 from .matrix import Mat, random_invertible, random_matrix
 from .ring import RingSpec
 from .smith import _digit_ids, component_walk, exponent_rows, inner_rank
@@ -153,8 +146,7 @@ class RankGraph:
     def adjacency_masks(self, budget: int = DEFAULT_EXACT_SEARCH_BUDGET) -> list[int]:
         """Bitset adjacency rows for the exact solvers, one connection element at a time."""
         nv = len(self.rho)
-        if nv > budget:
-            raise BudgetExceededError(f"{nv} vertices exceed the exact-search budget {budget}")
+        charge("vertices", nv, budget)
         masks = [0] * nv
         for ec in self._connection_entries:
             for u, w in enumerate(_translate_ids(self.spec, ec)):
@@ -164,9 +156,7 @@ class RankGraph:
 
 def build_graph(spec: GraphSpec, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> RankGraph:
     """The graph on the rank table kept for the last shape; above the vertex budget raise first."""
-    k = spec.m * spec.n
-    if power_exceeds(spec.ring.h, k, vertex_budget):
-        raise BudgetExceededError(f"{spec.ring.h}^{k} vertices exceed the vertex budget {vertex_budget}")
+    charge("vertices", (spec.ring.h, spec.m * spec.n), vertex_budget)
     return RankGraph(spec, _rank_table(spec.ring, spec.m, spec.n))
 
 

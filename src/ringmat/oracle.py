@@ -15,14 +15,12 @@ from itertools import combinations, product
 from math import comb
 from typing import Sequence
 
-from .errors import BudgetExceededError, UsageError, power_exceeds
+from .errors import DEFAULT_FACTOR_SEARCH_BUDGET, DEFAULT_SEARCH_STEP_BUDGET, MAX_MINORS, UsageError, charge
 from .matrix import Mat
 
 _INF = float("inf")
 
-DEFAULT_FACTOR_SEARCH_BUDGET = 2 * 10**5  # candidate (B, C) pairs: about 2 s
 MAX_MINOR_SIZE = 4
-MAX_MINORS = 10**5  # minors evaluated, counted over all primes: about 2 s
 
 
 def _det_cofactor(rows: list[list[int]]) -> int:
@@ -68,9 +66,7 @@ def omega_via_minors(a: Mat) -> tuple[tuple[int, ...], ...]:
     if k_max > MAX_MINOR_SIZE:
         raise UsageError(f"minor oracle supports min(m, n) <= {MAX_MINOR_SIZE}")
     ring = a.ring
-    minors = ring.t * sum(comb(m, k) * comb(n, k) for k in range(1, k_max + 1))
-    if minors > MAX_MINORS:
-        raise BudgetExceededError(f"{minors} minors exceed the budget {MAX_MINORS}")
+    charge("minors", ring.t * sum(comb(m, k) * comb(n, k) for k in range(1, k_max + 1)), MAX_MINORS)
     out = []
     for (p, s), q in zip(ring.primes, ring.prime_powers):
         lift = [[v % q for v in a.row(i)] for i in range(m)]
@@ -105,10 +101,7 @@ def inner_rank_by_factorization(a: Mat, budget: int = DEFAULT_FACTOR_SEARCH_BUDG
     h = a.ring.h
     ring = a.ring
     for r in range(1, min(m, n)):
-        if power_exceeds(h, (m + n) * r, budget):
-            raise BudgetExceededError(
-                f"factorization search for rank {r} needs {h}^{(m + n) * r} candidate pairs (budget {budget})"
-            )
+        charge(f"candidate pairs for rank {r}", (h, (m + n) * r), budget)
         for b_entries in product(range(h), repeat=m * r):
             b = Mat(ring, m, r, b_entries)
             for c_entries in product(range(h), repeat=r * n):
@@ -143,7 +136,7 @@ def _greedy_color_order(cand: int, masks: Sequence[int]) -> tuple[list[int], lis
     return order, bounds
 
 
-def exact_clique(masks: Sequence[int], budget: int = 10**9) -> list[int]:
+def exact_clique(masks: Sequence[int], budget: int = DEFAULT_SEARCH_STEP_BUDGET) -> list[int]:
     """A maximum clique of the graph given by bitset adjacency rows.
 
     masks[v] has bit w set iff v and w are adjacent; rows must be symmetric
@@ -160,8 +153,7 @@ def exact_clique(masks: Sequence[int], budget: int = 10**9) -> list[int]:
     def expand(clique: list[int], cand: int) -> None:
         nonlocal best, steps
         steps += 1
-        if steps > budget:
-            raise BudgetExceededError("clique search exceeded its step budget")
+        charge("search steps", steps, budget)
         order, bounds = _greedy_color_order(cand, masks)
         for i in range(len(order) - 1, -1, -1):
             if len(clique) + bounds[i] <= len(best):
@@ -181,7 +173,7 @@ def exact_clique(masks: Sequence[int], budget: int = 10**9) -> list[int]:
     return sorted(best)
 
 
-def exact_mis(masks: Sequence[int], budget: int = 10**9) -> list[int]:
+def exact_mis(masks: Sequence[int], budget: int = DEFAULT_SEARCH_STEP_BUDGET) -> list[int]:
     """A maximum independent set: a maximum clique of the complement."""
     n = len(masks)
     full = (1 << n) - 1

@@ -19,9 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from math import comb, prod
 
-from .errors import (
-    DEFAULT_ENUMERATION_BUDGET, BudgetExceededError, UsageError, VerificationError, power_exceeds,
-)
+from .errors import DEFAULT_ENUMERATION_BUDGET, UsageError, VerificationError, charge
 from .ring import RingSpec
 from .smith import _pp_smith, component_walk, exponent_rows
 
@@ -99,10 +97,7 @@ def census_by_enumeration(
     component_walk.  Every label from enumerate_orbit_labels must show up,
     and lengths must sum to h^(m*n).
     """
-    cap = DEFAULT_ENUMERATION_BUDGET if budget is None else budget
-    k = rows * cols
-    if power_exceeds(ring.h, k, cap):
-        raise BudgetExceededError(f"census needs {ring.h}^{k} matrices, budget is {cap}")
+    charge("matrices", (ring.h, rows * cols), DEFAULT_ENUMERATION_BUDGET if budget is None else budget)
 
     if ring.t == 1:
         (p, s), = ring.primes

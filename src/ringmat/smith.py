@@ -28,7 +28,7 @@ from itertools import product
 from math import prod
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import DEFAULT_ENUMERATION_BUDGET, BudgetExceededError, UsageError, VerificationError
+from .errors import DEFAULT_ENUMERATION_BUDGET, UsageError, VerificationError, charge
 from .matrix import Mat
 from .ring import RingSpec
 
@@ -274,11 +274,15 @@ def clear_kernel_caches() -> None:
     _pp_exponents.cache_clear()
 
 
+def _charge_kernel_steps(ring: RingSpec, m: int, n: int) -> None:
+    """Charge the steps of one m x n kernel run per prime, before any."""
+    charge("kernel steps", ring.t * m * n * min(m, n), DEFAULT_ENUMERATION_BUDGET)
+
+
 def _component_exponents(a: Mat) -> tuple[tuple[int, ...], ...]:
     """Per-prime exponent rows of a, via the cached kernel on each projection; its steps are budgeted."""
     ring, e, m, n = a.ring, a.entries, a.rows, a.cols
-    if (work := ring.t * m * n * min(m, n)) > DEFAULT_ENUMERATION_BUDGET:
-        raise BudgetExceededError(f"{work} kernel steps exceed the budget {DEFAULT_ENUMERATION_BUDGET}")
+    _charge_kernel_steps(ring, m, n)
     return tuple([_pp_exponents(p, s, q, m, n, e if q == ring.h else tuple(map(q.__rmod__, e)))
                   for (p, s), q in zip(ring.primes, ring.prime_powers)])
 
@@ -298,9 +302,8 @@ def snf(a: Mat) -> SmithForm:
     budgeted first; the exponent rows found are recorded for a, both ways round.
     """
     lo, hi = sorted((a.rows, a.cols))
-    for work, what in ((lo * lo + hi * hi, "transform entries"), ((a.ring.t + 1) * hi * hi * lo, "transform steps")):
-        if work > DEFAULT_ENUMERATION_BUDGET:
-            raise BudgetExceededError(f"{work} {what} exceed the budget {DEFAULT_ENUMERATION_BUDGET}")
+    charge("transform entries", lo * lo + hi * hi, DEFAULT_ENUMERATION_BUDGET)
+    charge("transform steps", (a.ring.t + 1) * hi * hi * lo, DEFAULT_ENUMERATION_BUDGET)
     if a.rows > a.cols:
         f = snf(a.transpose())
         for (p, s), q, alpha in zip(a.ring.primes, a.ring.prime_powers, f.omega.omega):

@@ -125,7 +125,7 @@ def test_oracle_rank_on_a_large_matrix_states_the_estimate_as_a_power(tmp_path, 
     path = write_matrix(tmp_path, "big.json", h, [[(i * 120 + j) % h for j in range(120)] for i in range(120)])
     code, out, err = run(capsys, "oracle", "rank", "--matrix", path)
     assert code == 3 and out == ""
-    assert f"needs {h}^240 candidate pairs" in err and "Traceback" not in err
+    assert err == f"budget exceeded: {h}^240 candidate pairs for rank 1 exceed the budget 200000\n"
 
 
 def test_oracle_rank_default_budget_exits_fast(tmp_path, capsys):
@@ -134,7 +134,7 @@ def test_oracle_rank_default_budget_exits_fast(tmp_path, capsys):
     start = time.process_time()
     code, out, err = run(capsys, "oracle", "rank", "--matrix", path)
     assert time.process_time() - start < 2.0
-    assert code == 3 and out == "" and "needs 2^21 candidate pairs (budget 200000)" in err
+    assert code == 3 and out == "" and "2^21 candidate pairs for rank 1 exceed the budget 200000" in err
 
 
 def test_oracle_commands(tmp_path, capsys):
@@ -225,6 +225,33 @@ def test_seed_notice_on_stderr(capsys):
     code, obj, err = run_json(capsys, *args, "--seed", "7")
     assert code == 0 and obj["transitivity_ok"] is True
     assert err == ""
+
+
+def test_negative_transitivity_samples_are_a_usage_error(capsys):
+    code, out, err = run(capsys, "graph-stats", "--h", "2", "--m", "2", "--n", "2", "--r", "1",
+                         "--transitivity-samples", "-1")
+    assert code == 2 and out == "" and "--transitivity-samples" in err
+
+
+def test_transitivity_samples_are_charged_before_any_work(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the sample count was charged")
+
+    monkeypatch.setattr(cli, "certify_graph_parameters", refuse)
+    monkeypatch.setattr(cli, "check_connectivity", refuse)
+    start = time.process_time()
+    code, out, err = run(capsys, "graph-stats", "--h", "2", "--m", "2", "--n", "2", "--r", "1",
+                         "--connectivity", "--transitivity-samples", str(10**9))
+    assert time.process_time() - start < 2.0
+    assert code == 3 and out == ""
+    assert err == "budget exceeded: 1000000000 transitivity samples exceed the budget 10000\n"
+    code, out, err = run(capsys, "graph-stats", "--h", "2", "--m", "2", "--n", "2", "--r", "1",
+                         "--budget", "5", "--transitivity-samples", "6")
+    assert code == 3 and err == "budget exceeded: 6 transitivity samples exceed the budget 5\n"
+    monkeypatch.undo()
+    code, obj, _ = run_json(capsys, "graph-stats", "--h", "2", "--m", "2", "--n", "2", "--r", "1",
+                            "--seed", "0", "--budget", "5", "--transitivity-samples", "5")
+    assert code == 0 and obj["transitivity_ok"] is True
 
 
 GRAPH_STATS_2_3_4_2 = """{
@@ -563,7 +590,7 @@ def test_connectivity_above_budget_fails_before_any_work(monkeypatch, capsys):
                          "--r", "1", "--connectivity")
     assert time.process_time() - start < 0.3
     assert code == 3 and out == ""
-    assert "6^9 vertices exceed the vertex budget 10000" in err
+    assert err == "budget exceeded: 6^9 vertices exceed the budget 10000\n"
 
 
 def test_graph_stats_builds_one_rank_table(monkeypatch, capsys):

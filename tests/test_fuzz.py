@@ -10,9 +10,11 @@ written code, on it with one word dropped and with one word added, and
 `color` and `cover-complement` on drawn small parameters.  A census case
 runs `orbits` (JSON or CSV, with or without `--verify-product`) and
 `graph-stats` (with `--exact`, `--connectivity` and sampled symmetries) on
-drawn parameters and budgets.  All run through `cli.main`.  The contract: exit 0, 2 or 3, or 1 for a failed verification,
-and never a traceback; on exit 3 an empty stdout and under 2 s of CPU time;
-on exit 0 one JSON document on stdout.  Each run has a deadline of process
+drawn parameters and budgets.  All run through `cli.main`.  The contract:
+exit 0, 2 or 3, or 1 for a failed verification, and never a traceback; on
+exit 3 an empty stdout, under 2 s of CPU time and, as all of stderr, the one
+line "budget exceeded: <estimate> <what> exceed the budget <cap>"; on exit 0
+one JSON document on stdout.  Each run has a deadline of process
 CPU time (SIGPROF), so a hang fails its case instead of stalling the suite.
 """
 
@@ -20,6 +22,7 @@ import contextlib
 import io
 import json
 import random
+import re
 import signal
 import time
 from itertools import combinations
@@ -35,6 +38,7 @@ from ringmat.ring import factor_modulus, ring_spec
 MAX_ENTRIES = 10**5
 DEADLINE_S = 20.0  # CPU seconds per case
 BUDGET_EXIT_S = 2.0
+BUDGET_LINE = re.compile(r"budget exceeded: \S*\d\S* .+ exceed the budget \d+\n")  # all of stderr
 EXAMPLES = 40
 CLIQUE_EXAMPLES = 150  # under 3 s of Tier-1
 CODE_EXAMPLES = 150  # about 1 s of Tier-1
@@ -137,7 +141,7 @@ def test_matrix_commands_keep_the_cli_contract(tmp_path_factory, command, h, sha
     assert code in (0, 2, 3), (code, err)
     assert "Traceback" not in err
     if code == 3:
-        assert out == "" and cpu < BUDGET_EXIT_S, (cpu, err)
+        assert out == "" and cpu < BUDGET_EXIT_S and BUDGET_LINE.fullmatch(err), (cpu, err)
     if code == 0:
         assert isinstance(json.loads(out), dict)
     if mode == "out-of-range":
@@ -191,7 +195,7 @@ def _contract(code: int, out: str, err: str, cpu: float) -> None:
     if code == 1:  # a failed verification: a verdict on stdout or its message on stderr
         assert err.startswith("verification failed:") or json.loads(out)["intersecting"] is False, (out, err)
     if code == 3:
-        assert out == "" and cpu < BUDGET_EXIT_S, (cpu, err)
+        assert out == "" and cpu < BUDGET_EXIT_S and BUDGET_LINE.fullmatch(err), (cpu, err)
     if code == 0:
         assert isinstance(json.loads(out), dict)
 
