@@ -357,9 +357,13 @@ def cmd_verify_code(args: argparse.Namespace) -> int:
 def cmd_color(args: argparse.Namespace) -> int:
     spec = _graph_spec(args)
     budget = args.budget if args.budget is not None else DEFAULT_VERTEX_BUDGET
+    if args.samples < 0:
+        raise UsageError("--samples must be >= 0")
     if args.out:
         charge("vertices", (spec.ring.h, spec.m * spec.n), budget)
     sampled = power_exceeds(spec.ring.h, spec.m * spec.n, budget)
+    if sampled:  # above the vertex budget the pairs are checked one by one
+        charge("sampled pairs", args.samples, budget)
     seed = _resolve_seed(args, randomized=sampled)
     col = color_graph(spec, vertex_budget=budget, sample_seed=seed, samples=args.samples)
     obj = {

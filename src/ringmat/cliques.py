@@ -34,9 +34,8 @@ rebuild.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     DEFAULT_EXACT_SEARCH_BUDGET,
@@ -50,7 +49,7 @@ from .errors import (
 )
 from .graph import GraphSpec, build_graph, subgroup_closure
 from .matrix import Mat, crt_lift_mat, random_invertible, random_matrix
-from .ring import RingSpec
+from .ring import Frozen, RingSpec
 from .smith import _charge_kernel_steps, _pp_exponents, _pp_smith_cached
 from . import oracle
 
@@ -60,26 +59,34 @@ MIXED_FORM = "MixedForm"
 Walk = tuple[set[tuple[int, ...]], list[tuple[int, ...]]]  # (G, its kept generators): one walk of a coset
 
 
-@dataclass(frozen=True)
-class CanonicalCliqueSpec:
+class CanonicalCliqueSpec(Frozen):
     """Parameters of a canonical maximum clique: the graph and the ideal exponents.
 
     alpha[i] must be 0 or s_i.  A nonzero alpha only yields a *maximum*
     clique for square matrices, so m < n with alpha != 0 is rejected.
     """
 
-    graph: GraphSpec
-    alpha: tuple[int, ...]
+    __slots__ = ("graph", "alpha")
 
-    def __post_init__(self) -> None:
-        ring = self.graph.ring
-        if len(self.alpha) != ring.t:
+    def __init__(self, graph: GraphSpec, alpha: tuple[int, ...]) -> None:
+        ring = graph.ring
+        if len(alpha) != ring.t:
             raise UsageError("alpha must have one exponent per prime component")
-        for a, (_, s) in zip(self.alpha, ring.primes):
+        for a, (_, s) in zip(alpha, ring.primes):
             if a not in (0, s):
                 raise UsageError(f"alpha entries must be 0 or saturated, got {a} (s = {s})")
-        if any(self.alpha) and self.graph.m != self.graph.n:
+        if any(alpha) and graph.m != graph.n:
             raise UsageError("nonzero alpha needs square matrices to reach the extremal size")
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "alpha", alpha)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not CanonicalCliqueSpec:
+            return NotImplemented
+        return (self.graph, self.alpha) == (other.graph, other.alpha)
+
+    def __repr__(self) -> str:
+        return f"CanonicalCliqueSpec(graph={self.graph!r}, alpha={self.alpha!r})"
 
 
 def _ideal_generator(ring: RingSpec, exponents: Sequence[int]) -> int:
@@ -209,8 +216,7 @@ def is_clique(spec: GraphSpec, family: Iterable[Mat], pair_budget: int = DEFAULT
     return all(k <= spec.r for k in ranks)
 
 
-@dataclass(frozen=True)
-class CliqueForm:
+class CliqueForm(Frozen):
     """A verified parameterization of a maximum clique.
 
     tag is one of RowForm / ColForm / MixedForm; S is present unless the tag
@@ -218,16 +224,30 @@ class CliqueForm:
     the per-prime ideal exponents (all 0 for RowForm, all s_i for ColForm).
     """
 
-    graph: GraphSpec
-    tag: str
-    S: Mat | None
-    T: Mat | None
-    alpha: tuple[int, ...]
-    B0: Mat
+    __slots__ = ("graph", "tag", "S", "T", "alpha", "B0")
 
-    def __post_init__(self) -> None:
-        if self.tag not in (ROW_FORM, COL_FORM, MIXED_FORM):
-            raise UsageError(f"unknown form tag {self.tag!r}")
+    def __init__(
+        self, graph: GraphSpec, tag: str, S: Mat | None, T: Mat | None, alpha: tuple[int, ...], B0: Mat
+    ) -> None:
+        if tag not in (ROW_FORM, COL_FORM, MIXED_FORM):
+            raise UsageError(f"unknown form tag {tag!r}")
+        _set = object.__setattr__
+        _set(self, "graph", graph)
+        _set(self, "tag", tag)
+        _set(self, "S", S)
+        _set(self, "T", T)
+        _set(self, "alpha", alpha)
+        _set(self, "B0", B0)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not CliqueForm:
+            return NotImplemented
+        return (self.graph, self.tag, self.S, self.T, self.alpha, self.B0) == (
+            other.graph, other.tag, other.S, other.T, other.alpha, other.B0)
+
+    def __repr__(self) -> str:
+        return (f"CliqueForm(graph={self.graph!r}, tag={self.tag!r}, S={self.S!r}, T={self.T!r}, "
+                f"alpha={self.alpha!r}, B0={self.B0!r})")
 
 
 def rebuild_clique(form: CliqueForm) -> frozenset[Mat]:
@@ -315,8 +335,7 @@ def classify_max_clique(spec: GraphSpec, family: Iterable[Mat], walk: Walk | Non
     return form
 
 
-@dataclass(frozen=True)
-class EkrReport:
+class EkrReport(NamedTuple):
     """Outcome of checking a pairwise low-rank-difference family against the bound."""
 
     size: int

@@ -37,9 +37,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .cliques import (
     CanonicalCliqueSpec,
@@ -59,14 +58,13 @@ from .errors import (
 )
 from .graph import GraphSpec, adjacent, build_graph, subgroup_closure
 from .matrix import Mat
-from .ring import RingSpec, ring_spec
+from .ring import Frozen, RingSpec, ring_spec
 
 
 # --- small finite fields -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(NamedTuple):
     """The field with p**n elements, as polynomials modulo a fixed irreducible.
 
     Elements are coefficient tuples of length n, constant term first.  The
@@ -170,8 +168,7 @@ def _poly_divides(p: int, divisor: list[int], poly: list[int]) -> bool:
 # --- codes ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RankCode:
+class RankCode(NamedTuple):
     """A set of m x n matrices with a verified minimum rank distance.
 
     For linear codes (closed under addition and scalar multiples) `basis`
@@ -307,8 +304,7 @@ def _complement_lookup(spec: GraphSpec, code: RankCode) -> dict[tuple[int, ...],
     return lookup
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(NamedTuple):
     """A proper coloring by the translates k + C of a code, k in the row clique K.
 
     color_of(v) is the id of k's top r rows for v = k + c, the code word c
@@ -366,11 +362,10 @@ def color_graph(
         v = rng.randrange(nv)
         if u != v and col.color_of(u) == col.color_of(v) and adjacent(spec, spec.vertex(u), spec.vertex(v)):
             raise VerificationError(f"sampled edge ({u}, {v}) is monochromatic")
-    return replace(col, verification="structural")
+    return col._replace(verification="structural")
 
 
-@dataclass(frozen=True)
-class CliqueCover:
+class CliqueCover(NamedTuple):
     """A partition of the vertices into h**(n*(m-r)) cliques of size h**(n*r).
 
     The parts are the translates c + K of the row clique K by the code
@@ -402,8 +397,7 @@ def clique_cover_complement(spec: GraphSpec, vertex_budget: int = DEFAULT_VERTEX
     return CliqueCover(spec, tuple(frozenset(mem + x for x in base) for mem in members))
 
 
-@dataclass(frozen=True)
-class GraphCertificate:
+class GraphCertificate(Frozen):
     """Constructively certified clique, independence and chromatic numbers.
 
     A clique of size h**(n*r) gives omega >= that; a coloring with h**(n*r)
@@ -414,18 +408,32 @@ class GraphCertificate:
     that misses its bound raises VerificationError.
     """
 
-    spec: GraphSpec
-    omega: int
-    alpha: int
-    code_distance: float
-    chi: int
-    coloring_verification: str
+    __slots__ = ("spec", "omega", "alpha", "code_distance", "chi", "coloring_verification")
 
-    def __post_init__(self) -> None:
-        witnesses = (self.omega, self.alpha, self.chi)
-        bounds = (self.spec.clique_bound, self.spec.independence_bound, self.spec.clique_bound)
+    def __init__(
+        self, spec: GraphSpec, omega: int, alpha: int, code_distance: float, chi: int, coloring_verification: str
+    ) -> None:
+        witnesses = (omega, alpha, chi)
+        bounds = (spec.clique_bound, spec.independence_bound, spec.clique_bound)
         if witnesses != bounds:
             raise VerificationError(f"witnesses (omega, alpha, chi) = {witnesses} != bounds {bounds}")
+        _set = object.__setattr__
+        _set(self, "spec", spec)
+        _set(self, "omega", omega)
+        _set(self, "alpha", alpha)
+        _set(self, "code_distance", code_distance)
+        _set(self, "chi", chi)
+        _set(self, "coloring_verification", coloring_verification)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not GraphCertificate:
+            return NotImplemented
+        return (self.spec, self.omega, self.alpha, self.code_distance, self.chi, self.coloring_verification) == (
+            other.spec, other.omega, other.alpha, other.code_distance, other.chi, other.coloring_verification)
+
+    def __repr__(self) -> str:
+        return (f"GraphCertificate(spec={self.spec!r}, omega={self.omega!r}, alpha={self.alpha!r}, code_distance="
+                f"{self.code_distance!r}, chi={self.chi!r}, coloring_verification={self.coloring_verification!r})")
 
 
 def certify_graph_parameters(spec: GraphSpec, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> GraphCertificate:

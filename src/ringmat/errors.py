@@ -20,7 +20,8 @@ caps, each a default that a command's --budget replaces where it has one:
   MAX_MINORS                    10**5   minors of oracle omega (fixed)
   DEFAULT_SEARCH_STEP_BUDGET    10**9   branch-and-bound steps (fixed)
 
-graph-stats charges its --transitivity-samples count against its --budget.
+graph-stats charges its --transitivity-samples count against its --budget,
+and color above the vertex budget its --samples count.
 """
 
 from __future__ import annotations

@@ -18,29 +18,40 @@ the package certifies them constructively (cliques, codes, colorings).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Collection, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 from . import oracle
 from .errors import DEFAULT_EXACT_SEARCH_BUDGET, DEFAULT_VERTEX_BUDGET, UsageError, VerificationError, charge
 from .matrix import Mat, random_invertible, random_matrix
-from .ring import RingSpec
+from .ring import Frozen, RingSpec
 from .smith import _digit_ids, component_walk, exponent_rows, inner_rank
 
 
-@dataclass(frozen=True)
-class GraphSpec:
+class GraphSpec(Frozen):
     """Parameters (ring, m, n, r) with 1 <= r <= m <= n."""
 
-    ring: RingSpec
-    m: int
-    n: int
-    r: int
+    __slots__ = ("ring", "m", "n", "r")
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.r <= self.m <= self.n:
-            raise UsageError(f"need 1 <= r <= m <= n, got r={self.r}, m={self.m}, n={self.n}")
+    def __init__(self, ring: RingSpec, m: int, n: int, r: int) -> None:
+        if not 1 <= r <= m <= n:
+            raise UsageError(f"need 1 <= r <= m <= n, got r={r}, m={m}, n={n}")
+        _set = object.__setattr__
+        _set(self, "ring", ring)
+        _set(self, "m", m)
+        _set(self, "n", n)
+        _set(self, "r", r)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not GraphSpec:
+            return NotImplemented
+        return (self.ring, self.m, self.n, self.r) == (other.ring, other.m, other.n, other.r)
+
+    def __hash__(self) -> int:
+        return hash((self.ring, self.m, self.n, self.r))
+
+    def __repr__(self) -> str:
+        return f"GraphSpec(ring={self.ring!r}, m={self.m!r}, n={self.n!r}, r={self.r!r})"
 
     @property
     def n_vertices(self) -> int:
@@ -241,8 +252,7 @@ def check_vertex_transitivity(spec: GraphSpec, samples: int, seed: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SandwichReport:
+class SandwichReport(NamedTuple):
     """The chain chi >= |V| / alpha >= omega, evaluated on the formula values.
 
     For this family |V| = h^(mn), alpha = h^(n(m-r)) and omega = h^(nr), so

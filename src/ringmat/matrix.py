@@ -10,46 +10,59 @@ elimination of the entries reduced mod rad(h) = prod(p_i) decides.
 Public construction (Mat(...), from_rows, zeros) validates shape and
 entries.  Results that are canonical by construction (arithmetic, transpose,
 component transport, CRT gluing, the Smith transforms) go through the
-unchecked Mat._new.
+unchecked Mat._new.  A Mat is immutable; == and hash are those of its fields.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import gcd, prod
 from typing import Sequence
 
 from .errors import NotInvertibleError, ShapeError, UsageError
-from .ring import RingSpec
+from .ring import Frozen, RingSpec
 
 Rows = Sequence[Sequence[int]]
 
 
-@dataclass(frozen=True)
-class Mat:
-    ring: RingSpec
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+class Mat(Frozen):
+    __slots__ = ("ring", "rows", "cols", "entries")
 
-    def __post_init__(self) -> None:
-        if type(self.entries) is not tuple:
-            object.__setattr__(self, "entries", tuple(self.entries))
-        _check_dims(self.rows, self.cols)
-        if len(self.entries) != self.rows * self.cols:
+    def __init__(self, ring: RingSpec, rows: int, cols: int, entries: Sequence[int]) -> None:
+        if type(entries) is not tuple:
+            entries = tuple(entries)
+        _check_dims(rows, cols)
+        if len(entries) != rows * cols:
             raise ShapeError("entry count does not match dimensions")
-        h = self.ring.h
-        if any(not 0 <= v < h for v in self.entries):
+        h = ring.h
+        if any(not 0 <= v < h for v in entries):
             raise UsageError(f"entries must be canonical residues in [0, {h})")
+        _set_ring(self, ring)
+        _set_rows(self, rows)
+        _set_cols(self, cols)
+        _set_entries(self, entries)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Mat:
+            return NotImplemented
+        return (self.ring, self.rows, self.cols, self.entries) == (other.ring, other.rows, other.cols, other.entries)
+
+    def __hash__(self) -> int:
+        return hash((self.ring, self.rows, self.cols, self.entries))
+
+    def __repr__(self) -> str:
+        return f"Mat(ring={self.ring!r}, rows={self.rows!r}, cols={self.cols!r}, entries={self.entries!r})"
 
     # --- construction -------------------------------------------------------
 
     @classmethod
     def _new(cls, ring: RingSpec, rows: int, cols: int, entries: tuple[int, ...]) -> "Mat":
-        """A matrix whose shape and entries are canonical by construction; not validated."""
+        """A matrix canonical by construction, not validated: its slots are set past Frozen's block."""
         a = object.__new__(cls)
-        a.__dict__.update(ring=ring, rows=rows, cols=cols, entries=entries)  # bypasses the frozen __setattr__
+        _set_ring(a, ring)
+        _set_rows(a, rows)
+        _set_cols(a, cols)
+        _set_entries(a, entries)
         return a
 
     @classmethod
@@ -193,6 +206,9 @@ class Mat:
         """Entrywise image in the complementary quotient ring (0-based)."""
         hq = self.ring.cofactors[i]
         return Mat._new(self.ring.cofactor_ring(i), self.rows, self.cols, tuple(map(hq.__rmod__, self.entries)))
+
+
+_set_ring, _set_rows, _set_cols, _set_entries = (getattr(Mat, f).__set__ for f in Mat.__slots__)
 
 
 def _check_dims(rows: int, cols: int) -> None:

@@ -15,34 +15,43 @@ censuses.  The closed form of the orbit lengths is not implemented yet.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from math import comb, prod
+from typing import NamedTuple
 
 from .errors import DEFAULT_ENUMERATION_BUDGET, UsageError, VerificationError, charge
-from .ring import RingSpec
+from .ring import Frozen, RingSpec
 from .smith import _pp_smith, component_walk, exponent_rows
 
 Label = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class CensusReport:
-    """Orbit lengths for every label of Z_h^{m x n}, counted exhaustively (weighted over Z_{p^s})."""
+class CensusReport(Frozen):
+    """Orbit lengths of every label of Z_h^{m x n}, sorted by label, counted exhaustively (weighted over Z_{p^s})."""
 
-    ring: RingSpec
-    rows: int
-    cols: int
-    entries: tuple[tuple[Label, int], ...]  # sorted by label
+    __slots__ = ("ring", "rows", "cols", "entries")
 
-    def __post_init__(self) -> None:
-        if sum(c for _, c in self.entries) != self.total:
+    def __init__(self, ring: RingSpec, rows: int, cols: int, entries: tuple[tuple[Label, int], ...]) -> None:
+        _set = object.__setattr__
+        _set(self, "ring", ring)
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "entries", entries)
+        if sum(c for _, c in entries) != self.total:
             raise VerificationError("census lengths do not sum to the matrix count")
-        labels = [lab for lab, _ in self.entries]
+        labels = [lab for lab, _ in entries]
         if sorted(set(labels)) != labels:
             raise VerificationError("census labels must be sorted and distinct")
-        if any(c <= 0 for _, c in self.entries):
+        if any(c <= 0 for _, c in entries):
             raise VerificationError("every census label needs a positive length")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not CensusReport:
+            return NotImplemented
+        return (self.ring, self.rows, self.cols, self.entries) == (other.ring, other.rows, other.cols, other.entries)
+
+    def __repr__(self) -> str:
+        return f"CensusReport(ring={self.ring!r}, rows={self.rows!r}, cols={self.cols!r}, entries={self.entries!r})"
 
     @property
     def total(self) -> int:
@@ -126,8 +135,7 @@ def census_by_enumeration(
     return CensusReport(ring, rows, cols, tuple(sorted(counts.items())))
 
 
-@dataclass(frozen=True)
-class OrbitProductReport:
+class OrbitProductReport(NamedTuple):
     """Cross-check of the product law: orbit length over Z_h = product of component lengths."""
 
     census: CensusReport  # the census over Z_h that was checked

@@ -14,8 +14,7 @@ factors in milliseconds.  Ring elements are plain ints in [0, h).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import count
 from typing import Sequence
 
@@ -128,27 +127,57 @@ def ring_spec(h: int) -> "RingSpec":
     return RingSpec(h, factor_modulus(h))
 
 
-@dataclass(frozen=True)
-class RingSpec:
+class Frozen:
+    """Mixin of the slotted records: assigning or deleting a field raises, as on a frozen dataclass."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class RingSpec(Frozen):
     """The ring Z_h together with its (ordered) prime-power decomposition.
 
     primes holds pairs (p_i, s_i) with p_1 < p_2 < ... and
     h == prod(p_i ** s_i).  Component indices are 0-based everywhere.
     """
 
-    h: int
-    primes: tuple[tuple[int, int], ...]
+    __slots__ = ("h", "primes", "prime_powers", "cofactors", "saturated", "_crt_idempotents")
 
-    def __post_init__(self) -> None:
-        ps = [p for p, _ in self.primes]
+    def __init__(self, h: int, primes: tuple[tuple[int, int], ...]) -> None:
+        ps = [p for p, _ in primes]
         if not (
-            2 <= self.h <= MAX_MODULUS
+            2 <= h <= MAX_MODULUS
             and all(a < b for a, b in zip(ps, ps[1:]))
-            and all(s >= 1 for _, s in self.primes)
-            and math.prod(p**s for p, s in self.primes) == self.h
+            and all(s >= 1 for _, s in primes)
+            and math.prod(p**s for p, s in primes) == h
             and all(_is_prime(p) for p in ps)
         ):
-            raise UsageError(f"inconsistent factorization for modulus {self.h}")
+            raise UsageError(f"inconsistent factorization for modulus {h}")
+        qs = tuple(p**s for p, s in primes)
+        hqs = tuple(h // q for q in qs)
+        _set = object.__setattr__
+        _set(self, "h", h)
+        _set(self, "primes", primes)
+        _set(self, "prime_powers", qs)  # q_i = p_i ** s_i, in component order
+        _set(self, "cofactors", hqs)  # h_i = h // q_i, the modulus of the i-th coprojection target
+        _set(self, "saturated", tuple(s for _, s in primes))  # the exponent vector (s_1, ..., s_t) of zero
+        _set(self, "_crt_idempotents", tuple(hq * pow(hq, -1, q) % h for q, hq in zip(qs, hqs)))  # 1 mod q_i, 0 mod q_j
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not RingSpec:
+            return NotImplemented
+        return (self.h, self.primes) == (other.h, other.primes)
+
+    def __hash__(self) -> int:
+        return hash((self.h, self.primes))
+
+    def __repr__(self) -> str:
+        return f"RingSpec(h={self.h!r}, primes={self.primes!r})"
 
     def __str__(self) -> str:
         return f"Z_{self.h}"
@@ -156,29 +185,6 @@ class RingSpec:
     @property
     def t(self) -> int:
         return len(self.primes)
-
-    @cached_property
-    def prime_powers(self) -> tuple[int, ...]:
-        """q_i = p_i ** s_i, in component order."""
-        return tuple(p**s for p, s in self.primes)
-
-    @cached_property
-    def cofactors(self) -> tuple[int, ...]:
-        """h_i = h // q_i, the modulus of the i-th coprojection target."""
-        return tuple(self.h // q for q in self.prime_powers)
-
-    @cached_property
-    def saturated(self) -> tuple[int, ...]:
-        """The exponent vector (s_1, ..., s_t) of zero."""
-        return tuple(s for _, s in self.primes)
-
-    @cached_property
-    def _crt_idempotents(self) -> tuple[int, ...]:
-        # e_i == 1 mod q_i and 0 mod q_j for j != i
-        out = []
-        for q, hq in zip(self.prime_powers, self.cofactors):
-            out.append(hq * pow(hq, -1, q) % self.h)
-        return tuple(out)
 
     # --- component transport -----------------------------------------------
 

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import oracle
 from .cliques import (
@@ -51,8 +50,7 @@ from .ring import ring_spec
 from .smith import inner_rank, rank_via_projections, snf, verify_smith_form
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     number: int
     name: str
     passed: bool

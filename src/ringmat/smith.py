@@ -22,7 +22,6 @@ which runs the uncached kernel on one first row per valuation (orbits).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import _CacheInfo, lru_cache  # _CacheInfo: the type lru_cache reports
 from itertools import product
 from math import prod
@@ -30,30 +29,38 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DEFAULT_ENUMERATION_BUDGET, UsageError, VerificationError, charge
 from .matrix import Mat
-from .ring import RingSpec
+from .ring import Frozen, RingSpec
 
 
-@dataclass(frozen=True)
-class InvariantFactorArray:
+class InvariantFactorArray(Frozen):
     """Exponent table omega: row i lists the exponents of p_i along the diagonal.
 
     Rows are nondecreasing and bounded by s_i; all rows have length
     min(rows, cols) of the matrix they describe.
     """
 
-    ring: RingSpec
-    omega: tuple[tuple[int, ...], ...]
+    __slots__ = ("ring", "omega")
 
-    def __post_init__(self) -> None:
-        if len(self.omega) != self.ring.t:
+    def __init__(self, ring: RingSpec, omega: tuple[tuple[int, ...], ...]) -> None:
+        if len(omega) != ring.t:
             raise UsageError("omega must have one row per prime component")
-        if len({len(row) for row in self.omega}) != 1:
+        if len({len(row) for row in omega}) != 1:
             raise UsageError("omega rows must have equal length")
-        for row, (_, s) in zip(self.omega, self.ring.primes):
+        for row, (_, s) in zip(omega, ring.primes):
             if any(not 0 <= a <= s for a in row):
                 raise VerificationError(f"omega row {row} out of range for exponent bound {s}")
             if any(row[c] > row[c + 1] for c in range(len(row) - 1)):
                 raise VerificationError(f"omega row {row} is not nondecreasing")
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "omega", omega)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not InvariantFactorArray:
+            return NotImplemented
+        return (self.ring, self.omega) == (other.ring, other.omega)
+
+    def __repr__(self) -> str:
+        return f"InvariantFactorArray(ring={self.ring!r}, omega={self.omega!r})"
 
     @property
     def width(self) -> int:
@@ -75,8 +82,7 @@ class InvariantFactorArray:
         return tuple(map(self.ring.h.__rmod__, self.generators()))
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(NamedTuple):
     """A factorization A = S @ D @ T with S, T invertible and canonical diagonal D."""
 
     S: Mat

@@ -542,6 +542,32 @@ def test_color_out_above_budget_exits_before_work(tmp_path, capsys):
     assert "2^22 vertices exceed the budget 10000" in err
 
 
+def test_negative_color_samples_are_a_usage_error(capsys):
+    code, out, err = run(capsys, "color", "--h", "2", "--m", "2", "--n", "11", "--r", "1",
+                         "--seed", "0", "--samples", "-1")
+    assert code == 2 and out == "" and "--samples must be >= 0" in err
+
+
+def test_color_samples_are_charged_before_the_coloring(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the coloring started before the sample count was charged")
+
+    monkeypatch.setattr(cli, "color_graph", refuse)
+    start = time.process_time()
+    code, out, err = run(capsys, "color", "--h", "2", "--m", "2", "--n", "11", "--r", "1",
+                         "--seed", "0", "--samples", str(10**9))
+    assert time.process_time() - start < 2.0
+    assert code == 3 and out == ""
+    assert err == "budget exceeded: 1000000000 sampled pairs exceed the budget 10000\n"
+    code, out, err = run(capsys, "color", "--h", "2", "--m", "2", "--n", "2", "--r", "1",
+                         "--seed", "0", "--budget", "5", "--samples", "6")
+    assert code == 3 and out == "" and err == "budget exceeded: 6 sampled pairs exceed the budget 5\n"
+    monkeypatch.undo()
+    code, obj, _ = run_json(capsys, "color", "--h", "2", "--m", "2", "--n", "2", "--r", "1",
+                            "--seed", "0", "--budget", "5", "--samples", "5")
+    assert code == 0 and obj["verification"] == "structural"
+
+
 def test_color_large_graph_without_a_color_list(capsys):
     start = time.process_time()
     code, obj, _ = run_json(capsys, "color", "--h", "2", "--m", "2", "--n", "11", "--r", "1",
@@ -674,8 +700,10 @@ def test_import_builds_no_parser():
         "made = []\n"
         "init = argparse.ArgumentParser.__init__\n"
         "argparse.ArgumentParser.__init__ = lambda self, *a, **kw: made.append(1) or init(self, *a, **kw)\n"
-        "import ringmat.cli\n"
+        "import sys\n"
+        "import ringmat.cli, ringmat.selftest\n"
         "assert not made and ringmat.cli.build_parser.cache_info().currsize == 0, made\n"
+        "assert not {'dataclasses', 'inspect'} & set(sys.modules), 'start-up pulls in dataclasses or inspect'\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -4,7 +4,6 @@ import math
 import operator
 import random
 import re
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -230,8 +229,8 @@ def _bad_codes(spec):
     word = max(code.members, key=lambda mat: mat.entries)
     in_k = Mat(spec.ring, spec.m, spec.n, (1,) + (0,) * (spec.m * spec.n - 1))
     return [
-        replace(code, members=(code.members - {word}) | {in_k}),
-        replace(code, members=code.members - {word}),
+        code._replace(members=(code.members - {word}) | {in_k}),
+        code._replace(members=code.members - {word}),
     ]
 
 
@@ -247,7 +246,7 @@ def test_color_and_cover_refuse_codes_that_miss_a_complement(monkeypatch):
     code = mrd_code(spec)
     for dist in (None, 1):
         with pytest.raises(VerificationError):
-            color_graph(spec, code=replace(code, verified_distance=dist))
+            color_graph(spec, code=code._replace(verified_distance=dist))
 
 
 def test_r_equals_m_uses_the_zero_code():
@@ -387,7 +386,7 @@ def test_verify_distance_budget_before_any_work(monkeypatch):
             verify_distance(plain, pair_budget=35)
     assert verify_distance(plain, pair_budget=35) == 2
     # 35 words, no coset: the walk runs, then C(35, 2) = 595 pairs are charged before any kernel call
-    short = replace(plain, members=frozenset(sorted(code.members, key=lambda w: w.entries)[1:]))
+    short = plain._replace(members=frozenset(sorted(code.members, key=lambda w: w.entries)[1:]))
     walks = []
     real_walk = cliques.coset_difference_group
     monkeypatch.setattr(cliques, "coset_difference_group", lambda *args: walks.append(real_walk(*args)) or walks[-1])
@@ -474,9 +473,9 @@ def test_group_code_with_a_low_rank_word_is_refused(h):
 def test_code_not_flagged_linear_is_refused_within_the_budget():
     spec = _spec(4)
     with pytest.raises(VerificationError, match="linear"):
-        color_graph(spec, code=replace(mrd_code(spec), linear=False))
+        color_graph(spec, code=mrd_code(spec)._replace(linear=False))
     spec12 = _spec(12)
-    col = color_graph(spec12, vertex_budget=100, code=replace(mrd_code(spec12), linear=False))
+    col = color_graph(spec12, vertex_budget=100, code=mrd_code(spec12)._replace(linear=False))
     assert col.verification == "structural"
 
 
@@ -577,7 +576,7 @@ def test_selftest_code_check_reads_the_verified_distance(monkeypatch):
 
     assert selftest.check_codes(quick=True)[0]
     real = selftest.mrd_code
-    monkeypatch.setattr(selftest, "mrd_code", lambda spec: replace(real(spec), verified_distance=None))
+    monkeypatch.setattr(selftest, "mrd_code", lambda spec: real(spec)._replace(verified_distance=None))
     ok, message = selftest.check_codes(quick=True)
     assert not ok and "distance None != 2" in message
 

@@ -350,3 +350,29 @@ def test_det_multiplicative_property(pair):
 @given(matrices())
 def test_transpose_involution_property(a):
     assert a.transpose().transpose() == a
+
+
+def test_records_are_immutable_and_keep_their_field_tuple_semantics():
+    from ringmat.graph import GraphSpec
+
+    ring = ring_spec(6)
+    a = Mat(ring, 1, 2, [1, 5])
+    spec = GraphSpec(ring, 2, 3, 1)
+    records = (
+        (ring, ("h", "primes"), (6, ((2, 1), (3, 1)))),
+        (a, ("ring", "rows", "cols", "entries"), (ring, 1, 2, (1, 5))),
+        (spec, ("ring", "m", "n", "r"), (ring, 2, 3, 1)),
+    )
+    for record, names, fields in records:
+        assert hash(record) == hash(fields)  # set order, hence stdout, rests on this hash
+        assert tuple(getattr(record, name) for name in names) == fields
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+    assert a == Mat._new(ring, 1, 2, (1, 5)) and a != Mat._new(ring_spec(7), 1, 2, (1, 5))
+    assert a != (ring, 1, 2, (1, 5)) and spec == GraphSpec(ring_spec(6), 2, 3, 1) != GraphSpec(ring, 2, 3, 2)
+    assert repr(ring) == "RingSpec(h=6, primes=((2, 1), (3, 1)))"
+    assert repr(a) == "Mat(ring=RingSpec(h=6, primes=((2, 1), (3, 1))), rows=1, cols=2, entries=(1, 5))"
+    assert repr(spec) == "GraphSpec(ring=RingSpec(h=6, primes=((2, 1), (3, 1))), m=2, n=3, r=1)"

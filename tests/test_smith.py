@@ -155,7 +155,7 @@ def test_verify_smith_form_detects_any_corrupted_entry():
             for idx in range(len(mat.entries)):
                 ents = list(mat.entries)
                 ents[idx] = (ents[idx] + 1) % h
-                bad = type(f)(**{**vars(f), slot: Mat(ring, mat.rows, mat.cols, ents)})
+                bad = f._replace(**{slot: Mat(ring, mat.rows, mat.cols, ents)})
                 with pytest.raises(VerificationError):
                     verify_smith_form(a, bad)
         with pytest.raises(VerificationError):
@@ -164,7 +164,7 @@ def test_verify_smith_form_detects_any_corrupted_entry():
         f0 = snf(zero)
         for slot in ("S", "T"):  # the product still reproduces zero; only invertibility fails
             with pytest.raises(VerificationError, match=f"{slot} is not invertible"):
-                verify_smith_form(zero, type(f0)(**{**vars(f0), slot: zero}))
+                verify_smith_form(zero, f0._replace(**{slot: zero}))
 
 
 def _flat_matmul(x, y, rows, inner, cols, q):
