@@ -19,17 +19,44 @@ Code files add top-level metadata next to ``members``::
 ``verified_min_distance`` is ``null`` when unknown or infinite (singleton
 code).  CSV files carry one matrix per line, entries row-major, comma
 separated; shape and modulus must then be supplied out of band.
+
+A read checks a whole family at once (shapes, types, then range by min/max);
+only when that fails does the ordered per-entry scan run, so the first fault
+keeps its own message.  A write puts each regular nested list of plain ints (a
+row, a matrix, a list of matrices) through one template per shape.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any, Iterable
+import sys
+from itertools import chain
+from typing import Any, Iterable, Sequence
 
 from .errors import UsageError
-from .matrix import Mat
+from .matrix import Mat, _check_dims
 from .ring import RingSpec, ring_spec
+
+
+def _int_array(seq: list) -> tuple[tuple[int, ...], list] | None:
+    """Shape and row-major entries of a regular nested list of plain ints, else None."""
+    shape = [len(seq)]
+    while (kinds := set(map(type, seq))) != {int}:
+        lens = set(map(len, seq)) if kinds <= {list, tuple} else ()
+        if len(lens) != 1:
+            return None
+        shape += lens
+        seq = list(chain.from_iterable(seq))
+    return tuple(shape), seq
+
+
+def _template(shape: tuple[int, ...], indent: int) -> str:
+    """The ``str.format`` template of a nested int list of this shape."""
+    if len(shape) == 1:
+        return "[" + ", ".join(["{}"] * shape[0]) + "]"
+    item = "  " * (indent + 1) + _template(shape[1:], indent + 1)
+    return "[\n" + ",\n".join([item] * shape[0]) + "\n" + "  " * indent + "]"
 
 
 def dumps_compact(obj: Any, indent: int = 0) -> str:
@@ -48,6 +75,9 @@ def dumps_compact(obj: Any, indent: int = 0) -> str:
         seq = list(obj)
         if not seq:
             return "[]"
+        arr = _int_array(seq)
+        if arr is not None:
+            return _template(arr[0], indent).format(*arr[1])
         if all(not isinstance(x, (list, tuple, dict)) for x in seq):
             return json.dumps(seq)
         items = [f"{inner}{dumps_compact(x, indent + 1)}" for x in seq]
@@ -82,17 +112,27 @@ def _entries_from_rows(ring: RingSpec, rows: int, cols: int, obj: Any,
     return tuple(flat)
 
 
+def _in_range(flat: Sequence[int], h: int) -> bool:
+    """Every entry in [0, h): one min and one max for a whole file's entries."""
+    return not flat or (min(flat) >= 0 and max(flat) < h)
+
+
+def _matrices(ring: RingSpec, rows: int, cols: int, items: list, what: str) -> list[Mat]:
+    """The matrices in items, all checked in one step; the per-entry scan runs only on a fault."""
+    arr = _int_array(items)
+    if arr is not None and arr[0] == (len(items), rows, cols) and _in_range(arr[1], ring.h):
+        entries = zip(*[iter(arr[1])] * (rows * cols))  # runs of rows*cols entries
+    else:
+        entries = [_entries_from_rows(ring, rows, cols, item, what) for item in items]
+    return [Mat._new(ring, rows, cols, e) for e in entries]
+
+
 # ---------------------------------------------------------------------------
 # single matrix
 # ---------------------------------------------------------------------------
 
 def matrix_to_obj(mat: Mat) -> dict[str, Any]:
-    return {
-        "h": mat.ring.h,
-        "rows": mat.rows,
-        "cols": mat.cols,
-        "entries": mat.to_rows(),
-    }
+    return {"h": mat.ring.h, "rows": mat.rows, "cols": mat.cols, "entries": mat.to_rows()}
 
 
 def _shape_from_obj(obj: Any, kind: str, body: str, expect_h: int | None) -> tuple[RingSpec, int, int]:
@@ -113,7 +153,7 @@ def _shape_from_obj(obj: Any, kind: str, body: str, expect_h: int | None) -> tup
 
 def matrix_from_obj(obj: Any, expect_h: int | None = None) -> Mat:
     ring, rows, cols = _shape_from_obj(obj, "matrix", "entries", expect_h)
-    return Mat._new(ring, rows, cols, _entries_from_rows(ring, rows, cols, obj["entries"], "entries"))
+    return _matrices(ring, rows, cols, [obj["entries"]], "entries")[0]
 
 
 def save_matrix(path: str, mat: Mat) -> None:
@@ -128,14 +168,12 @@ def load_matrix(path: str, expect_h: int | None = None) -> Mat:
 def _load_json(path: str) -> Any:
     try:
         if path == "-":
-            import sys
-
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -147,16 +185,20 @@ def matrix_from_csv_line(ring: RingSpec, rows: int, cols: int, line: str) -> Mat
     parts = [p.strip() for p in line.strip().split(",") if p.strip() != ""]
     _require(len(parts) == rows * cols,
              f"CSV line has {len(parts)} entries, expected {rows * cols}")
-    entries = []
-    for p in parts:
-        try:
-            v = int(p)
-        except ValueError as exc:
-            raise UsageError(f"CSV entry {p!r} is not an integer") from exc
-        _require(0 <= v < ring.h,
-                 f"CSV entry {v} out of range for modulus {ring.h}")
-        entries.append(v)
-    return Mat(ring, rows, cols, tuple(entries))
+    try:
+        entries = tuple(map(int, parts))
+    except ValueError:
+        entries = None
+    if entries is None or not _in_range(entries, ring.h):
+        for p in parts:  # the first bad entry raises its own message
+            try:
+                v = int(p)
+            except ValueError as exc:
+                raise UsageError(f"CSV entry {p!r} is not an integer") from exc
+            _require(0 <= v < ring.h,
+                     f"CSV entry {v} out of range for modulus {ring.h}")
+    _check_dims(rows, cols)
+    return Mat._new(ring, rows, cols, entries)
 
 
 def matrix_to_csv_line(mat: Mat) -> str:
@@ -172,7 +214,7 @@ def load_matrices_csv(path: str, h: int, rows: int, cols: int) -> list[Mat]:
                 if line.strip() == "" or line.lstrip().startswith("#"):
                     continue
                 out.append(matrix_from_csv_line(ring, rows, cols, line))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     return out
 
@@ -191,9 +233,7 @@ def family_to_obj(ring: RingSpec, rows: int, cols: int,
         "cols": cols,
         "members": [m.to_rows() for m in ordered],
     }
-    if extra:
-        for key, value in extra.items():
-            obj[key] = value
+    obj.update(extra or {})
     return obj
 
 
@@ -202,8 +242,7 @@ def family_from_obj(obj: Any, expect_h: int | None = None
     ring, rows, cols = _shape_from_obj(obj, "family", "members", expect_h)
     raw = obj["members"]
     _require(isinstance(raw, list) and raw, "members must be a non-empty list")
-    members = [Mat._new(ring, rows, cols, _entries_from_rows(ring, rows, cols, item, "member"))
-               for item in raw]
+    members = _matrices(ring, rows, cols, raw, "member")
     meta = {k: v for k, v in obj.items()
             if k not in ("h", "rows", "cols", "members")}
     return ring, rows, cols, members, meta
