@@ -30,9 +30,8 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from itertools import chain
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from .errors import UsageError
 from .matrix import Mat, _check_dims
@@ -112,16 +111,11 @@ def _entries_from_rows(ring: RingSpec, rows: int, cols: int, obj: Any,
     return tuple(flat)
 
 
-def _in_range(flat: Sequence[int], h: int) -> bool:
-    """Every entry in [0, h): one min and one max for a whole file's entries."""
-    return not flat or (min(flat) >= 0 and max(flat) < h)
-
-
 def _matrices(ring: RingSpec, rows: int, cols: int, items: list, what: str) -> list[Mat]:
     """The matrices in items, all checked in one step; the per-entry scan runs only on a fault."""
-    arr = _int_array(items)
-    if arr is not None and arr[0] == (len(items), rows, cols) and _in_range(arr[1], ring.h):
-        entries = zip(*[iter(arr[1])] * (rows * cols))  # runs of rows*cols entries
+    shape, flat = _int_array(items) or ((), ())
+    if shape == (len(items), rows, cols) and min(flat) >= 0 and max(flat) < ring.h:
+        entries = zip(*[iter(flat)] * (rows * cols))  # runs of rows*cols entries
     else:
         entries = [_entries_from_rows(ring, rows, cols, item, what) for item in items]
     return [Mat._new(ring, rows, cols, e) for e in entries]
@@ -132,7 +126,12 @@ def _matrices(ring: RingSpec, rows: int, cols: int, items: list, what: str) -> l
 # ---------------------------------------------------------------------------
 
 def matrix_to_obj(mat: Mat) -> dict[str, Any]:
-    return {"h": mat.ring.h, "rows": mat.rows, "cols": mat.cols, "entries": mat.to_rows()}
+    return {
+        "h": mat.ring.h,
+        "rows": mat.rows,
+        "cols": mat.cols,
+        "entries": mat.to_rows(),
+    }
 
 
 def _shape_from_obj(obj: Any, kind: str, body: str, expect_h: int | None) -> tuple[RingSpec, int, int]:
@@ -168,6 +167,8 @@ def load_matrix(path: str, expect_h: int | None = None) -> Mat:
 def _load_json(path: str) -> Any:
     try:
         if path == "-":
+            import sys
+
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -185,20 +186,17 @@ def matrix_from_csv_line(ring: RingSpec, rows: int, cols: int, line: str) -> Mat
     parts = [p.strip() for p in line.strip().split(",") if p.strip() != ""]
     _require(len(parts) == rows * cols,
              f"CSV line has {len(parts)} entries, expected {rows * cols}")
-    try:
-        entries = tuple(map(int, parts))
-    except ValueError:
-        entries = None
-    if entries is None or not _in_range(entries, ring.h):
-        for p in parts:  # the first bad entry raises its own message
-            try:
-                v = int(p)
-            except ValueError as exc:
-                raise UsageError(f"CSV entry {p!r} is not an integer") from exc
-            _require(0 <= v < ring.h,
-                     f"CSV entry {v} out of range for modulus {ring.h}")
+    entries = []
+    for p in parts:
+        try:
+            v = int(p)
+        except ValueError as exc:
+            raise UsageError(f"CSV entry {p!r} is not an integer") from exc
+        if not 0 <= v < ring.h:
+            raise UsageError(f"CSV entry {v} out of range for modulus {ring.h}")
+        entries.append(v)
     _check_dims(rows, cols)
-    return Mat._new(ring, rows, cols, entries)
+    return Mat._new(ring, rows, cols, tuple(entries))
 
 
 def matrix_to_csv_line(mat: Mat) -> str:
@@ -233,7 +231,9 @@ def family_to_obj(ring: RingSpec, rows: int, cols: int,
         "cols": cols,
         "members": [m.to_rows() for m in ordered],
     }
-    obj.update(extra or {})
+    if extra:
+        for key, value in extra.items():
+            obj[key] = value
     return obj
 
 
