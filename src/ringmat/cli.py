@@ -52,10 +52,11 @@ from .graph import (
     exact_clique_number,
     exact_independence_number,
     sandwich_inequality,
+    search_through_zero,
 )
 from .matrix import Mat
 from .orbits import census_by_enumeration, expected_label_count, verify_orbit_product
-from .oracle import exact_clique, exact_mis, inner_rank_by_factorization, omega_via_minors
+from .oracle import inner_rank_by_factorization, omega_via_minors
 from .ring import RingSpec, ring_spec
 from .smith import inner_rank, invariant_factors, rank_via_projections, snf, verify_smith_form
 
@@ -430,11 +431,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             "inner_rank": inner_rank_by_factorization(a, budget),
         })
         return 0
-    # exact clique / independent-set search on the full graph
+    # exact clique / independent-set search through vertex 0
     spec = _graph_spec(args)
     budget = args.budget if args.budget is not None else DEFAULT_EXACT_SEARCH_BUDGET
-    masks = build_graph(spec, vertex_budget=budget).adjacency_masks(budget)
-    ids = exact_clique(masks) if which == "clique" else exact_mis(masks)
+    ids = search_through_zero(spec, which == "mis", budget)
     _emit({
         "h": args.h,
         "m": args.m,

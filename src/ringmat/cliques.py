@@ -47,7 +47,7 @@ from .errors import (
     charge,
     power_exceeds,
 )
-from .graph import GraphSpec, build_graph, subgroup_closure
+from .graph import GraphSpec, adjacency_masks, search_through_zero, subgroup_closure
 from .matrix import Mat, crt_lift_mat, random_invertible, random_matrix
 from .ring import Frozen, RingSpec
 from .smith import _charge_kernel_steps, _pp_exponents, _pp_smith_cached
@@ -375,11 +375,11 @@ def enumerate_max_cliques(
     spec: GraphSpec, budget: int = DEFAULT_EXACT_SEARCH_BUDGET
 ) -> list[frozenset[Mat]]:
     """All maximum cliques, by exhaustive search; needs h**(m*n) <= budget vertices."""
-    masks = build_graph(spec, vertex_budget=budget).adjacency_masks(budget)
+    masks = adjacency_masks(spec, budget)
     target = spec.clique_bound
     found = oracle.enumerate_cliques_of_size(masks, target)
     # no clique can be larger, but confirm none extends (maximum = target)
-    best = oracle.exact_clique(masks)
+    best = search_through_zero(spec, False, budget)
     if len(best) != target:
         raise VerificationError(f"search found a clique of size {len(best)}, expected {target}")
     return [frozenset(spec.vertex(v) for v in ids) for ids in found]

@@ -10,9 +10,12 @@ of a coset family for the clique and code checks, builds every clique
 S @ C_r(alpha) @ T + B0 from its mapped generators (no member is mapped one
 by one), spans each code from its basis, certified on that one closure, and
 picks out the at most log2 |C| generators that classification stacks.
-Graphs within the vertex budget are materialized as a rank table, and exact
-clique/independence numbers are searched on tiny instances only; beyond that
-the package certifies them constructively (cliques, codes, colorings).
+Graphs within the vertex budget are materialized as a rank table.  Exact
+search reads bitset rows: row 0 is the connection set S, and adding 1 to
+base-h digit j of a vertex rotates axis j of its row.  By vertex-transitivity
+a maximum clique has a translate through 0, so omega = 1 + omega(G[S]), and
+alpha is the same on the complement; beyond the search budget the package
+certifies the parameters constructively (cliques, codes, colorings).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from . import oracle
 from .errors import DEFAULT_EXACT_SEARCH_BUDGET, DEFAULT_VERTEX_BUDGET, UsageError, VerificationError, charge
 from .matrix import Mat, random_invertible, random_matrix
 from .ring import Frozen, RingSpec
-from .smith import _digit_ids, component_walk, exponent_rows, inner_rank
+from .smith import component_walk, exponent_rows, inner_rank
 
 
 class GraphSpec(Frozen):
@@ -123,12 +126,6 @@ def subgroup_closure(
     return group
 
 
-def _translate_ids(spec: GraphSpec, c: Sequence[int]) -> list[int]:
-    """[id(u + c) for every vertex id u], built digit by digit from rotation lists."""
-    h = spec.ring.h
-    return _digit_ids(h, [[(x + d) % h for x in range(h)] for d in c])
-
-
 class RankGraph:
     """A materialized graph: `rho` maps each vertex id to the inner rank of its matrix.
 
@@ -154,16 +151,6 @@ class RankGraph:
     def _connection_entries(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self.spec.vertex_entries(cid) for cid in self.connection_ids)
 
-    def adjacency_masks(self, budget: int = DEFAULT_EXACT_SEARCH_BUDGET) -> list[int]:
-        """Bitset adjacency rows for the exact solvers, one connection element at a time."""
-        nv = len(self.rho)
-        charge("vertices", nv, budget)
-        masks = [0] * nv
-        for ec in self._connection_entries:
-            for u, w in enumerate(_translate_ids(self.spec, ec)):
-                masks[u] |= 1 << w
-        return masks
-
 
 def build_graph(spec: GraphSpec, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> RankGraph:
     """The graph on the rank table kept for the last shape; above the vertex budget raise first."""
@@ -186,11 +173,42 @@ def _rank_table(ring: RingSpec, m: int, n: int) -> list[int]:
     return rho
 
 
+def adjacency_masks(spec: GraphSpec, budget: int = DEFAULT_EXACT_SEARCH_BUDGET) -> tuple[int, ...]:
+    """Bitset adjacency rows of every vertex, kept for the last shape; above the budget raise first."""
+    charge("vertices", (spec.ring.h, spec.m * spec.n), budget)
+    return _rotation_masks(spec)
+
+
+@lru_cache(maxsize=1)
+def _rotation_masks(spec: GraphSpec) -> tuple[int, ...]:
+    """Row 0 is S; the rows of digit j's block are the previous block's, rotated on axis j."""
+    h, r, nv = spec.ring.h, spec.r, spec.n_vertices
+    rho = _rank_table(spec.ring, spec.m, spec.n)
+    masks = [int("".join(["1" if 1 <= rk <= r else "0" for rk in reversed(rho)]), 2)]
+    full = (1 << nv) - 1
+    st = 1
+    while st < nv:  # the ids [0, st) are done; digit j of stride st moves a row bit by st
+        period = h * st
+        top = (((1 << st) - 1) << (period - st)) * (full // ((1 << period) - 1))  # digit j is h - 1
+        low = full ^ top
+        for _ in range(h - 1):
+            masks += [(x & low) << st | (x & top) >> (period - st) for x in masks[-st:]]
+        st = period
+    return tuple(masks)
+
+
+def search_through_zero(spec: GraphSpec, independent: bool, budget: int = DEFAULT_EXACT_SEARCH_BUDGET) -> list[int]:
+    """Sorted ids of a maximum clique, or independent set, that contains vertex 0."""
+    masks = adjacency_masks(spec, budget)
+    if independent:
+        full = (1 << len(masks)) - 1
+        masks = [full ^ x ^ (1 << v) for v, x in enumerate(masks)]
+    return [0] + oracle.exact_clique(masks, start=masks[0])
+
+
 def exact_clique_number(spec: GraphSpec, budget: int = DEFAULT_EXACT_SEARCH_BUDGET) -> int:
-    """Maximum clique size by exhaustive branch-and-bound; must equal h**(n*r)."""
-    g = build_graph(spec, vertex_budget=budget)
-    clique = oracle.exact_clique(g.adjacency_masks(budget))
-    value = len(clique)
+    """Maximum clique size by exhaustive branch-and-bound through 0; must equal h**(n*r)."""
+    value = len(search_through_zero(spec, False, budget))
     if value != spec.clique_bound:
         raise VerificationError(
             f"exact clique number {value} != h^(n r) = {spec.clique_bound}"
@@ -199,10 +217,8 @@ def exact_clique_number(spec: GraphSpec, budget: int = DEFAULT_EXACT_SEARCH_BUDG
 
 
 def exact_independence_number(spec: GraphSpec, budget: int = DEFAULT_EXACT_SEARCH_BUDGET) -> int:
-    """Maximum independent set size by exhaustive search; must equal h**(n*(m-r))."""
-    g = build_graph(spec, vertex_budget=budget)
-    mis = oracle.exact_mis(g.adjacency_masks(budget))
-    value = len(mis)
+    """Maximum independent set size by exhaustive search through 0; must equal h**(n*(m-r))."""
+    value = len(search_through_zero(spec, True, budget))
     if value != spec.independence_bound:
         raise VerificationError(
             f"exact independence number {value} != h^(n (m-r)) = {spec.independence_bound}"

@@ -174,7 +174,7 @@ def _load_json(path: str) -> Any:
             return json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an int past the digit limit
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -3,8 +3,9 @@
 Everything here recomputes quantities that the main modules produce by
 faster or more structured algorithms, using deliberately different and
 simpler methods: exponent tables from valuations of integer minors,
-inner rank by brute-force search over factorizations, and exact clique /
-independent-set numbers by branch-and-bound over bitset adjacency.  This
+inner rank by brute-force search over factorizations, and maximum cliques
+by branch-and-bound over bitset adjacency, among all vertices or among a
+given candidate set (the graph layer passes the neighbours of vertex 0).  This
 module must stay independent of the smith / graph implementations it is
 used to check, so it imports only the ring and matrix layers.
 """
@@ -136,49 +137,44 @@ def _greedy_color_order(cand: int, masks: Sequence[int]) -> tuple[list[int], lis
     return order, bounds
 
 
-def exact_clique(masks: Sequence[int], budget: int = DEFAULT_SEARCH_STEP_BUDGET) -> list[int]:
-    """A maximum clique of the graph given by bitset adjacency rows.
+def exact_clique(masks: Sequence[int], budget: int = DEFAULT_SEARCH_STEP_BUDGET, start: int | None = None) -> list[int]:
+    """A maximum clique among the candidates `start` (default: every vertex) of a bitset graph.
 
     masks[v] has bit w set iff v and w are adjacent; rows must be symmetric
-    and irreflexive.  Returns the vertex list of one maximum clique; the
-    deterministic search makes the returned witness reproducible.
+    and irreflexive.  Returns the sorted vertex list of one maximum clique;
+    the deterministic search makes the returned witness reproducible.  The
+    search keeps one frame per clique vertex on an explicit stack, so its
+    depth is not bounded by the interpreter's recursion limit.
     """
-    n = len(masks)
-    if n == 0:
-        return []
-    # order vertices by degree (desc) then index (asc) for a stable search
-    best: list[int] = []
-    steps = 0
-
-    def expand(clique: list[int], cand: int) -> None:
-        nonlocal best, steps
+    def open_node(cand: int) -> list:
+        nonlocal steps
         steps += 1
         charge("search steps", steps, budget)
         order, bounds = _greedy_color_order(cand, masks)
-        for i in range(len(order) - 1, -1, -1):
-            if len(clique) + bounds[i] <= len(best):
-                return
-            v = order[i]
+        return [cand, order, bounds, len(order)]  # candidates left, colors, next index
+
+    best: list[int] = []
+    clique: list[int] = []  # the vertices that opened the nodes on the stack below the top
+    steps = 0
+    stack = [open_node((1 << len(masks)) - 1 if start is None else start)]
+    while stack:
+        frame = stack[-1]
+        cand, order, bounds, i = frame
+        i -= 1
+        if i < 0 or len(clique) + bounds[i] <= len(best):  # this node is done
+            stack.pop()
+            if stack:
+                clique.pop()
+            continue
+        v = order[i]
+        frame[0], frame[3] = cand & ~(1 << v), i
+        nxt = cand & masks[v]
+        if nxt:
             clique.append(v)
-            nxt = cand & masks[v]
-            if nxt:
-                expand(clique, nxt)
-            elif len(clique) > len(best):
-                best = clique[:]
-            clique.pop()
-            cand &= ~(1 << v)
-
-    start = (1 << n) - 1
-    expand([], start)
+            stack.append(open_node(nxt))
+        elif len(clique) >= len(best):
+            best = clique + [v]
     return sorted(best)
-
-
-def exact_mis(masks: Sequence[int], budget: int = DEFAULT_SEARCH_STEP_BUDGET) -> list[int]:
-    """A maximum independent set: a maximum clique of the complement."""
-    n = len(masks)
-    full = (1 << n) - 1
-    comp = [full & ~masks[v] & ~(1 << v) for v in range(n)]
-    return exact_clique(comp, budget)
 
 
 def enumerate_cliques_of_size(masks: Sequence[int], size: int) -> list[tuple[int, ...]]:

@@ -15,6 +15,7 @@ censuses.  The closed form of the orbit lengths is not implemented yet.
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import comb, prod
 from typing import NamedTuple
@@ -103,29 +104,38 @@ def census_by_enumeration(
     [p^a * e_1; B] for a = 0..s and every B, weighted by the N_a = p^((s-a)n)
     - p^((s-a-1)n) first rows of valuation a (N_s = 1): (s+1) * q^((m-1)n)
     calls.  Otherwise each component table is built once and read by
-    component_walk.  Every label from enumerate_orbit_labels must show up,
+    component_walk, and the report is kept for the last shape, so the second
+    ask of verify_orbit_product walks nothing.  Every label from enumerate_orbit_labels must show up,
     and lengths must sum to h^(m*n).
     """
     charge("matrices", (ring.h, rows * cols), DEFAULT_ENUMERATION_BUDGET if budget is None else budget)
+    if ring.t > 1:
+        return _composite_census(ring, rows, cols)
+    (p, s), = ring.primes
+    q, (m, n) = ring.h, sorted((rows, cols))
+    counts = Counter()
+    for a in range(s + 1):
+        first = (p**a % q,) + (0,) * (n - 1)
+        weight = p ** ((s - a) * n) - (p ** ((s - a - 1) * n) if a < s else 0)
+        for rest in product(range(q), repeat=(m - 1) * n):
+            counts[(_pp_smith(p, s, q, m, n, first + rest, False)[0],)] += weight
+    return _checked_report(ring, rows, cols, counts)
 
-    if ring.t == 1:
-        (p, s), = ring.primes
-        q, (m, n) = ring.h, sorted((rows, cols))
-        counts = Counter()
-        for a in range(s + 1):
-            first = (p**a % q,) + (0,) * (n - 1)
-            weight = p ** ((s - a) * n) - (p ** ((s - a - 1) * n) if a < s else 0)
-            for rest in product(range(q), repeat=(m - 1) * n):
-                counts[(_pp_smith(p, s, q, m, n, first + rest, False)[0],)] += weight
-    else:
-        tables = [
-            list(exponent_rows(p, s, q, rows, cols))
-            for (p, s), q in zip(ring.primes, ring.prime_powers)
-        ]
-        counts = Counter()
-        for block in component_walk(ring, rows, cols, tables):
-            counts.update(zip(*block))
 
+@lru_cache(maxsize=1)
+def _composite_census(ring: RingSpec, rows: int, cols: int) -> CensusReport:
+    """The census of a composite ring, kept for the last shape: verify_orbit_product asks again."""
+    tables = [
+        list(exponent_rows(p, s, q, rows, cols))
+        for (p, s), q in zip(ring.primes, ring.prime_powers)
+    ]
+    counts = Counter()
+    for block in component_walk(ring, rows, cols, tables):
+        counts.update(zip(*block))
+    return _checked_report(ring, rows, cols, counts)
+
+
+def _checked_report(ring: RingSpec, rows: int, cols: int, counts: Counter) -> CensusReport:
     expected = set(enumerate_orbit_labels(ring, rows, cols))
     seen = set(counts)
     if seen != expected:

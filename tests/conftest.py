@@ -8,9 +8,12 @@ from itertools import product
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
+from ringmat.errors import DEFAULT_SEARCH_STEP_BUDGET, charge
+from ringmat.graph import build_graph
 from ringmat.matrix import Mat, _det_bareiss
+from ringmat.oracle import _greedy_color_order
 from ringmat.ring import ring_spec
-from ringmat.smith import _pp_smith
+from ringmat.smith import _digit_ids, _pp_smith
 
 settings.register_profile(
     "suite",
@@ -77,6 +80,62 @@ def per_matrix_labels(ring, rows, cols):
             _pp_smith(p, s, q, rows, cols, tuple(v % q for v in ents), False)[0]
             for (p, s), q in zip(ring.primes, ring.prime_powers)
         )
+
+
+def translate_ids(spec, c):
+    """[id(u + c) for every vertex id u], built digit by digit from rotation lists."""
+    h = spec.ring.h
+    return _digit_ids(h, [[(x + d) % h for x in range(h)] for d in c])
+
+
+def translated_masks(spec):
+    """graph.adjacency_masks as it stood before the rows were rotated: bitset
+    adjacency rows, one connection element at a time over every vertex."""
+    g = build_graph(spec, vertex_budget=spec.n_vertices)
+    masks = [0] * spec.n_vertices
+    for cid in g.connection_ids:
+        for u, w in enumerate(translate_ids(spec, spec.vertex_entries(cid))):
+            masks[u] |= 1 << w
+    return masks
+
+
+def recursive_clique(masks, budget=DEFAULT_SEARCH_STEP_BUDGET, start=None):
+    """oracle.exact_clique as it stood before its explicit stack, with its
+    start set added: the branch and bound, one recursive call per clique vertex."""
+    best = []
+    steps = 0
+
+    def expand(clique, cand):
+        nonlocal best, steps
+        steps += 1
+        charge("search steps", steps, budget)
+        order, bounds = _greedy_color_order(cand, masks)
+        for i in range(len(order) - 1, -1, -1):
+            if len(clique) + bounds[i] <= len(best):
+                return
+            v = order[i]
+            clique.append(v)
+            nxt = cand & masks[v]
+            if nxt:
+                expand(clique, nxt)
+            elif len(clique) > len(best):
+                best = clique[:]
+            clique.pop()
+            cand &= ~(1 << v)
+
+    expand([], (1 << len(masks)) - 1 if start is None else start)
+    return sorted(best)
+
+
+def complement_masks(masks):
+    """Adjacency rows of the complement graph."""
+    full = (1 << len(masks)) - 1
+    return [full & ~masks[v] & ~(1 << v) for v in range(len(masks))]
+
+
+def recursive_mis(masks, budget=DEFAULT_SEARCH_STEP_BUDGET):
+    """The whole-graph maximum independent set: a maximum clique of the complement."""
+    return recursive_clique(complement_masks(masks), budget)
 
 
 def per_prime_is_invertible(self: Mat) -> bool:

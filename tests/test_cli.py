@@ -298,6 +298,32 @@ def test_oracle_search_commands(capsys):
     assert code == 0 and obj["size"] == 4
 
 
+@pytest.mark.parametrize("which, h, m, n, r, budget", [
+    ("clique", 3, 2, 2, 1, 256), ("mis", 2, 2, 2, 1, 256), ("mis", 4, 2, 2, 1, 256),
+    ("clique", 2, 2, 3, 2, 256), ("mis", 2, 1, 3, 1, 256), ("clique", 6, 2, 2, 1, 1600),
+])
+def test_oracle_witness_holds_vertex_zero(capsys, which, h, m, n, r, budget):
+    from ringmat.graph import GraphSpec, adjacent
+
+    code, obj, _ = run_json(capsys, "oracle", which, "--h", str(h), "--m", str(m), "--n", str(n),
+                            "--r", str(r), "--budget", str(budget))
+    spec = GraphSpec(ring_spec(h), m, n, r)
+    ids = obj["vertex_ids"]
+    assert code == 0 and ids[0] == 0 and ids == sorted(set(ids))
+    assert obj["size"] == len(ids) == (spec.clique_bound if which == "clique" else spec.independence_bound)
+    verts = [spec.vertex(v) for v in ids]
+    assert all(adjacent(spec, a, b) == (which == "clique") for i, a in enumerate(verts) for b in verts[i + 1:])
+
+
+@pytest.mark.parametrize("h, m, n, r", [(32, 1, 2, 1), (6, 2, 2, 2)])
+def test_exact_search_on_a_complete_graph_past_the_recursion_limit(capsys, h, m, n, r):
+    """K_1024 and K_1296: a clique through 0 is 1,023 and 1,295 vertices deep."""
+    code, obj, err = run_json(capsys, "graph-stats", "--h", str(h), "--m", str(m), "--n", str(n),
+                              "--r", str(r), "--exact", "--budget", "1600")
+    assert code == 0 and err == ""
+    assert (obj["omega"], obj["alpha"]) == (obj["vertices"], 1)
+
+
 def test_oracle_budget_exit(capsys):
     code, out, err = run(capsys, "oracle", "clique", "--h", "6", "--m", "2",
                          "--n", "2", "--r", "1", "--budget", "100")

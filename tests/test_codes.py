@@ -8,6 +8,7 @@ from itertools import product
 
 import pytest
 
+from conftest import translate_ids
 from ringmat import cliques, codes
 from ringmat.codes import (
     _complement_lookup,
@@ -23,7 +24,7 @@ from ringmat.codes import (
     verify_distance,
 )
 from ringmat.errors import BudgetExceededError, VerificationError
-from ringmat.graph import _translate_ids, build_graph, GraphSpec, subgroup_closure
+from ringmat.graph import build_graph, GraphSpec, subgroup_closure
 from ringmat.matrix import Mat, random_matrix
 from ringmat.ring import ring_spec
 from ringmat.smith import inner_rank
@@ -179,7 +180,7 @@ def test_coloring_small_graph_fully_checked():
     colors = [col.color_of(v) for v in range(spec.n_vertices)]
     g = build_graph(spec, vertex_budget=spec.n_vertices)
     for cid in g.connection_ids:
-        for u, v in enumerate(_translate_ids(spec, spec.vertex_entries(cid))):
+        for u, v in enumerate(translate_ids(spec, spec.vertex_entries(cid))):
             assert colors[u] != colors[v]
     # cosets partition the vertices evenly
     from collections import Counter
@@ -403,7 +404,7 @@ def test_translate_ids_match_vertex_ids():
     h = spec.ring.h
     for cid in range(spec.n_vertices):
         c = spec.vertex_entries(cid)
-        ids = _translate_ids(spec, c)
+        ids = translate_ids(spec, c)
         assert ids == [
             spec.vertex_id(tuple((a + b) % h for a, b in zip(spec.vertex_entries(u), c)))
             for u in range(spec.n_vertices)
@@ -413,7 +414,7 @@ def test_translate_ids_match_vertex_ids():
 def _check_edges(spec, colors, connection_ids):
     """Raise unless every edge (u, u + c), c in the connection set, has two colors: the edge-by-edge oracle."""
     for cid in connection_ids:
-        ids = _translate_ids(spec, spec.vertex_entries(cid))
+        ids = translate_ids(spec, spec.vertex_entries(cid))
         if any(map(operator.eq, colors, map(colors.__getitem__, ids))):
             u = next(u for u, w in enumerate(ids) if colors[u] == colors[w])
             raise VerificationError(f"edge ({u}, {ids[u]}) is monochromatic")
@@ -486,7 +487,7 @@ def test_edge_check_catches_one_corrupted_color():
     colors = [col.color_of(v) for v in range(spec.n_vertices)]
     _check_edges(spec, colors, conn)
     u = 37
-    w = _translate_ids(spec, spec.vertex_entries(conn[5]))[u]
+    w = translate_ids(spec, spec.vertex_entries(conn[5]))[u]
     colors[u] = colors[w]
     with pytest.raises(VerificationError) as err:
         _check_edges(spec, colors, conn)

@@ -5,11 +5,11 @@ from itertools import product
 
 import pytest
 
-from conftest import per_matrix_labels
+from conftest import per_matrix_labels, recursive_clique, recursive_mis, translate_ids, translated_masks
 from ringmat.errors import BudgetExceededError, UsageError
 from ringmat.graph import (
     _rank_table,
-    _translate_ids,
+    adjacency_masks,
     adjacent,
     build_graph,
     check_connectivity,
@@ -18,6 +18,7 @@ from ringmat.graph import (
     exact_independence_number,
     GraphSpec,
     sandwich_inequality,
+    search_through_zero,
     subgroup_closure,
 )
 from ringmat.matrix import Mat
@@ -82,7 +83,7 @@ def test_frozen_degrees_and_regularity():
         g = build_graph(spec, vertex_budget=spec.n_vertices)
         assert g.degree == deg
         # vertex-transitive graphs are regular: every adjacency row has deg bits
-        masks = g.adjacency_masks(budget=spec.n_vertices)
+        masks = adjacency_masks(spec, budget=spec.n_vertices)
         for u, row in enumerate(masks):
             assert bin(row).count("1") == deg
             assert not row >> u & 1
@@ -90,7 +91,7 @@ def test_frozen_degrees_and_regularity():
 
 def test_adjacency_symmetric_exhaustive_z2():
     spec = _spec(2)
-    masks = build_graph(spec).adjacency_masks()
+    masks = adjacency_masks(spec)
     for u in range(spec.n_vertices):
         assert not masks[u] >> u & 1
         for v in range(spec.n_vertices):
@@ -102,7 +103,7 @@ def test_adjacency_symmetric_exhaustive_z2():
                                         (2, 2, 3, 1), (2, 2, 3, 2)])
 def test_adjacency_masks_match_pairwise_adjacent(h, m, n, r):
     spec = _spec(h, m, n, r)
-    masks = build_graph(spec).adjacency_masks(budget=spec.n_vertices)
+    masks = adjacency_masks(spec, budget=spec.n_vertices)
     verts = [spec.vertex(v) for v in range(spec.n_vertices)]
     for u, a in enumerate(verts):
         assert masks[u] == sum(1 << v for v, b in enumerate(verts) if adjacent(spec, a, b))
@@ -114,7 +115,6 @@ def test_build_graph_budget_before_any_work(monkeypatch):
     def refuse(*args):
         raise AssertionError("work started before the budget check")
 
-    small = build_graph(_spec(2))
     monkeypatch.setattr(graph, "exponent_rows", refuse)
     spec = _spec(6)
     with pytest.raises(BudgetExceededError):
@@ -122,7 +122,7 @@ def test_build_graph_budget_before_any_work(monkeypatch):
     with pytest.raises(BudgetExceededError):
         check_connectivity(spec, vertex_budget=10)
     with pytest.raises(BudgetExceededError):
-        small.adjacency_masks(10)
+        adjacency_masks(_spec(2), 10)
     with pytest.raises(AssertionError):  # the guard is live within the budget
         build_graph(spec)
 
@@ -132,6 +132,23 @@ def test_exact_parameters_field_cases():
     assert exact_independence_number(_spec(2)) == 4
     assert exact_clique_number(_spec(3)) == 9
     assert exact_independence_number(_spec(3)) == 9
+
+
+# every shape with h^(mn) <= 256 and 1 <= r <= m <= n
+SMALL_SHAPES = [(h, m, n, r) for h in range(2, 257) for m in range(1, 9) for n in range(m, 9)
+                for r in range(1, m + 1) if h ** (m * n) <= 256]
+
+
+@pytest.mark.parametrize("h, m, n, r", SMALL_SHAPES)
+def test_rotation_masks_and_search_through_zero_match_the_whole_graph(h, m, n, r):
+    spec = _spec(h, m, n, r)
+    masks = translated_masks(spec)
+    assert list(adjacency_masks(spec)) == masks
+    for independent, whole in ((False, recursive_clique(masks)), (True, recursive_mis(masks))):
+        found = search_through_zero(spec, independent)
+        assert found[0] == 0 and found == sorted(set(found))
+        assert all((masks[u] >> v & 1) != independent for i, u in enumerate(found) for v in found[i + 1:])
+        assert len(found) == len(whole) == (spec.independence_bound if independent else spec.clique_bound)
 
 
 def test_exact_search_budget_guard():
@@ -163,7 +180,7 @@ def test_connectivity():
 
 def _bfs_reached(spec, connection_ids):
     """Breadth-first search from the zero matrix: the ids of its component."""
-    moves = [_translate_ids(spec, spec.vertex_entries(cid)) for cid in connection_ids]
+    moves = [translate_ids(spec, spec.vertex_entries(cid)) for cid in connection_ids]
     seen = {0}
     queue = deque([0])
     while queue:

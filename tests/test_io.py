@@ -405,6 +405,20 @@ def test_undecodable_and_too_deep_files_are_usage_errors(tmp_path):
         load_family(str(deep))
 
 
+def test_an_integer_past_the_digit_limit_is_a_usage_error(tmp_path, capsys):
+    big = tmp_path / "big.json"
+    big.write_text('{"h": 6, "rows": 1, "cols": 1, "members": [[[%s]]]}\n' % ("1" * 5000))
+    try:
+        json.loads("1" * 5000)
+    except ValueError as exc:
+        limit = str(exc)
+    else:
+        pytest.skip("this interpreter has no digit limit")
+    assert main(["classify-clique", "--family", str(big), "--r", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {big} is not valid JSON: {limit}\n"
+
+
 # ---------------------------------------------------------------------------
 # the bytes of the files the console script writes, pinned
 # ---------------------------------------------------------------------------

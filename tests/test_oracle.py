@@ -5,12 +5,12 @@ from itertools import product
 
 import pytest
 
+from conftest import complement_masks, recursive_clique
 from ringmat.errors import BudgetExceededError
 from ringmat.matrix import Mat, random_matrix
 from ringmat.oracle import (
     enumerate_cliques_of_size,
     exact_clique,
-    exact_mis,
     inner_rank_by_factorization,
     omega_via_minors,
 )
@@ -78,15 +78,15 @@ def test_exact_search_known_graphs():
     # 5-cycle: clique number 2, independence number 2
     c5 = _cycle_masks(5)
     assert len(exact_clique(c5)) == 2
-    assert len(exact_mis(c5)) == 2
+    assert len(exact_clique(complement_masks(c5))) == 2
     # complete graph K_5
     k5 = _complete_masks(5)
     assert len(exact_clique(k5)) == 5
-    assert len(exact_mis(k5)) == 1
+    assert len(exact_clique(complement_masks(k5))) == 1
     # empty graph on 4 vertices
     empty = [0, 0, 0, 0]
     assert len(exact_clique(empty)) == 1
-    assert len(exact_mis(empty)) == 4
+    assert len(exact_clique(complement_masks(empty))) == 4
 
 
 def test_exact_clique_result_is_a_clique():
@@ -114,3 +114,37 @@ def test_enumerate_cliques_of_size():
 def test_exact_clique_budget():
     with pytest.raises(BudgetExceededError):
         exact_clique(_complete_masks(30), budget=5)
+
+
+def _random_masks(rng, n, p):
+    masks = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+    return masks
+
+
+def test_stack_search_visits_like_the_recursive_oracle():
+    """The same witness as the recursive search, over every vertex and over a start set."""
+    rng = random.Random(5)
+    for _ in range(60):
+        masks = _random_masks(rng, rng.randrange(1, 40), rng.choice((0.2, 0.5, 0.8)))
+        assert exact_clique(masks) == recursive_clique(masks)
+        start = masks[0]
+        found = exact_clique(masks, start=start)
+        assert found == recursive_clique(masks, start=start)
+        # a maximum clique of the subgraph induced on the start set
+        members = [v for v in range(len(masks)) if start >> v & 1]
+        induced = [sum(1 << j for j, w in enumerate(members) if masks[u] >> w & 1) for u in members]
+        assert len(found) == len(recursive_clique(induced))
+        assert set(found) <= set(members)
+        assert all(masks[u] >> v & 1 for i, u in enumerate(found) for v in found[i + 1:])
+
+
+def test_deep_clique_needs_no_recursion():
+    """K_1100 goes 1,100 frames deep, past the default recursion limit."""
+    k = _complete_masks(1100)
+    assert exact_clique(k) == list(range(1100))
+    assert exact_clique(k, start=k[0]) == list(range(1, 1100))

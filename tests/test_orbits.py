@@ -172,3 +172,21 @@ def test_census_report_validation():
         CensusReport(ring, 1, 1, ((((0,),), 2), (((1,),), 1), (((2,),), 2)))
     with pytest.raises(VerificationError):
         CensusReport(ring, 1, 1, ((((1,),), 3), (((0,),), 1)))
+
+
+def test_composite_census_walks_once_per_kept_shape(monkeypatch, capsys):
+    from ringmat import cli
+
+    walks = []
+    real = orbits.component_walk
+    monkeypatch.setattr(orbits, "component_walk", lambda *a: walks.append(a[0].h) or real(*a))
+    orbits._composite_census.cache_clear()
+    first = census_by_enumeration(ring_spec(12), 2, 2)
+    rep = verify_orbit_product(ring_spec(12), 2, 2)
+    assert walks == [12] and rep.census is first and rep.ok
+    # the budget is charged before the kept report is looked up
+    with pytest.raises(BudgetExceededError):
+        census_by_enumeration(ring_spec(12), 2, 2, budget=12**4 - 1)
+    assert cli.main(["orbits", "--h", "12", "--m", "2", "--n", "2", "--budget", "100"]) == 3
+    assert capsys.readouterr().err == "budget exceeded: 12^4 matrices exceed the budget 100\n"
+    assert walks == [12]
