@@ -5,8 +5,9 @@ For each (h, m, n, r) configuration, builds certificates for the graph on
 all m x n matrices over Z_h where two matrices are adjacent when their
 difference has inner rank between 1 and r: clique number, independence
 number, and chromatic number (all equal to h**(n*r) when the sandwich
-chain is tight), plus degree and connectivity when the graph is small
-enough to materialize, and an exhaustive cross-check on tiny graphs.
+chain is tight), connectivity from the unit-matrix witness, degree when
+the graph is small enough to materialize, and an exhaustive cross-check on
+tiny graphs.
 
 Example:
     python3 scripts/graph_parameter_sweep.py --configs 2,2,2,1 6,2,2,1 12,2,2,1
@@ -62,7 +63,7 @@ def sweep(config: SweepConfig) -> int:
         tight = sandwich_inequality(spec).tight
         small = spec.n_vertices <= config.vertex_budget
         degree = build_graph(spec, vertex_budget=config.vertex_budget).degree if small else None
-        connected = check_connectivity(spec, vertex_budget=config.vertex_budget) if small else None
+        connected = check_connectivity(spec)
         transitive = check_vertex_transitivity(
             spec, samples=config.transitivity_samples, seed=config.seed
         )
@@ -72,7 +73,7 @@ def sweep(config: SweepConfig) -> int:
               f"{degree if degree is not None else '-':>7} "
               f"{cert.omega:>6} {cert.alpha:>6} {cert.chi:>6} "
               f"{str(tight):>6} "
-              f"{str(connected) if connected is not None else '-':>5} "
+              f"{str(connected):>5} "
               f"{str(transitive):>9}   ({dt:.2f}s)")
         if not (cert.omega == cert.chi == spec.clique_bound):
             print(f"  !! certificate does not pin chi for {name}")

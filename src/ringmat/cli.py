@@ -142,8 +142,8 @@ def _add_matrix_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cols", type=int, default=None)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget", type=int, default=None,
+def _add_common(p: argparse.ArgumentParser, default: int | None) -> None:
+    p.add_argument("--budget", type=int, default=default,
                    help="work cap for this command (see --help of the command)")
 
 
@@ -186,10 +186,9 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 def cmd_orbits(args: argparse.Namespace) -> int:
     ring = ring_spec(args.h)
-    budget = args.budget if args.budget is not None else DEFAULT_ENUMERATION_BUDGET
     check = args.verify_product and args.format == "json"  # CSV prints the census alone
-    prod = verify_orbit_product(ring, args.m, args.n, budget) if check else None
-    rep = prod.census if prod else census_by_enumeration(ring, args.m, args.n, budget)
+    prod = verify_orbit_product(ring, args.m, args.n, args.budget) if check else None
+    rep = prod.census if prod else census_by_enumeration(ring, args.m, args.n, args.budget)
     if args.format == "csv":
         sys.stdout.write("label,length\n")
         for label, length in rep.entries:
@@ -229,8 +228,8 @@ def cmd_graph_stats(args: argparse.Namespace) -> int:
         raise UsageError("--transitivity-samples must be >= 0")
     charge("transitivity samples", args.transitivity_samples, budget)
     obj: dict[str, Any] = {"h": args.h, "m": args.m, "n": args.n, "r": args.r}
-    if args.connectivity:  # first: above the vertex budget it stops before any other work
-        obj["connected"] = check_connectivity(spec, vertex_budget=budget)
+    if args.connectivity:
+        obj["connected"] = check_connectivity(spec)
     if args.exact:
         search_budget = args.budget if args.budget is not None else DEFAULT_EXACT_SEARCH_BUDGET
         obj["omega"] = exact_clique_number(spec, search_budget)
@@ -264,8 +263,7 @@ def cmd_build_clique(args: argparse.Namespace) -> int:
     ring = spec.ring
     alpha = _parse_alpha(ring, args.alpha)
     cspec = CanonicalCliqueSpec(spec, alpha)
-    pair_budget = args.budget if args.budget is not None else DEFAULT_PAIR_BUDGET
-    charge_clique_pairs(spec, pair_budget)
+    charge_clique_pairs(spec, args.budget)
     s_mat = rio.load_matrix(args.S, expect_h=args.h) if args.S else None
     t_mat = rio.load_matrix(args.T, expect_h=args.h) if args.T else None
     b0 = rio.load_matrix(args.B0, expect_h=args.h) if args.B0 else None
@@ -279,7 +277,7 @@ def cmd_build_clique(args: argparse.Namespace) -> int:
         if b0.rows != spec.m or b0.cols != spec.n:
             raise UsageError("--B0 must be an m x n matrix")
     family = build_canonical_clique(cspec, s_mat, t_mat, b0)
-    if not is_clique(spec, family, pair_budget):
+    if not is_clique(spec, family, args.budget):
         raise VerificationError("built family is not a clique")
     obj = rio.family_to_obj(ring, spec.m, spec.n, family, {
         "r": spec.r,
@@ -302,9 +300,8 @@ def cmd_classify_clique(args: argparse.Namespace) -> int:
 def cmd_verify_ekr(args: argparse.Namespace) -> int:
     ring, rows, cols, members, _ = rio.load_family(args.family, expect_h=args.h)
     spec = GraphSpec(ring, rows, cols, args.r)
-    pair_budget = args.budget if args.budget is not None else DEFAULT_PAIR_BUDGET
     try:
-        rep = verify_ekr(spec, members, pair_budget)
+        rep = verify_ekr(spec, members, args.budget)
     except NotIntersectingError as exc:
         _emit({
             "intersecting": False,
@@ -326,8 +323,7 @@ def cmd_verify_ekr(args: argparse.Namespace) -> int:
 
 def cmd_build_mrd(args: argparse.Namespace) -> int:
     spec = _graph_spec(args)
-    pair_budget = args.budget if args.budget is not None else DEFAULT_PAIR_BUDGET
-    code = mrd_code(spec, pair_budget)
+    code = mrd_code(spec, args.budget)
     obj = rio.code_to_obj(code, code.verified_distance)
     obj["r"] = spec.r
     obj["bound"] = spec.independence_bound
@@ -337,10 +333,9 @@ def cmd_build_mrd(args: argparse.Namespace) -> int:
 
 def cmd_verify_code(args: argparse.Namespace) -> int:
     ring, rows, cols, members, _ = rio.load_family(args.family, expect_h=args.h)
-    pair_budget = args.budget if args.budget is not None else DEFAULT_PAIR_BUDGET
     # metadata is not trusted: the family is checked as a plain set of words
     code = RankCode(ring, rows, cols, frozenset(members), args.d, False, None)
-    computed = verify_distance(code, pair_budget)
+    computed = verify_distance(code, args.budget)
     meets = computed >= args.d
     _emit({
         "h": ring.h,
@@ -357,16 +352,15 @@ def cmd_verify_code(args: argparse.Namespace) -> int:
 
 def cmd_color(args: argparse.Namespace) -> int:
     spec = _graph_spec(args)
-    budget = args.budget if args.budget is not None else DEFAULT_VERTEX_BUDGET
     if args.samples < 0:
         raise UsageError("--samples must be >= 0")
     if args.out:
-        charge("vertices", (spec.ring.h, spec.m * spec.n), budget)
-    sampled = power_exceeds(spec.ring.h, spec.m * spec.n, budget)
+        charge("vertices", (spec.ring.h, spec.m * spec.n), args.budget)
+    sampled = power_exceeds(spec.ring.h, spec.m * spec.n, args.budget)
     if sampled:  # above the vertex budget the pairs are checked one by one
-        charge("sampled pairs", args.samples, budget)
+        charge("sampled pairs", args.samples, args.budget)
     seed = _resolve_seed(args, randomized=sampled)
-    col = color_graph(spec, vertex_budget=budget, sample_seed=seed, samples=args.samples)
+    col = color_graph(spec, vertex_budget=args.budget, sample_seed=seed, samples=args.samples)
     obj = {
         "h": args.h,
         "m": args.m,
@@ -388,8 +382,7 @@ def cmd_color(args: argparse.Namespace) -> int:
 
 def cmd_cover_complement(args: argparse.Namespace) -> int:
     spec = _graph_spec(args)
-    budget = args.budget if args.budget is not None else DEFAULT_VERTEX_BUDGET
-    cov = clique_cover_complement(spec, vertex_budget=budget)
+    cov = clique_cover_complement(spec, vertex_budget=args.budget)
     sizes = sorted({len(p) for p in cov.parts})
     obj: dict[str, Any] = {
         "h": spec.ring.h,
@@ -425,16 +418,14 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         return 0
     if which == "rank":
         a = _read_matrix(args)
-        budget = args.budget if args.budget is not None else DEFAULT_FACTOR_SEARCH_BUDGET
         _emit({
             "h": a.ring.h,
-            "inner_rank": inner_rank_by_factorization(a, budget),
+            "inner_rank": inner_rank_by_factorization(a, args.budget),
         })
         return 0
     # exact clique / independent-set search through vertex 0
     spec = _graph_spec(args)
-    budget = args.budget if args.budget is not None else DEFAULT_EXACT_SEARCH_BUDGET
-    ids = search_through_zero(spec, which == "mis", budget)
+    ids = search_through_zero(spec, which == "mis", args.budget)
     _emit({
         "h": args.h,
         "m": args.m,
@@ -486,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify-product", action="store_true",
                    help="also check lengths against the per-component product")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_common(p)
+    _add_common(p, DEFAULT_ENUMERATION_BUDGET)
     p.set_defaults(func=cmd_orbits)
 
     p = sub.add_parser("graph-stats", help="graph parameters (certified or exact)")
@@ -497,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transitivity-samples", type=int, default=0, metavar="K",
                    help="check K >= 0 sampled symmetries preserve adjacency; K is charged against --budget")
     p.add_argument("--seed", type=int, default=None)
-    _add_common(p)
+    _add_common(p, None)
     p.set_defaults(func=cmd_graph_stats)
 
     p = sub.add_parser("build-clique", help="build a maximum clique from parameters")
@@ -508,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", default=None, help="optional invertible n x n matrix file")
     p.add_argument("--B0", default=None, help="optional m x n shift matrix file")
     p.add_argument("--out", default=None, help="write the family JSON here instead of stdout")
-    _add_common(p)
+    _add_common(p, DEFAULT_PAIR_BUDGET)
     p.set_defaults(func=cmd_build_clique)
 
     p = sub.add_parser("classify-clique", help="recover parameters from a maximum clique")
@@ -521,20 +512,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--h", type=int, default=None)
-    _add_common(p)
+    _add_common(p, DEFAULT_PAIR_BUDGET)
     p.set_defaults(func=cmd_verify_ekr)
 
     p = sub.add_parser("build-mrd", help="build a maximum rank-distance code")
     _add_graph_args(p)
     p.add_argument("--out", default=None)
-    _add_common(p)
+    _add_common(p, DEFAULT_PAIR_BUDGET)
     p.set_defaults(func=cmd_build_mrd)
 
     p = sub.add_parser("verify-code", help="exhaustively verify a code's minimum distance")
     p.add_argument("--family", required=True)
     p.add_argument("--d", type=int, required=True, help="required minimum distance")
     p.add_argument("--h", type=int, default=None)
-    _add_common(p)
+    _add_common(p, DEFAULT_PAIR_BUDGET)
     p.set_defaults(func=cmd_verify_code)
 
     p = sub.add_parser("color", help="proper coloring by code cosets")
@@ -543,13 +534,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sampled pair checks when the graph exceeds the budget")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None, help="write the full color map here")
-    _add_common(p)
+    _add_common(p, DEFAULT_VERTEX_BUDGET)
     p.set_defaults(func=cmd_color)
 
     p = sub.add_parser("cover-complement", help="partition the vertices into cliques")
     _add_graph_args(p)
     p.add_argument("--out", default=None, help="write the parts here")
-    _add_common(p)
+    _add_common(p, DEFAULT_VERTEX_BUDGET)
     p.set_defaults(func=cmd_cover_complement)
 
     p = sub.add_parser("oracle", help="independent slow reference computations")
@@ -559,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
         q = osub.add_parser(name)
         (_add_matrix_args if needs_matrix else _add_graph_args)(q)
         if name != "omega":
-            _add_common(q)
+            _add_common(q, DEFAULT_FACTOR_SEARCH_BUDGET if name == "rank" else DEFAULT_EXACT_SEARCH_BUDGET)
         q.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("selftest", help="run the built-in verification suite")

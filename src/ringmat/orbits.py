@@ -20,7 +20,7 @@ from itertools import combinations_with_replacement, product
 from math import comb, prod
 from typing import NamedTuple
 
-from .errors import DEFAULT_ENUMERATION_BUDGET, UsageError, VerificationError, charge
+from .errors import DEFAULT_ENUMERATION_BUDGET, VerificationError, charge
 from .ring import Frozen, RingSpec
 from .smith import _pp_smith, component_walk, exponent_rows
 
@@ -173,8 +173,6 @@ def verify_orbit_product(
     tautology.  For t = 1 the one component is Z_h itself and its census is
     the full one, not enumerated again.
     """
-    if ring.t < 1:
-        raise UsageError("ring must have at least one component")
     full = census_by_enumeration(ring, rows, cols, budget)
     comp_reports = [full] if ring.t == 1 else [
         census_by_enumeration(ring.component(i), rows, cols, budget) for i in range(ring.t)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from ringmat.errors import DEFAULT_SEARCH_STEP_BUDGET, charge
-from ringmat.graph import build_graph
+from ringmat.graph import build_graph, subgroup_closure
 from ringmat.matrix import Mat, _det_bareiss
 from ringmat.oracle import _greedy_color_order
 from ringmat.ring import ring_spec
@@ -86,6 +86,13 @@ def translate_ids(spec, c):
     """[id(u + c) for every vertex id u], built digit by digit from rotation lists."""
     h = spec.ring.h
     return _digit_ids(h, [[(x + d) % h for x in range(h)] for d in c])
+
+
+def connection_closure(spec):
+    """graph.check_connectivity as it stood before its unit-matrix witness: the
+    subgroup closure of the connection set, read off the whole rank table."""
+    g = build_graph(spec, vertex_budget=spec.n_vertices)
+    return subgroup_closure([spec.vertex_entries(cid) for cid in g.connection_ids], spec.ring.h, spec.n_vertices)
 
 
 def translated_masks(spec):

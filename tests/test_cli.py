@@ -630,19 +630,37 @@ def test_r_equals_m_above_budget_exits_3(capsys):
         assert code == 3 and out == "" and "2^90000 vertices exceed" in err
 
 
-def test_connectivity_above_budget_fails_before_any_work(monkeypatch, capsys):
-    from ringmat import cli
+def test_connectivity_above_the_vertex_budget_needs_no_rank_table(monkeypatch, capsys):
+    from ringmat import graph
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("work started before the budget check")
+    def refuse(*args):
+        raise AssertionError("connectivity built a rank table")
 
-    monkeypatch.setattr(cli, "certify_graph_parameters", refuse)
+    graph._rank_table.cache_clear()
+    monkeypatch.setattr(graph, "exponent_rows", refuse)
+    code, obj, err = run_json(capsys, "graph-stats", "--h", "12", "--m", "2", "--n", "2",
+                              "--r", "1", "--connectivity")
+    assert code == 0 and err == ""
+    assert obj["connected"] is True and obj["vertices"] == 20736 and "degree" not in obj
+
+
+def test_connectivity_kernel_steps_are_charged_before_any_work(capsys):
     start = time.process_time()
-    code, out, err = run(capsys, "graph-stats", "--h", "6", "--m", "3", "--n", "3",
+    code, out, err = run(capsys, "graph-stats", "--h", "2", "--m", "30", "--n", "30",
                          "--r", "1", "--connectivity")
-    assert time.process_time() - start < 0.3
+    assert time.process_time() - start < 1.0
     assert code == 3 and out == ""
-    assert err == "budget exceeded: 6^9 vertices exceed the budget 10000\n"
+    assert err == "budget exceeded: 24300000 kernel steps exceed the budget 10000000\n"
+
+
+def test_connectivity_witness_failure_exits_1(monkeypatch, capsys):
+    from ringmat import graph
+
+    monkeypatch.setattr(graph, "inner_rank", lambda a: 2)
+    code, out, err = run(capsys, "graph-stats", "--h", "6", "--m", "2", "--n", "2",
+                         "--r", "1", "--connectivity")
+    assert code == 1 and out == ""
+    assert err.startswith("verification failed: unit matrix E_")
 
 
 def test_graph_stats_builds_one_rank_table(monkeypatch, capsys):

@@ -5,8 +5,8 @@ from itertools import product
 
 import pytest
 
-from conftest import per_matrix_labels, recursive_clique, recursive_mis, translate_ids, translated_masks
-from ringmat.errors import BudgetExceededError, UsageError
+from conftest import connection_closure, per_matrix_labels, recursive_clique, recursive_mis, translate_ids, translated_masks
+from ringmat.errors import BudgetExceededError, UsageError, VerificationError
 from ringmat.graph import (
     _rank_table,
     adjacency_masks,
@@ -120,8 +120,6 @@ def test_build_graph_budget_before_any_work(monkeypatch):
     with pytest.raises(BudgetExceededError):
         build_graph(spec, vertex_budget=10)
     with pytest.raises(BudgetExceededError):
-        check_connectivity(spec, vertex_budget=10)
-    with pytest.raises(BudgetExceededError):
         adjacency_masks(_spec(2), 10)
     with pytest.raises(AssertionError):  # the guard is live within the budget
         build_graph(spec)
@@ -176,6 +174,35 @@ def test_complete_graph_edge_case():
 def test_connectivity():
     for h in (2, 3, 6):
         assert check_connectivity(_spec(h))
+
+
+@pytest.mark.parametrize("h, m, n, r", SMALL_SHAPES)
+def test_connectivity_witness_matches_the_closure_oracle(h, m, n, r):
+    spec = _spec(h, m, n, r)
+    assert len(connection_closure(spec)) == spec.n_vertices
+    assert check_connectivity(spec)
+
+
+@pytest.mark.parametrize("h, m, n", [(6, 3, 3), (2**61 - 1, 4, 5)])
+def test_connectivity_needs_no_rank_table_or_closure(monkeypatch, h, m, n):
+    from ringmat import graph
+
+    def refuse(*args):
+        raise AssertionError("connectivity built a rank table or a closure")
+
+    monkeypatch.setattr(graph, "exponent_rows", refuse)
+    monkeypatch.setattr(graph, "subgroup_closure", refuse)
+    graph._rank_table.cache_clear()
+    assert check_connectivity(_spec(h, m, n, 1))
+
+
+def test_connectivity_rejects_a_unit_matrix_ranked_outside_the_radius(monkeypatch):
+    from ringmat import graph
+
+    spec = _spec(6, 2, 3, 1)
+    monkeypatch.setattr(graph, "inner_rank", lambda a: spec.r + 1)
+    with pytest.raises(VerificationError, match="unit matrix E_"):
+        check_connectivity(spec)
 
 
 def _bfs_reached(spec, connection_ids):
