@@ -77,16 +77,7 @@ class CanonicalCliqueSpec(Frozen):
                 raise UsageError(f"alpha entries must be 0 or saturated, got {a} (s = {s})")
         if any(alpha) and graph.m != graph.n:
             raise UsageError("nonzero alpha needs square matrices to reach the extremal size")
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "alpha", alpha)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not CanonicalCliqueSpec:
-            return NotImplemented
-        return (self.graph, self.alpha) == (other.graph, other.alpha)
-
-    def __repr__(self) -> str:
-        return f"CanonicalCliqueSpec(graph={self.graph!r}, alpha={self.alpha!r})"
+        self._fill(graph, alpha)
 
 
 def _ideal_generator(ring: RingSpec, exponents: Sequence[int]) -> int:
@@ -231,23 +222,7 @@ class CliqueForm(Frozen):
     ) -> None:
         if tag not in (ROW_FORM, COL_FORM, MIXED_FORM):
             raise UsageError(f"unknown form tag {tag!r}")
-        _set = object.__setattr__
-        _set(self, "graph", graph)
-        _set(self, "tag", tag)
-        _set(self, "S", S)
-        _set(self, "T", T)
-        _set(self, "alpha", alpha)
-        _set(self, "B0", B0)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not CliqueForm:
-            return NotImplemented
-        return (self.graph, self.tag, self.S, self.T, self.alpha, self.B0) == (
-            other.graph, other.tag, other.S, other.T, other.alpha, other.B0)
-
-    def __repr__(self) -> str:
-        return (f"CliqueForm(graph={self.graph!r}, tag={self.tag!r}, S={self.S!r}, T={self.T!r}, "
-                f"alpha={self.alpha!r}, B0={self.B0!r})")
+        self._fill(graph, tag, S, T, alpha, B0)
 
 
 def rebuild_clique(form: CliqueForm) -> frozenset[Mat]:

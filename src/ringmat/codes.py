@@ -417,23 +417,7 @@ class GraphCertificate(Frozen):
         bounds = (spec.clique_bound, spec.independence_bound, spec.clique_bound)
         if witnesses != bounds:
             raise VerificationError(f"witnesses (omega, alpha, chi) = {witnesses} != bounds {bounds}")
-        _set = object.__setattr__
-        _set(self, "spec", spec)
-        _set(self, "omega", omega)
-        _set(self, "alpha", alpha)
-        _set(self, "code_distance", code_distance)
-        _set(self, "chi", chi)
-        _set(self, "coloring_verification", coloring_verification)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not GraphCertificate:
-            return NotImplemented
-        return (self.spec, self.omega, self.alpha, self.code_distance, self.chi, self.coloring_verification) == (
-            other.spec, other.omega, other.alpha, other.code_distance, other.chi, other.coloring_verification)
-
-    def __repr__(self) -> str:
-        return (f"GraphCertificate(spec={self.spec!r}, omega={self.omega!r}, alpha={self.alpha!r}, code_distance="
-                f"{self.code_distance!r}, chi={self.chi!r}, coloring_verification={self.coloring_verification!r})")
+        self._fill(spec, omega, alpha, code_distance, chi, coloring_verification)
 
 
 def certify_graph_parameters(spec: GraphSpec, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> GraphCertificate:

@@ -42,22 +42,7 @@ class GraphSpec(Frozen):
     def __init__(self, ring: RingSpec, m: int, n: int, r: int) -> None:
         if not 1 <= r <= m <= n:
             raise UsageError(f"need 1 <= r <= m <= n, got r={r}, m={m}, n={n}")
-        _set = object.__setattr__
-        _set(self, "ring", ring)
-        _set(self, "m", m)
-        _set(self, "n", n)
-        _set(self, "r", r)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not GraphSpec:
-            return NotImplemented
-        return (self.ring, self.m, self.n, self.r) == (other.ring, other.m, other.n, other.r)
-
-    def __hash__(self) -> int:
-        return hash((self.ring, self.m, self.n, self.r))
-
-    def __repr__(self) -> str:
-        return f"GraphSpec(ring={self.ring!r}, m={self.m!r}, n={self.n!r}, r={self.r!r})"
+        self._fill(ring, m, n, r)
 
     @property
     def n_vertices(self) -> int:

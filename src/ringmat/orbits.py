@@ -21,6 +21,7 @@ from math import comb, prod
 from typing import NamedTuple
 
 from .errors import DEFAULT_ENUMERATION_BUDGET, VerificationError, charge
+from .matrix import _check_dims
 from .ring import Frozen, RingSpec
 from .smith import _pp_smith, component_walk, exponent_rows
 
@@ -33,11 +34,7 @@ class CensusReport(Frozen):
     __slots__ = ("ring", "rows", "cols", "entries")
 
     def __init__(self, ring: RingSpec, rows: int, cols: int, entries: tuple[tuple[Label, int], ...]) -> None:
-        _set = object.__setattr__
-        _set(self, "ring", ring)
-        _set(self, "rows", rows)
-        _set(self, "cols", cols)
-        _set(self, "entries", entries)
+        self._fill(ring, rows, cols, entries)
         if sum(c for _, c in entries) != self.total:
             raise VerificationError("census lengths do not sum to the matrix count")
         labels = [lab for lab, _ in entries]
@@ -45,14 +42,6 @@ class CensusReport(Frozen):
             raise VerificationError("census labels must be sorted and distinct")
         if any(c <= 0 for _, c in entries):
             raise VerificationError("every census label needs a positive length")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not CensusReport:
-            return NotImplemented
-        return (self.ring, self.rows, self.cols, self.entries) == (other.ring, other.rows, other.cols, other.entries)
-
-    def __repr__(self) -> str:
-        return f"CensusReport(ring={self.ring!r}, rows={self.rows!r}, cols={self.cols!r}, entries={self.entries!r})"
 
     @property
     def total(self) -> int:
@@ -108,6 +97,7 @@ def census_by_enumeration(
     ask of verify_orbit_product walks nothing.  Every label from enumerate_orbit_labels must show up,
     and lengths must sum to h^(m*n).
     """
+    _check_dims(rows, cols)
     charge("matrices", (ring.h, rows * cols), DEFAULT_ENUMERATION_BUDGET if budget is None else budget)
     if ring.t > 1:
         return _composite_census(ring, rows, cols)

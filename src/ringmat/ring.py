@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import count
+from operator import attrgetter
 from typing import Sequence
 
 from .errors import UsageError
@@ -128,9 +129,34 @@ def ring_spec(h: int) -> "RingSpec":
 
 
 class Frozen:
-    """Mixin of the slotted records: assigning or deleting a field raises, as on a frozen dataclass."""
+    """Base of the slotted records: ==, hash and repr come from the fields, which cannot be assigned.
+
+    The fields are the subclass's own _fields, else its __slots__.  Records are
+    equal when of one class with equal field tuples, hash as that tuple, and
+    repr as Name(field=value, ...).  __init__ validates, then _fill sets every slot.
+    """
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls.__dict__.get("_fields", cls.__slots__)
+        cls._key = attrgetter(*cls._fields)  # a tuple for two or more fields, as every record has
+
+    def _fill(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -144,9 +170,13 @@ class RingSpec(Frozen):
 
     primes holds pairs (p_i, s_i) with p_1 < p_2 < ... and
     h == prod(p_i ** s_i).  Component indices are 0-based everywhere.
+    The other slots are derived: prime_powers[i] = q_i = p_i ** s_i; cofactors[i] =
+    h // q_i, the modulus of the i-th coprojection target; saturated = (s_1, ...,
+    s_t), the exponents of zero; _crt_idempotents[i] is 1 mod q_i, 0 mod q_j.
     """
 
     __slots__ = ("h", "primes", "prime_powers", "cofactors", "saturated", "_crt_idempotents")
+    _fields = ("h", "primes")
 
     def __init__(self, h: int, primes: tuple[tuple[int, int], ...]) -> None:
         ps = [p for p, _ in primes]
@@ -160,14 +190,10 @@ class RingSpec(Frozen):
             raise UsageError(f"inconsistent factorization for modulus {h}")
         qs = tuple(p**s for p, s in primes)
         hqs = tuple(h // q for q in qs)
-        _set = object.__setattr__
-        _set(self, "h", h)
-        _set(self, "primes", primes)
-        _set(self, "prime_powers", qs)  # q_i = p_i ** s_i, in component order
-        _set(self, "cofactors", hqs)  # h_i = h // q_i, the modulus of the i-th coprojection target
-        _set(self, "saturated", tuple(s for _, s in primes))  # the exponent vector (s_1, ..., s_t) of zero
-        _set(self, "_crt_idempotents", tuple(hq * pow(hq, -1, q) % h for q, hq in zip(qs, hqs)))  # 1 mod q_i, 0 mod q_j
+        self._fill(h, primes, qs, hqs, tuple(s for _, s in primes),
+                   tuple(hq * pow(hq, -1, q) % h for q, hq in zip(qs, hqs)))
 
+    # Not derived from Frozen: every Mat hash calls this one, and a derived one made that a third slower.
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not RingSpec:
             return NotImplemented
@@ -175,9 +201,6 @@ class RingSpec(Frozen):
 
     def __hash__(self) -> int:
         return hash((self.h, self.primes))
-
-    def __repr__(self) -> str:
-        return f"RingSpec(h={self.h!r}, primes={self.primes!r})"
 
     def __str__(self) -> str:
         return f"Z_{self.h}"

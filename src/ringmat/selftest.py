@@ -36,7 +36,7 @@ from .codes import (
     color_graph,
     mrd_code,
 )
-from .errors import NotIntersectingError
+from .errors import NotIntersectingError, UsageError
 from .graph import (
     GraphSpec,
     check_connectivity,
@@ -63,10 +63,6 @@ class CheckResult(NamedTuple):
         return f"{status} check {self.number}: {self.name} ({self.seconds:.2f}s) - {self.detail}"
 
 
-def _fail(msgs: list[str], text: str) -> None:
-    msgs.append(text)
-
-
 def _outcome(msgs: list[str], ok_detail: str) -> tuple[bool, str]:
     if msgs:
         return False, "; ".join(msgs[:5])
@@ -88,7 +84,7 @@ def check_smith_soundness(quick: bool = False) -> tuple[bool, str]:
         got = f.omega.omega
         want = oracle.omega_via_minors(a)
         if got != want:
-            _fail(msgs, f"omega mismatch on {a.entries}: {got} vs oracle {want}")
+            msgs.append(f"omega mismatch on {a.entries}: {got} vs oracle {want}")
         counted += 1
 
     exhaustive = [(4, 2, 2), (6, 2, 2)] if quick else [(4, 2, 2), (6, 2, 2), (6, 2, 3)]
@@ -110,13 +106,13 @@ def check_smith_soundness(quick: bool = False) -> tuple[bool, str]:
     r4 = ring_spec(4)
     f = snf(Mat.from_rows(r4, [[2, 1], [2, 2]]))
     if f.omega.omega != ((0, 1),):
-        _fail(msgs, f"frozen Z4 example omega {f.omega.omega} != ((0, 1),)")
+        msgs.append(f"frozen Z4 example omega {f.omega.omega} != ((0, 1),)")
     if f.D.entries != (1, 0, 0, 2):
-        _fail(msgs, f"frozen Z4 example D {f.D.entries} != diag(1, 2)")
+        msgs.append(f"frozen Z4 example D {f.D.entries} != diag(1, 2)")
     r6 = ring_spec(6)
     f = snf(Mat.from_rows(r6, [[2, 0], [0, 3]]))
     if f.omega.omega != ((0, 1), (0, 1)):
-        _fail(msgs, f"frozen Z6 example omega {f.omega.omega} != ((0,1),(0,1))")
+        msgs.append(f"frozen Z6 example omega {f.omega.omega} != ((0,1),(0,1))")
     return _outcome(
         msgs,
         f"{counted} factorizations rebuilt exactly and matched the minor oracle "
@@ -138,11 +134,11 @@ def check_orbit_census(quick: bool = False) -> tuple[bool, str]:
         ring = ring_spec(h)
         rep = census_by_enumeration(ring, m, n)
         if rep.label_count != labels:
-            _fail(msgs, f"h={h} {m}x{n}: {rep.label_count} labels, expected {labels}")
+            msgs.append(f"h={h} {m}x{n}: {rep.label_count} labels, expected {labels}")
         if rep.label_count != expected_label_count(ring, m, n):
-            _fail(msgs, f"h={h} {m}x{n}: label count disagrees with the counting formula")
+            msgs.append(f"h={h} {m}x{n}: label count disagrees with the counting formula")
         if rep.total != h ** (m * n):
-            _fail(msgs, f"h={h} {m}x{n}: total {rep.total} != {h ** (m * n)}")
+            msgs.append(f"h={h} {m}x{n}: total {rep.total} != {h ** (m * n)}")
         seen.append(f"h={h} {m}x{n}:{rep.label_count}")
     return _outcome(msgs, "label counts " + ", ".join(seen) + " with lengths summing to h**(m*n)")
 
@@ -157,7 +153,7 @@ def check_orbit_product(quick: bool = False) -> tuple[bool, str]:
     for h, m, n in cases:
         rep = verify_orbit_product(ring_spec(h), m, n)
         if not rep.ok:
-            _fail(msgs, f"h={h}: product law violated at {rep.first_violation()}")
+            msgs.append(f"h={h}: product law violated at {rep.first_violation()}")
     return _outcome(
         msgs,
         "every orbit length over h=" + ",".join(str(h) for h, _, _ in cases)
@@ -180,7 +176,7 @@ def check_rank_agreement(quick: bool = False) -> tuple[bool, str]:
             ir = inner_rank(a)
             rp = rank_via_projections(a)
             if not (ir == rp.via_pi == rp.via_theta):
-                _fail(msgs, f"h={h} {entries}: rank {ir} vs {rp}")
+                msgs.append(f"h={h} {entries}: rank {ir} vs {rp}")
                 return _outcome(msgs, "")
             counted += 1
     return _outcome(
@@ -201,16 +197,16 @@ def check_graph_parameters(quick: bool = False) -> tuple[bool, str]:
         w = exact_clique_number(spec)
         a = exact_independence_number(spec)
         if (w, a) != (want, want):
-            _fail(msgs, f"h={h}: exact (omega, alpha) = ({w}, {a}), expected {want}")
+            msgs.append(f"h={h}: exact (omega, alpha) = ({w}, {a}), expected {want}")
         notes.append(f"h={h} exact omega=alpha={want}")
     rings = [6] if quick else [6, 12]
     for h in rings:
         spec = GraphSpec(ring_spec(h), 2, 2, 1)
         cert = certify_graph_parameters(spec)
         if cert.omega != spec.clique_bound or cert.alpha != spec.independence_bound:
-            _fail(msgs, f"h={h}: certificate does not pin the bounds")
+            msgs.append(f"h={h}: certificate does not pin the bounds")
         if cert.chi != cert.omega:
-            _fail(msgs, f"h={h}: chromatic certificate {cert.chi} != clique size {cert.omega}")
+            msgs.append(f"h={h}: chromatic certificate {cert.chi} != clique size {cert.omega}")
         notes.append(
             f"h={h} certified omega=chi={cert.omega}, alpha={cert.alpha}"
             f" ({cert.coloring_verification})"
@@ -232,10 +228,10 @@ def check_codes(quick: bool = False) -> tuple[bool, str]:
         spec = GraphSpec(ring_spec(h), m, n, r)
         code = mrd_code(spec)
         if code.size != spec.independence_bound:
-            _fail(msgs, f"h={h} {m}x{n}: size {code.size} != {spec.independence_bound}")
+            msgs.append(f"h={h} {m}x{n}: size {code.size} != {spec.independence_bound}")
         d = code.verified_distance
         if d != r + 1:
-            _fail(msgs, f"h={h} {m}x{n}: distance {d} != {r + 1}")
+            msgs.append(f"h={h} {m}x{n}: distance {d} != {r + 1}")
         notes.append(f"h={h} {m}x{n}: {code.size} words, distance {d}")
     return _outcome(msgs, "; ".join(notes))
 
@@ -249,16 +245,16 @@ def check_coloring_and_cover(quick: bool = False) -> tuple[bool, str]:
     spec6 = GraphSpec(ring_spec(6), 2, 2, 1)
     col = color_graph(spec6, vertex_budget=2000)
     if col.n_colors != 36 or col.verification != "edges":
-        _fail(msgs, f"h=6 coloring: {col.n_colors} colors, {col.verification}")
+        msgs.append(f"h=6 coloring: {col.n_colors} colors, {col.verification}")
     cov = clique_cover_complement(spec6, vertex_budget=2000)
     if len(cov.parts) != 36 or any(len(p) != 36 for p in cov.parts):
-        _fail(msgs, f"h=6 cover: {len(cov.parts)} parts")
+        msgs.append(f"h=6 cover: {len(cov.parts)} parts")
     notes = ["h=6: 36 colors (every edge decided by its connection element) and a 36-part clique cover"]
     if not quick:
         spec12 = GraphSpec(ring_spec(12), 2, 2, 1)
         col12 = color_graph(spec12)
         if col12.n_colors != 144 or col12.verification != "structural":
-            _fail(msgs, f"h=12 coloring: {col12.n_colors} colors, {col12.verification}")
+            msgs.append(f"h=12 coloring: {col12.n_colors} colors, {col12.verification}")
         notes.append("h=12: 144 colors by code-distance certificate")
     return _outcome(msgs, "; ".join(notes))
 
@@ -314,11 +310,11 @@ def check_classification(quick: bool = False) -> tuple[bool, str]:
     for spec, count, cliques in _enumerated_families():
         h = spec.ring.h
         if len(cliques) != count:
-            _fail(msgs, f"h={h}: found {len(cliques)} maximum cliques, expected {count}")
+            msgs.append(f"h={h}: found {len(cliques)} maximum cliques, expected {count}")
         for fam in cliques:
             form = classify_max_clique(spec, fam)
             if form.tag not in (ROW_FORM, COL_FORM):
-                _fail(msgs, f"h={h}: unexpected tag {form.tag} for a field case")
+                msgs.append(f"h={h}: unexpected tag {form.tag} for a field case")
                 break
         enumerated += len(cliques)
         if msgs:
@@ -328,7 +324,7 @@ def check_classification(quick: bool = False) -> tuple[bool, str]:
     for spec, alpha, tag, fam in _generated_families(quick):
         back = classify_max_clique(spec, fam)
         if back.tag != tag:
-            _fail(msgs, f"h={spec.ring.h} alpha={alpha}: tag {back.tag}, expected {tag}")
+            msgs.append(f"h={spec.ring.h} alpha={alpha}: tag {back.tag}, expected {tag}")
             return _outcome(msgs, "")
         round_trips += 1
     return _outcome(
@@ -351,13 +347,13 @@ def check_extremal_verification(quick: bool = False) -> tuple[bool, str]:
         for fam in cliques:
             rep = verify_ekr(spec, fam)
             if not (rep.extremal and rep.form is not None):
-                _fail(msgs, f"h={spec.ring.h}: an enumerated maximum clique was refused")
+                msgs.append(f"h={spec.ring.h}: an enumerated maximum clique was refused")
                 return _outcome(msgs, "")
             accepted += 1
     for spec, alpha, tag, fam in _generated_families(quick):
         rep = verify_ekr(spec, fam)
         if not (rep.extremal and rep.form is not None and rep.form.tag == tag):
-            _fail(msgs, f"h={spec.ring.h} alpha={alpha}: generated maximum clique refused")
+            msgs.append(f"h={spec.ring.h} alpha={alpha}: generated maximum clique refused")
             return _outcome(msgs, "")
         accepted += 1
 
@@ -377,7 +373,7 @@ def check_extremal_verification(quick: bool = False) -> tuple[bool, str]:
         if x in fam2:
             continue
         if not rejects(spec2, base2 + [x]):
-            _fail(msgs, f"h=2: extension by {x.entries} was not rejected")
+            msgs.append(f"h=2: extension by {x.entries} was not rejected")
             return _outcome(msgs, "")
         rejected += 1
 
@@ -392,7 +388,7 @@ def check_extremal_verification(quick: bool = False) -> tuple[bool, str]:
         if x in fam6:
             continue
         if not rejects(spec6, base6 + [x]):
-            _fail(msgs, f"h=6: extension by {x.entries} was not rejected")
+            msgs.append(f"h=6: extension by {x.entries} was not rejected")
             return _outcome(msgs, "")
         sampled += 1
     return _outcome(
@@ -413,9 +409,9 @@ def check_symmetry(quick: bool = False) -> tuple[bool, str]:
     for h in (2, 3, 6):
         spec = GraphSpec(ring_spec(h), 2, 2, 1)
         if not check_connectivity(spec):
-            _fail(msgs, f"h={h}: graph is not connected")
+            msgs.append(f"h={h}: graph is not connected")
         if not check_vertex_transitivity(spec, samples=samples, seed=0):
-            _fail(msgs, f"h={h}: a sampled symmetry failed to preserve adjacency")
+            msgs.append(f"h={h}: a sampled symmetry failed to preserve adjacency")
     return _outcome(
         msgs,
         f"h=2,3,6 connected; {samples} sampled symmetries per ring preserve adjacency",
@@ -455,9 +451,12 @@ def run_check(number: int, quick: bool = False) -> CheckResult:
 def run_all(
     level: str = "desk", only: Iterable[int] | None = None
 ) -> list[CheckResult]:
-    """Run the numbered checks; ``level`` is ``"desk"`` (full) or ``"quick"``."""
+    """Run the numbered checks; ``level`` is ``"desk"`` (full) or ``"quick"``; an unknown number is a UsageError."""
     if level not in ("desk", "quick"):
         raise ValueError(f"unknown level {level!r}")
     quick = level == "quick"
-    selected = set(only) if only is not None else {num for num, _, _ in CHECKS}
-    return [run_check(num, quick) for num, _, _ in CHECKS if num in selected]
+    numbers = [num for num, _, _ in CHECKS]
+    selected = set(numbers if only is None else only)
+    if unknown := selected.difference(numbers):  # raised before any check runs
+        raise UsageError(f"no check numbered {min(unknown)}")
+    return [run_check(num, quick) for num in numbers if num in selected]

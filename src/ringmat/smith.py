@@ -51,16 +51,7 @@ class InvariantFactorArray(Frozen):
                 raise VerificationError(f"omega row {row} out of range for exponent bound {s}")
             if any(row[c] > row[c + 1] for c in range(len(row) - 1)):
                 raise VerificationError(f"omega row {row} is not nondecreasing")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "omega", omega)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not InvariantFactorArray:
-            return NotImplemented
-        return (self.ring, self.omega) == (other.ring, other.omega)
-
-    def __repr__(self) -> str:
-        return f"InvariantFactorArray(ring={self.ring!r}, omega={self.omega!r})"
+        self._fill(ring, omega)
 
     @property
     def width(self) -> int:

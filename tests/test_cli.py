@@ -760,6 +760,19 @@ def test_missing_file_exit(capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["orbits", "--h", "4", "--m", "0", "--n", "2"], "dimensions must be positive, got 0x2"),
+    (["orbits", "--h", "4", "--m", "2", "--n", "-3"], "dimensions must be positive, got 2x-3"),
+    (["orbits", "--h", "6", "--m", "0", "--n", "2"], "dimensions must be positive, got 0x2"),
+    (["orbits", "--h", "6", "--m", "2", "--n", "0", "--verify-product"], "dimensions must be positive, got 2x0"),
+    (["selftest", "--only", "99"], "no check numbered 99"),
+    (["selftest", "--level", "quick", "--only", "1", "99"], "no check numbered 99"),
+])
+def test_bad_dimensions_and_unknown_checks_exit_2_before_any_work(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_selftest_subset(capsys):
     code, out, _ = run(capsys, "selftest", "--level", "quick", "--only", "3")
     assert code == 0

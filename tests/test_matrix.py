@@ -2,7 +2,7 @@
 
 import math
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given
@@ -353,26 +353,50 @@ def test_transpose_involution_property(a):
 
 
 def test_records_are_immutable_and_keep_their_field_tuple_semantics():
+    from ringmat.cliques import ROW_FORM, CanonicalCliqueSpec, CliqueForm
+    from ringmat.codes import GraphCertificate
     from ringmat.graph import GraphSpec
+    from ringmat.orbits import CensusReport
+    from ringmat.smith import InvariantFactorArray
 
-    ring = ring_spec(6)
+    ring, ring2 = ring_spec(6), ring_spec(2)
     a = Mat(ring, 1, 2, [1, 5])
     spec = GraphSpec(ring, 2, 3, 1)
+    census_entries = ((((0,),), 1), (((1,),), 1))
+    # (record, field names, field values, exact repr); every class takes its fields as constructor arguments
+    r6, r2 = "RingSpec(h=6, primes=((2, 1), (3, 1)))", "RingSpec(h=2, primes=((2, 1),))"
+    s6 = f"GraphSpec(ring={r6}, m=2, n=3, r=1)"
+    a6 = f"Mat(ring={r6}, rows=1, cols=2, entries=(1, 5))"
     records = (
-        (ring, ("h", "primes"), (6, ((2, 1), (3, 1)))),
-        (a, ("ring", "rows", "cols", "entries"), (ring, 1, 2, (1, 5))),
-        (spec, ("ring", "m", "n", "r"), (ring, 2, 3, 1)),
+        (ring, ("h", "primes"), (6, ((2, 1), (3, 1))), r6),
+        (a, ("ring", "rows", "cols", "entries"), (ring, 1, 2, (1, 5)), a6),
+        (spec, ("ring", "m", "n", "r"), (ring, 2, 3, 1), s6),
+        (InvariantFactorArray(ring, ((0,), (1,))), ("ring", "omega"), (ring, ((0,), (1,))),
+         f"InvariantFactorArray(ring={r6}, omega=((0,), (1,)))"),
+        (CensusReport(ring2, 1, 1, census_entries), ("ring", "rows", "cols", "entries"), (ring2, 1, 1, census_entries),
+         f"CensusReport(ring={r2}, rows=1, cols=1, entries=((((0,),), 1), (((1,),), 1)))"),
+        (CanonicalCliqueSpec(spec, (0, 0)), ("graph", "alpha"), (spec, (0, 0)),
+         f"CanonicalCliqueSpec(graph={s6}, alpha=(0, 0))"),
+        (CliqueForm(spec, ROW_FORM, a, None, (0, 0), a), ("graph", "tag", "S", "T", "alpha", "B0"),
+         (spec, ROW_FORM, a, None, (0, 0), a),
+         f"CliqueForm(graph={s6}, tag='RowForm', S={a6}, T=None, alpha=(0, 0), B0={a6})"),
+        (GraphCertificate(spec, 216, 216, 2.0, 216, "exact"),
+         ("spec", "omega", "alpha", "code_distance", "chi", "coloring_verification"), (spec, 216, 216, 2.0, 216, "exact"),
+         f"GraphCertificate(spec={s6}, omega=216, alpha=216, code_distance=2.0, chi=216, coloring_verification='exact')"),
     )
-    for record, names, fields in records:
+    for record, names, fields, text in records:
         assert hash(record) == hash(fields)  # set order, hence stdout, rests on this hash
         assert tuple(getattr(record, name) for name in names) == fields
+        assert type(record)(*fields) == record != fields and repr(record) == text
         for name in names:
             with pytest.raises(AttributeError):
                 setattr(record, name, 0)
             with pytest.raises(AttributeError):
                 delattr(record, name)
+    assert len({record for record, *_ in records} | {type(r)(*f) for r, _, f, _ in records}) == len(records)
+    assert all(x != y for (x, *_), (y, *_) in combinations(records, 2))
+    report, twin = records[4][0], Mat._new(ring2, 1, 1, census_entries)  # a Mat with the census's fields
+    assert hash(twin) == hash(report) and twin != report and report != twin
     assert a == Mat._new(ring, 1, 2, (1, 5)) and a != Mat._new(ring_spec(7), 1, 2, (1, 5))
-    assert a != (ring, 1, 2, (1, 5)) and spec == GraphSpec(ring_spec(6), 2, 3, 1) != GraphSpec(ring, 2, 3, 2)
-    assert repr(ring) == "RingSpec(h=6, primes=((2, 1), (3, 1)))"
-    assert repr(a) == "Mat(ring=RingSpec(h=6, primes=((2, 1), (3, 1))), rows=1, cols=2, entries=(1, 5))"
-    assert repr(spec) == "GraphSpec(ring=RingSpec(h=6, primes=((2, 1), (3, 1))), m=2, n=3, r=1)"
+    assert spec == GraphSpec(ring_spec(6), 2, 3, 1) != GraphSpec(ring, 2, 3, 2)
+    assert records[5][0] != CanonicalCliqueSpec(GraphSpec(ring, 3, 3, 1), (0, 0))
