@@ -31,7 +31,7 @@ from .errors import (DEFAULT_ENUMERATION_BUDGET, DEFAULT_EXACT_SEARCH_BUDGET, DE
                      UsageError, VerificationError, charge)
 from .matrix import Mat, random_invertible, random_matrix
 from .ring import Frozen, RingSpec
-from .smith import component_walk, exponent_rows, inner_rank
+from .smith import component_walk, exponent_table, inner_rank
 
 
 class GraphSpec(Frozen):
@@ -145,10 +145,11 @@ def build_graph(spec: GraphSpec, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> 
 @lru_cache(maxsize=1)
 def _rank_table(ring: RingSpec, m: int, n: int) -> list[int]:
     """rho, for every radius, read off one rank table per component: the largest projected rank."""
-    tables = [
-        [sum(1 for x in alpha if x < s) for alpha in exponent_rows(p, s, q, m, n)]
-        for (p, s), q in zip(ring.primes, ring.prime_powers)
-    ]
+    tables = []
+    for (p, s), q in zip(ring.primes, ring.prime_powers):
+        rows = exponent_table(p, s, q, m, n)
+        rank = {alpha: sum(x < s for x in alpha) for alpha in set(rows)}
+        tables.append(list(map(rank.__getitem__, rows)))
     if ring.t == 1:
         return tables[0]
     rho: list[int] = []

@@ -5,11 +5,11 @@ and Q, and the exponent table omega is a complete invariant, so orbits are
 in bijection with omega labels.  For m x n matrices with m <= n the label
 count is prod_i binom(s_i + m, m).  Over Z_{p^s} the census uses the
 column action: some Q in GL_n sends a first row p^a * u (u unimodular) to
-p^a * e_1, and A -> A @ Q keeps the label while permuting the other rows,
-so the kernel runs on [p^a * e_1; B] only, weighted by the count of first
-rows of valuation a.  Over a composite Z_h every matrix is read off
-component tables, checked by the product law against the component
-censuses.  The closed form of the orbit lengths is not implemented yet.
+p^a * e_1, and A -> A @ Q keeps the label while permuting the other rows.
+Unit and zero first rows reduce to smaller censuses, and the kernel runs on
+[p^a * e_1; B] only for 0 < a < s (_pp_counts).  Over a composite Z_h every
+matrix is read off kept component tables, checked by the product law against
+the component censuses.  The closed form of orbit lengths is not implemented.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import NamedTuple
 from .errors import DEFAULT_ENUMERATION_BUDGET, VerificationError, charge
 from .matrix import _check_dims
 from .ring import Frozen, RingSpec
-from .smith import _pp_smith, component_walk, exponent_rows
+from .smith import _pp_smith, component_walk, exponent_table
 
 Label = tuple[tuple[int, ...], ...]
 
@@ -87,38 +87,45 @@ def enumerate_orbit_labels(ring: RingSpec, rows: int, cols: int) -> list[Label]:
 def census_by_enumeration(
     ring: RingSpec, rows: int, cols: int, budget: int | None = None
 ) -> CensusReport:
-    """Exhaustive orbit census: bucket all h^(m*n) matrices by label.
+    """Exhaustive orbit census: bucket all h^(m*n) matrices by label, charged first.
 
-    Over Z_{p^s}, with m <= n (transposing keeps labels), the kernel runs on
-    [p^a * e_1; B] for a = 0..s and every B, weighted by the N_a = p^((s-a)n)
-    - p^((s-a-1)n) first rows of valuation a (N_s = 1): (s+1) * q^((m-1)n)
-    calls.  Otherwise each component table is built once and read by
-    component_walk, and the report is kept for the last shape, so the second
-    ask of verify_orbit_product walks nothing.  Every label from enumerate_orbit_labels must show up,
-    and lengths must sum to h^(m*n).
+    Over Z_{p^s} see _pp_counts.  Otherwise component_walk reads the kept component tables, and
+    the report is kept for the last shape, so the second ask of verify_orbit_product walks nothing.
+    Every label from enumerate_orbit_labels must show up, and lengths must sum to h^(m*n).
     """
     _check_dims(rows, cols)
     charge("matrices", (ring.h, rows * cols), DEFAULT_ENUMERATION_BUDGET if budget is None else budget)
     if ring.t > 1:
         return _composite_census(ring, rows, cols)
-    (p, s), = ring.primes
-    q, (m, n) = ring.h, sorted((rows, cols))
-    counts = Counter()
-    for a in range(s + 1):
-        first = (p**a % q,) + (0,) * (n - 1)
-        weight = p ** ((s - a) * n) - (p ** ((s - a - 1) * n) if a < s else 0)
+    counts = _pp_counts(*ring.primes[0], *sorted((rows, cols)))  # transposing keeps labels
+    return _checked_report(ring, rows, cols, Counter({(alpha,): c for alpha, c in counts.items()}))
+
+
+def _pp_counts(p: int, s: int, m: int, n: int) -> Counter:
+    """Matrix count per exponent row of m x n over Z_{p^s} (m <= n), from two smaller censuses.
+
+    [p^a e_1; B] stands for the N_a = p^((s-a)n) - p^((s-a-1)n) first rows of valuation a (N_s = 1).
+    For a = 0 the label is (0,) + that of B[:, 1:] (row operations clear column 0), weighted q^(m-1) N_0;
+    for a = s it is that of B with s appended.  Only 0 < a < s runs the kernel: (s-1) q^((m-1)n) calls.
+    """
+    if m == 0:
+        return Counter({(): 1})
+    q = p**s
+    unit = q ** (m - 1) * (q**n - p ** ((s - 1) * n))  # q^(m-1) N_0
+    counts = Counter({(0,) + alpha: unit * c for alpha, c in _pp_counts(p, s, m - 1, n - 1).items()})
+    counts.update({alpha + (s,): c for alpha, c in _pp_counts(p, s, m - 1, n).items()})
+    for a in range(1, s):
+        first = (p**a,) + (0,) * (n - 1)
+        weight = p ** ((s - a) * n) - p ** ((s - a - 1) * n)
         for rest in product(range(q), repeat=(m - 1) * n):
-            counts[(_pp_smith(p, s, q, m, n, first + rest, False)[0],)] += weight
-    return _checked_report(ring, rows, cols, counts)
+            counts[_pp_smith(p, s, q, m, n, first + rest, False)[0]] += weight
+    return counts
 
 
 @lru_cache(maxsize=1)
 def _composite_census(ring: RingSpec, rows: int, cols: int) -> CensusReport:
     """The census of a composite ring, kept for the last shape: verify_orbit_product asks again."""
-    tables = [
-        list(exponent_rows(p, s, q, rows, cols))
-        for (p, s), q in zip(ring.primes, ring.prime_powers)
-    ]
+    tables = [exponent_table(p, s, q, rows, cols) for (p, s), q in zip(ring.primes, ring.prime_powers)]
     counts = Counter()
     for block in component_walk(ring, rows, cols, tables):
         counts.update(zip(*block))

@@ -15,9 +15,10 @@ through r columns - is the number of omega columns that are not fully
 saturated.
 
 Single matrices use the bounded kernel caches, which snf fills with the
-exponent rows it finds; sweeps label each component once (exponent_rows) and
-read Z_h off those tables (component_walk), except a prime-power orbit census,
-which runs the uncached kernel on one first row per valuation (orbits).
+exponent rows it finds; sweeps label each component shape once, keep that
+table (exponent_table) and read Z_h off it (component_walk), except a
+prime-power orbit census, which runs the uncached kernel only on first rows
+that are neither unimodular nor zero (orbits).
 """
 
 from __future__ import annotations
@@ -227,15 +228,25 @@ _pp_exponents.cache_info = lambda: _CacheInfo(*_exponent_stats, KERNEL_CACHE_SIZ
 _pp_exponents.cache_clear = _clear_exponents
 
 
-def exponent_rows(p: int, s: int, q: int, m: int, n: int) -> Iterator[tuple[int, ...]]:
+_tables: dict[tuple, tuple[tuple[int, ...], ...]] = {}  # kept by exponent_table, oldest first
+
+
+def exponent_table(p: int, s: int, q: int, m: int, n: int) -> tuple[tuple[int, ...], ...]:
     """The exponent row of every m x n matrix over Z_q, q = p**s, in base-q id order.
 
-    One uncached kernel call per matrix; equal rows are one shared tuple.
+    One uncached kernel call per matrix; equal rows are one shared tuple.  Kept, the oldest
+    evicted first, within KERNEL_CACHE_SIZE rows in all; a larger table is returned but not kept.
     """
-    seen: dict = {}
-    for entries in product(range(q), repeat=m * n):
-        alpha = _pp_smith(p, s, q, m, n, entries, False)[0]
-        yield seen.setdefault(alpha, alpha)
+    table = _tables.get((p, s, q, m, n))
+    if table is None:
+        seen: dict = {}
+        table = tuple([seen.setdefault(alpha, alpha) for alpha in
+                       (_pp_smith(p, s, q, m, n, e, False)[0] for e in product(range(q), repeat=m * n))])
+        if len(table) <= KERNEL_CACHE_SIZE:
+            while sum(map(len, _tables.values())) + len(table) > KERNEL_CACHE_SIZE:
+                del _tables[next(iter(_tables))]
+            _tables[p, s, q, m, n] = table
+    return table
 
 
 def _digit_ids(base: int, digit_maps: Sequence[Sequence[int]]) -> list[int]:
@@ -269,6 +280,7 @@ def component_walk(ring: RingSpec, m: int, n: int, tables: Sequence[Sequence]) -
 def clear_kernel_caches() -> None:
     _pp_smith_cached.cache_clear()
     _pp_exponents.cache_clear()
+    _tables.clear()
 
 
 def _charge_kernel_steps(ring: RingSpec, m: int, n: int) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -80,6 +81,22 @@ def per_matrix_labels(ring, rows, cols):
             _pp_smith(p, s, q, rows, cols, tuple(v % q for v in ents), False)[0]
             for (p, s), q in zip(ring.primes, ring.prime_powers)
         )
+
+
+def first_row_census(ring, rows, cols):
+    """orbits.census_by_enumeration over Z_{p^s} as it stood before unit and zero
+    first rows were reduced to smaller censuses: the kernel on [p^a e_1; B] for
+    every valuation a = 0..s and every B, weighted by the N_a first rows of
+    valuation a.  Returns the label counts."""
+    (p, s), = ring.primes
+    q, (m, n) = ring.h, sorted((rows, cols))
+    counts = Counter()
+    for a in range(s + 1):
+        first = (p**a % q,) + (0,) * (n - 1)
+        weight = p ** ((s - a) * n) - (p ** ((s - a - 1) * n) if a < s else 0)
+        for rest in product(range(q), repeat=(m - 1) * n):
+            counts[(_pp_smith(p, s, q, m, n, first + rest, False)[0],)] += weight
+    return counts
 
 
 def translate_ids(spec, c):

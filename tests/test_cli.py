@@ -637,7 +637,7 @@ def test_connectivity_above_the_vertex_budget_needs_no_rank_table(monkeypatch, c
         raise AssertionError("connectivity built a rank table")
 
     graph._rank_table.cache_clear()
-    monkeypatch.setattr(graph, "exponent_rows", refuse)
+    monkeypatch.setattr(graph, "exponent_table", refuse)
     code, obj, err = run_json(capsys, "graph-stats", "--h", "12", "--m", "2", "--n", "2",
                               "--r", "1", "--connectivity")
     assert code == 0 and err == ""

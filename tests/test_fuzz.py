@@ -42,7 +42,7 @@ BUDGET_LINE = re.compile(r"budget exceeded: \S*\d\S* .+ exceed the budget \d+\n"
 EXAMPLES = 40
 CLIQUE_EXAMPLES = 150  # under 3 s of Tier-1
 CODE_EXAMPLES = 150  # about 1 s of Tier-1
-CENSUS_EXAMPLES = 100  # about 1.5 s of Tier-1
+CENSUS_EXAMPLES = 160  # 210 distinct CLI runs, about 1.5 s of Tier-1
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 251, 65521)
 LARGE_PRIMES = (999983, 1000003, 2**31 - 1, 3037000493, 2**32 - 17, 2**32 - 5, 2**32 + 15, 2**61 - 1, 2**64 - 59)
@@ -325,6 +325,11 @@ def _budget(data) -> list[str]:
     return ["--budget", str(data.draw(st.integers(0, 5000)))] if data.draw(st.booleans()) else []
 
 
+# argv lists of the census slice that already met the contract: the derandomized
+# draws repeat many of them, and a repeat is not run again
+_CENSUS_PASSED: set[tuple[str, ...]] = set()
+
+
 @settings(max_examples=CENSUS_EXAMPLES, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data(), seed=st.integers(0, 2**32))
@@ -335,14 +340,16 @@ def test_census_commands_keep_the_cli_contract(data, seed):
     argv = ["orbits", "--h", str(h), "--m", str(m), "--n", str(n), "--format", fmt, *_budget(data)]
     if data.draw(st.booleans()):
         argv.append("--verify-product")
-    code, out, err, cpu = _run(argv)
-    event(f"orbits {fmt} exit {code}")
-    assert code != 1, (out, err)  # the product law holds on every census
-    if code == 0 and fmt == "csv":  # one CSV document: the header, then one label and length per line
-        lines = out.splitlines()
-        assert lines[0] == "label,length" and all(len(line.split(",")) == 2 for line in lines[1:]), out
-    else:
-        _contract(code, out, err, cpu)
+    if tuple(argv) not in _CENSUS_PASSED:
+        code, out, err, cpu = _run(argv)
+        event(f"orbits {fmt} exit {code}")
+        assert code != 1, (out, err)  # the product law holds on every census
+        if code == 0 and fmt == "csv":  # one CSV document: the header, then one label and length per line
+            lines = out.splitlines()
+            assert lines[0] == "label,length" and all(len(line.split(",")) == 2 for line in lines[1:]), out
+        else:
+            _contract(code, out, err, cpu)
+        _CENSUS_PASSED.add(tuple(argv))
 
     argv = ["graph-stats", "--h", str(h), "--m", str(m), "--n", str(n), "--r", str(r), *_budget(data)]
     argv += [flag for flag in ("--exact", "--connectivity") if data.draw(st.booleans())]
@@ -350,10 +357,12 @@ def test_census_commands_keep_the_cli_contract(data, seed):
         argv += ["--transitivity-samples", str(data.draw(st.integers(0, 20)))]
         if data.draw(st.booleans()):
             argv += ["--seed", str(seed)]
-    code, out, err, cpu = _run(argv)
-    event(f"graph-stats exit {code}")
-    _contract(code, out, err, cpu)
-    assert code != 1, err  # the certificates and the exact search agree on every graph
-    if code == 0:  # the graph is vertex-transitive, and connected as rank-1 matrices span every matrix
-        report = json.loads(out)
-        assert report.get("transitivity_ok", True) and report.get("connected", True), report
+    if tuple(argv) not in _CENSUS_PASSED:
+        code, out, err, cpu = _run(argv)
+        event(f"graph-stats exit {code}")
+        _contract(code, out, err, cpu)
+        assert code != 1, err  # the certificates and the exact search agree on every graph
+        if code == 0:  # the graph is vertex-transitive, and connected as rank-1 matrices span every matrix
+            report = json.loads(out)
+            assert report.get("transitivity_ok", True) and report.get("connected", True), report
+        _CENSUS_PASSED.add(tuple(argv))

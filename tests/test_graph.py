@@ -115,7 +115,7 @@ def test_build_graph_budget_before_any_work(monkeypatch):
     def refuse(*args):
         raise AssertionError("work started before the budget check")
 
-    monkeypatch.setattr(graph, "exponent_rows", refuse)
+    monkeypatch.setattr(graph, "exponent_table", refuse)
     spec = _spec(6)
     with pytest.raises(BudgetExceededError):
         build_graph(spec, vertex_budget=10)
@@ -190,7 +190,7 @@ def test_connectivity_needs_no_rank_table_or_closure(monkeypatch, h, m, n):
     def refuse(*args):
         raise AssertionError("connectivity built a rank table or a closure")
 
-    monkeypatch.setattr(graph, "exponent_rows", refuse)
+    monkeypatch.setattr(graph, "exponent_table", refuse)
     monkeypatch.setattr(graph, "subgroup_closure", refuse)
     graph._rank_table.cache_clear()
     assert check_connectivity(_spec(h, m, n, 1))

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from conftest import per_matrix_labels
+from conftest import first_row_census, per_matrix_labels
 from ringmat import orbits
 
 from ringmat.errors import BudgetExceededError, VerificationError
@@ -106,8 +106,9 @@ def test_census_budget_before_any_work(monkeypatch):
     def refuse(*args):
         raise AssertionError("work started before the budget check")
 
-    monkeypatch.setattr(orbits, "exponent_rows", refuse)  # tables of the t > 1 walk
-    monkeypatch.setattr(orbits, "_pp_smith", refuse)  # the weighted prime-power census
+    monkeypatch.setattr(orbits, "exponent_table", refuse)  # tables of the t > 1 walk
+    monkeypatch.setattr(orbits, "_pp_smith", refuse)  # the prime-power census, at valuation 0 < a < s
+    orbits._composite_census.cache_clear()
     for h in (4, 12):
         with pytest.raises(BudgetExceededError):
             census_by_enumeration(ring_spec(h), 3, 3, budget=1000)
@@ -116,20 +117,37 @@ def test_census_budget_before_any_work(monkeypatch):
 
 
 @pytest.mark.parametrize("h, m, n", [
-    (h, m, n) for h in (4, 6, 12, 30) for m, n in ((1, 1), (2, 2), (2, 3), (3, 2))
+    (h, m, n) for h in (6, 12, 30) for m, n in ((1, 1), (2, 2), (2, 3), (3, 2))
     if h ** (m * n) <= 5 * 10**4
-] + [  # prime powers: the weighted route, transposed (m > n), m = 1 and s >= 3
-    (h, m, n) for h in (2, 3, 8, 9, 16, 27) for m, n in ((1, 3), (2, 2), (2, 3), (3, 2), (3, 3))
+] + [  # prime powers: s = 1..4, transposed (m > n), m = 1 and m = n = 3
+    (h, m, n) for h in (2, 3, 4, 8, 9, 16, 27) for m, n in ((1, 1), (1, 3), (3, 1), (2, 2), (2, 3), (3, 2), (3, 3))
     if h ** (m * n) <= 5 * 10**4
-])
+] + [(2, 3, 4), (2, 4, 3), (16, 2, 2), (4, 3, 3)])
 def test_census_matches_per_matrix_oracle(h, m, n):
     ring = ring_spec(h)
     rep = census_by_enumeration(ring, m, n)
     assert dict(rep.entries) == Counter(per_matrix_labels(ring, m, n))
+    if ring.t == 1:
+        assert dict(rep.entries) == first_row_census(ring, m, n)
+
+
+@pytest.mark.parametrize("h, m, n", [(27, 2, 2), (8, 2, 3), (9, 3, 2), (2, 4, 4), (32, 1, 4), (49, 2, 2), (125, 1, 3)])
+def test_census_matches_the_first_row_oracle_past_the_per_matrix_range(h, m, n):
+    ring = ring_spec(h)
+    assert dict(census_by_enumeration(ring, m, n).entries) == first_row_census(ring, m, n)
+
+
+def _census_kernel_calls(s, q, m, n):
+    """(s - 1) q^((m-1)n) runs on the first rows of valuation 0 < a < s, then those of the
+    (m-1) x (n-1) census (unit first rows) and of the (m-1) x n census (zero first rows)."""
+    if m == 0:
+        return 0
+    smaller = _census_kernel_calls(s, q, m - 1, n - 1) + _census_kernel_calls(s, q, m - 1, n)
+    return (s - 1) * q ** ((m - 1) * n) + smaller
 
 
 def test_prime_power_census_work(monkeypatch):
-    """(s + 1) * q^((m-1)n) kernel calls on first-row representatives, never q^(mn)."""
+    """Kernel calls only on first rows that are neither unimodular nor zero, never q^(mn); none over a field."""
     shapes = []
     real = orbits._pp_smith
 
@@ -139,11 +157,16 @@ def test_prime_power_census_work(monkeypatch):
 
     monkeypatch.setattr(orbits, "_pp_smith", counting)
     census_by_enumeration(ring_spec(16), 2, 2)
-    assert len(shapes) == 5 * 16**2 == 1280
+    assert len(shapes) == _census_kernel_calls(4, 16, 2, 2) == 774
     shapes.clear()
     tall = census_by_enumeration(ring_spec(4), 3, 2)
-    assert len(shapes) == 3 * 4**3 and set(shapes) == {(2, 3)}  # the 2 x 3 orientation
+    assert len(shapes) == _census_kernel_calls(2, 4, 2, 3) == 66
+    assert set(shapes) == {(2, 3), (1, 2), (1, 3)}  # the 2 x 3 orientation and its two smaller censuses
     assert tall.entries == census_by_enumeration(ring_spec(4), 2, 3).entries
+    for h, s, calls in ((3, 1, 0), (4, 2, 4180)):
+        shapes.clear()
+        census_by_enumeration(ring_spec(h), 3, 3)
+        assert len(shapes) == _census_kernel_calls(s, h, 3, 3) == calls
 
 
 def test_census_leaves_kernel_caches_alone():

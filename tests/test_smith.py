@@ -1,17 +1,19 @@
 """Diagonalization: exactness, canonical diagonal, invariance, rank routes."""
 
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
 from hypothesis import given
 
 from conftest import matrices, reference_pp_smith
-from ringmat import cliques, oracle, smith
+from ringmat import cliques, graph, oracle, orbits, smith
 from ringmat.cliques import classify_max_clique, random_clique_form, rebuild_clique
-from ringmat.graph import GraphSpec
+from ringmat.graph import GraphSpec, build_graph
 from ringmat.errors import UsageError, VerificationError
 from ringmat.matrix import Mat, random_invertible, random_matrix
+from ringmat.orbits import census_by_enumeration
 from ringmat.ring import ring_spec
 from ringmat.smith import (
     KERNEL_CACHE_SIZE,
@@ -19,6 +21,7 @@ from ringmat.smith import (
     _pp_smith,
     _pp_smith_cached,
     clear_kernel_caches,
+    exponent_table,
     InvariantFactorArray,
     inner_rank,
     invariant_factors,
@@ -258,6 +261,44 @@ def test_snf_records_the_exponent_rows_it_found(monkeypatch, h, shape):
         for key, alpha in recorded.items():
             assert _pp_exponents(*key) == alpha  # a cold, transform-free run
         assert _pp_exponents.cache_info().misses == len(recorded)
+    finally:
+        clear_kernel_caches()
+
+
+def test_each_component_table_is_built_once(monkeypatch):
+    """A census over Z_12 and the rank tables of Z_12 and Z_4 label each (q, m, n) shape once."""
+    calls = Counter()
+    real = smith._pp_smith
+    monkeypatch.setattr(smith, "_pp_smith", lambda *args: calls.update([args[2:5]]) or real(*args))
+    clear_kernel_caches()
+    orbits._composite_census.cache_clear()
+    graph._rank_table.cache_clear()
+    try:
+        census_by_enumeration(ring_spec(12), 2, 2)
+        build_graph(GraphSpec(ring_spec(12), 2, 2, 1), vertex_budget=12**4)
+        build_graph(GraphSpec(ring_spec(4), 2, 2, 1))
+        assert calls == {(4, 2, 2): 4**4, (3, 2, 2): 3**4}
+    finally:
+        clear_kernel_caches()
+
+
+def test_kept_tables_stay_within_the_cap(monkeypatch):
+    """The kept rows never pass the cap, the oldest table goes first, and a table above the cap is not kept."""
+    monkeypatch.setattr(smith, "KERNEL_CACHE_SIZE", 91)
+    clear_kernel_caches()
+    try:
+        first = exponent_table(2, 1, 2, 2, 3)  # 64 rows
+        assert first == tuple(_pp_smith(2, 1, 2, 2, 3, e, False)[0] for e in product(range(2), repeat=6))
+        assert exponent_table(3, 1, 3, 1, 3) and exponent_table(2, 1, 2, 2, 3) is first  # 27 more: 91 kept, the cap
+        assert list(smith._tables) == [(2, 1, 2, 2, 3), (3, 1, 3, 1, 3)]
+        exponent_table(2, 2, 4, 1, 3)  # 64 more: the oldest goes
+        assert list(smith._tables) == [(3, 1, 3, 1, 3), (2, 2, 4, 1, 3)]
+        assert len(exponent_table(3, 1, 3, 2, 3)) == 3**6  # above the cap: returned, not kept
+        assert list(smith._tables) == [(3, 1, 3, 1, 3), (2, 2, 4, 1, 3)]
+        exponent_table(3, 1, 3, 1, 4)  # 81 more: both older tables go
+        assert list(smith._tables) == [(3, 1, 3, 1, 4)]
+        clear_kernel_caches()
+        assert smith._tables == {}
     finally:
         clear_kernel_caches()
 
