@@ -186,14 +186,17 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 def cmd_orbits(args: argparse.Namespace) -> int:
     ring = ring_spec(args.h)
-    check = args.verify_product and args.format == "json"  # CSV prints the census alone
-    prod = verify_orbit_product(ring, args.m, args.n, args.budget) if check else None
+    prod = verify_orbit_product(ring, args.m, args.n, args.budget) if args.verify_product else None
     rep = prod.census if prod else census_by_enumeration(ring, args.m, args.n, args.budget)
+    bad = prod.first_violation() if prod else None  # (label, length, component lengths, their product)
     if args.format == "csv":
+        text = {label: "|".join(" ".join(str(x) for x in row) for row in label) for label, _ in rep.entries}
+        if bad:  # CSV has no field for the violation
+            raise VerificationError(f"label {text[bad[0]]} has length {bad[1]}, not the product {bad[3]}"
+                                    f" of its component lengths {list(bad[2])}")
         sys.stdout.write("label,length\n")
         for label, length in rep.entries:
-            text = "|".join(" ".join(str(x) for x in row) for row in label)
-            sys.stdout.write(f"{text},{length}\n")
+            sys.stdout.write(f"{text[label]},{length}\n")
         return 0
     obj: dict[str, Any] = {
         "h": args.h,
@@ -209,8 +212,8 @@ def cmd_orbits(args: argparse.Namespace) -> int:
     }
     if prod is not None:
         obj["product_ok"] = prod.ok
-        if not prod.ok:
-            label, length, comps, expect = prod.first_violation()
+        if bad:
+            label, length, comps, expect = bad
             obj["product_violation"] = {
                 "omega": [list(row) for row in label],
                 "length": length,
@@ -218,7 +221,7 @@ def cmd_orbits(args: argparse.Namespace) -> int:
                 "product": expect,
             }
     _emit(obj)
-    return 0 if prod is None or prod.ok else 1
+    return 1 if bad else 0
 
 
 def cmd_graph_stats(args: argparse.Namespace) -> int:
@@ -565,6 +568,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if (getattr(args, "budget", None) or 0) < 0:  # before any work, for every --budget
+            raise UsageError("--budget must be >= 0")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

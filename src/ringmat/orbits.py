@@ -7,9 +7,11 @@ count is prod_i binom(s_i + m, m).  Over Z_{p^s} the census uses the
 column action: some Q in GL_n sends a first row p^a * u (u unimodular) to
 p^a * e_1, and A -> A @ Q keeps the label while permuting the other rows.
 Unit and zero first rows reduce to smaller censuses, and the kernel runs on
-[p^a * e_1; B] only for 0 < a < s (_pp_counts).  Over a composite Z_h every
-matrix is read off kept component tables, checked by the product law against
-the component censuses.  The closed form of orbit lengths is not implemented.
+[p^a * e_1; B] only for 0 < a < s, with B[:, 0] mod p^a (_pp_counts).  Over a
+composite Z_h a label is the tuple of its CRT component labels, so its length
+is the product of their counts in the kept, exhaustive component tables, which
+verify_orbit_product checks against the recursive component censuses.  The
+closed form of orbit lengths is not implemented.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import NamedTuple
 from .errors import DEFAULT_ENUMERATION_BUDGET, VerificationError, charge
 from .matrix import _check_dims
 from .ring import Frozen, RingSpec
-from .smith import _pp_smith, component_walk, exponent_table
+from .smith import _pp_smith, exponent_table
 
 Label = tuple[tuple[int, ...], ...]
 
@@ -87,10 +89,10 @@ def enumerate_orbit_labels(ring: RingSpec, rows: int, cols: int) -> list[Label]:
 def census_by_enumeration(
     ring: RingSpec, rows: int, cols: int, budget: int | None = None
 ) -> CensusReport:
-    """Exhaustive orbit census: bucket all h^(m*n) matrices by label, charged first.
+    """Orbit census of Z_h^{m x n}, charged first as h^(m*n) matrices though none is walked.
 
-    Over Z_{p^s} see _pp_counts.  Otherwise component_walk reads the kept component tables, and
-    the report is kept for the last shape, so the second ask of verify_orbit_product walks nothing.
+    Over Z_{p^s} see _pp_counts; otherwise _composite_census multiplies component table counts and
+    keeps the report for the last shape, so the second ask of verify_orbit_product reads nothing.
     Every label from enumerate_orbit_labels must show up, and lengths must sum to h^(m*n).
     """
     _check_dims(rows, cols)
@@ -106,7 +108,8 @@ def _pp_counts(p: int, s: int, m: int, n: int) -> Counter:
 
     [p^a e_1; B] stands for the N_a = p^((s-a)n) - p^((s-a-1)n) first rows of valuation a (N_s = 1).
     For a = 0 the label is (0,) + that of B[:, 1:] (row operations clear column 0), weighted q^(m-1) N_0;
-    for a = s it is that of B with s appended.  Only 0 < a < s runs the kernel: (s-1) q^((m-1)n) calls.
+    for a = s it is that of B with s appended.  Only 0 < a < s runs the kernel.  R_i -= c R_0 changes only
+    B[i, 0], by c p^a, so it runs on the p^(a(m-1)) q^((m-1)(n-1)) B with B[:, 0] taken mod p^a.
     """
     if m == 0:
         return Counter({(): 1})
@@ -116,20 +119,22 @@ def _pp_counts(p: int, s: int, m: int, n: int) -> Counter:
     counts.update({alpha + (s,): c for alpha, c in _pp_counts(p, s, m - 1, n).items()})
     for a in range(1, s):
         first = (p**a,) + (0,) * (n - 1)
-        weight = p ** ((s - a) * n) - p ** ((s - a - 1) * n)
-        for rest in product(range(q), repeat=(m - 1) * n):
+        weight = (p ** ((s - a) * n) - p ** ((s - a - 1) * n)) * p ** ((s - a) * (m - 1))  # N_a, times B[:, 0] lifts
+        for rest in product(*[range(p**a), *[range(q)] * (n - 1)] * (m - 1)):
             counts[_pp_smith(p, s, q, m, n, first + rest, False)[0]] += weight
     return counts
 
 
 @lru_cache(maxsize=1)
 def _composite_census(ring: RingSpec, rows: int, cols: int) -> CensusReport:
-    """The census of a composite ring, kept for the last shape: verify_orbit_product asks again."""
-    tables = [exponent_table(p, s, q, rows, cols) for (p, s), q in zip(ring.primes, ring.prime_powers)]
-    counts = Counter()
-    for block in component_walk(ring, rows, cols, tables):
-        counts.update(zip(*block))
-    return _checked_report(ring, rows, cols, counts)
+    """The census of a composite ring, kept for the last shape: verify_orbit_product asks again.
+
+    By the CRT split a label over Z_h is the tuple of its component labels, so its length is the
+    product of their counts in the kept component tables: sum_i q_i^(mn) reads, not h^(mn).
+    """
+    hists = [Counter(exponent_table(p, s, q, rows, cols)) for (p, s), q in zip(ring.primes, ring.prime_powers)]
+    return _checked_report(ring, rows, cols, Counter(
+        {label: prod(hist[alpha] for hist, alpha in zip(hists, label)) for label in product(*hists)}))
 
 
 def _checked_report(ring: RingSpec, rows: int, cols: int, counts: Counter) -> CensusReport:
@@ -165,10 +170,10 @@ def verify_orbit_product(
 ) -> OrbitProductReport:
     """Census Z_h and each prime-power component, then compare lengths labelwise.
 
-    For t > 1 the component censuses are independent enumerations over
-    Z_{p_i ** s_i}, so the comparison is a genuine cross-check rather than a
-    tautology.  For t = 1 the one component is Z_h itself and its census is
-    the full one, not enumerated again.
+    For t > 1 the census of Z_h is the product of the exhaustive component table counts, so
+    the product law holds by construction; what is cross-checked is those tables against the
+    component censuses over Z_{p_i ** s_i}, a different route (_pp_counts).  For t = 1 the one
+    component is Z_h itself and its census is the full one, not enumerated again.
     """
     full = census_by_enumeration(ring, rows, cols, budget)
     comp_reports = [full] if ring.t == 1 else [

@@ -15,10 +15,10 @@ through r columns - is the number of omega columns that are not fully
 saturated.
 
 Single matrices use the bounded kernel caches, which snf fills with the
-exponent rows it finds; sweeps label each component shape once, keep that
-table (exponent_table) and read Z_h off it (component_walk), except a
-prime-power orbit census, which runs the uncached kernel only on first rows
-that are neither unimodular nor zero (orbits).
+exponent rows it finds; sweeps label each component shape once and keep that
+table (exponent_table): the rank table reads Z_h off it (component_walk), and
+a composite orbit census counts its rows.  A prime-power orbit census runs the
+uncached kernel only on first rows that are neither unimodular nor zero (orbits).
 """
 
 from __future__ import annotations

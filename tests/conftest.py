@@ -14,7 +14,7 @@ from ringmat.graph import build_graph, subgroup_closure
 from ringmat.matrix import Mat, _det_bareiss
 from ringmat.oracle import _greedy_color_order
 from ringmat.ring import ring_spec
-from ringmat.smith import _digit_ids, _pp_smith
+from ringmat.smith import _digit_ids, _pp_smith, component_walk, exponent_table
 
 settings.register_profile(
     "suite",
@@ -96,6 +96,17 @@ def first_row_census(ring, rows, cols):
         weight = p ** ((s - a) * n) - (p ** ((s - a - 1) * n) if a < s else 0)
         for rest in product(range(q), repeat=(m - 1) * n):
             counts[(_pp_smith(p, s, q, m, n, first + rest, False)[0],)] += weight
+    return counts
+
+
+def walked_census(ring, rows, cols):
+    """orbits._composite_census as it stood before it multiplied the counts of the
+    component tables: every one of the h^(mn) matrices read off the kept tables
+    through its projections (component_walk).  Returns the label counts."""
+    tables = [exponent_table(p, s, q, rows, cols) for (p, s), q in zip(ring.primes, ring.prime_powers)]
+    counts = Counter()
+    for block in component_walk(ring, rows, cols, tables):
+        counts.update(zip(*block))
     return counts
 
 

@@ -188,6 +188,57 @@ def test_orbits_stdout_is_frozen(capsys, h, fmt, verify):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == ORBITS_STDOUT[h, fmt, verify]
 
 
+def test_orbits_csv_verify_product_runs_the_check(monkeypatch, capsys):
+    """A component census off by one: CSV prints nothing and names the label, its length and the product."""
+    from ringmat import orbits
+
+    real = orbits._pp_counts
+
+    def off_by_one(p, s, m, n):
+        counts = real(p, s, m, n)
+        if (p, m, n) == (3, 2, 2):  # one matrix of Z_3 moved from label (0, 0) to (0, 1)
+            counts[0, 0] -= 1
+            counts[0, 1] += 1
+        return counts
+
+    monkeypatch.setattr(orbits, "_pp_counts", off_by_one)
+    argv = ["orbits", "--h", "12", "--m", "2", "--n", "2", "--format", "csv"]
+    code, out, _ = run(capsys, *argv)  # no check asked
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest()[:16] == ORBITS_STDOUT[12, "csv", False]
+    assert run(capsys, *argv, "--verify-product") == (
+        1, "", "verification failed: label 0 0|0 0 has length 4608,"
+               " not the product 4512 of its component lengths [96, 47]\n")
+
+
+BUDGET_COMMANDS = [
+    ["orbits", "--h", "4", "--m", "2", "--n", "2"],
+    ["graph-stats", "--h", "2", "--m", "1", "--n", "2", "--r", "1"],
+    ["graph-stats", "--h", "2", "--m", "1", "--n", "2", "--r", "1", "--exact"],
+    ["build-clique", "--h", "6", "--m", "2", "--n", "2", "--r", "1", "--alpha", "0,1"],
+    ["verify-ekr", "--family", "missing.json", "--r", "1"],  # read after the check
+    ["build-mrd", "--h", "2", "--m", "1", "--n", "2", "--r", "1"],
+    ["verify-code", "--family", "missing.json", "--d", "2"],
+    ["color", "--h", "2", "--m", "1", "--n", "2", "--r", "1", "--seed", "0"],
+    ["cover-complement", "--h", "2", "--m", "1", "--n", "2", "--r", "1"],
+    ["oracle", "rank", "--matrix", "missing.json"],
+    ["oracle", "clique", "--h", "2", "--m", "1", "--n", "2", "--r", "1"],
+    ["oracle", "mis", "--h", "2", "--m", "1", "--n", "2", "--r", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", BUDGET_COMMANDS, ids=[
+    "orbits", "graph-stats", "graph-stats-exact", "build-clique", "verify-ekr", "build-mrd", "verify-code",
+    "color", "cover-complement", "oracle-rank", "oracle-clique", "oracle-mis"])
+def test_a_negative_budget_is_a_usage_error(capsys, argv):
+    assert run(capsys, *argv, "--budget", "-1") == (2, "", "error: --budget must be >= 0\n")
+
+
+def test_a_zero_budget_is_a_cap(capsys):
+    assert run(capsys, "orbits", "--h", "4", "--m", "1", "--n", "1", "--budget", "0") == (
+        3, "", "budget exceeded: 4^1 matrices exceed the budget 0\n")
+    assert run(capsys, "graph-stats", "--h", "2", "--m", "1", "--n", "2", "--r", "1", "--budget", "0")[0] == 0
+
+
 # ---------------------------------------------------------------------------
 # graph commands
 # ---------------------------------------------------------------------------

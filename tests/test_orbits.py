@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from conftest import first_row_census, per_matrix_labels
+from conftest import first_row_census, per_matrix_labels, walked_census
 from ringmat import orbits
 
 from ringmat.errors import BudgetExceededError, VerificationError
@@ -18,7 +18,7 @@ from ringmat.orbits import (
     verify_orbit_product,
 )
 from ringmat.ring import ring_spec
-from ringmat.smith import _pp_exponents, _pp_smith_cached, invariant_factors
+from ringmat.smith import _pp_exponents, _pp_smith_cached, clear_kernel_caches, invariant_factors
 
 # lengths frozen from exhaustive enumeration, cross-checked by the
 # per-component product law and by the total h**(m*n)
@@ -127,8 +127,7 @@ def test_census_matches_per_matrix_oracle(h, m, n):
     ring = ring_spec(h)
     rep = census_by_enumeration(ring, m, n)
     assert dict(rep.entries) == Counter(per_matrix_labels(ring, m, n))
-    if ring.t == 1:
-        assert dict(rep.entries) == first_row_census(ring, m, n)
+    assert dict(rep.entries) == (first_row_census if ring.t == 1 else walked_census)(ring, m, n)
 
 
 @pytest.mark.parametrize("h, m, n", [(27, 2, 2), (8, 2, 3), (9, 3, 2), (2, 4, 4), (32, 1, 4), (49, 2, 2), (125, 1, 3)])
@@ -137,17 +136,24 @@ def test_census_matches_the_first_row_oracle_past_the_per_matrix_range(h, m, n):
     assert dict(census_by_enumeration(ring, m, n).entries) == first_row_census(ring, m, n)
 
 
-def _census_kernel_calls(s, q, m, n):
-    """(s - 1) q^((m-1)n) runs on the first rows of valuation 0 < a < s, then those of the
-    (m-1) x (n-1) census (unit first rows) and of the (m-1) x n census (zero first rows)."""
+@pytest.mark.parametrize("h, m, n", [(30, 2, 2), (20, 2, 2)])
+def test_composite_census_matches_the_walk_past_the_per_matrix_range(h, m, n):
+    ring = ring_spec(h)
+    assert dict(census_by_enumeration(ring, m, n).entries) == walked_census(ring, m, n)
+
+
+def _census_kernel_calls(p, s, m, n):
+    """p^(a(m-1)) q^((m-1)(n-1)) runs on the first rows of valuation 0 < a < s (B[:, 0] mod p^a), then those
+    of the (m-1) x (n-1) census (unit first rows) and of the (m-1) x n census (zero first rows)."""
     if m == 0:
         return 0
-    smaller = _census_kernel_calls(s, q, m - 1, n - 1) + _census_kernel_calls(s, q, m - 1, n)
-    return (s - 1) * q ** ((m - 1) * n) + smaller
+    smaller = _census_kernel_calls(p, s, m - 1, n - 1) + _census_kernel_calls(p, s, m - 1, n)
+    return sum(p ** (a * (m - 1)) for a in range(1, s)) * p ** (s * (m - 1) * (n - 1)) + smaller
 
 
 def test_prime_power_census_work(monkeypatch):
-    """Kernel calls only on first rows that are neither unimodular nor zero, never q^(mn); none over a field."""
+    """Kernel calls only on first rows that are neither unimodular nor zero, and on the rest
+    with its first column mod p^a, never q^(mn); none over a field."""
     shapes = []
     real = orbits._pp_smith
 
@@ -157,16 +163,16 @@ def test_prime_power_census_work(monkeypatch):
 
     monkeypatch.setattr(orbits, "_pp_smith", counting)
     census_by_enumeration(ring_spec(16), 2, 2)
-    assert len(shapes) == _census_kernel_calls(4, 16, 2, 2) == 774
+    assert len(shapes) == _census_kernel_calls(2, 4, 2, 2) == 230
     shapes.clear()
     tall = census_by_enumeration(ring_spec(4), 3, 2)
-    assert len(shapes) == _census_kernel_calls(2, 4, 2, 3) == 66
+    assert len(shapes) == _census_kernel_calls(2, 2, 2, 3) == 34
     assert set(shapes) == {(2, 3), (1, 2), (1, 3)}  # the 2 x 3 orientation and its two smaller censuses
     assert tall.entries == census_by_enumeration(ring_spec(4), 2, 3).entries
-    for h, s, calls in ((3, 1, 0), (4, 2, 4180)):
+    for p, s, calls in ((3, 1, 0), (2, 2, 1068)):
         shapes.clear()
-        census_by_enumeration(ring_spec(h), 3, 3)
-        assert len(shapes) == _census_kernel_calls(s, h, 3, 3) == calls
+        census_by_enumeration(ring_spec(p**s), 3, 3)
+        assert len(shapes) == _census_kernel_calls(p, s, 3, 3) == calls
 
 
 def test_census_leaves_kernel_caches_alone():
@@ -198,18 +204,61 @@ def test_census_report_validation():
 
 
 def test_composite_census_walks_once_per_kept_shape(monkeypatch, capsys):
+    """A composite census walks no matrix: it counts the rows of each component table, built once and kept."""
+    from ringmat import cli, smith
+
+    def refuse(*args):
+        raise AssertionError("the census walked the matrices")
+
+    builds = Counter()
+    real = smith._pp_smith
+    monkeypatch.setattr(smith, "component_walk", refuse)
+    monkeypatch.setattr(smith, "_pp_smith", lambda *a: builds.update([a[2:5]]) or real(*a))  # table builds only
+    assert not hasattr(orbits, "component_walk")
+    clear_kernel_caches()
+    orbits._composite_census.cache_clear()
+    try:
+        first = census_by_enumeration(ring_spec(12), 2, 2)
+        rep = verify_orbit_product(ring_spec(12), 2, 2)
+        assert rep.census is first and rep.ok
+        orbits._composite_census.cache_clear()
+        assert census_by_enumeration(ring_spec(12), 2, 2) == first  # counted again from the kept tables
+        assert builds == {(4, 2, 2): 4**4, (3, 2, 2): 3**4}
+        # the budget is charged before the kept report is looked up
+        kept = orbits._composite_census.cache_info()
+        with pytest.raises(BudgetExceededError):
+            census_by_enumeration(ring_spec(12), 2, 2, budget=12**4 - 1)
+        assert cli.main(["orbits", "--h", "12", "--m", "2", "--n", "2", "--budget", "100"]) == 3
+        assert capsys.readouterr().err == "budget exceeded: 12^4 matrices exceed the budget 100\n"
+        assert orbits._composite_census.cache_info() == kept
+    finally:
+        clear_kernel_caches()
+
+
+def test_a_flipped_table_row_fails_the_product_check(monkeypatch, capsys):
+    """One wrong row in a component table: the census over Z_h no longer matches the recursive
+    component censuses, so the product check fails and orbits --verify-product exits 1."""
     from ringmat import cli
 
-    walks = []
-    real = orbits.component_walk
-    monkeypatch.setattr(orbits, "component_walk", lambda *a: walks.append(a[0].h) or real(*a))
+    real = orbits.exponent_table
+
+    def flipped(p, s, q, m, n):
+        table = real(p, s, q, m, n)
+        # base-4 id 1 is [[0, 0], [0, 1]], of label (0, 2); say (0, 0) instead
+        return table[:1] + ((0, 0),) + table[2:] if q == 4 else table
+
+    monkeypatch.setattr(orbits, "exponent_table", flipped)
     orbits._composite_census.cache_clear()
-    first = census_by_enumeration(ring_spec(12), 2, 2)
-    rep = verify_orbit_product(ring_spec(12), 2, 2)
-    assert walks == [12] and rep.census is first and rep.ok
-    # the budget is charged before the kept report is looked up
-    with pytest.raises(BudgetExceededError):
-        census_by_enumeration(ring_spec(12), 2, 2, budget=12**4 - 1)
-    assert cli.main(["orbits", "--h", "12", "--m", "2", "--n", "2", "--budget", "100"]) == 3
-    assert capsys.readouterr().err == "budget exceeded: 12^4 matrices exceed the budget 100\n"
-    assert walks == [12]
+    try:
+        rep = verify_orbit_product(ring_spec(12), 2, 2)
+        assert not rep.ok
+        assert rep.first_violation() == (((0, 0), (0, 0)), 97 * 48, (96, 48), 96 * 48)
+        argv = ["orbits", "--h", "12", "--m", "2", "--n", "2", "--verify-product"]
+        assert cli.main(argv) == 1
+        out, _ = capsys.readouterr()
+        assert '"product_ok": false' in out
+        assert cli.main([*argv, "--format", "csv"]) == 1
+        assert capsys.readouterr() == ("", "verification failed: label 0 0|0 0 has length 4656,"
+                                           " not the product 4608 of its component lengths [96, 48]\n")
+    finally:
+        orbits._composite_census.cache_clear()  # the report built from the flipped table
