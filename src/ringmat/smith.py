@@ -16,16 +16,18 @@ saturated.
 
 Single matrices use the bounded kernel caches, which snf fills with the
 exponent rows it finds; sweeps label each component shape once and keep that
-table (exponent_table): the rank table reads Z_h off it (component_walk), and
-a composite orbit census counts its rows.  A prime-power orbit census runs the
-uncached kernel only on first rows that are neither unimodular nor zero (orbits).
+table (exponent_table): over a prime field by rank, a row outside the span of
+the rows above it adding one, otherwise by one kernel run per matrix.  The rank
+table reads Z_h off it (component_walk), and a composite orbit census counts
+its rows.  A prime-power orbit census runs the uncached kernel only on first
+rows that are neither unimodular nor zero (orbits).
 """
 
 from __future__ import annotations
 
 from functools import _CacheInfo, lru_cache  # _CacheInfo: the type lru_cache reports
 from itertools import product
-from math import prod
+from math import gcd, prod
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DEFAULT_ENUMERATION_BUDGET, UsageError, VerificationError, charge
@@ -95,15 +97,16 @@ class RankProjections(NamedTuple):
 # --- prime-power kernel ------------------------------------------------------
 #
 # Flat row-major lists of ints; pivot selection takes the minimum-valuation
-# entry of the trailing block, ties broken by lowest (row, col).  The pivot
-# row is scaled by the inverse of the pivot's unit part so the pivot becomes
-# exactly p**a, after which every remaining entry in its row and column is an
-# exact multiple and is cleared without division by zero divisors.  Only the
-# trailing block is read again, so only it is updated.  Only the inverse
-# transforms are kept: until step d, columns d.. of Uinv and rows d.. of Vinv
-# are the unit vectors e_rp[j] and e_cp[j], as only swaps touched them, so
-# row_i -= c * row_d writes c to Uinv[rp[i], d] and col_j -= c * col_d writes
-# c to Vinv[d, cp[j]]: one entry per elimination.
+# entry of the trailing block (the least gcd(x, q) = p**v), ties broken by
+# lowest (row, col).  The pivot row is scaled by the inverse of the pivot's
+# unit part so the pivot becomes exactly p**a, after which every remaining
+# entry in its row and column is an exact multiple and is cleared without
+# division by zero divisors.  Only the trailing block is read again, so only
+# it is updated.  Only the inverse transforms are kept: until step d,
+# columns d.. of Uinv and rows d.. of Vinv are the unit vectors e_rp[j] and
+# e_cp[j], as only swaps touched them, so row_i -= c * row_d writes c to
+# Uinv[rp[i], d] and col_j -= c * col_d writes c to Vinv[d, cp[j]]: one entry
+# per elimination.
 
 
 def _pp_smith(
@@ -125,25 +128,26 @@ def _pp_smith(
         Vi = [0] * (n * n)
 
     for d in range(k):
-        best_v, bi, bj = s, -1, -1
+        pa, bi, bj = q, -1, -1
         for i in range(d, m):
             base = i * n
             for j in range(d, n):
                 x = a[base + j]
                 if x:
-                    v = 0
-                    while x % p == 0:
-                        x //= p
-                        v += 1
-                    if v < best_v:
-                        best_v, bi, bj = v, i, j
-                        if v == 0:
+                    g = gcd(x, q)  # p**v for x of valuation v < s
+                    if g < pa:
+                        pa, bi, bj = g, i, j
+                        if g == 1:
                             break
-            if best_v == 0:
+            if pa == 1:
                 break
         if bi < 0:
             break  # trailing block is zero; remaining exponents stay at s
-        alpha[d] = best_v
+        v, g = 0, pa
+        while g > 1:
+            g //= p
+            v += 1
+        alpha[d] = v
 
         dn = d * n
         if bi != d:
@@ -157,7 +161,6 @@ def _pp_smith(
             if transforms:
                 cp[d], cp[bj] = cp[bj], cp[d]
 
-        pa = p**best_v
         u = a[dn + d] // pa
         row = range(dn + d + 1, dn + n)  # the pivot row right of the pivot
         if u != 1:
@@ -231,17 +234,44 @@ _pp_exponents.cache_clear = _clear_exponents
 _tables: dict[tuple, tuple[tuple[int, ...], ...]] = {}  # kept by exponent_table, oldest first
 
 
+def _field_table(p: int, m: int, n: int) -> list[tuple[int, ...]]:
+    """exponent_table over Z_p, where a label is a rank: rank([B; r]) = rank(B) + [r not in rowspan(B)].
+
+    Per top block B (the first m - 1 rows, in id order) rowspan(B) is carried as a set of row
+    ids, extended one row at a time; the p**n last rows under B read their label off it.
+    """
+    k, rows = min(m, n), list(product(range(p), repeat=n))
+    ids = {r: i for i, r in enumerate(rows)}
+    labels = [(0,) * j + (1,) * (k - j) for j in range(k + 1)]
+    spans = [({0}, 0)]  # (rowspan as row ids, rank) of every block of the rows so far, in id order
+    for _ in range(m - 1):
+        spans = [(span, rho) if i in span else
+                 ({ids[tuple([(x + c * y) % p for x, y in zip(rows[j], r)])] for j in span for c in range(p)}, rho + 1)
+                 for span, rho in spans for i, r in enumerate(rows)]
+    table = []
+    for span, rho in spans:
+        block = [labels[min(rho + 1, k)]] * len(rows)  # rho = k only when the span is every row
+        for i in span:
+            block[i] = labels[rho]
+        table += block
+    return table
+
+
 def exponent_table(p: int, s: int, q: int, m: int, n: int) -> tuple[tuple[int, ...], ...]:
     """The exponent row of every m x n matrix over Z_q, q = p**s, in base-q id order.
 
-    One uncached kernel call per matrix; equal rows are one shared tuple.  Kept, the oldest
-    evicted first, within KERNEL_CACHE_SIZE rows in all; a larger table is returned but not kept.
+    Over a field (s = 1) the rank, by row-span extension (_field_table); otherwise one uncached
+    kernel call per matrix.  Equal rows are one shared tuple.  Kept, the oldest evicted first,
+    within KERNEL_CACHE_SIZE rows in all; a larger table is returned but not kept.
     """
     table = _tables.get((p, s, q, m, n))
     if table is None:
-        seen: dict = {}
-        table = tuple([seen.setdefault(alpha, alpha) for alpha in
-                       (_pp_smith(p, s, q, m, n, e, False)[0] for e in product(range(q), repeat=m * n))])
+        if s == 1:
+            table = tuple(_field_table(p, m, n))
+        else:
+            seen: dict = {}
+            table = tuple([seen.setdefault(alpha, alpha) for alpha in
+                           (_pp_smith(p, s, q, m, n, e, False)[0] for e in product(range(q), repeat=m * n))])
         if len(table) <= KERNEL_CACHE_SIZE:
             while sum(map(len, _tables.values())) + len(table) > KERNEL_CACHE_SIZE:
                 del _tables[next(iter(_tables))]

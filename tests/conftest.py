@@ -83,6 +83,13 @@ def per_matrix_labels(ring, rows, cols):
         )
 
 
+def kernel_table(p, s, m, n):
+    """smith.exponent_table as it stood before prime fields extended row spans: one
+    uncached kernel call per matrix over Z_{p^s}, in base-q id order."""
+    q = p**s
+    return tuple(_pp_smith(p, s, q, m, n, e, False)[0] for e in product(range(q), repeat=m * n))
+
+
 def first_row_census(ring, rows, cols):
     """orbits.census_by_enumeration over Z_{p^s} as it stood before unit and zero
     first rows were reduced to smaller censuses: the kernel on [p^a e_1; B] for

@@ -210,10 +210,11 @@ def test_composite_census_walks_once_per_kept_shape(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("the census walked the matrices")
 
-    builds = Counter()
-    real = smith._pp_smith
+    builds, fields = Counter(), Counter()
+    real, real_field = smith._pp_smith, smith._field_table
     monkeypatch.setattr(smith, "component_walk", refuse)
     monkeypatch.setattr(smith, "_pp_smith", lambda *a: builds.update([a[2:5]]) or real(*a))  # table builds only
+    monkeypatch.setattr(smith, "_field_table", lambda *a: fields.update([a]) or real_field(*a))
     assert not hasattr(orbits, "component_walk")
     clear_kernel_caches()
     orbits._composite_census.cache_clear()
@@ -223,7 +224,8 @@ def test_composite_census_walks_once_per_kept_shape(monkeypatch, capsys):
         assert rep.census is first and rep.ok
         orbits._composite_census.cache_clear()
         assert census_by_enumeration(ring_spec(12), 2, 2) == first  # counted again from the kept tables
-        assert builds == {(4, 2, 2): 4**4, (3, 2, 2): 3**4}
+        assert builds == {(4, 2, 2): 4**4}  # the Z_3 table is a field build: no kernel call
+        assert fields == {(3, 2, 2): 1}
         # the budget is charged before the kept report is looked up
         kept = orbits._composite_census.cache_info()
         with pytest.raises(BudgetExceededError):

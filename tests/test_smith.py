@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import given
 
-from conftest import matrices, reference_pp_smith
+from conftest import kernel_table, matrices, reference_pp_smith
 from ringmat import cliques, graph, oracle, orbits, smith
 from ringmat.cliques import classify_max_clique, random_clique_form, rebuild_clique
 from ringmat.graph import GraphSpec, build_graph
@@ -196,6 +196,14 @@ def test_kernel_matches_four_transform_reference():
                 # unit times p**v, so most pivots are not units and some entries vanish
                 ents = tuple(rng.randrange(1, q) * p ** rng.randrange(s + 1) % q for _ in range(m * n))
                 _assert_kernel_matches_reference(p, s, q, m, n, ents)
+    # wide moduli with entries divisible by a high power of p: gcd(x, q) is a large p**v, and many tie
+    for p, s in ((2, 63), (3, 40)):
+        q = p**s
+        for m, n in product(range(1, 7), repeat=2):
+            for _ in range(3):
+                ents = tuple(rng.randrange(1, q) * p ** rng.randrange(s - 4, s + 1) % q for _ in range(m * n))
+                _assert_kernel_matches_reference(p, s, q, m, n, ents)
+            _assert_kernel_matches_reference(p, s, q, m, n, (p ** (s - 1),) * (m * n))
 
 
 @pytest.mark.parametrize("h, m, n", [(6, 2, 2), (12, 2, 2), (6, 3, 3)])
@@ -266,10 +274,12 @@ def test_snf_records_the_exponent_rows_it_found(monkeypatch, h, shape):
 
 
 def test_each_component_table_is_built_once(monkeypatch):
-    """A census over Z_12 and the rank tables of Z_12 and Z_4 label each (q, m, n) shape once."""
-    calls = Counter()
-    real = smith._pp_smith
+    """A census over Z_12 and the rank tables of Z_12 and Z_4 label each (q, m, n) shape once:
+    the Z_4 table by one kernel call per matrix, the Z_3 table by one field build and no kernel call."""
+    calls, fields = Counter(), Counter()
+    real, real_field = smith._pp_smith, smith._field_table
     monkeypatch.setattr(smith, "_pp_smith", lambda *args: calls.update([args[2:5]]) or real(*args))
+    monkeypatch.setattr(smith, "_field_table", lambda *args: fields.update([args]) or real_field(*args))
     clear_kernel_caches()
     orbits._composite_census.cache_clear()
     graph._rank_table.cache_clear()
@@ -277,7 +287,33 @@ def test_each_component_table_is_built_once(monkeypatch):
         census_by_enumeration(ring_spec(12), 2, 2)
         build_graph(GraphSpec(ring_spec(12), 2, 2, 1), vertex_budget=12**4)
         build_graph(GraphSpec(ring_spec(4), 2, 2, 1))
-        assert calls == {(4, 2, 2): 4**4, (3, 2, 2): 3**4}
+        assert calls == {(4, 2, 2): 4**4}
+        assert fields == {(3, 2, 2): 1}
+    finally:
+        clear_kernel_caches()
+
+
+FIELD_SHAPES = [(p, m, n) for p in (2, 3, 5, 7, 11) for m, n in product(range(1, 5), repeat=2) if p ** (m * n) <= 2**16]
+
+
+@pytest.mark.parametrize("p, m, n", FIELD_SHAPES)
+def test_field_table_matches_the_kernel(monkeypatch, p, m, n):
+    """Over Z_p the table by row-span extension is the per-matrix kernel table, runs no kernel,
+    and holds at most min(m, n) + 1 row objects."""
+    expected = kernel_table(p, 1, m, n)
+    real = smith._pp_smith
+
+    def refuse(p, s, *args):
+        if s == 1:
+            raise AssertionError("a field table ran the kernel")
+        return real(p, s, *args)
+
+    monkeypatch.setattr(smith, "_pp_smith", refuse)
+    clear_kernel_caches()
+    try:
+        table = exponent_table(p, 1, p, m, n)
+        assert table == expected
+        assert len({id(alpha) for alpha in table}) <= min(m, n) + 1
     finally:
         clear_kernel_caches()
 
@@ -288,7 +324,7 @@ def test_kept_tables_stay_within_the_cap(monkeypatch):
     clear_kernel_caches()
     try:
         first = exponent_table(2, 1, 2, 2, 3)  # 64 rows
-        assert first == tuple(_pp_smith(2, 1, 2, 2, 3, e, False)[0] for e in product(range(2), repeat=6))
+        assert first == kernel_table(2, 1, 2, 3)
         assert exponent_table(3, 1, 3, 1, 3) and exponent_table(2, 1, 2, 2, 3) is first  # 27 more: 91 kept, the cap
         assert list(smith._tables) == [(2, 1, 2, 2, 3), (3, 1, 3, 1, 3)]
         exponent_table(2, 2, 4, 1, 3)  # 64 more: the oldest goes
