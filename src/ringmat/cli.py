@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from . import io as rio
 from .cliques import (
@@ -126,6 +126,15 @@ def _write_or_emit(args: argparse.Namespace, obj: Any) -> None:
         _emit({"written": out})
     else:
         _emit(obj)
+
+
+def _emit_with_out(args: argparse.Namespace, obj: dict[str, Any], key: str, value: Callable[[], Any]) -> None:
+    """Emit obj; with --out, first write obj plus key: value() there and name the file in obj."""
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(_dumps({**obj, key: value()}) + "\n")
+        obj["written"] = args.out
+    _emit(obj)
 
 
 def _add_graph_args(p: argparse.ArgumentParser) -> None:
@@ -373,13 +382,7 @@ def cmd_color(args: argparse.Namespace) -> int:
         "n_colors": col.n_colors,
         "verification": col.verification,
     }
-    if args.out:
-        full = dict(obj)
-        full["colors"] = [col.color_of(v) for v in range(spec.n_vertices)]
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(_dumps(full) + "\n")
-        obj["written"] = args.out
-    _emit(obj)
+    _emit_with_out(args, obj, "colors", lambda: [col.color_of(v) for v in range(spec.n_vertices)])
     return 0
 
 
@@ -397,16 +400,8 @@ def cmd_cover_complement(args: argparse.Namespace) -> int:
         "part_sizes": sizes,
         "partition": True,
     }
-    if args.out:
-        full = dict(obj)
-        full["families"] = [
-            [mat.to_rows() for mat in sorted(part, key=lambda mm: mm.entries)]
-            for part in cov.parts
-        ]
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(_dumps(full) + "\n")
-        obj["written"] = args.out
-    _emit(obj)
+    _emit_with_out(args, obj, "families", lambda: [
+        [mat.to_rows() for mat in sorted(part, key=lambda mm: mm.entries)] for part in cov.parts])
     return 0
 
 

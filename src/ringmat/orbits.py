@@ -9,8 +9,8 @@ p^a * e_1, and A -> A @ Q keeps the label while permuting the other rows.
 Unit and zero first rows reduce to smaller censuses, and the kernel runs on
 [p^a * e_1; B] only for 0 < a < s, with B[:, 0] mod p^a (_pp_counts).  Over a
 composite Z_h a label is the tuple of its CRT component labels, so its length
-is the product of their counts in the kept, exhaustive component tables, which
-verify_orbit_product checks against the recursive component censuses.  The
+is the product of their recursive counts; verify_orbit_product checks those
+against the counts of the exhaustive component tables, a second route.  The
 closed form of orbit lengths is not implemented.
 """
 
@@ -31,7 +31,7 @@ Label = tuple[tuple[int, ...], ...]
 
 
 class CensusReport(Frozen):
-    """Orbit lengths of every label of Z_h^{m x n}, sorted by label, counted exhaustively (weighted over Z_{p^s})."""
+    """Orbit lengths of every label of Z_h^{m x n}, sorted by label."""
 
     __slots__ = ("ring", "rows", "cols", "entries")
 
@@ -52,12 +52,6 @@ class CensusReport(Frozen):
     @property
     def label_count(self) -> int:
         return len(self.entries)
-
-    def length_of(self, label: Label) -> int:
-        for lab, c in self.entries:
-            if lab == label:
-                return c
-        raise KeyError(label)
 
 
 def expected_label_count(ring: RingSpec, rows: int, cols: int) -> int:
@@ -91,16 +85,24 @@ def census_by_enumeration(
 ) -> CensusReport:
     """Orbit census of Z_h^{m x n}, charged first as h^(m*n) matrices though none is walked.
 
-    Over Z_{p^s} see _pp_counts; otherwise _composite_census multiplies component table counts and
-    keeps the report for the last shape, so the second ask of verify_orbit_product reads nothing.
-    Every label from enumerate_orbit_labels must show up, and lengths must sum to h^(m*n).
+    _census multiplies the per-prime counts of _pp_counts.  Every label from
+    enumerate_orbit_labels must show up, and lengths must sum to h^(m*n).
     """
     _check_dims(rows, cols)
     charge("matrices", (ring.h, rows * cols), DEFAULT_ENUMERATION_BUDGET if budget is None else budget)
-    if ring.t > 1:
-        return _composite_census(ring, rows, cols)
-    counts = _pp_counts(*ring.primes[0], *sorted((rows, cols)))  # transposing keeps labels
-    return _checked_report(ring, rows, cols, Counter({(alpha,): c for alpha, c in counts.items()}))
+    return _census(ring, rows, cols)
+
+
+@lru_cache(maxsize=1)
+def _census(ring: RingSpec, rows: int, cols: int) -> CensusReport:
+    """The census, kept for the last shape: verify_orbit_product asks again.
+
+    By the CRT split a label over Z_h is the tuple of its component labels, so its length is
+    the product of their counts over Z_{p_i^s_i}; t = 1 is the one-factor case.
+    """
+    comps = [_pp_counts(p, s, *sorted((rows, cols))) for p, s in ring.primes]  # transposing keeps labels
+    return _checked_report(ring, rows, cols, Counter(
+        {label: prod(c[alpha] for c, alpha in zip(comps, label)) for label in product(*comps)}))
 
 
 def _pp_counts(p: int, s: int, m: int, n: int) -> Counter:
@@ -123,18 +125,6 @@ def _pp_counts(p: int, s: int, m: int, n: int) -> Counter:
         for rest in product(*[range(p**a), *[range(q)] * (n - 1)] * (m - 1)):
             counts[_pp_smith(p, s, q, m, n, first + rest, False)[0]] += weight
     return counts
-
-
-@lru_cache(maxsize=1)
-def _composite_census(ring: RingSpec, rows: int, cols: int) -> CensusReport:
-    """The census of a composite ring, kept for the last shape: verify_orbit_product asks again.
-
-    By the CRT split a label over Z_h is the tuple of its component labels, so its length is the
-    product of their counts in the kept component tables: sum_i q_i^(mn) reads, not h^(mn).
-    """
-    hists = [Counter(exponent_table(p, s, q, rows, cols)) for (p, s), q in zip(ring.primes, ring.prime_powers)]
-    return _checked_report(ring, rows, cols, Counter(
-        {label: prod(hist[alpha] for hist, alpha in zip(hists, label)) for label in product(*hists)}))
 
 
 def _checked_report(ring: RingSpec, rows: int, cols: int, counts: Counter) -> CensusReport:
@@ -168,20 +158,19 @@ class OrbitProductReport(NamedTuple):
 def verify_orbit_product(
     ring: RingSpec, rows: int, cols: int, budget: int | None = None
 ) -> OrbitProductReport:
-    """Census Z_h and each prime-power component, then compare lengths labelwise.
+    """Census Z_h, then compare each orbit length with the product of its per-prime lengths.
 
-    For t > 1 the census of Z_h is the product of the exhaustive component table counts, so
-    the product law holds by construction; what is cross-checked is those tables against the
-    component censuses over Z_{p_i ** s_i}, a different route (_pp_counts).  For t = 1 the one
-    component is Z_h itself and its census is the full one, not enumerated again.
+    For t > 1 the per-prime lengths are the row counts of the exhaustive component tables
+    (exponent_table), a route independent of the recursive census (_pp_counts) whose products
+    the census holds.  For t = 1 the one component is Z_h itself and its census is the full
+    one, not counted again.
     """
     full = census_by_enumeration(ring, rows, cols, budget)
-    comp_reports = [full] if ring.t == 1 else [
-        census_by_enumeration(ring.component(i), rows, cols, budget) for i in range(ring.t)
+    lengths = [{alpha: c for (alpha,), c in full.entries}] if ring.t == 1 else [
+        Counter(exponent_table(p, s, q, rows, cols)) for (p, s), q in zip(ring.primes, ring.prime_powers)
     ]
-    comp_maps = [dict(rep.entries) for rep in comp_reports]
     table = []
     for label, length in full.entries:
-        per = tuple(cm[(row,)] for cm, row in zip(comp_maps, label))
+        per = tuple(c[alpha] for c, alpha in zip(lengths, label))
         table.append((label, length, per, prod(per)))
     return OrbitProductReport(full, tuple(table))

@@ -122,7 +122,7 @@ def factor_modulus(h: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(counts.items()))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)  # bounded: a long-lived process may see any number of moduli
 def ring_spec(h: int) -> "RingSpec":
     """Shared RingSpec instance for the modulus h."""
     return RingSpec(h, factor_modulus(h))

@@ -18,9 +18,9 @@ Single matrices use the bounded kernel caches, which snf fills with the
 exponent rows it finds; sweeps label each component shape once and keep that
 table (exponent_table): over a prime field by rank, a row outside the span of
 the rows above it adding one, otherwise by one kernel run per matrix.  The rank
-table reads Z_h off it (component_walk), and a composite orbit census counts
-its rows.  A prime-power orbit census runs the uncached kernel only on first
-rows that are neither unimodular nor zero (orbits).
+table reads Z_h off it (component_walk), and the orbit product check counts its
+rows.  An orbit census runs the uncached kernel, per prime, only on first rows
+that are neither unimodular nor zero (orbits).
 """
 
 from __future__ import annotations
@@ -382,15 +382,15 @@ def inner_rank(a: Mat) -> int:
 def rank_via_projections(a: Mat) -> RankProjections:
     """Inner rank computed two redundant ways: over components and over cofactor quotients.
 
-    via_pi is the maximum inner rank of the prime-power projections;
-    via_theta the maximum over the complementary quotients.  For t = 1 the
-    quotient route degenerates and via_theta is defined as via_pi.
+    via_pi is the maximum inner rank of the prime-power projections, which is
+    inner_rank itself; via_theta, the independent route, the maximum over the
+    complementary quotients.  For t = 1 the quotient route degenerates and
+    via_theta is defined as via_pi.
     """
-    ring = a.ring
-    via_pi = max(sum(1 for x in row if x < s) for row, s in zip(_component_exponents(a), ring.saturated))
-    if ring.t == 1:
+    via_pi = inner_rank(a)
+    if a.ring.t == 1:
         return RankProjections(via_pi, via_pi)
-    via_theta = max(inner_rank(a.coproject(i)) for i in range(ring.t))
+    via_theta = max(inner_rank(a.coproject(i)) for i in range(a.ring.t))
     return RankProjections(via_pi, via_theta)
 
 

@@ -107,7 +107,7 @@ def first_row_census(ring, rows, cols):
 
 
 def walked_census(ring, rows, cols):
-    """orbits._composite_census as it stood before it multiplied the counts of the
+    """The composite census of orbits as it stood before it multiplied the counts of the
     component tables: every one of the h^(mn) matrices read off the kept tables
     through its projections (component_walk).  Returns the label counts."""
     tables = [exponent_table(p, s, q, rows, cols) for (p, s), q in zip(ring.primes, ring.prime_powers)]

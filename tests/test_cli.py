@@ -189,19 +189,19 @@ def test_orbits_stdout_is_frozen(capsys, h, fmt, verify):
 
 
 def test_orbits_csv_verify_product_runs_the_check(monkeypatch, capsys):
-    """A component census off by one: CSV prints nothing and names the label, its length and the product."""
+    """A component table off by one row: CSV prints nothing and names the label, its length and the product."""
     from ringmat import orbits
 
-    real = orbits._pp_counts
+    real = orbits.exponent_table
 
-    def off_by_one(p, s, m, n):
-        counts = real(p, s, m, n)
-        if (p, m, n) == (3, 2, 2):  # one matrix of Z_3 moved from label (0, 0) to (0, 1)
-            counts[0, 0] -= 1
-            counts[0, 1] += 1
-        return counts
+    def off_by_one(p, s, q, m, n):
+        table = real(p, s, q, m, n)
+        if q == 3:  # one matrix of Z_3 moved from label (0, 0) to (0, 1)
+            i = table.index((0, 0))
+            return table[:i] + ((0, 1),) + table[i + 1:]
+        return table
 
-    monkeypatch.setattr(orbits, "_pp_counts", off_by_one)
+    monkeypatch.setattr(orbits, "exponent_table", off_by_one)
     argv = ["orbits", "--h", "12", "--m", "2", "--n", "2", "--format", "csv"]
     code, out, _ = run(capsys, *argv)  # no check asked
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest()[:16] == ORBITS_STDOUT[12, "csv", False]

@@ -45,7 +45,6 @@ def test_census_z4_1x1():
 def test_census_z6_2x2_frozen_lengths():
     rep = census_by_enumeration(ring_spec(6), 2, 2)
     assert dict(rep.entries) == Z6_2X2_LENGTHS
-    assert rep.length_of(((0, 0), (0, 0))) == 288
 
 
 def test_identity_orbit_is_the_invertible_matrices():
@@ -57,7 +56,7 @@ def test_identity_orbit_is_the_invertible_matrices():
         for entries in product(range(6), repeat=4)
         if Mat(ring, 2, 2, entries).is_invertible()
     )
-    assert rep.length_of(((0, 0), (0, 0))) == gl_count == 288
+    assert dict(rep.entries)[(0, 0), (0, 0)] == gl_count == 288
 
 
 def test_census_length_matches_gl_action():
@@ -72,7 +71,7 @@ def test_census_length_matches_gl_action():
     d = Mat.diagonal(ring, [1, 2])
     orbit = {p @ d @ q for p in gl for q in gl}
     assert invariant_factors(d).omega == ((0, 1),)
-    assert len(orbit) == rep.length_of(((0, 1),))
+    assert len(orbit) == dict(rep.entries)[(0, 1),]
     assert all(invariant_factors(x).omega == ((0, 1),) for x in orbit)
 
 
@@ -106,9 +105,9 @@ def test_census_budget_before_any_work(monkeypatch):
     def refuse(*args):
         raise AssertionError("work started before the budget check")
 
-    monkeypatch.setattr(orbits, "exponent_table", refuse)  # tables of the t > 1 walk
-    monkeypatch.setattr(orbits, "_pp_smith", refuse)  # the prime-power census, at valuation 0 < a < s
-    orbits._composite_census.cache_clear()
+    monkeypatch.setattr(orbits, "exponent_table", refuse)  # tables of the product check
+    monkeypatch.setattr(orbits, "_pp_smith", refuse)  # the per-prime census, at valuation 0 < a < s
+    orbits._census.cache_clear()
     for h in (4, 12):
         with pytest.raises(BudgetExceededError):
             census_by_enumeration(ring_spec(h), 3, 3, budget=1000)
@@ -162,6 +161,7 @@ def test_prime_power_census_work(monkeypatch):
         return real(p, s, q, m, n, entries, transforms)
 
     monkeypatch.setattr(orbits, "_pp_smith", counting)
+    orbits._census.cache_clear()
     census_by_enumeration(ring_spec(16), 2, 2)
     assert len(shapes) == _census_kernel_calls(2, 4, 2, 2) == 230
     shapes.clear()
@@ -173,6 +173,26 @@ def test_prime_power_census_work(monkeypatch):
         shapes.clear()
         census_by_enumeration(ring_spec(p**s), 3, 3)
         assert len(shapes) == _census_kernel_calls(p, s, 3, 3) == calls
+
+
+def test_composite_census_builds_no_table(monkeypatch):
+    """Without the product check a composite census multiplies the per-prime recursive counts:
+    no component table is built, and Z_36 2 x 2 runs the kernel 10 + 29 times, not 4^4 + 9^4."""
+    calls = []
+    real = orbits._pp_smith
+
+    def refuse(*args):
+        raise AssertionError("the census built a component table")
+
+    monkeypatch.setattr(orbits, "exponent_table", refuse)
+    monkeypatch.setattr(orbits, "_pp_smith", lambda *a: calls.append(a[:2]) or real(*a))
+    orbits._census.cache_clear()
+    rep = census_by_enumeration(ring_spec(36), 2, 2)
+    assert len(calls) == _census_kernel_calls(2, 2, 2, 2) + _census_kernel_calls(3, 2, 2, 2) == 39
+    assert Counter(calls) == {(2, 2): 10, (3, 2): 29}
+    assert rep.label_count == expected_label_count(ring_spec(36), 2, 2) == 36
+    tall = census_by_enumeration(ring_spec(12), 3, 2)  # tall: the recursion reads the 2 x 3 orientation
+    assert tall.entries == census_by_enumeration(ring_spec(12), 2, 3).entries
 
 
 def test_census_leaves_kernel_caches_alone():
@@ -187,10 +207,10 @@ def test_product_report_carries_its_census(monkeypatch):
     calls = []
     real = orbits.census_by_enumeration
     monkeypatch.setattr(orbits, "census_by_enumeration", lambda *a: calls.append(a[0].h) or real(*a))
-    for h, enumerated in ((4, [4]), (12, [12, 4, 3])):
+    for h in (4, 12):
         calls.clear()
         rep = verify_orbit_product(ring_spec(h), 2, 2)
-        assert calls == enumerated  # one census per ring; for t = 1 Z_h is its own component
+        assert calls == [h]  # one census, of Z_h: the component lengths come from the tables
         assert rep.census == real(ring_spec(h), 2, 2)
         assert rep.ok
 
@@ -204,7 +224,8 @@ def test_census_report_validation():
 
 
 def test_composite_census_walks_once_per_kept_shape(monkeypatch, capsys):
-    """A composite census walks no matrix: it counts the rows of each component table, built once and kept."""
+    """No census walks a matrix.  The product check counts the rows of each component table,
+    built once and kept; the census itself is kept for the last shape, so the check reads it again."""
     from ringmat import cli, smith
 
     def refuse(*args):
@@ -217,29 +238,30 @@ def test_composite_census_walks_once_per_kept_shape(monkeypatch, capsys):
     monkeypatch.setattr(smith, "_field_table", lambda *a: fields.update([a]) or real_field(*a))
     assert not hasattr(orbits, "component_walk")
     clear_kernel_caches()
-    orbits._composite_census.cache_clear()
+    orbits._census.cache_clear()
     try:
         first = census_by_enumeration(ring_spec(12), 2, 2)
+        assert builds == fields == {}  # the census reads no table
         rep = verify_orbit_product(ring_spec(12), 2, 2)
         assert rep.census is first and rep.ok
-        orbits._composite_census.cache_clear()
-        assert census_by_enumeration(ring_spec(12), 2, 2) == first  # counted again from the kept tables
+        orbits._census.cache_clear()
+        assert verify_orbit_product(ring_spec(12), 2, 2) == rep  # checked again against the kept tables
         assert builds == {(4, 2, 2): 4**4}  # the Z_3 table is a field build: no kernel call
         assert fields == {(3, 2, 2): 1}
         # the budget is charged before the kept report is looked up
-        kept = orbits._composite_census.cache_info()
+        kept = orbits._census.cache_info()
         with pytest.raises(BudgetExceededError):
             census_by_enumeration(ring_spec(12), 2, 2, budget=12**4 - 1)
         assert cli.main(["orbits", "--h", "12", "--m", "2", "--n", "2", "--budget", "100"]) == 3
         assert capsys.readouterr().err == "budget exceeded: 12^4 matrices exceed the budget 100\n"
-        assert orbits._composite_census.cache_info() == kept
+        assert orbits._census.cache_info() == kept
     finally:
         clear_kernel_caches()
 
 
 def test_a_flipped_table_row_fails_the_product_check(monkeypatch, capsys):
-    """One wrong row in a component table: the census over Z_h no longer matches the recursive
-    component censuses, so the product check fails and orbits --verify-product exits 1."""
+    """One wrong row in a component table: its per-prime lengths no longer multiply to the
+    census over Z_h, so the product check fails and orbits --verify-product exits 1."""
     from ringmat import cli
 
     real = orbits.exponent_table
@@ -250,17 +272,13 @@ def test_a_flipped_table_row_fails_the_product_check(monkeypatch, capsys):
         return table[:1] + ((0, 0),) + table[2:] if q == 4 else table
 
     monkeypatch.setattr(orbits, "exponent_table", flipped)
-    orbits._composite_census.cache_clear()
-    try:
-        rep = verify_orbit_product(ring_spec(12), 2, 2)
-        assert not rep.ok
-        assert rep.first_violation() == (((0, 0), (0, 0)), 97 * 48, (96, 48), 96 * 48)
-        argv = ["orbits", "--h", "12", "--m", "2", "--n", "2", "--verify-product"]
-        assert cli.main(argv) == 1
-        out, _ = capsys.readouterr()
-        assert '"product_ok": false' in out
-        assert cli.main([*argv, "--format", "csv"]) == 1
-        assert capsys.readouterr() == ("", "verification failed: label 0 0|0 0 has length 4656,"
-                                           " not the product 4608 of its component lengths [96, 48]\n")
-    finally:
-        orbits._composite_census.cache_clear()  # the report built from the flipped table
+    rep = verify_orbit_product(ring_spec(12), 2, 2)
+    assert not rep.ok
+    assert rep.first_violation() == (((0, 0), (0, 0)), 96 * 48, (97, 48), 97 * 48)
+    argv = ["orbits", "--h", "12", "--m", "2", "--n", "2", "--verify-product"]
+    assert cli.main(argv) == 1
+    out, _ = capsys.readouterr()
+    assert '"product_ok": false' in out
+    assert cli.main([*argv, "--format", "csv"]) == 1
+    assert capsys.readouterr() == ("", "verification failed: label 0 0|0 0 has length 4608,"
+                                       " not the product 4656 of its component lengths [97, 48]\n")

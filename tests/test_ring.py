@@ -127,6 +127,15 @@ def test_ring_spec_is_cached():
     assert ring_spec(12) is ring_spec(12)
 
 
+def test_ring_spec_cache_is_bounded():
+    bound = ring_spec.cache_info().maxsize
+    assert bound is not None
+    for h in range(2, bound + 102):
+        ring_spec(h)
+    assert ring_spec.cache_info().currsize <= bound
+    assert ring_spec(12) is ring_spec(12)
+
+
 def test_component_structure():
     ring = ring_spec(12)
     assert ring.t == 2

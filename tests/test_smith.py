@@ -13,7 +13,7 @@ from ringmat.cliques import classify_max_clique, random_clique_form, rebuild_cli
 from ringmat.graph import GraphSpec, build_graph
 from ringmat.errors import UsageError, VerificationError
 from ringmat.matrix import Mat, random_invertible, random_matrix
-from ringmat.orbits import census_by_enumeration
+from ringmat.orbits import verify_orbit_product
 from ringmat.ring import ring_spec
 from ringmat.smith import (
     KERNEL_CACHE_SIZE,
@@ -274,17 +274,17 @@ def test_snf_records_the_exponent_rows_it_found(monkeypatch, h, shape):
 
 
 def test_each_component_table_is_built_once(monkeypatch):
-    """A census over Z_12 and the rank tables of Z_12 and Z_4 label each (q, m, n) shape once:
+    """The product check over Z_12 and the rank tables of Z_12 and Z_4 label each (q, m, n) shape once:
     the Z_4 table by one kernel call per matrix, the Z_3 table by one field build and no kernel call."""
     calls, fields = Counter(), Counter()
     real, real_field = smith._pp_smith, smith._field_table
     monkeypatch.setattr(smith, "_pp_smith", lambda *args: calls.update([args[2:5]]) or real(*args))
     monkeypatch.setattr(smith, "_field_table", lambda *args: fields.update([args]) or real_field(*args))
     clear_kernel_caches()
-    orbits._composite_census.cache_clear()
+    orbits._census.cache_clear()
     graph._rank_table.cache_clear()
     try:
-        census_by_enumeration(ring_spec(12), 2, 2)
+        verify_orbit_product(ring_spec(12), 2, 2)
         build_graph(GraphSpec(ring_spec(12), 2, 2, 1), vertex_budget=12**4)
         build_graph(GraphSpec(ring_spec(4), 2, 2, 1))
         assert calls == {(4, 2, 2): 4**4}
