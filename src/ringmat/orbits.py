@@ -3,15 +3,15 @@
 Matrices A, B over Z_h are equivalent when B = P @ A @ Q for invertible P
 and Q, and the exponent table omega is a complete invariant, so orbits are
 in bijection with omega labels.  For m x n matrices with m <= n the label
-count is prod_i binom(s_i + m, m).  Over Z_{p^s} the census uses the
-column action: some Q in GL_n sends a first row p^a * u (u unimodular) to
-p^a * e_1, and A -> A @ Q keeps the label while permuting the other rows.
-Unit and zero first rows reduce to smaller censuses, and the kernel runs on
-[p^a * e_1; B] only for 0 < a < s, with B[:, 0] mod p^a (_pp_counts).  Over a
-composite Z_h a label is the tuple of its CRT component labels, so its length
-is the product of their recursive counts; verify_orbit_product checks those
-against the counts of the exhaustive component tables, a second route.  The
-closed form of orbit lengths is not implemented.
+count is prod_i binom(s_i + m, m).  Over Z_{p^s} a matrix of exponent row
+alpha maps onto a submodule of Z_{p^s}^m of type (s - a for a in alpha if
+a < s), so its orbit length is the number of submodules of that type, a
+product of Gaussian binomials (Birkhoff 1935; Butler, Mem. AMS 539, 1994),
+times the number of surjections onto one (_pp_counts): no matrix is walked
+and no kernel runs.  Over a composite Z_h a label is the tuple of its CRT
+component labels, so its length is the product of theirs;
+verify_orbit_product checks every length against the row counts of the
+exhaustive component tables, a second route.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import NamedTuple
 from .errors import DEFAULT_ENUMERATION_BUDGET, VerificationError, charge
 from .matrix import _check_dims
 from .ring import Frozen, RingSpec
-from .smith import _pp_smith, exponent_table
+from .smith import exponent_table
 
 Label = tuple[tuple[int, ...], ...]
 
@@ -85,8 +85,8 @@ def census_by_enumeration(
 ) -> CensusReport:
     """Orbit census of Z_h^{m x n}, charged first as h^(m*n) matrices though none is walked.
 
-    _census multiplies the per-prime counts of _pp_counts.  Every label from
-    enumerate_orbit_labels must show up, and lengths must sum to h^(m*n).
+    _census multiplies the per-prime closed-form lengths of _pp_counts; CensusReport checks that
+    the labels are sorted and distinct and the lengths positive, summing to h^(m*n).
     """
     _check_dims(rows, cols)
     charge("matrices", (ring.h, rows * cols), DEFAULT_ENUMERATION_BUDGET if budget is None else budget)
@@ -98,43 +98,41 @@ def _census(ring: RingSpec, rows: int, cols: int) -> CensusReport:
     """The census, kept for the last shape: verify_orbit_product asks again.
 
     By the CRT split a label over Z_h is the tuple of its component labels, so its length is
-    the product of their counts over Z_{p_i^s_i}; t = 1 is the one-factor case.
+    the product of their closed-form lengths over Z_{p_i^s_i}.  Each component lists its rows
+    sorted, so the labels come out sorted, as CensusReport requires.
     """
     comps = [_pp_counts(p, s, *sorted((rows, cols))) for p, s in ring.primes]  # transposing keeps labels
-    return _checked_report(ring, rows, cols, Counter(
-        {label: prod(c[alpha] for c, alpha in zip(comps, label)) for label in product(*comps)}))
+    return CensusReport(ring, rows, cols, tuple(
+        (label, prod(c[alpha] for c, alpha in zip(comps, label))) for label in product(*comps)))
 
 
-def _pp_counts(p: int, s: int, m: int, n: int) -> Counter:
-    """Matrix count per exponent row of m x n over Z_{p^s} (m <= n), from two smaller censuses.
+def _gaussian_binomial(n: int, k: int, p: int) -> int:
+    """[n choose k]_p, the number of k-dimensional subspaces of F_p^n."""
+    num = den = 1
+    for i in range(k):
+        num *= p ** (n - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
 
-    [p^a e_1; B] stands for the N_a = p^((s-a)n) - p^((s-a-1)n) first rows of valuation a (N_s = 1).
-    For a = 0 the label is (0,) + that of B[:, 1:] (row operations clear column 0), weighted q^(m-1) N_0;
-    for a = s it is that of B with s appended.  Only 0 < a < s runs the kernel.  R_i -= c R_0 changes only
-    B[i, 0], by c p^a, so it runs on the p^(a(m-1)) q^((m-1)(n-1)) B with B[:, 0] taken mod p^a.
+
+def _pp_counts(p: int, s: int, m: int, n: int) -> dict[tuple[int, ...], int]:
+    """Orbit length of every exponent row of m x n over Z_{p^s} (m <= n), sorted by row.
+
+    A matrix of row alpha maps Z_{p^s}^n onto a submodule of Z_{p^s}^m of type
+    lambda = (s - a for a in alpha if a < s), with d = len(lambda) cyclic factors.  There are
+    prod_{i<s} p^(c_{i+1}(m - c_i)) [m - c_{i+1} choose c_i - c_{i+1}]_p such submodules, where
+    c_i counts the parts of lambda above i (Birkhoff 1935; Butler, Mem. AMS 539, 1994), and
+    p^(n(|lambda| - d)) prod_{j<d} (p^n - p^j) surjections onto each.
     """
-    if m == 0:
-        return Counter({(): 1})
-    q = p**s
-    unit = q ** (m - 1) * (q**n - p ** ((s - 1) * n))  # q^(m-1) N_0
-    counts = Counter({(0,) + alpha: unit * c for alpha, c in _pp_counts(p, s, m - 1, n - 1).items()})
-    counts.update({alpha + (s,): c for alpha, c in _pp_counts(p, s, m - 1, n).items()})
-    for a in range(1, s):
-        first = (p**a,) + (0,) * (n - 1)
-        weight = (p ** ((s - a) * n) - p ** ((s - a - 1) * n)) * p ** ((s - a) * (m - 1))  # N_a, times B[:, 0] lifts
-        for rest in product(*[range(p**a), *[range(q)] * (n - 1)] * (m - 1)):
-            counts[_pp_smith(p, s, q, m, n, first + rest, False)[0]] += weight
+    counts = {}
+    for alpha in combinations_with_replacement(range(s + 1), m):
+        lam = [s - a for a in alpha if a < s]
+        c = [sum(x > i for x in lam) for i in range(s + 1)]
+        count = p ** (n * (sum(lam) - len(lam))) * prod(p**n - p**j for j in range(len(lam)))
+        for i in range(s):
+            count *= p ** (c[i + 1] * (m - c[i])) * _gaussian_binomial(m - c[i + 1], c[i] - c[i + 1], p)
+        counts[alpha] = count
     return counts
-
-
-def _checked_report(ring: RingSpec, rows: int, cols: int, counts: Counter) -> CensusReport:
-    expected = set(enumerate_orbit_labels(ring, rows, cols))
-    seen = set(counts)
-    if seen != expected:
-        missing = sorted(expected - seen)
-        extra = sorted(seen - expected)
-        raise VerificationError(f"census labels disagree with enumeration: missing={missing} extra={extra}")
-    return CensusReport(ring, rows, cols, tuple(sorted(counts.items())))
 
 
 class OrbitProductReport(NamedTuple):
@@ -160,15 +158,12 @@ def verify_orbit_product(
 ) -> OrbitProductReport:
     """Census Z_h, then compare each orbit length with the product of its per-prime lengths.
 
-    For t > 1 the per-prime lengths are the row counts of the exhaustive component tables
-    (exponent_table), a route independent of the recursive census (_pp_counts) whose products
-    the census holds.  For t = 1 the one component is Z_h itself and its census is the full
-    one, not counted again.
+    The per-prime lengths are the row counts of the exhaustive component tables (exponent_table),
+    a route independent of the closed form (_pp_counts) whose products the census holds.  For
+    t = 1 the one table is that of Z_h itself.
     """
     full = census_by_enumeration(ring, rows, cols, budget)
-    lengths = [{alpha: c for (alpha,), c in full.entries}] if ring.t == 1 else [
-        Counter(exponent_table(p, s, q, rows, cols)) for (p, s), q in zip(ring.primes, ring.prime_powers)
-    ]
+    lengths = [Counter(exponent_table(p, s, q, rows, cols)) for (p, s), q in zip(ring.primes, ring.prime_powers)]
     table = []
     for label, length in full.entries:
         per = tuple(c[alpha] for c, alpha in zip(lengths, label))

@@ -47,7 +47,7 @@ from .graph import (
 from .matrix import Mat, random_matrix
 from .orbits import census_by_enumeration, expected_label_count, verify_orbit_product
 from .ring import ring_spec
-from .smith import inner_rank, rank_via_projections, snf, verify_smith_form
+from .smith import inner_rank, snf, verify_smith_form
 
 
 class CheckResult(NamedTuple):
@@ -149,7 +149,7 @@ def check_orbit_census(quick: bool = False) -> tuple[bool, str]:
 
 def check_orbit_product(quick: bool = False) -> tuple[bool, str]:
     msgs: list[str] = []
-    cases = [(6, 2, 2)] if quick else [(6, 2, 2), (12, 2, 2)]
+    cases = [(6, 2, 2), (8, 2, 2)] if quick else [(6, 2, 2), (8, 2, 2), (12, 2, 2)]
     for h, m, n in cases:
         rep = verify_orbit_product(ring_spec(h), m, n)
         if not rep.ok:
@@ -162,26 +162,26 @@ def check_orbit_product(quick: bool = False) -> tuple[bool, str]:
 
 
 # ---------------------------------------------------------------------------
-# 4. Rank agreement across three routes
+# 4. Rank agreement with the definition
 # ---------------------------------------------------------------------------
 
 def check_rank_agreement(quick: bool = False) -> tuple[bool, str]:
     msgs: list[str] = []
     counted = 0
-    cases = [(6, 2, 2)] if quick else [(6, 2, 2), (12, 2, 2)]
-    for h, m, n in cases:
+    for h in (6,) if quick else (6, 12):
         ring = ring_spec(h)
-        for entries in product(range(h), repeat=m * n):
-            a = Mat(ring, m, n, entries)
-            ir = inner_rank(a)
-            rp = rank_via_projections(a)
-            if not (ir == rp.via_pi == rp.via_theta):
-                msgs.append(f"h={h} {entries}: rank {ir} vs {rp}")
+        # A has rank <= 1 exactly when A = b c^T: the outer products, with no kernel run
+        outer = {(x * y % h, x * z % h, w * y % h, w * z % h) for x, w, y, z in product(range(h), repeat=4)}
+        for entries in product(range(h), repeat=4):
+            want = 0 if not any(entries) else 1 if entries in outer else 2
+            got = inner_rank(Mat(ring, 2, 2, entries))
+            if got != want:
+                msgs.append(f"h={h} {entries}: diagonal rank {got}, outer-product rank {want}")
                 return _outcome(msgs, "")
             counted += 1
     return _outcome(
         msgs,
-        f"{counted} matrices: diagonal rank == component route == quotient route",
+        f"{counted} 2x2 matrices: diagonal rank == rank by definition (at most 1 exactly for the outer products b c^T)",
     )
 
 

@@ -19,8 +19,8 @@ exponent rows it finds; sweeps label each component shape once and keep that
 table (exponent_table): over a prime field by rank, a row outside the span of
 the rows above it adding one, otherwise by one kernel run per matrix.  The rank
 table reads Z_h off it (component_walk), and the orbit product check counts its
-rows.  An orbit census runs the uncached kernel, per prime, only on first rows
-that are neither unimodular nor zero (orbits).
+rows, a second route to the closed-form orbit lengths of the census, which runs
+no kernel (orbits).
 """
 
 from __future__ import annotations

@@ -106,6 +106,29 @@ def first_row_census(ring, rows, cols):
     return counts
 
 
+def recursive_census(p, s, m, n):
+    """orbits._pp_counts as it stood before the closed form: the matrix count per exponent row
+    of m x n over Z_{p^s} (m <= n), from two smaller censuses.
+
+    [p^a e_1; B] stands for the N_a = p^((s-a)n) - p^((s-a-1)n) first rows of valuation a (N_s = 1).
+    For a = 0 the label is (0,) + that of B[:, 1:] (row operations clear column 0), weighted q^(m-1) N_0;
+    for a = s it is that of B with s appended.  Only 0 < a < s runs the kernel.  R_i -= c R_0 changes only
+    B[i, 0], by c p^a, so it runs on the p^(a(m-1)) q^((m-1)(n-1)) B with B[:, 0] taken mod p^a.
+    """
+    if m == 0:
+        return Counter({(): 1})
+    q = p**s
+    unit = q ** (m - 1) * (q**n - p ** ((s - 1) * n))  # q^(m-1) N_0
+    counts = Counter({(0,) + alpha: unit * c for alpha, c in recursive_census(p, s, m - 1, n - 1).items()})
+    counts.update({alpha + (s,): c for alpha, c in recursive_census(p, s, m - 1, n).items()})
+    for a in range(1, s):
+        first = (p**a,) + (0,) * (n - 1)
+        weight = (p ** ((s - a) * n) - p ** ((s - a - 1) * n)) * p ** ((s - a) * (m - 1))  # N_a, times B[:, 0] lifts
+        for rest in product(*[range(p**a), *[range(q)] * (n - 1)] * (m - 1)):
+            counts[_pp_smith(p, s, q, m, n, first + rest, False)[0]] += weight
+    return counts
+
+
 def walked_census(ring, rows, cols):
     """The composite census of orbits as it stood before it multiplied the counts of the
     component tables: every one of the h^(mn) matrices read off the kept tables

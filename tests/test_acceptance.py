@@ -41,6 +41,25 @@ def test_criterion_04_rank_route_agreement(capsys):
     _run(capsys, 4)
 
 
+def test_criterion_04_fails_on_a_flipped_kernel_exponent(monkeypatch):
+    """The Z_4 component of diag(6, 6) over Z_12 has exponents (1, 1), rank 2; a kernel that says
+    (1, 2) gives rank 1, which the outer products b c^T, built with no kernel, refute."""
+    from ringmat import smith
+
+    real = smith._pp_smith
+
+    def flipped(p, s, q, m, n, entries, transforms):
+        out = real(p, s, q, m, n, entries, transforms)
+        return ((1, 2),) + out[1:] if (q, entries) == (4, (2, 0, 0, 2)) else out
+
+    monkeypatch.setattr(smith, "_pp_smith", flipped)
+    smith.clear_kernel_caches()
+    try:
+        assert not run_check(4).passed
+    finally:
+        smith.clear_kernel_caches()
+
+
 def test_criterion_05_graph_parameters(capsys):
     _run(capsys, 5)
 

@@ -1,11 +1,13 @@
 """Orbit census: label counts, frozen lengths, product law, GL cross-check."""
 
+import time
 from collections import Counter
 from itertools import product
+from math import prod
 
 import pytest
 
-from conftest import first_row_census, per_matrix_labels, walked_census
+from conftest import first_row_census, per_matrix_labels, recursive_census, walked_census
 from ringmat import orbits
 
 from ringmat.errors import BudgetExceededError, VerificationError
@@ -106,7 +108,7 @@ def test_census_budget_before_any_work(monkeypatch):
         raise AssertionError("work started before the budget check")
 
     monkeypatch.setattr(orbits, "exponent_table", refuse)  # tables of the product check
-    monkeypatch.setattr(orbits, "_pp_smith", refuse)  # the per-prime census, at valuation 0 < a < s
+    monkeypatch.setattr(orbits, "_pp_counts", refuse)  # the per-prime closed form
     orbits._census.cache_clear()
     for h in (4, 12):
         with pytest.raises(BudgetExceededError):
@@ -141,58 +143,57 @@ def test_composite_census_matches_the_walk_past_the_per_matrix_range(h, m, n):
     assert dict(census_by_enumeration(ring, m, n).entries) == walked_census(ring, m, n)
 
 
-def _census_kernel_calls(p, s, m, n):
-    """p^(a(m-1)) q^((m-1)(n-1)) runs on the first rows of valuation 0 < a < s (B[:, 0] mod p^a), then those
-    of the (m-1) x (n-1) census (unit first rows) and of the (m-1) x n census (zero first rows)."""
-    if m == 0:
-        return 0
-    smaller = _census_kernel_calls(p, s, m - 1, n - 1) + _census_kernel_calls(p, s, m - 1, n)
-    return sum(p ** (a * (m - 1)) for a in range(1, s)) * p ** (s * (m - 1) * (n - 1)) + smaller
+def _recursive_lengths(ring, m, n):
+    """Orbit lengths over Z_h from the kernel-based recursion, multiplied over the CRT split."""
+    comps = [recursive_census(p, s, *sorted((m, n))) for p, s in ring.primes]
+    return {label: prod(c[alpha] for c, alpha in zip(comps, label)) for label in product(*comps)}
+
+
+@pytest.mark.parametrize("h, m, n", [(4, 3, 4), (9, 3, 3), (4, 4, 3), (32, 2, 2), (25, 2, 3), (72, 2, 3)])
+def test_closed_form_matches_the_recursion(h, m, n):
+    ring = ring_spec(h)
+    assert dict(census_by_enumeration(ring, m, n, budget=h ** (m * n)).entries) == _recursive_lengths(ring, m, n)
+
+
+def _refuse_kernel_and_tables(monkeypatch):
+    from ringmat import smith
+
+    def refuse(*args):
+        raise AssertionError("the census ran the kernel or built a component table")
+
+    assert not hasattr(orbits, "_pp_smith")  # else patching smith would not reach the census
+    monkeypatch.setattr(smith, "_pp_smith", refuse)
+    monkeypatch.setattr(orbits, "exponent_table", refuse)
+    orbits._census.cache_clear()
 
 
 def test_prime_power_census_work(monkeypatch):
-    """Kernel calls only on first rows that are neither unimodular nor zero, and on the rest
-    with its first column mod p^a, never q^(mn); none over a field."""
-    shapes = []
-    real = orbits._pp_smith
-
-    def counting(p, s, q, m, n, entries, transforms):
-        shapes.append((m, n))
-        return real(p, s, q, m, n, entries, transforms)
-
-    monkeypatch.setattr(orbits, "_pp_smith", counting)
-    orbits._census.cache_clear()
-    census_by_enumeration(ring_spec(16), 2, 2)
-    assert len(shapes) == _census_kernel_calls(2, 4, 2, 2) == 230
-    shapes.clear()
-    tall = census_by_enumeration(ring_spec(4), 3, 2)
-    assert len(shapes) == _census_kernel_calls(2, 2, 2, 3) == 34
-    assert set(shapes) == {(2, 3), (1, 2), (1, 3)}  # the 2 x 3 orientation and its two smaller censuses
-    assert tall.entries == census_by_enumeration(ring_spec(4), 2, 3).entries
-    for p, s, calls in ((3, 1, 0), (2, 2, 1068)):
-        shapes.clear()
-        census_by_enumeration(ring_spec(p**s), 3, 3)
-        assert len(shapes) == _census_kernel_calls(p, s, 3, 3) == calls
+    """A prime-power census runs no kernel: every length is in closed form, tall shapes by the transpose."""
+    want = {(16, 2, 2): _recursive_lengths(ring_spec(16), 2, 2), (4, 3, 2): _recursive_lengths(ring_spec(4), 3, 2)}
+    _refuse_kernel_and_tables(monkeypatch)
+    for (h, m, n), lengths in want.items():
+        assert dict(census_by_enumeration(ring_spec(h), m, n).entries) == lengths
+    assert census_by_enumeration(ring_spec(4), 3, 2).entries == census_by_enumeration(ring_spec(4), 2, 3).entries
 
 
 def test_composite_census_builds_no_table(monkeypatch):
-    """Without the product check a composite census multiplies the per-prime recursive counts:
-    no component table is built, and Z_36 2 x 2 runs the kernel 10 + 29 times, not 4^4 + 9^4."""
-    calls = []
-    real = orbits._pp_smith
+    """Without the product check a composite census multiplies the closed-form per-prime lengths:
+    no component table is built and no kernel runs."""
+    want = {(36, 2, 2): _recursive_lengths(ring_spec(36), 2, 2), (12, 3, 2): _recursive_lengths(ring_spec(12), 3, 2)}
+    _refuse_kernel_and_tables(monkeypatch)
+    for (h, m, n), lengths in want.items():
+        rep = census_by_enumeration(ring_spec(h), m, n)
+        assert dict(rep.entries) == lengths
+        assert rep.label_count == expected_label_count(ring_spec(h), m, n)
+    assert census_by_enumeration(ring_spec(12), 3, 2).entries == census_by_enumeration(ring_spec(12), 2, 3).entries
 
-    def refuse(*args):
-        raise AssertionError("the census built a component table")
 
-    monkeypatch.setattr(orbits, "exponent_table", refuse)
-    monkeypatch.setattr(orbits, "_pp_smith", lambda *a: calls.append(a[:2]) or real(*a))
-    orbits._census.cache_clear()
-    rep = census_by_enumeration(ring_spec(36), 2, 2)
-    assert len(calls) == _census_kernel_calls(2, 2, 2, 2) + _census_kernel_calls(3, 2, 2, 2) == 39
-    assert Counter(calls) == {(2, 2): 10, (3, 2): 29}
-    assert rep.label_count == expected_label_count(ring_spec(36), 2, 2) == 36
-    tall = census_by_enumeration(ring_spec(12), 3, 2)  # tall: the recursion reads the 2 x 3 orientation
-    assert tall.entries == census_by_enumeration(ring_spec(12), 2, 3).entries
+def test_census_answers_far_past_any_walk():
+    """Z_12 20 x 20: 12^400 matrices, 4,851 labels, in closed form."""
+    t0 = time.perf_counter()
+    rep = census_by_enumeration(ring_spec(12), 20, 20, budget=12**400)
+    assert time.perf_counter() - t0 < 1
+    assert rep.label_count == expected_label_count(ring_spec(12), 20, 20) == 4851
 
 
 def test_census_leaves_kernel_caches_alone():
@@ -282,3 +283,23 @@ def test_a_flipped_table_row_fails_the_product_check(monkeypatch, capsys):
     assert cli.main([*argv, "--format", "csv"]) == 1
     assert capsys.readouterr() == ("", "verification failed: label 0 0|0 0 has length 4608,"
                                        " not the product 4656 of its component lengths [97, 48]\n")
+
+
+def test_a_flipped_table_row_fails_the_prime_power_product_check(monkeypatch, capsys):
+    """Over a prime power the product check compares the closed form with the exhaustive table:
+    one wrong row of the Z_8 table and orbits --verify-product exits 1."""
+    from ringmat import cli
+
+    real = orbits.exponent_table
+
+    def flipped(p, s, q, m, n):
+        table = real(p, s, q, m, n)
+        # base-8 id 1 is [[0, 0], [0, 1]], of label (0, 3); say (0, 0) instead
+        return table[:1] + ((0, 0),) + table[2:] if q == 8 else table
+
+    monkeypatch.setattr(orbits, "exponent_table", flipped)
+    rep = verify_orbit_product(ring_spec(8), 2, 2)
+    assert rep.first_violation() == (((0, 0),), 1536, (1537,), 1537)
+    argv = ["orbits", "--h", "8", "--m", "2", "--n", "2", "--verify-product"]
+    assert cli.main(argv) == 1
+    assert '"product_ok": false' in capsys.readouterr().out
