@@ -464,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_matrix_args(p)
     p.set_defaults(func=cmd_snf)
 
-    p = sub.add_parser("rank", help="inner rank by three routes")
+    p = sub.add_parser("rank", help="inner rank; via_components and via_quotients restate it by the CRT")
     _add_matrix_args(p)
     p.set_defaults(func=cmd_rank)
 

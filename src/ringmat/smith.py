@@ -14,13 +14,13 @@ equivalence, and the inner rank of A - the least r such that A factors
 through r columns - is the number of omega columns that are not fully
 saturated.
 
-Single matrices use the bounded kernel caches, which snf fills with the
-exponent rows it finds; sweeps label each component shape once and keep that
-table (exponent_table): over a prime field by rank, a row outside the span of
-the rows above it adding one, otherwise by one kernel run per matrix.  The rank
-table reads Z_h off it (component_walk), and the orbit product check counts its
-rows, a second route to the closed-form orbit lengths of the census, which runs
-no kernel (orbits).
+snf runs the kernel once per prime, uncached, and records the exponent rows that
+inner_rank, invariant_factors and rank_via_projections then read back.  Sweeps
+label each component shape once and keep that table (exponent_table): over a
+prime field by rank, a row outside the span of the rows above it adding one,
+otherwise by one kernel run per matrix.  The rank table reads Z_h off it
+(component_walk), and the orbit product check counts its rows, a second route to
+the closed-form orbit lengths of the census, which runs no kernel (orbits).
 """
 
 from __future__ import annotations
@@ -194,10 +194,10 @@ def _pp_smith(
     return tuple(alpha), tuple(Ui), tuple(Vi)
 
 
-KERNEL_CACHE_SIZE = 2**16  # entries per kernel cache, so memory stays bounded
+KERNEL_CACHE_SIZE = 2**16  # recorded exponent rows, stacked clique transforms, kept table rows: each bounded
 
 
-@lru_cache(maxsize=KERNEL_CACHE_SIZE)
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)  # for the stacked calls of cliques.classify_max_clique
 def _pp_smith_cached(p, s, q, m, n, entries, transforms):
     return _pp_smith(p, s, q, m, n, entries, transforms)
 
@@ -331,6 +331,10 @@ def invariant_factors(a: Mat) -> InvariantFactorArray:
     return InvariantFactorArray(a.ring, _component_exponents(a))
 
 
+def _transposed(e: tuple[int, ...], m: int, n: int) -> tuple[int, ...]:
+    return tuple([x for j in range(n) for x in e[j::n]])  # flat m x n -> flat n x m
+
+
 def snf(a: Mat) -> SmithForm:
     """Smith normal form A = S @ D @ T over Z_h.
 
@@ -340,38 +344,36 @@ def snf(a: Mat) -> SmithForm:
     transposed back.  The m**2 + n**2 transform entries and their cost are
     budgeted first; the exponent rows found are recorded for a, both ways round.
     """
-    lo, hi = sorted((a.rows, a.cols))
-    charge("transform entries", lo * lo + hi * hi, DEFAULT_ENUMERATION_BUDGET)
-    charge("transform steps", (a.ring.t + 1) * hi * hi * lo, DEFAULT_ENUMERATION_BUDGET)
-    if a.rows > a.cols:
-        f = snf(a.transpose())
-        for (p, s), q, alpha in zip(a.ring.primes, a.ring.prime_powers, f.omega.omega):
-            _record((p, s, q, a.rows, a.cols, tuple(map(q.__rmod__, a.entries))), alpha)
-        return SmithForm(f.T.transpose(), f.D.transpose(), f.S.transpose(), f.omega)
-
-    ring, m, n = a.ring, a.rows, a.cols
+    ring, rows, cols, e = a.ring, a.rows, a.cols, a.entries
+    (m, n), tall = sorted((rows, cols)), rows > cols
+    charge("transform entries", m * m + n * n, DEFAULT_ENUMERATION_BUDGET)
+    charge("transform steps", (ring.t + 1) * n * n * m, DEFAULT_ENUMERATION_BUDGET)
+    et = _transposed(e, rows, cols) if tall else e
     comps = []
     for (p, s), q in zip(ring.primes, ring.prime_powers):
-        proj = tuple(map(q.__rmod__, a.entries))
-        comps.append(_pp_smith_cached(p, s, q, m, n, proj, True))
+        proj = et if q == ring.h else tuple(map(q.__rmod__, et))
+        comps.append(_pp_smith(p, s, q, m, n, proj, True))
         _record((p, s, q, m, n, proj), comps[-1][0])
+        if tall:
+            _record((p, s, q, rows, cols, e if q == ring.h else tuple(map(q.__rmod__, e))), comps[-1][0])
     omega = InvariantFactorArray(ring, tuple(alpha for alpha, _, _ in comps))
     g = omega.generators()
-    # Over Z_{q_i}, A = Uinv_i @ diag(p_i ** alpha_ic) @ Vinv_i; scaling column c
-    # of Uinv_i by the inverse of the unit g_c / p_i ** alpha_ic (1 if t = 1)
-    # turns the glued diagonal into g_c.
-    uinvs = []
-    for (p, _), q, (alpha, Ui, _) in zip(ring.primes, ring.prime_powers, comps):
-        u = list(Ui)
-        for c, (gc, e) in enumerate(zip(g, alpha)):
-            winv = pow(gc // p**e % q, -1, q)
-            if winv != 1:
-                u[c::m] = [x * winv % q for x in u[c::m]]
-        uinvs.append(u)
-    S = Mat._new(ring, m, m, ring.crt_vectors(uinvs))
-    T = Mat._new(ring, n, n, ring.crt_vectors([Vi for _, _, Vi in comps]))
-    D = Mat.diagonal(ring, g, m, n)
-    return SmithForm(S, D, T, omega)
+    if ring.t == 1:  # g_c = p ** alpha_c: no unit to absorb, nothing to glue
+        (_, Ui, Vi), = comps
+    else:
+        # scaling column c of Uinv_i by the inverse of the unit g_c / p_i ** alpha_ic makes the glued diagonal g_c
+        uinvs = []
+        for (p, _), q, (alpha, ui, _) in zip(ring.primes, ring.prime_powers, comps):
+            u = list(ui)
+            for c, (gc, x) in enumerate(zip(g, alpha)):
+                winv = pow(gc // p**x % q, -1, q)
+                if winv != 1:
+                    u[c::m] = [y * winv % q for y in u[c::m]]
+            uinvs.append(u)
+        Ui, Vi = ring.crt_vectors(uinvs), ring.crt_vectors([Vi for _, _, Vi in comps])
+    if tall:  # A^T = S' D' T', so A = T'^T D'^T S'^T
+        m, n, Ui, Vi = n, m, _transposed(Vi, n, n), _transposed(Ui, m, m)
+    return SmithForm(Mat._new(ring, m, m, Ui), Mat.diagonal(ring, g, m, n), Mat._new(ring, n, n, Vi), omega)
 
 
 def inner_rank(a: Mat) -> int:
@@ -380,18 +382,16 @@ def inner_rank(a: Mat) -> int:
 
 
 def rank_via_projections(a: Mat) -> RankProjections:
-    """Inner rank computed two redundant ways: over components and over cofactor quotients.
+    """Inner rank read two ways off the component exponent rows of a.
 
-    via_pi is the maximum inner rank of the prime-power projections, which is
-    inner_rank itself; via_theta, the independent route, the maximum over the
-    complementary quotients.  For t = 1 the quotient route degenerates and
-    via_theta is defined as via_pi.
+    via_pi, the largest rank among the projections a mod q_i, is inner_rank.
+    via_theta is the largest rank among the coprojections a mod h / q_i, whose
+    components are the a mod q_j, j != i (CRT): the same rows, so the two agree
+    by that identity and are no check of each other; verify_smith_form, the
+    minors oracle and the outer-product set are.  For t = 1 via_theta = via_pi.
     """
-    via_pi = inner_rank(a)
-    if a.ring.t == 1:
-        return RankProjections(via_pi, via_pi)
-    via_theta = max(inner_rank(a.coproject(i)) for i in range(a.ring.t))
-    return RankProjections(via_pi, via_theta)
+    ranks = [sum(1 for x in row if x < s) for row, s in zip(_component_exponents(a), a.ring.saturated)]
+    return RankProjections(max(ranks), max(max(ranks[:i] + ranks[i + 1:], default=r) for i, r in enumerate(ranks)))
 
 
 def verify_smith_form(a: Mat, f: SmithForm) -> None:

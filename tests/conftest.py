@@ -9,12 +9,21 @@ from itertools import product
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from ringmat.errors import DEFAULT_SEARCH_STEP_BUDGET, charge
+from ringmat.errors import DEFAULT_ENUMERATION_BUDGET, DEFAULT_SEARCH_STEP_BUDGET, charge
 from ringmat.graph import build_graph, subgroup_closure
 from ringmat.matrix import Mat, _det_bareiss
 from ringmat.oracle import _greedy_color_order
 from ringmat.ring import ring_spec
-from ringmat.smith import _digit_ids, _pp_smith, component_walk, exponent_table
+from ringmat.smith import (
+    InvariantFactorArray,
+    SmithForm,
+    _digit_ids,
+    _pp_smith,
+    _pp_smith_cached,
+    component_walk,
+    exponent_table,
+    inner_rank,
+)
 
 settings.register_profile(
     "suite",
@@ -311,3 +320,43 @@ def reference_pp_smith(
 
     to_t = tuple if transforms else (lambda _x: None)
     return tuple(alpha), to_t(U), to_t(Ui), to_t(V), to_t(Vi)
+
+
+# ringmat.smith.snf as it stood before it made one flat pass: a tall matrix by a
+# Mat-level transpose and a recursive call, each transform run through the cached
+# kernel, and the unit normalisation and CRT gluing for every t.  The oracle the
+# flat pass is compared with; it records no exponent rows.
+def reference_snf(a: Mat) -> SmithForm:
+    lo, hi = sorted((a.rows, a.cols))
+    charge("transform entries", lo * lo + hi * hi, DEFAULT_ENUMERATION_BUDGET)
+    charge("transform steps", (a.ring.t + 1) * hi * hi * lo, DEFAULT_ENUMERATION_BUDGET)
+    if a.rows > a.cols:
+        f = reference_snf(a.transpose())
+        return SmithForm(f.T.transpose(), f.D.transpose(), f.S.transpose(), f.omega)
+
+    ring, m, n = a.ring, a.rows, a.cols
+    comps = [_pp_smith_cached(p, s, q, m, n, tuple(map(q.__rmod__, a.entries)), True)
+             for (p, s), q in zip(ring.primes, ring.prime_powers)]
+    omega = InvariantFactorArray(ring, tuple(alpha for alpha, _, _ in comps))
+    g = omega.generators()
+    uinvs = []
+    for (p, _), q, (alpha, Ui, _) in zip(ring.primes, ring.prime_powers, comps):
+        u = list(Ui)
+        for c, (gc, e) in enumerate(zip(g, alpha)):
+            winv = pow(gc // p**e % q, -1, q)
+            if winv != 1:
+                u[c::m] = [x * winv % q for x in u[c::m]]
+        uinvs.append(u)
+    S = Mat._new(ring, m, m, ring.crt_vectors(uinvs))
+    T = Mat._new(ring, n, n, ring.crt_vectors([Vi for _, _, Vi in comps]))
+    D = Mat.diagonal(ring, g, m, n)
+    return SmithForm(S, D, T, omega)
+
+
+def coprojection_rank(a: Mat) -> int:
+    """The quotient route as rank_via_projections took it before it read the component rows:
+    the largest inner rank of the coprojections a mod h / q_i, each built as its own Mat
+    and projected again; inner_rank(a) when t = 1, where the route degenerates."""
+    if a.ring.t == 1:
+        return inner_rank(a)
+    return max(inner_rank(a.coproject(i)) for i in range(a.ring.t))

@@ -7,14 +7,14 @@ from itertools import product
 import pytest
 from hypothesis import given
 
-from conftest import kernel_table, matrices, reference_pp_smith
+from conftest import coprojection_rank, kernel_table, matrices, reference_pp_smith, reference_snf
 from ringmat import cliques, graph, oracle, orbits, smith
 from ringmat.cliques import classify_max_clique, random_clique_form, rebuild_clique
 from ringmat.graph import GraphSpec, build_graph
 from ringmat.errors import UsageError, VerificationError
 from ringmat.matrix import Mat, random_invertible, random_matrix
 from ringmat.orbits import verify_orbit_product
-from ringmat.ring import ring_spec
+from ringmat.ring import RingSpec, ring_spec
 from ringmat.smith import (
     KERNEL_CACHE_SIZE,
     _pp_exponents,
@@ -245,6 +245,10 @@ def test_kernel_caches_are_bounded():
         clear_kernel_caches()
 
 
+def _refuse(*args):
+    raise AssertionError("a coprojection was built")
+
+
 @pytest.mark.parametrize("h", (360, 30030))
 @pytest.mark.parametrize("shape", ((2, 5), (4, 4), (5, 2)))
 def test_snf_records_the_exponent_rows_it_found(monkeypatch, h, shape):
@@ -256,10 +260,15 @@ def test_snf_records_the_exponent_rows_it_found(monkeypatch, h, shape):
     monkeypatch.setattr(smith, "_pp_smith", lambda *args: calls.append(args) or real(*args))
     clear_kernel_caches()
     try:
+        cached = _pp_smith_cached.cache_info()
         f = snf(a)
-        assert len(calls) == ring.t and all(args[-1] for args in calls)  # one transform run per prime
+        assert _pp_smith_cached.cache_info() == cached  # transform runs bypass the kernel cache
+        assert len(calls) == ring.t and all(args[-1] for args in calls)  # one transform run per prime, tall or not
         calls.clear()
-        routes = rank_via_projections(a)
+        with monkeypatch.context() as patch:
+            for cls, name in ((Mat, "coproject"), (RingSpec, "cofactor_ring")):
+                patch.setattr(cls, name, _refuse)
+            routes = rank_via_projections(a)
         assert (inner_rank(a), invariant_factors(a).omega) == (f.inner_rank, f.omega.omega)
         assert routes == (f.inner_rank, f.inner_rank)
         assert calls == []
@@ -269,6 +278,45 @@ def test_snf_records_the_exponent_rows_it_found(monkeypatch, h, shape):
         for key, alpha in recorded.items():
             assert _pp_exponents(*key) == alpha  # a cold, transform-free run
         assert _pp_exponents.cache_info().misses == len(recorded)
+    finally:
+        clear_kernel_caches()
+
+
+# The moduli and shapes of the benchmark's Smith stream: prime powers up to 2^63 and
+# 3^40, products of many small primes, mixed prime powers, and tall shapes.
+STREAM_MODULI = (2**5, 3**4, 7**3, 2**63, 3**40, 360, 30030, 510510, 2**8 * 3**5 * 7**3)
+STREAM_SHAPES = ((2, 2), (2, 3), (3, 2), (3, 3), (2, 5), (4, 4), (3, 5), (5, 3), (4, 6), (6, 4), (6, 8), (8, 6))
+
+
+def _stream_entries(rng, ring, m, n, mode):
+    """Uniform entries (mode 0), a product B @ C of inner width min(m, n) - 1 (mode 1),
+    or entries carrying random prime-power factors, so that pivots are non-units (mode 2)."""
+    h = ring.h
+    if mode == 0:
+        return tuple(rng.randrange(h) for _ in range(m * n))
+    if mode == 1:
+        k = max(1, min(m, n) - 1)
+        b = [rng.randrange(h) for _ in range(m * k)]
+        c = [rng.randrange(h) for _ in range(k * n)]
+        return tuple(sum(b[i * k + x] * c[x * n + j] for x in range(k)) % h for i in range(m) for j in range(n))
+    return tuple(rng.randrange(h) * p ** rng.randrange(s + 1) % h
+                 for p, s in (rng.choice(ring.primes) for _ in range(m * n)))
+
+
+@pytest.mark.parametrize("h", STREAM_MODULI)
+def test_snf_and_rank_routes_match_the_reference(h):
+    """The flat snf gives exactly the S, D, T and omega of the transpose recursion through the
+    cached kernel, and the rank routes read off the component rows equal the coprojection route."""
+    ring, rng = ring_spec(h), random.Random(h)
+    clear_kernel_caches()
+    try:
+        for (m, n), mode, _ in product(STREAM_SHAPES, range(3), range(2)):
+            a = Mat(ring, m, n, _stream_entries(rng, ring, m, n, mode))
+            f, ref = snf(a), reference_snf(a)
+            assert (f.S.entries, f.D.entries, f.T.entries, f.omega.omega) == \
+                (ref.S.entries, ref.D.entries, ref.T.entries, ref.omega.omega)
+            assert (f.S.rows, f.T.rows, f.D.rows, f.D.cols) == (m, n, m, n)
+            assert rank_via_projections(a) == (inner_rank(a), coprojection_rank(a)) == (ref.inner_rank,) * 2
     finally:
         clear_kernel_caches()
 
