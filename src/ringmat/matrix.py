@@ -11,6 +11,8 @@ Public construction (Mat(...), from_rows, zeros) validates shape and
 entries.  Results that are canonical by construction (arithmetic, transpose,
 component transport, CRT gluing, the Smith transforms) go through the
 unchecked Mat._new.  A Mat is immutable; ==, hash and repr are those of its fields.
+So it may carry its own per-prime exponent rows (the _exponents slot, not a field),
+written once by smith.snf or the first rank query and freed with the matrix.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ Rows = Sequence[Sequence[int]]
 
 
 class Mat(Frozen):
-    __slots__ = ("ring", "rows", "cols", "entries")
+    __slots__ = ("ring", "rows", "cols", "entries", "_exponents")
+    _fields = ("ring", "rows", "cols", "entries")
 
     def __init__(self, ring: RingSpec, rows: int, cols: int, entries: Sequence[int]) -> None:
         if type(entries) is not tuple:
@@ -200,13 +203,8 @@ class Mat(Frozen):
         q = self.ring.prime_powers[i]
         return Mat._new(self.ring.component(i), self.rows, self.cols, tuple(map(q.__rmod__, self.entries)))
 
-    def coproject(self, i: int) -> "Mat":
-        """Entrywise image in the complementary quotient ring (0-based)."""
-        hq = self.ring.cofactors[i]
-        return Mat._new(self.ring.cofactor_ring(i), self.rows, self.cols, tuple(map(hq.__rmod__, self.entries)))
 
-
-_set_ring, _set_rows, _set_cols, _set_entries = (getattr(Mat, f).__set__ for f in Mat.__slots__)
+_set_ring, _set_rows, _set_cols, _set_entries, _set_exponents = (getattr(Mat, f).__set__ for f in Mat.__slots__)
 
 
 def _check_dims(rows: int, cols: int) -> None:

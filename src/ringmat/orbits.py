@@ -25,7 +25,7 @@ from typing import NamedTuple
 from .errors import DEFAULT_ENUMERATION_BUDGET, VerificationError, charge
 from .matrix import _check_dims
 from .ring import Frozen, RingSpec
-from .smith import exponent_table
+from .smith import KERNEL_CACHE_SIZE, exponent_counts, exponent_table
 
 Label = tuple[tuple[int, ...], ...]
 
@@ -158,12 +158,14 @@ def verify_orbit_product(
 ) -> OrbitProductReport:
     """Census Z_h, then compare each orbit length with the product of its per-prime lengths.
 
-    The per-prime lengths are the row counts of the exhaustive component tables (exponent_table),
-    a route independent of the closed form (_pp_counts) whose products the census holds.  For
-    t = 1 the one table is that of Z_h itself.
+    The per-prime lengths are the row counts of the exhaustive component tables, a route
+    independent of the closed form (_pp_counts) whose products the census holds: of the kept
+    table (exponent_table) when it fits the keep limit, else counted as the rows are labelled
+    (exponent_counts), so that only the counts are held.  For t = 1 the one table is that of Z_h.
     """
     full = census_by_enumeration(ring, rows, cols, budget)
-    lengths = [Counter(exponent_table(p, s, q, rows, cols)) for (p, s), q in zip(ring.primes, ring.prime_powers)]
+    lengths = [Counter(exponent_table(p, s, q, rows, cols)) if q ** (rows * cols) <= KERNEL_CACHE_SIZE
+               else exponent_counts(p, s, q, rows, cols) for (p, s), q in zip(ring.primes, ring.prime_powers)]
     table = []
     for label, length in full.entries:
         per = tuple(c[alpha] for c, alpha in zip(lengths, label))

@@ -4,7 +4,7 @@ For h = prod(p_i ** s_i) the ring Z_h splits entrywise into its prime-power
 components Z_{p_i ** s_i}, and almost everything in this package is computed
 componentwise and glued back together through the Chinese remainder
 isomorphism.  This module owns that plumbing: the factorization of the
-modulus, the component and cofactor rings, and the CRT gluing of residues.
+modulus, the component rings, and the CRT gluing of residues.
 
 The modulus is split into its prime powers by trial division up to 1000,
 then deterministic Miller-Rabin and Pollard-Brent rho, so any h < 2^64
@@ -132,8 +132,9 @@ class Frozen:
     """Base of the slotted records: ==, hash and repr come from the fields, which cannot be assigned.
 
     The fields are the subclass's own _fields, else its __slots__.  Records are
-    equal when of one class with equal field tuples, hash as that tuple, and
-    repr as Name(field=value, ...).  __init__ validates, then _fill sets every slot.
+    equal when of one class with equal field tuples, hash as that tuple, repr
+    as Name(field=value, ...), and pickle as a constructor call on the fields.
+    __init__ validates, then _fill sets every slot.
     """
 
     __slots__ = ()
@@ -158,6 +159,9 @@ class Frozen:
     def __repr__(self) -> str:
         return f"{type(self).__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
 
+    def __reduce__(self) -> tuple:
+        return type(self), self._key(self)  # every record takes its fields as constructor arguments
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
@@ -170,12 +174,11 @@ class RingSpec(Frozen):
 
     primes holds pairs (p_i, s_i) with p_1 < p_2 < ... and
     h == prod(p_i ** s_i).  Component indices are 0-based everywhere.
-    The other slots are derived: prime_powers[i] = q_i = p_i ** s_i; cofactors[i] =
-    h // q_i, the modulus of the i-th coprojection target; saturated = (s_1, ...,
-    s_t), the exponents of zero; _crt_idempotents[i] is 1 mod q_i, 0 mod q_j.
+    The other slots are derived: prime_powers[i] = q_i = p_i ** s_i; saturated =
+    (s_1, ..., s_t), the exponents of zero; _crt_idempotents[i] is 1 mod q_i, 0 mod q_j.
     """
 
-    __slots__ = ("h", "primes", "prime_powers", "cofactors", "saturated", "_crt_idempotents")
+    __slots__ = ("h", "primes", "prime_powers", "saturated", "_crt_idempotents")
     _fields = ("h", "primes")
 
     def __init__(self, h: int, primes: tuple[tuple[int, int], ...]) -> None:
@@ -189,9 +192,7 @@ class RingSpec(Frozen):
         ):
             raise UsageError(f"inconsistent factorization for modulus {h}")
         qs = tuple(p**s for p, s in primes)
-        hqs = tuple(h // q for q in qs)
-        self._fill(h, primes, qs, hqs, tuple(s for _, s in primes),
-                   tuple(hq * pow(hq, -1, q) % h for q, hq in zip(qs, hqs)))
+        self._fill(h, primes, qs, tuple(s for _, s in primes), tuple(h // q * pow(h // q, -1, q) % h for q in qs))
 
     # Not derived from Frozen: every Mat hash calls this one, and a derived one made that a third slower.
     def __eq__(self, other: object) -> bool:
@@ -214,12 +215,6 @@ class RingSpec(Frozen):
     def component(self, i: int) -> "RingSpec":
         """The i-th prime-power component ring Z_{p_i ** s_i}."""
         return ring_spec(self.prime_powers[i])
-
-    def cofactor_ring(self, i: int) -> "RingSpec":
-        """The complementary quotient Z_{h / p_i ** s_i}; needs t >= 2."""
-        if self.t < 2:
-            raise UsageError("coprojection target is the zero ring when t = 1")
-        return ring_spec(self.cofactors[i])
 
     def crt(self, residues: Sequence[int]) -> int:
         """The unique v in [0, h) with v == residues[i] mod q_i for every i."""

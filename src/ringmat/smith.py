@@ -14,24 +14,28 @@ equivalence, and the inner rank of A - the least r such that A factors
 through r columns - is the number of omega columns that are not fully
 saturated.
 
-snf runs the kernel once per prime, uncached, and records the exponent rows that
-inner_rank, invariant_factors and rank_via_projections then read back.  Sweeps
-label each component shape once and keep that table (exponent_table): over a
-prime field by rank, a row outside the span of the rows above it adding one,
-otherwise by one kernel run per matrix.  The rank table reads Z_h off it
-(component_walk), and the orbit product check counts its rows, a second route to
-the closed-form orbit lengths of the census, which runs no kernel (orbits).
+snf runs the kernel once per prime, uncached, and leaves the exponent rows on the
+matrix, where the rank queries read them; a matrix without them is ranked once
+through the per-projection cache _pp_exponents, which also serves bare entry
+tuples (cliques.difference_ranks).  Sweeps label each component shape once and
+keep that table (exponent_table): over a prime field by rank, a row outside the
+span of the rows above it adding one, otherwise by one kernel run per matrix.
+The rank table reads Z_h off it (component_walk), and the orbit product check
+counts its rows (exponent_counts past the keep limit), a second route to the
+closed-form orbit lengths of the census, which runs no kernel (orbits).
 """
 
 from __future__ import annotations
 
-from functools import _CacheInfo, lru_cache  # _CacheInfo: the type lru_cache reports
+from collections import Counter
+from functools import lru_cache
 from itertools import product
 from math import gcd, prod
+from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DEFAULT_ENUMERATION_BUDGET, UsageError, VerificationError, charge
-from .matrix import Mat
+from .matrix import Mat, _set_exponents
 from .ring import Frozen, RingSpec
 
 
@@ -194,7 +198,7 @@ def _pp_smith(
     return tuple(alpha), tuple(Ui), tuple(Vi)
 
 
-KERNEL_CACHE_SIZE = 2**16  # recorded exponent rows, stacked clique transforms, kept table rows: each bounded
+KERNEL_CACHE_SIZE = 2**16  # exponent rows by projection, stacked clique transforms, kept table rows: each bounded
 
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)  # for the stacked calls of cliques.classify_max_clique
@@ -202,43 +206,19 @@ def _pp_smith_cached(p, s, q, m, n, entries, transforms):
     return _pp_smith(p, s, q, m, n, entries, transforms)
 
 
-# Exponent rows by kernel arguments: a bounded dict, oldest entries evicted
-# first, so that snf can record the rows its transform runs found.
-_exponent_rows: dict[tuple, tuple[int, ...]] = {}
-_exponent_stats = [0, 0]  # hits, misses
-
-
-def _record(key: tuple, alpha: tuple[int, ...]) -> tuple[int, ...]:
-    if len(_exponent_rows) >= KERNEL_CACHE_SIZE:
-        del _exponent_rows[next(iter(_exponent_rows))]
-    _exponent_rows[key] = alpha
-    return alpha
-
-
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)  # rows by projection, for a matrix not yet ranked and for bare tuples
 def _pp_exponents(p, s, q, m, n, entries):
-    """The kernel's exponent row, cached; cache_info() and cache_clear() as for lru_cache."""
-    alpha = _exponent_rows.get((p, s, q, m, n, entries))
-    _exponent_stats[alpha is None] += 1
-    return alpha or _record((p, s, q, m, n, entries), _pp_smith(p, s, q, m, n, entries, False)[0])
-
-
-def _clear_exponents() -> None:
-    _exponent_rows.clear()
-    _exponent_stats[:] = 0, 0
-
-
-_pp_exponents.cache_info = lambda: _CacheInfo(*_exponent_stats, KERNEL_CACHE_SIZE, len(_exponent_rows))
-_pp_exponents.cache_clear = _clear_exponents
+    return _pp_smith(p, s, q, m, n, entries, False)[0]
 
 
 _tables: dict[tuple, tuple[tuple[int, ...], ...]] = {}  # kept by exponent_table, oldest first
 
 
-def _field_table(p: int, m: int, n: int) -> list[tuple[int, ...]]:
-    """exponent_table over Z_p, where a label is a rank: rank([B; r]) = rank(B) + [r not in rowspan(B)].
+def _field_table(p: int, m: int, n: int) -> list[tuple[set[int], tuple[int, ...], tuple[int, ...]]]:
+    """exponent_table over Z_p by top blocks; a label is a rank: rank([B; r]) = rank(B) + [r not in rowspan(B)].
 
-    Per top block B (the first m - 1 rows, in id order) rowspan(B) is carried as a set of row
-    ids, extended one row at a time; the p**n last rows under B read their label off it.
+    Per top block B (the first m - 1 rows, in id order) rowspan(B) is carried as a set of row ids,
+    extended one row at a time; the p**n last rows under B take one label inside it, another outside.
     """
     k, rows = min(m, n), list(product(range(p), repeat=n))
     ids = {r: i for i, r in enumerate(rows)}
@@ -248,13 +228,19 @@ def _field_table(p: int, m: int, n: int) -> list[tuple[int, ...]]:
         spans = [(span, rho) if i in span else
                  ({ids[tuple([(x + c * y) % p for x, y in zip(rows[j], r)])] for j in span for c in range(p)}, rho + 1)
                  for span, rho in spans for i, r in enumerate(rows)]
-    table = []
-    for span, rho in spans:
-        block = [labels[min(rho + 1, k)]] * len(rows)  # rho = k only when the span is every row
-        for i in span:
-            block[i] = labels[rho]
-        table += block
-    return table
+    return [(span, labels[rho], labels[min(rho + 1, k)]) for span, rho in spans]  # rho = k: the span is every row
+
+
+def exponent_counts(p: int, s: int, q: int, m: int, n: int) -> Counter:
+    """The row counts of exponent_table(p, s, q, m, n), counted as the rows are labelled, holding no table:
+    over a field per top block off its span (_field_table), otherwise by one kernel call per matrix."""
+    if s > 1:
+        return Counter(_pp_smith(p, s, q, m, n, e, False)[0] for e in product(range(q), repeat=m * n))
+    counts = Counter()
+    for span, inside, outside in _field_table(p, m, n):
+        counts[inside] += len(span)
+        counts[outside] += p**n - len(span)
+    return counts
 
 
 def exponent_table(p: int, s: int, q: int, m: int, n: int) -> tuple[tuple[int, ...], ...]:
@@ -267,7 +253,13 @@ def exponent_table(p: int, s: int, q: int, m: int, n: int) -> tuple[tuple[int, .
     table = _tables.get((p, s, q, m, n))
     if table is None:
         if s == 1:
-            table = tuple(_field_table(p, m, n))
+            table = []
+            for span, inside, outside in _field_table(p, m, n):
+                block = [outside] * p**n
+                for i in span:
+                    block[i] = inside
+                table += block
+            table = tuple(table)
         else:
             seen: dict = {}
             table = tuple([seen.setdefault(alpha, alpha) for alpha in
@@ -319,11 +311,15 @@ def _charge_kernel_steps(ring: RingSpec, m: int, n: int) -> None:
 
 
 def _component_exponents(a: Mat) -> tuple[tuple[int, ...], ...]:
-    """Per-prime exponent rows of a, via the cached kernel on each projection; its steps are budgeted."""
+    """Per-prime exponent rows of a, budgeted first: those a carries, else left on a by the cached kernel."""
     ring, e, m, n = a.ring, a.entries, a.rows, a.cols
     _charge_kernel_steps(ring, m, n)
-    return tuple([_pp_exponents(p, s, q, m, n, e if q == ring.h else tuple(map(q.__rmod__, e)))
-                  for (p, s), q in zip(ring.primes, ring.prime_powers)])
+    omega = getattr(a, "_exponents", None)
+    if omega is None:
+        omega = tuple([_pp_exponents(p, s, q, m, n, e if q == ring.h else tuple(map(q.__rmod__, e)))
+                       for (p, s), q in zip(ring.primes, ring.prime_powers)])
+        _set_exponents(a, omega)
+    return omega
 
 
 def invariant_factors(a: Mat) -> InvariantFactorArray:
@@ -342,7 +338,7 @@ def snf(a: Mat) -> SmithForm:
     mod h, the canonical generator of its ideal; S and T are invertible but
     not unique.  For rows > cols the form is computed on the transpose and
     transposed back.  The m**2 + n**2 transform entries and their cost are
-    budgeted first; the exponent rows found are recorded for a, both ways round.
+    budgeted first; the exponent rows found are left on a.
     """
     ring, rows, cols, e = a.ring, a.rows, a.cols, a.entries
     (m, n), tall = sorted((rows, cols)), rows > cols
@@ -351,12 +347,9 @@ def snf(a: Mat) -> SmithForm:
     et = _transposed(e, rows, cols) if tall else e
     comps = []
     for (p, s), q in zip(ring.primes, ring.prime_powers):
-        proj = et if q == ring.h else tuple(map(q.__rmod__, et))
-        comps.append(_pp_smith(p, s, q, m, n, proj, True))
-        _record((p, s, q, m, n, proj), comps[-1][0])
-        if tall:
-            _record((p, s, q, rows, cols, e if q == ring.h else tuple(map(q.__rmod__, e))), comps[-1][0])
+        comps.append(_pp_smith(p, s, q, m, n, et if q == ring.h else tuple(map(q.__rmod__, et)), True))
     omega = InvariantFactorArray(ring, tuple(alpha for alpha, _, _ in comps))
+    _set_exponents(a, omega.omega)
     g = omega.generators()
     if ring.t == 1:  # g_c = p ** alpha_c: no unit to absorb, nothing to glue
         (_, Ui, Vi), = comps
@@ -400,14 +393,15 @@ def verify_smith_form(a: Mat, f: SmithForm) -> None:
     diag = f.omega.diagonal_values()
     if f.D != Mat.diagonal(ring, diag, m, n):
         raise VerificationError("D does not match the omega table")
-    S, h, k = f.S, ring.h, len(diag)
-    if (S.ring, S.rows, S.cols) != (ring, m, m):
-        raise VerificationError(f"S is not {m} x {m} over the ring of the input")
-    # D is canonical, so S @ D is S with its first k columns scaled by the diagonal
-    sd = tuple(S.entries[i * m + c] * diag[c] % h if c < k else 0 for i in range(m) for c in range(n))
-    if Mat._new(ring, m, n, sd) @ f.T != a:
+    for name, x, d in (("S", f.S, m), ("T", f.T, n)):
+        if (x.ring, x.rows, x.cols) != (ring, d, d):
+            raise VerificationError(f"{name} is not {d} x {d} over the ring of the input")
+    # D is canonical, so (S @ D @ T)[i, j] = sum over c < k of S[i, c] * d_c * T[c, j]
+    se, k = f.S.entries, len(diag)
+    tcols = [f.T.entries[j:k * n:n] for j in range(n)]  # the first k rows of T, by column
+    sds = [[x * d for x, d in zip(se[i * m:i * m + k], diag)] for i in range(m)]
+    if tuple([sum(map(mul, sd, col)) % ring.h for sd in sds for col in tcols]) != a.entries:
         raise VerificationError("S @ D @ T does not reproduce the input")
-    if not S.is_invertible():
-        raise VerificationError("S is not invertible")
-    if not f.T.is_invertible():
-        raise VerificationError("T is not invertible")
+    for name, x in (("S", f.S), ("T", f.T)):
+        if not x.is_invertible():
+            raise VerificationError(f"{name} is not invertible")

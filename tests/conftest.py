@@ -353,10 +353,16 @@ def reference_snf(a: Mat) -> SmithForm:
     return SmithForm(S, D, T, omega)
 
 
+def coprojection(a: Mat, i: int) -> Mat:
+    """The entrywise image of a in the complementary quotient Z_{h / q_i} (0-based; needs t >= 2)."""
+    hq = a.ring.h // a.ring.prime_powers[i]
+    return Mat._new(ring_spec(hq), a.rows, a.cols, tuple(map(hq.__rmod__, a.entries)))
+
+
 def coprojection_rank(a: Mat) -> int:
     """The quotient route as rank_via_projections took it before it read the component rows:
     the largest inner rank of the coprojections a mod h / q_i, each built as its own Mat
     and projected again; inner_rank(a) when t = 1, where the route degenerates."""
     if a.ring.t == 1:
         return inner_rank(a)
-    return max(inner_rank(a.coproject(i)) for i in range(a.ring.t))
+    return max(inner_rank(coprojection(a, i)) for i in range(a.ring.t))

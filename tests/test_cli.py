@@ -104,6 +104,24 @@ def test_rank_command(tmp_path, capsys):
     assert obj["omega"] == [[0, 1], [0, 1]]
 
 
+def test_rank_ranks_its_matrix_once(tmp_path, capsys):
+    """rank reads the rank, both routes and omega off one set of component rows: one kernel
+    run per prime (t = 6 over Z_30030) and no projection looked up again."""
+    from ringmat.smith import _pp_exponents, clear_kernel_caches
+
+    path = tmp_path / "tall.csv"
+    path.write_text("6,10,15,21,35,30029\n")
+    clear_kernel_caches()
+    try:
+        code, obj, err = run_json(capsys, "rank", "--matrix", str(path), "--h", "30030", "--rows", "3", "--cols", "2")
+        assert (code, err) == (0, "")
+        assert obj["inner_rank"] == obj["via_components"] == obj["via_quotients"] == 2
+        info = _pp_exponents.cache_info()
+        assert (info.misses, info.hits) == (6, 0)
+    finally:
+        clear_kernel_caches()
+
+
 def test_snf_on_a_wide_matrix_is_a_fast_budget_error(tmp_path, capsys):
     path = write_matrix(tmp_path, "wide.json", 6, [[1] * 40000])
     start = time.process_time()

@@ -260,6 +260,29 @@ def test_composite_census_walks_once_per_kept_shape(monkeypatch, capsys):
         clear_kernel_caches()
 
 
+def test_product_check_past_the_keep_limit_counts_without_a_table(monkeypatch):
+    """A component table too large to keep is counted as it is labelled, never materialized:
+    the report is the one the kept tables give, by row spans over Z_3 and the kernel over Z_4."""
+    def refuse(*args):
+        raise AssertionError("a table past the keep limit was materialized")
+
+    clear_kernel_caches()
+    orbits._census.cache_clear()
+    try:
+        kept = verify_orbit_product(ring_spec(12), 2, 2)
+        with monkeypatch.context() as patch:
+            patch.setattr(orbits, "exponent_table", refuse)
+            patch.setattr(orbits, "KERNEL_CACHE_SIZE", 2)  # every component table is past the limit
+            assert verify_orbit_product(ring_spec(12), 2, 2) == kept
+        assert kept.ok
+        monkeypatch.setattr(orbits, "exponent_table", refuse)
+        for h, m, n in ((3, 2, 6), (2, 3, 6)):  # field tables of 3^12 and 2^18 rows
+            assert verify_orbit_product(ring_spec(h), m, n).ok
+    finally:
+        clear_kernel_caches()
+        orbits._census.cache_clear()
+
+
 def test_a_flipped_table_row_fails_the_product_check(monkeypatch, capsys):
     """One wrong row in a component table: its per-prime lengths no longer multiply to the
     census over Z_h, so the product check fails and orbits --verify-product exits 1."""

@@ -8,7 +8,7 @@ import time
 import pytest
 from hypothesis import given
 
-from conftest import elements
+from conftest import coprojection, elements
 from ringmat.errors import NotInvertibleError, UsageError
 from ringmat.matrix import Mat
 from ringmat.orbits import census_by_enumeration, enumerate_orbit_labels
@@ -140,10 +140,9 @@ def test_component_structure():
     ring = ring_spec(12)
     assert ring.t == 2
     assert ring.prime_powers == (4, 3)
-    assert ring.cofactors == (3, 4)
     assert ring.saturated == (2, 1)
     assert ring.component(0).h == 4
-    assert ring.cofactor_ring(1).h == 4
+    assert [coprojection(_scalar(ring, 0), i).ring.h for i in range(ring.t)] == [3, 4]
 
 
 def _scalar(ring, x):
@@ -197,12 +196,17 @@ def test_crt_round_trip_exhaustive():
 
 
 def test_coprojection_consistency():
-    ring = ring_spec(12)
-    for x in range(12):
-        for i in range(ring.t):
-            image = _scalar(ring, x).coproject(i)
-            assert image.ring is ring.cofactor_ring(i)
-            assert image.entries == (x % ring.cofactors[i],)
+    """The coprojection mod h / q_i has the components x mod q_j, j != i: the identity by which
+    rank_via_projections reads the quotient route off the component rows."""
+    for h in (12, 30030):
+        ring = ring_spec(h)
+        for x in range(0, h, max(1, h // 97)):
+            for i in range(ring.t):
+                image = coprojection(_scalar(ring, x), i)
+                assert image.ring is ring_spec(h // ring.prime_powers[i])
+                assert image.entries == (x % (h // ring.prime_powers[i]),)
+                assert [image.entries[0] % q for j, q in enumerate(ring.prime_powers) if j != i] == \
+                    [x % q for j, q in enumerate(ring.prime_powers) if j != i]
 
 
 def test_associate_class_count():

@@ -1,5 +1,6 @@
 """Diagonalization: exactness, canonical diagonal, invariance, rank routes."""
 
+import pickle
 import random
 from collections import Counter
 from itertools import product
@@ -14,13 +15,14 @@ from ringmat.graph import GraphSpec, build_graph
 from ringmat.errors import UsageError, VerificationError
 from ringmat.matrix import Mat, random_invertible, random_matrix
 from ringmat.orbits import verify_orbit_product
-from ringmat.ring import RingSpec, ring_spec
+from ringmat.ring import ring_spec
 from ringmat.smith import (
     KERNEL_CACHE_SIZE,
     _pp_exponents,
     _pp_smith,
     _pp_smith_cached,
     clear_kernel_caches,
+    exponent_counts,
     exponent_table,
     InvariantFactorArray,
     inner_rank,
@@ -246,15 +248,18 @@ def test_kernel_caches_are_bounded():
 
 
 def _refuse(*args):
-    raise AssertionError("a coprojection was built")
+    raise AssertionError("the kernel ran or a projection was looked up")
 
 
 @pytest.mark.parametrize("h", (360, 30030))
 @pytest.mark.parametrize("shape", ((2, 5), (4, 4), (5, 2)))
 def test_snf_records_the_exponent_rows_it_found(monkeypatch, h, shape):
-    """After snf(a), the exponent routes on a run no kernel, and the recorded rows are the kernel's."""
+    """snf(a) leaves its exponent rows on a: the exponent routes on a then run no kernel and look
+    up no projection, and they answer as a cold, transform-free run on a fresh equal Mat does.
+    The rows are no field: ==, hash, repr and pickle do not tell a from the fresh Mat."""
     ring = ring_spec(h)
     a = random_matrix(ring, *shape, random.Random(h + shape[0]))
+    fresh = Mat(ring, *shape, a.entries)
     calls = []
     real = smith._pp_smith
     monkeypatch.setattr(smith, "_pp_smith", lambda *args: calls.append(args) or real(*args))
@@ -264,20 +269,22 @@ def test_snf_records_the_exponent_rows_it_found(monkeypatch, h, shape):
         f = snf(a)
         assert _pp_smith_cached.cache_info() == cached  # transform runs bypass the kernel cache
         assert len(calls) == ring.t and all(args[-1] for args in calls)  # one transform run per prime, tall or not
-        calls.clear()
+        assert _pp_exponents.cache_info().currsize == 0  # the rows are on a, not in the projection cache
         with monkeypatch.context() as patch:
-            for cls, name in ((Mat, "coproject"), (RingSpec, "cofactor_ring")):
-                patch.setattr(cls, name, _refuse)
-            routes = rank_via_projections(a)
-        assert (inner_rank(a), invariant_factors(a).omega) == (f.inner_rank, f.omega.omega)
-        assert routes == (f.inner_rank, f.inner_rank)
-        assert calls == []
-        recorded = dict(smith._exponent_rows)
-        assert len(recorded) == (2 if shape[0] > shape[1] else 1) * ring.t  # both orientations of a tall a
-        clear_kernel_caches()
-        for key, alpha in recorded.items():
-            assert _pp_exponents(*key) == alpha  # a cold, transform-free run
-        assert _pp_exponents.cache_info().misses == len(recorded)
+            for name in ("_pp_smith", "_pp_smith_cached", "_pp_exponents"):
+                patch.setattr(smith, name, _refuse)
+            warm = (inner_rank(a), invariant_factors(a).omega, rank_via_projections(a))
+        assert warm == (f.inner_rank, f.omega.omega, (f.inner_rank, f.inner_rank))
+        calls.clear()
+        cold = (inner_rank(fresh), invariant_factors(fresh).omega, rank_via_projections(fresh))
+        assert cold == warm
+        assert len(calls) == ring.t and not any(args[-1] for args in calls)  # one cold, transform-free run
+        assert _pp_exponents.cache_info().misses == ring.t
+        assert (a == fresh, hash(a) == hash(fresh), repr(a) == repr(fresh)) == (True, True, True)
+        for x in (a, fresh):
+            y = pickle.loads(pickle.dumps(x))
+            assert (y == x, hash(y) == hash(x), repr(y) == repr(x)) == (True, True, True)
+            assert invariant_factors(y).omega == f.omega.omega
     finally:
         clear_kernel_caches()
 
@@ -362,6 +369,21 @@ def test_field_table_matches_the_kernel(monkeypatch, p, m, n):
         table = exponent_table(p, 1, p, m, n)
         assert table == expected
         assert len({id(alpha) for alpha in table}) <= min(m, n) + 1
+    finally:
+        clear_kernel_caches()
+
+
+@pytest.mark.parametrize("p, s, m, n", [(2, 1, 1, 3), (2, 1, 3, 2), (3, 1, 2, 3), (2, 1, 2, 4), (5, 1, 2, 2),
+                                        (2, 2, 2, 2), (2, 2, 1, 4), (3, 2, 1, 3), (2, 3, 2, 2)])
+def test_exponent_counts_match_the_table(p, s, m, n):
+    """Counted as the rows are labelled (by row spans over a field, one kernel run per matrix
+    otherwise), the row counts are those of the materialized table and of the per-matrix kernel."""
+    q = p**s
+    clear_kernel_caches()
+    try:
+        counts = exponent_counts(p, s, q, m, n)
+        assert counts == Counter(exponent_table(p, s, q, m, n)) == Counter(kernel_table(p, s, m, n))
+        assert all(counts.values()) and sum(counts.values()) == q ** (m * n)
     finally:
         clear_kernel_caches()
 
