@@ -115,8 +115,10 @@ def inner_rank_by_factorization(a: Mat, budget: int = DEFAULT_FACTOR_SEARCH_BUDG
 #
 # Branch and bound in the style of Tomita: candidates are greedily colored,
 # vertices are expanded in reverse color order, and a branch is pruned when
-# the current clique plus its color bound cannot beat the incumbent.  All
-# choices are deterministic, so results are reproducible.
+# the current clique plus its color bound cannot beat the incumbent.  A node
+# whose candidates take one color each holds a clique, so it is answered where
+# it opens, with the steps of the dive it replaces.  All choices are
+# deterministic, so results are reproducible.
 
 
 def _greedy_color_order(cand: int, masks: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -147,10 +149,18 @@ def exact_clique(masks: Sequence[int], budget: int = DEFAULT_SEARCH_STEP_BUDGET,
     depth is not bounded by the interpreter's recursion limit.
     """
     def open_node(cand: int) -> list:
-        nonlocal steps
+        nonlocal steps, best
         steps += 1
         charge("search steps", steps, budget)
         order, bounds = _greedy_color_order(cand, masks)
+        # One color per candidate: they are a clique, and the dive through them would open one node
+        # per candidate below this one and end at clique + order.  That beats best: at the root best
+        # is empty, and below it the vertex that opened this node has a neighbour here in each color
+        # class below its own bound.  The prune in the loop then pops this node.
+        if order and bounds[-1] == len(order):
+            steps = min(steps + len(order) - 1, budget + 1)
+            charge("search steps", steps, budget)
+            best = clique + order
         return [cand, order, bounds, len(order)]  # candidates left, colors, next index
 
     best: list[int] = []

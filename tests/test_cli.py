@@ -386,11 +386,26 @@ def test_oracle_witness_holds_vertex_zero(capsys, which, h, m, n, r, budget):
 
 @pytest.mark.parametrize("h, m, n, r", [(32, 1, 2, 1), (6, 2, 2, 2)])
 def test_exact_search_on_a_complete_graph_past_the_recursion_limit(capsys, h, m, n, r):
-    """K_1024 and K_1296: a clique through 0 is 1,023 and 1,295 vertices deep."""
+    """K_1024 and K_1296: the 1,023 and 1,295 neighbours of 0 take one color each, so the
+    search answers them at its root node with the steps of a dive that deep."""
     code, obj, err = run_json(capsys, "graph-stats", "--h", str(h), "--m", str(m), "--n", str(n),
                               "--r", str(r), "--exact", "--budget", "1600")
     assert code == 0 and err == ""
     assert (obj["omega"], obj["alpha"]) == (obj["vertices"], 1)
+
+
+def test_exact_search_on_k1600_answers_within_0_3_s(capsys):
+    """K_1600 through oracle clique and graph-stats --exact, each within 0.3 s of process time."""
+    start = time.process_time()
+    code, obj, err = run_json(capsys, "oracle", "clique", "--h", "1600", "--m", "1", "--n", "1", "--r", "1",
+                              "--budget", "1600")
+    assert time.process_time() - start < 0.3
+    assert (code, err, obj["size"], obj["vertex_ids"]) == (0, "", 1600, list(range(1600)))
+    start = time.process_time()
+    code, obj, err = run_json(capsys, "graph-stats", "--h", "40", "--m", "1", "--n", "2", "--r", "1",
+                              "--exact", "--budget", "1600")
+    assert time.process_time() - start < 0.3
+    assert (code, err, obj["omega"], obj["alpha"]) == (0, "", 1600, 1)
 
 
 def test_oracle_budget_exit(capsys):

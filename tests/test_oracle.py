@@ -1,7 +1,7 @@
 """Independent reference routes: minor valuations, factor search, exact search."""
 
 import random
-from itertools import product
+from itertools import count, product
 
 import pytest
 
@@ -127,10 +127,11 @@ def _random_masks(rng, n, p):
 
 
 def test_stack_search_visits_like_the_recursive_oracle():
-    """The same witness as the recursive search, over every vertex and over a start set."""
+    """The same witness as the recursive search, over every vertex and over a start set;
+    the dense graphs reach nodes whose candidates take one color each."""
     rng = random.Random(5)
     for _ in range(60):
-        masks = _random_masks(rng, rng.randrange(1, 40), rng.choice((0.2, 0.5, 0.8)))
+        masks = _random_masks(rng, rng.randrange(1, 40), rng.choice((0.2, 0.5, 0.8, 0.95, 1.0)))
         assert exact_clique(masks) == recursive_clique(masks)
         start = masks[0]
         found = exact_clique(masks, start=start)
@@ -143,8 +144,35 @@ def test_stack_search_visits_like_the_recursive_oracle():
         assert all(masks[u] >> v & 1 for i, u in enumerate(found) for v in found[i + 1:])
 
 
+def _outcome(search, masks, budget, start):
+    try:
+        return search(masks, budget=budget, start=start)
+    except BudgetExceededError as exc:
+        return str(exc)
+
+
+def test_stack_search_charges_like_the_recursive_oracle():
+    """Every budget up to the step count raises the recursive search's text, or both answer:
+    a node answered from its coloring charges the nodes of the dive it replaces."""
+    assert _outcome(exact_clique, _complete_masks(30), 5, None) == "6 search steps exceed the budget 5"
+    rng = random.Random(11)
+    for _ in range(40):
+        masks = _random_masks(rng, rng.randrange(1, 24), rng.choice((0.5, 0.8, 0.95, 1.0)))
+        for start in (None, masks[0]):
+            for budget in count(1):
+                found = _outcome(exact_clique, masks, budget, start)
+                assert found == _outcome(recursive_clique, masks, budget, start)
+                if isinstance(found, list):
+                    break
+
+
 def test_deep_clique_needs_no_recursion():
-    """K_1100 goes 1,100 frames deep, past the default recursion limit."""
+    """K_1100 is answered at its root node; the cocktail party graph on 2,004 vertices, whose
+    nodes never take one color per candidate, still goes 1,002 frames deep, past the default
+    recursion limit."""
     k = _complete_masks(1100)
     assert exact_clique(k) == list(range(1100))
     assert exact_clique(k, start=k[0]) == list(range(1, 1100))
+    full = (1 << 2004) - 1
+    party = [full & ~(1 << v) & ~(1 << (v ^ 1)) for v in range(2004)]
+    assert exact_clique(party) == list(range(1, 2004, 2))
