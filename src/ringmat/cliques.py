@@ -271,7 +271,7 @@ def classify_max_clique(spec: GraphSpec, family: Iterable[Mat], walk: Walk | Non
         comp = ring.component(idx)
 
         hstack = tuple(x for i in range(m) for ents in proj for x in ents[i * n:(i + 1) * n])
-        h_alpha, h_uinv, _ = _pp_smith_cached(p, s, q, m, len(proj) * n, hstack, True)
+        h_alpha, h_uinv = _pp_smith_cached(p, s, q, m, len(proj) * n, hstack, 1)
         if h_alpha == (0,) * r + (s,) * (m - r):
             s_comps.append(Mat._new(comp, m, m, h_uinv))
             t_comps.append(Mat.identity(comp, n))
@@ -279,7 +279,7 @@ def classify_max_clique(spec: GraphSpec, family: Iterable[Mat], walk: Walk | Non
             continue
 
         vstack = tuple(x for ents in proj for x in ents)
-        v_alpha, _, v_vinv = _pp_smith_cached(p, s, q, len(proj) * m, n, vstack, True)
+        v_alpha, v_vinv = _pp_smith_cached(p, s, q, len(proj) * m, n, vstack, 2)
         if v_alpha == (0,) * r + (s,) * (n - r):
             if m != n:
                 raise VerificationError(

@@ -161,7 +161,8 @@ def verify_orbit_product(
     The per-prime lengths are the row counts of the exhaustive component tables, a route
     independent of the closed form (_pp_counts) whose products the census holds: of the kept
     table (exponent_table) when it fits the keep limit, else counted as the rows are labelled
-    (exponent_counts), so that only the counts are held.  For t = 1 the one table is that of Z_h.
+    (exponent_counts), so that only the counts are held; over Z_{p^s} the kernel labels only the
+    matrices [p^v e_1; C], 0 < v < s, the rest off their first rows.  For t = 1 the one table is that of Z_h.
     """
     full = census_by_enumeration(ring, rows, cols, budget)
     lengths = [Counter(exponent_table(p, s, q, rows, cols)) if q ** (rows * cols) <= KERNEL_CACHE_SIZE

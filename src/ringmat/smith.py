@@ -19,7 +19,8 @@ matrix, where the rank queries read them; a matrix without them is ranked once
 through the per-projection cache _pp_exponents, which also serves bare entry
 tuples (cliques.difference_ranks).  Sweeps label each component shape once and
 keep that table (exponent_table): over a prime field by rank, a row outside the
-span of the rows above it adding one, otherwise by one kernel run per matrix.
+span of the rows above it adding one, otherwise per first row off the smaller
+kept tables, the kernel running only on [p**v e_1; C] for 0 < v < s (_pp_chunks).
 The rank table reads Z_h off it (component_walk), and the orbit product check
 counts its rows (exponent_counts past the keep limit), a second route to the
 closed-form orbit lengths of the census, which runs no kernel (orbits).
@@ -29,9 +30,9 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from math import gcd, prod
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DEFAULT_ENUMERATION_BUDGET, UsageError, VerificationError, charge
@@ -202,8 +203,9 @@ KERNEL_CACHE_SIZE = 2**16  # exponent rows by projection, stacked clique transfo
 
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)  # for the stacked calls of cliques.classify_max_clique
-def _pp_smith_cached(p, s, q, m, n, entries, transforms):
-    return _pp_smith(p, s, q, m, n, entries, transforms)
+def _pp_smith_cached(p, s, q, m, n, entries, side):
+    """(alpha, Uinv) for side 1, (alpha, Vinv) for side 2: only the transform that is read is kept."""
+    return itemgetter(0, side)(_pp_smith(p, s, q, m, n, entries, True))
 
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)  # rows by projection, for a matrix not yet ranked and for bare tuples
@@ -231,11 +233,50 @@ def _field_table(p: int, m: int, n: int) -> list[tuple[set[int], tuple[int, ...]
     return [(span, labels[rho], labels[min(rho + 1, k)]) for span, rho in spans]  # rho = k: the span is every row
 
 
+def _pp_chunks(p: int, s: int, q: int, m: int, n: int) -> Iterator[list[tuple[int, ...]]]:
+    """exponent_table over Z_{p**s}, s > 1, in chunks: per first row a, in base-q id order, the rows of all [a; B].
+
+    For min(m, n) = 1 the row is the least valuation of the entries (a chunk per leading entry).  Else let
+    a_j0 = p**v u be the first entry of least valuation v.  Column operations make a = p**v e_j0 and a row b
+    below (b_j0 / u, b_j - c_j b_j0 for j != j0) with c_j a_j0 = a_j, and row operations leave b_j0 mod p**v:
+    the label is T_v at that row's id.  T_0 is (0,) and the (m-1) x (n-1) label, T_v one kernel run on
+    [p**v e_1; C] for 0 < v < s, and T_s (a = 0, b kept) the (m-1) x n label, s appended, cut to min(m, n).
+    """
+    val = [0] * q  # the valuation of each residue, s for 0
+    for v in range(1, s + 1):
+        val[::p**v] = [v] * (q // p**v)
+    if min(m, n) == 1:
+        labels, mins = [(v,) for v in range(s + 1)], [s]
+        for _ in range(m * n - 1):
+            mins = [x if x < y else y for x in val for y in mins]
+        yield from ([labels[x if x < y else y] for y in mins] for x in val)
+        return
+    top, tail = exponent_table(p, s, q, m - 1, n), exponent_table(p, s, q, m - 1, n - 1)
+    tables = [list(map({a: (0,) + a for a in set(tail)}.__getitem__, tail))]
+    for v in range(1, s):
+        tables.append([_pp_smith(p, s, q, m, n, (p**v,) + (0,) * (n - 1) + c, False)[0]
+                       for c in product(*[range(p**v), *[range(q)] * (n - 1)] * (m - 1))])
+    tables.append(list(map({a: (a + (s,))[:min(m, n)] for a in set(top)}.__getitem__, top)))
+    seen: dict = {}
+    tables = [[seen.setdefault(alpha, alpha) for alpha in t] for t in tables]  # equal rows are one shared tuple
+    w = q ** (n - 1)
+    for a in product(range(q), repeat=n):
+        v, j0 = min(zip(map(val.__getitem__, a), range(n)))  # the least valuation, first at column j0
+        pv = p**v
+        uinv = pow(a[j0] // pv or 1, -1, q)  # 1 for a = 0, so that b keeps its id
+        others = [_digit_ids(q, [[(x - c * y) % q for x in range(q)] for c in
+                                 [x // pv * uinv % q for x in a[:j0] + a[j0 + 1:]]]) for y in range(q)]
+        span = q ** (n - 1 - j0)  # the ids of b in id order: columns before j0, b_j0, columns after
+        row = [y * uinv % pv * w + i for pre in range(0, w, span) for y, ids in enumerate(others)
+               for i in ids[pre:pre + span]]
+        yield list(map(tables[v].__getitem__, _digit_ids(pv * w, [row] * (m - 1))))
+
+
 def exponent_counts(p: int, s: int, q: int, m: int, n: int) -> Counter:
-    """The row counts of exponent_table(p, s, q, m, n), counted as the rows are labelled, holding no table:
-    over a field per top block off its span (_field_table), otherwise by one kernel call per matrix."""
+    """The row counts of exponent_table(p, s, q, m, n), counted as the rows are labelled, holding no m x n table:
+    over a field per top block off its span (_field_table), otherwise per first row (_pp_chunks)."""
     if s > 1:
-        return Counter(_pp_smith(p, s, q, m, n, e, False)[0] for e in product(range(q), repeat=m * n))
+        return Counter(chain.from_iterable(_pp_chunks(p, s, q, m, n)))
     counts = Counter()
     for span, inside, outside in _field_table(p, m, n):
         counts[inside] += len(span)
@@ -246,9 +287,9 @@ def exponent_counts(p: int, s: int, q: int, m: int, n: int) -> Counter:
 def exponent_table(p: int, s: int, q: int, m: int, n: int) -> tuple[tuple[int, ...], ...]:
     """The exponent row of every m x n matrix over Z_q, q = p**s, in base-q id order.
 
-    Over a field (s = 1) the rank, by row-span extension (_field_table); otherwise one uncached
-    kernel call per matrix.  Equal rows are one shared tuple.  Kept, the oldest evicted first,
-    within KERNEL_CACHE_SIZE rows in all; a larger table is returned but not kept.
+    Over a field (s = 1) the rank, by row-span extension (_field_table); otherwise per first row, the
+    kernel running only for first rows of valuation 0 < v < s (_pp_chunks).  Equal rows are one shared
+    tuple.  Kept, the oldest evicted first, within KERNEL_CACHE_SIZE rows in all; a larger table is not.
     """
     table = _tables.get((p, s, q, m, n))
     if table is None:
@@ -261,9 +302,7 @@ def exponent_table(p: int, s: int, q: int, m: int, n: int) -> tuple[tuple[int, .
                 table += block
             table = tuple(table)
         else:
-            seen: dict = {}
-            table = tuple([seen.setdefault(alpha, alpha) for alpha in
-                           (_pp_smith(p, s, q, m, n, e, False)[0] for e in product(range(q), repeat=m * n))])
+            table = tuple(chain.from_iterable(_pp_chunks(p, s, q, m, n)))
         if len(table) <= KERNEL_CACHE_SIZE:
             while sum(map(len, _tables.values())) + len(table) > KERNEL_CACHE_SIZE:
                 del _tables[next(iter(_tables))]

@@ -19,7 +19,6 @@ from ringmat.smith import (
     SmithForm,
     _digit_ids,
     _pp_smith,
-    _pp_smith_cached,
     component_walk,
     exponent_table,
     inner_rank,
@@ -323,8 +322,9 @@ def reference_pp_smith(
 
 
 # ringmat.smith.snf as it stood before it made one flat pass: a tall matrix by a
-# Mat-level transpose and a recursive call, each transform run through the cached
-# kernel, and the unit normalisation and CRT gluing for every t.  The oracle the
+# Mat-level transpose and a recursive call, each transform run through the kernel
+# (then cached with both transforms; the cache now keeps only the one its caller
+# reads), and the unit normalisation and CRT gluing for every t.  The oracle the
 # flat pass is compared with; it records no exponent rows.
 def reference_snf(a: Mat) -> SmithForm:
     lo, hi = sorted((a.rows, a.cols))
@@ -335,7 +335,7 @@ def reference_snf(a: Mat) -> SmithForm:
         return SmithForm(f.T.transpose(), f.D.transpose(), f.S.transpose(), f.omega)
 
     ring, m, n = a.ring, a.rows, a.cols
-    comps = [_pp_smith_cached(p, s, q, m, n, tuple(map(q.__rmod__, a.entries)), True)
+    comps = [_pp_smith(p, s, q, m, n, tuple(map(q.__rmod__, a.entries)), True)
              for (p, s), q in zip(ring.primes, ring.prime_powers)]
     omega = InvariantFactorArray(ring, tuple(alpha for alpha, _, _ in comps))
     g = omega.generators()

@@ -206,6 +206,24 @@ def test_orbits_stdout_is_frozen(capsys, h, fmt, verify):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == ORBITS_STDOUT[h, fmt, verify]
 
 
+def test_prime_power_product_check_answers_within_a_second(capsys):
+    """Past the keep limit the Z_27 2x2 table is counted per first row, the kernel running on the
+    [3^v e_1; C] of 0 < v < 3 only: cold, the check answers within 1 s of process time, as CI pins it."""
+    from ringmat import orbits
+    from ringmat.smith import clear_kernel_caches
+
+    clear_kernel_caches()
+    orbits._census.cache_clear()
+    try:
+        start = time.process_time()
+        code, out, err = run(capsys, "orbits", "--h", "27", "--m", "2", "--n", "2", "--verify-product")
+        assert time.process_time() - start < 1.0
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == "e206bb9f73beab51"
+    finally:
+        clear_kernel_caches()
+
+
 def test_orbits_csv_verify_product_runs_the_check(monkeypatch, capsys):
     """A component table off by one row: CSV prints nothing and names the label, its length and the product."""
     from ringmat import orbits

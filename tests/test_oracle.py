@@ -6,6 +6,7 @@ from itertools import count, product
 import pytest
 
 from conftest import complement_masks, recursive_clique
+from ringmat import cliques, smith
 from ringmat.errors import BudgetExceededError
 from ringmat.matrix import Mat, random_matrix
 from ringmat.oracle import (
@@ -40,6 +41,24 @@ def test_omega_via_minors_random_shapes(rng):
         for _ in range(100):
             a = random_matrix(ring, *shape, rng)
             assert omega_via_minors(a) == invariant_factors(a).omega
+
+
+def test_omega_via_minors_runs_no_kernel(monkeypatch, rng):
+    """The minors oracle stays independent of the Smith kernel: with every kernel entry point of
+    smith and cliques raising, it gives the kernel's omega on every 2x2 over Z_4 and on random
+    3x3 over Z_12 and Z_30030."""
+    cases = [Mat(ring_spec(4), 2, 2, e) for e in product(range(4), repeat=4)]
+    cases += [random_matrix(ring_spec(h), 3, 3, rng) for h in (12, 30030) for _ in range(40)]
+    want = [invariant_factors(Mat(a.ring, a.rows, a.cols, a.entries)).omega for a in cases]
+
+    def refuse(*args):
+        raise AssertionError("the minors oracle ran the Smith kernel")
+
+    for module, names in ((smith, ("_pp_smith", "_pp_smith_cached", "_pp_exponents")),
+                          (cliques, ("_pp_smith_cached", "_pp_exponents"))):
+        for name in names:
+            monkeypatch.setattr(module, name, refuse)
+    assert [omega_via_minors(a) for a in cases] == want
 
 
 def test_rank_by_factor_search_exhaustive_z4():

@@ -247,7 +247,7 @@ def test_composite_census_walks_once_per_kept_shape(monkeypatch, capsys):
         assert rep.census is first and rep.ok
         orbits._census.cache_clear()
         assert verify_orbit_product(ring_spec(12), 2, 2) == rep  # checked again against the kept tables
-        assert builds == {(4, 2, 2): 4**4}  # the Z_3 table is a field build: no kernel call
+        assert builds == {(4, 2, 2): 8}  # [2 e_1; C], C[:, 0] < 2; the Z_3 table is a field build: no kernel call
         assert fields == {(3, 2, 2): 1}
         # the budget is charged before the kept report is looked up
         kept = orbits._census.cache_info()

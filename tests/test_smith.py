@@ -237,7 +237,7 @@ def test_kernel_caches_are_bounded():
     try:
         for v in range(KERNEL_CACHE_SIZE + 100):
             _pp_exponents(p, 1, p, 1, 1, (v,))
-            _pp_smith_cached(p, 1, p, 1, 1, (v,), False)
+            _pp_smith_cached(p, 1, p, 1, 1, (v,), 1)
         for cache in (_pp_exponents, _pp_smith_cached):
             info = cache.cache_info()
             assert info.maxsize == KERNEL_CACHE_SIZE
@@ -330,7 +330,8 @@ def test_snf_and_rank_routes_match_the_reference(h):
 
 def test_each_component_table_is_built_once(monkeypatch):
     """The product check over Z_12 and the rank tables of Z_12 and Z_4 label each (q, m, n) shape once:
-    the Z_4 table by one kernel call per matrix, the Z_3 table by one field build and no kernel call."""
+    the Z_4 table by 8 kernel calls, on [2 e_1; C] with C[:, 0] < 2, the Z_3 table by one field build
+    and no kernel call."""
     calls, fields = Counter(), Counter()
     real, real_field = smith._pp_smith, smith._field_table
     monkeypatch.setattr(smith, "_pp_smith", lambda *args: calls.update([args[2:5]]) or real(*args))
@@ -342,7 +343,7 @@ def test_each_component_table_is_built_once(monkeypatch):
         verify_orbit_product(ring_spec(12), 2, 2)
         build_graph(GraphSpec(ring_spec(12), 2, 2, 1), vertex_budget=12**4)
         build_graph(GraphSpec(ring_spec(4), 2, 2, 1))
-        assert calls == {(4, 2, 2): 4**4}
+        assert calls == {(4, 2, 2): 8}
         assert fields == {(3, 2, 2): 1}
     finally:
         clear_kernel_caches()
@@ -376,14 +377,59 @@ def test_field_table_matches_the_kernel(monkeypatch, p, m, n):
 @pytest.mark.parametrize("p, s, m, n", [(2, 1, 1, 3), (2, 1, 3, 2), (3, 1, 2, 3), (2, 1, 2, 4), (5, 1, 2, 2),
                                         (2, 2, 2, 2), (2, 2, 1, 4), (3, 2, 1, 3), (2, 3, 2, 2)])
 def test_exponent_counts_match_the_table(p, s, m, n):
-    """Counted as the rows are labelled (by row spans over a field, one kernel run per matrix
-    otherwise), the row counts are those of the materialized table and of the per-matrix kernel."""
+    """Counted as the rows are labelled (by row spans over a field, per first row otherwise),
+    the row counts are those of the materialized table and of the per-matrix kernel."""
     q = p**s
     clear_kernel_caches()
     try:
         counts = exponent_counts(p, s, q, m, n)
         assert counts == Counter(exponent_table(p, s, q, m, n)) == Counter(kernel_table(p, s, m, n))
         assert all(counts.values()) and sum(counts.values()) == q ** (m * n)
+    finally:
+        clear_kernel_caches()
+
+
+PP_SHAPES = [(2, 2, 2, 2), (2, 2, 2, 3), (2, 2, 3, 2), (2, 2, 3, 3), (2, 3, 2, 2), (2, 3, 2, 3), (2, 3, 3, 2),
+             (3, 2, 2, 2), (2, 4, 2, 2), (2, 2, 1, 3), (2, 3, 3, 1)]
+
+
+@pytest.mark.parametrize("p, s, m, n", PP_SHAPES)
+def test_prime_power_table_matches_the_kernel(monkeypatch, p, s, m, n):
+    """Over Z_{p^s}, s > 1, the table by first rows is the per-matrix kernel table.  A cold build runs
+    the kernel only on [p^v e_1; C] with 0 < v < s and C[:, 0] < p^v: sum_v p^(v(m-1)) q^((m-1)(n-1))
+    calls for the m x n shape (none for m = 1 or n = 1), the smaller shapes it reads counted apart."""
+    q, expected = p**s, kernel_table(p, s, m, n)
+    calls, real = Counter(), smith._pp_smith
+
+    def record(*args):
+        width, entries = args[4], args[5]
+        v = next(v for v in range(1, s) if entries[:width] == (p**v,) + (0,) * (width - 1))
+        assert all(x < p**v for x in entries[width::width]) and not args[6]
+        calls.update([args[3:5]])
+        return real(*args)
+
+    monkeypatch.setattr(smith, "_pp_smith", record)
+    clear_kernel_caches()
+    try:
+        table = exponent_table(p, s, q, m, n)
+        assert table == expected
+        assert len({id(alpha) for alpha in table}) == len(set(table))  # equal rows are one tuple
+        assert calls[m, n] == (0 if min(m, n) == 1 else
+                               sum(p ** (v * (m - 1)) * q ** ((m - 1) * (n - 1)) for v in range(1, s)))
+    finally:
+        clear_kernel_caches()
+
+
+@pytest.mark.parametrize("p, s, m, n", [(3, 3, 2, 2), (3, 2, 2, 3), (2, 2, 3, 3), (2, 3, 3, 2)])
+def test_prime_power_counts_past_the_keep_limit_match_the_closed_form(p, s, m, n):
+    """Past the keep limit the row counts by first rows are the closed-form orbit lengths of orbits,
+    a tall shape those of its transpose; the m x n table is not kept."""
+    q = p**s
+    assert q ** (m * n) > KERNEL_CACHE_SIZE
+    clear_kernel_caches()
+    try:
+        assert exponent_counts(p, s, q, m, n) == orbits._pp_counts(p, s, *sorted((m, n)))
+        assert (p, s, q, m, n) not in smith._tables
     finally:
         clear_kernel_caches()
 
