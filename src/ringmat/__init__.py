@@ -33,7 +33,6 @@ from .orbits import (
     CensusReport,
     OrbitProductReport,
     census_by_enumeration,
-    enumerate_orbit_labels,
     expected_label_count,
     verify_orbit_product,
 )
@@ -73,7 +72,6 @@ from .codes import (
     certify_graph_parameters,
     clique_cover_complement,
     color_graph,
-    gabidulin_code,
     mrd_code,
     verify_distance,
 )

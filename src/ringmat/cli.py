@@ -18,7 +18,7 @@ from .cliques import (
     CanonicalCliqueSpec,
     CliqueForm,
     build_canonical_clique,
-    charge_clique_pairs,
+    charge_clique_build,
     classify_max_clique,
     is_clique,
     verify_ekr,
@@ -275,7 +275,7 @@ def cmd_build_clique(args: argparse.Namespace) -> int:
     ring = spec.ring
     alpha = _parse_alpha(ring, args.alpha)
     cspec = CanonicalCliqueSpec(spec, alpha)
-    charge_clique_pairs(spec, args.budget)
+    charge_clique_build(spec, args.budget)
     s_mat = rio.load_matrix(args.S, expect_h=args.h) if args.S else None
     t_mat = rio.load_matrix(args.T, expect_h=args.h) if args.T else None
     b0 = rio.load_matrix(args.B0, expect_h=args.h) if args.B0 else None

@@ -143,16 +143,16 @@ def coset_difference_group(entries: Iterable[tuple[int, ...]], h: int) -> Walk |
     return None if group is None else (group, gens)
 
 
-def charge_clique_pairs(spec: GraphSpec, pair_budget: int = DEFAULT_PAIR_BUDGET) -> None:
-    """Raise before a maximum clique is built if it has more than pair_budget pairs: the build cap.
+def charge_clique_build(spec: GraphSpec, pair_budget: int = DEFAULT_PAIR_BUDGET) -> None:
+    """Raise before a maximum clique is built if checking it would take more than pair_budget rank checks.
 
-    A maximum clique has h**(n*r) members; a build is refused when their
-    C(h**(n*r), 2) pairs exceed the budget, without forming the clique.
+    A maximum clique is a coset of h**(n*r) members, so is_clique walks it
+    once and ranks its h**(n*r) - 1 nonzero differences; a build is refused
+    when those exceed the budget, before the closure that forms the clique.
     """
     h, k = spec.ring.h, spec.n * spec.r
-    if power_exceeds(h, k, pair_budget + 1):  # then C(h**k, 2) > pair_budget, without forming it
-        charge("members' pairs", (h, k), pair_budget)
-    charge("pairs", h**k * (h**k - 1) // 2, pair_budget)
+    if power_exceeds(h, k, pair_budget + 1):  # its members, less one, are checked
+        charge("- 1 rank checks", (h, k), pair_budget)
 
 
 def difference_ranks(ring: RingSpec, rows: int, cols: int, family: Iterable[tuple[int, ...]],

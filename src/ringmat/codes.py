@@ -44,21 +44,20 @@ from .cliques import (
     CanonicalCliqueSpec,
     _walk_and_rank,
     build_canonical_clique,
-    charge_clique_pairs,
+    charge_clique_build,
     difference_ranks,
     is_clique,
 )
 from .errors import (
     DEFAULT_PAIR_BUDGET,
     DEFAULT_VERTEX_BUDGET,
-    UsageError,
     VerificationError,
     charge,
     power_exceeds,
 )
 from .graph import GraphSpec, adjacent, build_graph, subgroup_closure
 from .matrix import Mat
-from .ring import Frozen, RingSpec, ring_spec
+from .ring import Frozen, RingSpec
 
 
 # --- small finite fields -------------------------------------------------------
@@ -228,45 +227,13 @@ def _gabidulin_basis(field: FieldSpec, m: int, k: int) -> list[tuple[int, ...]]:
     return basis
 
 
-def _span_code(ring: RingSpec, m: int, n: int, d: int, basis: Sequence[tuple[int, ...]], size: int) -> RankCode:
-    """The span of basis, exactly size words, certified on that one closure to have distance d (callers budget it)."""
-    group = subgroup_closure(basis, ring.h, size)
-    if group is None or len(group) != size:
-        raise VerificationError(f"the basis does not span exactly {size} words")
-    found = min(difference_ranks(ring, m, n, group, group))
-    if found != d:
-        raise VerificationError(f"verified distance {found} != claimed {d}")
-    members = frozenset(Mat._new(ring, m, n, g) for g in group)
-    return RankCode(ring, m, n, members, d, True, tuple(Mat._new(ring, m, n, b) for b in basis), found)
-
-
-def gabidulin_code(field: FieldSpec, m: int, n: int, d: int) -> RankCode:
-    """The evaluation code over F_p with m x n matrices and distance exactly d.
-
-    Needs 1 <= d <= m <= n = field.n.  Messages are coefficient vectors
-    (c_0, ..., c_{k-1}) over the extension field with k = m - d + 1; the
-    codeword is the matrix of x -> sum c_j x^(p**j) restricted to the first
-    m coordinates.  The code is the F_p-span of the n*k codewords of the
-    messages x^e in slot j (its basis, j-major), must hold p**(n*k) words,
-    and is certified on its closure, under a pair budget checked before the basis is built.
-    """
-    if n != field.n:
-        raise UsageError("n must equal the extension degree of the field")
-    if not 1 <= d <= m <= n:
-        raise UsageError(f"need 1 <= d <= m <= n, got d={d}, m={m}, n={n}")
-    k = m - d + 1
-    if power_exceeds(field.p, n * k, DEFAULT_PAIR_BUDGET + 1):  # its words, less one, are checked
-        charge("- 1 distance checks", (field.p, n * k), DEFAULT_PAIR_BUDGET)
-    basis = _gabidulin_basis(field, m, k)
-    return _span_code(ring_spec(field.p), m, n, d, basis, field.p ** (n * k))
-
-
 def mrd_code(spec: GraphSpec, pair_budget: int = DEFAULT_PAIR_BUDGET) -> RankCode:
     """A verified code over Z_h of size h**(n*(m-r)) with minimum distance r + 1.
 
     The code is the Z_h-span of the Gabidulin basis over each F_p, placed in
-    the CRT component of p (primes in order): one closure, on which every
-    nonzero word is ranked once within pair_budget.  For r = m the graph is
+    the CRT component of p (primes in order): one closure, which must hold
+    exactly h**(n*(m-r)) words and on which every nonzero word is ranked once
+    within pair_budget, its least rank r + 1.  For r = m the graph is
     complete and the code is {0}, of distance inf; as nothing else bounds the
     shape then, the budget also caps its h**(m*n) vertices.  The budget is
     checked before any work; the code carries the distance verified for it.
@@ -284,7 +251,15 @@ def mrd_code(spec: GraphSpec, pair_budget: int = DEFAULT_PAIR_BUDGET) -> RankCod
         for i, (p, _) in enumerate(ring.primes)
         for b in _gabidulin_basis(FieldSpec.default(p, n), m, m - r)
     ]
-    return _span_code(ring, m, n, r + 1, basis, spec.independence_bound)
+    size = spec.independence_bound
+    group = subgroup_closure(basis, ring.h, size)
+    if group is None or len(group) != size:
+        raise VerificationError(f"the basis does not span exactly {size} words")
+    found = min(difference_ranks(ring, m, n, group, group))
+    if found != r + 1:
+        raise VerificationError(f"verified distance {found} != claimed {r + 1}")
+    members = frozenset(Mat._new(ring, m, n, g) for g in group)
+    return RankCode(ring, m, n, members, r + 1, True, tuple(Mat._new(ring, m, n, b) for b in basis), found)
 
 
 # --- colorings and covers ---------------------------------------------------------
@@ -422,7 +397,7 @@ class GraphCertificate(Frozen):
 
 def certify_graph_parameters(spec: GraphSpec, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> GraphCertificate:
     """Build and verify the three certificates once each; raise if any bound fails."""
-    charge_clique_pairs(spec)
+    charge_clique_build(spec)
     clique = build_canonical_clique(CanonicalCliqueSpec(spec, (0,) * spec.ring.t))
     if not is_clique(spec, clique):
         raise VerificationError("canonical clique is not a clique")

@@ -15,7 +15,8 @@ caps, each a default that a command's --budget replaces where it has one:
                                         steps and transform entries
   DEFAULT_VERTEX_BUDGET         10**4   materialized graph vertices
   DEFAULT_EXACT_SEARCH_BUDGET   256     vertices of an exact clique search
-  DEFAULT_PAIR_BUDGET           10**5   rank checks and distance checks
+  DEFAULT_PAIR_BUDGET           10**5   rank checks, a clique build's h**(n*r) - 1
+                                        among them; distance checks
   DEFAULT_FACTOR_SEARCH_BUDGET  2*10**5 candidate (B, C) pairs of oracle rank
   MAX_MINORS                    10**5   minors of oracle omega (fixed)
   DEFAULT_SEARCH_STEP_BUDGET    10**9   branch-and-bound steps (fixed)

@@ -125,15 +125,6 @@ def _matrices(ring: RingSpec, rows: int, cols: int, items: list, what: str) -> l
 # single matrix
 # ---------------------------------------------------------------------------
 
-def matrix_to_obj(mat: Mat) -> dict[str, Any]:
-    return {
-        "h": mat.ring.h,
-        "rows": mat.rows,
-        "cols": mat.cols,
-        "entries": mat.to_rows(),
-    }
-
-
 def _shape_from_obj(obj: Any, kind: str, body: str, expect_h: int | None) -> tuple[RingSpec, int, int]:
     """Ring and shape of a matrix or family object, checked."""
     _require(isinstance(obj, dict), f"{kind} object must be a JSON object")
@@ -153,11 +144,6 @@ def _shape_from_obj(obj: Any, kind: str, body: str, expect_h: int | None) -> tup
 def matrix_from_obj(obj: Any, expect_h: int | None = None) -> Mat:
     ring, rows, cols = _shape_from_obj(obj, "matrix", "entries", expect_h)
     return _matrices(ring, rows, cols, [obj["entries"]], "entries")[0]
-
-
-def save_matrix(path: str, mat: Mat) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_compact(matrix_to_obj(mat)) + "\n")
 
 
 def load_matrix(path: str, expect_h: int | None = None) -> Mat:
@@ -197,10 +183,6 @@ def matrix_from_csv_line(ring: RingSpec, rows: int, cols: int, line: str) -> Mat
         entries.append(v)
     _check_dims(rows, cols)
     return Mat._new(ring, rows, cols, tuple(entries))
-
-
-def matrix_to_csv_line(mat: Mat) -> str:
-    return ",".join(str(e) for e in mat.entries)
 
 
 def load_matrices_csv(path: str, h: int, rows: int, cols: int) -> list[Mat]:
@@ -246,13 +228,6 @@ def family_from_obj(obj: Any, expect_h: int | None = None
     meta = {k: v for k, v in obj.items()
             if k not in ("h", "rows", "cols", "members")}
     return ring, rows, cols, members, meta
-
-
-def save_family(path: str, ring: RingSpec, rows: int, cols: int,
-                members: Iterable[Mat],
-                extra: dict[str, Any] | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_compact(family_to_obj(ring, rows, cols, members, extra)) + "\n")
 
 
 def load_family(path: str, expect_h: int | None = None

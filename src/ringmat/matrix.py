@@ -9,7 +9,7 @@ elimination of the entries reduced mod rad(h) = prod(p_i) decides.
 
 Public construction (Mat(...), from_rows, zeros) validates shape and
 entries.  Results that are canonical by construction (arithmetic, transpose,
-component transport, CRT gluing, the Smith transforms) go through the
+CRT gluing, the Smith transforms) go through the
 unchecked Mat._new.  A Mat is immutable; ==, hash and repr are those of its fields.
 So it may carry its own per-prime exponent rows (the _exponents slot, not a field),
 written once by smith.snf or the first rank query and freed with the matrix.
@@ -159,10 +159,6 @@ class Mat(Frozen):
                 out[base + j] = acc % h
         return Mat._new(self.ring, m, n, tuple(out))
 
-    def scale(self, c: int) -> "Mat":
-        h = self.ring.h
-        return Mat._new(self.ring, self.rows, self.cols, tuple(c * a % h for a in self.entries))
-
     def transpose(self) -> "Mat":
         m, n = self.rows, self.cols
         e = self.entries
@@ -195,13 +191,6 @@ class Mat(Frozen):
         comps = [_invert_mod_prime_power(p, q, n, [v % q for v in self.entries])
                  for (p, _), q in zip(ring.primes, ring.prime_powers)]
         return Mat._new(ring, n, n, ring.crt_vectors(comps))
-
-    # --- component transport -------------------------------------------------------
-
-    def project(self, i: int) -> "Mat":
-        """Entrywise image in the i-th prime-power component ring (0-based)."""
-        q = self.ring.prime_powers[i]
-        return Mat._new(self.ring.component(i), self.rows, self.cols, tuple(map(q.__rmod__, self.entries)))
 
 
 _set_ring, _set_rows, _set_cols, _set_entries, _set_exponents = (getattr(Mat, f).__set__ for f in Mat.__slots__)

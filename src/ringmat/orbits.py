@@ -16,7 +16,6 @@ exhaustive component tables, a second route.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import comb, prod
@@ -25,7 +24,7 @@ from typing import NamedTuple
 from .errors import DEFAULT_ENUMERATION_BUDGET, VerificationError, charge
 from .matrix import _check_dims
 from .ring import Frozen, RingSpec
-from .smith import KERNEL_CACHE_SIZE, exponent_counts, exponent_table
+from .smith import exponent_counts
 
 Label = tuple[tuple[int, ...], ...]
 
@@ -61,23 +60,6 @@ def expected_label_count(ring: RingSpec, rows: int, cols: int) -> int:
     for _, s in ring.primes:
         out *= comb(s + k, k)
     return out
-
-
-def enumerate_orbit_labels(ring: RingSpec, rows: int, cols: int) -> list[Label]:
-    """All omega labels for m x n matrices, sorted, without touching any matrix.
-
-    A label holds one nondecreasing exponent row per prime, each entry capped
-    at s_i, with rows of length min(rows, cols).
-    """
-    k = min(rows, cols)
-    per_prime = [
-        [tuple(row) for row in combinations_with_replacement(range(s + 1), k)]
-        for _, s in ring.primes
-    ]
-    labels = sorted(product(*per_prime))
-    if len(labels) != expected_label_count(ring, rows, cols):
-        raise VerificationError("label enumeration does not match the counting formula")
-    return labels
 
 
 def census_by_enumeration(
@@ -158,15 +140,13 @@ def verify_orbit_product(
 ) -> OrbitProductReport:
     """Census Z_h, then compare each orbit length with the product of its per-prime lengths.
 
-    The per-prime lengths are the row counts of the exhaustive component tables, a route
-    independent of the closed form (_pp_counts) whose products the census holds: of the kept
-    table (exponent_table) when it fits the keep limit, else counted as the rows are labelled
-    (exponent_counts), so that only the counts are held; over Z_{p^s} the kernel labels only the
-    matrices [p^v e_1; C], 0 < v < s, the rest off their first rows.  For t = 1 the one table is that of Z_h.
+    The per-prime lengths are the row counts of the exhaustive component tables (exponent_counts),
+    a route independent of the closed form (_pp_counts) whose products the census holds; over
+    Z_{p^s} the kernel labels only the matrices [p^v e_1; C], 0 < v < s, the rest off their first
+    rows.  For t = 1 the one table is that of Z_h.
     """
     full = census_by_enumeration(ring, rows, cols, budget)
-    lengths = [Counter(exponent_table(p, s, q, rows, cols)) if q ** (rows * cols) <= KERNEL_CACHE_SIZE
-               else exponent_counts(p, s, q, rows, cols) for (p, s), q in zip(ring.primes, ring.prime_powers)]
+    lengths = [exponent_counts(p, s, q, rows, cols) for (p, s), q in zip(ring.primes, ring.prime_powers)]
     table = []
     for label, length in full.entries:
         per = tuple(c[alpha] for c, alpha in zip(lengths, label))

@@ -22,8 +22,8 @@ keep that table (exponent_table): over a prime field by rank, a row outside the
 span of the rows above it adding one, otherwise per first row off the smaller
 kept tables, the kernel running only on [p**v e_1; C] for 0 < v < s (_pp_chunks).
 The rank table reads Z_h off it (component_walk), and the orbit product check
-counts its rows (exponent_counts past the keep limit), a second route to the
-closed-form orbit lengths of the census, which runs no kernel (orbits).
+counts its rows (exponent_counts, holding no table past the keep limit), a second
+route to the closed-form orbit lengths of the census, which runs no kernel (orbits).
 """
 
 from __future__ import annotations
@@ -273,8 +273,11 @@ def _pp_chunks(p: int, s: int, q: int, m: int, n: int) -> Iterator[list[tuple[in
 
 
 def exponent_counts(p: int, s: int, q: int, m: int, n: int) -> Counter:
-    """The row counts of exponent_table(p, s, q, m, n), counted as the rows are labelled, holding no m x n table:
-    over a field per top block off its span (_field_table), otherwise per first row (_pp_chunks)."""
+    """The row counts of exponent_table(p, s, q, m, n): of the kept table when it fits KERNEL_CACHE_SIZE rows,
+    else counted as the rows are labelled, holding no m x n table: over a field per top block off its span
+    (_field_table), otherwise per first row (_pp_chunks)."""
+    if q ** (m * n) <= KERNEL_CACHE_SIZE:
+        return Counter(exponent_table(p, s, q, m, n))
     if s > 1:
         return Counter(chain.from_iterable(_pp_chunks(p, s, q, m, n)))
     counts = Counter()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
@@ -351,6 +351,19 @@ def reference_snf(a: Mat) -> SmithForm:
     T = Mat._new(ring, n, n, ring.crt_vectors([Vi for _, _, Vi in comps]))
     D = Mat.diagonal(ring, g, m, n)
     return SmithForm(S, D, T, omega)
+
+
+def projection(a: Mat, i: int) -> Mat:
+    """The entrywise image of a in the i-th prime-power component ring (0-based)."""
+    q = a.ring.prime_powers[i]
+    return Mat._new(a.ring.component(i), a.rows, a.cols, tuple(map(q.__rmod__, a.entries)))
+
+
+def orbit_labels(ring, rows, cols):
+    """Every omega label of rows x cols matrices, sorted, no matrix touched: one nondecreasing
+    exponent row of length min(rows, cols) per prime, its entries capped at s_i."""
+    k = min(rows, cols)
+    return sorted(product(*[list(combinations_with_replacement(range(s + 1), k)) for _, s in ring.primes]))
 
 
 def coprojection(a: Mat, i: int) -> Mat:

@@ -226,9 +226,9 @@ def test_prime_power_product_check_answers_within_a_second(capsys):
 
 def test_orbits_csv_verify_product_runs_the_check(monkeypatch, capsys):
     """A component table off by one row: CSV prints nothing and names the label, its length and the product."""
-    from ringmat import orbits
+    from ringmat import smith
 
-    real = orbits.exponent_table
+    real = smith.exponent_table
 
     def off_by_one(p, s, q, m, n):
         table = real(p, s, q, m, n)
@@ -237,7 +237,7 @@ def test_orbits_csv_verify_product_runs_the_check(monkeypatch, capsys):
             return table[:i] + ((0, 1),) + table[i + 1:]
         return table
 
-    monkeypatch.setattr(orbits, "exponent_table", off_by_one)
+    monkeypatch.setattr(smith, "exponent_table", off_by_one)
     argv = ["orbits", "--h", "12", "--m", "2", "--n", "2", "--format", "csv"]
     code, out, _ = run(capsys, *argv)  # no check asked
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest()[:16] == ORBITS_STDOUT[12, "csv", False]
@@ -624,6 +624,40 @@ def test_build_mrd_budget_boundary(capsys):
         assert code == 3 and out == "" and "budget exceeded" in err
         code, obj, _ = run_json(capsys, *args, "--budget", str(size - 1))
         assert code == 0 and obj["verified_min_distance"] == 2
+
+
+def test_build_clique_budget_boundary(monkeypatch, capsys):
+    """A maximum clique of N = h^(n*r) members is a coset, checked by its N - 1 rank checks: at the
+    budget N - 2 the build exits 3 before the closure that forms the clique, at N - 1 it answers."""
+    from ringmat import cliques
+
+    def refuse(*args):
+        raise AssertionError("the closure ran before the budget check")
+
+    args = ("build-clique", "--h", "6", "--m", "2", "--n", "2", "--r", "1", "--alpha", "0,0")
+    with monkeypatch.context() as patch:
+        patch.setattr(cliques, "subgroup_closure", refuse)
+        assert run(capsys, *args, "--budget", "34") == (
+            3, "", "budget exceeded: 6^2 - 1 rank checks exceed the budget 34\n")
+    code, obj, err = run_json(capsys, *args, "--budget", "35")
+    assert (code, err) == (0, "") and obj["size"] == obj["bound"] == 36
+
+
+def test_clique_builds_past_the_pair_count_answer(tmp_path, capsys):
+    """Builds whose C(N, 2) member pairs exceed the default budget but whose N - 1 rank checks do
+    not: graph-stats on 7^8 matrices answers within 0.5 s of process time, and the 10,201-member
+    clique over Z_101 is built and verified extremal."""
+    start = time.process_time()
+    code, obj, err = run_json(capsys, "graph-stats", "--h", "7", "--m", "2", "--n", "4", "--r", "1")
+    assert time.process_time() - start < 0.5
+    assert (code, err) == (0, "")
+    assert (obj["omega"], obj["alpha"], obj["chi"], obj["sandwich_tight"]) == (7**4, 7**4, 7**4, True)
+    fam = str(tmp_path / "fam101.json")
+    assert main(["build-clique", "--h", "101", "--m", "2", "--n", "2", "--r", "1", "--alpha", "0",
+                 "--out", fam]) == 0
+    capsys.readouterr()
+    code, obj, _ = run_json(capsys, "verify-ekr", "--family", fam, "--r", "1")
+    assert code == 0 and obj["size"] == 101**2 and obj["extremal"] is True
 
 
 def test_color_and_cover(tmp_path, capsys):

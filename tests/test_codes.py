@@ -12,12 +12,12 @@ from conftest import translate_ids
 from ringmat import cliques, codes
 from ringmat.codes import (
     _complement_lookup,
+    _gabidulin_basis,
     certify_graph_parameters,
     clique_cover_complement,
     color_graph,
     Coloring,
     FieldSpec,
-    gabidulin_code,
     GraphCertificate,
     mrd_code,
     RankCode,
@@ -67,10 +67,20 @@ def test_field_axioms_sampled():
             assert field.frobenius_power(field.mul(x, y), 1) == field.mul(fx, fy)
 
 
+def _prime_field_code(p, m, n, d):
+    """(words, basis, least nonzero rank) of the evaluation code over F_p of distance d: mrd_code
+    for d >= 2, else, as r = 0 has no graph, one closure of _gabidulin_basis ranked as mrd_code ranks it."""
+    if d >= 2:
+        code = mrd_code(_spec(p, m, n, d - 1))
+        return {w.entries for w in code.members}, [b.entries for b in code.basis], code.verified_distance
+    basis = _gabidulin_basis(FieldSpec.default(p, n), m, m)
+    group = subgroup_closure(basis, p, p ** (m * n))
+    return group, basis, min(cliques.difference_ranks(ring_spec(p), m, n, group, group))
+
+
 def test_gabidulin_sizes_and_distances():
     for p, m, n, d in ((2, 2, 2, 2), (3, 2, 2, 2), (2, 2, 3, 2)):
-        field = FieldSpec.default(p, n)
-        code = gabidulin_code(field, m, n, d)
+        code = mrd_code(_spec(p, m, n, d - 1))
         assert code.size == p ** (n * (m - d + 1))
         assert verify_distance(code) == d
         assert code.linear
@@ -79,10 +89,9 @@ def test_gabidulin_sizes_and_distances():
 
 
 def test_gabidulin_distance_one_is_whole_space():
-    field = FieldSpec.default(2, 2)
-    code = gabidulin_code(field, 2, 2, 1)
-    assert code.size == 16
-    assert verify_distance(code) == 1
+    words, _, distance = _prime_field_code(2, 2, 2, 1)
+    assert len(words) == 16
+    assert distance == 1
 
 
 # --- the span construction against the message, lift and CRT-product routes ------
@@ -108,10 +117,10 @@ def _message_code(field, m, n, d):
 def test_gabidulin_span_matches_message_oracle(p, m, n, d):
     field = FieldSpec.default(p, n)
     words, basis = _message_code(field, m, n, d)
-    code = gabidulin_code(field, m, n, d)
-    assert {w.entries for w in code.members} == words
-    assert [b.entries for b in code.basis] == basis
-    assert code.verified_distance == d and code.size == p ** (n * (m - d + 1))
+    span, span_basis, distance = _prime_field_code(p, m, n, d)
+    assert span == words
+    assert span_basis == basis
+    assert distance == d and len(span) == p ** (n * (m - d + 1))
 
 
 @pytest.mark.parametrize("h, m, n, r", [
@@ -559,17 +568,6 @@ def test_mrd_code_budget_before_any_work(monkeypatch):
             mrd_code(_spec(h), pair_budget=h**2 - 2)
         with pytest.raises(AssertionError):  # the guard is live within the budget
             mrd_code(_spec(h), pair_budget=h**2 - 1)
-
-
-def test_gabidulin_budget_before_the_basis(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("work started before the budget check")
-
-    monkeypatch.setattr(codes, "_gabidulin_basis", refuse)
-    with pytest.raises(BudgetExceededError, match=re.escape("2^18 - 1 distance checks exceed the budget 100000")):
-        gabidulin_code(FieldSpec.default(2, 9), 2, 9, 1)
-    with pytest.raises(AssertionError):  # 2^16 - 1 checks fit, so the basis is reached
-        gabidulin_code(FieldSpec.default(2, 8), 2, 8, 1)
 
 
 def test_selftest_code_check_reads_the_verified_distance(monkeypatch):

@@ -7,7 +7,7 @@ from math import prod
 
 import pytest
 
-from conftest import first_row_census, per_matrix_labels, recursive_census, walked_census
+from conftest import first_row_census, orbit_labels, per_matrix_labels, recursive_census, walked_census
 from ringmat import orbits
 
 from ringmat.errors import BudgetExceededError, VerificationError
@@ -15,7 +15,6 @@ from ringmat.matrix import Mat
 from ringmat.orbits import (
     CensusReport,
     census_by_enumeration,
-    enumerate_orbit_labels,
     expected_label_count,
     verify_orbit_product,
 )
@@ -80,7 +79,7 @@ def test_census_length_matches_gl_action():
 def test_label_count_formula():
     for h, m, n in ((4, 2, 2), (6, 2, 2), (6, 2, 3), (12, 2, 2), (8, 1, 3)):
         ring = ring_spec(h)
-        labels = enumerate_orbit_labels(ring, m, n)
+        labels = orbit_labels(ring, m, n)
         assert len(labels) == expected_label_count(ring, m, n)
         assert sorted(set(labels)) == labels
 
@@ -88,7 +87,7 @@ def test_label_count_formula():
 def test_census_labels_match_enumeration():
     ring = ring_spec(12)
     rep = census_by_enumeration(ring, 2, 2)
-    assert [lab for lab, _ in rep.entries] == enumerate_orbit_labels(ring, 2, 2)
+    assert [lab for lab, _ in rep.entries] == orbit_labels(ring, 2, 2)
 
 
 def test_product_law():
@@ -107,7 +106,7 @@ def test_census_budget_before_any_work(monkeypatch):
     def refuse(*args):
         raise AssertionError("work started before the budget check")
 
-    monkeypatch.setattr(orbits, "exponent_table", refuse)  # tables of the product check
+    monkeypatch.setattr(orbits, "exponent_counts", refuse)  # tables of the product check
     monkeypatch.setattr(orbits, "_pp_counts", refuse)  # the per-prime closed form
     orbits._census.cache_clear()
     for h in (4, 12):
@@ -163,7 +162,7 @@ def _refuse_kernel_and_tables(monkeypatch):
 
     assert not hasattr(orbits, "_pp_smith")  # else patching smith would not reach the census
     monkeypatch.setattr(smith, "_pp_smith", refuse)
-    monkeypatch.setattr(orbits, "exponent_table", refuse)
+    monkeypatch.setattr(orbits, "exponent_counts", refuse)
     orbits._census.cache_clear()
 
 
@@ -262,21 +261,31 @@ def test_composite_census_walks_once_per_kept_shape(monkeypatch, capsys):
 
 def test_product_check_past_the_keep_limit_counts_without_a_table(monkeypatch):
     """A component table too large to keep is counted as it is labelled, never materialized:
-    the report is the one the kept tables give, by row spans over Z_3 and the kernel over Z_4."""
-    def refuse(*args):
-        raise AssertionError("a table past the keep limit was materialized")
+    the report is the one the kept tables give, by row spans over Z_3 and the kernel over Z_4.
+    smith.exponent_counts makes that choice; orbits only asks it for the counts."""
+    from ringmat import smith
 
+    real = smith.exponent_table
+
+    def refuse_shape(m, n):
+        def table(p, s, q, rows, cols):  # the smaller tables of the first-row route are still read
+            if (rows, cols) == (m, n):
+                raise AssertionError("a table past the keep limit was materialized")
+            return real(p, s, q, rows, cols)
+        return table
+
+    assert not hasattr(orbits, "KERNEL_CACHE_SIZE") and not hasattr(orbits, "exponent_table")
     clear_kernel_caches()
     orbits._census.cache_clear()
     try:
         kept = verify_orbit_product(ring_spec(12), 2, 2)
         with monkeypatch.context() as patch:
-            patch.setattr(orbits, "exponent_table", refuse)
-            patch.setattr(orbits, "KERNEL_CACHE_SIZE", 2)  # every component table is past the limit
+            patch.setattr(smith, "exponent_table", refuse_shape(2, 2))
+            patch.setattr(smith, "KERNEL_CACHE_SIZE", 2)  # every component table is past the limit
             assert verify_orbit_product(ring_spec(12), 2, 2) == kept
         assert kept.ok
-        monkeypatch.setattr(orbits, "exponent_table", refuse)
         for h, m, n in ((3, 2, 6), (2, 3, 6)):  # field tables of 3^12 and 2^18 rows
+            monkeypatch.setattr(smith, "exponent_table", refuse_shape(m, n))
             assert verify_orbit_product(ring_spec(h), m, n).ok
     finally:
         clear_kernel_caches()
@@ -286,16 +295,16 @@ def test_product_check_past_the_keep_limit_counts_without_a_table(monkeypatch):
 def test_a_flipped_table_row_fails_the_product_check(monkeypatch, capsys):
     """One wrong row in a component table: its per-prime lengths no longer multiply to the
     census over Z_h, so the product check fails and orbits --verify-product exits 1."""
-    from ringmat import cli
+    from ringmat import cli, smith
 
-    real = orbits.exponent_table
+    real = smith.exponent_table
 
     def flipped(p, s, q, m, n):
         table = real(p, s, q, m, n)
         # base-4 id 1 is [[0, 0], [0, 1]], of label (0, 2); say (0, 0) instead
-        return table[:1] + ((0, 0),) + table[2:] if q == 4 else table
+        return table[:1] + ((0, 0),) + table[2:] if (q, m, n) == (4, 2, 2) else table
 
-    monkeypatch.setattr(orbits, "exponent_table", flipped)
+    monkeypatch.setattr(smith, "exponent_table", flipped)
     rep = verify_orbit_product(ring_spec(12), 2, 2)
     assert not rep.ok
     assert rep.first_violation() == (((0, 0), (0, 0)), 96 * 48, (97, 48), 97 * 48)
@@ -311,16 +320,16 @@ def test_a_flipped_table_row_fails_the_product_check(monkeypatch, capsys):
 def test_a_flipped_table_row_fails_the_prime_power_product_check(monkeypatch, capsys):
     """Over a prime power the product check compares the closed form with the exhaustive table:
     one wrong row of the Z_8 table and orbits --verify-product exits 1."""
-    from ringmat import cli
+    from ringmat import cli, smith
 
-    real = orbits.exponent_table
+    real = smith.exponent_table
 
     def flipped(p, s, q, m, n):
         table = real(p, s, q, m, n)
         # base-8 id 1 is [[0, 0], [0, 1]], of label (0, 3); say (0, 0) instead
-        return table[:1] + ((0, 0),) + table[2:] if q == 8 else table
+        return table[:1] + ((0, 0),) + table[2:] if (q, m, n) == (8, 2, 2) else table
 
-    monkeypatch.setattr(orbits, "exponent_table", flipped)
+    monkeypatch.setattr(smith, "exponent_table", flipped)
     rep = verify_orbit_product(ring_spec(8), 2, 2)
     assert rep.first_violation() == (((0, 0),), 1536, (1537,), 1537)
     argv = ["orbits", "--h", "8", "--m", "2", "--n", "2", "--verify-product"]

@@ -8,10 +8,10 @@ import time
 import pytest
 from hypothesis import given
 
-from conftest import coprojection, elements
+from conftest import coprojection, elements, orbit_labels
 from ringmat.errors import NotInvertibleError, UsageError
 from ringmat.matrix import Mat
-from ringmat.orbits import census_by_enumeration, enumerate_orbit_labels
+from ringmat.orbits import census_by_enumeration, expected_label_count
 from ringmat.ring import (
     MAX_MODULUS,
     RingSpec,
@@ -228,8 +228,9 @@ def test_associate_class_count():
 def test_all_exponent_vectors_count():
     for h in FACTOR_RINGS:
         ring = ring_spec(h)
-        vecs = enumerate_orbit_labels(ring, 1, 1)
-        assert len(vecs) == math.prod(s + 1 for _, s in ring.primes)
+        vecs = orbit_labels(ring, 1, 1)
+        assert [lab for lab, _ in census_by_enumeration(ring, 1, 1).entries] == vecs
+        assert len(vecs) == expected_label_count(ring, 1, 1) == math.prod(s + 1 for _, s in ring.primes)
         assert len(set(vecs)) == len(vecs)
 
 
