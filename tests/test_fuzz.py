@@ -3,7 +3,7 @@
 A matrix case writes one matrix file (JSON, or CSV with its shape on the
 command line) and runs `snf`, `rank`, `oracle omega` or `oracle rank`.  A
 clique case runs `build-clique` on drawn parameters and optional S/T/B0
-files, then `classify-clique` and `verify-ekr` on the written family, on it
+files, with a budget that builds cliques of at most 447 members, then `classify-clique` and `verify-ekr` on the written family, on it
 with one member dropped and with one member added.  A code case runs
 `build-mrd --out` on drawn parameters and budget, then `verify-code` on the
 written code, on it with one word dropped and with one word added, and
@@ -26,6 +26,7 @@ import re
 import signal
 import time
 from itertools import combinations
+from math import isqrt
 
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
@@ -41,6 +42,9 @@ BUDGET_EXIT_S = 2.0
 BUDGET_LINE = re.compile(r"budget exceeded: \S*\d\S* .+ exceed the budget \d+\n")  # all of stderr
 EXAMPLES = 40
 CLIQUE_EXAMPLES = 150  # under 3 s of Tier-1
+# N - 1 rank checks build N members: the N whose C(N, 2) pairs fit the default pair budget, as large
+# cliques are built and checked in test_cli.py
+BUILD_BUDGET = (1 + isqrt(1 + 8 * DEFAULT_PAIR_BUDGET)) // 2 - 1
 CODE_EXAMPLES = 150  # about 1 s of Tier-1
 CENSUS_EXAMPLES = 160  # 210 distinct CLI runs, about 1.5 s of Tier-1
 
@@ -221,7 +225,8 @@ def test_clique_commands_keep_the_cli_contract(tmp_path_factory, data, seed):
     h, m, n, r = data.draw(graph_params(fault != "shape"))
     directory = tmp_path_factory.mktemp("fuzz")
     alpha = _alpha(h, fault != "alpha", m == n, rng)
-    argv = ["build-clique", "--h", str(h), "--m", str(m), "--n", str(n), "--r", str(r), f"--alpha={alpha}"]
+    argv = ["build-clique", "--h", str(h), "--m", str(m), "--n", str(n), "--r", str(r), f"--alpha={alpha}",
+            "--budget", str(BUILD_BUDGET)]
     if h >= 2:
         for flag, rows, cols in (("--S", m, m), ("--T", n, n), ("--B0", m, n)):
             kind = rng.choice(BAD_FILES[flag] if fault == flag else (None,) + GOOD_FILES[flag])

@@ -376,13 +376,17 @@ def test_field_table_matches_the_kernel(monkeypatch, p, m, n):
 
 @pytest.mark.parametrize("p, s, m, n", [(2, 1, 1, 3), (2, 1, 3, 2), (3, 1, 2, 3), (2, 1, 2, 4), (5, 1, 2, 2),
                                         (2, 2, 2, 2), (2, 2, 1, 4), (3, 2, 1, 3), (2, 3, 2, 2)])
-def test_exponent_counts_match_the_table(p, s, m, n):
+def test_exponent_counts_match_the_table(monkeypatch, p, s, m, n):
     """Counted as the rows are labelled (by row spans over a field, per first row otherwise),
-    the row counts are those of the materialized table and of the per-matrix kernel."""
+    the row counts are those of the materialized table and of the per-matrix kernel.  Every shape
+    here fits the keep limit, so the limit is set to 0 while counting: the counting route runs."""
     q = p**s
     clear_kernel_caches()
     try:
-        counts = exponent_counts(p, s, q, m, n)
+        with monkeypatch.context() as patch:
+            patch.setattr(smith, "KERNEL_CACHE_SIZE", 0)
+            counts = exponent_counts(p, s, q, m, n)
+            assert not smith._tables  # counted, no table kept
         assert counts == Counter(exponent_table(p, s, q, m, n)) == Counter(kernel_table(p, s, m, n))
         assert all(counts.values()) and sum(counts.values()) == q ** (m * n)
     finally:
