@@ -249,7 +249,7 @@ def cmd_graph_stats(args: argparse.Namespace) -> int:
         obj["chi"] = color_graph(spec, search_budget).n_colors
         obj["method"] = "exact-search"
     else:
-        cert = certify_graph_parameters(spec, vertex_budget=budget)
+        cert = certify_graph_parameters(spec, budget, DEFAULT_PAIR_BUDGET if args.budget is None else args.budget)
         obj["omega"] = cert.omega
         obj["alpha"] = cert.alpha
         obj["chi"] = cert.chi

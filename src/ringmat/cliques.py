@@ -34,6 +34,7 @@ rebuild.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -176,7 +177,7 @@ def difference_ranks(ring: RingSpec, rows: int, cols: int, family: Iterable[tupl
         for p, s, q, seen in comps:
             x = d if q == h else tuple([e % q for e in d])
             if (k := seen.get(x)) is None:
-                k = sum([a < s for a in _pp_exponents(p, s, q, rows, cols, x)])
+                k = bisect_left(_pp_exponents(p, s, q, rows, cols, x), s)  # rows are nondecreasing
                 if group is not None:
                     seen[x] = k
             rank = k if k > rank else rank

@@ -395,13 +395,14 @@ class GraphCertificate(Frozen):
         self._fill(spec, omega, alpha, code_distance, chi, coloring_verification)
 
 
-def certify_graph_parameters(spec: GraphSpec, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> GraphCertificate:
-    """Build and verify the three certificates once each; raise if any bound fails."""
-    charge_clique_build(spec)
+def certify_graph_parameters(spec: GraphSpec, vertex_budget: int = DEFAULT_VERTEX_BUDGET,
+                             pair_budget: int = DEFAULT_PAIR_BUDGET) -> GraphCertificate:
+    """Build and verify the three certificates once each, clique and code within pair_budget; raise if a bound fails."""
+    charge_clique_build(spec, pair_budget)
     clique = build_canonical_clique(CanonicalCliqueSpec(spec, (0,) * spec.ring.t))
-    if not is_clique(spec, clique):
+    if not is_clique(spec, clique, pair_budget):
         raise VerificationError("canonical clique is not a clique")
-    code = mrd_code(spec)
+    code = mrd_code(spec, pair_budget)
     coloring = color_graph(spec, vertex_budget, code=code)
     return GraphCertificate(
         spec, len(clique), code.size, code.verified_distance, coloring.n_colors, coloring.verification

@@ -23,6 +23,7 @@ certifies the parameters constructively (cliques, codes, colorings).
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from functools import cached_property, lru_cache
 from typing import Collection, NamedTuple, Sequence
 
@@ -148,7 +149,7 @@ def _rank_table(ring: RingSpec, m: int, n: int) -> list[int]:
     tables = []
     for (p, s), q in zip(ring.primes, ring.prime_powers):
         rows = exponent_table(p, s, q, m, n)
-        rank = {alpha: sum(x < s for x in alpha) for alpha in set(rows)}
+        rank = {alpha: bisect_left(alpha, s) for alpha in set(rows)}  # rows are nondecreasing
         tables.append(list(map(rank.__getitem__, rows)))
     if ring.t == 1:
         return tables[0]

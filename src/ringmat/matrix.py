@@ -88,15 +88,8 @@ class Mat(Frozen):
 
     @classmethod
     def diagonal(cls, ring: RingSpec, values: Sequence[int], rows: int | None = None, cols: int | None = None) -> "Mat":
-        k = len(values)
-        m = rows if rows is not None else k
-        n = cols if cols is not None else k
-        _check_dims(m, n)
-        if k > min(m, n):
-            raise ShapeError("too many diagonal values")
-        e = [0] * (m * n)
-        e[: k * (n + 1) : n + 1] = [v % ring.h for v in values]
-        return cls._new(ring, m, n, tuple(e))
+        m, n = (len(values) if d is None else d for d in (rows, cols))
+        return cls._new(ring, m, n, diagonal_entries(ring.h, values, m, n))
 
     # --- access --------------------------------------------------------------
 
@@ -176,7 +169,9 @@ class Mat(Frozen):
     def is_invertible(self) -> bool:
         """True iff square and invertible over Z_rad, rad = prod(p_i): det is then nonzero mod every p_i."""
         n, e, r = self.rows, self.entries, prod(p for p, _ in self.ring.primes)
-        return n == self.cols and _is_unimodular([list(map(r.__rmod__, e[i * n : (i + 1) * n])) for i in range(n)], r)
+        if r != self.ring.h:  # else h is squarefree and the entries are already reduced
+            e = tuple(map(r.__rmod__, e))
+        return n == self.cols and _is_unimodular([list(e[i * n : (i + 1) * n]) for i in range(n)], r)
 
     def inverse(self) -> "Mat":
         """Two-sided inverse, found by Gauss-Jordan per prime-power component.
@@ -199,6 +194,16 @@ _set_ring, _set_rows, _set_cols, _set_entries, _set_exponents = (getattr(Mat, f)
 def _check_dims(rows: int, cols: int) -> None:
     if rows < 1 or cols < 1:
         raise ShapeError(f"dimensions must be positive, got {rows}x{cols}")
+
+
+def diagonal_entries(h: int, values: Sequence[int], m: int, n: int) -> tuple[int, ...]:
+    """The flat entries of the m x n matrix over Z_h with the values, reduced, down its diagonal."""
+    _check_dims(m, n)
+    if len(values) > min(m, n):
+        raise ShapeError("too many diagonal values")
+    e = [0] * (m * n)
+    e[: len(values) * (n + 1) : n + 1] = [v % h for v in values]
+    return tuple(e)
 
 
 def crt_lift_mat(ring: RingSpec, components: Sequence[Mat]) -> Mat:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import count
-from operator import attrgetter
+from operator import attrgetter, mul
 from typing import Sequence
 
 from .errors import UsageError
@@ -234,8 +234,5 @@ class RingSpec(Frozen):
             raise UsageError(f"expected {self.t} residue vectors, got {len(vecs)}")
         if self.t == 1:
             return tuple(vecs[0])
-        acc = [0] * len(vecs[0])
-        for e, vec in zip(self._crt_idempotents, vecs):
-            acc = [a + e * v for a, v in zip(acc, vec)]
-        h = self.h
-        return tuple(a % h for a in acc)
+        es, h = self._crt_idempotents, self.h
+        return tuple([sum(map(mul, es, parts)) % h for parts in zip(*vecs)])

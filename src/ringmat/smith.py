@@ -28,15 +28,16 @@ route to the closed-form orbit lengths of the census, which runs no kernel (orbi
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache
 from itertools import chain, product
 from math import gcd, prod
-from operator import itemgetter, mul
+from operator import itemgetter, le, mul
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DEFAULT_ENUMERATION_BUDGET, UsageError, VerificationError, charge
-from .matrix import Mat, _set_exponents
+from .matrix import Mat, _set_exponents, diagonal_entries
 from .ring import Frozen, RingSpec
 
 
@@ -55,6 +56,8 @@ class InvariantFactorArray(Frozen):
         if len({len(row) for row in omega}) != 1:
             raise UsageError("omega rows must have equal length")
         for row, (_, s) in zip(omega, ring.primes):
+            if row and 0 <= row[0] and row[-1] <= s and all(map(le, row, row[1:])):
+                continue  # nondecreasing within [0, s], so the loops below would pass it; a NaN fails here
             if any(not 0 <= a <= s for a in row):
                 raise VerificationError(f"omega row {row} out of range for exponent bound {s}")
             if any(row[c] > row[c + 1] for c in range(len(row) - 1)):
@@ -67,9 +70,8 @@ class InvariantFactorArray(Frozen):
 
     @property
     def inner_rank(self) -> int:
-        """Number of diagonal positions whose ideal is not the zero ideal."""
-        sat = self.ring.saturated
-        return sum(1 for col in zip(*self.omega) if any(e < s for e, s in zip(col, sat)))
+        """Number of diagonal positions whose ideal is not the zero ideal: the longest unsaturated prefix of a row."""
+        return max(map(bisect_left, self.omega, self.ring.saturated))
 
     def generators(self) -> list[int]:
         """The canonical generator prod_i(p_i ** omega[i][c]) of each diagonal ideal, unreduced."""
@@ -139,11 +141,12 @@ def _pp_smith(
             for j in range(d, n):
                 x = a[base + j]
                 if x:
+                    if x % p:  # a unit, valuation 0: no pivot is better
+                        pa, bi, bj = 1, i, j
+                        break
                     g = gcd(x, q)  # p**v for x of valuation v < s
                     if g < pa:
                         pa, bi, bj = g, i, j
-                        if g == 1:
-                            break
             if pa == 1:
                 break
         if bi < 0:
@@ -191,7 +194,7 @@ def _pp_smith(
 
     if not transforms:
         return tuple(alpha), None, None
-    done = sum(x < s for x in alpha)  # pivots found; a pivot has valuation below s
+    done = bisect_left(alpha, s)  # pivots found: alpha is nondecreasing, a pivot has valuation below s
     for j in range(done, m):
         Ui[rp[j] * m + j] = 1
     for j in range(done, n):
@@ -396,16 +399,16 @@ def snf(a: Mat) -> SmithForm:
     if ring.t == 1:  # g_c = p ** alpha_c: no unit to absorb, nothing to glue
         (_, Ui, Vi), = comps
     else:
-        # scaling column c of Uinv_i by the inverse of the unit g_c / p_i ** alpha_ic makes the glued diagonal g_c
-        uinvs = []
-        for (p, _), q, (alpha, ui, _) in zip(ring.primes, ring.prime_powers, comps):
-            u = list(ui)
-            for c, (gc, x) in enumerate(zip(g, alpha)):
-                winv = pow(gc // p**x % q, -1, q)
-                if winv != 1:
-                    u[c::m] = [y * winv % q for y in u[c::m]]
-            uinvs.append(u)
-        Ui, Vi = ring.crt_vectors(uinvs), ring.crt_vectors([Vi for _, _, Vi in comps])
+        # scaling column c of Uinv_i by the inverse w_ic of the unit g_c / p_i ** alpha_ic makes the glued
+        # diagonal g_c; it rides in that column's CRT coefficients e_i * w_ic, once per distinct g_c
+        h, es, coefs = ring.h, ring._crt_idempotents, {}
+        for gc, col in zip(g, zip(*omega.omega)):
+            if gc not in coefs:
+                coefs[gc] = [e * pow(gc // p**x % q, -1, q) % h
+                             for e, (p, _), q, x in zip(es, ring.primes, ring.prime_powers, col)]
+        by_entry = [coefs[gc] for gc in g] * m  # entry r * m + c of Uinv lies in column c
+        Ui = tuple([sum(map(mul, c, parts)) % h for c, parts in zip(by_entry, zip(*[u for _, u, _ in comps]))])
+        Vi = ring.crt_vectors([v for _, _, v in comps])
     if tall:  # A^T = S' D' T', so A = T'^T D'^T S'^T
         m, n, Ui, Vi = n, m, _transposed(Vi, n, n), _transposed(Ui, m, m)
     return SmithForm(Mat._new(ring, m, m, Ui), Mat.diagonal(ring, g, m, n), Mat._new(ring, n, n, Vi), omega)
@@ -413,7 +416,7 @@ def snf(a: Mat) -> SmithForm:
 
 def inner_rank(a: Mat) -> int:
     """Least r such that a = B @ C with B of width r; read off the omega table."""
-    return max(sum(1 for x in row if x < s) for row, s in zip(_component_exponents(a), a.ring.saturated))
+    return max(map(bisect_left, _component_exponents(a), a.ring.saturated))  # rows are nondecreasing
 
 
 def rank_via_projections(a: Mat) -> RankProjections:
@@ -425,15 +428,15 @@ def rank_via_projections(a: Mat) -> RankProjections:
     by that identity and are no check of each other; verify_smith_form, the
     minors oracle and the outer-product set are.  For t = 1 via_theta = via_pi.
     """
-    ranks = [sum(1 for x in row if x < s) for row, s in zip(_component_exponents(a), a.ring.saturated)]
+    ranks = list(map(bisect_left, _component_exponents(a), a.ring.saturated))
     return RankProjections(max(ranks), max(max(ranks[:i] + ranks[i + 1:], default=r) for i, r in enumerate(ranks)))
 
 
 def verify_smith_form(a: Mat, f: SmithForm) -> None:
     """Raise VerificationError unless f is a valid Smith form of a."""
-    ring, m, n = a.ring, a.rows, a.cols
+    ring, m, n, D = a.ring, a.rows, a.cols, f.D
     diag = f.omega.diagonal_values()
-    if f.D != Mat.diagonal(ring, diag, m, n):
+    if (D.ring, D.rows, D.cols, D.entries) != (ring, m, n, diagonal_entries(ring.h, diag, m, n)):
         raise VerificationError("D does not match the omega table")
     for name, x, d in (("S", f.S, m), ("T", f.T, n)):
         if (x.ring, x.rows, x.cols) != (ring, d, d):

@@ -9,7 +9,7 @@ from itertools import combinations_with_replacement, product
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from ringmat.errors import DEFAULT_ENUMERATION_BUDGET, DEFAULT_SEARCH_STEP_BUDGET, charge
+from ringmat.errors import DEFAULT_ENUMERATION_BUDGET, DEFAULT_SEARCH_STEP_BUDGET, VerificationError, charge
 from ringmat.graph import build_graph, subgroup_closure
 from ringmat.matrix import Mat, _det_bareiss
 from ringmat.oracle import _greedy_color_order
@@ -218,6 +218,15 @@ def per_prime_is_invertible(self: Mat) -> bool:
         _det_bareiss([[v % p for v in self.row(i)] for i in range(self.rows)]) % p
         for p, _ in self.ring.primes
     )
+
+
+def two_loop_omega_check(ring, omega) -> None:
+    """InvariantFactorArray's row checks as they stood before its one-pass test: the range, then the order."""
+    for row, (_, s) in zip(omega, ring.primes):
+        if any(not 0 <= a <= s for a in row):
+            raise VerificationError(f"omega row {row} out of range for exponent bound {s}")
+        if any(row[c] > row[c + 1] for c in range(len(row) - 1)):
+            raise VerificationError(f"omega row {row} is not nondecreasing")
 
 
 # The four-transform kernel as it stood before ringmat.smith._pp_smith kept

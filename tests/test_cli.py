@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from ringmat import cli
+from ringmat import cli, cliques, codes
 from ringmat.cli import main
 from ringmat.io import dumps_compact, family_from_obj, load_family
 from ringmat.matrix import Mat
@@ -272,7 +272,26 @@ def test_a_negative_budget_is_a_usage_error(capsys, argv):
 def test_a_zero_budget_is_a_cap(capsys):
     assert run(capsys, "orbits", "--h", "4", "--m", "1", "--n", "1", "--budget", "0") == (
         3, "", "budget exceeded: 4^1 matrices exceed the budget 0\n")
-    assert run(capsys, "graph-stats", "--h", "2", "--m", "1", "--n", "2", "--r", "1", "--budget", "0")[0] == 0
+    assert run(capsys, "graph-stats", "--h", "2", "--m", "1", "--n", "2", "--r", "1", "--budget", "0") == (
+        3, "", "budget exceeded: 2^2 - 1 rank checks exceed the budget 0\n")
+
+
+def test_graph_stats_budget_caps_the_clique_and_the_code_before_their_closures(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a closure ran before its checks were charged")
+
+    argv = ("graph-stats", "--h", "2", "--m", "3", "--n", "3", "--r", "1")  # a clique of 2^3, a code of 2^6
+    monkeypatch.setattr(cliques, "subgroup_closure", refuse)
+    assert run(capsys, *argv, "--budget", "6") == (3, "", "budget exceeded: 2^3 - 1 rank checks exceed the budget 6\n")
+    monkeypatch.undo()
+    monkeypatch.setattr(codes, "subgroup_closure", refuse)
+    assert run(capsys, *argv, "--budget", "62") == (
+        3, "", "budget exceeded: 2^6 - 1 distance checks exceed the budget 62\n")
+    monkeypatch.undo()
+    code, obj, _ = run_json(capsys, *argv, "--budget", "63")
+    assert code == 0 and (obj["omega"], obj["alpha"]) == (8, 64)
+    assert run(capsys, "graph-stats", "--h", "317", "--m", "2", "--n", "2", "--r", "1") == (  # no --budget: the default
+        3, "", "budget exceeded: 317^2 - 1 rank checks exceed the budget 100000\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,94 @@
+"""A wrong first route must fail its second route.
+
+Each row patches a plausible wrong answer into the route that computes a
+headline number, with monkeypatch, and asserts that the independent route
+which checks that number then fails: a VerificationError, exit 1 or a FAIL
+line.  A mutant that survives is a finding about the second route; its row
+stays here.
+"""
+
+import pytest
+
+from ringmat import smith
+from ringmat.cli import main
+from ringmat.errors import VerificationError
+from ringmat.matrix import Mat
+from ringmat.ring import ring_spec
+
+
+@pytest.fixture
+def kernel(monkeypatch):
+    """Patch smith._pp_smith with a wrapper (alpha, Uinv, Vinv) -> (alpha, Uinv, Vinv), caches cleared around it."""
+    real = smith._pp_smith
+
+    def patch(wrong):
+        smith.clear_kernel_caches()
+        monkeypatch.setattr(smith, "_pp_smith", lambda p, s, q, m, n, e, transforms: wrong(
+            p, s, q, m, real(p, s, q, m, n, e, transforms)))
+
+    yield patch
+    smith.clear_kernel_caches()
+
+
+def _selftest_lines(capsys, number: int) -> list[str]:
+    assert main(["selftest", "--only", str(number)]) == 1
+    return capsys.readouterr().out.splitlines()
+
+
+# --- Smith form: S @ D @ T = A with S and T invertible and D read off omega ------------
+
+
+def _raised(row, s):
+    """One exponent raised by one: the last one below s, so the row stays nondecreasing."""
+    c = sum(x < s for x in row) - 1
+    return row if c < 0 else row[:c] + (row[c] + 1,) + row[c + 1:]
+
+
+def test_a_raised_kernel_exponent_fails_verify_smith_form_and_check_1(kernel, capsys):
+    kernel(lambda p, s, q, m, out: (_raised(out[0], s),) + out[1:])
+    a = Mat.from_rows(ring_spec(12), [[2, 1], [0, 3]])
+    with pytest.raises(VerificationError, match="does not reproduce the input"):
+        smith.verify_smith_form(a, smith.snf(a))
+    assert _selftest_lines(capsys, 1)[0].startswith("FAIL check 1")
+
+
+def test_a_non_monotone_omega_row_is_refused(kernel):
+    kernel(lambda p, s, q, m, out: (out[0][::-1],) + out[1:])
+    with pytest.raises(VerificationError, match="is not nondecreasing"):
+        smith.snf(Mat.from_rows(ring_spec(4), [[1, 0], [0, 2]]))  # alpha (0, 1), reversed
+
+
+@pytest.mark.parametrize("h", [8, 30])
+def test_an_entry_of_s_times_p_is_not_invertible(kernel, capsys, tmp_path, h):
+    """Column m - 1 of Uinv meets a zero of D, so scaling its one nonzero entry by p keeps S @ D @ T = A;
+    S is then singular mod p, which only the invertibility check sees (over Z_30 without a reduction mod rad)."""
+
+    def scaled(p, s, q, m, out):
+        alpha, ui, vi = out
+        if ui is not None and alpha[-1] == s:
+            ui = list(ui)
+            i = next(i for i in range(m) if ui[i * m + m - 1])
+            ui[i * m + m - 1] = ui[i * m + m - 1] * p % q
+            ui = tuple(ui)
+        return alpha, ui, vi
+
+    kernel(scaled)
+    a = Mat.from_rows(ring_spec(h), [[2, 0], [1, 0]])
+    with pytest.raises(VerificationError, match="^S is not invertible$"):
+        smith.verify_smith_form(a, smith.snf(a))
+    (tmp_path / "a.csv").write_text("2,0,1,0\n")
+    assert main(["snf", "--matrix", str(tmp_path / "a.csv"), "--h", str(h), "--rows", "2", "--cols", "2"]) == 1
+    assert capsys.readouterr().err == "verification failed: S is not invertible\n"
+
+
+# --- inner rank: the bisected exponent rows against the outer products ------------------
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda row, s: row[::-1],  # bisected, (0, 1) over Z_2 or Z_3 reads rank 0; counted, it would still read 1
+    _raised,
+], ids=["permuted", "off-by-one"])
+def test_a_wrong_exponent_row_fails_check_4(monkeypatch, capsys, wrong):
+    real = smith._pp_exponents
+    monkeypatch.setattr(smith, "_pp_exponents", lambda p, s, q, m, n, e: wrong(real(p, s, q, m, n, e), s))
+    assert _selftest_lines(capsys, 4)[0].startswith("FAIL check 4")

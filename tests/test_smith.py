@@ -1,14 +1,17 @@
 """Diagonalization: exactness, canonical diagonal, invariance, rank routes."""
 
+import math
 import pickle
 import random
+from bisect import bisect_left
 from collections import Counter
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
-from conftest import coprojection_rank, kernel_table, matrices, reference_pp_smith, reference_snf
+from conftest import (coprojection_rank, kernel_table, matrices, reference_pp_smith, reference_snf,
+                      two_loop_omega_check)
 from ringmat import cliques, graph, oracle, orbits, smith
 from ringmat.cliques import classify_max_clique, random_clique_form, rebuild_clique
 from ringmat.graph import GraphSpec, build_graph
@@ -132,6 +135,43 @@ def test_invariant_factor_array_validation():
     assert arr.width == 2
     assert arr.inner_rank == 1
     assert arr.diagonal_values() == (3, 0)
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except Exception as exc:  # the type and the message are compared
+        return type(exc), str(exc)
+    return None
+
+
+@given(st.data())
+def test_omega_check_matches_the_two_loop_validator(data):
+    ring = ring_spec(data.draw(st.sampled_from((2, 8, 12, 360, 2**63))))
+    width = data.draw(st.integers(0, 5))
+    exponents = [st.integers(-1, s + 1) | st.sampled_from((math.nan, math.inf, -math.inf, 0.5, -0.0))
+                 for s in ring.saturated]
+    omega = []
+    for entries in exponents:
+        row = data.draw(st.lists(entries, min_size=width, max_size=width))
+        if data.draw(st.booleans()):
+            row.sort()
+        omega.append(tuple(row) if data.draw(st.booleans()) else row)
+    assert _outcome(InvariantFactorArray, ring, tuple(omega)) == _outcome(two_loop_omega_check, ring, omega)
+
+
+@pytest.mark.parametrize("row", [(0, math.nan, 1), [0, math.nan, 3], (math.nan,), (1, 0), [2, 1], (0, 4), (-1, 0), ()])
+def test_omega_check_matches_the_two_loop_validator_on_edge_rows(row):
+    ring = ring_spec(8)  # s = 3
+    assert _outcome(InvariantFactorArray, ring, (row,)) == _outcome(two_loop_omega_check, ring, (row,))
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 3)])
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9])
+def test_bisected_rank_is_the_counted_rank(q, m, n):
+    (p, s), = ring_spec(q).primes
+    for row in set(exponent_table(p, s, q, m, n)):
+        assert bisect_left(row, s) == sum(x < s for x in row)
 
 
 def test_verify_smith_form_detects_tampering():
