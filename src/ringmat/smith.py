@@ -14,16 +14,17 @@ equivalence, and the inner rank of A - the least r such that A factors
 through r columns - is the number of omega columns that are not fully
 saturated.
 
-snf runs the kernel once per prime, uncached, and leaves the exponent rows on the
-matrix, where the rank queries read them; a matrix without them is ranked once
-through the per-projection cache _pp_exponents, which also serves bare entry
-tuples (cliques.difference_ranks).  Sweeps label each component shape once and
-keep that table (exponent_table): over a prime field by rank, a row outside the
-span of the rows above it adding one, otherwise per first row off the smaller
-kept tables, the kernel running only on [p**v e_1; C] for 0 < v < s (_pp_chunks).
-The rank table reads Z_h off it (component_walk), and the orbit product check
-counts its rows (exponent_counts, holding no table past the keep limit), a second
-route to the closed-form orbit lengths of the census, which runs no kernel (orbits).
+snf runs the kernel once per prime, uncached, glues with CRT coefficients cached per
+exponent column (_crt_column) and leaves the exponent rows on the matrix, where the rank
+queries read them uncharged; a matrix without them is charged its kernel steps, then
+ranked once through the per-projection cache _pp_exponents, which also serves bare entry
+tuples (cliques.difference_ranks).  Sweeps label each component shape once and keep that
+table (exponent_table): over a prime field by rank, a row outside the span of the rows
+above it adding one, otherwise per first row off the smaller kept tables, the kernel
+running only on [p**v e_1; C] for 0 < v < s (_pp_chunks).  The rank table reads Z_h off it
+(component_walk), and the orbit product check counts its rows (exponent_counts, holding no
+table past the keep limit), a second route to the closed-form orbit lengths of the census,
+which runs no kernel (orbits).
 """
 
 from __future__ import annotations
@@ -44,25 +45,29 @@ from .ring import Frozen, RingSpec
 class InvariantFactorArray(Frozen):
     """Exponent table omega: row i lists the exponents of p_i along the diagonal.
 
-    Rows are nondecreasing and bounded by s_i; all rows have length
-    min(rows, cols) of the matrix they describe.
+    Rows are nondecreasing ints bounded by s_i, all of length min(rows, cols) of
+    the matrix they describe.  The generators, once computed, stay in a slot that is no field.
     """
 
-    __slots__ = ("ring", "omega")
+    __slots__ = ("ring", "omega", "_generators")
+    _fields = ("ring", "omega")
 
     def __init__(self, ring: RingSpec, omega: tuple[tuple[int, ...], ...]) -> None:
         if len(omega) != ring.t:
             raise UsageError("omega must have one row per prime component")
         if len({len(row) for row in omega}) != 1:
             raise UsageError("omega rows must have equal length")
+        if type(sum(map(sum, omega))) is not int:  # a sum of ints (or bools) is an int, with any other number not
+            row = next(row for row in omega if type(sum(row)) is not int)
+            raise VerificationError(f"omega row {row} has an exponent that is not an int")
         for row, (_, s) in zip(omega, ring.primes):
             if row and 0 <= row[0] and row[-1] <= s and all(map(le, row, row[1:])):
-                continue  # nondecreasing within [0, s], so the loops below would pass it; a NaN fails here
+                continue  # nondecreasing within [0, s], so the loops below would pass it
             if any(not 0 <= a <= s for a in row):
                 raise VerificationError(f"omega row {row} out of range for exponent bound {s}")
             if any(row[c] > row[c + 1] for c in range(len(row) - 1)):
                 raise VerificationError(f"omega row {row} is not nondecreasing")
-        self._fill(ring, omega)
+        self._fill(ring, omega, None)
 
     @property
     def width(self) -> int:
@@ -73,10 +78,12 @@ class InvariantFactorArray(Frozen):
         """Number of diagonal positions whose ideal is not the zero ideal: the longest unsaturated prefix of a row."""
         return max(map(bisect_left, self.omega, self.ring.saturated))
 
-    def generators(self) -> list[int]:
-        """The canonical generator prod_i(p_i ** omega[i][c]) of each diagonal ideal, unreduced."""
-        ps = [p for p, _ in self.ring.primes]
-        return [prod(map(pow, ps, col)) for col in zip(*self.omega)]
+    def generators(self) -> tuple[int, ...]:
+        """The canonical generator prod_i(p_i ** omega[i][c]) of each diagonal ideal, unreduced; computed once."""
+        if self._generators is None:
+            ps = [p for p, _ in self.ring.primes]
+            object.__setattr__(self, "_generators", tuple([prod(map(pow, ps, col)) for col in zip(*self.omega)]))
+        return self._generators
 
     def diagonal_values(self) -> tuple[int, ...]:
         """Canonical diagonal entries prod_i(p_i ** omega[i][c]) mod h."""
@@ -344,9 +351,18 @@ def component_walk(ring: RingSpec, m: int, n: int, tables: Sequence[Sequence]) -
         ]
 
 
+@lru_cache(maxsize=2**12)  # by (ring, exponent column); a stream over a few rings holds a few hundred
+def _crt_column(ring: RingSpec, col: tuple[int, ...]) -> tuple[int, ...]:
+    """CRT coefficients e_i * w_i mod h of an exponent column: w_i inverts the unit g / p_i ** col[i] mod q_i."""
+    h, g = ring.h, prod(p**x for (p, _), x in zip(ring.primes, col))
+    return tuple([e * pow(g // p**x % q, -1, q) % h
+                  for e, (p, _), q, x in zip(ring._crt_idempotents, ring.primes, ring.prime_powers, col)])
+
+
 def clear_kernel_caches() -> None:
     _pp_smith_cached.cache_clear()
     _pp_exponents.cache_clear()
+    _crt_column.cache_clear()
     _tables.clear()
 
 
@@ -356,11 +372,11 @@ def _charge_kernel_steps(ring: RingSpec, m: int, n: int) -> None:
 
 
 def _component_exponents(a: Mat) -> tuple[tuple[int, ...], ...]:
-    """Per-prime exponent rows of a, budgeted first: those a carries, else left on a by the cached kernel."""
-    ring, e, m, n = a.ring, a.entries, a.rows, a.cols
-    _charge_kernel_steps(ring, m, n)
+    """Per-prime exponent rows of a: those it carries, uncharged, else left on it by the kernel, charged first."""
     omega = getattr(a, "_exponents", None)
     if omega is None:
+        ring, e, m, n = a.ring, a.entries, a.rows, a.cols
+        _charge_kernel_steps(ring, m, n)
         omega = tuple([_pp_exponents(p, s, q, m, n, e if q == ring.h else tuple(map(q.__rmod__, e)))
                        for (p, s), q in zip(ring.primes, ring.prime_powers)])
         _set_exponents(a, omega)
@@ -398,15 +414,9 @@ def snf(a: Mat) -> SmithForm:
     g = omega.generators()
     if ring.t == 1:  # g_c = p ** alpha_c: no unit to absorb, nothing to glue
         (_, Ui, Vi), = comps
-    else:
-        # scaling column c of Uinv_i by the inverse w_ic of the unit g_c / p_i ** alpha_ic makes the glued
-        # diagonal g_c; it rides in that column's CRT coefficients e_i * w_ic, once per distinct g_c
-        h, es, coefs = ring.h, ring._crt_idempotents, {}
-        for gc, col in zip(g, zip(*omega.omega)):
-            if gc not in coefs:
-                coefs[gc] = [e * pow(gc // p**x % q, -1, q) % h
-                             for e, (p, _), q, x in zip(es, ring.primes, ring.prime_powers, col)]
-        by_entry = [coefs[gc] for gc in g] * m  # entry r * m + c of Uinv lies in column c
+    else:  # scaling column c of Uinv_i by w_ic makes the glued diagonal g_c: it rides in the cached CRT coefficients
+        h = ring.h
+        by_entry = [_crt_column(ring, col) for col in zip(*omega.omega)] * m  # entry r * m + c lies in column c
         Ui = tuple([sum(map(mul, c, parts)) % h for c, parts in zip(by_entry, zip(*[u for _, u, _ in comps]))])
         Vi = ring.crt_vectors([v for _, _, v in comps])
     if tall:  # A^T = S' D' T', so A = T'^T D'^T S'^T
@@ -424,12 +434,12 @@ def rank_via_projections(a: Mat) -> RankProjections:
 
     via_pi, the largest rank among the projections a mod q_i, is inner_rank.
     via_theta is the largest rank among the coprojections a mod h / q_i, whose
-    components are the a mod q_j, j != i (CRT): the same rows, so the two agree
-    by that identity and are no check of each other; verify_smith_form, the
-    minors oracle and the outer-product set are.  For t = 1 via_theta = via_pi.
+    components are the a mod q_j, j != i (CRT): the same rows, and a largest one
+    stays with any other left out (t = 1: via_pi), so both are one rank read once;
+    verify_smith_form, the minors oracle and the outer-product set check it.
     """
-    ranks = list(map(bisect_left, _component_exponents(a), a.ring.saturated))
-    return RankProjections(max(ranks), max(max(ranks[:i] + ranks[i + 1:], default=r) for i, r in enumerate(ranks)))
+    r = max(map(bisect_left, _component_exponents(a), a.ring.saturated))
+    return RankProjections(r, r)
 
 
 def verify_smith_form(a: Mat, f: SmithForm) -> None:

@@ -12,7 +12,9 @@ from conftest import coprojection, matrices, matrix_pairs, per_prime_is_invertib
 from ringmat.errors import NotInvertibleError, ShapeError, UsageError
 from ringmat.matrix import (
     Mat,
+    _det_bareiss,
     _invert_mod_prime_power,
+    _is_unimodular,
     crt_lift_mat,
     random_invertible,
     random_matrix,
@@ -285,6 +287,21 @@ def test_is_invertible_matches_per_prime_oracle(h):
             for a in (random_matrix(ring, n, n, rng), _singular_mod_one_prime(ring, n, rng)):
                 flag = a.is_invertible()
                 assert flag == per_prime_is_invertible(a)
+                outcomes.add(flag)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("rad", (2, 6, 30, 30030))
+def test_is_unimodular_matches_the_determinant_mod_rad(rad):
+    """The elimination over Z_rad, which scans no row below a unit pivot, decides as gcd(det, rad) == 1
+    does, on random matrices and on ones singular mod one prime."""
+    ring, rng = ring_spec(rad), random.Random(rad)
+    outcomes = set()
+    for n in range(1, 8):
+        for _ in range(12):
+            for a in (random_matrix(ring, n, n, rng), _singular_mod_one_prime(ring, n, rng)):
+                flag = _is_unimodular(a.to_rows(), rad)
+                assert flag == (math.gcd(_det_bareiss(a.to_rows()), rad) == 1)
                 outcomes.add(flag)
     assert outcomes == {True, False}
 

@@ -10,12 +10,12 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import (coprojection_rank, kernel_table, matrices, reference_pp_smith, reference_snf,
+from conftest import (coprojection_rank, kernel_table, matrices, per_op_glue, reference_pp_smith, reference_snf,
                       two_loop_omega_check)
 from ringmat import cliques, graph, oracle, orbits, smith
 from ringmat.cliques import classify_max_clique, random_clique_form, rebuild_clique
 from ringmat.graph import GraphSpec, build_graph
-from ringmat.errors import UsageError, VerificationError
+from ringmat.errors import BudgetExceededError, UsageError, VerificationError
 from ringmat.matrix import Mat, random_invertible, random_matrix
 from ringmat.orbits import verify_orbit_product
 from ringmat.ring import ring_spec
@@ -158,6 +158,29 @@ def test_omega_check_matches_the_two_loop_validator(data):
             row.sort()
         omega.append(tuple(row) if data.draw(st.booleans()) else row)
     assert _outcome(InvariantFactorArray, ring, tuple(omega)) == _outcome(two_loop_omega_check, ring, omega)
+
+
+def test_omega_exponents_must_be_ints():
+    """A row with an exponent that is no int is refused, and named; bools are ints here."""
+    with pytest.raises(VerificationError, match=r"^omega row \(0, 0\.5\) has an exponent that is not an int$"):
+        InvariantFactorArray(ring_spec(8), ((0, 0.5),))
+    with pytest.raises(VerificationError, match=r"^omega row \[0, 1\.0\] has"):
+        InvariantFactorArray(ring_spec(12), ((0, 1), [0, 1.0]))
+    assert InvariantFactorArray(ring_spec(8), ((False, True),)).inner_rank == 2
+
+
+def test_the_generator_memo_is_no_field():
+    """generators() is computed once per array and kept in a slot that ==, hash, repr and pickling ignore."""
+    ring, omega = ring_spec(360), ((0, 1, 3), (0, 0, 2), (0, 1, 1))
+    x, y = InvariantFactorArray(ring, omega), InvariantFactorArray(ring, omega)
+    assert x.generators() == (1, 10, 360) and x.generators() is x.generators()
+    assert x.diagonal_values() == (1, 10, 0)
+    assert (x == y, hash(x) == hash(y), repr(x) == repr(y)) == (True, True, True)
+    assert repr(x) == f"InvariantFactorArray(ring={ring!r}, omega={omega!r})"
+    z = pickle.loads(pickle.dumps(x))
+    assert (z == x, hash(z) == hash(x), repr(z) == repr(x), z._generators) == (True, True, True, None)
+    with pytest.raises(AttributeError):
+        x._generators = (1, 1, 1)
 
 
 @pytest.mark.parametrize("row", [(0, math.nan, 1), [0, math.nan, 3], (math.nan,), (1, 0), [2, 1], (0, 4), (-1, 0), ()])
@@ -311,7 +334,7 @@ def test_snf_records_the_exponent_rows_it_found(monkeypatch, h, shape):
         assert len(calls) == ring.t and all(args[-1] for args in calls)  # one transform run per prime, tall or not
         assert _pp_exponents.cache_info().currsize == 0  # the rows are on a, not in the projection cache
         with monkeypatch.context() as patch:
-            for name in ("_pp_smith", "_pp_smith_cached", "_pp_exponents"):
+            for name in ("_pp_smith", "_pp_smith_cached", "_pp_exponents", "charge"):  # carried rows are not charged
                 patch.setattr(smith, name, _refuse)
             warm = (inner_rank(a), invariant_factors(a).omega, rank_via_projections(a))
         assert warm == (f.inner_rank, f.omega.omega, (f.inner_rank, f.inner_rank))
@@ -353,19 +376,50 @@ def _stream_entries(rng, ring, m, n, mode):
 @pytest.mark.parametrize("h", STREAM_MODULI)
 def test_snf_and_rank_routes_match_the_reference(h):
     """The flat snf gives exactly the S, D, T and omega of the transpose recursion through the
-    cached kernel, and the rank routes read off the component rows equal the coprojection route."""
+    cached kernel, and the transform it glues with the cached CRT coefficients (T for a tall matrix)
+    is the one glued with coefficients computed afresh per op.  The rank routes read off the component
+    rows, carried from snf or not, equal the coprojection route."""
     ring, rng = ring_spec(h), random.Random(h)
     clear_kernel_caches()
     try:
         for (m, n), mode, _ in product(STREAM_SHAPES, range(3), range(2)):
             a = Mat(ring, m, n, _stream_entries(rng, ring, m, n, mode))
+            fresh = Mat(ring, m, n, a.entries)
             f, ref = snf(a), reference_snf(a)
             assert (f.S.entries, f.D.entries, f.T.entries, f.omega.omega) == \
                 (ref.S.entries, ref.D.entries, ref.T.entries, ref.omega.omega)
             assert (f.S.rows, f.T.rows, f.D.rows, f.D.cols) == (m, n, m, n)
-            assert rank_via_projections(a) == (inner_rank(a), coprojection_rank(a)) == (ref.inner_rank,) * 2
+            assert (f.T if m > n else f.S) == per_op_glue(a)
+            for x in (fresh, a):
+                assert rank_via_projections(x) == (inner_rank(x), coprojection_rank(x)) == (ref.inner_rank,) * 2
     finally:
         clear_kernel_caches()
+
+
+def test_the_glue_cache_is_bounded_and_cleared():
+    """The per-column CRT coefficient cache keeps at most maxsize columns and is emptied with the kernel caches."""
+    ring = ring_spec(2**20 * 3**10 * 5**5 * 7**3)  # 21 * 11 * 6 * 4 exponent columns, more than the cache keeps
+    cols = list(product(*[range(s + 1) for s in ring.saturated]))
+    clear_kernel_caches()
+    try:
+        maxsize = smith._crt_column.cache_info().maxsize
+        assert len(cols) > maxsize
+        for col in cols:
+            smith._crt_column(ring, col)
+        assert smith._crt_column.cache_info()[1:] == (len(cols), maxsize, maxsize)  # misses, maxsize, currsize
+        clear_kernel_caches()
+        assert smith._crt_column.cache_info().currsize == 0
+    finally:
+        clear_kernel_caches()
+
+
+def test_a_fresh_matrix_is_charged_before_the_kernel(monkeypatch):
+    """Over budget, the rank of a matrix that carries no rows fails at the charge, before any kernel run."""
+    monkeypatch.setattr(smith, "_pp_exponents", _refuse)
+    a = Mat.zeros(ring_spec(6), 200, 200)  # 2 * 200**3 kernel steps
+    for route in (inner_rank, invariant_factors, rank_via_projections):
+        with pytest.raises(BudgetExceededError, match="kernel steps"):
+            route(a)
 
 
 def test_each_component_table_is_built_once(monkeypatch):
