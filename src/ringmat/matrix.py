@@ -280,7 +280,7 @@ def _is_unimodular(a: list[list[int]], r: int) -> bool:
     for k in range(n):
         piv = a[k]
         g = gcd(piv[k], r)
-        for row in a[k + 1:] if g != 1 else ():  # g = 1: every row[k] % g is 0
+        for row in a[k + 1:]:
             if row[k] % g:
                 piv[k:] = [(y + r // g * z) % r for y, z in zip(piv[k:], row[k:])]
                 g = gcd(piv[k], r)

@@ -14,17 +14,16 @@ equivalence, and the inner rank of A - the least r such that A factors
 through r columns - is the number of omega columns that are not fully
 saturated.
 
-snf runs the kernel once per prime, uncached, glues with CRT coefficients cached per
-exponent column (_crt_column) and leaves the exponent rows on the matrix, where the rank
-queries read them uncharged; a matrix without them is charged its kernel steps, then
-ranked once through the per-projection cache _pp_exponents, which also serves bare entry
-tuples (cliques.difference_ranks).  Sweeps label each component shape once and keep that
-table (exponent_table): over a prime field by rank, a row outside the span of the rows
-above it adding one, otherwise per first row off the smaller kept tables, the kernel
-running only on [p**v e_1; C] for 0 < v < s (_pp_chunks).  The rank table reads Z_h off it
-(component_walk), and the orbit product check counts its rows (exponent_counts, holding no
-table past the keep limit), a second route to the closed-form orbit lengths of the census,
-which runs no kernel (orbits).
+snf runs the kernel once per prime, uncached, and leaves the exponent rows on the
+matrix, where the rank queries read them uncharged; a matrix without them is charged
+its kernel steps, then ranked once through the per-projection cache _pp_exponents,
+which also serves bare entry tuples (cliques.difference_ranks).  Sweeps label each
+component shape once and keep that table (exponent_table): over a prime field by rank,
+a row outside the span of the rows above it adding one, otherwise per first row off the
+smaller kept tables, the kernel running only on [p**v e_1; C] for 0 < v < s (_pp_chunks).
+The rank table reads Z_h off it (component_walk), and the orbit product check counts its
+rows (exponent_counts, holding no table past the keep limit), a second route to the
+closed-form orbit lengths of the census, which runs no kernel (orbits).
 """
 
 from __future__ import annotations
@@ -351,18 +350,9 @@ def component_walk(ring: RingSpec, m: int, n: int, tables: Sequence[Sequence]) -
         ]
 
 
-@lru_cache(maxsize=2**12)  # by (ring, exponent column); a stream over a few rings holds a few hundred
-def _crt_column(ring: RingSpec, col: tuple[int, ...]) -> tuple[int, ...]:
-    """CRT coefficients e_i * w_i mod h of an exponent column: w_i inverts the unit g / p_i ** col[i] mod q_i."""
-    h, g = ring.h, prod(p**x for (p, _), x in zip(ring.primes, col))
-    return tuple([e * pow(g // p**x % q, -1, q) % h
-                  for e, (p, _), q, x in zip(ring._crt_idempotents, ring.primes, ring.prime_powers, col)])
-
-
 def clear_kernel_caches() -> None:
     _pp_smith_cached.cache_clear()
     _pp_exponents.cache_clear()
-    _crt_column.cache_clear()
     _tables.clear()
 
 
@@ -414,9 +404,15 @@ def snf(a: Mat) -> SmithForm:
     g = omega.generators()
     if ring.t == 1:  # g_c = p ** alpha_c: no unit to absorb, nothing to glue
         (_, Ui, Vi), = comps
-    else:  # scaling column c of Uinv_i by w_ic makes the glued diagonal g_c: it rides in the cached CRT coefficients
-        h = ring.h
-        by_entry = [_crt_column(ring, col) for col in zip(*omega.omega)] * m  # entry r * m + c lies in column c
+    else:
+        # scaling column c of Uinv_i by the inverse w_ic of the unit g_c / p_i ** alpha_ic makes the glued
+        # diagonal g_c; it rides in that column's CRT coefficients e_i * w_ic, once per distinct g_c
+        h, es, coefs = ring.h, ring._crt_idempotents, {}
+        for gc, col in zip(g, zip(*omega.omega)):
+            if gc not in coefs:
+                coefs[gc] = [e * pow(gc // p**x % q, -1, q) % h
+                             for e, (p, _), q, x in zip(es, ring.primes, ring.prime_powers, col)]
+        by_entry = [coefs[gc] for gc in g] * m  # entry r * m + c of Uinv lies in column c
         Ui = tuple([sum(map(mul, c, parts)) % h for c, parts in zip(by_entry, zip(*[u for _, u, _ in comps]))])
         Vi = ring.crt_vectors([v for _, _, v in comps])
     if tall:  # A^T = S' D' T', so A = T'^T D'^T S'^T
@@ -430,15 +426,15 @@ def inner_rank(a: Mat) -> int:
 
 
 def rank_via_projections(a: Mat) -> RankProjections:
-    """Inner rank read two ways off the component exponent rows of a.
+    """The inner rank of a, reported as via_pi and via_theta.
 
-    via_pi, the largest rank among the projections a mod q_i, is inner_rank.
-    via_theta is the largest rank among the coprojections a mod h / q_i, whose
-    components are the a mod q_j, j != i (CRT): the same rows, and a largest one
-    stays with any other left out (t = 1: via_pi), so both are one rank read once;
-    verify_smith_form, the minors oracle and the outer-product set check it.
+    via_pi, the largest rank among the projections a mod q_i, is inner_rank.  So is
+    via_theta, the largest rank among the coprojections a mod h / q_i: their components
+    are the a mod q_j, j != i (CRT), and a largest rank stays when any other is left out
+    (t = 1: via_pi).  Neither checks the other; verify_smith_form, the minors oracle
+    and the outer-product set check the rank.
     """
-    r = max(map(bisect_left, _component_exponents(a), a.ring.saturated))
+    r = inner_rank(a)
     return RankProjections(r, r)
 
 

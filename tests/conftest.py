@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 from collections import Counter
 from itertools import combinations_with_replacement, product
-from operator import mul
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
@@ -365,27 +364,6 @@ def reference_snf(a: Mat) -> SmithForm:
     T = Mat._new(ring, n, n, ring.crt_vectors([Vi for _, _, Vi in comps]))
     D = Mat.diagonal(ring, g, m, n)
     return SmithForm(S, D, T, omega)
-
-
-def per_op_glue(a: Mat) -> Mat:
-    """The transform smith.snf glues with unit scalings, as it stood before it cached the CRT coefficients
-    per exponent column: per op, t modular inverses for each distinct diagonal generator.  S for a wide or
-    square a, T for a tall one (snf diagonalizes the transpose and transposes back)."""
-    ring, tall = a.ring, a.rows > a.cols
-    (m, n), e = sorted((a.rows, a.cols)), a.transpose().entries if tall else a.entries
-    comps = [_pp_smith(p, s, q, m, n, tuple(v % q for v in e), True)
-             for (p, s), q in zip(ring.primes, ring.prime_powers)]
-    omega = InvariantFactorArray(ring, tuple(alpha for alpha, _, _ in comps))
-    g = omega.generators()
-    h, es, coefs = ring.h, ring._crt_idempotents, {}
-    for gc, col in zip(g, zip(*omega.omega)):
-        if gc not in coefs:
-            coefs[gc] = [e * pow(gc // p**x % q, -1, q) % h
-                         for e, (p, _), q, x in zip(es, ring.primes, ring.prime_powers, col)]
-    by_entry = [coefs[gc] for gc in g] * m  # entry r * m + c of Uinv lies in column c
-    ui = Mat._new(ring, m, m, tuple([sum(map(mul, c, parts)) % h
-                                     for c, parts in zip(by_entry, zip(*[u for _, u, _ in comps]))]))
-    return ui.transpose() if tall else ui
 
 
 def projection(a: Mat, i: int) -> Mat:

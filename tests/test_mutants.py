@@ -81,27 +81,6 @@ def test_an_entry_of_s_times_p_is_not_invertible(kernel, capsys, tmp_path, h):
     assert capsys.readouterr().err == "verification failed: S is not invertible\n"
 
 
-def test_a_cached_glue_coefficient_times_a_unit_fails_verify_smith_form_and_check_1(monkeypatch, capsys):
-    """The last CRT coefficient of every exponent column times -1, a unit other than 1 mod the last q_i > 2:
-    the glued S then has that component of each column negated, so S @ D @ T is -A mod q_i."""
-    real = smith._crt_column
-
-    def negated_last(ring, col):
-        c = real(ring, col)
-        return c[:-1] + (-c[-1] % ring.h,)
-
-    smith.clear_kernel_caches()
-    try:
-        with monkeypatch.context() as patch:
-            patch.setattr(smith, "_crt_column", negated_last)
-            a = Mat.from_rows(ring_spec(12), [[2, 1], [0, 3]])  # q = 3 last, a nonzero mod 3
-            with pytest.raises(VerificationError, match="does not reproduce the input"):
-                smith.verify_smith_form(a, smith.snf(a))
-            assert _selftest_lines(capsys, 1)[0].startswith("FAIL check 1")
-    finally:
-        smith.clear_kernel_caches()
-
-
 # --- inner rank: the bisected exponent rows against the outer products ------------------
 
 

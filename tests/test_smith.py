@@ -10,7 +10,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import (coprojection_rank, kernel_table, matrices, per_op_glue, reference_pp_smith, reference_snf,
+from conftest import (coprojection_rank, kernel_table, matrices, reference_pp_smith, reference_snf,
                       two_loop_omega_check)
 from ringmat import cliques, graph, oracle, orbits, smith
 from ringmat.cliques import classify_max_clique, random_clique_form, rebuild_clique
@@ -376,9 +376,8 @@ def _stream_entries(rng, ring, m, n, mode):
 @pytest.mark.parametrize("h", STREAM_MODULI)
 def test_snf_and_rank_routes_match_the_reference(h):
     """The flat snf gives exactly the S, D, T and omega of the transpose recursion through the
-    cached kernel, and the transform it glues with the cached CRT coefficients (T for a tall matrix)
-    is the one glued with coefficients computed afresh per op.  The rank routes read off the component
-    rows, carried from snf or not, equal the coprojection route."""
+    cached kernel, and the rank routes read off the component rows, carried from snf or not, equal
+    the coprojection route."""
     ring, rng = ring_spec(h), random.Random(h)
     clear_kernel_caches()
     try:
@@ -389,26 +388,8 @@ def test_snf_and_rank_routes_match_the_reference(h):
             assert (f.S.entries, f.D.entries, f.T.entries, f.omega.omega) == \
                 (ref.S.entries, ref.D.entries, ref.T.entries, ref.omega.omega)
             assert (f.S.rows, f.T.rows, f.D.rows, f.D.cols) == (m, n, m, n)
-            assert (f.T if m > n else f.S) == per_op_glue(a)
             for x in (fresh, a):
                 assert rank_via_projections(x) == (inner_rank(x), coprojection_rank(x)) == (ref.inner_rank,) * 2
-    finally:
-        clear_kernel_caches()
-
-
-def test_the_glue_cache_is_bounded_and_cleared():
-    """The per-column CRT coefficient cache keeps at most maxsize columns and is emptied with the kernel caches."""
-    ring = ring_spec(2**20 * 3**10 * 5**5 * 7**3)  # 21 * 11 * 6 * 4 exponent columns, more than the cache keeps
-    cols = list(product(*[range(s + 1) for s in ring.saturated]))
-    clear_kernel_caches()
-    try:
-        maxsize = smith._crt_column.cache_info().maxsize
-        assert len(cols) > maxsize
-        for col in cols:
-            smith._crt_column(ring, col)
-        assert smith._crt_column.cache_info()[1:] == (len(cols), maxsize, maxsize)  # misses, maxsize, currsize
-        clear_kernel_caches()
-        assert smith._crt_column.cache_info().currsize == 0
     finally:
         clear_kernel_caches()
 
