@@ -293,8 +293,8 @@ def test_is_invertible_matches_per_prime_oracle(h):
 
 @pytest.mark.parametrize("rad", (2, 6, 30, 30030))
 def test_is_unimodular_matches_the_determinant_mod_rad(rad):
-    """The elimination over Z_rad, which scans no row below a unit pivot, decides as gcd(det, rad) == 1
-    does, on random matrices and on ones singular mod one prime."""
+    """The elimination over Z_rad decides as gcd(det, rad) == 1 does, on random matrices and on ones
+    singular mod one prime."""
     ring, rng = ring_spec(rad), random.Random(rad)
     outcomes = set()
     for n in range(1, 8):
