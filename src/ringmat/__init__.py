@@ -10,7 +10,6 @@ quantity backed by an independent verification route.
 from .errors import (
     BudgetExceededError,
     NotIntersectingError,
-    NotInvertibleError,
     RingmatError,
     ShapeError,
     UsageError,
@@ -58,6 +57,7 @@ from .cliques import (
     build_canonical_clique,
     classify_max_clique,
     enumerate_max_cliques,
+    form_tag,
     is_clique,
     random_clique_form,
     rebuild_clique,

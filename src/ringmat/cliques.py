@@ -81,6 +81,13 @@ class CanonicalCliqueSpec(Frozen):
         self._fill(graph, alpha)
 
 
+def form_tag(ring: RingSpec, alpha: Sequence[int]) -> str:
+    """RowForm when alpha is all zero, ColForm when it is saturated, MixedForm otherwise."""
+    if not any(alpha):
+        return ROW_FORM
+    return COL_FORM if tuple(alpha) == ring.saturated else MIXED_FORM
+
+
 def _ideal_generator(ring: RingSpec, exponents: Sequence[int]) -> int:
     g = 1
     for (p, _), a in zip(ring.primes, exponents):
@@ -298,7 +305,7 @@ def classify_max_clique(spec: GraphSpec, family: Iterable[Mat], walk: Walk | Non
             "this contradicts the classification of maximum cliques"
         )
 
-    tag = ROW_FORM if not any(alpha) else COL_FORM if all(alpha) else MIXED_FORM
+    tag = form_tag(ring, alpha)
     s_mat = None if tag == COL_FORM else crt_lift_mat(ring, s_comps)
     t_mat = None if tag == ROW_FORM else crt_lift_mat(ring, t_comps)
 
@@ -367,9 +374,7 @@ def random_clique_form(
     """A random valid parameterization with the given alpha (for round-trip tests)."""
     r = random.Random(rng) if isinstance(rng, int) else rng
     ring = spec.ring
-    all_zero = not any(alpha)
-    all_sat = tuple(alpha) == ring.saturated
-    tag = ROW_FORM if all_zero else (COL_FORM if all_sat else MIXED_FORM)
+    tag = form_tag(ring, alpha)
     s_mat = random_invertible(ring, spec.m, r) if tag != COL_FORM else None
     t_mat = random_invertible(ring, spec.n, r) if tag != ROW_FORM else None
     b0 = random_matrix(ring, spec.m, spec.n, r)

@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import random
 from itertools import product
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .cliques import (
     CanonicalCliqueSpec,
@@ -90,14 +90,8 @@ class FieldSpec(NamedTuple):
                 return cls(p, n, candidate)
         raise VerificationError(f"no irreducible of degree {n} over F_{p}")  # unreachable
 
-    def zero(self) -> tuple[int, ...]:
-        return (0,) * self.n
-
     def one(self) -> tuple[int, ...]:
         return (1,) + (0,) * (self.n - 1)
-
-    def add(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-        return tuple((x + y) % self.p for x, y in zip(a, b))
 
     def mul(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         p, n = self.p, self.n
@@ -131,9 +125,6 @@ class FieldSpec(NamedTuple):
             base = self.mul(base, base)
             e >>= 1
         return out
-
-    def elements(self) -> Iterable[tuple[int, ...]]:
-        return product(range(self.p), repeat=self.n)
 
 
 def _poly_irreducible(p: int, poly: Sequence[int]) -> bool:

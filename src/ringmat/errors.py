@@ -66,10 +66,6 @@ class ShapeError(UsageError):
     """Operands live over different rings or have incompatible dimensions."""
 
 
-class NotInvertibleError(UsageError):
-    """An inverse was requested for a matrix whose determinant is not a unit."""
-
-
 class BudgetExceededError(RingmatError):
     """The computation would exceed its enumeration budget (CLI exit code 3)."""
 

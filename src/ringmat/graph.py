@@ -3,7 +3,7 @@
 Vertices are all m x n matrices over Z_h (m <= n), and two vertices are
 adjacent when their difference has inner rank between 1 and r.  The graph
 is a normal Cayley graph of the additive group, hence vertex-transitive and
-regular, and the maps X -> S^{-1} @ X @ T + A with S, T invertible are
+regular, and the maps X -> S @ X @ T + A with S, T invertible are
 automorphisms.  It is connected iff the connection set generates the group,
 and it does: the m*n unit matrices E_ij have inner rank 1 and span it, so
 ranking them certifies connectivity with no rank table.  subgroup_closure
@@ -63,8 +63,7 @@ class GraphSpec(Frozen):
     # first entry most significant, so id order equals lexicographic order
     # on entry tuples.
 
-    def vertex_id(self, a: Mat | Sequence[int]) -> int:
-        ents = a.entries if isinstance(a, Mat) else a
+    def vertex_id(self, ents: Sequence[int]) -> int:
         h = self.ring.h
         out = 0
         for v in ents:
@@ -231,12 +230,13 @@ def check_connectivity(spec: GraphSpec) -> bool:
 
 
 def check_vertex_transitivity(spec: GraphSpec, samples: int, seed: int) -> bool:
-    """Sampled check that X -> S^{-1} @ X @ T + A preserves adjacency.
+    """Sampled check that X -> S @ X @ T + A preserves adjacency.
 
     Each round draws invertible S, T, a translation A and a vertex pair
     (X, Y), applies the map, and compares adjacency before and after.
     Translations alone need no check: adjacency depends only on X - Y.
-    Returns True when every sampled round agrees.
+    S -> S^{-1} is a bijection of GL_m, so these are the maps X -> S^{-1} @ X @ T + A
+    drawn with the same distribution.  Returns True when every sampled round agrees.
     """
     rng = random.Random(seed)
     ring = spec.ring
@@ -247,8 +247,7 @@ def check_vertex_transitivity(spec: GraphSpec, samples: int, seed: int) -> bool:
         a_mat = random_matrix(ring, m, n, rng)
         x = random_matrix(ring, m, n, rng)
         y = random_matrix(ring, m, n, rng)
-        s_inv = s_mat.inverse()
-        if adjacent(spec, x, y) != adjacent(spec, s_inv @ x @ t_mat + a_mat, s_inv @ y @ t_mat + a_mat):
+        if adjacent(spec, x, y) != adjacent(spec, s_mat @ x @ t_mat + a_mat, s_mat @ y @ t_mat + a_mat):
             return False
     return True
 

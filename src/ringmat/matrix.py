@@ -1,18 +1,17 @@
 """Dense matrices over a residue class ring.
 
 Entries are canonical residues stored as a flat row-major tuple of plain
-ints, so matrices are hashable and exact.  Determinants are computed per
-prime-power component by fraction-free elimination on integer lifts and
-glued with the Chinese remainder map.  A matrix is invertible exactly when
-its determinant is a unit, that is nonzero mod every prime p_i, which one
-elimination of the entries reduced mod rad(h) = prod(p_i) decides.
+ints, so matrices are hashable and exact.  A matrix is invertible exactly
+when its determinant is a unit, that is nonzero mod every prime p_i, which
+one elimination of the entries reduced mod rad(h) = prod(p_i) decides with
+no determinant formed.
 
 Public construction (Mat(...), from_rows, zeros) validates shape and
-entries.  Results that are canonical by construction (arithmetic, transpose,
-CRT gluing, the Smith transforms) go through the
-unchecked Mat._new.  A Mat is immutable; ==, hash and repr are those of its fields.
-So it may carry its own per-prime exponent rows (the _exponents slot, not a field),
-written once by smith.snf or the first rank query and freed with the matrix.
+entries.  Results that are canonical by construction (arithmetic, CRT
+gluing, the Smith transforms) go through the unchecked Mat._new.  A Mat is
+immutable; ==, hash and repr are those of its fields.  So it may carry its
+own per-prime exponent rows (the _exponents slot, not a field), written once
+by smith.snf or the first rank query and freed with the matrix.
 """
 
 from __future__ import annotations
@@ -21,10 +20,11 @@ import random
 from math import gcd, prod
 from typing import Sequence
 
-from .errors import NotInvertibleError, ShapeError, UsageError
+from .errors import ShapeError, UsageError
 from .ring import Frozen, RingSpec
 
 Rows = Sequence[Sequence[int]]
+_MAX_TRIES = 10000  # rejection rounds of random_invertible before it gives up
 
 
 class Mat(Frozen):
@@ -93,9 +93,6 @@ class Mat(Frozen):
 
     # --- access --------------------------------------------------------------
 
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
@@ -130,10 +127,6 @@ class Mat(Frozen):
         return Mat._new(self.ring, self.rows, self.cols,
                         tuple((a - b) % h for a, b in zip(self.entries, other.entries)))
 
-    def __neg__(self) -> "Mat":
-        h = self.ring.h
-        return Mat._new(self.ring, self.rows, self.cols, tuple(-a % h for a in self.entries))
-
     def __matmul__(self, other: "Mat") -> "Mat":
         self._same_ring(other)
         if self.cols != other.rows:
@@ -152,19 +145,7 @@ class Mat(Frozen):
                 out[base + j] = acc % h
         return Mat._new(self.ring, m, n, tuple(out))
 
-    def transpose(self) -> "Mat":
-        m, n = self.rows, self.cols
-        e = self.entries
-        return Mat._new(self.ring, n, m, tuple(e[i * n + j] for j in range(n) for i in range(m)))
-
-    # --- determinant and inverses -----------------------------------------------
-
-    def det(self) -> int:
-        """Determinant, via exact integer elimination per component and CRT."""
-        if self.rows != self.cols:
-            raise ShapeError("determinant needs a square matrix")
-        rows = [self.row(i) for i in range(self.rows)]
-        return self.ring.crt([_det_bareiss([[v % q for v in row] for row in rows]) % q for q in self.ring.prime_powers])
+    # --- invertibility ---------------------------------------------------------
 
     def is_invertible(self) -> bool:
         """True iff square and invertible over Z_rad, rad = prod(p_i): det is then nonzero mod every p_i."""
@@ -172,20 +153,6 @@ class Mat(Frozen):
         if r != self.ring.h:  # else h is squarefree and the entries are already reduced
             e = tuple(map(r.__rmod__, e))
         return n == self.cols and _is_unimodular([list(e[i * n : (i + 1) * n]) for i in range(n)], r)
-
-    def inverse(self) -> "Mat":
-        """Two-sided inverse, found by Gauss-Jordan per prime-power component.
-
-        Over a prime-power ring every invertible matrix admits a unit pivot
-        in each elimination column, so the sweep either completes or proves
-        the matrix singular.
-        """
-        if self.rows != self.cols:
-            raise ShapeError("inverse needs a square matrix")
-        ring, n = self.ring, self.rows
-        comps = [_invert_mod_prime_power(p, q, n, [v % q for v in self.entries])
-                 for (p, _), q in zip(ring.primes, ring.prime_powers)]
-        return Mat._new(ring, n, n, ring.crt_vectors(comps))
 
 
 _set_ring, _set_rows, _set_cols, _set_entries, _set_exponents = (getattr(Mat, f).__set__ for f in Mat.__slots__)
@@ -226,15 +193,15 @@ def random_matrix(ring: RingSpec, rows: int, cols: int, rng: random.Random | int
     h = ring.h
     return Mat(ring, rows, cols, tuple(r.randrange(h) for _ in range(rows * cols)))
 
-def random_invertible(ring: RingSpec, n: int, rng: random.Random | int, max_tries: int = 10000) -> Mat:
+def random_invertible(ring: RingSpec, n: int, rng: random.Random | int) -> Mat:
     """Uniform random invertible matrix by rejection sampling.
 
     The acceptance rate is the GL density prod_i |GL_n(Z_{q_i})| / q_i^{n^2},
     which is bounded away from zero for fixed n, so rejection terminates
-    quickly in practice; max_tries is a hard stop for safety.
+    quickly in practice; _MAX_TRIES rounds are a hard stop for safety.
     """
     r = random.Random(rng) if isinstance(rng, int) else rng
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         a = random_matrix(ring, n, n, r)
         if a.is_invertible():
             return a
@@ -242,32 +209,6 @@ def random_invertible(ring: RingSpec, n: int, rng: random.Random | int, max_trie
 
 
 # --- kernels -----------------------------------------------------------------
-
-
-def _det_bareiss(a: list[list[int]]) -> int:
-    """Exact integer determinant by fraction-free (Bareiss) elimination."""
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        akk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            arow = a[i]
-            krow = a[k]
-            for j in range(k + 1, n):
-                arow[j] = (arow[j] * akk - aik * krow[j]) // prev
-            arow[k] = 0
-        prev = akk
-    return sign * a[n - 1][n - 1]
 
 
 def _is_unimodular(a: list[list[int]], r: int) -> bool:
@@ -292,29 +233,3 @@ def _is_unimodular(a: list[list[int]], r: int) -> bool:
                 for j in range(k + 1, n):
                     row[j] = (piv[k] * row[j] - x * piv[j]) % r
     return True
-
-
-def _invert_mod_prime_power(p: int, q: int, n: int, entries: list[int]) -> list[int]:
-    """Inverse of an n x n matrix mod q = p ** s, flat row-major, or raise."""
-    a = [entries[i * n : (i + 1) * n] + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    w = 2 * n
-    for col in range(n):
-        piv = -1
-        for i in range(col, n):
-            if a[i][col] % p:
-                piv = i
-                break
-        if piv < 0:
-            raise NotInvertibleError(f"matrix is singular mod {q}")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-        inv = pow(a[col][col], -1, q)
-        a[col] = [v * inv % q for v in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                c = a[i][col]
-                crow = a[col]
-                irow = a[i]
-                for j in range(w):
-                    irow[j] = (irow[j] - c * crow[j]) % q
-    return [a[i][j] for i in range(n) for j in range(n, w)]

@@ -41,6 +41,32 @@ def _det_cofactor(rows: list[list[int]]) -> int:
     return total
 
 
+def _det_bareiss(a: list[list[int]]) -> int:
+    """Exact integer determinant by fraction-free (Bareiss) elimination."""
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        akk = a[k][k]
+        for i in range(k + 1, n):
+            aik = a[i][k]
+            arow = a[i]
+            krow = a[k]
+            for j in range(k + 1, n):
+                arow[j] = (arow[j] * akk - aik * krow[j]) // prev
+            arow[k] = 0
+        prev = akk
+    return sign * a[n - 1][n - 1]
+
+
 def _valuation(p: int, x: int) -> float:
     if x == 0:
         return _INF

@@ -194,14 +194,15 @@ class RingSpec(Frozen):
         qs = tuple(p**s for p, s in primes)
         self._fill(h, primes, qs, tuple(s for _, s in primes), tuple(h // q * pow(h // q, -1, q) % h for q in qs))
 
-    # Not derived from Frozen: every Mat hash calls this one, and a derived one made that a third slower.
+    # Not derived from Frozen: every Mat hash calls this one.  h alone is the identity,
+    # since primes is its factorization, which the constructor checks.
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not RingSpec:
             return NotImplemented
-        return (self.h, self.primes) == (other.h, other.primes)
+        return self.h == other.h
 
     def __hash__(self) -> int:
-        return hash((self.h, self.primes))
+        return hash(self.h)
 
     def __str__(self) -> str:
         return f"Z_{self.h}"

@@ -15,17 +15,17 @@ from __future__ import annotations
 import random
 import time
 from itertools import product
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 from . import oracle
 from .cliques import (
     COL_FORM,
-    MIXED_FORM,
     ROW_FORM,
     CanonicalCliqueSpec,
     build_canonical_clique,
     classify_max_clique,
     enumerate_max_cliques,
+    form_tag,
     random_clique_form,
     rebuild_clique,
     verify_ekr,
@@ -263,14 +263,6 @@ def check_coloring_and_cover(quick: bool = False) -> tuple[bool, str]:
 # 8. Maximum cliques classify into the three parameterized forms
 # ---------------------------------------------------------------------------
 
-def _expected_tag(ring, alpha: Sequence[int]) -> str:
-    if not any(alpha):
-        return ROW_FORM
-    if tuple(alpha) == ring.saturated:
-        return COL_FORM
-    return MIXED_FORM
-
-
 def _enumerated_families() -> list[tuple[GraphSpec, int, list]]:
     """All maximum cliques of the two field cases, with their expected counts."""
     out = []
@@ -298,7 +290,7 @@ def _generated_families(quick: bool = False):
         for alpha in alphas:
             for seed in range(trials):
                 form = random_clique_form(spec, alpha, random.Random(seed))
-                out.append((spec, alpha, _expected_tag(ring, alpha), rebuild_clique(form)))
+                out.append((spec, alpha, form_tag(ring, alpha), rebuild_clique(form)))
     return out
 
 

@@ -11,14 +11,15 @@ from hypothesis import HealthCheck, settings, strategies as st
 
 from ringmat.errors import DEFAULT_ENUMERATION_BUDGET, DEFAULT_SEARCH_STEP_BUDGET, VerificationError, charge
 from ringmat.graph import build_graph, subgroup_closure
-from ringmat.matrix import Mat, _det_bareiss
-from ringmat.oracle import _greedy_color_order
+from ringmat.matrix import Mat
+from ringmat.oracle import _det_bareiss, _greedy_color_order
 from ringmat.ring import ring_spec
 from ringmat.smith import (
     InvariantFactorArray,
     SmithForm,
     _digit_ids,
     _pp_smith,
+    _transposed,
     component_walk,
     exponent_table,
     inner_rank,
@@ -211,6 +212,10 @@ def recursive_mis(masks, budget=DEFAULT_SEARCH_STEP_BUDGET):
     return recursive_clique(complement_masks(masks), budget)
 
 
+def transpose(a: Mat) -> Mat:
+    return Mat._new(a.ring, a.cols, a.rows, _transposed(a.entries, a.rows, a.cols))
+
+
 def per_prime_is_invertible(self: Mat) -> bool:
     """Mat.is_invertible as it stood before it decided over Z_rad(h) in one elimination:
     one Bareiss determinant per prime, of the entries reduced mod that prime."""
@@ -344,8 +349,8 @@ def reference_snf(a: Mat) -> SmithForm:
     charge("transform entries", lo * lo + hi * hi, DEFAULT_ENUMERATION_BUDGET)
     charge("transform steps", (a.ring.t + 1) * hi * hi * lo, DEFAULT_ENUMERATION_BUDGET)
     if a.rows > a.cols:
-        f = reference_snf(a.transpose())
-        return SmithForm(f.T.transpose(), f.D.transpose(), f.S.transpose(), f.omega)
+        f = reference_snf(transpose(a))
+        return SmithForm(transpose(f.T), transpose(f.D), transpose(f.S), f.omega)
 
     ring, m, n = a.ring, a.rows, a.cols
     comps = [_pp_smith(p, s, q, m, n, tuple(map(q.__rmod__, a.entries)), True)

@@ -1,11 +1,14 @@
 """Every public name of the library has a caller.
 
 A module-level function or class of src/ringmat whose name has no leading
-underscore must be referenced somewhere other than its own definition: in
-another place in src/ringmat, in scripts/, in the benchmark's op runners, or
-in the README.  The package's __init__ re-exports names and so counts as
-neither a definition nor a caller; nor do the tests, so a name only the tests
-call fails here.
+underscore, and a method of such a class whose name has no leading
+underscore (dunders aside), must be referenced somewhere other than its own
+definition: in another place in src/ringmat, in scripts/, in the benchmark's
+op runners, or in code of the README (inline or fenced; prose words do not
+count).  The methods the benchmark's tracer wraps by name count as called.
+The package's __init__ re-exports names and so counts as neither a
+definition nor a caller; nor do the tests, so a name only the tests call
+fails here.
 """
 
 import ast
@@ -25,6 +28,13 @@ def _public_defs(path):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
 
 
+def _public_methods(path):
+    """(class, method) for every method, property and classmethod of a public class without a leading underscore."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {(cls.name, node.name) for cls in tree.body if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+            for node in cls.body if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+
+
 def _referenced(path):
     """The names a file reads, as a bare name, an attribute or an import; definitions are not reads."""
     names = set()
@@ -38,9 +48,33 @@ def _referenced(path):
     return names
 
 
+def _readme_code():
+    """The words inside backticks of the README: inline code and fenced blocks."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return set(re.findall(r"\w+", " ".join(re.findall(r"`[^`]*`", text))))
+
+
+def _traced_methods():
+    """The method names in perfbench/spans.py's METHODS rows (layer, class, method, span)."""
+    for node in ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["METHODS"]:
+            return {method for _, _, method, _ in ast.literal_eval(node.value)}
+    raise AssertionError("perfbench/spans.py has no METHODS")
+
+
+def _callers():
+    return set().union(*map(_referenced, CALLERS)) | _readme_code()
+
+
 def test_every_public_name_has_a_caller():
     public = set().union(*map(_public_defs, MODULES))
     assert {"Mat", "snf", "mrd_code", "load_family"} <= public  # the scan sees the library
-    referenced = set().union(*map(_referenced, CALLERS))
-    readme = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
-    assert sorted(public - referenced - readme) == []
+    assert sorted(public - _callers()) == []
+
+
+def test_every_public_method_has_a_caller():
+    methods = set().union(*map(_public_methods, MODULES))
+    assert {("Mat", "is_invertible"), ("RingSpec", "crt"), ("GraphSpec", "vertex_id")} <= methods
+    assert {"is_invertible", "crt"} <= _traced_methods()
+    called = _callers() | _traced_methods()
+    assert sorted((cls, name) for cls, name in methods if name not in called) == []

@@ -47,12 +47,15 @@ def test_default_field_moduli_frozen():
         assert FieldSpec.default(p, n).modulus == coeffs
 
 
+def _add(field, a, b):
+    return tuple((x + y) % field.p for x, y in zip(a, b))
+
+
 def test_field_axioms_sampled():
     field = FieldSpec.default(3, 2)
-    elems = list(field.elements())
-    assert len(elems) == 9
+    elems = list(product(range(3), repeat=2))
     one = field.one()
-    zero = field.zero()
+    zero = (0, 0)
     # the nonzero elements form a group of order p^n - 1
     for x in elems:
         if x == zero:
@@ -63,7 +66,7 @@ def test_field_axioms_sampled():
         for y in elems[:5]:
             fx = field.frobenius_power(x, 1)
             fy = field.frobenius_power(y, 1)
-            assert field.frobenius_power(field.add(x, y), 1) == field.add(fx, fy)
+            assert field.frobenius_power(_add(field, x, y), 1) == _add(field, fx, fy)
             assert field.frobenius_power(field.mul(x, y), 1) == field.mul(fx, fy)
 
 
@@ -102,14 +105,15 @@ def _message_code(field, m, n, d):
     k, units = m - d + 1, [tuple(int(i == e) for i in range(n)) for e in range(n)]
     frob = [[field.frobenius_power(u, j) for u in units] for j in range(k)]
 
+    zero = (0,) * n
+
     def codeword(message):
-        cols = [field.zero()] * n
+        cols = [zero] * n
         for j, c in enumerate(message):
-            cols = [field.add(col, field.mul(c, frob[j][l])) for l, col in enumerate(cols)]
+            cols = [_add(field, col, field.mul(c, frob[j][l])) for l, col in enumerate(cols)]
         return tuple(cols[l][i] for i in range(m) for l in range(n))
 
-    words = {codeword(message) for message in product(field.elements(), repeat=k)}
-    zero = field.zero()
+    words = {codeword(message) for message in product(product(range(field.p), repeat=n), repeat=k)}
     return words, [codeword([x if i == j else zero for i in range(k)]) for j in range(k) for x in units]
 
 
@@ -279,7 +283,7 @@ def test_clique_cover_partitions():
     assert all(len(p) == 36 for p in cover.parts)
     seen = set()
     for part in cover.parts:
-        ids = {spec.vertex_id(m) for m in part}
+        ids = {spec.vertex_id(m.entries) for m in part}
         assert not (seen & ids)
         seen |= ids
     assert len(seen) == spec.n_vertices

@@ -56,7 +56,7 @@ def test_vertex_id_round_trip():
     spec = _spec(2)
     for vid in range(spec.n_vertices):
         mat = spec.vertex(vid)
-        assert spec.vertex_id(mat) == vid
+        assert spec.vertex_id(mat.entries) == vid
         assert spec.vertex_entries(vid) == mat.entries
     # id order is lexicographic order on entry tuples
     entries = [spec.vertex_entries(v) for v in range(spec.n_vertices)]

@@ -1,4 +1,4 @@
-"""Matrix layer: arithmetic, determinants, inverses, CRT transport."""
+"""Matrix layer: arithmetic, invertibility against determinants, CRT transport."""
 
 import math
 import pickle
@@ -8,26 +8,23 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given
 
-from conftest import coprojection, matrices, matrix_pairs, per_prime_is_invertible, projection
-from ringmat.errors import NotInvertibleError, ShapeError, UsageError
-from ringmat.matrix import (
-    Mat,
-    _det_bareiss,
-    _invert_mod_prime_power,
-    _is_unimodular,
-    crt_lift_mat,
-    random_invertible,
-    random_matrix,
-)
+from conftest import coprojection, matrices, matrix_pairs, per_prime_is_invertible, projection, transpose
+from ringmat.errors import ShapeError, UsageError
+from ringmat.matrix import Mat, _is_unimodular, crt_lift_mat, random_invertible, random_matrix
+from ringmat.oracle import _det_bareiss, _det_cofactor
 from ringmat.ring import ring_spec
 from ringmat.smith import snf
+
+
+def _det(a):
+    """The determinant of a's canonical integer lift, mod h."""
+    return _det_bareiss(a.to_rows()) % a.ring.h
 
 
 def test_constructors_and_accessors():
     ring = ring_spec(6)
     a = Mat.from_rows(ring, [[1, 2, 3], [4, 5, 0]])
     assert (a.rows, a.cols) == (2, 3)
-    assert a.entry(1, 1) == 5
     assert a.row(0) == (1, 2, 3)
     assert a.to_rows() == [[1, 2, 3], [4, 5, 0]]
     assert Mat.zeros(ring, 2, 2).is_zero()
@@ -58,8 +55,6 @@ def test_arithmetic_basics():
     a = Mat.from_rows(ring, [[1, 2], [3, 4]])
     b = Mat.from_rows(ring, [[5, 0], [1, 2]])
     assert (a + b) - b == a
-    assert -a + a == Mat.zeros(ring, 2, 2)
-    assert a.transpose().transpose() == a
     ident = Mat.identity(ring, 2)
     assert a @ ident == a and ident @ a == a
     # matrix multiplication is not commutative
@@ -82,61 +77,43 @@ def test_det_multiplicative_sampled():
         for _ in range(1000):
             a = random_matrix(ring, 2, 2, rng)
             b = random_matrix(ring, 2, 2, rng)
-            assert (a @ b).det() == (a.det() * b.det()) % h
+            assert _det(a @ b) == (_det(a) * _det(b)) % h
         for _ in range(100):
             a = random_matrix(ring, 3, 3, rng)
             b = random_matrix(ring, 3, 3, rng)
-            assert (a @ b).det() == (a.det() * b.det()) % h
+            assert _det(a @ b) == (_det(a) * _det(b)) % h
 
 
 def test_det_matches_cofactor_oracle():
-    from ringmat.oracle import _det_cofactor
-
     ring = ring_spec(12)
     rng = random.Random(1)
     for n in (1, 2, 3):
         for _ in range(100):
             a = random_matrix(ring, n, n, rng)
-            assert a.det() == _det_cofactor([list(a.row(i)) for i in range(n)]) % 12
+            assert _det_bareiss(a.to_rows()) == _det_cofactor(a.to_rows())
 
 
 def test_det_of_diagonal_and_transpose():
     ring = ring_spec(12)
-    assert Mat.diagonal(ring, [2, 3]).det() == 6
+    assert _det(Mat.diagonal(ring, [2, 3])) == 6
     rng = random.Random(2)
     for _ in range(100):
         a = random_matrix(ring, 3, 3, rng)
-        assert a.det() == a.transpose().det()
+        assert _det(a) == _det(transpose(a))
 
 
 def test_invertibility_exhaustive_small():
-    """is_invertible, det unit, and a working inverse coincide."""
+    """is_invertible and a unit determinant coincide."""
     for h in (2, 3, 4, 6):
         ring = ring_spec(h)
-        ident = Mat.identity(ring, 2)
         count = 0
         for entries in product(range(h), repeat=4):
             a = Mat(ring, 2, 2, entries)
             inv_flag = a.is_invertible()
-            assert inv_flag == (math.gcd(a.det(), h) == 1)
-            if inv_flag:
-                count += 1
-                b = a.inverse()
-                assert a @ b == ident and b @ a == ident
-            else:
-                with pytest.raises(NotInvertibleError):
-                    a.inverse()
+            assert inv_flag == (math.gcd(_det_bareiss(a.to_rows()), h) == 1)
+            count += inv_flag
         if h == 2:
             assert count == 6  # the invertible 2x2 matrices over the binary field
-
-
-def test_inverse_random_3x3(rng):
-    ring = ring_spec(12)
-    ident = Mat.identity(ring, 3)
-    for _ in range(100):
-        a = random_invertible(ring, 3, rng)
-        assert a @ a.inverse() == ident
-        assert a.inverse() @ a == ident
 
 
 def test_crt_matrix_round_trip(rng):
@@ -166,20 +143,6 @@ def test_crt_vectors_match_per_entry_crt():
             assert [projection(lifted, i) for i in range(ring.t)] == comps
 
 
-def test_inverse_matches_per_entry_crt():
-    for h in (8, 12, 60):
-        ring = ring_spec(h)
-        rng = random.Random(h)
-        ident = Mat.identity(ring, 3)
-        for _ in range(50):
-            a = random_invertible(ring, 3, rng)
-            comps = [_invert_mod_prime_power(p, q, 3, [v % q for v in a.entries])
-                     for (p, _), q in zip(ring.primes, ring.prime_powers)]
-            inv = a.inverse()
-            assert inv.entries == _crt_per_entry(ring, comps)
-            assert a @ inv == ident
-
-
 def _revalidated(r):
     return Mat(r.ring, r.rows, r.cols, r.entries)
 
@@ -195,14 +158,12 @@ def test_internal_results_pass_public_validation():
                 b = random_matrix(ring, m, n, rng)
                 c = random_matrix(ring, n, m, rng)
                 f = snf(a)
-                results = [a + b, a - b, -a, a @ c, a.transpose(),
+                results = [a + b, a - b, a @ c,
                            f.S, f.D, f.T, Mat.identity(ring, m), Mat.diagonal(ring, [h - 1], m, n),
                            crt_lift_mat(ring, [projection(a, i) for i in range(ring.t)])]
                 results += [projection(a, i) for i in range(ring.t)]
                 if ring.t > 1:
                     results += [coprojection(a, i) for i in range(ring.t)]
-                if m == n and a.is_invertible():
-                    results.append(a.inverse())
                 for r in results:
                     assert _revalidated(r) == r
                     assert type(r.entries) is tuple
@@ -258,7 +219,7 @@ def test_is_invertible_matches_det_unit_route():
                     p = rng.choice(ring.primes)[0]
                     a = a @ Mat.diagonal(ring, [1] * (n - 1) + [p * rng.randrange(h)])
                 flag = a.is_invertible()
-                assert flag == (math.gcd(a.det(), h) == 1)
+                assert flag == (math.gcd(_det_bareiss(a.to_rows()), h) == 1)
                 outcomes.add(flag)
         assert outcomes == {True, False}
         assert not random_matrix(ring, 2, 3, rng).is_invertible()
@@ -361,12 +322,12 @@ def test_random_matrix_deterministic_by_seed():
 @given(matrix_pairs())
 def test_det_multiplicative_property(pair):
     a, b = pair
-    assert (a @ b).det() == (a.det() * b.det()) % a.ring.h
+    assert _det(a @ b) == (_det(a) * _det(b)) % a.ring.h
 
 
 @given(matrices())
 def test_transpose_involution_property(a):
-    assert a.transpose().transpose() == a
+    assert transpose(transpose(a)) == a
 
 
 def test_records_are_immutable_and_keep_their_field_tuple_semantics():
@@ -402,7 +363,8 @@ def test_records_are_immutable_and_keep_their_field_tuple_semantics():
          f"GraphCertificate(spec={s6}, omega=216, alpha=216, code_distance=2.0, chi=216, coloring_verification='exact')"),
     )
     for record, names, fields, text in records:
-        assert hash(record) == hash(fields)  # set order, hence stdout, rests on this hash
+        key = fields[0] if record is ring else fields  # a ring hashes as its modulus h alone
+        assert hash(record) == hash(key)  # set order, hence stdout, rests on this hash
         assert tuple(getattr(record, name) for name in names) == fields
         assert type(record)(*fields) == record != fields and repr(record) == text
         assert pickle.loads(pickle.dumps(record)) == record

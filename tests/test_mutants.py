@@ -9,9 +9,10 @@ stays here.
 
 import pytest
 
-from ringmat import smith
+from ringmat import graph, smith
 from ringmat.cli import main
 from ringmat.errors import VerificationError
+from ringmat.graph import GraphSpec, check_vertex_transitivity
 from ringmat.matrix import Mat
 from ringmat.ring import ring_spec
 
@@ -92,3 +93,14 @@ def test_a_wrong_exponent_row_fails_check_4(monkeypatch, capsys, wrong):
     real = smith._pp_exponents
     monkeypatch.setattr(smith, "_pp_exponents", lambda p, s, q, m, n, e: wrong(real(p, s, q, m, n, e), s))
     assert _selftest_lines(capsys, 4)[0].startswith("FAIL check 4")
+
+
+# --- vertex transitivity: the sampled maps X -> S @ X @ T + A ---------------------------
+
+
+def test_a_singular_sampled_map_fails_the_transitivity_check(monkeypatch):
+    """S = diag(1, 0) drops the rank of some difference, so some sampled pair changes adjacency."""
+    spec = GraphSpec(ring_spec(6), 2, 2, 1)
+    assert check_vertex_transitivity(spec, 200, 0)
+    monkeypatch.setattr(graph, "random_invertible", lambda ring, n, rng: Mat.diagonal(ring, [1] + [0] * (n - 1)))
+    assert not check_vertex_transitivity(spec, 200, 0)

@@ -2,6 +2,7 @@
 Z_h, read off 1 x 1 matrices."""
 
 import math
+import pickle
 import random
 import time
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given
 
 from conftest import coprojection, elements, orbit_labels
-from ringmat.errors import NotInvertibleError, UsageError
+from ringmat.errors import UsageError
 from ringmat.matrix import Mat
 from ringmat.orbits import census_by_enumeration, expected_label_count
 from ringmat.ring import (
@@ -123,6 +124,18 @@ def test_ring_spec_checks_given_factorization():
         RingSpec(2**64, ((2, 64),))
 
 
+def test_a_ring_is_identified_by_its_modulus():
+    """A RingSpec built directly is the shared one: equal, hashing alike, before and after a pickle
+    round trip, and so is a matrix over it."""
+    built, shared = RingSpec(12, ((2, 2), (3, 1))), ring_spec(12)
+    assert built is not shared
+    for ring in (built, pickle.loads(pickle.dumps(built))):
+        assert ring == shared and hash(ring) == hash(shared)
+        assert ring != ring_spec(6) and repr(ring) == repr(shared)
+    for a, b in ((built, shared), (shared, built)):
+        assert Mat(a, 1, 2, (1, 5)) in {Mat(b, 1, 2, (1, 5))}
+
+
 def test_ring_spec_is_cached():
     assert ring_spec(12) is ring_spec(12)
 
@@ -168,16 +181,6 @@ def test_unit_count_is_euler_phi():
         for p, _ in ring.primes:
             phi -= phi // p
         assert sum(_scalar(ring, x).is_invertible() for x in range(h)) == phi
-
-
-def test_unit_inverse():
-    for h in FACTOR_RINGS:
-        ring = ring_spec(h)
-        for u in range(h):
-            if math.gcd(u, h) == 1:
-                assert (u * _scalar(ring, u).inverse().entries[0]) % h == 1
-        with pytest.raises(NotInvertibleError):
-            _scalar(ring, ring.primes[0][0]).inverse()
 
 
 def test_valuations_capped():
