@@ -400,8 +400,7 @@ def cmd_cover_complement(args: argparse.Namespace) -> int:
         "part_sizes": sizes,
         "partition": True,
     }
-    _emit_with_out(args, obj, "families", lambda: [
-        [mat.to_rows() for mat in sorted(part, key=lambda mm: mm.entries)] for part in cov.parts])
+    _emit_with_out(args, obj, "families", lambda: [rio.family_rows(spec.n, sorted(part)) for part in cov.parts])
     return 0
 
 

@@ -20,6 +20,9 @@ matrices, so build_canonical_clique maps those generators, not the members,
 through S and T and materializes every clique, canonical or rebuilt, as one
 subgroup closure translated by B0.
 
+A family is a set of flat row-major entry tuples, its ring and shape carried
+once by the graph spec; the transforms S, T and the shift B0 stay Mats.
+
 Each family is walked once, by coset_difference_group, which closes its
 differences from the least member and keeps each that grows the closure.
 is_clique, verify_ekr and codes.verify_distance rank the walk's group,
@@ -97,7 +100,7 @@ def _ideal_generator(ring: RingSpec, exponents: Sequence[int]) -> int:
 
 def build_canonical_clique(
     cspec: CanonicalCliqueSpec, S: Mat | None = None, T: Mat | None = None, B0: Mat | None = None
-) -> frozenset[Mat]:
+) -> frozenset[tuple[int, ...]]:
     """Materialize S @ C_r(alpha) @ T + B0 as one closure of the mapped generators.
 
     C_r(alpha) is spanned by E_ij in the free r x r block, step_alpha * E_ij
@@ -129,9 +132,9 @@ def build_canonical_clique(
     if group is None or len(group) != g.clique_bound:
         raise VerificationError("transforms collapsed the canonical clique")
     if B0 is None:
-        return frozenset(Mat._new(ring, m, n, x) for x in group)
+        return frozenset(group)
     h, b0 = ring.h, B0.entries
-    return frozenset(Mat._new(ring, m, n, tuple((x + y) % h for x, y in zip(ents, b0))) for ents in group)
+    return frozenset([tuple([(x + y) % h for x, y in zip(ents, b0)]) for ents in group])
 
 
 def coset_difference_group(entries: Iterable[tuple[int, ...]], h: int) -> Walk | None:
@@ -209,9 +212,9 @@ def _walk_and_rank(ring: RingSpec, rows: int, cols: int, entries: list[tuple[int
     return walk, difference_ranks(ring, rows, cols, entries, walk and walk[0])
 
 
-def is_clique(spec: GraphSpec, family: Iterable[Mat], pair_budget: int = DEFAULT_PAIR_BUDGET) -> bool:
+def is_clique(spec: GraphSpec, family: Iterable[tuple[int, ...]], pair_budget: int = DEFAULT_PAIR_BUDGET) -> bool:
     """All distinct members differ by inner rank <= r, by the ranks _walk_and_rank takes and charges."""
-    _, ranks = _walk_and_rank(spec.ring, spec.m, spec.n, [mat.entries for mat in family], pair_budget)
+    _, ranks = _walk_and_rank(spec.ring, spec.m, spec.n, list(family), pair_budget)
     return all(k <= spec.r for k in ranks)
 
 
@@ -233,19 +236,19 @@ class CliqueForm(Frozen):
         self._fill(graph, tag, S, T, alpha, B0)
 
 
-def rebuild_clique(form: CliqueForm) -> frozenset[Mat]:
+def rebuild_clique(form: CliqueForm) -> frozenset[tuple[int, ...]]:
     """Materialize S @ C_r(alpha) @ T + B0 through build_canonical_clique's one closure."""
     return build_canonical_clique(CanonicalCliqueSpec(form.graph, form.alpha), form.S, form.T, form.B0)
 
 
-def classify_max_clique(spec: GraphSpec, family: Iterable[Mat], walk: Walk | None = None) -> CliqueForm:
+def classify_max_clique(spec: GraphSpec, family: Iterable[tuple[int, ...]], walk: Walk | None = None) -> CliqueForm:
     """Recover a (tag, S, T, alpha, B0) parameterization of a maximum clique.
 
-    The input must be a maximum clique: size h**(n*r) and pairwise inner
-    rank of differences <= r.  walk is coset_difference_group of the family,
-    taken here unless the caller already has it; its kept generators span
-    G = family - B0, and a family that is no coset raises
-    VerificationError.  Whether a prime component
+    The input must be a maximum clique of entry tuples of length m*n: size
+    h**(n*r) and pairwise inner rank of differences <= r.  walk is
+    coset_difference_group of the family, taken here unless the caller
+    already has it; its kept generators span G = family - B0, and a family
+    that is no coset raises VerificationError.  Whether a prime component
     is row type (alpha_i = 0) or column type (alpha_i = s_i) is read off the
     Smith exponents of the horizontally / vertically stacked projections of
     the kept generators, which span the column / row modules of all of G,
@@ -257,13 +260,11 @@ def classify_max_clique(spec: GraphSpec, family: Iterable[Mat], walk: Walk | Non
     """
     ring = spec.ring
     m, n, r = spec.m, spec.n, spec.r
-    members = list(family)
-    if not members:
+    fam = set(family)
+    if not fam:
         raise UsageError("empty family")
-    for mem in members:
-        if mem.ring != ring or (mem.rows, mem.cols) != (m, n):
-            raise ShapeError("family members do not match the graph parameters")
-    fam = {mem.entries for mem in members}
+    if any(len(x) != m * n for x in fam):
+        raise ShapeError("family members do not match the graph parameters")
     if len(fam) != spec.clique_bound:
         raise VerificationError(f"family has size {len(fam)}, a maximum clique has {spec.clique_bound}")
 
@@ -310,7 +311,7 @@ def classify_max_clique(spec: GraphSpec, family: Iterable[Mat], walk: Walk | Non
     t_mat = None if tag == ROW_FORM else crt_lift_mat(ring, t_comps)
 
     form = CliqueForm(spec, tag, s_mat, t_mat, tuple(alpha), Mat._new(ring, m, n, min(fam)))
-    if {mat.entries for mat in rebuild_clique(form)} != fam:
+    if rebuild_clique(form) != fam:
         raise VerificationError(
             "recovered parameterization does not rebuild the family; "
             "this contradicts the classification of maximum cliques"
@@ -331,7 +332,7 @@ class EkrReport(NamedTuple):
         return self.size <= self.bound
 
 
-def verify_ekr(spec: GraphSpec, family: Iterable[Mat], pair_budget: int = DEFAULT_PAIR_BUDGET) -> EkrReport:
+def verify_ekr(spec: GraphSpec, family: Iterable[tuple[int, ...]], pair_budget: int = DEFAULT_PAIR_BUDGET) -> EkrReport:
     """Check the extremal bound for a family whose members pairwise differ by rank <= r.
 
     The family is walked once, and checked as is_clique does on that walk;
@@ -343,7 +344,7 @@ def verify_ekr(spec: GraphSpec, family: Iterable[Mat], pair_budget: int = DEFAUL
     members = list(family)
     if not members:
         raise UsageError("empty family")
-    walk, ranks = _walk_and_rank(spec.ring, spec.m, spec.n, [mat.entries for mat in members], pair_budget)
+    walk, ranks = _walk_and_rank(spec.ring, spec.m, spec.n, members, pair_budget)
     if not all(k <= spec.r for k in ranks):
         raise NotIntersectingError(f"family is not pairwise rank-{spec.r} intersecting")
     size = len(set(members))
@@ -356,7 +357,7 @@ def verify_ekr(spec: GraphSpec, family: Iterable[Mat], pair_budget: int = DEFAUL
 
 def enumerate_max_cliques(
     spec: GraphSpec, budget: int = DEFAULT_EXACT_SEARCH_BUDGET
-) -> list[frozenset[Mat]]:
+) -> list[frozenset[tuple[int, ...]]]:
     """All maximum cliques, by exhaustive search; needs h**(m*n) <= budget vertices."""
     masks = adjacency_masks(spec, budget)
     target = spec.clique_bound
@@ -365,7 +366,7 @@ def enumerate_max_cliques(
     best = search_through_zero(spec, False, budget)
     if len(best) != target:
         raise VerificationError(f"search found a clique of size {len(best)}, expected {target}")
-    return [frozenset(spec.vertex(v) for v in ids) for ids in found]
+    return [frozenset(spec.vertex_entries(v) for v in ids) for ids in found]
 
 
 def random_clique_form(

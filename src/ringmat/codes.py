@@ -16,11 +16,12 @@ distance: a word with unit content reduces mod p to a nonzero member of the
 prime-field code, and any p-divisible word is a p-multiple of a lifted one.
 A code is the span of its basis, built by one subgroup closure on which
 every nonzero word is ranked once before it is returned, so emitted codes
-never rely on the argument above; the code carries that distance.
-verify_distance checks any set of words by the one walk of cliques: a
-coset is ranked through its difference group and charged |C| - 1 rank
-checks, any other set pairwise and charged C(|C|, 2); a code flagged linear
-must also be its own difference group (contain zero, closed under addition).
+never rely on the argument above; the code carries that distance.  Words
+are flat entry tuples; the RankCode carries their ring and shape once.
+verify_distance checks any set of words by the one walk of cliques: a coset
+is ranked through its difference group and charged |C| - 1 rank checks, any
+other set pairwise and charged C(|C|, 2); a code flagged linear must also be
+its own difference group (contain zero, closed under addition).
 
 The same codes drive the two coloring-style certificates.  A code of
 distance > r with h**(n*(m-r)) words is a complement of the row clique K
@@ -56,7 +57,6 @@ from .errors import (
     power_exceeds,
 )
 from .graph import GraphSpec, adjacent, build_graph, subgroup_closure
-from .matrix import Mat
 from .ring import Frozen, RingSpec
 
 
@@ -172,10 +172,10 @@ class RankCode(NamedTuple):
     ring: RingSpec
     rows: int
     cols: int
-    members: frozenset[Mat]
+    members: frozenset[tuple[int, ...]]  # flat row-major entry tuples
     claimed_min_distance: int
     linear: bool
-    basis: tuple[Mat, ...] | None
+    basis: tuple[tuple[int, ...], ...] | None
     verified_distance: float | None = None
 
     @property
@@ -191,11 +191,10 @@ def verify_distance(code: RankCode, pair_budget: int = DEFAULT_PAIR_BUDGET) -> f
     be its own difference group G (contain zero and be closed under
     addition), else VerificationError.
     """
-    entries = [mat.entries for mat in code.members]
-    if len(entries) < 2:
+    if code.size < 2:
         return math.inf
-    walk, ranks = _walk_and_rank(code.ring, code.rows, code.cols, entries, pair_budget)
-    if code.linear and (walk is None or walk[0] != set(entries)):
+    walk, ranks = _walk_and_rank(code.ring, code.rows, code.cols, list(code.members), pair_budget)
+    if code.linear and (walk is None or walk[0] != code.members):
         raise VerificationError("a linear code must contain zero and be closed under addition")
     return min(ranks)
 
@@ -235,7 +234,7 @@ def mrd_code(spec: GraphSpec, pair_budget: int = DEFAULT_PAIR_BUDGET) -> RankCod
         charge("- 1 distance checks", (ring.h, n * (m - r)), pair_budget)
     if r == m:
         charge("vertices", (ring.h, m * n), pair_budget)
-        return RankCode(ring, m, n, frozenset([Mat.zeros(ring, m, n)]), r + 1, True, (), math.inf)
+        return RankCode(ring, m, n, frozenset([(0,) * (m * n)]), r + 1, True, (), math.inf)
     zero = (0,) * (m * n)
     basis = [
         ring.crt_vectors([b if j == i else zero for j in range(ring.t)])
@@ -249,8 +248,7 @@ def mrd_code(spec: GraphSpec, pair_budget: int = DEFAULT_PAIR_BUDGET) -> RankCod
     found = min(difference_ranks(ring, m, n, group, group))
     if found != r + 1:
         raise VerificationError(f"verified distance {found} != claimed {r + 1}")
-    members = frozenset(Mat._new(ring, m, n, g) for g in group)
-    return RankCode(ring, m, n, members, r + 1, True, tuple(Mat._new(ring, m, n, b) for b in basis), found)
+    return RankCode(ring, m, n, frozenset(group), r + 1, True, tuple(basis), found)
 
 
 # --- colorings and covers ---------------------------------------------------------
@@ -264,7 +262,7 @@ def _complement_lookup(spec: GraphSpec, code: RankCode) -> dict[tuple[int, ...],
     member of K, of rank <= r.
     """
     cut = spec.r * spec.n
-    lookup = {mat.entries[cut:]: mat.entries for mat in code.members}
+    lookup = {x[cut:]: x for x in code.members}
     if not len(lookup) == code.size == spec.independence_bound:
         raise VerificationError("code words do not meet each pattern of the last m - r rows once")
     return lookup
@@ -342,7 +340,7 @@ class CliqueCover(NamedTuple):
     """
 
     spec: GraphSpec
-    parts: tuple[frozenset[Mat], ...]
+    parts: tuple[frozenset[tuple[int, ...]], ...]
 
 
 def clique_cover_complement(spec: GraphSpec, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> CliqueCover:
@@ -357,10 +355,11 @@ def clique_cover_complement(spec: GraphSpec, vertex_budget: int = DEFAULT_VERTEX
     _complement_lookup(spec, code)
     base = build_canonical_clique(CanonicalCliqueSpec(spec, (0,) * spec.ring.t))
     cut = spec.r * spec.n
-    if any(any(x.entries[cut:]) for x in base) or not is_clique(spec, base):
+    if any(any(x[cut:]) for x in base) or not is_clique(spec, base):
         raise VerificationError("the canonical clique is not the row clique K, or K is not a clique")
-    members = sorted(code.members, key=lambda mat: mat.entries)
-    return CliqueCover(spec, tuple(frozenset(mem + x for x in base) for mem in members))
+    h = spec.ring.h
+    return CliqueCover(spec, tuple(frozenset([tuple([(a + b) % h for a, b in zip(c, k)]) for k in base])
+                                   for c in sorted(code.members)))
 
 
 class GraphCertificate(Frozen):

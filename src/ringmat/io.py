@@ -20,10 +20,12 @@ Code files add top-level metadata next to ``members``::
 code).  CSV files carry one matrix per line, entries row-major, comma
 separated; shape and modulus must then be supplied out of band.
 
-A read checks a whole family at once (shapes, types, then range by min/max);
-only when that fails does the ordered per-entry scan run, so the first fault
-keeps its own message.  A write puts each regular nested list of plain ints (a
-row, a matrix, a list of matrices) through one template per shape.
+A family is read into, and written from, flat row-major entry tuples, with
+its ring and shape kept once.  A read checks a whole family at once (shapes,
+types, then range by min/max); only when that fails does the ordered
+per-entry scan run, so the first fault keeps its own message.  A write puts
+each regular nested list of plain ints (a row, a matrix, a list of matrices)
+through one template per shape.
 """
 
 from __future__ import annotations
@@ -111,14 +113,12 @@ def _entries_from_rows(ring: RingSpec, rows: int, cols: int, obj: Any,
     return tuple(flat)
 
 
-def _matrices(ring: RingSpec, rows: int, cols: int, items: list, what: str) -> list[Mat]:
-    """The matrices in items, all checked in one step; the per-entry scan runs only on a fault."""
+def _entry_tuples(ring: RingSpec, rows: int, cols: int, items: list, what: str) -> list[tuple[int, ...]]:
+    """The entry tuples of the matrices in items, all checked in one step; the per-entry scan runs only on a fault."""
     shape, flat = _int_array(items) or ((), ())
     if shape == (len(items), rows, cols) and min(flat) >= 0 and max(flat) < ring.h:
-        entries = zip(*[iter(flat)] * (rows * cols))  # runs of rows*cols entries
-    else:
-        entries = [_entries_from_rows(ring, rows, cols, item, what) for item in items]
-    return [Mat._new(ring, rows, cols, e) for e in entries]
+        return list(zip(*[iter(flat)] * (rows * cols)))  # runs of rows*cols entries
+    return [_entries_from_rows(ring, rows, cols, item, what) for item in items]
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +143,7 @@ def _shape_from_obj(obj: Any, kind: str, body: str, expect_h: int | None) -> tup
 
 def matrix_from_obj(obj: Any, expect_h: int | None = None) -> Mat:
     ring, rows, cols = _shape_from_obj(obj, "matrix", "entries", expect_h)
-    return _matrices(ring, rows, cols, [obj["entries"]], "entries")[0]
+    return Mat._new(ring, rows, cols, _entry_tuples(ring, rows, cols, [obj["entries"]], "entries")[0])
 
 
 def load_matrix(path: str, expect_h: int | None = None) -> Mat:
@@ -203,15 +203,19 @@ def load_matrices_csv(path: str, h: int, rows: int, cols: int) -> list[Mat]:
 # families and codes
 # ---------------------------------------------------------------------------
 
+def family_rows(cols: int, members: Iterable[tuple[int, ...]]) -> list[list[list[int]]]:
+    """Each member's entry tuple cut into rows of cols entries, in the order given."""
+    return [[list(x[i:i + cols]) for i in range(0, len(x), cols)] for x in members]
+
+
 def family_to_obj(ring: RingSpec, rows: int, cols: int,
-                  members: Iterable[Mat],
+                  members: Iterable[tuple[int, ...]],
                   extra: dict[str, Any] | None = None) -> dict[str, Any]:
-    ordered = sorted(members, key=lambda m: m.entries)
     obj: dict[str, Any] = {
         "h": ring.h,
         "rows": rows,
         "cols": cols,
-        "members": [m.to_rows() for m in ordered],
+        "members": family_rows(cols, sorted(members)),
     }
     if extra:
         for key, value in extra.items():
@@ -220,18 +224,18 @@ def family_to_obj(ring: RingSpec, rows: int, cols: int,
 
 
 def family_from_obj(obj: Any, expect_h: int | None = None
-                    ) -> tuple[RingSpec, int, int, list[Mat], dict[str, Any]]:
+                    ) -> tuple[RingSpec, int, int, list[tuple[int, ...]], dict[str, Any]]:
     ring, rows, cols = _shape_from_obj(obj, "family", "members", expect_h)
     raw = obj["members"]
     _require(isinstance(raw, list) and raw, "members must be a non-empty list")
-    members = _matrices(ring, rows, cols, raw, "member")
+    members = _entry_tuples(ring, rows, cols, raw, "member")
     meta = {k: v for k, v in obj.items()
             if k not in ("h", "rows", "cols", "members")}
     return ring, rows, cols, members, meta
 
 
 def load_family(path: str, expect_h: int | None = None
-                ) -> tuple[RingSpec, int, int, list[Mat], dict[str, Any]]:
+                ) -> tuple[RingSpec, int, int, list[tuple[int, ...]], dict[str, Any]]:
     return family_from_obj(_load_json(path), expect_h=expect_h)
 
 
@@ -258,5 +262,5 @@ def code_to_obj(code, verified: float | int | None = None) -> dict[str, Any]:
         "linear": code.linear,
     }
     if code.basis is not None:
-        extra["basis"] = [b.to_rows() for b in code.basis]
+        extra["basis"] = family_rows(code.cols, code.basis)
     return family_to_obj(code.ring, code.rows, code.cols, code.members, extra)

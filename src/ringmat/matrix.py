@@ -6,12 +6,12 @@ when its determinant is a unit, that is nonzero mod every prime p_i, which
 one elimination of the entries reduced mod rad(h) = prod(p_i) decides with
 no determinant formed.
 
-Public construction (Mat(...), from_rows, zeros) validates shape and
-entries.  Results that are canonical by construction (arithmetic, CRT
-gluing, the Smith transforms) go through the unchecked Mat._new.  A Mat is
-immutable; ==, hash and repr are those of its fields.  So it may carry its
-own per-prime exponent rows (the _exponents slot, not a field), written once
-by smith.snf or the first rank query and freed with the matrix.
+Public construction (Mat(...), from_rows) validates shape and entries.
+Results that are canonical by construction (arithmetic, CRT gluing, the
+Smith transforms) go through the unchecked Mat._new.  A Mat is immutable;
+==, hash and repr are those of its fields.  So it may carry its own
+per-prime exponent rows (the _exponents slot, not a field), written once by
+smith.snf or the first rank query and freed with the matrix.
 """
 
 from __future__ import annotations
@@ -74,10 +74,6 @@ class Mat(Frozen):
         n = len(rows[0])
         h = ring.h
         return cls(ring, m, n, tuple(v % h for row in rows for v in row))
-
-    @classmethod
-    def zeros(cls, ring: RingSpec, rows: int, cols: int) -> "Mat":
-        return cls(ring, rows, cols, (0,) * (rows * cols))
 
     @classmethod
     def identity(cls, ring: RingSpec, n: int) -> "Mat":

@@ -69,10 +69,6 @@ class InvariantFactorArray(Frozen):
         self._fill(ring, omega, None)
 
     @property
-    def width(self) -> int:
-        return len(self.omega[0])
-
-    @property
     def inner_rank(self) -> int:
         """Number of diagonal positions whose ideal is not the zero ideal: the longest unsaturated prefix of a row."""
         return max(map(bisect_left, self.omega, self.ring.saturated))

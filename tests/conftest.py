@@ -212,6 +212,51 @@ def recursive_mis(masks, budget=DEFAULT_SEARCH_STEP_BUDGET):
     return recursive_clique(complement_masks(masks), budget)
 
 
+def canonical_members(cspec):
+    """The entries of C_r(alpha) member by member: X1 free, X2 over the ideal alpha, X3 over s - alpha."""
+    spec = cspec.graph
+    ring = spec.ring
+    h, m, n, r = ring.h, spec.m, spec.n, spec.r
+
+    def ideal(exponents):
+        g = 1
+        for (p, _), a in zip(ring.primes, exponents):
+            g *= p**a
+        return sorted({x * g % h for x in range(h)})
+
+    upper = ideal(cspec.alpha)
+    lower = ideal([s - a for a, (_, s) in zip(cspec.alpha, ring.primes)])
+    members = set()
+    for x1 in product(range(h), repeat=r * r):
+        for x2 in product(upper, repeat=r * (n - r)):
+            for x3 in product(lower, repeat=(m - r) * r):
+                ents = [0] * (m * n)
+                for i in range(r):
+                    ents[i * n:i * n + r] = x1[i * r:(i + 1) * r]
+                    ents[i * n + r:(i + 1) * n] = x2[i * (n - r):(i + 1) * (n - r)]
+                for i in range(m - r):
+                    ents[(r + i) * n:(r + i) * n + r] = x3[i * r:(i + 1) * r]
+                members.add(tuple(ents))
+    return members
+
+
+def mat_clique(cspec, S=None, T=None, B0=None) -> frozenset:
+    """S @ C_r(alpha) @ T + B0 member by member in Mat arithmetic: the route before families were entry tuples."""
+    spec = cspec.graph
+    out = set()
+    for x in canonical_members(cspec):
+        a = Mat(spec.ring, spec.m, spec.n, x)
+        a = a if S is None else S @ a
+        a = a if T is None else a @ T
+        out.add(a if B0 is None else a + B0)
+    return frozenset(out)
+
+
+def zeros(ring, rows: int, cols: int) -> Mat:
+    """The zero matrix, through the validating constructor."""
+    return Mat(ring, rows, cols, (0,) * (rows * cols))
+
+
 def transpose(a: Mat) -> Mat:
     return Mat._new(a.ring, a.cols, a.rows, _transposed(a.entries, a.rows, a.cols))
 

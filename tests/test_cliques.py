@@ -7,6 +7,7 @@ from operator import mul
 
 import pytest
 
+from conftest import canonical_members, mat_clique, zeros
 from ringmat import cli, cliques
 from ringmat.cliques import (
     build_canonical_clique,
@@ -24,9 +25,11 @@ from ringmat.cliques import (
     ROW_FORM,
     verify_ekr,
 )
+from ringmat.codes import clique_cover_complement, mrd_code
 from ringmat.errors import (
     BudgetExceededError,
     NotIntersectingError,
+    ShapeError,
     UsageError,
     VerificationError,
 )
@@ -68,7 +71,7 @@ def test_canonical_spec_validation():
 def test_is_clique_detects_violations():
     spec = _spec(6)
     ring = spec.ring
-    assert not is_clique(spec, [Mat.zeros(ring, 2, 2), Mat.identity(ring, 2)])
+    assert not is_clique(spec, [zeros(ring, 2, 2).entries, Mat.identity(ring, 2).entries])
     with pytest.raises(BudgetExceededError):
         fam = build_canonical_clique(CanonicalCliqueSpec(spec, (0, 0)))
         is_clique(spec, fam, pair_budget=10)
@@ -92,13 +95,14 @@ def test_classify_rejects_wrong_size():
     fam = list(build_canonical_clique(CanonicalCliqueSpec(spec, (0, 0))))
     with pytest.raises(VerificationError):
         classify_max_clique(spec, fam[:-1])
+    with pytest.raises(ShapeError):  # a member of another shape
+        classify_max_clique(spec, fam[:-1] + [(0,) * 6])
 
 
 def test_classify_rejects_right_size_non_clique():
     spec = _spec(6)
-    fam = sorted(build_canonical_clique(CanonicalCliqueSpec(spec, (0, 0))),
-                 key=lambda m: m.entries)
-    outside = Mat.identity(spec.ring, 2)
+    fam = sorted(build_canonical_clique(CanonicalCliqueSpec(spec, (0, 0))))
+    outside = Mat.identity(spec.ring, 2).entries
     assert outside not in fam
     tampered = fam[:-1] + [outside]
     with pytest.raises(VerificationError):
@@ -108,7 +112,7 @@ def test_classify_rejects_right_size_non_clique():
 def test_rebuild_rejects_collapsing_parameters():
     spec = _spec(6)
     ring = spec.ring
-    zero = Mat.zeros(ring, 2, 2)
+    zero = zeros(ring, 2, 2)
     singular_2 = Mat.from_rows(ring, [[2, 0], [0, 1]])  # kills the first row mod 2
     for tag, s_mat, t_mat, alpha in ((ROW_FORM, zero, None, (0, 0)),
                                      (ROW_FORM, singular_2, None, (0, 0)),
@@ -121,7 +125,7 @@ def test_rebuild_rejects_collapsing_parameters():
 def test_clique_form_tag_validation():
     spec = _spec(6)
     with pytest.raises(UsageError):
-        CliqueForm(spec, "Sideways", None, None, (0, 0), Mat.zeros(spec.ring, 2, 2))
+        CliqueForm(spec, "Sideways", None, None, (0, 0), zeros(spec.ring, 2, 2))
 
 
 def test_enumerate_max_cliques_z2():
@@ -141,8 +145,7 @@ def test_enumerate_max_cliques_budget():
 
 def test_verify_ekr_accepts_subfamily_without_form():
     spec = _spec(6)
-    fam = sorted(build_canonical_clique(CanonicalCliqueSpec(spec, (0, 0))),
-                 key=lambda m: m.entries)
+    fam = sorted(build_canonical_clique(CanonicalCliqueSpec(spec, (0, 0))))
     rep = verify_ekr(spec, fam[:10])
     assert rep.within_bound and not rep.extremal
     assert rep.form is None
@@ -151,7 +154,7 @@ def test_verify_ekr_accepts_subfamily_without_form():
 
 def test_verify_ekr_rejects_non_intersecting():
     spec = _spec(6)
-    family = [Mat.zeros(spec.ring, 2, 2), Mat.identity(spec.ring, 2)]
+    family = [zeros(spec.ring, 2, 2).entries, Mat.identity(spec.ring, 2).entries]
     with pytest.raises(NotIntersectingError):
         verify_ekr(spec, family)
 
@@ -183,8 +186,8 @@ def _pairwise_is_clique(monkeypatch, spec, family):
 
 
 def _shifted(family, h):
-    b0 = min(mat.entries for mat in family)
-    return {tuple((x - y) % h for x, y in zip(mat.entries, b0)) for mat in family}
+    b0 = min(family)
+    return {tuple((x - y) % h for x, y in zip(f, b0)) for f in family}
 
 
 # (h, n, alpha of the rebuilt clique); 2x3 needs alpha = 0, and h=12 2x3
@@ -201,7 +204,7 @@ def test_coset_route_matches_pairwise_on_cliques(monkeypatch, h, n, alpha):
     canonical = build_canonical_clique(CanonicalCliqueSpec(spec, (0,) * spec.ring.t))
     rebuilt = rebuild_clique(random_clique_form(spec, alpha, h))
     for fam in (canonical, rebuilt):
-        group, _ = coset_difference_group([mat.entries for mat in fam], h)
+        group, _ = coset_difference_group(fam, h)
         assert group == _shifted(fam, h)
         assert is_clique(spec, fam, pair_budget=10**6)
         assert _pairwise_is_clique(monkeypatch, spec, fam)
@@ -212,9 +215,10 @@ def test_subgroup_coset_of_rank_two_matrix_is_not_a_clique(monkeypatch):
     ring = spec.ring
     b0 = random_matrix(ring, 2, 2, 3)
     ident = Mat.identity(ring, 2)
-    fam = [Mat.diagonal(ring, [k, k]) + b0 for k in range(6)]
-    assert fam[1] - fam[0] == ident
-    walk = coset_difference_group([mat.entries for mat in fam], 6)
+    mats = [Mat.diagonal(ring, [k, k]) + b0 for k in range(6)]
+    assert mats[1] - mats[0] == ident
+    fam = [mat.entries for mat in mats]
+    walk = coset_difference_group(fam, 6)
     assert walk is not None and len(walk[0]) == 6
     assert not is_clique(spec, fam)
     assert not _pairwise_is_clique(monkeypatch, spec, fam)
@@ -223,14 +227,14 @@ def test_subgroup_coset_of_rank_two_matrix_is_not_a_clique(monkeypatch):
 def test_non_coset_families_fall_back_to_pairwise(monkeypatch):
     spec = _spec(6)
     ring = spec.ring
-    fam = sorted(rebuild_clique(random_clique_form(spec, (1, 0), 4)), key=lambda m: m.entries)
-    outside = next(x for x in (random_matrix(ring, 2, 2, k) for k in range(100)) if x not in fam)
+    fam = sorted(rebuild_clique(random_clique_form(spec, (1, 0), 4)))
+    outside = next(x for x in (random_matrix(ring, 2, 2, k).entries for k in range(100)) if x not in fam)
     rng = random.Random(20)
-    random_set = {random_matrix(ring, 2, 2, rng) for _ in range(40)}
-    random_set = sorted(random_set, key=lambda m: m.entries)[:20]
+    random_set = {random_matrix(ring, 2, 2, rng).entries for _ in range(40)}
+    random_set = sorted(random_set)[:20]
     assert len(random_set) == 20
     for family, want in ((fam[:-1], True), (fam + [outside], False), (random_set, None)):
-        assert coset_difference_group([mat.entries for mat in family], 6) is None
+        assert coset_difference_group(family, 6) is None
         got = is_clique(spec, family)
         assert got == _pairwise_is_clique(monkeypatch, spec, family)
         if want is not None:
@@ -241,15 +245,15 @@ def test_non_coset_families_fall_back_to_pairwise(monkeypatch):
 def test_difference_ranks_match_inner_rank(h, n):
     spec = _spec(h, 2, n, 1)
     ring = spec.ring
-    coset = sorted(rebuild_clique(random_clique_form(spec, (0,) * ring.t, h)), key=lambda x: x.entries)
-    group, _ = coset_difference_group([x.entries for x in coset], h)
+    coset = sorted(rebuild_clique(random_clique_form(spec, (0,) * ring.t, h)))
+    group, _ = coset_difference_group(coset, h)
     assert list(difference_ranks(ring, 2, n, (), group)) == [
         inner_rank(Mat(ring, 2, n, g)) for g in group if any(g)
     ]
     rng = random.Random(h)
-    family = coset[:30] + [random_matrix(ring, 2, n, rng) for _ in range(30)]  # with repeated differences
-    assert list(difference_ranks(ring, 2, n, [x.entries for x in family], None)) == [
-        inner_rank(a - b) for a, b in combinations(family, 2) if a != b
+    family = coset[:30] + [random_matrix(ring, 2, n, rng).entries for _ in range(30)]  # with repeated differences
+    assert list(difference_ranks(ring, 2, n, family, None)) == [
+        inner_rank(Mat(ring, 2, n, a) - Mat(ring, 2, n, b)) for a, b in combinations(family, 2) if a != b
     ]
 
 
@@ -258,7 +262,7 @@ def test_pair_budget_is_checked_before_any_work(monkeypatch):
         raise AssertionError("work started before the budget check")
 
     spec = _spec(6)
-    fam = sorted(build_canonical_clique(CanonicalCliqueSpec(spec, (0, 0))), key=lambda x: x.entries)
+    fam = sorted(build_canonical_clique(CanonicalCliqueSpec(spec, (0, 0))))
     with monkeypatch.context() as mp:  # a coset of 36: |F| - 1 = 35 rank checks, charged before the walk
         mp.setattr(cliques, "coset_difference_group", refuse)
         with pytest.raises(BudgetExceededError, match="35 rank checks exceed the budget 34"):
@@ -279,34 +283,6 @@ def test_pair_budget_is_checked_before_any_work(monkeypatch):
 
 
 # --- the member-by-member route as the oracle ---------------------------------
-
-
-def _product_loop_clique(cspec):
-    """The entries of C_r(alpha) member by member: X1 free, X2 over the ideal alpha, X3 over s - alpha."""
-    spec = cspec.graph
-    ring = spec.ring
-    h, m, n, r = ring.h, spec.m, spec.n, spec.r
-
-    def ideal(exponents):
-        g = 1
-        for (p, _), a in zip(ring.primes, exponents):
-            g *= p**a
-        return sorted({x * g % h for x in range(h)})
-
-    upper = ideal(cspec.alpha)
-    lower = ideal([s - a for a, (_, s) in zip(cspec.alpha, ring.primes)])
-    members = set()
-    for x1 in product(range(h), repeat=r * r):
-        for x2 in product(upper, repeat=r * (n - r)):
-            for x3 in product(lower, repeat=(m - r) * r):
-                ents = [0] * (m * n)
-                for i in range(r):
-                    ents[i * n:i * n + r] = x1[i * r:(i + 1) * r]
-                    ents[i * n + r:(i + 1) * n] = x2[i * (n - r):(i + 1) * (n - r)]
-                for i in range(m - r):
-                    ents[(r + i) * n:(r + i) * n + r] = x3[i * r:(i + 1) * r]
-                members.add(tuple(ents))
-    return members
 
 
 def _mapped_members(form, members):
@@ -339,11 +315,27 @@ def test_generator_closure_matches_the_member_loops(h, m, n, r):
     spec = _spec(h, m, n, r)
     for alpha in _valid_alphas(spec):
         cspec = CanonicalCliqueSpec(spec, alpha)
-        members = _product_loop_clique(cspec)
+        members = canonical_members(cspec)
         assert len(members) == spec.clique_bound
-        assert {x.entries for x in build_canonical_clique(cspec)} == members
+        assert build_canonical_clique(cspec) == members
         form = random_clique_form(spec, alpha, h + m + n + r)
-        assert {x.entries for x in rebuild_clique(form)} == _mapped_members(form, members)
+        assert rebuild_clique(form) == _mapped_members(form, members)
+
+
+@pytest.mark.parametrize("h, m, n", [(4, 2, 2), (5, 2, 2), (6, 2, 2), (9, 2, 2), (12, 2, 2), (6, 2, 3), (6, 3, 3)])
+def test_entry_tuple_families_match_the_mat_route(h, m, n):
+    """Cliques and cover parts as entry tuples against the same sets summed and multiplied as Mats."""
+    spec = _spec(h, m, n, 1)
+    rng = random.Random(h + m + n)
+    for alpha in _valid_alphas(spec):
+        form = random_clique_form(spec, alpha, rng)
+        cspec = CanonicalCliqueSpec(spec, alpha)
+        old = mat_clique(cspec, form.S, form.T, form.B0)
+        assert {x.entries for x in old} == build_canonical_clique(cspec, form.S, form.T, form.B0)
+    if h in (5, 6) and (m, n) == (2, 2):
+        base = mat_clique(CanonicalCliqueSpec(spec, (0,) * spec.ring.t))
+        words = [Mat(spec.ring, m, n, c) for c in sorted(mrd_code(spec).members)]
+        assert list(clique_cover_complement(spec).parts) == [{(mem + x).entries for x in base} for mem in words]
 
 
 # --- classification from the group's generators ----------------------------------
@@ -368,12 +360,12 @@ def _stacks_generators(shapes, m, n, size):
 ])
 def test_classification_stacks_the_generators(monkeypatch, h, m, alpha, tag):
     spec = _spec(h, m, m)
-    fam = sorted(rebuild_clique(random_clique_form(spec, alpha, h + m)), key=lambda x: x.entries)
+    fam = sorted(rebuild_clique(random_clique_form(spec, alpha, h + m)))
     shapes = _stack_shapes(monkeypatch)
     form = classify_max_clique(spec, fam)
     assert (form.tag, form.alpha) == (tag, alpha)
     assert _stacks_generators(shapes, m, m, len(fam))
-    outside = next(x for x in (random_matrix(spec.ring, m, m, k) for k in range(100)) if x not in fam)
+    outside = next(x for x in (random_matrix(spec.ring, m, m, k).entries for k in range(100)) if x not in fam)
     with pytest.raises(VerificationError, match="not a coset"):  # one member swapped: no coset
         classify_max_clique(spec, fam[1:] + [outside])
 

@@ -8,7 +8,7 @@ from itertools import product
 
 import pytest
 
-from conftest import translate_ids
+from conftest import translate_ids, zeros
 from ringmat import cliques, codes
 from ringmat.codes import (
     _complement_lookup,
@@ -75,7 +75,7 @@ def _prime_field_code(p, m, n, d):
     for d >= 2, else, as r = 0 has no graph, one closure of _gabidulin_basis ranked as mrd_code ranks it."""
     if d >= 2:
         code = mrd_code(_spec(p, m, n, d - 1))
-        return {w.entries for w in code.members}, [b.entries for b in code.basis], code.verified_distance
+        return set(code.members), list(code.basis), code.verified_distance
     basis = _gabidulin_basis(FieldSpec.default(p, n), m, m)
     group = subgroup_closure(basis, p, p ** (m * n))
     return group, basis, min(cliques.difference_ranks(ring_spec(p), m, n, group, group))
@@ -87,8 +87,8 @@ def test_gabidulin_sizes_and_distances():
         assert code.size == p ** (n * (m - d + 1))
         assert verify_distance(code) == d
         assert code.linear
-        zero = Mat.zeros(code.ring, m, n)
-        assert zero in code.members
+        zero = zeros(code.ring, m, n)
+        assert zero.entries in code.members
 
 
 def test_gabidulin_distance_one_is_whole_space():
@@ -142,8 +142,8 @@ def test_mrd_span_matches_lift_and_crt_product_oracle(h, m, n, r):
         })
         basis += [ring.crt_vectors([b if j == i else zero for j in range(ring.t)]) for b in base]
     code = mrd_code(_spec(h, m, n, r))
-    assert {w.entries for w in code.members} == {ring.crt_vectors(words) for words in product(*comps)}
-    assert [b.entries for b in code.basis] == basis
+    assert code.members == {ring.crt_vectors(words) for words in product(*comps)}
+    assert list(code.basis) == basis
     assert code.verified_distance == r + 1
 
 
@@ -158,7 +158,7 @@ def test_mrd_sizes_all_rings():
 def test_code_is_independent_set():
     for h in (2, 3):
         spec = _spec(h)
-        members = sorted(mrd_code(spec).members, key=lambda m: m.entries)
+        members = [Mat(spec.ring, 2, 2, x) for x in sorted(mrd_code(spec).members)]
         assert len(members) == spec.independence_bound
         for i, a in enumerate(members):
             for b in members[i + 1:]:
@@ -167,17 +167,17 @@ def test_code_is_independent_set():
 
 def test_verify_distance_edge_cases():
     ring = ring_spec(4)
-    singleton = RankCode(ring, 2, 2, frozenset([Mat.zeros(ring, 2, 2)]), 1, False, None)
+    singleton = RankCode(ring, 2, 2, frozenset([zeros(ring, 2, 2).entries]), 1, False, None)
     assert verify_distance(singleton) == math.inf
     linear_no_zero = RankCode(
-        ring, 2, 2, frozenset([Mat.identity(ring, 2), Mat.diagonal(ring, [2, 2])]),
+        ring, 2, 2, frozenset([Mat.identity(ring, 2).entries, Mat.diagonal(ring, [2, 2]).entries]),
         1, True, None,
     )
     with pytest.raises(VerificationError):
         verify_distance(linear_no_zero)
     pair = RankCode(
         ring, 2, 2,
-        frozenset([Mat.zeros(ring, 2, 2), Mat.identity(ring, 2)]), 2, False, None,
+        frozenset([zeros(ring, 2, 2).entries, Mat.identity(ring, 2).entries]), 2, False, None,
     )
     assert verify_distance(pair) == 2
     with pytest.raises(BudgetExceededError):
@@ -211,7 +211,7 @@ def test_coloring_structural_above_budget():
 
 def _coset_colors(spec, code):
     """Colors by first appearance of the cosets v + C over all vertex ids: the oracle."""
-    member_ents = sorted(mem.entries for mem in code.members)
+    member_ents = sorted(code.members)
     h = spec.ring.h
     colors = [-1] * spec.n_vertices
     n_colors = 0
@@ -240,8 +240,8 @@ def test_color_of_matches_coset_oracle(h, m, n, r):
 def _bad_codes(spec):
     """A distance-(r+1) code with one word swapped into K, and one with a word dropped."""
     code = mrd_code(spec)
-    word = max(code.members, key=lambda mat: mat.entries)
-    in_k = Mat(spec.ring, spec.m, spec.n, (1,) + (0,) * (spec.m * spec.n - 1))
+    word = max(code.members)
+    in_k = (1,) + (0,) * (spec.m * spec.n - 1)
     return [
         code._replace(members=(code.members - {word}) | {in_k}),
         code._replace(members=code.members - {word}),
@@ -283,7 +283,7 @@ def test_clique_cover_partitions():
     assert all(len(p) == 36 for p in cover.parts)
     seen = set()
     for part in cover.parts:
-        ids = {spec.vertex_id(m.entries) for m in part}
+        ids = {spec.vertex_id(x) for x in part}
         assert not (seen & ids)
         seen |= ids
     assert len(seen) == spec.n_vertices
@@ -313,9 +313,9 @@ def test_verify_distance_coset_route_matches_pairwise(monkeypatch):
     # a non-coset code: three words, checked pairwise
     ring = ring_spec(4)
     odd = RankCode(ring, 2, 2, frozenset([
-        Mat.zeros(ring, 2, 2), Mat.identity(ring, 2), Mat.diagonal(ring, [3, 1]),
+        zeros(ring, 2, 2).entries, Mat.identity(ring, 2).entries, Mat.diagonal(ring, [3, 1]).entries,
     ]), 1, False, None)
-    assert cliques.coset_difference_group([m.entries for m in odd.members], 4) is None
+    assert cliques.coset_difference_group(odd.members, 4) is None
     assert verify_distance(odd) == 1
 
 
@@ -349,7 +349,7 @@ def test_subgroup_closure_matches_frontier_oracle(h):
 
 def test_verify_distance_checks_linear_codes_as_groups():
     ring = ring_spec(4)
-    z, one, two, three = (Mat.diagonal(ring, [v, v]) for v in range(4))
+    z, one, two, three = (Mat.diagonal(ring, [v, v]).entries for v in range(4))
 
     def linear(*members):
         return RankCode(ring, 2, 2, frozenset(members), 2, True, None)
@@ -375,10 +375,8 @@ def test_verify_distance_on_random_cosets_matches_pairwise(monkeypatch):
             gens.append(tuple(x * rng.choice(ring.prime_powers) % h for x in gens[0]))
             group = _subgroup(gens, h)
             b0 = random_matrix(ring, 2, 2, rng).entries
-            members = frozenset(
-                Mat(ring, 2, 2, tuple((x + y) % h for x, y in zip(g, b0))) for g in group
-            )
-            assert cliques.coset_difference_group([m.entries for m in members], h)[0] == group
+            members = frozenset(tuple((x + y) % h for x, y in zip(g, b0)) for g in group)
+            assert cliques.coset_difference_group(members, h)[0] == group
             plain = RankCode(ring, 2, 2, members, 1, False, None)
             fast = verify_distance(plain)
             with monkeypatch.context() as mp:
@@ -400,7 +398,7 @@ def test_verify_distance_budget_before_any_work(monkeypatch):
             verify_distance(plain, pair_budget=35)
     assert verify_distance(plain, pair_budget=35) == 2
     # 35 words, no coset: the walk runs, then C(35, 2) = 595 pairs are charged before any kernel call
-    short = plain._replace(members=frozenset(sorted(code.members, key=lambda w: w.entries)[1:]))
+    short = plain._replace(members=frozenset(sorted(code.members)[1:]))
     walks = []
     real_walk = cliques.coset_difference_group
     monkeypatch.setattr(cliques, "coset_difference_group", lambda *args: walks.append(real_walk(*args)) or walks[-1])
@@ -442,8 +440,7 @@ def _copy_code(spec):
     """
     ring, m, n, r = spec.ring, spec.m, spec.n, spec.r
     members = frozenset(
-        Mat(ring, m, n, tail[:n] + (0,) * (n * (r - 1)) + tail)
-        for tail in product(range(ring.h), repeat=n * (m - r))
+        tail[:n] + (0,) * (n * (r - 1)) + tail for tail in product(range(ring.h), repeat=n * (m - r))
     )
     return RankCode(ring, m, n, members, r + 1, True, None, verified_distance=r + 1)
 
@@ -476,10 +473,10 @@ def test_connection_lookup_matches_the_edge_oracle(h, m, n, r):
 def test_group_code_with_a_low_rank_word_is_refused(h):
     # {[[x, 0], [x, y]]}: a group meeting every last row once, holding [[1, 0], [1, 0]] of rank 1
     spec = _spec(h, 2, 2, 1)
-    members = frozenset(Mat(spec.ring, 2, 2, (x, 0, x, y)) for x in range(h) for y in range(h))
+    members = frozenset((x, 0, x, y) for x in range(h) for y in range(h))
     code = RankCode(spec.ring, 2, 2, members, 2, True, None, verified_distance=2)
     assert len(_complement_lookup(spec, code)) == h * h
-    assert subgroup_closure([w.entries for w in members], h, h * h) == {w.entries for w in members}
+    assert subgroup_closure(members, h, h * h) == members
     with pytest.raises(VerificationError, match="monochromatic"):
         color_graph(spec, code=code)
 
@@ -540,7 +537,7 @@ def test_code_distance_verified_once(monkeypatch):
     with monkeypatch.context() as mp:  # certify's clique check walks its clique, so refuse every walk only here
         mp.setattr(cliques, "coset_difference_group", refuse)
         code = mrd_code(spec)
-    words = {w.entries for w in code.members}
+    words = code.members
     assert code.verified_distance == 2 and len(words) == 36
     assert ranked == [[words, 35]] and len(closures) == 1  # each nonzero word ranked once, on the one closure
     ranked.clear()
@@ -555,7 +552,7 @@ def test_mrd_code_verified_once_with_the_callers_budget(monkeypatch, h):
     size = spec.independence_bound
     code = mrd_code(spec, pair_budget=size - 1)
     assert code.size == size and code.verified_distance == 2
-    assert ranked == [[{w.entries for w in code.members}, size - 1]]
+    assert ranked == [[code.members, size - 1]]
     ranked.clear()
     with pytest.raises(BudgetExceededError, match=f"{h}\\^2 - 1 distance checks exceed the budget {size - 2}"):
         mrd_code(spec, pair_budget=size - 2)

@@ -241,7 +241,7 @@ def test_clique_commands_keep_the_cli_contract(tmp_path_factory, data, seed):
         return
 
     ring, rows, cols, members, _ = load_family(str(family))
-    grids = [mat.to_rows() for mat in members]
+    grids = [[list(x[i * cols:(i + 1) * cols]) for i in range(rows)] for x in members]
     obj = {"h": ring.h, "rows": rows, "cols": cols}
     variants = {"intact": grids, "dropped": grids[:-1]}
     if len(grids) < ring.h ** (rows * cols):  # otherwise every matrix is a member
@@ -310,7 +310,7 @@ def test_code_commands_keep_the_cli_contract(tmp_path_factory, data, seed):
         return
 
     ring, rows, cols, members, _ = load_family(str(code_file))
-    grids = [mat.to_rows() for mat in members]
+    grids = [[list(x[i * cols:(i + 1) * cols]) for i in range(rows)] for x in members]
     variants = {"intact": grids}
     if len(grids) > 1:
         variants["dropped"] = grids[:-1]

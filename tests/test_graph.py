@@ -5,7 +5,8 @@ from itertools import product
 
 import pytest
 
-from conftest import connection_closure, per_matrix_labels, recursive_clique, recursive_mis, translate_ids, translated_masks
+from conftest import (connection_closure, per_matrix_labels, recursive_clique, recursive_mis, translate_ids,
+                      translated_masks, zeros)
 from ringmat.errors import BudgetExceededError, UsageError, VerificationError
 from ringmat.graph import (
     _rank_table,
@@ -73,7 +74,7 @@ def test_adjacency_matches_rank(rng):
         expected = 1 <= inner_rank(a - b) <= spec.r
         assert adjacent(spec, a, b) == expected
         assert adjacent(spec, b, a) == expected
-    z = Mat.zeros(spec.ring, 2, 2)
+    z = zeros(spec.ring, 2, 2)
     assert not adjacent(spec, z, z)
 
 

@@ -77,7 +77,7 @@ def test_matrix_csv_round_trip(tmp_path):
 
 def test_family_round_trip(tmp_path):
     ring = ring_spec(6)
-    members = [Mat.from_rows(ring, [[1, 2], [3, 4]]), Mat.zeros(ring, 2, 2)]
+    members = [(1, 2, 3, 4), (0, 0, 0, 0)]
     path = tmp_path / "fam.json"
     path.write_text(dumps_compact(family_to_obj(ring, 2, 2, members, {"note": 7})) + "\n")
     ring2, rows, cols, loaded, meta = load_family(str(path))
@@ -223,6 +223,11 @@ def typed(mats):
     return [(m.ring, m.rows, m.cols, m.entries, tuple(map(type, m.entries))) for m in mats]
 
 
+def typed_entries(family):
+    """Entry tuples with the exact type of every entry, so an int subclass shows."""
+    return [(x, tuple(map(type, x))) for x in family]
+
+
 class Sub(int):
     """An int subclass: the per-entry reader accepts it, the bulk check does not."""
 
@@ -327,8 +332,7 @@ def family_objs(draw):
 def oracle_family_members(obj):
     ring = ring_spec(obj["h"])
     rows, cols = obj["rows"], obj["cols"]
-    return [Mat._new(ring, rows, cols, oracle_entries_from_rows(ring, rows, cols, item, "member"))
-            for item in obj["members"]]
+    return [oracle_entries_from_rows(ring, rows, cols, item, "member") for item in obj["members"]]
 
 
 @given(family_objs())
@@ -336,7 +340,7 @@ def test_family_reader_matches_oracle(obj):
     want = outcome(oracle_family_members, copy.deepcopy(obj))
     got = outcome(lambda o: family_from_obj(o)[3], obj)
     if want[0] == "ok":
-        assert got[0] == "ok" and typed(got[1]) == typed(want[1])
+        assert got[0] == "ok" and typed_entries(got[1]) == typed_entries(want[1])
     else:
         assert got == want
 

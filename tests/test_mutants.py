@@ -7,10 +7,13 @@ line.  A mutant that survives is a finding about the second route; its row
 stays here.
 """
 
+import json
+
 import pytest
 
-from ringmat import graph, smith
+from ringmat import cli, codes, graph, smith
 from ringmat.cli import main
+from ringmat.cliques import CanonicalCliqueSpec, build_canonical_clique, classify_max_clique
 from ringmat.errors import VerificationError
 from ringmat.graph import GraphSpec, check_vertex_transitivity
 from ringmat.matrix import Mat
@@ -104,3 +107,41 @@ def test_a_singular_sampled_map_fails_the_transitivity_check(monkeypatch):
     assert check_vertex_transitivity(spec, 200, 0)
     monkeypatch.setattr(graph, "random_invertible", lambda ring, n, rng: Mat.diagonal(ring, [1] + [0] * (n - 1)))
     assert not check_vertex_transitivity(spec, 200, 0)
+
+
+# --- omega witness: a maximum clique, checked by is_clique and by classification --------
+
+
+def _moved(family, h):
+    """The family with its largest member, a nonzero one, moved: 1 added to its last entry."""
+    x = max(family)
+    return family - {x} | {x[:-1] + ((x[-1] + 1) % h,)}
+
+
+def test_a_moved_clique_member_fails_the_clique_check_and_classification(monkeypatch, capsys):
+    real = cli.build_canonical_clique
+    monkeypatch.setattr(cli, "build_canonical_clique", lambda cspec, *maps: _moved(real(cspec, *maps), 6))
+    assert main(["build-clique", "--h", "6", "--m", "2", "--n", "2", "--r", "1", "--alpha", "0,0"]) == 1
+    assert capsys.readouterr().err == "verification failed: built family is not a clique\n"
+    spec = GraphSpec(ring_spec(6), 2, 2, 1)
+    with pytest.raises(VerificationError):
+        classify_max_clique(spec, _moved(build_canonical_clique(CanonicalCliqueSpec(spec, (0, 0))), 6))
+
+
+# --- alpha witness: a rank-distance code, checked by its verified distance ---------------
+
+
+def test_a_replaced_code_word_fails_the_distance_check(monkeypatch, capsys, tmp_path):
+    graph_args = ["--h", "6", "--m", "2", "--n", "3", "--r", "1"]
+    path = tmp_path / "code.json"
+    assert main(["build-mrd", *graph_args, "--out", str(path)]) == 0
+    obj = json.loads(path.read_text())
+    obj["members"][-1] = [[1, 0, 0], [0, 0, 0]]  # E_00, of rank 1
+    path.write_text(json.dumps(obj))
+    assert main(["verify-code", "--family", str(path), "--d", "2"]) == 1
+    real = codes._gabidulin_basis  # its first word replaced by E_00
+    monkeypatch.setattr(codes, "_gabidulin_basis",
+                        lambda field, m, k: [(1,) + (0,) * (m * field.n - 1)] + real(field, m, k)[1:])
+    capsys.readouterr()
+    assert main(["build-mrd", *graph_args]) == 1
+    assert capsys.readouterr().err == "verification failed: verified distance 1 != claimed 2\n"

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (coprojection_rank, kernel_table, matrices, reference_pp_smith, reference_snf, transpose,
-                      two_loop_omega_check)
+                      two_loop_omega_check, zeros)
 from ringmat import cliques, graph, oracle, orbits, smith
 from ringmat.cliques import classify_max_clique, random_clique_form, rebuild_clique
 from ringmat.graph import GraphSpec, build_graph
@@ -48,7 +48,7 @@ def test_frozen_examples():
     assert f.D == Mat.diagonal(r6, [1, 0])
 
     r12 = ring_spec(12)
-    zero = Mat.zeros(r12, 2, 3)
+    zero = zeros(r12, 2, 3)
     fz = snf(zero)
     assert fz.omega.omega == ((2, 2), (1, 1))
     assert fz.inner_rank == 0
@@ -97,7 +97,7 @@ def test_transpose_has_same_omega(rng):
 
 def test_rank_bounds_and_zero(rng):
     ring = ring_spec(12)
-    assert inner_rank(Mat.zeros(ring, 2, 3)) == 0
+    assert inner_rank(zeros(ring, 2, 3)) == 0
     assert inner_rank(Mat.identity(ring, 3)) == 3
     for _ in range(300):
         a = random_matrix(ring, 2, 3, rng)
@@ -132,7 +132,7 @@ def test_invariant_factor_array_validation():
     with pytest.raises(UsageError):
         InvariantFactorArray(ring, ((0, 0),))  # one row per prime
     arr = InvariantFactorArray(ring, ((0, 2), (1, 1)))
-    assert arr.width == 2
+    assert len(arr.omega[0]) == 2
     assert arr.inner_rank == 1
     assert arr.diagonal_values() == (3, 0)
 
@@ -203,7 +203,7 @@ def test_verify_smith_form_detects_tampering():
     f = snf(a)
     bad = type(f)(f.S, f.D, f.T, InvariantFactorArray(ring, ((0, 1), (0, 1))))
     with pytest.raises(VerificationError):
-        verify_smith_form(Mat.zeros(ring, 2, 2), f)
+        verify_smith_form(zeros(ring, 2, 2), f)
     if f.omega.omega != bad.omega.omega:
         with pytest.raises(VerificationError):
             verify_smith_form(a, bad)
@@ -228,7 +228,7 @@ def test_verify_smith_form_detects_any_corrupted_entry():
                     verify_smith_form(a, bad)
         with pytest.raises(VerificationError):
             verify_smith_form(a, type(f)(Mat.identity(ring, a.rows + 1), f.D, f.T, f.omega))
-        zero = Mat.zeros(ring, a.rows, a.rows)
+        zero = zeros(ring, a.rows, a.rows)
         f0 = snf(zero)
         for slot in ("S", "T"):  # the product still reproduces zero; only invertibility fails
             with pytest.raises(VerificationError, match=f"{slot} is not invertible"):
@@ -397,7 +397,7 @@ def test_snf_and_rank_routes_match_the_reference(h):
 def test_a_fresh_matrix_is_charged_before_the_kernel(monkeypatch):
     """Over budget, the rank of a matrix that carries no rows fails at the charge, before any kernel run."""
     monkeypatch.setattr(smith, "_pp_exponents", _refuse)
-    a = Mat.zeros(ring_spec(6), 200, 200)  # 2 * 200**3 kernel steps
+    a = zeros(ring_spec(6), 200, 200)  # 2 * 200**3 kernel steps
     for route in (inner_rank, invariant_factors, rank_via_projections):
         with pytest.raises(BudgetExceededError, match="kernel steps"):
             route(a)
