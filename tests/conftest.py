@@ -241,7 +241,7 @@ def canonical_members(cspec):
 
 
 def mat_clique(cspec, S=None, T=None, B0=None) -> frozenset:
-    """S @ C_r(alpha) @ T + B0 member by member in Mat arithmetic: the route before families were entry tuples."""
+    """S @ C_r(alpha) @ T + B0 member by member in Mat arithmetic: the oracle of the entry-tuple closure."""
     spec = cspec.graph
     out = set()
     for x in canonical_members(cspec):
