@@ -201,8 +201,14 @@ def _walk_and_rank(ring: RingSpec, rows: int, cols: int, entries: list[tuple[int
     Before the walk, the kernel steps per difference are budgeted as for
     inner_rank and the |F| - 1 rank checks of a coset are charged; a family
     that is no coset is then charged all C(|F|, 2) pairs, before any kernel
-    call.  The ranks are difference_ranks on the walk's group.
+    call.  The ranks are difference_ranks on the walk's group.  A member of
+    the wrong length raises ShapeError, an entry outside [0, h) UsageError.
     """
+    if entries and set(map(len, entries)) != {rows * cols}:
+        raise ShapeError(f"family members must have {rows * cols} entries")
+    values = set().union(*entries)
+    if values and (min(values) < 0 or max(values) >= ring.h):
+        raise UsageError(f"family entries must lie in [0, {ring.h})")
     _charge_kernel_steps(ring, rows, cols)
     n = len(entries)
     charge("rank checks", n - 1, pair_budget)

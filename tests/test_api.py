@@ -3,8 +3,8 @@
 A module-level function or class of src/ringmat whose name has no leading
 underscore, and a method of such a class whose name has no leading
 underscore (dunders aside), must be referenced somewhere other than its own
-definition: in another place in src/ringmat, in scripts/, in the benchmark's
-op runners, or in code of the README (inline or fenced; prose words do not
+definition: in another place in src/ringmat, in the benchmark's op
+runners, or in code of the README (inline or fenced; prose words do not
 count).  A method counts as called only where it is read as an attribute,
 x.name (in README code too), or where the benchmark's tracer wraps it by
 name: a bare variable of the same name is no call.
@@ -20,8 +20,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "ringmat"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-CALLERS = MODULES + sorted((ROOT / "scripts").glob("*.py")) + [
-    ROOT / "perfbench" / name for name in ("workloads.py", "worker.py", "run.py")]
+CALLERS = MODULES + [ROOT / "perfbench" / name for name in ("workloads.py", "worker.py", "run.py")]
 
 
 def _public_defs(path):

@@ -25,7 +25,7 @@ from ringmat.cliques import (
     ROW_FORM,
     verify_ekr,
 )
-from ringmat.codes import clique_cover_complement, mrd_code
+from ringmat.codes import clique_cover_complement, mrd_code, RankCode, verify_distance
 from ringmat.errors import (
     BudgetExceededError,
     NotIntersectingError,
@@ -75,6 +75,22 @@ def test_is_clique_detects_violations():
     with pytest.raises(BudgetExceededError):
         fam = build_canonical_clique(CanonicalCliqueSpec(spec, (0, 0)))
         is_clique(spec, fam, pair_budget=10)
+
+
+@pytest.mark.parametrize("check", [
+    is_clique,
+    verify_ekr,
+    lambda spec, fam: verify_distance(RankCode(spec.ring, spec.m, spec.n, frozenset(fam), 2, False, None)),
+], ids=["is_clique", "verify_ekr", "verify_distance"])
+@pytest.mark.parametrize("member, error, message", [
+    ((1, 1, 1, 1, 1), ShapeError, "family members must have 4 entries"),
+    ((7, 0, 0, 0), UsageError, r"family entries must lie in \[0, 6\)"),
+    ((-1, 0, 0, 0), UsageError, r"family entries must lie in \[0, 6\)"),
+], ids=["long", "above-h", "negative"])
+def test_a_malformed_member_is_refused_before_the_walk(check, member, error, message):
+    """Differences are zipped and reduced mod h, so without the test these families pass as cliques."""
+    with pytest.raises(error, match=message):
+        check(_spec(6), [(0, 0, 0, 0), member])
 
 
 def test_classification_round_trip_all_tags():

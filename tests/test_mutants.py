@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from ringmat import cli, codes, graph, smith
+from ringmat import cli, cliques, codes, graph, orbits, smith
 from ringmat.cli import main
 from ringmat.cliques import CanonicalCliqueSpec, build_canonical_clique, classify_max_clique
 from ringmat.errors import VerificationError
@@ -145,3 +145,78 @@ def test_a_replaced_code_word_fails_the_distance_check(monkeypatch, capsys, tmp_
     capsys.readouterr()
     assert main(["build-mrd", *graph_args]) == 1
     assert capsys.readouterr().err == "verification failed: verified distance 1 != claimed 2\n"
+
+
+# --- orbit length: the closed-form census, checked by the component tables ---------------
+
+
+@pytest.fixture
+def census(monkeypatch):
+    """Patch orbits._pp_counts with a wrapper (p, counts) -> counts, the kept census cleared around it."""
+    real = orbits._pp_counts
+
+    def patch(wrong):
+        orbits._census.cache_clear()
+        monkeypatch.setattr(orbits, "_pp_counts", lambda p, s, m, n: wrong(p, real(p, s, m, n)))
+
+    yield patch
+    orbits._census.cache_clear()
+
+
+def _moved_length(p, counts):
+    """Over Z_4, 1 moved from the first length to the last: the lengths still sum to h^(mn)."""
+    if p == 2:
+        counts[min(counts)] -= 1
+        counts[max(counts)] += 1
+    return counts
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_moved_orbit_length_fails_the_product_check(census, capsys, fmt):
+    census(_moved_length)
+    assert main(["orbits", "--h", "12", "--m", "2", "--n", "2", "--verify-product", "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    if fmt == "json":
+        assert json.loads(captured.out)["product_ok"] is False
+    else:
+        assert captured.err.startswith("verification failed: label ")
+
+
+# --- chi: the coset coloring, checked edge by edge through its connection elements --------
+
+
+def test_a_code_word_of_rank_one_fails_the_edge_check(monkeypatch, capsys):
+    """The zero word replaced by E_00, its verified distance left at r + 1: the coloring's kernel holds an edge."""
+    real = codes.mrd_code
+
+    def replaced(spec, *budget):
+        code = real(spec, *budget)
+        zero = (0,) * (spec.m * spec.n)
+        return code._replace(members=code.members - {zero} | {(1,) + zero[1:]})
+
+    monkeypatch.setattr(codes, "mrd_code", replaced)
+    assert main(["color", "--h", "5", "--m", "2", "--n", "2", "--r", "1"]) == 1
+    assert capsys.readouterr().err.startswith("verification failed: edge (0, 125) is monochromatic")
+
+
+# --- classification: the recovered form, checked by exact rebuild -------------------------
+
+
+def _rows_swapped(a):
+    """a with its first and last rows swapped."""
+    rows = [a.entries[i * a.cols:(i + 1) * a.cols] for i in range(a.rows)]
+    rows[0], rows[-1] = rows[-1], rows[0]
+    return Mat._new(a.ring, a.rows, a.cols, sum(rows, ()))
+
+
+def test_a_wrong_recovered_s_fails_the_rebuild(monkeypatch, capsys, tmp_path):
+    path = tmp_path / "fam.json"
+    assert main(["build-clique", "--h", "6", "--m", "2", "--n", "2", "--r", "1", "--alpha", "0,0",
+                 "--out", str(path)]) == 0
+    real = cliques.CliqueForm
+    monkeypatch.setattr(cliques, "CliqueForm", lambda spec, tag, S, T, alpha, B0: real(
+        spec, tag, None if S is None else _rows_swapped(S), T, alpha, B0))
+    capsys.readouterr()
+    assert main(["classify-clique", "--family", str(path), "--r", "1"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "verification failed: recovered parameterization does not rebuild the family")
