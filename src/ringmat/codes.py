@@ -29,9 +29,12 @@ distance > r with h**(n*(m-r)) words is a complement of the row clique K
 The translates k + C properly color the graph with |K| = h**(n*r) colors,
 and the translates c + K partition the vertices into h**(n*(m-r)) cliques
 (a clique cover of the complement), which pins down the clique,
-independence and chromatic numbers exactly.  The color map is the
-projection V -> K with kernel C, so every edge (u, u + g) is decided by its
-connection element: it is monochromatic iff g is a code word.
+independence and chromatic numbers exactly.  A vertex id is hi * |C| + lo,
+lo the base-h id of its last m - r rows, so a color is read off the word
+listed at lo and the r * n top digits of hi, no vertex decoded in full.
+The color map is the projection V -> K with kernel C, so every edge
+(u, u + g) is decided by its connection element: it is monochromatic iff g
+is a code word.
 """
 
 from __future__ import annotations
@@ -184,19 +187,18 @@ class RankCode(NamedTuple):
 
 
 def verify_distance(code: RankCode, pair_budget: int = DEFAULT_PAIR_BUDGET) -> float:
-    """Exact minimum rank distance, the least rank cliques._walk_and_rank takes; +inf for a singleton code.
+    """Exact minimum rank distance, the least rank cliques._walk_and_rank takes; +inf if it takes none.
 
-    The code is walked once and charged for the ranks taken: |C| - 1 for a
-    coset, all C(|C|, 2) pairs otherwise.  A code flagged linear must also
+    Every code, a singleton too, is walked once, its words' shape and range
+    checked first, and charged for the ranks taken: |C| - 1 for a coset,
+    all C(|C|, 2) pairs otherwise.  A code flagged linear must also
     be its own difference group G (contain zero and be closed under
     addition), else VerificationError.
     """
-    if code.size < 2:
-        return math.inf
     walk, ranks = _walk_and_rank(code.ring, code.rows, code.cols, list(code.members), pair_budget)
     if code.linear and (walk is None or walk[0] != code.members):
         raise VerificationError("a linear code must contain zero and be closed under addition")
-    return min(ranks)
+    return min(ranks, default=math.inf)
 
 
 def _gabidulin_basis(field: FieldSpec, m: int, k: int) -> list[tuple[int, ...]]:
@@ -254,16 +256,20 @@ def mrd_code(spec: GraphSpec, pair_budget: int = DEFAULT_PAIR_BUDGET) -> RankCod
 # --- colorings and covers ---------------------------------------------------------
 
 
-def _complement_lookup(spec: GraphSpec, code: RankCode) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Each code word keyed by its last m - r rows; raise unless every pattern occurs once.
+def _complement_lookup(spec: GraphSpec, code: RankCode) -> list[tuple[int, ...]]:
+    """The code words indexed by the base-h id of their last m - r rows; raise unless every pattern occurs once.
 
     Then V = K (+) C for the row clique K (last m - r rows zero).  Any code
     of distance > r passes: two words with the same last rows differ by a
     member of K, of rank <= r.
     """
-    cut = spec.r * spec.n
-    lookup = {x[cut:]: x for x in code.members}
-    if not len(lookup) == code.size == spec.independence_bound:
+    cut, size = spec.r * spec.n, spec.independence_bound
+    lookup: list = [None] * size
+    for x in code.members:
+        i = spec.vertex_id(x[cut:])
+        if 0 <= i < size:
+            lookup[i] = x
+    if code.size != size or None in lookup:
         raise VerificationError("code words do not meet each pattern of the last m - r rows once")
     return lookup
 
@@ -271,20 +277,26 @@ def _complement_lookup(spec: GraphSpec, code: RankCode) -> dict[tuple[int, ...],
 class Coloring(NamedTuple):
     """A proper coloring by the translates k + C of a code, k in the row clique K.
 
-    color_of(v) is the id of k's top r rows for v = k + c, the code word c
-    found by lookup; so n_colors = |K| = h**(n*r).  For a linear code it is
-    the projection V -> K with kernel C: u and u + g share a color iff g is
-    a code word, which decides every edge by its connection element.
+    A vertex id splits as hi * |C| + lo, lo the id of its last m - r rows;
+    for v = k + c, c = lookup[lo] and color_of(v) is the id of k's top r
+    rows, digit by digit from hi and c: n_colors = |K| = h**(n*r), and no
+    vertex is decoded in full.  For a linear code it is the projection
+    V -> K with kernel C: u and u + g share a color iff g is a code word,
+    which decides every edge by its connection element.
     """
 
     spec: GraphSpec
     n_colors: int
     verification: str  # "edges" (every edge decided by its connection element) or "structural"
-    lookup: dict[tuple[int, ...], tuple[int, ...]]
+    lookup: list[tuple[int, ...]]
 
     def color_of(self, vid: int) -> int:
-        ents, cut, h = self.spec.vertex_entries(vid), self.spec.r * self.spec.n, self.spec.ring.h
-        return self.spec.vertex_id([(a - b) % h for a, b in zip(ents[:cut], self.lookup[ents[cut:]])])
+        h, (hi, lo) = self.spec.ring.h, divmod(vid, len(self.lookup))
+        word, out, scale = self.lookup[lo], 0, 1
+        for i in range(self.spec.r * self.spec.n - 1, -1, -1):
+            hi, d = divmod(hi, h)
+            out, scale = out + (d - word[i]) % h * scale, scale * h
+        return out
 
 
 def color_graph(
@@ -300,11 +312,12 @@ def color_graph(
     c != c', of rank > r as the code's verified distance exceeds r, so no edge
     is monochromatic.  Within the vertex budget the code must be flagged
     linear (a group, the closure of its basis), so color_of is the projection
-    V -> K with kernel C: every edge (u, u + g) is decided by looking up its
-    connection element g, read off the rank table, among the code words.
+    V -> K with kernel C: an edge (0, g) is monochromatic iff g is a code
+    word, so the rank table is read at the word ids in ascending order.
     Above the budget the verified code distance stands as the certificate
-    and a seeded sample of vertex pairs is checked explicitly.  code
-    defaults to mrd_code(spec).
+    and a seeded sample of vertex pairs is checked explicitly: colors are
+    compared by their last digit, then in full, and a pair is ranked only
+    when they agree.  code defaults to mrd_code(spec).
     """
     if code is None:
         code = mrd_code(spec)
@@ -315,15 +328,19 @@ def color_graph(
     if nv <= vertex_budget:
         if not code.linear:
             raise VerificationError("the edge check needs a linear code: a group, as the kernel of the coloring")
-        words = set(col.lookup.values())
-        for cid in build_graph(spec, vertex_budget).connection_ids:
-            if spec.vertex_entries(cid) in words:
+        rho = build_graph(spec, vertex_budget).rho
+        for cid in sorted(map(spec.vertex_id, col.lookup)):
+            if 1 <= rho[cid] <= spec.r:
                 raise VerificationError(f"edge (0, {cid}) is monochromatic: its connection element is a code word")
         return col
     rng = random.Random(sample_seed)
+    words, h, last = col.lookup, spec.ring.h, spec.r * spec.n - 1
     for _ in range(samples):
         u = rng.randrange(nv)
         v = rng.randrange(nv)
+        (hu, lu), (hv, lv) = divmod(u, len(words)), divmod(v, len(words))
+        if (hu - hv - words[lu][last] + words[lv][last]) % h:  # the last digits of the colors differ
+            continue
         if u != v and col.color_of(u) == col.color_of(v) and adjacent(spec, spec.vertex(u), spec.vertex(v)):
             raise VerificationError(f"sampled edge ({u}, {v}) is monochromatic")
     return col._replace(verification="structural")

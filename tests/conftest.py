@@ -155,6 +155,20 @@ def translate_ids(spec, c):
     return _digit_ids(h, [[(x + d) % h for x in range(h)] for d in c])
 
 
+def decoded_color(spec, code):
+    """codes.Coloring.color_of as it stood before colors were vertex-id arithmetic: each vertex
+    decoded in full, its code word found in a dict keyed by the last m - r rows, and the top r
+    rows of the difference encoded again."""
+    cut, h = spec.r * spec.n, spec.ring.h
+    lookup = {x[cut:]: x for x in code.members}
+
+    def color_of(vid):
+        ents = spec.vertex_entries(vid)
+        return spec.vertex_id([(a - b) % h for a, b in zip(ents[:cut], lookup[ents[cut:]])])
+
+    return color_of
+
+
 def connection_closure(spec):
     """graph.check_connectivity as it stood before its unit-matrix witness: the
     subgroup closure of the connection set, read off the whole rank table."""

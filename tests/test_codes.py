@@ -8,7 +8,7 @@ from itertools import product
 
 import pytest
 
-from conftest import translate_ids, zeros
+from conftest import decoded_color, translate_ids, zeros
 from ringmat import cliques, codes
 from ringmat.codes import (
     _complement_lookup,
@@ -23,7 +23,7 @@ from ringmat.codes import (
     RankCode,
     verify_distance,
 )
-from ringmat.errors import BudgetExceededError, VerificationError
+from ringmat.errors import BudgetExceededError, ShapeError, UsageError, VerificationError
 from ringmat.graph import build_graph, GraphSpec, subgroup_closure
 from ringmat.matrix import Mat, random_matrix
 from ringmat.ring import ring_spec
@@ -182,6 +182,51 @@ def test_verify_distance_edge_cases():
     assert verify_distance(pair) == 2
     with pytest.raises(BudgetExceededError):
         verify_distance(mrd_code(_spec(6)), pair_budget=3)
+    # a single word is checked for shape and range before the empty minimum
+    z6 = ring_spec(6)
+    with pytest.raises(ShapeError):
+        verify_distance(RankCode(z6, 2, 2, frozenset([(7, 0, 0, 0, 0)]), 2, False, None))
+    with pytest.raises(UsageError):
+        verify_distance(RankCode(z6, 2, 2, frozenset([(6, 0, 0, 0)]), 2, False, None))
+    assert verify_distance(RankCode(z6, 2, 2, frozenset([(5, 0, 1, 2)]), 2, False, None)) == math.inf
+
+
+def _small_shapes(max_vertices=4096):
+    """(h, m, n, r) over Z_2 ... Z_12 with m <= n, r in (1, 2), r <= m and at most max_vertices vertices."""
+    return [(h, m, n, r) for h in range(2, 13) for m in range(1, 13) for n in range(m, 13) for r in (1, 2)
+            if r <= m and h ** (m * n) <= max_vertices]
+
+
+def test_color_of_matches_the_decoded_colors_on_every_small_shape():
+    shapes = _small_shapes()
+    assert len(shapes) == 84 and (2, 3, 4, 2) in shapes and (12, 1, 3, 1) in shapes
+    for h, m, n, r in shapes:
+        spec = _spec(h, m, n, r)
+        code = mrd_code(spec)
+        col, oracle = color_graph(spec, code=code), decoded_color(spec, code)
+        assert [col.color_of(v) for v in range(spec.n_vertices)] == list(map(oracle, range(spec.n_vertices)))
+
+
+@pytest.mark.parametrize("h,m,n,r", [(12, 2, 2, 1), (6, 2, 3, 1), (2, 3, 4, 2)])
+def test_sampled_check_ranks_the_pairs_the_decoded_colors_pick(monkeypatch, h, m, n, r):
+    spec = _spec(h, m, n, r)
+    code = mrd_code(spec)
+    oracle = decoded_color(spec, code)
+    ranked = []
+    real = codes.adjacent
+    monkeypatch.setattr(codes, "adjacent", lambda spec, a, b: ranked.append((a.entries, b.entries)) or real(spec, a, b))
+    total = 0
+    for seed in range(5):
+        ranked.clear()
+        assert color_graph(spec, vertex_budget=100, sample_seed=seed, code=code).verification == "structural"
+        rng, want = random.Random(seed), []
+        for _ in range(1000):
+            u, v = rng.randrange(spec.n_vertices), rng.randrange(spec.n_vertices)
+            if u != v and oracle(u) == oracle(v):
+                want.append((spec.vertex_entries(u), spec.vertex_entries(v)))
+        assert ranked == want
+        total += len(want)
+    assert total > 0
 
 
 def test_coloring_small_graph_fully_checked():
@@ -467,6 +512,11 @@ def test_connection_lookup_matches_the_edge_oracle(h, m, n, r):
     spec = _spec(h, m, n, r)
     assert _edge_verdicts(spec, mrd_code(spec)) == (True, True)
     assert _edge_verdicts(spec, _copy_code(spec)) == (False, False)
+    # the edge named is the first connection element, in id order, that is a code word
+    words = _copy_code(spec).members
+    first = next(cid for cid in build_graph(spec).connection_ids if spec.vertex_entries(cid) in words)
+    with pytest.raises(VerificationError, match=f"^edge \\(0, {first}\\) is monochromatic"):
+        color_graph(spec, code=_copy_code(spec))
 
 
 @pytest.mark.parametrize("h", [2, 5, 6])

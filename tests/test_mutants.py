@@ -182,7 +182,7 @@ def test_a_moved_orbit_length_fails_the_product_check(census, capsys, fmt):
         assert captured.err.startswith("verification failed: label ")
 
 
-# --- chi: the coset coloring, checked edge by edge through its connection elements --------
+# --- chi: the coset coloring, checked through its connection elements or by sampled pairs -
 
 
 def test_a_code_word_of_rank_one_fails_the_edge_check(monkeypatch, capsys):
@@ -197,6 +197,22 @@ def test_a_code_word_of_rank_one_fails_the_edge_check(monkeypatch, capsys):
     monkeypatch.setattr(codes, "mrd_code", replaced)
     assert main(["color", "--h", "5", "--m", "2", "--n", "2", "--r", "1"]) == 1
     assert capsys.readouterr().err.startswith("verification failed: edge (0, 125) is monochromatic")
+
+
+def test_a_code_with_zero_top_rows_fails_the_sampled_check(monkeypatch, capsys):
+    """Each word's top r rows zeroed, its verified distance left at r + 1: every pattern of the last
+    rows still occurs once, but two vertices with the same top rows now share a color and differ by
+    a matrix of rank <= m - r, so above the vertex budget a sampled pair is an edge."""
+    real = codes.mrd_code
+
+    def flattened(spec, *budget):
+        code = real(spec, *budget)
+        cut = spec.r * spec.n
+        return code._replace(members=frozenset([(0,) * cut + x[cut:] for x in code.members]))
+
+    monkeypatch.setattr(codes, "mrd_code", flattened)
+    assert main(["color", "--h", "12", "--m", "2", "--n", "2", "--r", "1", "--seed", "0"]) == 1
+    assert capsys.readouterr().err.startswith("verification failed: sampled edge (")
 
 
 # --- classification: the recovered form, checked by exact rebuild -------------------------
