@@ -17,7 +17,7 @@ from . import io as rio
 from .cliques import (
     CanonicalCliqueSpec,
     CliqueForm,
-    build_canonical_clique,
+    build_clique_and_walk,
     charge_clique_build,
     classify_max_clique,
     is_clique,
@@ -288,8 +288,8 @@ def cmd_build_clique(args: argparse.Namespace) -> int:
     if b0 is not None:
         if b0.rows != spec.m or b0.cols != spec.n:
             raise UsageError("--B0 must be an m x n matrix")
-    family = build_canonical_clique(cspec, s_mat, t_mat, b0)
-    if not is_clique(spec, family, args.budget):
+    family, walk = build_clique_and_walk(cspec, s_mat, t_mat, b0)
+    if not is_clique(spec, family, args.budget, walk):
         raise VerificationError("built family is not a clique")
     obj = rio.family_to_obj(ring, spec.m, spec.n, family, {
         "r": spec.r,

@@ -16,9 +16,10 @@ alpha splits the classification into three forms:
   MixedForm  otherwise:        S @ C_r(alpha) @ T + B0 (m = n)
 
 C_r(alpha) is an additive subgroup spanned by at most m*n scaled unit
-matrices, so build_canonical_clique maps those generators, not the members,
-through S and T and materializes every clique, canonical or rebuilt, as one
-subgroup closure translated by B0.
+matrices, so build_clique_and_walk maps those generators, not the members,
+through S and T and materializes every clique as one subgroup closure
+translated by B0; the closure goes on to is_clique, which checks the family
+against it instead of closing the family again.
 
 A family is a set of flat row-major entry tuples, its ring and shape carried
 once by the graph spec; the transforms S, T and the shift B0 stay Mats.
@@ -27,11 +28,12 @@ Each family is walked once, by coset_difference_group, which closes its
 differences from the least member and keeps each that grows the closure.
 is_clique, verify_ekr and codes.verify_distance rank the walk's group,
 charged |F| - 1 rank checks for a coset and C(|F|, 2) for any other family;
+a family built here is walked by its builder's closure instead.
 classify_max_clique reads the kept generators: in each prime component,
 whether their columns span a free rank-r module (row type) or their rows do
 (column type) is read off the Smith exponents of the stacked generators.
-The recovered form, one valid S and T among many, is verified by exact
-rebuild.
+The recovered form, one valid S and T among many, is certified by its at
+most m*n mapped generators against the walk's group, with no second closure.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from itertools import combinations
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from math import gcd, prod
+from typing import AbstractSet, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     DEFAULT_EXACT_SEARCH_BUDGET,
@@ -60,7 +63,7 @@ from . import oracle
 ROW_FORM = "RowForm"
 COL_FORM = "ColForm"
 MIXED_FORM = "MixedForm"
-Walk = tuple[set[tuple[int, ...]], list[tuple[int, ...]]]  # (G, its kept generators): one walk of a coset
+Walk = tuple[AbstractSet[tuple[int, ...]], list[tuple[int, ...]]]  # (G, its kept generators): one walk of a coset
 
 
 class CanonicalCliqueSpec(Frozen):
@@ -98,43 +101,67 @@ def _ideal_generator(ring: RingSpec, exponents: Sequence[int]) -> int:
     return g % ring.h  # 0 generates the zero ideal
 
 
-def build_canonical_clique(
-    cspec: CanonicalCliqueSpec, S: Mat | None = None, T: Mat | None = None, B0: Mat | None = None
-) -> frozenset[tuple[int, ...]]:
-    """Materialize S @ C_r(alpha) @ T + B0 as one closure of the mapped generators.
+def _canonical_generators(cspec: CanonicalCliqueSpec) -> list[tuple[int, int, int]]:
+    """(i, j, step) for the at most m*n generators step * E_ij of C_r(alpha), a direct sum of their cyclic groups.
 
-    C_r(alpha) is spanned by E_ij in the free r x r block, step_alpha * E_ij
-    in the top-right block and step_{s-alpha} * E_ij in the bottom-left one,
-    at most m*n generators.  Each is mapped through S and T, the images are
-    closed under addition and the closure is translated by B0.  Raises
-    VerificationError unless the result has the extremal size h**(n*r),
-    i.e. unless the transforms are injective on C_r(alpha).
+    E_ij in the free r x r block, step_alpha * E_ij in the top-right block
+    and step_{s-alpha} * E_ij in the bottom-left one.
     """
     g = cspec.graph
-    ring = g.ring
-    m, n, r = g.m, g.n, g.r
+    ring, m, n, r = g.ring, g.m, g.n, g.r
     step_a = _ideal_generator(ring, cspec.alpha)
     step_b = _ideal_generator(ring, tuple(s - a for a, (_, s) in zip(cspec.alpha, ring.primes)))
     units = [(i, j, 1) for i in range(r) for j in range(r)]
     units += [(i, j, step_a) for i in range(r) for j in range(r, n)]
     units += [(i, j, step_b) for i in range(r, m) for j in range(r)]
+    return units
+
+
+def _mapped_generators(cspec: CanonicalCliqueSpec, S: Mat | None, T: Mat | None) -> list[tuple[int, ...]]:
+    """The entries of S @ (step * E_ij) @ T for each generator of C_r(alpha); S, T None act as identities."""
+    g = cspec.graph
     gens = []
-    for i, j, step in units:
-        ents = [0] * (m * n)
-        ents[i * n + j] = step
-        x = Mat._new(ring, m, n, tuple(ents))
+    for i, j, step in _canonical_generators(cspec):
+        ents = [0] * (g.m * g.n)
+        ents[i * g.n + j] = step
+        x = Mat._new(g.ring, g.m, g.n, tuple(ents))
         if S is not None:
             x = S @ x
         if T is not None:
             x = x @ T
         gens.append(x.entries)
-    group = subgroup_closure(gens, ring.h, g.clique_bound)
+    return gens
+
+
+def build_clique_and_walk(
+    cspec: CanonicalCliqueSpec, S: Mat | None = None, T: Mat | None = None, B0: Mat | None = None
+) -> tuple[frozenset[tuple[int, ...]], Walk]:
+    """S @ C_r(alpha) @ T + B0 as one closure of the mapped generators, and that closure's walk for is_clique.
+
+    Each generator of C_r(alpha) is mapped through S and T, the images are
+    closed under addition and the closure G is translated by B0.  Returns
+    the family and (G, the generators that grew G), so that is_clique
+    checks the family against G instead of closing it again.  Raises
+    VerificationError unless G has the extremal size h**(n*r), i.e. unless
+    the transforms are injective on C_r(alpha).
+    """
+    g = cspec.graph
+    kept: list[tuple[int, ...]] = []
+    group = subgroup_closure(_mapped_generators(cspec, S, T), g.ring.h, g.clique_bound, kept)
     if group is None or len(group) != g.clique_bound:
         raise VerificationError("transforms collapsed the canonical clique")
     if B0 is None:
-        return frozenset(group)
-    h, b0 = ring.h, B0.entries
-    return frozenset([tuple([(x + y) % h for x, y in zip(ents, b0)]) for ents in group])
+        family = frozenset(group)
+        return family, (family, kept)
+    h, b0 = g.ring.h, B0.entries
+    return frozenset([tuple([(x + y) % h for x, y in zip(ents, b0)]) for ents in group]), (group, kept)
+
+
+def build_canonical_clique(
+    cspec: CanonicalCliqueSpec, S: Mat | None = None, T: Mat | None = None, B0: Mat | None = None
+) -> frozenset[tuple[int, ...]]:
+    """Materialize S @ C_r(alpha) @ T + B0: the family of build_clique_and_walk."""
+    return build_clique_and_walk(cspec, S, T, B0)[0]
 
 
 def coset_difference_group(entries: Iterable[tuple[int, ...]], h: int) -> Walk | None:
@@ -194,15 +221,24 @@ def difference_ranks(ring: RingSpec, rows: int, cols: int, family: Iterable[tupl
         yield rank
 
 
+def _is_coset_of(entries: list[tuple[int, ...]], group: AbstractSet[tuple[int, ...]], h: int) -> bool:
+    """Whether the members are the coset entries[0] + group: their differences from it are the group."""
+    b0 = entries[0]
+    return {tuple([(x - y) % h for x, y in zip(f, b0)]) for f in entries} == group
+
+
 def _walk_and_rank(ring: RingSpec, rows: int, cols: int, entries: list[tuple[int, ...]],
-                   pair_budget: int) -> tuple[Walk | None, Iterator[int]]:
+                   pair_budget: int, walk: Walk | None = None) -> tuple[Walk | None, Iterator[int]]:
     """(coset_difference_group of entries; the ranks of its differences), charged for the ranks taken.
 
     Before the walk, the kernel steps per difference are budgeted as for
     inner_rank and the |F| - 1 rank checks of a coset are charged; a family
     that is no coset is then charged all C(|F|, 2) pairs, before any kernel
-    call.  The ranks are difference_ranks on the walk's group.  A member of
-    the wrong length raises ShapeError, an entry outside [0, h) UsageError.
+    call.  A given walk, the builder's closure G, stands for the walk once
+    the family's differences from one member are checked to be G; else the
+    family is walked.  The ranks are difference_ranks on the walk's
+    group.  A member of the wrong length raises ShapeError, an entry
+    outside [0, h) UsageError.
     """
     if entries and set(map(len, entries)) != {rows * cols}:
         raise ShapeError(f"family members must have {rows * cols} entries")
@@ -212,15 +248,21 @@ def _walk_and_rank(ring: RingSpec, rows: int, cols: int, entries: list[tuple[int
     _charge_kernel_steps(ring, rows, cols)
     n = len(entries)
     charge("rank checks", n - 1, pair_budget)
-    walk = coset_difference_group(entries, ring.h)
+    if walk is None or not (entries and _is_coset_of(entries, walk[0], ring.h)):
+        walk = coset_difference_group(entries, ring.h)
     if walk is None:
         charge("rank checks", n * (n - 1) // 2, pair_budget)
     return walk, difference_ranks(ring, rows, cols, entries, walk and walk[0])
 
 
-def is_clique(spec: GraphSpec, family: Iterable[tuple[int, ...]], pair_budget: int = DEFAULT_PAIR_BUDGET) -> bool:
-    """All distinct members differ by inner rank <= r, by the ranks _walk_and_rank takes and charges."""
-    _, ranks = _walk_and_rank(spec.ring, spec.m, spec.n, list(family), pair_budget)
+def is_clique(spec: GraphSpec, family: Iterable[tuple[int, ...]], pair_budget: int = DEFAULT_PAIR_BUDGET,
+              walk: Walk | None = None) -> bool:
+    """All distinct members differ by inner rank <= r, by the ranks _walk_and_rank takes and charges.
+
+    walk is build_clique_and_walk's closure of the family, if the caller
+    built it: a family that is a coset of its group is not walked again.
+    """
+    _, ranks = _walk_and_rank(spec.ring, spec.m, spec.n, list(family), pair_budget, walk)
     return all(k <= spec.r for k in ranks)
 
 
@@ -247,37 +289,39 @@ def rebuild_clique(form: CliqueForm) -> frozenset[tuple[int, ...]]:
     return build_canonical_clique(CanonicalCliqueSpec(form.graph, form.alpha), form.S, form.T, form.B0)
 
 
-def classify_max_clique(spec: GraphSpec, family: Iterable[tuple[int, ...]], walk: Walk | None = None) -> CliqueForm:
+def classify_max_clique(spec: GraphSpec, family: Iterable[tuple[int, ...]]) -> CliqueForm:
     """Recover a (tag, S, T, alpha, B0) parameterization of a maximum clique.
 
     The input must be a maximum clique of entry tuples of length m*n: size
-    h**(n*r) and pairwise inner rank of differences <= r.  walk is
-    coset_difference_group of the family, taken here unless the caller
-    already has it; its kept generators span G = family - B0, and a family
-    that is no coset raises VerificationError.  Whether a prime component
-    is row type (alpha_i = 0) or column type (alpha_i = s_i) is read off the
-    Smith exponents of the horizontally / vertically stacked projections of
-    the kept generators, which span the column / row modules of all of G,
-    and the transforms are the outer Smith factors of those stacks.  Ties
-    (possible only when r = m = n) resolve to the row type.  The recovered
-    form is rebuilt and compared for exact set equality; any mismatch raises
+    h**(n*r) and pairwise inner rank of differences <= r.  It is walked by
+    coset_difference_group, whose kept generators span G = family - B0; a
+    family that is no coset raises VerificationError.  Whether a prime
+    component is row type (alpha_i = 0) or column type (alpha_i = s_i) is
+    read off the Smith exponents of the horizontally / vertically stacked
+    projections of the kept generators, which span the column / row modules
+    of all of G, and the transforms are the outer Smith factors of those
+    stacks.  Ties (possible only when r = m = n) resolve to the row type.
+    The recovered form is certified by _certify_form from its at most m*n
+    generators against G, with no second closure: a failure raises
     VerificationError, since it would witness a maximum clique outside the
     classified shapes.
     """
-    ring = spec.ring
-    m, n, r = spec.m, spec.n, spec.r
     fam = set(family)
     if not fam:
         raise UsageError("empty family")
-    if any(len(x) != m * n for x in fam):
+    if any(len(x) != spec.m * spec.n for x in fam):
         raise ShapeError("family members do not match the graph parameters")
     if len(fam) != spec.clique_bound:
         raise VerificationError(f"family has size {len(fam)}, a maximum clique has {spec.clique_bound}")
+    return _classify_walk(spec, fam, coset_difference_group(fam, spec.ring.h))
 
-    walk = walk or coset_difference_group(fam, ring.h)
+
+def _classify_walk(spec: GraphSpec, fam: AbstractSet[tuple[int, ...]], walk: Walk | None) -> CliqueForm:
+    """classify_max_clique of a maximum-size family fam from its own walk, None if it is no coset."""
     if walk is None:
         raise VerificationError("family is not a coset of an additive subgroup, so not a maximum clique")
-
+    ring = spec.ring
+    m, n, r = spec.m, spec.n, spec.r
     s_comps: list[Mat] = []  # identity in a column-type component
     t_comps: list[Mat] = []  # identity in a row-type component
     alpha: list[int] = []
@@ -317,12 +361,33 @@ def classify_max_clique(spec: GraphSpec, family: Iterable[tuple[int, ...]], walk
     t_mat = None if tag == ROW_FORM else crt_lift_mat(ring, t_comps)
 
     form = CliqueForm(spec, tag, s_mat, t_mat, tuple(alpha), Mat._new(ring, m, n, min(fam)))
-    if rebuild_clique(form) != fam:
+    _certify_form(form, fam, walk[0])
+    return form
+
+
+def _certify_form(form: CliqueForm, fam: AbstractSet[tuple[int, ...]], group: AbstractSet[tuple[int, ...]]) -> None:
+    """Raise VerificationError unless B0 + S @ C_r(alpha) @ T is the family, a coset of the group G.
+
+    S and T must be invertible, B0 a member, and each generator of
+    C_r(alpha) mapped through S and T a member of G = fam - B0.  Then
+    S @ C_r(alpha) @ T is a subgroup of G as large as C_r(alpha), whose
+    size, the product of its generators' additive orders, is checked to be
+    h**(n*r) = |G|: the two groups are equal, with no closure taken.
+    """
+    cspec = CanonicalCliqueSpec(form.graph, form.alpha)
+    for name, x in (("S", form.S), ("T", form.T)):
+        if x is not None and not x.is_invertible():
+            raise VerificationError(f"recovered {name} is not invertible")
+    if form.B0.entries not in fam:
+        raise VerificationError("recovered B0 is not a member of the family")
+    h = form.graph.ring.h
+    if prod(h // gcd(step, h) for _, _, step in _canonical_generators(cspec)) != form.graph.clique_bound:
+        raise VerificationError(f"the generators of C_r({form.alpha}) do not span h**(n*r) matrices")
+    if not all(x in group for x in _mapped_generators(cspec, form.S, form.T)):
         raise VerificationError(
             "recovered parameterization does not rebuild the family; "
             "this contradicts the classification of maximum cliques"
         )
-    return form
 
 
 class EkrReport(NamedTuple):
@@ -344,7 +409,7 @@ def verify_ekr(spec: GraphSpec, family: Iterable[tuple[int, ...]], pair_budget: 
     The family is walked once, and checked as is_clique does on that walk;
     families that are not pairwise intersecting in this sense are rejected
     with NotIntersectingError.  Extremal families (size exactly h**(n*r))
-    are classified from the same walk and certified by exact rebuild;
+    are classified from the same walk and certified by its generators;
     smaller ones are reported as within the bound.
     """
     members = list(family)
@@ -353,11 +418,11 @@ def verify_ekr(spec: GraphSpec, family: Iterable[tuple[int, ...]], pair_budget: 
     walk, ranks = _walk_and_rank(spec.ring, spec.m, spec.n, members, pair_budget)
     if not all(k <= spec.r for k in ranks):
         raise NotIntersectingError(f"family is not pairwise rank-{spec.r} intersecting")
-    size = len(set(members))
+    size = len(walk[0]) if walk else len(set(members))  # a coset's group is as large as it
     bound = spec.clique_bound
     if size > bound:
         raise VerificationError(f"family of size {size} exceeds the extremal bound {bound}")
-    form = classify_max_clique(spec, members, walk) if size == bound else None
+    form = _classify_walk(spec, set(members), walk) if size == bound else None
     return EkrReport(size, bound, size == bound, form)
 
 

@@ -47,7 +47,7 @@ from typing import NamedTuple, Sequence
 from .cliques import (
     CanonicalCliqueSpec,
     _walk_and_rank,
-    build_canonical_clique,
+    build_clique_and_walk,
     charge_clique_build,
     difference_ranks,
     is_clique,
@@ -363,16 +363,17 @@ class CliqueCover(NamedTuple):
 def clique_cover_complement(spec: GraphSpec, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> CliqueCover:
     """Partition all vertices into the translates c + K of the row clique by the code words.
 
-    K is checked once: every part has exactly K's differences.  The parts
-    partition V by _complement_lookup, as c + K holds the vertices whose
-    last m - r rows are c's.
+    K is closed once, by its builder, and checked once against that
+    closure: every part has exactly K's differences.  The parts partition V
+    by _complement_lookup, as c + K holds the vertices whose last m - r
+    rows are c's.
     """
     charge("vertices", (spec.ring.h, spec.m * spec.n), vertex_budget)
     code = mrd_code(spec)
     _complement_lookup(spec, code)
-    base = build_canonical_clique(CanonicalCliqueSpec(spec, (0,) * spec.ring.t))
+    base, walk = build_clique_and_walk(CanonicalCliqueSpec(spec, (0,) * spec.ring.t))
     cut = spec.r * spec.n
-    if any(any(x[cut:]) for x in base) or not is_clique(spec, base):
+    if any(any(x[cut:]) for x in base) or not is_clique(spec, base, walk=walk):
         raise VerificationError("the canonical clique is not the row clique K, or K is not a clique")
     h = spec.ring.h
     return CliqueCover(spec, tuple(frozenset([tuple([(a + b) % h for a, b in zip(c, k)]) for k in base])
@@ -406,8 +407,8 @@ def certify_graph_parameters(spec: GraphSpec, vertex_budget: int = DEFAULT_VERTE
                              pair_budget: int = DEFAULT_PAIR_BUDGET) -> GraphCertificate:
     """Build and verify the three certificates once each, clique and code within pair_budget; raise if a bound fails."""
     charge_clique_build(spec, pair_budget)
-    clique = build_canonical_clique(CanonicalCliqueSpec(spec, (0,) * spec.ring.t))
-    if not is_clique(spec, clique, pair_budget):
+    clique, walk = build_clique_and_walk(CanonicalCliqueSpec(spec, (0,) * spec.ring.t))
+    if not is_clique(spec, clique, pair_budget, walk):
         raise VerificationError("canonical clique is not a clique")
     code = mrd_code(spec, pair_budget)
     coloring = color_graph(spec, vertex_budget, code=code)

@@ -295,8 +295,9 @@ def _generated_families(quick: bool = False):
 
 
 def check_classification(quick: bool = False) -> tuple[bool, str]:
-    # classify_max_clique rebuilds every form it returns and raises unless the
-    # rebuild equals the family, so a classified family has round-tripped
+    # classify_max_clique certifies every form it returns by its generators and
+    # raises unless the form parameterizes the family, so a classified family
+    # has round-tripped
     msgs: list[str] = []
     enumerated = 0
     for spec, count, cliques in _enumerated_families():

@@ -34,7 +34,7 @@ from ringmat.errors import (
     VerificationError,
 )
 from ringmat.graph import GraphSpec
-from ringmat.matrix import Mat, random_matrix
+from ringmat.matrix import Mat, random_invertible, random_matrix
 from ringmat.ring import ring_spec
 from ringmat.smith import inner_rank
 
@@ -394,7 +394,108 @@ def test_verify_ekr_walks_each_family_once(monkeypatch):
     monkeypatch.setattr(cliques, "subgroup_closure", lambda *args: closures.append(args[2]) or real_closure(*args))
     rep = verify_ekr(spec, fam)
     assert rep.extremal and len(fam) == 144
-    assert closures == [144, 144]  # the walk, then the exact rebuild
+    assert closures == [144]  # the walk; the form is certified by its generators, not rebuilt
+
+
+def _closure_counter(monkeypatch):
+    """The limits of the cliques module's subgroup_closure calls, in order."""
+    closures = []
+    real_closure = cliques.subgroup_closure
+    monkeypatch.setattr(cliques, "subgroup_closure", lambda *args: closures.append(args[2]) or real_closure(*args))
+    return closures
+
+
+def test_each_clique_command_closes_its_clique_once(monkeypatch, tmp_path, capsys):
+    """The builders hand their closure to the clique check, and classification certifies its form from
+    the generators, so no command closes a clique's group a second time."""
+    path = str(tmp_path / "fam.json")
+    graph = ["--h", "6", "--m", "2", "--n", "2", "--r", "1"]
+    for argv in (["build-clique", *graph, "--alpha", "1,0", "--out", path],
+                 ["graph-stats", *graph],
+                 ["cover-complement", *graph],
+                 ["classify-clique", "--family", path, "--r", "1"],
+                 ["verify-ekr", "--family", path, "--r", "1"]):
+        with monkeypatch.context() as patch:
+            closures = _closure_counter(patch)
+            assert cli.main(argv) == 0, argv
+        assert closures == [36], argv
+    capsys.readouterr()
+
+
+def test_a_given_closure_stands_for_the_walk_only_for_its_coset(monkeypatch):
+    """Over Z_2 2x2 the closure of all E_ij holds the rank-2 identity: ranked as the walk of the row
+    clique, a part of it, or of that clique listed four times over, it would refuse a clique."""
+    spec = _spec(2)
+    row = sorted(build_canonical_clique(CanonicalCliqueSpec(spec, (0,))))
+    everything = {spec.vertex_entries(v) for v in range(spec.n_vertices)}
+    closures = _closure_counter(monkeypatch)
+    for family in (row, row * 4):
+        assert is_clique(spec, family, walk=(everything, []))
+    assert len(closures) == 2  # each family is walked
+    closures.clear()
+    family, walk = cliques.build_clique_and_walk(CanonicalCliqueSpec(spec, (0,)))
+    assert closures == [4] and is_clique(spec, family, walk=walk) and closures == [4]
+
+
+def _certified(form, fam, group):
+    try:
+        cliques._certify_form(form, fam, group)
+    except VerificationError:
+        return False
+    return True
+
+
+CLASSIFY_GRID = [(h, m, n, 1) for h in range(2, 13) for m, n in ((2, 2), (2, 3), (3, 3))]
+CLASSIFY_GRID += [(h, 3, 3, 2) for h in range(2, 5)]
+
+
+@pytest.mark.parametrize("h, m, n, r", CLASSIFY_GRID)
+def test_every_classified_form_rebuilds_its_family(h, m, n, r):
+    """The rebuild, the route the generator certificate replaced, as the oracle: every form returned rebuilds."""
+    spec = _spec(h, m, n, r)
+    rng = random.Random(h * 100 + m * 10 + n + r)
+    for alpha in _valid_alphas(spec):
+        fam = rebuild_clique(random_clique_form(spec, alpha, rng))
+        form = classify_max_clique(spec, fam)
+        assert form.alpha == alpha
+        assert rebuild_clique(form) == fam
+
+
+def _perturbed(form, rng):
+    """form with one field redrawn, S and T kept invertible: a random S, T, shift, member shift or alpha."""
+    spec, ring = form.graph, form.graph.ring
+    kind = rng.choice(["S", "T", "B0", "member", "alpha"])
+    s_mat, t_mat, alpha, b0 = form.S, form.T, form.alpha, form.B0
+    if kind == "S" and s_mat is not None:
+        s_mat = random_invertible(ring, spec.m, rng)
+    elif kind == "T" and t_mat is not None:
+        t_mat = random_invertible(ring, spec.n, rng)
+    elif kind == "B0":
+        b0 = random_matrix(ring, spec.m, spec.n, rng)
+    elif kind == "member":
+        b0 = Mat(ring, spec.m, spec.n, rng.choice(sorted(rebuild_clique(form))))
+    else:
+        alpha = rng.choice(_valid_alphas(spec))
+    return CliqueForm(spec, form.tag, s_mat, t_mat, alpha, b0)
+
+
+@pytest.mark.parametrize("h, m, n", [(4, 2, 2), (6, 2, 2), (9, 2, 2), (12, 2, 2), (6, 2, 3), (6, 3, 3)])
+def test_the_generator_certificate_agrees_with_the_rebuild(h, m, n):
+    """For forms with invertible S and T, redrawn one field at a time, the certificate accepts exactly
+    the forms that rebuild the family."""
+    spec = _spec(h, m, n, 1)
+    rng = random.Random(h + m + n)
+    verdicts = set()
+    for alpha in _valid_alphas(spec):
+        fam = rebuild_clique(random_clique_form(spec, alpha, rng))
+        walk = coset_difference_group(fam, h)
+        form = classify_max_clique(spec, fam)
+        for _ in range(12):
+            other = _perturbed(form, rng)
+            verdict = _certified(other, fam, walk[0])
+            assert verdict == (rebuild_clique(other) == fam), other
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_classify_clique_command_on_1331_members(monkeypatch, tmp_path, capsys):

@@ -119,13 +119,33 @@ def _moved(family, h):
 
 
 def test_a_moved_clique_member_fails_the_clique_check_and_classification(monkeypatch, capsys):
-    real = cli.build_canonical_clique
-    monkeypatch.setattr(cli, "build_canonical_clique", lambda cspec, *maps: _moved(real(cspec, *maps), 6))
+    """The builder's closure is passed on untouched, so the moved family is no coset of it and is walked."""
+    real = cli.build_clique_and_walk
+
+    def moved(cspec, *maps):
+        family, walk = real(cspec, *maps)
+        return _moved(family, 6), walk
+
+    monkeypatch.setattr(cli, "build_clique_and_walk", moved)
     assert main(["build-clique", "--h", "6", "--m", "2", "--n", "2", "--r", "1", "--alpha", "0,0"]) == 1
     assert capsys.readouterr().err == "verification failed: built family is not a clique\n"
     spec = GraphSpec(ring_spec(6), 2, 2, 1)
     with pytest.raises(VerificationError):
         classify_max_clique(spec, _moved(build_canonical_clique(CanonicalCliqueSpec(spec, (0, 0))), 6))
+
+
+def test_a_generator_moved_below_row_r_fails_the_rank_check(monkeypatch, capsys):
+    """E_00 moved to E_r0 inside the build: the closure keeps the extremal size and the family is a coset
+    of it, but E_r0 + E_01 has rank 2, so only the ranks of the closure's members catch it."""
+    real = cliques._canonical_generators
+
+    def moved(cspec):
+        (i, j, step), *rest = real(cspec)
+        return [(cspec.graph.r, j, step)] + rest
+
+    monkeypatch.setattr(cliques, "_canonical_generators", moved)
+    assert main(["build-clique", "--h", "6", "--m", "2", "--n", "2", "--r", "1", "--alpha", "0,0"]) == 1
+    assert capsys.readouterr().err == "verification failed: built family is not a clique\n"
 
 
 # --- alpha witness: a rank-distance code, checked by its verified distance ---------------
@@ -215,7 +235,7 @@ def test_a_code_with_zero_top_rows_fails_the_sampled_check(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("verification failed: sampled edge (")
 
 
-# --- classification: the recovered form, checked by exact rebuild -------------------------
+# --- classification: the recovered form, checked by its generator certificate ---------------
 
 
 def _rows_swapped(a):
@@ -225,14 +245,37 @@ def _rows_swapped(a):
     return Mat._new(a.ring, a.rows, a.cols, sum(rows, ()))
 
 
-def test_a_wrong_recovered_s_fails_the_rebuild(monkeypatch, capsys, tmp_path):
+def _classify_patched(monkeypatch, capsys, tmp_path, patch):
+    """classify-clique's exit and stderr on the Z_6 2x2 row clique, each recovered form passed through patch."""
     path = tmp_path / "fam.json"
     assert main(["build-clique", "--h", "6", "--m", "2", "--n", "2", "--r", "1", "--alpha", "0,0",
                  "--out", str(path)]) == 0
     real = cliques.CliqueForm
-    monkeypatch.setattr(cliques, "CliqueForm", lambda spec, tag, S, T, alpha, B0: real(
-        spec, tag, None if S is None else _rows_swapped(S), T, alpha, B0))
+    monkeypatch.setattr(cliques, "CliqueForm", lambda *fields: real(*patch(*fields)))
     capsys.readouterr()
-    assert main(["classify-clique", "--family", str(path), "--r", "1"]) == 1
-    assert capsys.readouterr().err.startswith(
-        "verification failed: recovered parameterization does not rebuild the family")
+    code = main(["classify-clique", "--family", str(path), "--r", "1"])
+    return code, capsys.readouterr().err
+
+
+def test_a_wrong_recovered_s_fails_the_rebuild(monkeypatch, capsys, tmp_path):
+    """S with its rows swapped is invertible, but maps E_00 into the second row, outside the clique's group."""
+    code, err = _classify_patched(monkeypatch, capsys, tmp_path, lambda spec, tag, S, T, alpha, B0: (
+        spec, tag, None if S is None else _rows_swapped(S), T, alpha, B0))
+    assert code == 1
+    assert err.startswith("verification failed: recovered parameterization does not rebuild the family")
+
+
+@pytest.mark.parametrize("field, message", [
+    ("T", "recovered T is not invertible"),
+    ("B0", "recovered B0 is not a member of the family"),
+])
+def test_a_singular_t_or_an_outside_b0_fails_the_certificate(monkeypatch, capsys, tmp_path, field, message):
+    """T = diag(1, 0) fixes E_00 and kills E_01, and B0 + E_10 shifts the clique off itself: either way
+    every mapped generator still lies in the clique's group, so only the invertibility test or the
+    membership test of B0 catches it."""
+    def patch(spec, tag, S, T, alpha, B0):
+        if field == "T":
+            return spec, tag, S, Mat.diagonal(spec.ring, [1, 0]), alpha, B0
+        return spec, tag, S, T, alpha, B0 + Mat.from_rows(spec.ring, [[0, 0], [1, 0]])
+
+    assert _classify_patched(monkeypatch, capsys, tmp_path, patch) == (1, f"verification failed: {message}\n")
