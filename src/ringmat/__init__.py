@@ -51,7 +51,6 @@ from .cliques import (
     COL_FORM,
     MIXED_FORM,
     ROW_FORM,
-    CanonicalCliqueSpec,
     CliqueForm,
     EkrReport,
     build_canonical_clique,
@@ -60,7 +59,6 @@ from .cliques import (
     form_tag,
     is_clique,
     random_clique_form,
-    rebuild_clique,
     verify_ekr,
 )
 from .codes import (

@@ -15,7 +15,6 @@ from typing import Any, Callable, Sequence
 
 from . import io as rio
 from .cliques import (
-    CanonicalCliqueSpec,
     CliqueForm,
     build_clique_and_walk,
     charge_clique_build,
@@ -274,7 +273,7 @@ def cmd_build_clique(args: argparse.Namespace) -> int:
     spec = _graph_spec(args)
     ring = spec.ring
     alpha = _parse_alpha(ring, args.alpha)
-    cspec = CanonicalCliqueSpec(spec, alpha)
+    CliqueForm(spec, alpha)  # a bad alpha exits 2 before the budget charge
     charge_clique_build(spec, args.budget)
     s_mat = rio.load_matrix(args.S, expect_h=args.h) if args.S else None
     t_mat = rio.load_matrix(args.T, expect_h=args.h) if args.T else None
@@ -288,7 +287,7 @@ def cmd_build_clique(args: argparse.Namespace) -> int:
     if b0 is not None:
         if b0.rows != spec.m or b0.cols != spec.n:
             raise UsageError("--B0 must be an m x n matrix")
-    family, walk = build_clique_and_walk(cspec, s_mat, t_mat, b0)
+    family, walk = build_clique_and_walk(CliqueForm(spec, alpha, s_mat, t_mat, b0))
     if not is_clique(spec, family, args.budget, walk):
         raise VerificationError("built family is not a clique")
     obj = rio.family_to_obj(ring, spec.m, spec.n, family, {
@@ -336,7 +335,7 @@ def cmd_verify_ekr(args: argparse.Namespace) -> int:
 def cmd_build_mrd(args: argparse.Namespace) -> int:
     spec = _graph_spec(args)
     code = mrd_code(spec, args.budget)
-    obj = rio.code_to_obj(code, code.verified_distance)
+    obj = rio.code_to_obj(code)
     obj["r"] = spec.r
     obj["bound"] = spec.independence_bound
     _write_or_emit(args, obj)

@@ -15,25 +15,29 @@ alpha splits the classification into three forms:
   ColForm    alpha = s:        C_r(s) @ T + B0        (m = n)
   MixedForm  otherwise:        S @ C_r(alpha) @ T + B0 (m = n)
 
-C_r(alpha) is an additive subgroup spanned by at most m*n scaled unit
-matrices, so build_clique_and_walk maps those generators, not the members,
-through S and T and materializes every clique as one subgroup closure
-translated by B0; the closure goes on to is_clique, which checks the family
-against it instead of closing the family again.
+One record, CliqueForm(graph, alpha, S, T, B0), stands for such a clique:
+build_clique_and_walk builds a clique from it and classify_max_clique
+returns one, with the tag read off alpha.  C_r(alpha) is an additive
+subgroup spanned by at most m*n scaled unit matrices, so the build maps
+those generators, not the members, through S and T and materializes every
+clique as one subgroup closure translated by B0; the closure goes on to
+is_clique, which checks the family against it instead of closing the
+family again.
 
 A family is a set of flat row-major entry tuples, its ring and shape carried
 once by the graph spec; the transforms S, T and the shift B0 stay Mats.
 
 Each family is walked once, by coset_difference_group, which closes its
-differences from the least member and keeps each that grows the closure.
+differences from the least member b0 and keeps each that grows the closure.
 is_clique, verify_ekr and codes.verify_distance rank the walk's group,
 charged |F| - 1 rank checks for a coset and C(|F|, 2) for any other family;
 a family built here is walked by its builder's closure instead.
 classify_max_clique reads the kept generators: in each prime component,
 whether their columns span a free rank-r module (row type) or their rows do
 (column type) is read off the Smith exponents of the stacked generators.
-The recovered form, one valid S and T among many, is certified by its at
-most m*n mapped generators against the walk's group, with no second closure.
+The recovered form, one valid S and T among many, with B0 = b0, is
+certified by its at most m*n mapped generators against the walk's group,
+with no second closure.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ import random
 from bisect import bisect_left
 from itertools import combinations
 from math import gcd, prod
-from typing import AbstractSet, Iterable, Iterator, NamedTuple, Sequence
+from typing import AbstractSet, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     DEFAULT_EXACT_SEARCH_BUDGET,
@@ -63,28 +67,8 @@ from . import oracle
 ROW_FORM = "RowForm"
 COL_FORM = "ColForm"
 MIXED_FORM = "MixedForm"
-Walk = tuple[AbstractSet[tuple[int, ...]], list[tuple[int, ...]]]  # (G, its kept generators): one walk of a coset
-
-
-class CanonicalCliqueSpec(Frozen):
-    """Parameters of a canonical maximum clique: the graph and the ideal exponents.
-
-    alpha[i] must be 0 or s_i.  A nonzero alpha only yields a *maximum*
-    clique for square matrices, so m < n with alpha != 0 is rejected.
-    """
-
-    __slots__ = ("graph", "alpha")
-
-    def __init__(self, graph: GraphSpec, alpha: tuple[int, ...]) -> None:
-        ring = graph.ring
-        if len(alpha) != ring.t:
-            raise UsageError("alpha must have one exponent per prime component")
-        for a, (_, s) in zip(alpha, ring.primes):
-            if a not in (0, s):
-                raise UsageError(f"alpha entries must be 0 or saturated, got {a} (s = {s})")
-        if any(alpha) and graph.m != graph.n:
-            raise UsageError("nonzero alpha needs square matrices to reach the extremal size")
-        self._fill(graph, alpha)
+# (G, its kept generators, a member b0): one walk of the coset b0 + G
+Walk = tuple[AbstractSet[tuple[int, ...]], list[tuple[int, ...]], tuple[int, ...]]
 
 
 def form_tag(ring: RingSpec, alpha: Sequence[int]) -> str:
@@ -94,6 +78,34 @@ def form_tag(ring: RingSpec, alpha: Sequence[int]) -> str:
     return COL_FORM if tuple(alpha) == ring.saturated else MIXED_FORM
 
 
+class CliqueForm(Frozen):
+    """One maximum clique S @ C_r(alpha) @ T + B0: the record a clique is built from and classified as.
+
+    alpha[i] must be 0 or s_i, and a nonzero alpha only yields a *maximum*
+    clique for square matrices, so m < n with alpha != 0 is rejected.  S and
+    T None act as identities, B0 None as the zero shift; a classified form
+    has no S when ColForm and no T when RowForm.  tag is read off alpha.
+    """
+
+    __slots__ = ("graph", "alpha", "S", "T", "B0")
+
+    def __init__(self, graph: GraphSpec, alpha: Sequence[int], S: Mat | None = None, T: Mat | None = None,
+                 B0: Mat | None = None) -> None:
+        ring = graph.ring
+        if len(alpha) != ring.t:
+            raise UsageError("alpha must have one exponent per prime component")
+        for a, (_, s) in zip(alpha, ring.primes):
+            if a not in (0, s):
+                raise UsageError(f"alpha entries must be 0 or saturated, got {a} (s = {s})")
+        if any(alpha) and graph.m != graph.n:
+            raise UsageError("nonzero alpha needs square matrices to reach the extremal size")
+        self._fill(graph, tuple(alpha), S, T, B0)
+
+    @property
+    def tag(self) -> str:
+        return form_tag(self.graph.ring, self.alpha)
+
+
 def _ideal_generator(ring: RingSpec, exponents: Sequence[int]) -> int:
     g = 1
     for (p, _), a in zip(ring.primes, exponents):
@@ -101,27 +113,27 @@ def _ideal_generator(ring: RingSpec, exponents: Sequence[int]) -> int:
     return g % ring.h  # 0 generates the zero ideal
 
 
-def _canonical_generators(cspec: CanonicalCliqueSpec) -> list[tuple[int, int, int]]:
+def _canonical_generators(form: CliqueForm) -> list[tuple[int, int, int]]:
     """(i, j, step) for the at most m*n generators step * E_ij of C_r(alpha), a direct sum of their cyclic groups.
 
     E_ij in the free r x r block, step_alpha * E_ij in the top-right block
     and step_{s-alpha} * E_ij in the bottom-left one.
     """
-    g = cspec.graph
+    g = form.graph
     ring, m, n, r = g.ring, g.m, g.n, g.r
-    step_a = _ideal_generator(ring, cspec.alpha)
-    step_b = _ideal_generator(ring, tuple(s - a for a, (_, s) in zip(cspec.alpha, ring.primes)))
+    step_a = _ideal_generator(ring, form.alpha)
+    step_b = _ideal_generator(ring, tuple(s - a for a, (_, s) in zip(form.alpha, ring.primes)))
     units = [(i, j, 1) for i in range(r) for j in range(r)]
     units += [(i, j, step_a) for i in range(r) for j in range(r, n)]
     units += [(i, j, step_b) for i in range(r, m) for j in range(r)]
     return units
 
 
-def _mapped_generators(cspec: CanonicalCliqueSpec, S: Mat | None, T: Mat | None) -> list[tuple[int, ...]]:
-    """The entries of S @ (step * E_ij) @ T for each generator of C_r(alpha); S, T None act as identities."""
-    g = cspec.graph
+def _mapped_generators(form: CliqueForm) -> list[tuple[int, ...]]:
+    """The entries of S @ (step * E_ij) @ T for each generator of C_r(alpha)."""
+    g, S, T = form.graph, form.S, form.T
     gens = []
-    for i, j, step in _canonical_generators(cspec):
+    for i, j, step in _canonical_generators(form):
         ents = [0] * (g.m * g.n)
         ents[i * g.n + j] = step
         x = Mat._new(g.ring, g.m, g.n, tuple(ents))
@@ -133,39 +145,35 @@ def _mapped_generators(cspec: CanonicalCliqueSpec, S: Mat | None, T: Mat | None)
     return gens
 
 
-def build_clique_and_walk(
-    cspec: CanonicalCliqueSpec, S: Mat | None = None, T: Mat | None = None, B0: Mat | None = None
-) -> tuple[frozenset[tuple[int, ...]], Walk]:
+def build_clique_and_walk(form: CliqueForm) -> tuple[frozenset[tuple[int, ...]], Walk]:
     """S @ C_r(alpha) @ T + B0 as one closure of the mapped generators, and that closure's walk for is_clique.
 
     Each generator of C_r(alpha) is mapped through S and T, the images are
     closed under addition and the closure G is translated by B0.  Returns
-    the family and (G, the generators that grew G), so that is_clique
+    the family and (G, the generators that grew G, B0), so that is_clique
     checks the family against G instead of closing it again.  Raises
     VerificationError unless G has the extremal size h**(n*r), i.e. unless
     the transforms are injective on C_r(alpha).
     """
-    g = cspec.graph
+    g = form.graph
     kept: list[tuple[int, ...]] = []
-    group = subgroup_closure(_mapped_generators(cspec, S, T), g.ring.h, g.clique_bound, kept)
+    group = subgroup_closure(_mapped_generators(form), g.ring.h, g.clique_bound, kept)
     if group is None or len(group) != g.clique_bound:
         raise VerificationError("transforms collapsed the canonical clique")
-    if B0 is None:
+    if form.B0 is None:
         family = frozenset(group)
-        return family, (family, kept)
-    h, b0 = g.ring.h, B0.entries
-    return frozenset([tuple([(x + y) % h for x, y in zip(ents, b0)]) for ents in group]), (group, kept)
+        return family, (family, kept, (0,) * (g.m * g.n))
+    h, b0 = g.ring.h, form.B0.entries
+    return frozenset([tuple([(x + y) % h for x, y in zip(ents, b0)]) for ents in group]), (group, kept, b0)
 
 
-def build_canonical_clique(
-    cspec: CanonicalCliqueSpec, S: Mat | None = None, T: Mat | None = None, B0: Mat | None = None
-) -> frozenset[tuple[int, ...]]:
+def build_canonical_clique(form: CliqueForm) -> frozenset[tuple[int, ...]]:
     """Materialize S @ C_r(alpha) @ T + B0: the family of build_clique_and_walk."""
-    return build_clique_and_walk(cspec, S, T, B0)[0]
+    return build_clique_and_walk(form)[0]
 
 
 def coset_difference_group(entries: Iterable[tuple[int, ...]], h: int) -> Walk | None:
-    """(G, gens) when the family F is a coset b0 + G of an additive subgroup, else None: the one walk of F.
+    """(G, gens, b0) when the family F is a coset b0 + G of an additive subgroup, else None: the one walk of F.
 
     b0 = min(F).  The differences F - b0 are walked in sorted order and
     closed under addition, aborted once the closure outgrows them: O(|F|)
@@ -178,7 +186,7 @@ def coset_difference_group(entries: Iterable[tuple[int, ...]], h: int) -> Walk |
     b0 = min(fam)
     gens: list[tuple[int, ...]] = []
     group = subgroup_closure(sorted(tuple([(x - y) % h for x, y in zip(f, b0)]) for f in fam), h, len(fam), gens)
-    return None if group is None else (group, gens)
+    return None if group is None else (group, gens, b0)
 
 
 def charge_clique_build(spec: GraphSpec, pair_budget: int = DEFAULT_PAIR_BUDGET) -> None:
@@ -227,6 +235,15 @@ def _is_coset_of(entries: list[tuple[int, ...]], group: AbstractSet[tuple[int, .
     return {tuple([(x - y) % h for x, y in zip(f, b0)]) for f in entries} == group
 
 
+def _check_members(ring: RingSpec, rows: int, cols: int, entries: Collection[tuple[int, ...]]) -> None:
+    """Raise ShapeError for a member that is not rows * cols entries long, UsageError for an entry outside [0, h)."""
+    if entries and set(map(len, entries)) != {rows * cols}:
+        raise ShapeError(f"family members must have {rows * cols} entries")
+    values = set().union(*entries)
+    if values and (min(values) < 0 or max(values) >= ring.h):
+        raise UsageError(f"family entries must lie in [0, {ring.h})")
+
+
 def _walk_and_rank(ring: RingSpec, rows: int, cols: int, entries: list[tuple[int, ...]],
                    pair_budget: int, walk: Walk | None = None) -> tuple[Walk | None, Iterator[int]]:
     """(coset_difference_group of entries; the ranks of its differences), charged for the ranks taken.
@@ -237,14 +254,9 @@ def _walk_and_rank(ring: RingSpec, rows: int, cols: int, entries: list[tuple[int
     call.  A given walk, the builder's closure G, stands for the walk once
     the family's differences from one member are checked to be G; else the
     family is walked.  The ranks are difference_ranks on the walk's
-    group.  A member of the wrong length raises ShapeError, an entry
-    outside [0, h) UsageError.
+    group.  The members are first checked by _check_members.
     """
-    if entries and set(map(len, entries)) != {rows * cols}:
-        raise ShapeError(f"family members must have {rows * cols} entries")
-    values = set().union(*entries)
-    if values and (min(values) < 0 or max(values) >= ring.h):
-        raise UsageError(f"family entries must lie in [0, {ring.h})")
+    _check_members(ring, rows, cols, entries)
     _charge_kernel_steps(ring, rows, cols)
     n = len(entries)
     charge("rank checks", n - 1, pair_budget)
@@ -266,41 +278,19 @@ def is_clique(spec: GraphSpec, family: Iterable[tuple[int, ...]], pair_budget: i
     return all(k <= spec.r for k in ranks)
 
 
-class CliqueForm(Frozen):
-    """A verified parameterization of a maximum clique.
-
-    tag is one of RowForm / ColForm / MixedForm; S is present unless the tag
-    is ColForm, T is present unless the tag is RowForm, and alpha records
-    the per-prime ideal exponents (all 0 for RowForm, all s_i for ColForm).
-    """
-
-    __slots__ = ("graph", "tag", "S", "T", "alpha", "B0")
-
-    def __init__(
-        self, graph: GraphSpec, tag: str, S: Mat | None, T: Mat | None, alpha: tuple[int, ...], B0: Mat
-    ) -> None:
-        if tag not in (ROW_FORM, COL_FORM, MIXED_FORM):
-            raise UsageError(f"unknown form tag {tag!r}")
-        self._fill(graph, tag, S, T, alpha, B0)
-
-
-def rebuild_clique(form: CliqueForm) -> frozenset[tuple[int, ...]]:
-    """Materialize S @ C_r(alpha) @ T + B0 through build_canonical_clique's one closure."""
-    return build_canonical_clique(CanonicalCliqueSpec(form.graph, form.alpha), form.S, form.T, form.B0)
-
-
 def classify_max_clique(spec: GraphSpec, family: Iterable[tuple[int, ...]]) -> CliqueForm:
-    """Recover a (tag, S, T, alpha, B0) parameterization of a maximum clique.
+    """Recover the CliqueForm (alpha, S, T, B0) of a maximum clique.
 
     The input must be a maximum clique of entry tuples of length m*n: size
-    h**(n*r) and pairwise inner rank of differences <= r.  It is walked by
-    coset_difference_group, whose kept generators span G = family - B0; a
-    family that is no coset raises VerificationError.  Whether a prime
-    component is row type (alpha_i = 0) or column type (alpha_i = s_i) is
-    read off the Smith exponents of the horizontally / vertically stacked
-    projections of the kept generators, which span the column / row modules
-    of all of G, and the transforms are the outer Smith factors of those
-    stacks.  Ties (possible only when r = m = n) resolve to the row type.
+    h**(n*r) and pairwise inner rank of differences <= r; its members are
+    checked by _check_members before its size.  It is walked by
+    coset_difference_group, whose kept generators span G = family - B0, B0
+    the walk's base; a family that is no coset raises VerificationError.
+    Whether a prime component is row type (alpha_i = 0) or column type
+    (alpha_i = s_i) is read off the Smith exponents of the horizontally /
+    vertically stacked projections of the kept generators, which span the
+    column / row modules of all of G, and the transforms are the outer
+    Smith factors of those stacks.  Ties (possible only when r = m = n) resolve to the row type.
     The recovered form is certified by _certify_form from its at most m*n
     generators against G, with no second closure: a failure raises
     VerificationError, since it would witness a maximum clique outside the
@@ -309,15 +299,14 @@ def classify_max_clique(spec: GraphSpec, family: Iterable[tuple[int, ...]]) -> C
     fam = set(family)
     if not fam:
         raise UsageError("empty family")
-    if any(len(x) != spec.m * spec.n for x in fam):
-        raise ShapeError("family members do not match the graph parameters")
+    _check_members(spec.ring, spec.m, spec.n, fam)
     if len(fam) != spec.clique_bound:
         raise VerificationError(f"family has size {len(fam)}, a maximum clique has {spec.clique_bound}")
-    return _classify_walk(spec, fam, coset_difference_group(fam, spec.ring.h))
+    return _classify_walk(spec, coset_difference_group(fam, spec.ring.h))
 
 
-def _classify_walk(spec: GraphSpec, fam: AbstractSet[tuple[int, ...]], walk: Walk | None) -> CliqueForm:
-    """classify_max_clique of a maximum-size family fam from its own walk, None if it is no coset."""
+def _classify_walk(spec: GraphSpec, walk: Walk | None) -> CliqueForm:
+    """classify_max_clique of a maximum-size family from its own walk, None if it is no coset; B0 is its base."""
     if walk is None:
         raise VerificationError("family is not a coset of an additive subgroup, so not a maximum clique")
     ring = spec.ring
@@ -360,30 +349,30 @@ def _classify_walk(spec: GraphSpec, fam: AbstractSet[tuple[int, ...]], walk: Wal
     s_mat = None if tag == COL_FORM else crt_lift_mat(ring, s_comps)
     t_mat = None if tag == ROW_FORM else crt_lift_mat(ring, t_comps)
 
-    form = CliqueForm(spec, tag, s_mat, t_mat, tuple(alpha), Mat._new(ring, m, n, min(fam)))
-    _certify_form(form, fam, walk[0])
+    form = CliqueForm(spec, alpha, s_mat, t_mat, Mat._new(ring, m, n, walk[2]))
+    _certify_form(form, walk)
     return form
 
 
-def _certify_form(form: CliqueForm, fam: AbstractSet[tuple[int, ...]], group: AbstractSet[tuple[int, ...]]) -> None:
-    """Raise VerificationError unless B0 + S @ C_r(alpha) @ T is the family, a coset of the group G.
+def _certify_form(form: CliqueForm, walk: Walk) -> None:
+    """Raise VerificationError unless B0 + S @ C_r(alpha) @ T is the walk's family b0 + G.
 
-    S and T must be invertible, B0 a member, and each generator of
-    C_r(alpha) mapped through S and T a member of G = fam - B0.  Then
+    S and T must be invertible, B0 - b0 a member of G, and each generator
+    of C_r(alpha) mapped through S and T a member of G.  Then
     S @ C_r(alpha) @ T is a subgroup of G as large as C_r(alpha), whose
     size, the product of its generators' additive orders, is checked to be
     h**(n*r) = |G|: the two groups are equal, with no closure taken.
     """
-    cspec = CanonicalCliqueSpec(form.graph, form.alpha)
+    group, _, b0 = walk
     for name, x in (("S", form.S), ("T", form.T)):
         if x is not None and not x.is_invertible():
             raise VerificationError(f"recovered {name} is not invertible")
-    if form.B0.entries not in fam:
-        raise VerificationError("recovered B0 is not a member of the family")
     h = form.graph.ring.h
-    if prod(h // gcd(step, h) for _, _, step in _canonical_generators(cspec)) != form.graph.clique_bound:
+    if tuple([(x - y) % h for x, y in zip(form.B0.entries, b0)]) not in group:
+        raise VerificationError("recovered B0 is not a member of the family")
+    if prod(h // gcd(step, h) for _, _, step in _canonical_generators(form)) != form.graph.clique_bound:
         raise VerificationError(f"the generators of C_r({form.alpha}) do not span h**(n*r) matrices")
-    if not all(x in group for x in _mapped_generators(cspec, form.S, form.T)):
+    if not all(x in group for x in _mapped_generators(form)):
         raise VerificationError(
             "recovered parameterization does not rebuild the family; "
             "this contradicts the classification of maximum cliques"
@@ -422,7 +411,7 @@ def verify_ekr(spec: GraphSpec, family: Iterable[tuple[int, ...]], pair_budget: 
     bound = spec.clique_bound
     if size > bound:
         raise VerificationError(f"family of size {size} exceeds the extremal bound {bound}")
-    form = _classify_walk(spec, set(members), walk) if size == bound else None
+    form = _classify_walk(spec, walk) if size == bound else None
     return EkrReport(size, bound, size == bound, form)
 
 
@@ -449,5 +438,4 @@ def random_clique_form(
     tag = form_tag(ring, alpha)
     s_mat = random_invertible(ring, spec.m, r) if tag != COL_FORM else None
     t_mat = random_invertible(ring, spec.n, r) if tag != ROW_FORM else None
-    b0 = random_matrix(ring, spec.m, spec.n, r)
-    return CliqueForm(spec, tag, s_mat, t_mat, tuple(alpha), b0)
+    return CliqueForm(spec, alpha, s_mat, t_mat, random_matrix(ring, spec.m, spec.n, r))

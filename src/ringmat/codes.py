@@ -45,7 +45,7 @@ from itertools import product
 from typing import NamedTuple, Sequence
 
 from .cliques import (
-    CanonicalCliqueSpec,
+    CliqueForm,
     _walk_and_rank,
     build_clique_and_walk,
     charge_clique_build,
@@ -371,7 +371,7 @@ def clique_cover_complement(spec: GraphSpec, vertex_budget: int = DEFAULT_VERTEX
     charge("vertices", (spec.ring.h, spec.m * spec.n), vertex_budget)
     code = mrd_code(spec)
     _complement_lookup(spec, code)
-    base, walk = build_clique_and_walk(CanonicalCliqueSpec(spec, (0,) * spec.ring.t))
+    base, walk = build_clique_and_walk(CliqueForm(spec, (0,) * spec.ring.t))
     cut = spec.r * spec.n
     if any(any(x[cut:]) for x in base) or not is_clique(spec, base, walk=walk):
         raise VerificationError("the canonical clique is not the row clique K, or K is not a clique")
@@ -407,7 +407,7 @@ def certify_graph_parameters(spec: GraphSpec, vertex_budget: int = DEFAULT_VERTE
                              pair_budget: int = DEFAULT_PAIR_BUDGET) -> GraphCertificate:
     """Build and verify the three certificates once each, clique and code within pair_budget; raise if a bound fails."""
     charge_clique_build(spec, pair_budget)
-    clique, walk = build_clique_and_walk(CanonicalCliqueSpec(spec, (0,) * spec.ring.t))
+    clique, walk = build_clique_and_walk(CliqueForm(spec, (0,) * spec.ring.t))
     if not is_clique(spec, clique, pair_budget, walk):
         raise VerificationError("canonical clique is not a clique")
     code = mrd_code(spec, pair_budget)

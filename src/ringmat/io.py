@@ -248,17 +248,16 @@ def distance_value(d: float | int | None) -> int | None:
     return int(d)
 
 
-def code_to_obj(code, verified: float | int | None = None) -> dict[str, Any]:
+def code_to_obj(code) -> dict[str, Any]:
     """Serialize a rank-distance code as a family object with metadata.
 
-    ``verified`` is the exhaustively computed minimum distance, if the
-    caller has one; it is stored as ``verified_min_distance`` (``null``
-    when absent or infinite).
+    The code's ``verified_distance`` is stored as ``verified_min_distance``
+    (``null`` when absent or infinite).
     """
     extra: dict[str, Any] = {
         "size": code.size,
         "claimed_min_distance": code.claimed_min_distance,
-        "verified_min_distance": distance_value(verified),
+        "verified_min_distance": distance_value(code.verified_distance),
         "linear": code.linear,
     }
     if code.basis is not None:

@@ -21,13 +21,11 @@ from . import oracle
 from .cliques import (
     COL_FORM,
     ROW_FORM,
-    CanonicalCliqueSpec,
+    CliqueForm,
     build_canonical_clique,
     classify_max_clique,
     enumerate_max_cliques,
-    form_tag,
     random_clique_form,
-    rebuild_clique,
     verify_ekr,
 )
 from .codes import (
@@ -285,12 +283,11 @@ def _generated_families(quick: bool = False):
     scopes = _GENERATION_SCOPES[:1] if quick else _GENERATION_SCOPES
     out = []
     for h, m, n, alphas in scopes:
-        ring = ring_spec(h)
-        spec = GraphSpec(ring, m, n, 1)
+        spec = GraphSpec(ring_spec(h), m, n, 1)
         for alpha in alphas:
             for seed in range(trials):
                 form = random_clique_form(spec, alpha, random.Random(seed))
-                out.append((spec, alpha, form_tag(ring, alpha), rebuild_clique(form)))
+                out.append((spec, alpha, form.tag, build_canonical_clique(form)))
     return out
 
 
@@ -358,7 +355,7 @@ def check_extremal_verification(quick: bool = False) -> tuple[bool, str]:
             return True
 
     spec2 = GraphSpec(ring_spec(2), 2, 2, 1)
-    fam2 = build_canonical_clique(CanonicalCliqueSpec(spec2, (0,)))
+    fam2 = build_canonical_clique(CliqueForm(spec2, (0,)))
     base2 = sorted(fam2)
     rejected = 0
     for v in range(spec2.n_vertices):
@@ -371,7 +368,7 @@ def check_extremal_verification(quick: bool = False) -> tuple[bool, str]:
         rejected += 1
 
     spec6 = GraphSpec(ring_spec(6), 2, 2, 1)
-    fam6 = build_canonical_clique(CanonicalCliqueSpec(spec6, (0, 0)))
+    fam6 = build_canonical_clique(CliqueForm(spec6, (0, 0)))
     base6 = sorted(fam6)
     rng = random.Random(0)
     sampled = 0

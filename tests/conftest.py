@@ -226,9 +226,9 @@ def recursive_mis(masks, budget=DEFAULT_SEARCH_STEP_BUDGET):
     return recursive_clique(complement_masks(masks), budget)
 
 
-def canonical_members(cspec):
+def canonical_members(form):
     """The entries of C_r(alpha) member by member: X1 free, X2 over the ideal alpha, X3 over s - alpha."""
-    spec = cspec.graph
+    spec = form.graph
     ring = spec.ring
     h, m, n, r = ring.h, spec.m, spec.n, spec.r
 
@@ -238,8 +238,8 @@ def canonical_members(cspec):
             g *= p**a
         return sorted({x * g % h for x in range(h)})
 
-    upper = ideal(cspec.alpha)
-    lower = ideal([s - a for a, (_, s) in zip(cspec.alpha, ring.primes)])
+    upper = ideal(form.alpha)
+    lower = ideal([s - a for a, (_, s) in zip(form.alpha, ring.primes)])
     members = set()
     for x1 in product(range(h), repeat=r * r):
         for x2 in product(upper, repeat=r * (n - r)):
@@ -254,15 +254,15 @@ def canonical_members(cspec):
     return members
 
 
-def mat_clique(cspec, S=None, T=None, B0=None) -> frozenset:
+def mat_clique(form) -> frozenset:
     """S @ C_r(alpha) @ T + B0 member by member in Mat arithmetic: the oracle of the entry-tuple closure."""
-    spec = cspec.graph
+    spec = form.graph
     out = set()
-    for x in canonical_members(cspec):
+    for x in canonical_members(form):
         a = Mat(spec.ring, spec.m, spec.n, x)
-        a = a if S is None else S @ a
-        a = a if T is None else a @ T
-        out.add(a if B0 is None else a + B0)
+        a = a if form.S is None else form.S @ a
+        a = a if form.T is None else a @ form.T
+        out.add(a if form.B0 is None else a + form.B0)
     return frozenset(out)
 
 

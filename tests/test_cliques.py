@@ -11,7 +11,6 @@ from conftest import canonical_members, mat_clique, zeros
 from ringmat import cli, cliques
 from ringmat.cliques import (
     build_canonical_clique,
-    CanonicalCliqueSpec,
     classify_max_clique,
     CliqueForm,
     COL_FORM,
@@ -21,7 +20,6 @@ from ringmat.cliques import (
     is_clique,
     MIXED_FORM,
     random_clique_form,
-    rebuild_clique,
     ROW_FORM,
     verify_ekr,
 )
@@ -48,11 +46,11 @@ def test_canonical_clique_sizes():
                       (12, [(0, 0), (2, 1), (0, 1), (2, 0)])):
         spec = _spec(h)
         for alpha in alphas:
-            fam = build_canonical_clique(CanonicalCliqueSpec(spec, alpha))
+            fam = build_canonical_clique(CliqueForm(spec, alpha))
             assert len(fam) == spec.clique_bound
             assert is_clique(spec, fam)
     rect = _spec(6, 2, 3, 1)
-    fam = build_canonical_clique(CanonicalCliqueSpec(rect, (0, 0)))
+    fam = build_canonical_clique(CliqueForm(rect, (0, 0)))
     assert len(fam) == 216
     assert is_clique(rect, fam, pair_budget=30000)
 
@@ -60,12 +58,12 @@ def test_canonical_clique_sizes():
 def test_canonical_spec_validation():
     spec = _spec(12)
     with pytest.raises(UsageError):
-        CanonicalCliqueSpec(spec, (1, 1))  # exponents must be 0 or s_i
+        CliqueForm(spec, (1, 1))  # exponents must be 0 or s_i
     with pytest.raises(UsageError):
-        CanonicalCliqueSpec(spec, (2,))  # one exponent per prime
+        CliqueForm(spec, (2,))  # one exponent per prime
     rect = _spec(6, 2, 3, 1)
     with pytest.raises(UsageError):
-        CanonicalCliqueSpec(rect, (1, 1))  # nonzero alpha needs m == n
+        CliqueForm(rect, (1, 1))  # nonzero alpha needs m == n
 
 
 def test_is_clique_detects_violations():
@@ -73,7 +71,7 @@ def test_is_clique_detects_violations():
     ring = spec.ring
     assert not is_clique(spec, [zeros(ring, 2, 2).entries, Mat.identity(ring, 2).entries])
     with pytest.raises(BudgetExceededError):
-        fam = build_canonical_clique(CanonicalCliqueSpec(spec, (0, 0)))
+        fam = build_canonical_clique(CliqueForm(spec, (0, 0)))
         is_clique(spec, fam, pair_budget=10)
 
 
@@ -81,7 +79,8 @@ def test_is_clique_detects_violations():
     is_clique,
     verify_ekr,
     lambda spec, fam: verify_distance(RankCode(spec.ring, spec.m, spec.n, frozenset(fam), 2, False, None)),
-], ids=["is_clique", "verify_ekr", "verify_distance"])
+    classify_max_clique,
+], ids=["is_clique", "verify_ekr", "verify_distance", "classify_max_clique"])
 @pytest.mark.parametrize("member, error, message", [
     ((1, 1, 1, 1, 1), ShapeError, "family members must have 4 entries"),
     ((7, 0, 0, 0), UsageError, r"family entries must lie in \[0, 6\)"),
@@ -99,16 +98,16 @@ def test_classification_round_trip_all_tags():
                        ((0, 1), MIXED_FORM), ((1, 0), MIXED_FORM)):
         for seed in range(5):
             form = random_clique_form(spec, alpha, seed)
-            fam = rebuild_clique(form)
+            fam = build_canonical_clique(form)
             back = classify_max_clique(spec, fam)
             assert back.tag == tag
             assert back.alpha == alpha
-            assert rebuild_clique(back) == fam
+            assert build_canonical_clique(back) == fam
 
 
 def test_classify_rejects_wrong_size():
     spec = _spec(6)
-    fam = list(build_canonical_clique(CanonicalCliqueSpec(spec, (0, 0))))
+    fam = list(build_canonical_clique(CliqueForm(spec, (0, 0))))
     with pytest.raises(VerificationError):
         classify_max_clique(spec, fam[:-1])
     with pytest.raises(ShapeError):  # a member of another shape
@@ -117,7 +116,7 @@ def test_classify_rejects_wrong_size():
 
 def test_classify_rejects_right_size_non_clique():
     spec = _spec(6)
-    fam = sorted(build_canonical_clique(CanonicalCliqueSpec(spec, (0, 0))))
+    fam = sorted(build_canonical_clique(CliqueForm(spec, (0, 0))))
     outside = Mat.identity(spec.ring, 2).entries
     assert outside not in fam
     tampered = fam[:-1] + [outside]
@@ -130,18 +129,24 @@ def test_rebuild_rejects_collapsing_parameters():
     ring = spec.ring
     zero = zeros(ring, 2, 2)
     singular_2 = Mat.from_rows(ring, [[2, 0], [0, 1]])  # kills the first row mod 2
-    for tag, s_mat, t_mat, alpha in ((ROW_FORM, zero, None, (0, 0)),
-                                     (ROW_FORM, singular_2, None, (0, 0)),
-                                     (COL_FORM, None, Mat.from_rows(ring, [[3, 0], [0, 1]]), (1, 1)),
-                                     (MIXED_FORM, singular_2, Mat.identity(ring, 2), (0, 1))):
+    for alpha, s_mat, t_mat in (((0, 0), zero, None),
+                                ((0, 0), singular_2, None),
+                                ((1, 1), None, Mat.from_rows(ring, [[3, 0], [0, 1]])),
+                                ((0, 1), singular_2, Mat.identity(ring, 2))):
         with pytest.raises(VerificationError, match="collapsed"):
-            rebuild_clique(CliqueForm(spec, tag, s_mat, t_mat, alpha, zero))
+            build_canonical_clique(CliqueForm(spec, alpha, s_mat, t_mat, zero))
 
 
-def test_clique_form_tag_validation():
+def test_the_tag_is_read_off_alpha():
+    """The tag is no field, so a form cannot name one shape and build another."""
     spec = _spec(6)
-    with pytest.raises(UsageError):
-        CliqueForm(spec, "Sideways", None, None, (0, 0), zeros(spec.ring, 2, 2))
+    ident = Mat.identity(spec.ring, 2)
+    for alpha, tag in (((0, 0), ROW_FORM), ((1, 1), COL_FORM), ((0, 1), MIXED_FORM), ((1, 0), MIXED_FORM)):
+        form = CliqueForm(spec, alpha, ident, ident, ident)
+        assert form.tag == tag and "tag" not in form._fields
+    row = CliqueForm(spec, [0, 0], ident, None, ident)
+    assert row == CliqueForm(spec, (0, 0), ident, None, ident) and row.alpha == (0, 0)
+    assert classify_max_clique(spec, build_canonical_clique(row)).tag == ROW_FORM
 
 
 def test_enumerate_max_cliques_z2():
@@ -161,7 +166,7 @@ def test_enumerate_max_cliques_budget():
 
 def test_verify_ekr_accepts_subfamily_without_form():
     spec = _spec(6)
-    fam = sorted(build_canonical_clique(CanonicalCliqueSpec(spec, (0, 0))))
+    fam = sorted(build_canonical_clique(CliqueForm(spec, (0, 0))))
     rep = verify_ekr(spec, fam[:10])
     assert rep.within_bound and not rep.extremal
     assert rep.form is None
@@ -177,7 +182,7 @@ def test_verify_ekr_rejects_non_intersecting():
 
 def test_verify_ekr_classifies_extremal():
     spec = _spec(12)
-    fam = rebuild_clique(random_clique_form(spec, (0, 1), 9))
+    fam = build_canonical_clique(random_clique_form(spec, (0, 1), 9))
     rep = verify_ekr(spec, fam)
     assert rep.extremal
     assert rep.form is not None and rep.form.tag == MIXED_FORM
@@ -188,7 +193,7 @@ def test_random_clique_form_deterministic():
     f1 = random_clique_form(spec, (0, 1), 5)
     f2 = random_clique_form(spec, (0, 1), 5)
     assert f1 == f2
-    assert rebuild_clique(f1) == rebuild_clique(f2)
+    assert build_canonical_clique(f1) == build_canonical_clique(f2)
 
 
 # --- coset route against the pairwise route --------------------------------------
@@ -217,11 +222,11 @@ COSET_CASES = [
 @pytest.mark.parametrize("h, n, alpha", COSET_CASES)
 def test_coset_route_matches_pairwise_on_cliques(monkeypatch, h, n, alpha):
     spec = _spec(h, 2, n, 1)
-    canonical = build_canonical_clique(CanonicalCliqueSpec(spec, (0,) * spec.ring.t))
-    rebuilt = rebuild_clique(random_clique_form(spec, alpha, h))
+    canonical = build_canonical_clique(CliqueForm(spec, (0,) * spec.ring.t))
+    rebuilt = build_canonical_clique(random_clique_form(spec, alpha, h))
     for fam in (canonical, rebuilt):
-        group, _ = coset_difference_group(fam, h)
-        assert group == _shifted(fam, h)
+        group, _, b0 = coset_difference_group(fam, h)
+        assert group == _shifted(fam, h) and b0 == min(fam)
         assert is_clique(spec, fam, pair_budget=10**6)
         assert _pairwise_is_clique(monkeypatch, spec, fam)
 
@@ -243,7 +248,7 @@ def test_subgroup_coset_of_rank_two_matrix_is_not_a_clique(monkeypatch):
 def test_non_coset_families_fall_back_to_pairwise(monkeypatch):
     spec = _spec(6)
     ring = spec.ring
-    fam = sorted(rebuild_clique(random_clique_form(spec, (1, 0), 4)))
+    fam = sorted(build_canonical_clique(random_clique_form(spec, (1, 0), 4)))
     outside = next(x for x in (random_matrix(ring, 2, 2, k).entries for k in range(100)) if x not in fam)
     rng = random.Random(20)
     random_set = {random_matrix(ring, 2, 2, rng).entries for _ in range(40)}
@@ -261,8 +266,8 @@ def test_non_coset_families_fall_back_to_pairwise(monkeypatch):
 def test_difference_ranks_match_inner_rank(h, n):
     spec = _spec(h, 2, n, 1)
     ring = spec.ring
-    coset = sorted(rebuild_clique(random_clique_form(spec, (0,) * ring.t, h)))
-    group, _ = coset_difference_group(coset, h)
+    coset = sorted(build_canonical_clique(random_clique_form(spec, (0,) * ring.t, h)))
+    group = coset_difference_group(coset, h)[0]
     assert list(difference_ranks(ring, 2, n, (), group)) == [
         inner_rank(Mat(ring, 2, n, g)) for g in group if any(g)
     ]
@@ -278,7 +283,7 @@ def test_pair_budget_is_checked_before_any_work(monkeypatch):
         raise AssertionError("work started before the budget check")
 
     spec = _spec(6)
-    fam = sorted(build_canonical_clique(CanonicalCliqueSpec(spec, (0, 0))))
+    fam = sorted(build_canonical_clique(CliqueForm(spec, (0, 0))))
     with monkeypatch.context() as mp:  # a coset of 36: |F| - 1 = 35 rank checks, charged before the walk
         mp.setattr(cliques, "coset_difference_group", refuse)
         with pytest.raises(BudgetExceededError, match="35 rank checks exceed the budget 34"):
@@ -330,12 +335,12 @@ ORACLE_CASES = [(h, 2, 2, 1) for h in (4, 6, 9, 12)] + [(6, 2, 3, 1), (6, 3, 3, 
 def test_generator_closure_matches_the_member_loops(h, m, n, r):
     spec = _spec(h, m, n, r)
     for alpha in _valid_alphas(spec):
-        cspec = CanonicalCliqueSpec(spec, alpha)
-        members = canonical_members(cspec)
+        canonical = CliqueForm(spec, alpha)
+        members = canonical_members(canonical)
         assert len(members) == spec.clique_bound
-        assert build_canonical_clique(cspec) == members
+        assert build_canonical_clique(canonical) == members
         form = random_clique_form(spec, alpha, h + m + n + r)
-        assert rebuild_clique(form) == _mapped_members(form, members)
+        assert build_canonical_clique(form) == _mapped_members(form, members)
 
 
 @pytest.mark.parametrize("h, m, n", [(4, 2, 2), (5, 2, 2), (6, 2, 2), (9, 2, 2), (12, 2, 2), (6, 2, 3), (6, 3, 3)])
@@ -345,11 +350,9 @@ def test_entry_tuple_families_match_the_mat_route(h, m, n):
     rng = random.Random(h + m + n)
     for alpha in _valid_alphas(spec):
         form = random_clique_form(spec, alpha, rng)
-        cspec = CanonicalCliqueSpec(spec, alpha)
-        old = mat_clique(cspec, form.S, form.T, form.B0)
-        assert {x.entries for x in old} == build_canonical_clique(cspec, form.S, form.T, form.B0)
+        assert {x.entries for x in mat_clique(form)} == build_canonical_clique(form)
     if h in (5, 6) and (m, n) == (2, 2):
-        base = mat_clique(CanonicalCliqueSpec(spec, (0,) * spec.ring.t))
+        base = mat_clique(CliqueForm(spec, (0,) * spec.ring.t))
         words = [Mat(spec.ring, m, n, c) for c in sorted(mrd_code(spec).members)]
         assert list(clique_cover_complement(spec).parts) == [{(mem + x).entries for x in base} for mem in words]
 
@@ -376,7 +379,7 @@ def _stacks_generators(shapes, m, n, size):
 ])
 def test_classification_stacks_the_generators(monkeypatch, h, m, alpha, tag):
     spec = _spec(h, m, m)
-    fam = sorted(rebuild_clique(random_clique_form(spec, alpha, h + m)))
+    fam = sorted(build_canonical_clique(random_clique_form(spec, alpha, h + m)))
     shapes = _stack_shapes(monkeypatch)
     form = classify_max_clique(spec, fam)
     assert (form.tag, form.alpha) == (tag, alpha)
@@ -388,7 +391,7 @@ def test_classification_stacks_the_generators(monkeypatch, h, m, alpha, tag):
 
 def test_verify_ekr_walks_each_family_once(monkeypatch):
     spec = _spec(12)
-    fam = rebuild_clique(random_clique_form(spec, (2, 1), 12))
+    fam = build_canonical_clique(random_clique_form(spec, (2, 1), 12))
     closures = []
     real_closure = cliques.subgroup_closure
     monkeypatch.setattr(cliques, "subgroup_closure", lambda *args: closures.append(args[2]) or real_closure(*args))
@@ -426,20 +429,20 @@ def test_a_given_closure_stands_for_the_walk_only_for_its_coset(monkeypatch):
     """Over Z_2 2x2 the closure of all E_ij holds the rank-2 identity: ranked as the walk of the row
     clique, a part of it, or of that clique listed four times over, it would refuse a clique."""
     spec = _spec(2)
-    row = sorted(build_canonical_clique(CanonicalCliqueSpec(spec, (0,))))
+    row = sorted(build_canonical_clique(CliqueForm(spec, (0,))))
     everything = {spec.vertex_entries(v) for v in range(spec.n_vertices)}
     closures = _closure_counter(monkeypatch)
     for family in (row, row * 4):
-        assert is_clique(spec, family, walk=(everything, []))
+        assert is_clique(spec, family, walk=(everything, [], family[0]))
     assert len(closures) == 2  # each family is walked
     closures.clear()
-    family, walk = cliques.build_clique_and_walk(CanonicalCliqueSpec(spec, (0,)))
+    family, walk = cliques.build_clique_and_walk(CliqueForm(spec, (0,)))
     assert closures == [4] and is_clique(spec, family, walk=walk) and closures == [4]
 
 
-def _certified(form, fam, group):
+def _certified(form, walk):
     try:
-        cliques._certify_form(form, fam, group)
+        cliques._certify_form(form, walk)
     except VerificationError:
         return False
     return True
@@ -455,10 +458,10 @@ def test_every_classified_form_rebuilds_its_family(h, m, n, r):
     spec = _spec(h, m, n, r)
     rng = random.Random(h * 100 + m * 10 + n + r)
     for alpha in _valid_alphas(spec):
-        fam = rebuild_clique(random_clique_form(spec, alpha, rng))
+        fam = build_canonical_clique(random_clique_form(spec, alpha, rng))
         form = classify_max_clique(spec, fam)
         assert form.alpha == alpha
-        assert rebuild_clique(form) == fam
+        assert build_canonical_clique(form) == fam
 
 
 def _perturbed(form, rng):
@@ -473,10 +476,10 @@ def _perturbed(form, rng):
     elif kind == "B0":
         b0 = random_matrix(ring, spec.m, spec.n, rng)
     elif kind == "member":
-        b0 = Mat(ring, spec.m, spec.n, rng.choice(sorted(rebuild_clique(form))))
+        b0 = Mat(ring, spec.m, spec.n, rng.choice(sorted(build_canonical_clique(form))))
     else:
         alpha = rng.choice(_valid_alphas(spec))
-    return CliqueForm(spec, form.tag, s_mat, t_mat, alpha, b0)
+    return CliqueForm(spec, alpha, s_mat, t_mat, b0)
 
 
 @pytest.mark.parametrize("h, m, n", [(4, 2, 2), (6, 2, 2), (9, 2, 2), (12, 2, 2), (6, 2, 3), (6, 3, 3)])
@@ -487,13 +490,13 @@ def test_the_generator_certificate_agrees_with_the_rebuild(h, m, n):
     rng = random.Random(h + m + n)
     verdicts = set()
     for alpha in _valid_alphas(spec):
-        fam = rebuild_clique(random_clique_form(spec, alpha, rng))
+        fam = build_canonical_clique(random_clique_form(spec, alpha, rng))
         walk = coset_difference_group(fam, h)
         form = classify_max_clique(spec, fam)
         for _ in range(12):
             other = _perturbed(form, rng)
-            verdict = _certified(other, fam, walk[0])
-            assert verdict == (rebuild_clique(other) == fam), other
+            verdict = _certified(other, walk)
+            assert verdict == (build_canonical_clique(other) == fam), other
             verdicts.add(verdict)
     assert verdicts == {True, False}
 

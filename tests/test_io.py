@@ -113,10 +113,11 @@ def test_load_rejects_bad_files(tmp_path):
 def test_code_to_obj_metadata():
     spec = GraphSpec(ring_spec(4), 2, 2, 1)
     code = mrd_code(spec)
-    obj = code_to_obj(code, 2)
+    obj = code_to_obj(code)
     assert obj["size"] == 16
     assert obj["claimed_min_distance"] == 2
-    assert obj["verified_min_distance"] == 2
+    assert obj["verified_min_distance"] == code.verified_distance == 2
+    assert code_to_obj(code._replace(verified_distance=None))["verified_min_distance"] is None
     assert obj["linear"] is True
     assert len(obj["members"]) == 16
     assert obj["basis"]

@@ -172,8 +172,7 @@ def test_internal_results_pass_public_validation():
 def test_clique_code_and_graph_results_pass_public_validation(monkeypatch):
     """Members, transforms and codewords built without validation are canonical."""
     from ringmat import cliques
-    from ringmat.cliques import (CanonicalCliqueSpec, build_canonical_clique, classify_max_clique,
-                                 random_clique_form, rebuild_clique)
+    from ringmat.cliques import CliqueForm, build_canonical_clique, classify_max_clique, random_clique_form
     from ringmat.codes import RankCode, mrd_code, verify_distance
     from ringmat.graph import GraphSpec
 
@@ -191,9 +190,9 @@ def test_clique_code_and_graph_results_pass_public_validation(monkeypatch):
         spec = GraphSpec(ring_spec(h), 2, 2, 1)
         seen += [spec.vertex(v) for v in range(0, spec.n_vertices, 7)]
         for alpha in product(*((0, s) for _, s in spec.ring.primes)):
-            clique = [Mat._new(spec.ring, 2, 2, x) for x in build_canonical_clique(CanonicalCliqueSpec(spec, alpha))]
+            clique = [Mat._new(spec.ring, 2, 2, x) for x in build_canonical_clique(CliqueForm(spec, alpha))]
             seen += clique
-            form = classify_max_clique(spec, rebuild_clique(random_clique_form(spec, alpha, h)))
+            form = classify_max_clique(spec, build_canonical_clique(random_clique_form(spec, alpha, h)))
             seen += [x for x in (form.S, form.T) if x is not None]
         shift = Mat(spec.ring, 2, 2, (1, 2, 3, 0))
         verify_distance(RankCode(spec.ring, 2, 2, frozenset((x + shift).entries for x in clique), 1, False, None))
@@ -331,7 +330,7 @@ def test_transpose_involution_property(a):
 
 
 def test_records_are_immutable_and_keep_their_field_tuple_semantics():
-    from ringmat.cliques import ROW_FORM, CanonicalCliqueSpec, CliqueForm
+    from ringmat.cliques import ROW_FORM, CliqueForm
     from ringmat.codes import GraphCertificate
     from ringmat.graph import GraphSpec
     from ringmat.orbits import CensusReport
@@ -353,11 +352,8 @@ def test_records_are_immutable_and_keep_their_field_tuple_semantics():
          f"InvariantFactorArray(ring={r6}, omega=((0,), (1,)))"),
         (CensusReport(ring2, 1, 1, census_entries), ("ring", "rows", "cols", "entries"), (ring2, 1, 1, census_entries),
          f"CensusReport(ring={r2}, rows=1, cols=1, entries=((((0,),), 1), (((1,),), 1)))"),
-        (CanonicalCliqueSpec(spec, (0, 0)), ("graph", "alpha"), (spec, (0, 0)),
-         f"CanonicalCliqueSpec(graph={s6}, alpha=(0, 0))"),
-        (CliqueForm(spec, ROW_FORM, a, None, (0, 0), a), ("graph", "tag", "S", "T", "alpha", "B0"),
-         (spec, ROW_FORM, a, None, (0, 0), a),
-         f"CliqueForm(graph={s6}, tag='RowForm', S={a6}, T=None, alpha=(0, 0), B0={a6})"),
+        (CliqueForm(spec, (0, 0), a, None, a), ("graph", "alpha", "S", "T", "B0"), (spec, (0, 0), a, None, a),
+         f"CliqueForm(graph={s6}, alpha=(0, 0), S={a6}, T=None, B0={a6})"),
         (GraphCertificate(spec, 216, 216, 2.0, 216, "exact"),
          ("spec", "omega", "alpha", "code_distance", "chi", "coloring_verification"), (spec, 216, 216, 2.0, 216, "exact"),
          f"GraphCertificate(spec={s6}, omega=216, alpha=216, code_distance=2.0, chi=216, coloring_verification='exact')"),
@@ -379,4 +375,4 @@ def test_records_are_immutable_and_keep_their_field_tuple_semantics():
     assert hash(twin) == hash(report) and twin != report and report != twin
     assert a == Mat._new(ring, 1, 2, (1, 5)) and a != Mat._new(ring_spec(7), 1, 2, (1, 5))
     assert spec == GraphSpec(ring_spec(6), 2, 3, 1) != GraphSpec(ring, 2, 3, 2)
-    assert records[5][0] != CanonicalCliqueSpec(GraphSpec(ring, 3, 3, 1), (0, 0))
+    assert records[5][0] != CliqueForm(GraphSpec(ring, 3, 3, 1), (0, 0), a, None, a) and records[5][0].tag == ROW_FORM

@@ -13,7 +13,7 @@ import pytest
 
 from ringmat import cli, cliques, codes, graph, orbits, smith
 from ringmat.cli import main
-from ringmat.cliques import CanonicalCliqueSpec, build_canonical_clique, classify_max_clique
+from ringmat.cliques import CliqueForm, build_canonical_clique, classify_max_clique
 from ringmat.errors import VerificationError
 from ringmat.graph import GraphSpec, check_vertex_transitivity
 from ringmat.matrix import Mat
@@ -122,8 +122,8 @@ def test_a_moved_clique_member_fails_the_clique_check_and_classification(monkeyp
     """The builder's closure is passed on untouched, so the moved family is no coset of it and is walked."""
     real = cli.build_clique_and_walk
 
-    def moved(cspec, *maps):
-        family, walk = real(cspec, *maps)
+    def moved(form):
+        family, walk = real(form)
         return _moved(family, 6), walk
 
     monkeypatch.setattr(cli, "build_clique_and_walk", moved)
@@ -131,7 +131,7 @@ def test_a_moved_clique_member_fails_the_clique_check_and_classification(monkeyp
     assert capsys.readouterr().err == "verification failed: built family is not a clique\n"
     spec = GraphSpec(ring_spec(6), 2, 2, 1)
     with pytest.raises(VerificationError):
-        classify_max_clique(spec, _moved(build_canonical_clique(CanonicalCliqueSpec(spec, (0, 0))), 6))
+        classify_max_clique(spec, _moved(build_canonical_clique(CliqueForm(spec, (0, 0))), 6))
 
 
 def test_a_generator_moved_below_row_r_fails_the_rank_check(monkeypatch, capsys):
@@ -139,9 +139,9 @@ def test_a_generator_moved_below_row_r_fails_the_rank_check(monkeypatch, capsys)
     of it, but E_r0 + E_01 has rank 2, so only the ranks of the closure's members catch it."""
     real = cliques._canonical_generators
 
-    def moved(cspec):
-        (i, j, step), *rest = real(cspec)
-        return [(cspec.graph.r, j, step)] + rest
+    def moved(form):
+        (i, j, step), *rest = real(form)
+        return [(form.graph.r, j, step)] + rest
 
     monkeypatch.setattr(cliques, "_canonical_generators", moved)
     assert main(["build-clique", "--h", "6", "--m", "2", "--n", "2", "--r", "1", "--alpha", "0,0"]) == 1
@@ -259,8 +259,8 @@ def _classify_patched(monkeypatch, capsys, tmp_path, patch):
 
 def test_a_wrong_recovered_s_fails_the_rebuild(monkeypatch, capsys, tmp_path):
     """S with its rows swapped is invertible, but maps E_00 into the second row, outside the clique's group."""
-    code, err = _classify_patched(monkeypatch, capsys, tmp_path, lambda spec, tag, S, T, alpha, B0: (
-        spec, tag, None if S is None else _rows_swapped(S), T, alpha, B0))
+    code, err = _classify_patched(monkeypatch, capsys, tmp_path, lambda spec, alpha, S, T, B0: (
+        spec, alpha, None if S is None else _rows_swapped(S), T, B0))
     assert code == 1
     assert err.startswith("verification failed: recovered parameterization does not rebuild the family")
 
@@ -273,9 +273,9 @@ def test_a_singular_t_or_an_outside_b0_fails_the_certificate(monkeypatch, capsys
     """T = diag(1, 0) fixes E_00 and kills E_01, and B0 + E_10 shifts the clique off itself: either way
     every mapped generator still lies in the clique's group, so only the invertibility test or the
     membership test of B0 catches it."""
-    def patch(spec, tag, S, T, alpha, B0):
+    def patch(spec, alpha, S, T, B0):
         if field == "T":
-            return spec, tag, S, Mat.diagonal(spec.ring, [1, 0]), alpha, B0
-        return spec, tag, S, T, alpha, B0 + Mat.from_rows(spec.ring, [[0, 0], [1, 0]])
+            return spec, alpha, S, Mat.diagonal(spec.ring, [1, 0]), B0
+        return spec, alpha, S, T, B0 + Mat.from_rows(spec.ring, [[0, 0], [1, 0]])
 
     assert _classify_patched(monkeypatch, capsys, tmp_path, patch) == (1, f"verification failed: {message}\n")

@@ -3,7 +3,9 @@
 The commands are read out of README.md, not copied here.  A `ringmat ...`
 line runs in-process through ringmat.cli.main, and an `echo '...' > FILE`
 line writes its file, in an empty directory; a line of any other shape
-fails the test, so the block stays runnable by hand.
+fails the test, so the block stays runnable by hand.  The README's Python
+blocks run too, in order and in one namespace, so that a renamed library
+name fails here.
 """
 
 import re
@@ -32,3 +34,12 @@ def test_every_recipe_exits_zero(monkeypatch, tmp_path, capsys):
             continue
         assert argv[0] == "ringmat", f"not a ringmat command or an echo into a file: {shlex.join(argv)}"
         assert main(argv[1:]) == 0, shlex.join(argv) + "\n" + capsys.readouterr().err
+
+
+def test_the_python_blocks_run_in_order():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 2
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
+    assert namespace["form"].tag == "MixedForm" and len(namespace["fam"]) == 36

@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 from conftest import (coprojection_rank, kernel_table, matrices, reference_pp_smith, reference_snf, transpose,
                       two_loop_omega_check, zeros)
 from ringmat import cliques, graph, oracle, orbits, smith
-from ringmat.cliques import classify_max_clique, random_clique_form, rebuild_clique
+from ringmat.cliques import build_canonical_clique, classify_max_clique, random_clique_form
 from ringmat.graph import GraphSpec, build_graph
 from ringmat.errors import BudgetExceededError, UsageError, VerificationError
 from ringmat.matrix import Mat, random_invertible, random_matrix
@@ -281,7 +281,7 @@ def test_kernel_matches_reference_on_clique_stacks(monkeypatch, h, m, n):
     alphas = [(0, 1)] if m == 3 else list(product(*[(0, s) for _, s in ring.primes]))
     for alpha in alphas:
         form = random_clique_form(spec, alpha, 7)
-        assert classify_max_clique(spec, rebuild_clique(form)).alpha == alpha
+        assert classify_max_clique(spec, build_canonical_clique(form)).alpha == alpha
     assert calls and all(args[3] * args[4] > m * n for args in calls)  # stacks, not single members
     for args in calls:
         _assert_kernel_matches_reference(*args[:6])
