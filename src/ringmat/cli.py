@@ -301,7 +301,7 @@ def cmd_build_clique(args: argparse.Namespace) -> int:
 
 
 def cmd_classify_clique(args: argparse.Namespace) -> int:
-    ring, rows, cols, members, _ = rio.load_family(args.family, expect_h=args.h)
+    ring, rows, cols, members = rio.load_family(args.family, expect_h=args.h)
     spec = GraphSpec(ring, rows, cols, args.r)
     form = classify_max_clique(spec, members)
     _emit({"h": ring.h, "m": rows, "n": cols, "r": args.r, "size": len(members), **_form_obj(form)})
@@ -309,7 +309,7 @@ def cmd_classify_clique(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_ekr(args: argparse.Namespace) -> int:
-    ring, rows, cols, members, _ = rio.load_family(args.family, expect_h=args.h)
+    ring, rows, cols, members = rio.load_family(args.family, expect_h=args.h)
     spec = GraphSpec(ring, rows, cols, args.r)
     try:
         rep = verify_ekr(spec, members, args.budget)
@@ -343,7 +343,7 @@ def cmd_build_mrd(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_code(args: argparse.Namespace) -> int:
-    ring, rows, cols, members, _ = rio.load_family(args.family, expect_h=args.h)
+    ring, rows, cols, members = rio.load_family(args.family, expect_h=args.h)
     # metadata is not trusted: the family is checked as a plain set of words
     code = RankCode(ring, rows, cols, frozenset(members), args.d, False, None)
     computed = verify_distance(code, args.budget)

@@ -371,6 +371,7 @@ def clique_cover_complement(spec: GraphSpec, vertex_budget: int = DEFAULT_VERTEX
     charge("vertices", (spec.ring.h, spec.m * spec.n), vertex_budget)
     code = mrd_code(spec)
     _complement_lookup(spec, code)
+    charge_clique_build(spec)
     base, walk = build_clique_and_walk(CliqueForm(spec, (0,) * spec.ring.t))
     cut = spec.r * spec.n
     if any(any(x[cut:]) for x in base) or not is_clique(spec, base, walk=walk):

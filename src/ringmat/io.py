@@ -152,10 +152,6 @@ def load_matrix(path: str, expect_h: int | None = None) -> Mat:
 
 def _load_json(path: str) -> Any:
     try:
-        if path == "-":
-            import sys
-
-            return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
@@ -223,19 +219,14 @@ def family_to_obj(ring: RingSpec, rows: int, cols: int,
     return obj
 
 
-def family_from_obj(obj: Any, expect_h: int | None = None
-                    ) -> tuple[RingSpec, int, int, list[tuple[int, ...]], dict[str, Any]]:
+def family_from_obj(obj: Any, expect_h: int | None = None) -> tuple[RingSpec, int, int, list[tuple[int, ...]]]:
     ring, rows, cols = _shape_from_obj(obj, "family", "members", expect_h)
     raw = obj["members"]
     _require(isinstance(raw, list) and raw, "members must be a non-empty list")
-    members = _entry_tuples(ring, rows, cols, raw, "member")
-    meta = {k: v for k, v in obj.items()
-            if k not in ("h", "rows", "cols", "members")}
-    return ring, rows, cols, members, meta
+    return ring, rows, cols, _entry_tuples(ring, rows, cols, raw, "member")
 
 
-def load_family(path: str, expect_h: int | None = None
-                ) -> tuple[RingSpec, int, int, list[tuple[int, ...]], dict[str, Any]]:
+def load_family(path: str, expect_h: int | None = None) -> tuple[RingSpec, int, int, list[tuple[int, ...]]]:
     return family_from_obj(_load_json(path), expect_h=expect_h)
 
 

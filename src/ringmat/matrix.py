@@ -45,15 +45,6 @@ class Mat(Frozen):
         _set_cols(self, cols)
         _set_entries(self, entries)
 
-    # Not derived from Frozen: sets of matrices hash and compare through these; derived ones are 45-85% slower.
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Mat:
-            return NotImplemented
-        return (self.ring, self.rows, self.cols, self.entries) == (other.ring, other.rows, other.cols, other.entries)
-
-    def __hash__(self) -> int:
-        return hash((self.ring, self.rows, self.cols, self.entries))
-
     # --- construction -------------------------------------------------------
 
     @classmethod
@@ -97,9 +88,6 @@ class Mat(Frozen):
 
     def is_zero(self) -> bool:
         return not any(self.entries)
-
-    def __str__(self) -> str:
-        return "[" + "; ".join(" ".join(str(v) for v in self.row(i)) for i in range(self.rows)) + f"] over {self.ring}"
 
     # --- arithmetic ------------------------------------------------------------
 

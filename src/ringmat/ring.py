@@ -194,8 +194,8 @@ class RingSpec(Frozen):
         qs = tuple(p**s for p, s in primes)
         self._fill(h, primes, qs, tuple(s for _, s in primes), tuple(h // q * pow(h // q, -1, q) % h for q in qs))
 
-    # Not derived from Frozen: every Mat hash calls this one.  h alone is the identity,
-    # since primes is its factorization, which the constructor checks.
+    # Not derived from Frozen: h alone is the identity, since primes is its factorization,
+    # which the constructor checks.  A ring hashes as its h: set orders, hence stdout, rest on it.
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not RingSpec:
             return NotImplemented

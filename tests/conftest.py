@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import io
 import random
+import re
+import shlex
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations_with_replacement, product
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
+from ringmat.cli import main
 from ringmat.errors import DEFAULT_ENUMERATION_BUDGET, DEFAULT_SEARCH_STEP_BUDGET, VerificationError, charge
 from ringmat.graph import build_graph, subgroup_closure
 from ringmat.matrix import Mat
@@ -32,6 +38,53 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+# ---------------------------------------------------------------------------
+# sh lines run in-process: the harness of the CLI contract and the README recipes
+# ---------------------------------------------------------------------------
+
+
+def run_cli(argv: list[str]) -> tuple[int, str, str]:
+    """Run ringmat.cli.main in this interpreter: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def sh_lines(block: str) -> list[str]:
+    """The command lines of a sh block: continuations joined, blank and comment-only lines dropped."""
+    lines = re.sub(r"\\\n\s*", " ", block).splitlines()
+    return [line.strip() for line in lines if shlex.split(line, comments=True)]
+
+
+def run_sh_line(line: str) -> tuple[int, str, str] | None:
+    """Run one sh line in the current directory, in-process.
+
+    `ringmat ARGS [> FILE]` runs ringmat.cli.main, its stdout written to
+    FILE when one is named, and returns (exit code, stdout, stderr).
+    `echo 'TEXT' > FILE` and `printf 'FORMAT' > FILE` write FILE (printf
+    decodes \\n and octal escapes) and return None.  A line of any other
+    shape fails the test, so that every block stays runnable by hand.
+    """
+    words = shlex.split(line, comments=True)
+    target = words[-1] if len(words) > 2 and words[-2] == ">" else None
+    if target:
+        words = words[:-2]
+    if words[0] == "echo" and len(words) == 2 and target:
+        Path(target).write_bytes(words[1].encode() + b"\n")
+        return None
+    if words[0] == "printf" and len(words) == 2 and target and "%" not in words[1]:
+        escape = re.compile(rb"\\(n|[0-7]{1,3})")
+        Path(target).write_bytes(escape.sub(lambda m: b"\n" if m[1] == b"n" else bytes([int(m[1], 8)]), words[1].encode()))
+        return None
+    assert words[0] == "ringmat", f"not a ringmat command, or an echo or printf into a file: {line}"
+    code, out, err = run_cli(words[1:])
+    if target:
+        Path(target).write_bytes(out.encode())
+    return code, out, err
+
 
 # moduli that exercise every ring shape: prime, prime power, squarefree
 # composite, and mixed prime powers

@@ -240,7 +240,7 @@ def test_clique_commands_keep_the_cli_contract(tmp_path_factory, data, seed):
     if code != 0:
         return
 
-    ring, rows, cols, members, _ = load_family(str(family))
+    ring, rows, cols, members = load_family(str(family))
     grids = [[list(x[i * cols:(i + 1) * cols]) for i in range(rows)] for x in members]
     obj = {"h": ring.h, "rows": rows, "cols": cols}
     variants = {"intact": grids, "dropped": grids[:-1]}
@@ -309,7 +309,7 @@ def test_code_commands_keep_the_cli_contract(tmp_path_factory, data, seed):
     if code != 0:
         return
 
-    ring, rows, cols, members, _ = load_family(str(code_file))
+    ring, rows, cols, members = load_family(str(code_file))
     grids = [[list(x[i * cols:(i + 1) * cols]) for i in range(rows)] for x in members]
     variants = {"intact": grids}
     if len(grids) > 1:
